@@ -190,9 +190,11 @@ def _cmd_split(args, cfg) -> None:
     scheme = args.scheme or params["scheme"]
     k = args.k or params["k"]
     seed = params["seed"] if args.seed is None else args.seed
+    model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
     assignment = pipeline.build_assignment(
         dataset, scheme, k, seed,
-        cluster_threshold=params["cluster_threshold"])
+        cluster_threshold=params["cluster_threshold"],
+        fp_radius=model_cfg.fp_radius, fp_bits=model_cfg.fp_bits)
     write_folds(args.out, assignment)
     sizes = np.bincount(assignment.folds, minlength=k)
     print(f"{scheme} split of {dataset.n_pairs} records into {k} folds "

@@ -4,8 +4,20 @@ All buffers are float64. A graph is built once (node creation order is the
 topological order), then executed repeatedly with named feeds. Forward
 evaluation touches only the ancestors of the requested outputs, computes each
 node exactly once, and raises as soon as any op produces a non-finite value.
-Backward accumulates gradients for every numeric node reachable from the
-loss, so inputs can be gradient-checked as well as parameters.
+
+Backward fills ``grad`` only on nodes that lie between the loss and a
+``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
+how the gradient checks reach placeholders). Each op computes a contribution
+only for an input that wants one, so the input gradient of the first dense
+layer and of the first graph convolution is never formed in training. After a
+backward pass every parameter the loss reaches holds a gradient (all zeros
+when nothing flowed into it) and every node that received none holds
+``None``. A node's first contribution is adopted as its gradient without a
+copy, so gradient arrays may alias each other and are read-only.
+
+``Adam.step`` updates parameters and moments in place, row block by row
+block, with the arithmetic of the textbook rule in its textbook order, so it
+is bitwise equal to the plain expression.
 
 Conventions fixed here and relied on by tests:
 
@@ -68,16 +80,22 @@ class Node:
         self.name = op  # made unique when added to a Graph
         self.value: np.ndarray | None = None
         self.grad: np.ndarray | None = None
+        # set by Graph.backward; True until then so backprop can be driven by hand
+        self.wants_grad = True
 
     def compute(self, ctx: _Context) -> np.ndarray:
         raise NotImplementedError
 
     def backprop(self) -> None:
-        """Accumulate ``self.grad`` into the gradients of the inputs."""
+        """Add ``self.grad``'s contribution to each input that wants a gradient."""
 
     def _accumulate(self, node: "Node", contribution: np.ndarray) -> None:
-        if node.grad is not None:
-            node.grad += contribution
+        # The first contribution is adopted as is; later ones are added out of
+        # place because an adopted array may be another node's gradient.
+        if node.grad is None:
+            node.grad = contribution
+        else:
+            node.grad = node.grad + contribution
 
     def shape_error(self, detail: str) -> ShapeError:
         return ShapeError(f"{self.name} ({self.op}): {detail}")
@@ -132,8 +150,10 @@ class _MatMul(Node):
 
     def backprop(self):
         a, b = self.inputs
-        self._accumulate(a, self.grad @ b.value.T)
-        self._accumulate(b, a.value.T @ self.grad)
+        if a.wants_grad:
+            self._accumulate(a, self.grad @ b.value.T)
+        if b.wants_grad:
+            self._accumulate(b, a.value.T @ self.grad)
 
 
 class _AddBias(Node):
@@ -147,8 +167,11 @@ class _AddBias(Node):
         return x + bias
 
     def backprop(self):
-        self._accumulate(self.inputs[0], self.grad)
-        self._accumulate(self.inputs[1], self.grad.sum(axis=0))
+        x, bias = self.inputs
+        if x.wants_grad:
+            self._accumulate(x, self.grad)
+        if bias.wants_grad:
+            self._accumulate(bias, self.grad.sum(axis=0))
 
 
 class _Relu(Node):
@@ -162,7 +185,8 @@ class _Relu(Node):
         return np.where(self._mask, x, 0.0)
 
     def backprop(self):
-        self._accumulate(self.inputs[0], self.grad * self._mask)
+        if self.inputs[0].wants_grad:
+            self._accumulate(self.inputs[0], self.grad * self._mask)
 
 
 class _Concat(Node):
@@ -182,7 +206,8 @@ class _Concat(Node):
     def backprop(self):
         offset = 0
         for node, width in zip(self.inputs, self._widths):
-            self._accumulate(node, self.grad[:, offset:offset + width])
+            if node.wants_grad:
+                self._accumulate(node, self.grad[:, offset:offset + width])
             offset += width
 
 
@@ -206,6 +231,8 @@ class _Dropout(Node):
         return x * self._mask
 
     def backprop(self):
+        if not self.inputs[0].wants_grad:
+            return
         if self._mask is None:
             self._accumulate(self.inputs[0], self.grad)
         else:
@@ -252,8 +279,12 @@ class _BatchNorm(Node):
     def backprop(self):
         x_node, gamma_node, beta_node = self.inputs
         gamma = gamma_node.value
-        self._accumulate(gamma_node, (self.grad * self._xhat).sum(axis=0))
-        self._accumulate(beta_node, self.grad.sum(axis=0))
+        if gamma_node.wants_grad:
+            self._accumulate(gamma_node, (self.grad * self._xhat).sum(axis=0))
+        if beta_node.wants_grad:
+            self._accumulate(beta_node, self.grad.sum(axis=0))
+        if not x_node.wants_grad:
+            return
         dxhat = self.grad * gamma
         if not self._training:
             self._accumulate(x_node, dxhat * self._inv_std)
@@ -283,13 +314,17 @@ class _WeightedMse(Node):
     def backprop(self):
         pred, target, weight = self.inputs
         scale = float(self.grad)
-        dpred = scale * 2.0 * weight.value * self._diff / self._denom
-        self._accumulate(pred, dpred)
-        self._accumulate(target, -dpred)
-        self._accumulate(
-            weight,
-            scale * (self._diff ** 2 - self.value) / self._denom,
-        )
+        if pred.wants_grad or target.wants_grad:
+            dpred = scale * 2.0 * weight.value * self._diff / self._denom
+            if pred.wants_grad:
+                self._accumulate(pred, dpred)
+            if target.wants_grad:
+                self._accumulate(target, -dpred)
+        if weight.wants_grad:
+            self._accumulate(
+                weight,
+                scale * (self._diff ** 2 - self.value) / self._denom,
+            )
 
 
 class Graph:
@@ -385,21 +420,42 @@ class Graph:
         self._forward_ready = needed
         return [node.value for node in outputs]
 
-    def backward(self, loss: Node) -> None:
-        """Reverse-mode accumulation of d(loss)/d(node) for reachable nodes."""
+    def backward(self, loss: Node, inputs: tuple[Node, ...] = ()) -> None:
+        """Reverse-mode d(loss)/d(node) for the nodes that depend on a parameter.
+
+        ``inputs`` names further nodes (usually placeholders) whose gradient
+        the caller wants; the nodes between them and the loss are filled too.
+        Every parameter and named input the loss reaches ends with a gradient,
+        all zeros if nothing flowed into it; every other node ends with
+        ``None`` unless it lies on such a path.
+        """
         if id(loss) not in self._forward_ready or loss.value is None:
             raise EngineError("backward called before forward")
         if np.size(loss.value) != 1:
             raise EngineError(
                 f"loss node '{loss.name}' is not scalar: shape {loss.value.shape}")
+        named = {id(node) for node in inputs}
+        known = {id(node) for node in self.nodes}
+        for node in inputs:
+            if id(node) not in known or isinstance(node, ObjectInput):
+                raise EngineError(
+                    f"cannot take the gradient of '{node.name}': not a "
+                    f"numeric node of this graph")
         reachable = self._ancestors([loss])
-        for node in self.nodes:
-            if id(node) in reachable and not isinstance(node, ObjectInput):
-                node.grad = np.zeros_like(node.value)
+        for node in self.nodes:  # creation order: inputs are decided first
+            node.grad = None
+            node.wants_grad = (
+                id(node) in reachable and not isinstance(node, ObjectInput)
+                and (isinstance(node, Parameter) or id(node) in named
+                     or any(inp.wants_grad for inp in node.inputs)))
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
-            if id(node) in reachable:
+            if node.wants_grad and node.grad is not None:
                 node.backprop()
+        for node in self.nodes:
+            if (node.grad is None and node.wants_grad
+                    and (isinstance(node, Parameter) or id(node) in named)):
+                node.grad = np.zeros_like(node.value)
 
     def zero_grad(self) -> None:
         for node in self.nodes:
@@ -447,8 +503,24 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# Rows per block of an Adam update: 128 rows of the 256-wide first-layer
+# weight keep the ~13 elementwise passes over a block inside L2.
+_ADAM_BLOCK_ROWS = 128
+
+
+def _as_rows(array: np.ndarray) -> np.ndarray:
+    """A 2-d view of ``array``: its rows, or one row for a 0-d or 1-d array."""
+    if array.ndim < 2:
+        return array.reshape(1, array.size)
+    return array.reshape(array.shape[0], int(np.prod(array.shape[1:])))
+
+
 class Adam:
-    """Adam with bias correction; defaults lr=1e-3, betas=(0.9, 0.999), eps=1e-8."""
+    """Adam with bias correction; defaults lr=1e-3, betas=(0.9, 0.999), eps=1e-8.
+
+    ``step`` works in place through two scratch buffers of one row block, so
+    a step allocates nothing of parameter size.
+    """
 
     def __init__(self, parameters: list[Parameter], learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -461,25 +533,54 @@ class Adam:
         for p in self.parameters:
             self.state.m[p.name] = np.zeros_like(p.array)
             self.state.v[p.name] = np.zeros_like(p.array)
+        block = max((min(rows, _ADAM_BLOCK_ROWS) * width for rows, width in
+                     (_as_rows(p.array).shape for p in self.parameters)),
+                    default=0)
+        self._scratch = (np.empty(block), np.empty(block))
 
     def step(self) -> None:
-        self.state.step += 1
-        t = self.state.step
+        """One update; raises before writing anything if a gradient is bad."""
         for p in self.parameters:
             if p.grad is None:
                 raise EngineError(f"parameter '{p.name}' has no gradient")
-            g = p.grad
-            if not np.all(np.isfinite(g)):
+            if p.grad.shape != p.array.shape:
+                raise ShapeError(f"gradient {p.grad.shape} of parameter "
+                                 f"'{p.name}' does not match {p.array.shape}")
+            if not np.all(np.isfinite(p.grad)):
                 raise NonFiniteError(f"non-finite gradient for parameter '{p.name}'")
-            m = self.state.m[p.name]
-            v = self.state.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.array -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.state.step += 1
+        t = self.state.step
+        b1, b2, lr = self.beta1, self.beta2, self.learning_rate
+        bias1 = 1.0 - b1 ** t
+        bias2 = 1.0 - b2 ** t
+        for p in self.parameters:
+            theta = _as_rows(p.array)
+            g = _as_rows(p.grad)
+            m = _as_rows(self.state.m[p.name])
+            v = _as_rows(self.state.v[p.name])
+            rows, width = theta.shape
+            for lo in range(0, rows, _ADAM_BLOCK_ROWS):
+                hi = min(lo + _ADAM_BLOCK_ROWS, rows)
+                a = self._scratch[0][:(hi - lo) * width].reshape(hi - lo, width)
+                b = self._scratch[1][:(hi - lo) * width].reshape(hi - lo, width)
+                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                # m = b1*m + (1-b1)*g
+                mb *= b1
+                np.multiply(1.0 - b1, gb, out=a)
+                mb += a
+                # v = b2*v + ((1-b2)*g)*g
+                vb *= b2
+                np.multiply(1.0 - b2, gb, out=a)
+                a *= gb
+                vb += a
+                # theta -= (lr * m_hat) / (sqrt(v_hat) + eps)
+                np.divide(vb, bias2, out=a)
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(mb, bias1, out=b)
+                np.multiply(lr, b, out=b)
+                b /= a
+                theta[lo:hi] -= b
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}

@@ -157,19 +157,26 @@ class GraphConv(Node):
         w_self, w_nbr, bias = self._params()
         h = h_node.value
         dz = self.grad * self._mask
-        dh = np.zeros_like(h)
-        dnbr = np.zeros_like(h)
+        want_h = h_node.wants_grad
+        if want_h:
+            dh = np.zeros_like(h)
+            dnbr = np.zeros_like(h)
         for d, idx in enumerate(batch.degree_index):
             if idx.size == 0:
-                continue
-            self._accumulate(w_self[d], h[idx].T @ dz[idx])
-            self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dz[idx])
-            self._accumulate(bias[d], dz[idx].sum(axis=0))
-            dh[idx] += dz[idx] @ w_self[d].value.T
-            dnbr[idx] = dz[idx] @ w_nbr[d].value.T
-        # neighbor sums: gradient flows back along each directed edge
-        np.add.at(dh, batch.edge_src, dnbr[batch.edge_dst])
-        self._accumulate(h_node, dh)
+                continue  # the degree's parameters end with a zero gradient
+            if w_self[d].wants_grad:
+                self._accumulate(w_self[d], h[idx].T @ dz[idx])
+            if w_nbr[d].wants_grad:
+                self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dz[idx])
+            if bias[d].wants_grad:
+                self._accumulate(bias[d], dz[idx].sum(axis=0))
+            if want_h:
+                dh[idx] += dz[idx] @ w_self[d].value.T
+                dnbr[idx] = dz[idx] @ w_nbr[d].value.T
+        if want_h:
+            # neighbor sums: gradient flows back along each directed edge
+            np.add.at(dh, batch.edge_src, dnbr[batch.edge_dst])
+            self._accumulate(h_node, dh)
 
 
 class GraphPool(Node):
@@ -193,6 +200,8 @@ class GraphPool(Node):
 
     def backprop(self):
         h_node = self.inputs[0]
+        if not h_node.wants_grad:
+            return
         width = self.grad.shape[1]
         rows = self._winners.ravel()
         cols = np.tile(np.arange(width), self._winners.shape[0])
@@ -216,6 +225,8 @@ class GraphGather(Node):
         return np.add.reduceat(h, batch.mol_starts, axis=0)
 
     def backprop(self):
+        if not self.inputs[0].wants_grad:
+            return
         batch: GraphBatch = self.inputs[1].value
         self._accumulate(self.inputs[0],
                          np.repeat(self.grad, batch.mol_sizes, axis=0))

@@ -289,11 +289,17 @@ class Model:
             magic = handle.read(8)
             if magic != _MAGIC:
                 raise ModelError(f"{path}: not a model checkpoint")
-            version, header_len = struct.unpack("<IQ", handle.read(12))
+            prefix = handle.read(12)
+            if len(prefix) != 12:
+                raise ModelError(f"{path}: truncated checkpoint (no header)")
+            version, header_len = struct.unpack("<IQ", prefix)
             if version != _FORMAT_VERSION:
                 raise ModelError(
                     f"{path}: checkpoint format {version} not supported")
-            header = json.loads(handle.read(header_len).decode("utf-8"))
+            blob = handle.read(header_len)
+            if len(blob) != header_len:
+                raise ModelError(f"{path}: truncated checkpoint header")
+            header = json.loads(blob.decode("utf-8"))
             payload = handle.read()
         layout = header["featurization"]["layout_version"]
         if layout != FEATURIZATION_VERSION:
@@ -314,6 +320,11 @@ class Model:
             shape = tuple(entry["shape"])
             size = int(np.prod(shape)) if shape else 1
             start = entry["offset"]
+            if start < 0 or start + size * 8 > len(payload):
+                raise ModelError(
+                    f"{path}: truncated checkpoint: tensor {entry['name']!r} "
+                    f"needs bytes {start}..{start + size * 8} of a "
+                    f"{len(payload)}-byte payload")
             array = np.frombuffer(payload, dtype="<f8", count=size,
                                   offset=start).reshape(shape).copy()
             tensors[entry["name"]] = array

@@ -118,18 +118,31 @@ def build_assignment(dataset: data_mod.PairDataset, scheme: str, k: int,
     if scheme == "cold-target":
         return cold_entity_split(drug_ids, target_ids, k, seed, axis="target")
     if scheme == "cold-cluster":
-        fingerprints = [ecfp(parse_smiles(s), fp_radius, fp_bits)
-                        for s in dataset.compounds]
-        clustering = cluster_compounds(fingerprints, cluster_threshold)
+        clustering = _cluster_dataset(dataset, cluster_threshold, fp_radius,
+                                      fp_bits)
         return cold_cluster_split(dataset.pairs[:, 0], clustering, k, seed)
     if scheme == "random":
         return random_split(dataset.n_pairs, k, seed)
     raise PipelineError(f"unknown scheme {scheme!r}")
 
 
+def _cluster_dataset(dataset: data_mod.PairDataset, threshold: float,
+                     fp_radius: int, fp_bits: int):
+    fingerprints = [ecfp(parse_smiles(s), fp_radius, fp_bits)
+                    for s in dataset.compounds]
+    return cluster_compounds(fingerprints, threshold)
+
+
 def _leakage_audit(assignment: FoldAssignment,
                    dataset: data_mod.PairDataset,
-                   cluster_threshold: float) -> str:
+                   cluster_threshold: float, *,
+                   fp_radius: int, fp_bits: int) -> str:
+    """"pass" or "FAIL" for the scheme's defining constraint ("n/a" if none).
+
+    A cold-cluster split is audited against the clustering it was built
+    from; only an assignment replayed from a fold file, which does not carry
+    it, is clustered again with the given fingerprint settings.
+    """
     drug_ids = [dataset.compounds[i] for i in dataset.pairs[:, 0]]
     target_ids = [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]
     if assignment.scheme == "warm":
@@ -139,11 +152,12 @@ def _leakage_audit(assignment: FoldAssignment,
     elif assignment.scheme == "cold-target":
         leaks = audit_cold(assignment, target_ids)
     elif assignment.scheme == "cold-cluster":
-        fingerprints = [ecfp(parse_smiles(s)) for s in dataset.compounds]
-        clustering = cluster_compounds(fingerprints, cluster_threshold)
-        spanning = audit_clusters(
-            assignment, clustering.labels[dataset.pairs[:, 0]])
-        return "pass" if not spanning else "FAIL"
+        labels = assignment.record_clusters
+        if labels is None:
+            clustering = _cluster_dataset(dataset, cluster_threshold,
+                                          fp_radius, fp_bits)
+            labels = clustering.labels[dataset.pairs[:, 0]]
+        return "pass" if not audit_clusters(assignment, labels) else "FAIL"
     else:
         return "n/a"
     return "pass" if all(not v for v in leaks.values()) else "FAIL"
@@ -230,7 +244,9 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                     cluster_threshold=params["cluster_threshold"],
                     fp_radius=model_cfg.fp_radius, fp_bits=model_cfg.fp_bits)
             audit = _leakage_audit(assignment, dataset,
-                                   params["cluster_threshold"])
+                                   params["cluster_threshold"],
+                                   fp_radius=model_cfg.fp_radius,
+                                   fp_bits=model_cfg.fp_bits)
             write_folds(out_dir / f"folds_{scheme}_rep{rep}.csv", assignment)
             _, holdout = hyperopt_holdout(dataset.n_pairs, seed=rep_seed,
                                           fraction=cfg.holdout_fraction())
@@ -644,12 +660,13 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
         from .splits import read_folds
         for scheme in ("warm", "cold-drug", "cold-target", "cold-cluster"):
             assignment = build_assignment(dataset, scheme, k=3, seed=seed,
-                                          fp_bits=512)
+                                          fp_radius=2, fp_bits=512)
             path = work_dir / f"folds_{scheme}.csv"
             write_folds(path, assignment)
             loaded = read_folds(path)
             assert np.array_equal(loaded.folds, assignment.folds)
-            audit = _leakage_audit(assignment, dataset, 0.7)
+            audit = _leakage_audit(assignment, dataset, 0.7,
+                                   fp_radius=2, fp_bits=512)
             assert audit == "pass", f"{scheme} leakage audit failed"
 
     stage("split", do_splits)

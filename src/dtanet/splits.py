@@ -62,6 +62,8 @@ class FoldAssignment:
     folds: np.ndarray  # per-record fold index
     scheme: str
     seed: int
+    # cold-cluster only: the cluster label of each record the split used
+    record_clusters: np.ndarray | None = None
 
     def __post_init__(self):
         self.folds = np.asarray(self.folds, dtype=np.int64)
@@ -346,7 +348,8 @@ def cold_cluster_split(compound_of_record, clustering: CompoundClustering,
         fold_of_cluster[cluster] = dest
         loads[dest] += weights[cluster]
     folds = fold_of_cluster[record_cluster]
-    return FoldAssignment(k=k, folds=folds, scheme="cold-cluster", seed=seed)
+    return FoldAssignment(k=k, folds=folds, scheme="cold-cluster", seed=seed,
+                          record_clusters=record_cluster)
 
 
 def audit_clusters(assignment: FoldAssignment, record_cluster_labels) -> list[int]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dtanet.cli import main
+from dtanet.pipeline import read_report
 from dtanet.splits import read_folds
 
 
@@ -116,6 +117,26 @@ class TestCvCommand:
         assert main(["cv", "--data-dir", str(data), "--folds", str(folds),
                      "--out-dir", str(out)] + TINY_ARGS) == 0
         assert (out / "report_cold-drug.csv").exists()
+
+    def test_cold_cluster_replay_audits_with_the_config_fingerprints(
+            self, workspace, tmp_path):
+        # a replayed fold file carries no clustering: cv clusters again with
+        # the config's fingerprints, so split must have used the same ones
+        root, data = workspace
+        # with these settings the default fingerprints cluster differently
+        fp_args = ["--set", "model.fp_radius=1",
+                   "--set", "split.cluster_threshold=0.3"]
+        folds = tmp_path / "folds.csv"
+        assert main(["split", "--data-dir", str(data), "--scheme",
+                     "cold-cluster", "--k", "2", "--seed", "3",
+                     "--out", str(folds)] + TINY_ARGS + fp_args) == 0
+        out = tmp_path / "cv"
+        assert main(["cv", "--data-dir", str(data), "--folds", str(folds),
+                     "--out-dir", str(out)] + TINY_ARGS + fp_args) == 0
+        _, rows = read_report(out / "report_cold-cluster.csv")
+        fold_rows = [r for r in rows if r[0] == "cold-cluster"
+                     and r[2] not in ("mean", "std")]
+        assert fold_rows and all(r[9] == "pass" for r in fold_rows)
 
     def test_smoke_command(self, workspace, tmp_path):
         root, data = workspace

@@ -92,7 +92,7 @@ class TestOpSemantics:
         feeds = {"a": np.ones((2, 2)), "b": np.zeros((2, 3)),
                  "t": np.zeros((2, 5)), "w": np.ones((2, 5))}
         (value,) = g.forward(feeds, [loss])
-        g.backward(loss)
+        g.backward(loss, inputs=(a, b))
         assert a.grad.shape == (2, 2)
         assert b.grad.shape == (2, 3)
         assert np.allclose(a.grad, 2.0 * 1.0 / 10.0)
@@ -153,7 +153,7 @@ class TestOpSemantics:
         value = np.array([[1.0, -2.0], [0.5, 3.0]])
         g.forward({"x": value, "t": np.zeros((2, 2)),
                    "w": np.ones((2, 2))}, [loss])
-        g.backward(loss)
+        g.backward(loss, inputs=(x,))
         assert np.array_equal(x.grad, 2.0 * value / 4.0)
 
     def test_relu_subgradient_zero_at_zero(self):
@@ -167,7 +167,7 @@ class TestOpSemantics:
                  "t": np.array([[1.0, 1.0, 1.0]]),
                  "w": np.ones((1, 3))}
         g.forward(feeds, [loss])
-        g.backward(loss)
+        g.backward(loss, inputs=(x,))
         dx = x.grad[0]
         assert dx[0] == 0.0   # at the kink
         assert dx[1] != 0.0
@@ -293,7 +293,7 @@ class TestGradientChecks:
             return float(value)
 
         evaluate()
-        g.backward(loss)
+        g.backward(loss, inputs=(x,))
         direction = rng.standard_normal(x_value.shape)
         direction /= np.linalg.norm(direction)
         analytic = float((x.grad * direction).sum())
@@ -301,7 +301,149 @@ class TestGradientChecks:
         assert relative_error(analytic, numeric) < 1e-4
 
 
+class TestBackwardScope:
+    def _regression(self, rng):
+        g = Graph()
+        x = g.placeholder("x")
+        w = g.parameter("w", rng.standard_normal((3, 2)))
+        z = g.matmul(x, w)
+        target = g.placeholder("target")
+        weight = g.placeholder("weight")
+        loss = g.weighted_mse(z, target, weight)
+        feeds = {"x": rng.standard_normal((4, 3)),
+                 "target": rng.standard_normal((4, 2)),
+                 "weight": np.ones((4, 2))}
+        g.forward(feeds, [loss])
+        return g, x, w, z, target, weight, loss, feeds
+
+    def test_only_parameter_paths_get_gradients(self):
+        g, x, w, z, target, weight, loss, _ = self._regression(
+            np.random.default_rng(0))
+        g.backward(loss)
+        assert w.grad is not None and z.grad is not None
+        assert x.grad is None and target.grad is None and weight.grad is None
+
+    def test_inputs_opt_in(self):
+        g, x, w, z, target, weight, loss, feeds = self._regression(
+            np.random.default_rng(1))
+        g.backward(loss, inputs=(x,))
+        dz = 2.0 * (z.value - feeds["target"]) / 8.0
+        assert np.allclose(x.grad, dz @ w.array.T)
+        assert target.grad is None and weight.grad is None
+
+    def test_stale_gradients_are_reset(self):
+        g, x, w, z, target, weight, loss, _ = self._regression(
+            np.random.default_rng(2))
+        g.backward(loss, inputs=(x, target))
+        assert x.grad is not None and target.grad is not None
+        g.backward(loss)
+        assert x.grad is None and target.grad is None
+        assert w.grad is not None
+
+    def test_unreached_node_holds_no_gradient(self):
+        g, x, w, z, target, weight, loss, _ = self._regression(
+            np.random.default_rng(3))
+        unused = g.parameter("unused", np.ones(2))
+        unused.grad = np.ones(2)
+        g.backward(loss)
+        assert unused.grad is None
+
+    def test_second_contribution_leaves_adopted_array_alone(self):
+        # z feeds both the bias add (which hands its gradient on as is) and
+        # the concat, so z's two contributions meet an adopted array
+        rng = np.random.default_rng(4)
+        g = Graph()
+        x = g.placeholder("x")
+        w = g.parameter("w", rng.standard_normal((3, 2)))
+        b = g.parameter("b", rng.standard_normal(2))
+        z = g.matmul(x, w)
+        y = g.add_bias(z, b)
+        cat = g.concat([y, z])
+        target = g.placeholder("target")
+        weight = g.placeholder("weight")
+        loss = g.weighted_mse(cat, target, weight)
+        feeds = {"x": rng.standard_normal((5, 3)),
+                 "target": rng.standard_normal((5, 4)),
+                 "weight": np.ones((5, 4))}
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        assert np.array_equal(y.grad, cat.grad[:, :2])
+        assert np.array_equal(z.grad, cat.grad[:, 2:] + cat.grad[:, :2])
+        for param in (w, b):
+            check_param_gradient(g, loss, feeds, param, rng)
+
+    def test_inputs_must_be_numeric_nodes_of_the_graph(self):
+        g, x, w, z, target, weight, loss, _ = self._regression(
+            np.random.default_rng(5))
+        structure = g.object_input("structure")
+        with pytest.raises(EngineError, match="structure"):
+            g.backward(loss, inputs=(structure,))
+        stranger = Graph().placeholder("stranger")
+        with pytest.raises(EngineError, match="stranger"):
+            g.backward(loss, inputs=(stranger,))
+
+
+def textbook_adam(theta, m, v, g, t, lr, b1, b2, eps):
+    """Kingma & Ba, Algorithm 1, written as plain array expressions."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 class TestAdam:
+    @pytest.mark.parametrize("shape", [(129, 7), (300, 3), (257, 2, 2),
+                                       (11,), (1, 1), ()])
+    def test_bitwise_equal_to_textbook_rule(self, shape):
+        # row blocks are 128 rows, so most shapes here cross a block edge
+        rng = np.random.default_rng(len(shape) * 1000 + sum(shape))
+        lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-7
+        start = rng.standard_normal(shape)
+        p = Parameter("theta", start)
+        other = Parameter("other", rng.standard_normal((130, 5)))
+        adam = Adam([other, p], learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+        theta, m, v = start.copy(), np.zeros(shape), np.zeros(shape)
+        for t in range(1, 7):
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2)
+            if g.ndim == 2 and t % 2:
+                g[::3] = 0.0  # rows without gradient
+            p.grad = g
+            other.grad = rng.standard_normal((130, 5))
+            adam.step()
+            theta, m, v = textbook_adam(theta, m, v, g, t, lr, b1, b2, eps)
+            assert np.array_equal(p.array, theta)
+            assert np.array_equal(adam.state.m["theta"], m)
+            assert np.array_equal(adam.state.v["theta"], v)
+
+    def test_nonfinite_gradient_writes_nothing(self):
+        rng = np.random.default_rng(9)
+        first = Parameter("first", rng.standard_normal((200, 3)))
+        second = Parameter("second", rng.standard_normal(4))
+        adam = Adam([first, second])
+        first.grad = rng.standard_normal((200, 3))
+        second.grad = rng.standard_normal(4)
+        adam.step()
+        before = ([first.array.copy(), second.array.copy()],
+                  adam.state_arrays(), adam.state.step)
+        first.grad = rng.standard_normal((200, 3))
+        second.grad = np.array([0.0, np.inf, 1.0, 2.0])
+        with pytest.raises(NonFiniteError, match="second"):
+            adam.step()
+        assert np.array_equal(first.array, before[0][0])
+        assert np.array_equal(second.array, before[0][1])
+        after = adam.state_arrays()
+        assert after.keys() == before[1].keys()
+        assert all(np.array_equal(after[k], before[1][k]) for k in after)
+        assert adam.state.step == before[2]
+
+    def test_gradient_shape_must_match(self):
+        p = Parameter("theta", np.zeros((3, 2)))
+        adam = Adam([p])
+        p.grad = np.zeros((2, 3))
+        with pytest.raises(ShapeError, match="theta"):
+            adam.step()
+
     def test_first_step_magnitude_is_learning_rate(self):
         p = Parameter("theta", np.array([0.0]))
         adam = Adam([p], learning_rate=1e-3)

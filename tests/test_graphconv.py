@@ -5,7 +5,7 @@ import pytest
 
 from conftest import central_difference_directional, relative_error
 from dtanet.compounds import atom_features
-from dtanet.engine import Graph
+from dtanet.engine import Adam, Graph
 from dtanet.graphconv import (
     GraphConv,
     GraphGather,
@@ -112,7 +112,7 @@ class TestPoolSemantics:
         loss = g.weighted_mse(pool, target, weight)
         g.forward({"h": rows, "structure": batch, "t": np.zeros((2, 1)),
                    "w": np.ones((2, 1))}, [loss])
-        g.backward(loss)
+        g.backward(loss, inputs=(h,))
         # both segments pick atom 0, so all gradient lands there
         assert h.grad[1, 0] == 0.0
         assert h.grad[0, 0] != 0.0
@@ -222,6 +222,30 @@ class TestGradients:
             checked += 1
         assert checked >= 4
 
+    def test_empty_degree_gets_zero_gradient_and_adam_steps(self):
+        rng = np.random.default_rng(23)
+        g, loss, feeds = self._full_stack(["CCO", "CC"], rng)
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        unused = [p for p in g.parameters() if p.name in ("ws3", "wn3", "b3")]
+        assert len(unused) == 3
+        for param in unused:
+            assert param.grad is not None
+            assert param.grad.shape == param.array.shape
+            assert not np.any(param.grad)
+        before = [p.array.copy() for p in unused]
+        Adam(g.parameters()).step()
+        for param, old in zip(unused, before):
+            assert np.array_equal(param.array, old)
+
+    def test_atom_features_get_no_gradient_unless_named(self):
+        rng = np.random.default_rng(29)
+        g, loss, feeds = self._full_stack(["CCO", "CCC"], rng)
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        h_node = next(n for n in g.nodes if n.name == "h")
+        assert h_node.grad is None
+
     def test_gradient_wrt_atom_features(self):
         rng = np.random.default_rng(17)
         g, loss, feeds = self._full_stack(["CCO", "CCC"], rng)
@@ -232,8 +256,8 @@ class TestGradients:
             return float(value)
 
         evaluate()
-        g.backward(loss)
         h_node = next(n for n in g.nodes if n.name == "h")
+        g.backward(loss, inputs=(h_node,))
         direction = rng.standard_normal(h_value.shape)
         direction /= np.linalg.norm(direction)
         analytic = float((h_node.grad * direction).sum())

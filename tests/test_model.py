@@ -208,6 +208,19 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="layout 9"):
             Model.load(path)
 
+    @pytest.mark.parametrize("keep", [16, 40, -8, -1])
+    def test_truncated_checkpoint_names_the_file(self, tmp_path, keep):
+        dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6,
+                                 seed=7)
+        model = FeatureStore(dataset, small_config()).build_model()
+        path = tmp_path / "model.ckpt"
+        model.save(path, optimizer_step=3,
+                   optimizer_arrays={"adam.m.output.b": np.zeros(1)})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep])
+        with pytest.raises(ModelError, match="model.ckpt.*truncated"):
+            Model.load(path)
+
     def test_compound_only_round_trip_keeps_protein_mapping(self, tmp_path):
         dataset = memory_dataset(n_compounds=6, n_proteins=4, n_pairs=12,
                                  seed=8)

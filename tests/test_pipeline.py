@@ -143,6 +143,23 @@ class TestCvCommand:
                      and r[0] != "scheme"]
         assert fold_rows and all(r[9] == "pass" for r in fold_rows)
 
+    def test_cold_cluster_audit_uses_the_split_fingerprints(
+            self, fixture_dir, tmp_path):
+        # Clustered with radius-4, 4096-bit fingerprints at threshold 0.3,
+        # this fixture's split is sound; clustered again with the default
+        # fingerprints, some clusters span folds and the audit would say FAIL.
+        cfg = parse_run_config(None, overrides={
+            **TINY, "model.fp_radius": "4", "model.fp_bits": "4096",
+            "split.cluster_threshold": "0.3", "split.k": "3",
+            "train.max_epochs": "1"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        report_path = run_cv(cfg, dataset, tmp_path / "cvc",
+                             scheme="cold-cluster")
+        _, rows = read_report(report_path)
+        fold_rows = [r for r in rows if r[2] not in ("mean", "std")
+                     and r[0] != "scheme"]
+        assert fold_rows and all(r[9] == "pass" for r in fold_rows)
+
     def test_replays_fold_csv_from_split(self, fixture_dir, tiny_config,
                                          tmp_path):
         from dtanet.splits import write_folds

@@ -1,0 +1,94 @@
+"""Check that checkpoints trained with two or more source trees are identical.
+
+    python3 tools/checkpoint_digest.py --src SRC_A --src SRC_B
+
+Each ``--src`` names a ``src`` directory holding a ``dtanet`` package. For
+each one, a fresh interpreter trains the four variants for 3 epochs with
+seed 0 on synthetic pairs, saves each best checkpoint with its Adam moments,
+and reports the SHA-256 digests. The script exits 1 unless every variant's
+checkpoint is byte-identical across the sources, which is how a numerical
+restructuring of the engine shows that it kept the arithmetic.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+EPOCHS = 3
+SEED = 0
+
+
+def digests() -> dict[str, str]:
+    """Train each variant in this interpreter; digest of each checkpoint."""
+    from dtanet.model import VARIANTS, FeatureStore, ModelConfig
+    from dtanet.synthetic import memory_dataset
+    from dtanet.training import TrainConfig, train
+
+    dataset = memory_dataset(n_compounds=60, n_proteins=8, n_pairs=400,
+                             seed=SEED)
+    train_idx = list(range(0, 360))
+    val_idx = list(range(360, 400))
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        for variant in VARIANTS:
+            store = FeatureStore(dataset, ModelConfig(variant=variant,
+                                                      seed=SEED))
+            model = store.build_model()
+            result = train(model, store, train_idx, val_idx,
+                           TrainConfig(max_epochs=EPOCHS, patience=EPOCHS,
+                                       seed=SEED))
+            path = Path(work) / f"{variant}.ckpt"
+            model.save(path, optimizer_step=result.best_optimizer_step,
+                       optimizer_arrays=result.best_optimizer)
+            out[variant] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", type=Path, default=[],
+                        help="src directory to import dtanet from "
+                             "(give at least two)")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(digests()))
+        return 0
+    if len(args.src) < 2:
+        parser.error("give at least two --src directories to compare")
+    sources = [s.resolve() for s in args.src]
+    results = {}
+    for src in sources:
+        if not (src / "dtanet" / "__init__.py").is_file():
+            print(f"checkpoint_digest: no dtanet package under {src}",
+                  file=sys.stderr)
+            return 2
+        completed = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--worker"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True)
+        if completed.returncode != 0:
+            print(f"checkpoint_digest: training with {src} failed:\n"
+                  f"{completed.stderr}", file=sys.stderr)
+            return 2
+        results[str(src)] = json.loads(completed.stdout.splitlines()[-1])
+    variants = next(iter(results.values()))
+    same = True
+    for variant in variants:
+        hashes = {r[variant] for r in results.values()}
+        same = same and len(hashes) == 1
+        status = "same" if len(hashes) == 1 else "DIFFERENT"
+        print(f"{variant:26s} {status:9s} "
+              + " ".join(r[variant][:16] for r in results.values()))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
