@@ -32,6 +32,7 @@ __all__ = [
     "DatasetSummary",
     "PairDataset",
     "load_interactions",
+    "parse_value",
     "transform_values",
     "inverse_transform",
     "filter_sparse",
@@ -70,15 +71,17 @@ class DatasetSummary:
     discarded_malformed: int = 0
 
 
-def _is_imprecise(text: str) -> bool:
+def parse_value(text: str) -> float | None:
+    """The raw response in ``text``; ``None`` when it is imprecise.
+
+    Inequality-prefixed (``>10000``, ``<0.5``) and non-finite values are
+    imprecise. Raises ``ValueError`` when ``text`` is not a number at all.
+    """
     stripped = text.strip()
     if stripped.startswith(">") or stripped.startswith("<"):
-        return True
-    try:
-        value = float(stripped)
-    except ValueError:
-        return True
-    return not np.isfinite(value)
+        return None
+    value = float(stripped)
+    return value if np.isfinite(value) else None
 
 
 def load_interactions(
@@ -114,7 +117,11 @@ def load_interactions(
                 malformed.append(f"line {lineno}: {problem}")
                 continue
             smiles, protein_id, task_field, value_field = (f.strip() for f in row)
-            if _is_imprecise(value_field):
+            try:
+                raw = parse_value(value_field)
+            except ValueError:
+                raw = None  # ingestion counts a non-numeric value as imprecise
+            if raw is None:
                 imprecise += 1
                 continue
             if assay_map is not None:
@@ -135,7 +142,7 @@ def load_interactions(
                     f"protein id {protein_id!r}")
             records.append(InteractionRecord(
                 smiles=smiles, protein_id=protein_id, task_id=task_id,
-                raw_value=float(value_field)))
+                raw_value=raw))
     if len(malformed) > malformed_tolerance:
         raise DataError(
             f"{interactions_path}: {len(malformed)} malformed row(s), "

@@ -4,13 +4,23 @@ All buffers are float64. A graph is built once (node creation order is the
 topological order), then executed repeatedly with named feeds. Forward
 evaluation touches only the ancestors of the requested outputs, computes each
 node exactly once, and raises as soon as any op produces a non-finite value.
+Parameter values are checked where they enter (``Parameter`` creation and
+``Graph.load_state``) rather than on every forward pass; a parameter written
+by hand is caught by the first op that reads it.
+
+``indexed_dense`` is the first dense layer of a model whose input row joins
+several blocks (a compound vector and a protein descriptor): each block is a
+table of distinct rows plus an integer index per output row, and the op
+computes ``sum_k (T_k @ W[rows_k])[index_k]``, so a row shared by many pairs
+is projected once. Its backward sums the upstream gradient per table row and
+writes each block's weight gradient into one array.
 
 Backward fills ``grad`` only on nodes that lie between the loss and a
 ``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
 how the gradient checks reach placeholders). Each op computes a contribution
-only for an input that wants one, so the input gradient of the first dense
-layer and of the first graph convolution is never formed in training. After a
-backward pass every parameter the loss reaches holds a gradient (all zeros
+only for an input that wants one, so the gradient of the fingerprint and
+descriptor tables and of the first graph convolution's atom features is never
+formed in training. After a backward pass every parameter the loss reaches holds a gradient (all zeros
 when nothing flowed into it) and every node that received none holds
 ``None``. A node's first contribution is adopted as its gradient without a
 copy, so gradient arrays may alias each other and are read-only.
@@ -133,6 +143,8 @@ class Parameter(Node):
         super().__init__("parameter", ())
         self.name = name
         self.array = np.array(value, dtype=np.float64)
+        if not np.all(np.isfinite(self.array)):
+            raise NonFiniteError(f"parameter '{name}' has non-finite values")
 
     def compute(self, ctx):
         return self.array
@@ -154,6 +166,84 @@ class _MatMul(Node):
             self._accumulate(a, self.grad @ b.value.T)
         if b.wants_grad:
             self._accumulate(b, a.value.T @ self.grad)
+
+
+class _IndexedDense(Node):
+    """``sum_k (T_k @ W[rows_k])[index_k]``: a dense layer over joined tables.
+
+    Block ``k`` pairs a table ``T_k`` of distinct rows with an index that
+    maps each output row to one of them; the blocks' widths split ``W``'s
+    rows in order. The result equals ``concat([T_k[index_k]]) @ W`` up to
+    summation order, but each distinct row is projected once.
+    """
+
+    def __init__(self, blocks, weight):
+        tables = tuple(table for table, _ in blocks)
+        indices = tuple(index for _, index in blocks)
+        super().__init__("indexed_dense", (*tables, *indices, weight))
+        self._n_blocks = len(tables)
+
+    def _blocks(self):
+        """(table node, index array, first W row, end W row) per block."""
+        k = self._n_blocks
+        lo = 0
+        for table, index in zip(self.inputs[:k], self.inputs[k:2 * k]):
+            hi = lo + table.value.shape[1]
+            yield table, index.value, lo, hi
+            lo = hi
+
+    def compute(self, ctx):
+        k = self._n_blocks
+        tables = [node.value for node in self.inputs[:k]]
+        w = self.inputs[-1].value
+        if w.ndim != 2 or any(t.ndim != 2 for t in tables):
+            raise self.shape_error(
+                f"expected 2-d tables and weight, got tables "
+                f"{[t.shape for t in tables]} and weight {w.shape}")
+        if sum(t.shape[1] for t in tables) != w.shape[0]:
+            raise self.shape_error(
+                f"table widths {[t.shape[1] for t in tables]} do not sum to "
+                f"the weight's {w.shape[0]} rows")
+        counts = set()
+        for table, node in zip(tables, self.inputs[k:2 * k]):
+            index = node.value
+            if (not isinstance(index, np.ndarray) or index.ndim != 1
+                    or not np.issubdtype(index.dtype, np.integer)):
+                raise self.shape_error(
+                    f"index '{node.name}' must be a 1-d integer array")
+            if index.size and (index.min() < 0
+                               or index.max() >= table.shape[0]):
+                raise self.shape_error(
+                    f"index '{node.name}' leaves the range of its "
+                    f"{table.shape[0]}-row table")
+            counts.add(index.size)
+        if len(counts) != 1:
+            raise self.shape_error(
+                f"indices differ in length: {sorted(counts)}")
+        out = None
+        for table, index, lo, hi in self._blocks():
+            part = (table.value @ w[lo:hi])[index]
+            if out is None:
+                out = part
+            else:
+                out += part
+        return out
+
+    def backprop(self):
+        w_node = self.inputs[-1]
+        dw = np.empty_like(w_node.value) if w_node.wants_grad else None
+        for table, index, lo, hi in self._blocks():
+            if dw is None and not table.wants_grad:
+                continue
+            # the rows of self.grad summed per distinct table row
+            per_row = np.zeros((table.value.shape[0], self.grad.shape[1]))
+            np.add.at(per_row, index, self.grad)
+            if dw is not None:
+                np.matmul(table.value.T, per_row, out=dw[lo:hi])
+            if table.wants_grad:
+                self._accumulate(table, per_row @ w_node.value[lo:hi].T)
+        if dw is not None:
+            self._accumulate(w_node, dw)
 
 
 class _AddBias(Node):
@@ -371,6 +461,15 @@ class Graph:
     def matmul(self, a, b, name=None):
         return self._register(_MatMul(a, b), name)
 
+    def indexed_dense(self, blocks, weight, name=None):
+        """First-layer product over ``[(table, index), ...]`` blocks.
+
+        Each ``table`` is a numeric node of distinct rows and each ``index``
+        an ``ObjectInput`` fed a 1-d integer array mapping output rows to
+        table rows; see ``_IndexedDense``.
+        """
+        return self._register(_IndexedDense(blocks, weight), name)
+
     def add_bias(self, x, bias, name=None):
         return self._register(_AddBias(x, bias), name)
 
@@ -414,7 +513,8 @@ class Graph:
                 continue
             node.value = node.compute(ctx)
             self.last_executed.append(node.name)
-            if not isinstance(node, ObjectInput) and not np.all(np.isfinite(node.value)):
+            if (not isinstance(node, (ObjectInput, Parameter))
+                    and not np.all(np.isfinite(node.value))):
                 raise NonFiniteError(
                     f"non-finite values produced by node '{node.name}' ({node.op})")
         self._forward_ready = needed
@@ -479,6 +579,8 @@ class Graph:
         by_name = {p.name: p for p in self.parameters()}
         bn_nodes = {n.name: n for n in self.nodes if isinstance(n, _BatchNorm)}
         for key, value in state.items():
+            if not np.all(np.isfinite(value)):
+                raise NonFiniteError(f"state entry '{key}' has non-finite values")
             if key in by_name:
                 param = by_name[key]
                 if param.array.shape != value.shape:

@@ -1,12 +1,20 @@
 """Network assembly for the four model variants, plus checkpoints.
 
-A model concatenates a compound vector with a protein descriptor into one
-combined input vector and regresses it through a stack of
-dense -> batchnorm -> relu -> dropout blocks onto one output per task:
+A model joins a compound vector to a protein descriptor and regresses the
+pair through a stack of dense -> batchnorm -> relu -> dropout blocks onto
+one output per task:
 
 * ``padme-ecfp``        fingerprint bits | protein descriptor
 * ``padme-graphconv``   conv/pool stack + sum readout | protein descriptor
 * ``compound-only-*``   compound vector only, one output per known protein
+
+The join is never materialized. The first dense layer's weight ``dense0.W``
+has one row per input column (compound columns first), and the layer
+projects each distinct compound and each distinct protein of a batch once
+through its block of rows, then adds the two projections per pair
+(``Graph.indexed_dense``). A batch's feeds therefore hold the distinct
+compound inputs, the distinct protein descriptors, and the per-pair row
+indices ``compound_row`` and ``protein_row``.
 
 The compound-only variants cannot see new proteins (a prediction for an
 unknown protein id is a hard error); the paired variants accept any protein
@@ -167,21 +175,22 @@ class Model:
         rng = np.random.default_rng(cfg.seed)
         graph = Graph()
         if cfg.uses_graphconv:
-            compound_vec = cls._build_conv_stack(graph, cfg, rng)
+            compound = cls._build_conv_stack(graph, cfg, rng)
         else:
-            compound_vec = graph.placeholder("compound")
-        if cfg.compound_only:
-            civ = compound_vec
-        else:
-            protein = graph.placeholder("protein")
-            civ = graph.concat([compound_vec, protein], name="civ")
-        x = civ
+            compound = graph.placeholder("compound")
+        blocks = [(compound, graph.object_input("compound_row"))]
+        if not cfg.compound_only:
+            blocks.append((graph.placeholder("protein"),
+                           graph.object_input("protein_row")))
+        x = None
         width = cfg.input_width()
         for li, (hidden, rate) in enumerate(zip(cfg.hidden_layers,
                                                 cfg.dropout_rates)):
             w = graph.parameter(f"dense{li}.W", _he_uniform(rng, width, hidden))
             b = graph.parameter(f"dense{li}.b", np.zeros(hidden))
-            x = graph.add_bias(graph.matmul(x, w), b)
+            product = (graph.indexed_dense(blocks, w) if x is None
+                       else graph.matmul(x, w))
+            x = graph.add_bias(product, b)
             if cfg.use_batchnorm:
                 gamma = graph.parameter(f"bn{li}.gamma", np.ones(hidden))
                 beta = graph.parameter(f"bn{li}.beta", np.zeros(hidden))
@@ -370,8 +379,9 @@ class FeatureStore:
     """Precomputed featurizations of a :class:`PairDataset` for one config.
 
     Fingerprints and protein descriptors are computed once and reused across
-    epochs; batches are assembled as index views. For graph-convolution
-    variants the per-molecule graphs are packed per batch.
+    epochs. A batch's feeds carry each distinct compound and protein of the
+    batch once plus the per-pair row indices; for graph-convolution variants
+    the distinct molecules' graphs are packed per batch.
     """
 
     def __init__(self, dataset: PairDataset, cfg: ModelConfig):
@@ -421,12 +431,17 @@ class FeatureStore:
 
     def feeds(self, indices, with_targets: bool = True,
               model: Model | None = None) -> dict:
+        """Graph feeds for the pairs ``indices`` (targets need ``model``)."""
         indices = np.asarray(indices, dtype=np.int64)
         compound_idx = self.dataset.pairs[indices, 0]
         protein_idx = self.dataset.pairs[indices, 1]
-        feeds = self._compound_feeds(compound_idx)
+        distinct, compound_row = np.unique(compound_idx, return_inverse=True)
+        feeds = self._compound_feeds(distinct)
+        feeds["compound_row"] = compound_row
         if not self.cfg.compound_only:
-            feeds["protein"] = self.protein_matrix[protein_idx]
+            distinct, protein_row = np.unique(protein_idx, return_inverse=True)
+            feeds["protein"] = self.protein_matrix[distinct]
+            feeds["protein_row"] = protein_row
         if with_targets:
             if self.cfg.compound_only:
                 if model is None or model.protein_index is None:
@@ -452,8 +467,13 @@ class FeatureStore:
         indices = np.asarray(indices, dtype=np.int64)
         return self.dataset.y[indices], self.dataset.w[indices]
 
-    def predict(self, model: Model, indices, batch_size: int = 256) -> np.ndarray:
-        """Per-pair predictions with one column per task."""
+    def predict(self, model: Model, indices, batch_size: int = 1024) -> np.ndarray:
+        """Per-pair predictions with one column per task.
+
+        Pairs are scored ``batch_size`` at a time. A chunk holds its
+        distinct compound inputs and protein descriptors once each, never a
+        per-pair join of the two.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         chunks = []
         for start in range(0, indices.size, batch_size):

@@ -338,6 +338,8 @@ def rewrite_report(path: str | Path, comments: list[str],
 
 
 def _read_pairs_csv(path: str | Path):
+    """(rows, has_value): one ``(line, smiles, protein_id, task_id, value)``
+    per data row; ``value`` is the raw text, ``None`` without that column."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -349,13 +351,84 @@ def _read_pairs_csv(path: str | Path):
         task_col = header.index("task_id") if has_task else None
         value_col = header.index("value") if has_value else None
         rows = []
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            task = int(row[task_col]) if has_task else 0
+            if len(row) < len(header):
+                raise PipelineError(f"{path}: line {lineno}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+            try:
+                task = int(row[task_col]) if has_task else 0
+            except ValueError:
+                raise PipelineError(
+                    f"{path}: line {lineno}: task_id {row[task_col]!r} is "
+                    f"not an integer") from None
             value = row[value_col] if has_value else None
-            rows.append((row[0].strip(), row[1].strip(), task, value))
+            rows.append((lineno, row[0].strip(), row[1].strip(), task, value))
     return rows, has_value
+
+
+def _prediction_store(cfg, rows, sequences, n_tasks: int,
+                      source) -> FeatureStore:
+    """A :class:`FeatureStore` over the requested pairs, without responses."""
+    compounds = tuple(dict.fromkeys(r[1] for r in rows))
+    protein_ids = tuple(dict.fromkeys(r[2] for r in rows))
+    if not cfg.compound_only:
+        missing = [p for p in protein_ids if p not in sequences]
+        if missing:
+            raise PipelineError(
+                f"{source}: no sequence for protein id {missing[0]!r}")
+    compound_index = {s: i for i, s in enumerate(compounds)}
+    protein_index = {p: i for i, p in enumerate(protein_ids)}
+    pairs = np.array([(compound_index[r[1]], protein_index[r[2]])
+                      for r in rows], dtype=np.int64)
+    dataset = data_mod.PairDataset(
+        compounds=compounds, protein_ids=protein_ids,
+        sequences={p: sequences[p] for p in protein_ids if p in sequences},
+        pairs=pairs, y=np.zeros((len(rows), n_tasks)),
+        w=np.zeros((len(rows), n_tasks)), n_tasks=n_tasks)
+    return FeatureStore(dataset, cfg)
+
+
+def _fit_ad_ranges(path: str | Path, n_tasks: int):
+    """Per-task reliable response ranges fitted on a training-format CSV.
+
+    Values go through ingestion's imprecise-value rule and transform:
+    imprecise rows are discarded and counted; a value that is not a number
+    or that the transform rejects fails naming the line.
+    """
+    rows, has_value = _read_pairs_csv(path)
+    if not has_value:
+        raise PipelineError(f"{path}: needs a 'value' column to fit the "
+                            f"reliable response range")
+    records = []
+    imprecise = 0
+    for lineno, smiles, protein_id, task, value in rows:
+        try:
+            raw = data_mod.parse_value(value)
+        except ValueError:
+            raise PipelineError(f"{path}: line {lineno}: value {value!r} is "
+                                f"not a number") from None
+        if raw is None:
+            imprecise += 1
+            continue
+        if not 0 <= task < n_tasks:
+            raise PipelineError(f"{path}: line {lineno}: task_id {task} "
+                                f"outside the model's 0..{n_tasks - 1}")
+        record = data_mod.InteractionRecord(smiles, protein_id, task, raw)
+        try:
+            records.extend(data_mod.transform_values([record]))
+        except data_mod.DataError as exc:
+            raise PipelineError(f"{path}: line {lineno}: {exc}") from None
+    if imprecise:
+        log.info("discarded %d imprecise value row(s) from %s",
+                 imprecise, path)
+    y = np.zeros((len(records), n_tasks))
+    w = np.zeros((len(records), n_tasks))
+    for i, record in enumerate(records):
+        y[i, record.task_id] = record.value
+        w[i, record.task_id] = 1.0
+    return fit_ad_per_task(y, w)
 
 
 def run_predict(model_path: str | Path, pairs_csv: str | Path,
@@ -370,62 +443,18 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
     model, _extras = Model.load(model_path)
     rows, has_value = _read_pairs_csv(pairs_csv)
     n_tasks = 1 if model.cfg.compound_only else model.cfg.n_tasks
-    bad = next((r for r in rows if not 0 <= r[2] < n_tasks), None)
+    bad = next((r for r in rows if not 0 <= r[3] < n_tasks), None)
     if bad is not None:
         raise PipelineError(
-            f"{pairs_csv}: task_id {bad[2]} outside the model's "
-            f"0..{n_tasks - 1}")
-    sequences = proteins.read_sequence_table(proteins_path)
-    compounds = list(dict.fromkeys(r[0] for r in rows))
-    compound_index = {s: i for i, s in enumerate(compounds)}
-    cfg = model.cfg
-    if cfg.uses_graphconv:
-        mols = [parse_smiles(s) for s in compounds]
-        feats = [atom_features(m, cfg.atom_vocabulary, cfg.max_degree)
-                 for m in mols]
-    else:
-        fp = np.asarray([ecfp(parse_smiles(s), cfg.fp_radius, cfg.fp_bits).bits
-                         for s in compounds], dtype=np.float64)
-    if not cfg.compound_only:
-        needed = list(dict.fromkeys(r[1] for r in rows))
-        missing = [p for p in needed if p not in sequences]
-        if missing:
-            raise PipelineError(
-                f"{pairs_csv}: no sequence for protein id {missing[0]!r}")
-        protein_vectors = {p: proteins.psc(*sequences[p]) for p in needed}
-    from .graphconv import pack_graphs
-
-    predictions = np.empty((len(rows), n_tasks))
-    batch = 256
-    for start in range(0, len(rows), batch):
-        chunk = rows[start:start + batch]
-        c_idx = [compound_index[r[0]] for r in chunk]
-        if cfg.uses_graphconv:
-            rows_m, packed = pack_graphs([mols[i] for i in c_idx],
-                                         [feats[i] for i in c_idx],
-                                         cfg.max_degree)
-            feeds = {"atom_features": rows_m, "graph_batch": packed}
-        else:
-            feeds = {"compound": fp[c_idx]}
-        if not cfg.compound_only:
-            feeds["protein"] = np.stack([protein_vectors[r[1]] for r in chunk])
-        out = model.predict_feeds(feeds)
-        if cfg.compound_only:
-            cols = model.output_columns([r[1] for r in chunk])
-            out = out[np.arange(len(chunk)), cols][:, None]
-        predictions[start:start + len(chunk)] = out
-    ad_ranges = None
-    if ad_from is not None:
-        ad_rows, ad_has_value = _read_pairs_csv(ad_from)
-        if not ad_has_value:
-            raise PipelineError(f"{ad_from}: needs a 'value' column to fit the "
-                                f"reliable response range")
-        y = np.zeros((len(ad_rows), n_tasks))
-        w = np.zeros((len(ad_rows), n_tasks))
-        for i, (_s, _p, task, value) in enumerate(ad_rows):
-            y[i, task] = 4.0 - np.log10(float(value))
-            w[i, task] = 1.0
-        ad_ranges = fit_ad_per_task(y, w)
+            f"{pairs_csv}: line {bad[0]}: task_id {bad[3]} outside the "
+            f"model's 0..{n_tasks - 1}")
+    predictions = np.empty((0, n_tasks))
+    if rows:
+        sequences = proteins.read_sequence_table(proteins_path)
+        store = _prediction_store(model.cfg, rows, sequences, n_tasks,
+                                  pairs_csv)
+        predictions = store.predict(model, np.arange(len(rows)))
+    ad_ranges = None if ad_from is None else _fit_ad_ranges(ad_from, n_tasks)
     header = ["smiles", "protein_id", "task_id"]
     if has_value:
         header.append("value")
@@ -433,14 +462,14 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
     if ad_ranges is not None:
         header.append("in_ad")
     lines = [",".join(header)]
-    for i, (smiles, protein_id, task, value) in enumerate(rows):
-        pred = predictions[i, task if not cfg.compound_only else 0]
+    for i, (_line, smiles, protein_id, task, value) in enumerate(rows):
+        pred = predictions[i, 0 if model.cfg.compound_only else task]
         fields = [smiles, protein_id, str(task)]
         if has_value:
-            fields.append(value if value is not None else "")
+            fields.append(value)
         fields.append(f"{pred:.6g}")
         if ad_ranges is not None:
-            ad = ad_ranges[task if task < len(ad_ranges) else 0]
+            ad = ad_ranges[task]
             fields.append("1" if ad is not None and check_ad(ad, pred) else "0")
         lines.append(",".join(fields))
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -90,10 +90,9 @@ def composite_score(task_rmse, task_ci) -> tuple[float, bool]:
     return float(np.mean(rmses)) - float(np.mean(cis)), False
 
 
-def validation_scores(model: Model, store: FeatureStore,
-                      val_idx: np.ndarray, batch_size: int = 256):
+def validation_scores(model: Model, store: FeatureStore, val_idx: np.ndarray):
     """Per-task RMSE and CI on the validation pairs, plus the composite."""
-    predicted = store.predict(model, val_idx, batch_size=batch_size)
+    predicted = store.predict(model, val_idx)
     y, w = store.pair_targets(val_idx)
     task_rmse: list[float | None] = []
     task_ci: list[float | None] = []

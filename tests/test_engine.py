@@ -216,6 +216,27 @@ class TestGraphExecution:
                                                        match="proj"):
             g.forward({"x": np.full((1, 1), 1e200)}, [out])
 
+    def test_nonfinite_parameter_rejected_when_created(self):
+        g = Graph()
+        with pytest.raises(NonFiniteError, match="'w'"):
+            g.parameter("w", np.array([[1.0, np.nan]]))
+
+    def test_nonfinite_state_rejected_when_loaded(self):
+        g = Graph()
+        w = g.parameter("w", np.ones((1, 2)))
+        with pytest.raises(NonFiniteError, match="'w'"):
+            g.load_state({"w": np.array([[np.inf, 0.0]])})
+        assert np.array_equal(w.array, np.ones((1, 2)))
+
+    def test_parameter_written_by_hand_caught_by_its_reader(self):
+        g = Graph()
+        x = g.placeholder("x")
+        w = g.parameter("w", np.ones((2, 1)))
+        out = g.matmul(x, w, name="proj")
+        w.array[1, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="proj"):
+            g.forward({"x": np.ones((3, 2))}, [out])
+
     def test_backward_before_forward(self):
         g = Graph()
         x = g.placeholder("x")
@@ -299,6 +320,76 @@ class TestGradientChecks:
         analytic = float((x.grad * direction).sum())
         numeric = central_difference_directional(evaluate, x_value, direction)
         assert relative_error(analytic, numeric) < 1e-4
+
+
+class TestIndexedDense:
+    """``sum_k (T_k @ W[rows_k])[index_k]`` against its concat reference."""
+
+    def _net(self, rng, widths, n=7):
+        g = Graph()
+        blocks, feeds = [], {}
+        for k, width in enumerate(widths):
+            blocks.append((g.placeholder(f"t{k}"), g.object_input(f"i{k}")))
+            rows = 3 + k  # fewer rows than pairs: indices repeat
+            feeds[f"t{k}"] = rng.standard_normal((rows, width))
+            feeds[f"i{k}"] = rng.integers(0, rows, size=n)
+        w = g.parameter("W", rng.standard_normal((sum(widths), 4)) * 0.5)
+        b = g.parameter("b", rng.standard_normal(4) * 0.1)
+        out = g.add_bias(g.indexed_dense(blocks, w, name="first"), b)
+        loss = g.weighted_mse(out, g.placeholder("target"),
+                              g.placeholder("weight"))
+        feeds["target"] = rng.standard_normal((n, 4))
+        feeds["weight"] = np.ones((n, 4))
+        return g, loss, feeds, [table for table, _ in blocks], w
+
+    @pytest.mark.parametrize("widths", [(5,), (5, 3)])
+    def test_forward_matches_concat_then_matmul(self, widths):
+        rng = np.random.default_rng(1)
+        g, _loss, feeds, _tables, w = self._net(rng, widths)
+        first = next(n for n in g.nodes if n.name == "first")
+        (value,) = g.forward(feeds, [first])
+        joined = np.concatenate([feeds[f"t{k}"][feeds[f"i{k}"]]
+                                 for k in range(len(widths))], axis=1)
+        reference = joined @ w.array
+        assert np.max(np.abs(value - reference)) <= \
+            1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("widths", [(5,), (5, 3)])
+    def test_gradients_against_central_differences(self, widths):
+        rng = np.random.default_rng(len(widths))
+        g, loss, feeds, tables, _w = self._net(rng, widths)
+        for param in g.parameters():
+            check_param_gradient(g, loss, feeds, param, rng)
+        assert all(table.grad is None for table in tables)
+
+        def evaluate():
+            (value,) = g.forward(feeds, [loss])
+            return float(value)
+
+        for k, table in enumerate(tables):
+            evaluate()
+            g.backward(loss, inputs=(table,))
+            direction = rng.standard_normal(feeds[f"t{k}"].shape)
+            direction /= np.linalg.norm(direction)
+            analytic = float((table.grad * direction).sum())
+            numeric = central_difference_directional(evaluate, feeds[f"t{k}"],
+                                                      direction)
+            assert relative_error(analytic, numeric) < 1e-4, table.name
+
+    @pytest.mark.parametrize("change, message", [
+        ({"i0": np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0])}, "integer"),
+        ({"i0": np.zeros((7, 1), dtype=np.int64)}, "1-d"),
+        ({"i0": np.array([0, 1, 2, 0, 1, 2, -1])}, "range"),
+        ({"i1": np.array([0, 1, 2, 3, 0, 1, 4])}, "range"),
+        ({"i1": np.array([0, 1, 2])}, "differ in length"),
+        ({"t1": np.ones((4, 2))}, "do not sum"),
+    ])
+    def test_shape_errors_name_the_node(self, change, message):
+        g, loss, feeds, _tables, _w = self._net(np.random.default_rng(0),
+                                                (5, 3))
+        feeds.update(change)
+        with pytest.raises(ShapeError, match=f"first.*{message}"):
+            g.forward(feeds, [loss])
 
 
 class TestBackwardScope:

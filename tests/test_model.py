@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dtanet.engine import Graph, NonFiniteError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
 from dtanet.synthetic import memory_dataset, random_sequence
@@ -65,14 +66,16 @@ class TestPrediction:
         zeros["output.b"] = np.array([bias_value])
         model.graph.load_state(zeros)
         feeds = {"compound": np.random.default_rng(0).random((4, 512)),
-                 "protein": np.random.default_rng(1).random((4, 8421))}
+                 "protein": np.random.default_rng(1).random((4, 8421)),
+                 "compound_row": np.arange(4), "protein_row": np.arange(4)}
         out = model.predict_feeds(feeds)
         assert np.allclose(out, bias_value)
 
     def test_eval_determinism(self):
         model = Model.build(small_config(dropout_rates=(0.5,)))
         feeds = {"compound": np.random.default_rng(0).random((3, 512)),
-                 "protein": np.random.default_rng(1).random((3, 8421))}
+                 "protein": np.random.default_rng(1).random((3, 8421)),
+                 "compound_row": np.arange(3), "protein_row": np.arange(3)}
         a = model.predict_feeds(feeds)
         b = model.predict_feeds(feeds)
         assert np.array_equal(a, b)
@@ -103,7 +106,8 @@ class TestPrediction:
         model = store.build_model()
         unseen = random_sequence(np.random.default_rng(99))
         feeds = {"compound": store.fingerprint_matrix[:2],
-                 "protein": np.stack([psc(unseen), psc(unseen, True)])}
+                 "protein": np.stack([psc(unseen), psc(unseen, True)]),
+                 "compound_row": np.arange(2), "protein_row": np.arange(2)}
         out = model.predict_feeds(feeds)
         assert out.shape == (2, 1)
         assert np.all(np.isfinite(out))
@@ -132,7 +136,8 @@ class TestPrediction:
         feeds = {"compound": rng.random((4, 512)),
                  "protein": rng.random((4, 8421)),
                  "target": rng.random((4, 3)),
-                 "weight": np.zeros((4, 3))}
+                 "weight": np.zeros((4, 3)),
+                 "compound_row": np.arange(4), "protein_row": np.arange(4)}
         feeds["weight"][:, 0] = 1.0  # only task 0 observed
         model.graph.forward(feeds, [model.loss], training=True, rng=rng)
         model.graph.backward(model.loss)
@@ -142,12 +147,125 @@ class TestPrediction:
         assert np.any(out_w.grad[:, 0] != 0.0)
 
 
+VARIANTS = ("padme-ecfp", "padme-graphconv", "compound-only-ecfp",
+            "compound-only-graphconv")
+
+
+def assert_matches(value, reference):
+    """Summation-order tolerance; the floor covers entries that are zero in
+    exact arithmetic (a bias feeding batch norm has a zero gradient)."""
+    assert value.shape == reference.shape
+    assert np.max(np.abs(value - reference)) <= \
+        1e-12 * np.max(np.abs(reference)) + 1e-15
+
+
+def concat_reference(model):
+    """``model``'s network and state with the first layer written as
+    concat + matmul over per-pair rows: (graph, output, loss)."""
+    cfg = model.cfg
+    state = model.graph.state_dict()
+    g = Graph()
+    if cfg.uses_graphconv:
+        x = Model._build_conv_stack(g, cfg, np.random.default_rng(0))
+    else:
+        x = g.placeholder("compound")
+    if not cfg.compound_only:
+        x = g.concat([x, g.placeholder("protein")])
+    for li, rate in enumerate(cfg.dropout_rates):
+        x = g.add_bias(g.matmul(x, g.parameter(f"dense{li}.W",
+                                               state[f"dense{li}.W"])),
+                       g.parameter(f"dense{li}.b", state[f"dense{li}.b"]))
+        if cfg.use_batchnorm:
+            x = g.batch_norm(x, g.parameter(f"bn{li}.gamma",
+                                            state[f"bn{li}.gamma"]),
+                             g.parameter(f"bn{li}.beta", state[f"bn{li}.beta"]),
+                             name=f"bn{li}")
+        x = g.dropout(g.relu(x), rate)
+    out = g.add_bias(g.matmul(x, g.parameter("output.W", state["output.W"])),
+                     g.parameter("output.b", state["output.b"]))
+    loss = g.weighted_mse(out, g.placeholder("target"), g.placeholder("weight"))
+    g.load_state(state)
+    return g, out, loss
+
+
+def per_pair_feeds(store, indices, feeds):
+    """The reference's inputs: one compound and one protein row per pair."""
+    pairs = store.dataset.pairs[indices]
+    ref = store._compound_feeds(pairs[:, 0])
+    if not store.cfg.compound_only:
+        ref["protein"] = store.protein_matrix[pairs[:, 1]]
+    ref.update({k: feeds[k] for k in ("target", "weight") if k in feeds})
+    return ref
+
+
+class TestIndexedFirstLayer:
+    """The first layer projects distinct rows once; it must agree with the
+    concat + matmul definition on identical parameters."""
+
+    def _setup(self, variant, n_compounds, n_proteins, n_pairs):
+        dataset = memory_dataset(n_compounds=n_compounds, n_proteins=n_proteins,
+                                 n_pairs=n_pairs, seed=2)
+        store = FeatureStore(dataset, small_config(
+            variant=variant, hidden_layers=(16, 8), dropout_rates=(0.2,),
+            conv_widths=(8,), conv_dense=12))
+        return store, store.build_model()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_concat_reference(self, variant):
+        store, model = self._setup(variant, 6, 3, 14)
+        assert model.graph.state_dict()["dense0.W"].shape == \
+            (model.cfg.input_width(), 16)
+        rng = np.random.default_rng(5)
+        indices = rng.permutation(store.n_records())
+        feeds = store.feeds(indices, with_targets=True, model=model)
+        assert len(feeds["compound_row"]) == indices.size
+        model.graph.forward(feeds, [model.loss], training=True, rng=rng)
+        model.graph.load_state({  # move every entry off its initial value
+            k: (np.abs(v) + 0.5 if k.endswith("running_var")
+                else v + 0.1 * rng.standard_normal(v.shape))
+            for k, v in model.graph.state_dict().items()})
+        graph, out, loss = concat_reference(model)
+        ref_feeds = per_pair_feeds(store, indices, feeds)
+
+        (reference,) = graph.forward(ref_feeds, [out])
+        if model.cfg.compound_only:
+            cols = model.output_columns([store.dataset.protein_ids[i] for i in
+                                         store.dataset.pairs[indices, 1]])
+            reference = reference[np.arange(indices.size), cols][:, None]
+        assert_matches(store.predict(model, indices), reference)
+
+        (value,) = model.graph.forward(feeds, [model.output], training=True,
+                                       rng=np.random.default_rng(3))
+        (reference,) = graph.forward(ref_feeds, [out], training=True,
+                                     rng=np.random.default_rng(3))
+        assert_matches(value, reference)
+        model.graph.forward(feeds, [model.loss], training=True,
+                            rng=np.random.default_rng(4))
+        model.graph.backward(model.loss)
+        graph.forward(ref_feeds, [loss], training=True,
+                      rng=np.random.default_rng(4))
+        graph.backward(loss)
+        by_name = {p.name: p for p in graph.parameters()}
+        for param in model.graph.parameters():
+            assert_matches(param.grad, by_name[param.name].grad)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_predict_does_not_depend_on_chunk_size(self, variant):
+        store, model = self._setup(variant, 40, 10, 300)
+        indices = np.arange(store.n_records())
+        reference = store.predict(model, indices, batch_size=1024)
+        for batch_size in (1, 256):
+            assert_matches(store.predict(model, indices,
+                                         batch_size=batch_size), reference)
+
+
 class TestBatchnormConsistency:
     def test_frozen_stats_match_train_eval(self):
         model = Model.build(small_config(use_batchnorm=True))
         rng = np.random.default_rng(2)
         feeds = {"compound": rng.random((32, 512)),
-                 "protein": rng.random((32, 8421))}
+                 "protein": rng.random((32, 8421)),
+                 "compound_row": np.arange(32), "protein_row": np.arange(32)}
         (train_out,) = model.graph.forward(feeds, [model.output],
                                            training=True, rng=rng)
         bn = next(n for n in model.graph.nodes if n.op == "batchnorm")
@@ -219,6 +337,18 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:keep])
         with pytest.raises(ModelError, match="model.ckpt.*truncated"):
+            Model.load(path)
+
+    def test_poisoned_checkpoint_fails_at_load(self, tmp_path):
+        dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6,
+                                 seed=7)
+        model = FeatureStore(dataset, small_config()).build_model()
+        weight = next(p for p in model.graph.parameters()
+                      if p.name == "dense0.W")
+        weight.array[3, 2] = np.nan
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        with pytest.raises(NonFiniteError, match="dense0.W"):
             Model.load(path)
 
     def test_compound_only_round_trip_keeps_protein_mapping(self, tmp_path):

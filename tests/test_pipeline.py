@@ -1,8 +1,12 @@
 """Pipeline orchestration and artifact round-trips."""
 
+import logging
+
+import numpy as np
 import pytest
 
-from dtanet.model import Model
+from dtanet.domain import check_ad, fit_ad
+from dtanet.model import FeatureStore, Model
 from dtanet.pipeline import (
     DirectoryLock,
     PipelineError,
@@ -251,6 +255,80 @@ class TestPredictEvaluate:
         rows = out.read_text().splitlines()
         assert rows[0] == "smiles,protein_id,task_id,prediction"
         float(rows[1].rsplit(",", 1)[1])  # prediction parses as a number
+
+    @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv",
+                                         "compound-only-ecfp",
+                                         "compound-only-graphconv"])
+    def test_rows_equal_feature_store_predict(self, fixture_dir, tmp_path,
+                                              variant):
+        cfg = parse_run_config(None, overrides={
+            **TINY, "model.variant": variant, "model.conv_widths": "8",
+            "model.conv_dense": "16"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        store = FeatureStore(dataset, cfg.model_config(n_tasks=1))
+        model = store.build_model()
+        ckpt = tmp_path / "m.ckpt"
+        model.save(ckpt)
+        pairs_csv = tmp_path / "pairs.csv"
+        pairs_csv.write_text("smiles,protein_id\n" + "".join(
+            f"{dataset.compounds[c]},{dataset.protein_ids[p]}\n"
+            for c, p in dataset.pairs), encoding="utf-8")
+        out = run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
+                          tmp_path / "preds.csv")
+        expected = store.predict(model, np.arange(dataset.n_pairs))[:, 0]
+        printed = [line.rsplit(",", 1)[1]
+                   for line in out.read_text().splitlines()[1:]]
+        assert printed == [f"{v:.6g}" for v in expected]
+
+    def test_ad_from_discards_imprecise_rows(self, fixture_dir, tiny_config,
+                                             tmp_path, caplog):
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        ckpt = tmp_path / "m.ckpt"
+        FeatureStore(dataset, tiny_config.model_config(n_tasks=1)) \
+            .build_model().save(ckpt)
+        pairs_csv = tmp_path / "pairs.csv"
+        pairs_csv.write_text(
+            "smiles,protein_id\n" + "".join(
+                f"{dataset.compounds[c]},{dataset.protein_ids[p]}\n"
+                for c, p in dataset.pairs[:6]), encoding="utf-8")
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("smiles,protein_id,task_id,value\n"
+                             "CCO,P0000,0,100\n"
+                             "CCO,P0001,0,>10000\n"
+                             "CCN,P0000,0,5\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="dtanet.pipeline"):
+            out = run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
+                              tmp_path / "preds.csv", ad_from=train_csv)
+        assert "discarded 1 imprecise value row(s)" in caplog.text
+        ad = fit_ad([4.0 - np.log10(100.0), 4.0 - np.log10(5.0)])
+        header, *rows = out.read_text().splitlines()
+        assert header == "smiles,protein_id,task_id,prediction,in_ad"
+        for row in rows:
+            pred, in_ad = row.split(",")[-2:]
+            assert in_ad == ("1" if check_ad(ad, float(pred)) else "0")
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "line 3: value 'abc' is not a number"),
+        ("0", "line 3: non-positive raw value"),
+    ])
+    def test_ad_from_bad_value_names_the_line(self, fixture_dir, tiny_config,
+                                              tmp_path, value, message):
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        ckpt = tmp_path / "m.ckpt"
+        FeatureStore(dataset, tiny_config.model_config(n_tasks=1)) \
+            .build_model().save(ckpt)
+        pairs_csv = tmp_path / "pairs.csv"
+        c, p = dataset.pairs[0]
+        pairs_csv.write_text("smiles,protein_id\n"
+                             f"{dataset.compounds[c]},{dataset.protein_ids[p]}\n",
+                             encoding="utf-8")
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("smiles,protein_id,task_id,value\n"
+                             f"CCO,P0000,0,100\nCCN,P0000,0,{value}\n",
+                             encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"train.csv: {message}"):
+            run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
+                        tmp_path / "preds.csv", ad_from=train_csv)
 
     def test_unknown_protein_reported(self, fixture_dir, tiny_config,
                                       tmp_path):
