@@ -1,15 +1,21 @@
 """Molecular graph convolution operators.
 
-Molecules in a batch are packed into one flat atom-feature matrix plus the
-index structures the three operators need: directed edge lists for neighbor
-sums, atoms grouped by degree for the per-degree weights, sorted neighborhood
-candidate lists for max pooling, and per-molecule segment offsets for the
-readout. The structure rides through the graph as a non-numeric side input;
-only the feature matrix and the layer parameters carry gradients.
+Molecules in a batch are packed into one flat atom-feature matrix plus one
+padded neighbor table: row ``v`` lists the neighbors of atom ``v`` in
+ascending atom order and is padded with the sentinel ``n_atoms`` up to the
+batch's largest degree. Each operator appends one pad row to the matrix it
+gathers from (zeros for sums, ``-inf`` for maxima) and walks the table one
+column at a time, so a neighbor sum adds neighbors in the same ascending
+order an edge-by-edge scatter would. Atoms grouped by degree select the
+per-degree weights, and per-molecule segment offsets drive the readout. The
+structure rides through the graph as a non-numeric side input; only the
+feature matrix and the layer parameters carry gradients.
 
 * conv:   h'[v] = relu(W_self(deg v) h[v] + W_nbr(deg v) sum_u h[u] + b(deg v))
 * pool:   h'[v] = elementwise max over {v} and its neighbors, gradients routed
-          to the winning entry (ties go to the lowest atom index)
+          to the winning entry (ties go to the lowest atom index); the
+          winners are found in training-mode forwards, or by the backward
+          pass itself after an eval-mode forward
 * gather: per-molecule sum over atom rows (sum keeps molecule size information)
 """
 
@@ -39,11 +45,7 @@ class GraphBatch:
     n_mols: int
     degrees: np.ndarray
     degree_index: tuple[np.ndarray, ...]  # atom ids grouped by degree
-    edge_src: np.ndarray  # directed edges, both directions per bond
-    edge_dst: np.ndarray
-    pool_flat: np.ndarray  # concatenated sorted {v} + neighbors per atom
-    pool_starts: np.ndarray
-    pool_segment_of: np.ndarray
+    neighbors: np.ndarray  # (n_atoms, largest degree), padded with n_atoms
     mol_starts: np.ndarray
     mol_sizes: np.ndarray
 
@@ -56,53 +58,43 @@ def pack_graphs(graphs: list[MolGraph],
         raise GraphStructureError("cannot pack an empty batch")
     if len(graphs) != len(features):
         raise GraphStructureError("graphs and feature matrices differ in length")
-    offsets = []
-    total = 0
-    for g in graphs:
-        if g.n_atoms == 0:
-            raise GraphStructureError("cannot pack an empty molecule")
-        offsets.append(total)
-        total += g.n_atoms
-    rows = np.concatenate([f.rows for f in features], axis=0)
-    degrees = np.empty(total, dtype=np.int64)
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    pool_flat: list[int] = []
-    pool_starts = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for g, offset in zip(graphs, offsets):
-        for i in range(g.n_atoms):
-            atom = offset + i
-            nbrs = g.adjacency[i]
-            degrees[atom] = len(nbrs)
-            if len(nbrs) > max_degree:
-                raise GraphStructureError(
-                    f"atom {i} has degree {len(nbrs)}, max supported is {max_degree}")
-            pool_starts[atom] = cursor
-            candidates = sorted([atom] + [offset + j for j in nbrs])
-            pool_flat.extend(candidates)
-            cursor += len(candidates)
-            for j in nbrs:
-                edge_src.append(offset + j)
-                edge_dst.append(atom)
-    degree_index = tuple(
-        np.flatnonzero(degrees == d) for d in range(max_degree + 1))
     mol_sizes = np.array([g.n_atoms for g in graphs], dtype=np.int64)
-    pool_counts = np.diff(np.append(pool_starts, cursor))
+    if not mol_sizes.all():
+        raise GraphStructureError("cannot pack an empty molecule")
+    tables = [g.neighbor_table for g in graphs]
+    width = max(table.shape[1] for table in tables)
+    if width > max_degree:
+        i, degree = next((i, d) for g in graphs
+                         for i, d in enumerate(g.degrees()) if d > max_degree)
+        raise GraphStructureError(
+            f"atom {i} has degree {degree}, max supported is {max_degree}")
+    total = int(mol_sizes.sum())
+    mol_starts = np.cumsum(mol_sizes) - mol_sizes
+    # column-major, so each neighbor column is one contiguous index array
+    neighbors = np.full((total, width), total, dtype=np.int64, order="F")
+    for table, start, size in zip(tables, mol_starts, mol_sizes):
+        np.copyto(neighbors[start:start + size, :table.shape[1]],
+                  table + start, where=table < size)
+    degrees = np.count_nonzero(neighbors < total, axis=1)
     batch = GraphBatch(
         n_atoms=total,
         n_mols=len(graphs),
         degrees=degrees,
-        degree_index=degree_index,
-        edge_src=np.asarray(edge_src, dtype=np.int64),
-        edge_dst=np.asarray(edge_dst, dtype=np.int64),
-        pool_flat=np.asarray(pool_flat, dtype=np.int64),
-        pool_starts=pool_starts,
-        pool_segment_of=np.repeat(np.arange(total), pool_counts),
-        mol_starts=np.asarray(offsets, dtype=np.int64),
+        degree_index=tuple(
+            np.flatnonzero(degrees == d) for d in range(max_degree + 1)),
+        neighbors=neighbors,
+        mol_starts=mol_starts,
         mol_sizes=mol_sizes,
     )
-    return rows, batch
+    return np.concatenate([f.rows for f in features], axis=0), batch
+
+
+def _with_pad_row(x: np.ndarray, fill: float) -> np.ndarray:
+    """``x`` with one more row of ``fill``, the target of the table's padding."""
+    out = np.empty((x.shape[0] + 1, x.shape[1]))
+    out[:-1] = x
+    out[-1] = fill
+    return out
 
 
 class GraphConv(Node):
@@ -137,8 +129,10 @@ class GraphConv(Node):
             raise self.shape_error(
                 f"batch contains degree {int(batch.degrees.max())}, "
                 f"parameters only cover 0..{self._n_degrees - 1}")
+        padded = _with_pad_row(h, 0.0)
         nbr_sum = np.zeros_like(h)
-        np.add.at(nbr_sum, batch.edge_dst, h[batch.edge_src])
+        for column in batch.neighbors.T:
+            nbr_sum += padded[column]
         z = np.empty((batch.n_atoms, out_width))
         for d, idx in enumerate(batch.degree_index):
             if idx.size == 0:
@@ -160,7 +154,7 @@ class GraphConv(Node):
         want_h = h_node.wants_grad
         if want_h:
             dh = np.zeros_like(h)
-            dnbr = np.zeros_like(h)
+            dnbr = np.zeros((h.shape[0] + 1, h.shape[1]))  # last row: padding
         for d, idx in enumerate(batch.degree_index):
             if idx.size == 0:
                 continue  # the degree's parameters end with a zero gradient
@@ -174,9 +168,33 @@ class GraphConv(Node):
                 dh[idx] += dz[idx] @ w_self[d].value.T
                 dnbr[idx] = dz[idx] @ w_nbr[d].value.T
         if want_h:
-            # neighbor sums: gradient flows back along each directed edge
-            np.add.at(dh, batch.edge_src, dnbr[batch.edge_dst])
+            # neighbor sums: each atom collects from its neighbors in order
+            for column in batch.neighbors.T:
+                dh += dnbr[column]
             self._accumulate(h_node, dh)
+
+
+def _pool_winners(h: np.ndarray, pooled: np.ndarray,
+                  neighbors: np.ndarray) -> np.ndarray:
+    """Per entry, the lowest atom id in the closed neighborhood whose value
+    equals the pooled maximum.
+
+    The selects are written as arithmetic on int32 (``w -= eq * (w - c)``
+    is ``w = where(eq, c, w)``): on a 32-molecule batch (318 atoms x 64,
+    2-core Xeon) this took 180 us where a masked ``np.copyto`` from the
+    broadcast id column took 450 us.
+    """
+    n_atoms = h.shape[0]
+    padded = _with_pad_row(h, -np.inf)
+    winners = np.full(h.shape, n_atoms, dtype=np.int32)
+    # ids ascend along a row, so walking the columns backwards leaves the
+    # lowest neighbor that attains the maximum
+    for column in neighbors.T[::-1]:
+        ids = column.astype(np.int32)[:, None]
+        winners -= (padded[column] == pooled) * (winners - ids)
+    atom = np.arange(n_atoms, dtype=np.int32)[:, None]
+    winners -= ((h == pooled) & (atom < winners)) * (winners - atom)
+    return winners
 
 
 class GraphPool(Node):
@@ -191,23 +209,27 @@ class GraphPool(Node):
         if h.shape[0] != batch.n_atoms:
             raise self.shape_error(
                 f"{h.shape[0]} feature rows for {batch.n_atoms} atoms")
-        candidates = h[batch.pool_flat]
-        pooled = np.maximum.reduceat(candidates, batch.pool_starts, axis=0)
-        is_max = candidates == pooled[batch.pool_segment_of]
-        positions = np.where(is_max, batch.pool_flat[:, None], batch.n_atoms)
-        self._winners = np.minimum.reduceat(positions, batch.pool_starts, axis=0)
+        padded = _with_pad_row(h, -np.inf)
+        pooled = h.copy()
+        for column in batch.neighbors.T:
+            np.maximum(pooled, padded[column], out=pooled)
+        self._winners = (_pool_winners(h, pooled, batch.neighbors)
+                         if ctx.training else None)
         return pooled
 
     def backprop(self):
         h_node = self.inputs[0]
         if not h_node.wants_grad:
             return
-        width = self.grad.shape[1]
-        rows = self._winners.ravel()
-        cols = np.tile(np.arange(width), self._winners.shape[0])
-        contribution = np.zeros_like(h_node.value)
-        np.add.at(contribution, (rows, cols), self.grad.ravel())
-        self._accumulate(h_node, contribution)
+        if self._winners is None:  # the forward ran in eval mode
+            self._winners = _pool_winners(h_node.value, self.value,
+                                          self.inputs[1].value.neighbors)
+        n_atoms, width = self._winners.shape
+        flat = (self._winners.astype(np.intp) * width
+                + np.arange(width)).ravel()
+        contribution = np.bincount(flat, weights=self.grad.ravel(),
+                                   minlength=n_atoms * width)
+        self._accumulate(h_node, contribution.reshape(n_atoms, width))
 
 
 class GraphGather(Node):

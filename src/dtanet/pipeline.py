@@ -19,8 +19,10 @@ lock file.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import os
+import socket
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -78,7 +80,11 @@ class SmokeError(RuntimeError):
 
 
 class DirectoryLock:
-    """Exclusive ownership of a run directory via an O_EXCL lock file."""
+    """Exclusive ownership of a run directory via an O_EXCL lock file.
+
+    The lock file holds the owner's pid and host as JSON, so a lock left
+    behind by a killed process can be recognized as stale.
+    """
 
     def __init__(self, directory: str | Path):
         self.path = Path(directory) / ".lock"
@@ -90,9 +96,19 @@ class DirectoryLock:
         except FileExistsError:
             raise PipelineError(
                 f"run directory {self.path.parent} is locked by another "
-                f"process (remove {self.path} if that process is gone)") from None
-        os.close(fd)
+                f"process ({self._owner()}; remove {self.path} if that "
+                f"process is gone)") from None
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump({"pid": os.getpid(), "host": socket.gethostname()},
+                      handle)
         return self
+
+    def _owner(self) -> str:
+        try:
+            owner = json.loads(self.path.read_text(encoding="utf-8"))
+            return f"pid {int(owner['pid'])} on host {owner['host']}"
+        except (OSError, ValueError, TypeError, KeyError):
+            return "owner unknown"
 
     def __exit__(self, *_exc):
         self.path.unlink(missing_ok=True)
@@ -337,6 +353,29 @@ def rewrite_report(path: str | Path, comments: list[str],
 # -- prediction -----------------------------------------------------------------
 
 
+def _data_rows(path, reader, n_fields: int):
+    """``(line number, fields)`` per non-empty row after the header; a row
+    with fewer than ``n_fields`` fields fails naming its line."""
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < n_fields:
+            raise PipelineError(f"{path}: line {lineno}: expected "
+                                f"{n_fields} fields, got {len(row)}")
+        yield lineno, row
+
+
+def _task_id(path, lineno: int, text: str) -> int:
+    try:
+        task = int(text)
+    except ValueError:
+        task = -1
+    if task < 0:
+        raise PipelineError(f"{path}: line {lineno}: task_id {text!r} is "
+                            f"not a non-negative integer")
+    return task
+
+
 def _read_pairs_csv(path: str | Path):
     """(rows, has_value): one ``(line, smiles, protein_id, task_id, value)``
     per data row; ``value`` is the raw text, ``None`` without that column."""
@@ -351,21 +390,42 @@ def _read_pairs_csv(path: str | Path):
         task_col = header.index("task_id") if has_task else None
         value_col = header.index("value") if has_value else None
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise PipelineError(f"{path}: line {lineno}: expected "
-                                    f"{len(header)} fields, got {len(row)}")
-            try:
-                task = int(row[task_col]) if has_task else 0
-            except ValueError:
-                raise PipelineError(
-                    f"{path}: line {lineno}: task_id {row[task_col]!r} is "
-                    f"not an integer") from None
+        for lineno, row in _data_rows(path, reader, len(header)):
+            task = _task_id(path, lineno, row[task_col]) if has_task else 0
             value = row[value_col] if has_value else None
             rows.append((lineno, row[0].strip(), row[1].strip(), task, value))
     return rows, has_value
+
+
+def _read_responses(path, rows) -> tuple[list, list[int]]:
+    """Transformed responses of ``(line, smiles, protein_id, task_id, value)``
+    rows, and the line of each.
+
+    Values go through ingestion's imprecise-value rule and transform:
+    imprecise rows are discarded and counted in the log; a value that is
+    not a number or that the transform rejects fails naming the line.
+    """
+    records, lines = [], []
+    imprecise = 0
+    for lineno, smiles, protein_id, task, value in rows:
+        try:
+            raw = data_mod.parse_value(value)
+        except ValueError:
+            raise PipelineError(f"{path}: line {lineno}: value {value!r} is "
+                                f"not a number") from None
+        if raw is None:
+            imprecise += 1
+            continue
+        record = data_mod.InteractionRecord(smiles, protein_id, task, raw)
+        try:
+            records.extend(data_mod.transform_values([record]))
+        except data_mod.DataError as exc:
+            raise PipelineError(f"{path}: line {lineno}: {exc}") from None
+        lines.append(lineno)
+    if imprecise:
+        log.info("discarded %d imprecise value row(s) from %s",
+                 imprecise, path)
+    return records, lines
 
 
 def _prediction_store(cfg, rows, sequences, n_tasks: int,
@@ -391,38 +451,18 @@ def _prediction_store(cfg, rows, sequences, n_tasks: int,
 
 
 def _fit_ad_ranges(path: str | Path, n_tasks: int):
-    """Per-task reliable response ranges fitted on a training-format CSV.
-
-    Values go through ingestion's imprecise-value rule and transform:
-    imprecise rows are discarded and counted; a value that is not a number
-    or that the transform rejects fails naming the line.
-    """
+    """Per-task reliable response ranges fitted on a training-format CSV
+    (values read by :func:`_read_responses`)."""
     rows, has_value = _read_pairs_csv(path)
     if not has_value:
         raise PipelineError(f"{path}: needs a 'value' column to fit the "
                             f"reliable response range")
-    records = []
-    imprecise = 0
-    for lineno, smiles, protein_id, task, value in rows:
-        try:
-            raw = data_mod.parse_value(value)
-        except ValueError:
-            raise PipelineError(f"{path}: line {lineno}: value {value!r} is "
-                                f"not a number") from None
-        if raw is None:
-            imprecise += 1
-            continue
-        if not 0 <= task < n_tasks:
-            raise PipelineError(f"{path}: line {lineno}: task_id {task} "
-                                f"outside the model's 0..{n_tasks - 1}")
-        record = data_mod.InteractionRecord(smiles, protein_id, task, raw)
-        try:
-            records.extend(data_mod.transform_values([record]))
-        except data_mod.DataError as exc:
-            raise PipelineError(f"{path}: line {lineno}: {exc}") from None
-    if imprecise:
-        log.info("discarded %d imprecise value row(s) from %s",
-                 imprecise, path)
+    records, lines = _read_responses(path, rows)
+    for record, lineno in zip(records, lines):
+        if record.task_id >= n_tasks:
+            raise PipelineError(f"{path}: line {lineno}: task_id "
+                                f"{record.task_id} outside the model's "
+                                f"0..{n_tasks - 1}")
     y = np.zeros((len(records), n_tasks))
     w = np.zeros((len(records), n_tasks))
     for i, record in enumerate(records):
@@ -478,42 +518,49 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
 
 def run_evaluate(predictions_csv: str | Path, out_csv: str | Path,
                  scheme: str = "", seed: int = 0) -> EvalReport:
-    """Score a prediction CSV that carries both value and prediction columns."""
-    with open(predictions_csv, "r", encoding="utf-8", newline="") as handle:
+    """Score a prediction CSV that carries both value and prediction columns.
+
+    Values are read as ``--ad-from`` reads them (:func:`_read_responses`).
+    A short row, a task id that is not a non-negative integer, or a
+    prediction that is not a finite number fails naming the line.
+    """
+    path = predictions_csv
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or "prediction" not in header or "value" not in header:
             raise PipelineError(
-                f"{predictions_csv}: needs 'value' and 'prediction' columns")
-        task_col = header.index("task_id") if "task_id" in header else None
-        value_col = header.index("value")
-        pred_col = header.index("prediction")
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            task = int(row[task_col]) if task_col is not None else 0
+                f"{path}: needs 'value' and 'prediction' columns")
+        column = {name: i for i, name in enumerate(header)}
+        rows = []
+        predictions: dict[int, float] = {}
+        for lineno, row in _data_rows(path, reader, len(header)):
+            task = (_task_id(path, lineno, row[column["task_id"]])
+                    if "task_id" in column else 0)
+            text = row[column["prediction"]]
             try:
-                raw = float(row[value_col])
+                prediction = float(text)
             except ValueError:
-                raise PipelineError(
-                    f"{predictions_csv}: line {lineno}: value "
-                    f"{row[value_col]!r} is not a number") from None
-            if raw <= 0:
-                raise PipelineError(
-                    f"{predictions_csv}: line {lineno}: non-positive raw "
-                    f"value {raw}")
-            entries.append((task, 4.0 - np.log10(raw), float(row[pred_col])))
-    if not entries:
-        raise PipelineError(f"{predictions_csv}: no prediction rows")
-    n_tasks = max(e[0] for e in entries) + 1
-    y = np.zeros((len(entries), n_tasks))
-    f = np.zeros((len(entries), n_tasks))
-    w = np.zeros((len(entries), n_tasks))
-    for i, (task, value, pred) in enumerate(entries):
-        y[i, task] = value
-        f[i, task] = pred
-        w[i, task] = 1.0
+                prediction = np.nan
+            if not np.isfinite(prediction):
+                raise PipelineError(f"{path}: line {lineno}: prediction "
+                                    f"{text!r} is not a number")
+            predictions[lineno] = prediction
+            smiles, protein_id = (row[column[name]] if name in column else ""
+                                  for name in ("smiles", "protein_id"))
+            rows.append((lineno, smiles, protein_id, task,
+                         row[column["value"]]))
+    records, record_lines = _read_responses(path, rows)
+    if not records:
+        raise PipelineError(f"{path}: no prediction rows")
+    n_tasks = max(record.task_id for record in records) + 1
+    y = np.zeros((len(records), n_tasks))
+    f = np.zeros((len(records), n_tasks))
+    w = np.zeros((len(records), n_tasks))
+    for i, (record, lineno) in enumerate(zip(records, record_lines)):
+        y[i, record.task_id] = record.value
+        f[i, record.task_id] = predictions[lineno]
+        w[i, record.task_id] = 1.0
     report = evaluate_predictions(y, f, w, scheme=scheme, seed=seed)
     lines = ["task_id,n_records,rmse,r2,ci"]
     for task in report.tasks:

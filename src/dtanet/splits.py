@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compounds import Fingerprint, tanimoto
+from .compounds import FeaturizationError, Fingerprint
 
 __all__ = [
     "SplitError",
@@ -294,19 +294,44 @@ def audit_cold(assignment: FoldAssignment, entity_keys) -> dict[int, set]:
 # -- clustering ------------------------------------------------------------
 
 
+# Rows of the similarity matrix formed per product; 256 rows against 10k
+# compounds keep each block's float64 buffers near 20 MB.
+_CLUSTER_BLOCK_ROWS = 256
+
+
 def cluster_compounds(fingerprints: list[Fingerprint],
                       threshold: float = 0.7) -> CompoundClustering:
     """Single-linkage clusters: union compounds with similarity > threshold.
 
     The comparison is strict, so two compounds at exactly the threshold stay
     apart. Labels are dense and numbered by first occurrence.
+
+    Similarities come from one 0/1 bit matrix, a row block at a time:
+    intersection counts are a float64 product (exact integers), unions are
+    ``|a| + |b| - |a AND b|``, and ``inter / union`` is the same correctly
+    rounded quotient :func:`~dtanet.compounds.tanimoto` returns.
     """
     n = len(fingerprints)
+    for fp in fingerprints[1:]:
+        if fp.n_bits != fingerprints[0].n_bits:
+            raise FeaturizationError(
+                f"fingerprint length mismatch: {fingerprints[0].n_bits} vs "
+                f"{fp.n_bits}")
     uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tanimoto(fingerprints[i], fingerprints[j]) > threshold:
-                uf.union(i, j)
+    if n > 1:
+        bits = np.array([fp.bits for fp in fingerprints])
+        # a bit no compound sets adds nothing to any count
+        bits = bits[:, bits.any(axis=0)].astype(np.float64)
+        counts = bits.sum(axis=1)
+        for lo in range(0, n, _CLUSTER_BLOCK_ROWS):
+            hi = min(lo + _CLUSTER_BLOCK_ROWS, n)
+            inter = bits[lo:hi] @ bits[lo:].T  # column c is compound lo + c
+            union = counts[lo:hi, None] + counts[None, lo:] - inter
+            similar = np.ones_like(inter)  # two empty fingerprints are identical
+            np.divide(inter, union, out=similar, where=union > 0)
+            linked = np.triu(similar > threshold, k=1)
+            for i, j in zip(*np.nonzero(linked)):
+                uf.union(lo + int(i), lo + int(j))
     labels = np.empty(n, dtype=np.int64)
     remap: dict[int, int] = {}
     for i in range(n):

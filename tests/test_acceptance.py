@@ -100,12 +100,15 @@ def _near_kink(graph) -> bool:
         if isinstance(node, GraphPool):
             batch = node.inputs[1].value
             h = node.inputs[0].value
-            vals = h[batch.pool_flat]
-            pooled = np.maximum.reduceat(vals, batch.pool_starts, axis=0)
-            gaps = pooled[batch.pool_segment_of] - vals
-            near = (gaps > 0.0) & (gaps < KINK_GUARD)
-            if np.any(near):
-                return True
+            padded = np.vstack([h, np.full((1, h.shape[1]), -np.inf)])
+            candidates = [h] + [padded[column]
+                                for column in batch.neighbors.T]
+            pooled = np.maximum.reduce(candidates)
+            for vals in candidates:
+                gaps = pooled - vals
+                near = (gaps > 0.0) & (gaps < KINK_GUARD)
+                if np.any(near):
+                    return True
     return False
 
 

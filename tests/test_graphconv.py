@@ -1,11 +1,13 @@
 """Graph convolution operators: semantics, gradients, equivariance."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from conftest import central_difference_directional, relative_error
 from dtanet.compounds import atom_features
-from dtanet.engine import Adam, Graph
+from dtanet.engine import Adam, Graph, Node
 from dtanet.graphconv import (
     GraphConv,
     GraphGather,
@@ -13,7 +15,7 @@ from dtanet.graphconv import (
     GraphStructureError,
     pack_graphs,
 )
-from dtanet.smiles import parse_smiles
+from dtanet.smiles import Atom, Bond, BondOrder, MolGraph, parse_smiles
 from dtanet.synthetic import unique_smiles
 
 MAX_DEGREE = 6
@@ -263,3 +265,271 @@ class TestGradients:
         analytic = float((h_node.grad * direction).sum())
         numeric = central_difference_directional(evaluate, h_value, direction)
         assert relative_error(analytic, numeric) < 1e-4
+
+
+# -- parity with the edge-list implementation ---------------------------------
+#
+# A reference topology (directed edge lists, concatenated sorted candidate
+# lists) and operators that run on it with ``np.add.at`` / ``reduceat``.
+# The table-based operators must match it bitwise: same summation order,
+# same pool winners.
+
+
+@dataclass
+class _EdgeBatch:
+    degree_index: tuple
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    pool_flat: np.ndarray
+    pool_starts: np.ndarray
+    pool_segment_of: np.ndarray
+
+
+def _edge_batch(graphs, max_degree=MAX_DEGREE):
+    degrees, edge_src, edge_dst, pool_flat, pool_starts = [], [], [], [], []
+    offset = 0
+    for g in graphs:
+        for i in range(g.n_atoms):
+            atom = offset + i
+            nbrs = g.adjacency[i]
+            degrees.append(len(nbrs))
+            pool_starts.append(len(pool_flat))
+            pool_flat.extend(sorted([atom] + [offset + j for j in nbrs]))
+            for j in nbrs:
+                edge_src.append(offset + j)
+                edge_dst.append(atom)
+        offset += g.n_atoms
+    degrees = np.asarray(degrees)
+    counts = np.diff(np.append(pool_starts, len(pool_flat)))
+    return _EdgeBatch(
+        degree_index=tuple(np.flatnonzero(degrees == d)
+                           for d in range(max_degree + 1)),
+        edge_src=np.asarray(edge_src), edge_dst=np.asarray(edge_dst),
+        pool_flat=np.asarray(pool_flat), pool_starts=np.asarray(pool_starts),
+        pool_segment_of=np.repeat(np.arange(offset), counts))
+
+
+class _EdgeConv(GraphConv):
+    def compute(self, ctx):
+        h = self.inputs[0].value
+        batch = self.inputs[1].value
+        w_self, w_nbr, bias = self._params()
+        nbr_sum = np.zeros_like(h)
+        np.add.at(nbr_sum, batch.edge_dst, h[batch.edge_src])
+        z = np.empty((h.shape[0], w_self[0].value.shape[1]))
+        for d, idx in enumerate(batch.degree_index):
+            if idx.size == 0:
+                continue
+            z[idx] = (h[idx] @ w_self[d].value
+                      + nbr_sum[idx] @ w_nbr[d].value + bias[d].value)
+        self._nbr_sum = nbr_sum
+        self._z = z
+        self._mask = z > 0.0
+        return np.where(self._mask, z, 0.0)
+
+    def backprop(self):
+        h_node = self.inputs[0]
+        batch = self.inputs[1].value
+        w_self, w_nbr, bias = self._params()
+        h = h_node.value
+        dz = self.grad * self._mask
+        dh = np.zeros_like(h)
+        dnbr = np.zeros_like(h)
+        for d, idx in enumerate(batch.degree_index):
+            if idx.size == 0:
+                continue
+            self._accumulate(w_self[d], h[idx].T @ dz[idx])
+            self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dz[idx])
+            self._accumulate(bias[d], dz[idx].sum(axis=0))
+            dh[idx] += dz[idx] @ w_self[d].value.T
+            dnbr[idx] = dz[idx] @ w_nbr[d].value.T
+        if h_node.wants_grad:
+            np.add.at(dh, batch.edge_src, dnbr[batch.edge_dst])
+            self._accumulate(h_node, dh)
+
+
+class _EdgePool(Node):
+    def __init__(self, h, structure):
+        super().__init__("graph_pool", (h, structure))
+
+    def compute(self, ctx):
+        h = self.inputs[0].value
+        batch = self.inputs[1].value
+        candidates = h[batch.pool_flat]
+        pooled = np.maximum.reduceat(candidates, batch.pool_starts, axis=0)
+        is_max = candidates == pooled[batch.pool_segment_of]
+        positions = np.where(is_max, batch.pool_flat[:, None], h.shape[0])
+        self._winners = np.minimum.reduceat(positions, batch.pool_starts,
+                                            axis=0)
+        return pooled
+
+    def backprop(self):
+        h_node = self.inputs[0]
+        width = self.grad.shape[1]
+        rows = self._winners.ravel()
+        cols = np.tile(np.arange(width), self._winners.shape[0])
+        contribution = np.zeros_like(h_node.value)
+        np.add.at(contribution, (rows, cols), self.grad.ravel())
+        self._accumulate(h_node, contribution)
+
+
+def _random_molecule(rng, n_atoms):
+    """A random simple graph on ``n_atoms`` carbons, degrees at most 6."""
+    pairs = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)]
+    degree = [0] * n_atoms
+    bonds = []
+    for k in rng.permutation(len(pairs)):
+        i, j = pairs[k]
+        if degree[i] < MAX_DEGREE and degree[j] < MAX_DEGREE \
+                and rng.random() < 0.45:
+            bonds.append(Bond(i, j, BondOrder.SINGLE))
+            degree[i] += 1
+            degree[j] += 1
+    return MolGraph([Atom("C") for _ in range(n_atoms)], bonds)
+
+
+def _parity_batch(seed):
+    """Random molecules plus an isolated atom and a degree-6 star, in a
+    shuffled order; features on a coarse grid so maxima tie often."""
+    rng = np.random.default_rng(seed)
+    star = MolGraph([Atom("C") for _ in range(7)],
+                    [Bond(0, j, BondOrder.SINGLE) for j in range(1, 7)])
+    mols = [_random_molecule(rng, int(rng.integers(1, 10)))
+            for _ in range(int(rng.integers(3, 8)))]
+    mols += [MolGraph([Atom("C")], []), star]
+    mols = [mols[k] for k in rng.permutation(len(mols))]
+    rows, batch = pack_graphs(mols, [atom_features(m) for m in mols],
+                              MAX_DEGREE)
+    h = rng.integers(-2, 3, size=(rows.shape[0], 5)).astype(float)
+    return mols, batch, h
+
+
+def _parity_stack(conv_cls, pool_cls, seed):
+    """conv -> pool -> conv -> pool -> gather -> dense, scalar loss; the
+    parameters depend only on ``seed``."""
+    rng = np.random.default_rng(seed + 1000)
+    g = Graph()
+    h = g.placeholder("h")
+    structure = g.object_input("structure")
+    gather_structure = g.object_input("gather_structure")
+    x = h
+    pools = []
+    for li, (w_in, w_out) in enumerate([(5, 4), (4, 3)]):
+        def weights(tag):
+            return [g.parameter(f"{tag}{li}.{d}",
+                                np.round(rng.standard_normal((w_in, w_out)), 1))
+                    for d in range(MAX_DEGREE + 1)]
+        w_self, w_nbr = weights("ws"), weights("wn")
+        bias = [g.parameter(f"b{li}.{d}", np.round(rng.standard_normal(w_out), 1))
+                for d in range(MAX_DEGREE + 1)]
+        x = g.add(conv_cls(x, structure, w_self, w_nbr, bias))
+        x = g.add(pool_cls(x, structure))
+        pools.append(x)
+    x = g.add(GraphGather(x, gather_structure))
+    w = g.parameter("wo", rng.standard_normal((3, 1)))
+    out = g.matmul(x, w)
+    target = g.placeholder("target")
+    weight = g.placeholder("weight")
+    loss = g.weighted_mse(out, target, weight)
+    return g, h, loss, pools
+
+
+class TestTableParity:
+    def _run(self, seed, training):
+        mols, batch, h_value = _parity_batch(seed)
+        feeds = {"h": h_value, "gather_structure": batch,
+                 "target": np.zeros((len(mols), 1)),
+                 "weight": np.ones((len(mols), 1))}
+        results = []
+        for conv_cls, pool_cls, structure in (
+                (GraphConv, GraphPool, batch),
+                (_EdgeConv, _EdgePool, _edge_batch(mols))):
+            g, h, loss, pools = _parity_stack(conv_cls, pool_cls, seed)
+            (out,) = g.forward({**feeds, "structure": structure}, [loss],
+                               training=training)
+            g.backward(loss, inputs=(h,))
+            results.append((
+                [node.value for node in pools],
+                [node._winners for node in pools],
+                {p.name: p.grad for p in g.parameters()},
+                h.grad, out))
+        return batch, results
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise_equal_to_edge_lists(self, seed, training):
+        batch, (new, ref) = self._run(seed, training)
+        assert batch.degrees.max() == MAX_DEGREE
+        assert (batch.degrees == 0).any()
+        new_pooled, new_winners, new_grads, new_dh, new_loss = new
+        ref_pooled, ref_winners, ref_grads, ref_dh, ref_loss = ref
+        for a, b in zip(new_pooled, ref_pooled):
+            assert np.array_equal(a, b)
+        for a, b in zip(new_winners, ref_winners):
+            assert np.array_equal(a, b)
+        assert new_grads.keys() == ref_grads.keys()
+        for name in new_grads:
+            assert np.array_equal(new_grads[name], ref_grads[name]), name
+        assert np.array_equal(new_dh, ref_dh)
+        assert np.array_equal(new_loss, ref_loss)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batches_contain_contested_maxima(self, seed):
+        # the winner comparison is only meaningful if maxima tie
+        mols, batch, h_value = _parity_batch(seed)
+        g, h, loss, pools = _parity_stack(GraphConv, GraphPool, seed)
+        g.forward({"h": h_value, "structure": batch, "gather_structure": batch,
+                   "target": np.zeros((len(mols), 1)),
+                   "weight": np.ones((len(mols), 1))}, [loss], training=True)
+        for pool in pools:
+            h_in = pool.inputs[0].value
+            padded = np.vstack([h_in, np.full((1, h_in.shape[1]), -np.inf)])
+            hits = (h_in == pool.value).astype(int)
+            for column in batch.neighbors.T:
+                hits += padded[column] == pool.value
+            assert (hits >= 2).any()
+
+    def test_winners_only_in_training_forward(self):
+        mols, batch, h_value = _parity_batch(3)
+        g, h, loss, pools = _parity_stack(GraphConv, GraphPool, 3)
+        feeds = {"h": h_value, "structure": batch, "gather_structure": batch,
+                 "target": np.zeros((len(mols), 1)),
+                 "weight": np.ones((len(mols), 1))}
+        g.forward(feeds, [loss], training=True)
+        assert all(p._winners is not None for p in pools)
+        g.forward(feeds, [loss], training=False)
+        assert all(p._winners is None for p in pools)
+
+
+class TestPackTable:
+    def test_rows_list_sorted_neighbors_padded_with_n_atoms(self):
+        _, batch = packed(["CC(C)O", "C", "c1ccccc1"])
+        assert batch.n_atoms == 11
+        table = batch.neighbors
+        assert table.shape == (11, 3)
+        assert table[1].tolist() == [0, 2, 3]
+        assert table[4].tolist() == [11, 11, 11]  # the isolated carbon
+        assert table[5].tolist() == [6, 10, 11]   # ring closure, then padding
+        assert batch.degrees.tolist() == [1, 3, 1, 1, 0, 2, 2, 2, 2, 2, 2]
+
+    def test_molecule_table_is_cached_and_read_only(self):
+        mol = parse_smiles("CCO")
+        table = mol.neighbor_table
+        assert table is mol.neighbor_table
+        assert table.tolist() == [[1, 3], [0, 2], [1, 3]]
+        with pytest.raises(ValueError):
+            table[0, 0] = 2
+        pack_graphs([mol, mol], [atom_features(mol)] * 2, MAX_DEGREE)
+        assert mol.neighbor_table.tolist() == [[1, 3], [0, 2], [1, 3]]
+
+    def test_degree_error_names_the_first_offending_atom(self):
+        mols = [parse_smiles("CC"), parse_smiles("CC(C)(C)(C)(C)C")]
+        with pytest.raises(GraphStructureError,
+                           match="atom 1 has degree 6, max supported is 5"):
+            pack_graphs(mols, [atom_features(m) for m in mols], max_degree=5)
+
+    def test_empty_molecule_rejected(self):
+        empty = MolGraph([], [])
+        with pytest.raises(GraphStructureError, match="empty molecule"):
+            pack_graphs([parse_smiles("C"), empty],
+                        [atom_features(parse_smiles("C"))] * 2)

@@ -217,6 +217,26 @@ class TestCvCommand:
         with DirectoryLock(tmp_path / "run"):
             pass
 
+    def test_lock_names_its_owner(self, tmp_path):
+        import json
+        import os
+        import socket
+
+        with DirectoryLock(tmp_path / "run") as lock:
+            owner = json.loads(lock.path.read_text(encoding="utf-8"))
+            assert owner == {"pid": os.getpid(),
+                             "host": socket.gethostname()}
+            with pytest.raises(PipelineError) as excinfo:
+                with DirectoryLock(tmp_path / "run"):
+                    pass
+        assert (f"pid {os.getpid()} on host {socket.gethostname()}"
+                in str(excinfo.value))
+        # a stale lock from a process that died before writing its owner
+        (tmp_path / "run" / ".lock").write_text("", encoding="utf-8")
+        with pytest.raises(PipelineError, match="owner unknown"):
+            with DirectoryLock(tmp_path / "run"):
+                pass
+
 
 class TestPredictEvaluate:
     def test_predict_with_ad_column(self, fixture_dir, tiny_config, tmp_path):
@@ -329,6 +349,40 @@ class TestPredictEvaluate:
         with pytest.raises(PipelineError, match=f"train.csv: {message}"):
             run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
                         tmp_path / "preds.csv", ad_from=train_csv)
+
+    def test_evaluate_reads_values_like_ingestion(self, tmp_path, caplog):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("smiles,protein_id,task_id,value,prediction\n"
+                         "CCO,P0,0,100,1.5\n"
+                         "CCN,P0,0,>10000,0.2\n"
+                         "CCC,P0,1,5,3.0\n"
+                         "CCCl,P0,0,20,2.5\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="dtanet.pipeline"):
+            report = run_evaluate(preds, tmp_path / "eval.csv")
+        assert "discarded 1 imprecise value row(s)" in caplog.text
+        assert report.n_records == 3
+        y0 = 4.0 - np.log10(np.array([100.0, 20.0]))
+        expected = np.sqrt(np.mean((y0 - [1.5, 2.5]) ** 2))
+        task0 = next(t for t in report.tasks if t.task_id == 0)
+        assert task0.rmse == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("row, message", [
+        ("CCN,P0,-1,5,1.0", "line 3: task_id '-1' is not a non-negative "
+                            "integer"),
+        ("CCN,P0,x,5,1.0", "line 3: task_id 'x' is not a non-negative "
+                           "integer"),
+        ("CCN,P0,0,5,abc", "line 3: prediction 'abc' is not a number"),
+        ("CCN,P0,0,5,nan", "line 3: prediction 'nan' is not a number"),
+        ("CCN,P0,0,abc,1.0", "line 3: value 'abc' is not a number"),
+        ("CCN,P0,0,0,1.0", "line 3: non-positive raw value"),
+        ("CCN,P0", "line 3: expected 5 fields, got 2"),
+    ])
+    def test_evaluate_bad_row_names_the_line(self, tmp_path, row, message):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("smiles,protein_id,task_id,value,prediction\n"
+                         f"CCO,P0,0,100,1.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"preds.csv: {message}"):
+            run_evaluate(preds, tmp_path / "eval.csv")
 
     def test_unknown_protein_reported(self, fixture_dir, tiny_config,
                                       tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_clusters
-from dtanet.compounds import Fingerprint, ecfp, tanimoto
+from dtanet import splits
+from dtanet.compounds import FeaturizationError, Fingerprint, ecfp, tanimoto
 from dtanet.smiles import parse_smiles
 from dtanet.splits import (
     CompoundClustering,
@@ -191,6 +192,43 @@ class TestClustering:
         assert tanimoto(a, b) == 0.7
         clustering = cluster_compounds([a, b], threshold=0.7)
         assert clustering.labels[0] != clustering.labels[1]
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_equal_pairwise_tanimoto(self, monkeypatch, seed,
+                                            block_rows):
+        # 10-bit fingerprints make similarities such as 7/10 at a 0.7
+        # threshold common; empty fingerprints pair at similarity 1.0
+        monkeypatch.setattr(splits, "_CLUSTER_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(seed)
+        n = 60
+        density = rng.uniform(0.3, 0.9, size=(n, 1))
+        bits = (rng.random((n, 10)) < density).astype(np.uint8)
+        bits[rng.choice(n, 3, replace=False)] = 0
+        fps = [Fingerprint(bits=b, n_bits=10, radius=2) for b in bits]
+        sims = np.array([[tanimoto(a, b) for b in fps] for a in fps])
+        assert (sims == 0.7).sum() > 0 and (sims > 0.7).sum() > n
+        for threshold in (0.7, 0.5, 0.9):
+            clustering = cluster_compounds(fps, threshold)
+            assert clustering.labels.tolist() == brute_force_clusters(
+                sims, threshold)
+
+    def test_empty_fingerprints_join(self):
+        empty = Fingerprint(bits=np.zeros(64, dtype=np.uint8), n_bits=64,
+                            radius=2)
+        full = Fingerprint(bits=np.ones(64, dtype=np.uint8), n_bits=64,
+                           radius=2)
+        labels = cluster_compounds([empty, full, empty], 0.99).labels
+        assert labels.tolist() == [0, 1, 0]
+
+    def test_mismatched_lengths_raise(self):
+        def fp(n_bits):
+            return Fingerprint(bits=np.zeros(n_bits, dtype=np.uint8),
+                               n_bits=n_bits, radius=2)
+        with pytest.raises(FeaturizationError, match="512 vs 1024"):
+            cluster_compounds([fp(512), fp(512), fp(1024)])
+        assert cluster_compounds([fp(1024)]).labels.tolist() == [0]
+        assert cluster_compounds([]).labels.tolist() == []
 
 
 class TestColdClusterSplit:
