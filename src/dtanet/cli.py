@@ -31,7 +31,6 @@ import numpy as np  # noqa: E402  (thread env vars must be set first)
 
 from . import pipeline, synthetic  # noqa: E402
 from .runconfig import SCHEMES, RunConfig, parse_run_config  # noqa: E402
-from .splits import write_folds  # noqa: E402
 
 log = logging.getLogger("dtanet")
 
@@ -69,13 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, help="CSV with a leading smiles column")
     p.add_argument("--proteins", type=Path, help="protein sequence table (TSV)")
     p.add_argument("--ecfp", action="store_true",
-                   help="write hex fingerprints CSV")
-    p.add_argument("--graph", action="store_true",
-                   help="write per-molecule graph feature file")
+                   help="write hex fingerprints CSV (model.fp_radius, "
+                        "model.fp_bits)")
     p.add_argument("--psc", action="store_true",
                    help="write the protein descriptor matrix")
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--bits", type=int, default=2048)
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("split", help="write a fold-index CSV")
@@ -159,17 +155,13 @@ def _read_smiles_column(path: Path) -> list[str]:
 
 
 def _cmd_featurize(args, cfg) -> None:
-    if not (args.ecfp or args.graph or args.psc):
-        raise SystemExit("featurize: pick at least one of --ecfp/--graph/--psc")
-    if args.ecfp or args.graph:
+    if args.ecfp == args.psc:
+        raise SystemExit("featurize: pick exactly one of --ecfp/--psc")
+    if args.ecfp:
         if args.input is None:
-            raise SystemExit("featurize: --input is required for compounds")
+            raise SystemExit("featurize: --input is required for --ecfp")
         smiles_list = _read_smiles_column(args.input)
-        if args.ecfp:
-            pipeline.write_fingerprint_csv(smiles_list, args.out,
-                                           radius=args.radius, n_bits=args.bits)
-        else:
-            pipeline.write_graph_features(smiles_list, args.out)
+        pipeline.write_fingerprint_csv(cfg, smiles_list, args.out)
         print(f"featurized {len(smiles_list)} compounds -> {args.out}")
     else:
         from . import proteins as proteins_mod
@@ -186,19 +178,11 @@ def _cmd_featurize(args, cfg) -> None:
 
 def _cmd_split(args, cfg) -> None:
     dataset = pipeline.load_pair_dataset(cfg, args.data_dir)
-    params = cfg.split_params()
-    scheme = args.scheme or params["scheme"]
-    k = args.k or params["k"]
-    seed = params["seed"] if args.seed is None else args.seed
-    model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
-    assignment = pipeline.build_assignment(
-        dataset, scheme, k, seed,
-        cluster_threshold=params["cluster_threshold"],
-        fp_radius=model_cfg.fp_radius, fp_bits=model_cfg.fp_bits)
-    write_folds(args.out, assignment)
-    sizes = np.bincount(assignment.folds, minlength=k)
-    print(f"{scheme} split of {dataset.n_pairs} records into {k} folds "
-          f"(sizes {sizes.tolist()}) -> {args.out}")
+    assignment = pipeline.run_split(cfg, dataset, args.out, scheme=args.scheme,
+                                    k=args.k, seed=args.seed)
+    sizes = np.bincount(assignment.folds, minlength=assignment.k)
+    print(f"{assignment.scheme} split of {dataset.n_pairs} records into "
+          f"{assignment.k} folds (sizes {sizes.tolist()}) -> {args.out}")
 
 
 def _cmd_train(args, cfg) -> None:
@@ -223,6 +207,9 @@ def _cmd_cv(args, cfg) -> None:
 
 
 def _cmd_tune(args, cfg) -> None:
+    if args.seed is not None:
+        cfg = cfg.override({key: args.seed for key in
+                            ("tune.seed", "model.seed", "train.seed")})
     dataset = pipeline.load_pair_dataset(cfg, args.data_dir)
     best = pipeline.run_tune(cfg, dataset, args.out_dir, budget=args.budget,
                              strategy=args.strategy, space_path=args.space)

@@ -413,8 +413,10 @@ class FeatureStore:
                 for pid in dataset.protein_ids
             ])
 
-    def build_model(self, seed: int | None = None) -> Model:
-        cfg = self.cfg if seed is None else replace(self.cfg, seed=seed)
+    def build_model(self, cfg: ModelConfig | None = None) -> Model:
+        """A fresh model of ``cfg`` (default: the store's own config); ``cfg``
+        must featurize inputs as the store's config does."""
+        cfg = self.cfg if cfg is None else cfg
         protein_ids = self.dataset.protein_ids if cfg.compound_only else None
         return Model.build(cfg, protein_ids=protein_ids)
 

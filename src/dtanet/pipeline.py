@@ -1,5 +1,13 @@
 """End-to-end orchestration shared by the command-line entry points.
 
+Every model is fitted by :func:`fit` from a :class:`RunConfig`: ``train``
+fits the config on its seeded holdout split, each ``cv`` fold fits it with
+the repetition's seeds applied as overrides, and each ``tune`` trial fits it
+with the trial's search point applied as overrides
+(:func:`tuning.point_overrides`) on the same holdout split ``train`` uses.
+The best trial's full config is written as ``best_config.cfg``, so
+``train --config best_config.cfg`` fits the model the search scored.
+
 Artifact formats written here:
 
 * prediction CSV: ``smiles,protein_id,task_id[,value],prediction[,in_ad]``;
@@ -7,10 +15,8 @@ Artifact formats written here:
   ``scheme,seed,repetition,fold,task_id,n_records,rmse,r2,ci,leakage_audit``
   rows, per-fold first, then ``mean``/``std`` summary rows (sample standard
   deviation across folds and repetitions);
-* per-molecule graph features: magic ``MOLGRAF1``, uint32 version, uint32
-  molecule count, then per molecule uint32 atom count, uint32 feature width,
-  float32 feature rows, and per atom a uint32 neighbor count plus uint32
-  neighbor indices.
+* trial log ``trials.csv``: ``trial,status,value`` then one column per
+  search dimension, one row per trial.
 
 A run directory is owned by a single process at a time, enforced with a
 lock file.
@@ -23,19 +29,17 @@ import json
 import logging
 import os
 import socket
-import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
 from . import proteins
-from .compounds import atom_features, ecfp
+from .compounds import ecfp
 from .domain import check_ad, fit_ad_per_task
 from .metrics import EvalReport, evaluate_predictions
 from .model import FeatureStore, Model
-from .runconfig import RunConfig
+from .runconfig import RunConfig, parse_run_config
 from .smiles import parse_smiles
 from .splits import (
     FoldAssignment,
@@ -48,23 +52,23 @@ from .splits import (
     fold_views,
     hyperopt_holdout,
     random_split,
+    read_folds,
     warm_split,
     write_folds,
 )
-from .training import history_rows, train
+from .training import TrainResult, history_rows, train
 from .tuning import (
     default_search_space,
     gp_ei_search,
     load_space,
-    make_composite_objective,
+    point_overrides,
     random_search,
 )
 
 __all__ = ["PipelineError", "SmokeError", "DirectoryLock", "load_pair_dataset",
-           "build_assignment", "run_training", "run_cv", "run_predict",
-           "run_evaluate", "run_tune", "write_fingerprint_csv",
-           "write_graph_features", "read_graph_features", "write_report",
-           "read_report", "end_to_end_smoke"]
+           "build_assignment", "run_split", "fit", "run_training", "run_cv",
+           "run_predict", "run_evaluate", "run_tune", "write_fingerprint_csv",
+           "write_report", "read_report", "end_to_end_smoke"]
 
 log = logging.getLogger(__name__)
 
@@ -122,9 +126,10 @@ def load_pair_dataset(cfg: RunConfig, data_dir: str | Path) -> data_mod.PairData
 # -- splits ---------------------------------------------------------------
 
 
-def build_assignment(dataset: data_mod.PairDataset, scheme: str, k: int,
-                     seed: int, cluster_threshold: float = 0.7,
-                     fp_radius: int = 2, fp_bits: int = 2048) -> FoldAssignment:
+def build_assignment(cfg: RunConfig, dataset: data_mod.PairDataset,
+                     scheme: str, k: int, seed: int) -> FoldAssignment:
+    """A ``k``-fold ``scheme`` split of the dataset's records; cold-cluster
+    splits cluster with ``cfg``'s fingerprints and threshold."""
     drug_ids = [dataset.compounds[i] for i in dataset.pairs[:, 0]]
     target_ids = [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]
     if scheme == "warm":
@@ -134,30 +139,49 @@ def build_assignment(dataset: data_mod.PairDataset, scheme: str, k: int,
     if scheme == "cold-target":
         return cold_entity_split(drug_ids, target_ids, k, seed, axis="target")
     if scheme == "cold-cluster":
-        clustering = _cluster_dataset(dataset, cluster_threshold, fp_radius,
-                                      fp_bits)
-        return cold_cluster_split(dataset.pairs[:, 0], clustering, k, seed)
+        return cold_cluster_split(dataset.pairs[:, 0],
+                                  _cluster_dataset(cfg, dataset), k, seed)
     if scheme == "random":
         return random_split(dataset.n_pairs, k, seed)
     raise PipelineError(f"unknown scheme {scheme!r}")
 
 
-def _cluster_dataset(dataset: data_mod.PairDataset, threshold: float,
-                     fp_radius: int, fp_bits: int):
-    fingerprints = [ecfp(parse_smiles(s), fp_radius, fp_bits)
-                    for s in dataset.compounds]
-    return cluster_compounds(fingerprints, threshold)
+def _cluster_dataset(cfg: RunConfig, dataset: data_mod.PairDataset):
+    model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
+    fingerprints = [ecfp(parse_smiles(s), model_cfg.fp_radius,
+                         model_cfg.fp_bits) for s in dataset.compounds]
+    return cluster_compounds(fingerprints,
+                             cfg.split_params()["cluster_threshold"])
 
 
-def _leakage_audit(assignment: FoldAssignment,
-                   dataset: data_mod.PairDataset,
-                   cluster_threshold: float, *,
-                   fp_radius: int, fp_bits: int) -> str:
+def _split_settings(cfg: RunConfig, scheme: str | None, k: int | None,
+                    repetitions: int | None,
+                    seed: int | None) -> tuple[str, int, int, int]:
+    """(scheme, k, repetitions, seed): each given value, else the config's."""
+    params = cfg.split_params()
+    return (scheme or params["scheme"], k or params["k"],
+            repetitions or params["repetitions"],
+            params["seed"] if seed is None else seed)
+
+
+def run_split(cfg: RunConfig, dataset: data_mod.PairDataset,
+              out_csv: str | Path, scheme: str | None = None,
+              k: int | None = None, seed: int | None = None) -> FoldAssignment:
+    """Build the split ``run_cv`` would build for its first repetition and
+    write it as a fold CSV."""
+    scheme, k, _, seed = _split_settings(cfg, scheme, k, None, seed)
+    assignment = build_assignment(cfg, dataset, scheme, k, seed)
+    write_folds(out_csv, assignment)
+    return assignment
+
+
+def _leakage_audit(cfg: RunConfig, assignment: FoldAssignment,
+                   dataset: data_mod.PairDataset) -> str:
     """"pass" or "FAIL" for the scheme's defining constraint ("n/a" if none).
 
     A cold-cluster split is audited against the clustering it was built
     from; only an assignment replayed from a fold file, which does not carry
-    it, is clustered again with the given fingerprint settings.
+    it, is clustered again with ``cfg``'s fingerprints and threshold.
     """
     drug_ids = [dataset.compounds[i] for i in dataset.pairs[:, 0]]
     target_ids = [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]
@@ -170,34 +194,54 @@ def _leakage_audit(assignment: FoldAssignment,
     elif assignment.scheme == "cold-cluster":
         labels = assignment.record_clusters
         if labels is None:
-            clustering = _cluster_dataset(dataset, cluster_threshold,
-                                          fp_radius, fp_bits)
-            labels = clustering.labels[dataset.pairs[:, 0]]
+            labels = _cluster_dataset(cfg, dataset).labels[dataset.pairs[:, 0]]
         return "pass" if not audit_clusters(assignment, labels) else "FAIL"
     else:
         return "n/a"
     return "pass" if all(not v for v in leaks.values()) else "FAIL"
 
 
-# -- training -----------------------------------------------------------------
+# -- fitting ------------------------------------------------------------------
+
+
+def _feature_store(cfg: RunConfig, dataset: data_mod.PairDataset) -> FeatureStore:
+    return FeatureStore(dataset, cfg.model_config(n_tasks=dataset.n_tasks))
+
+
+def fit(cfg: RunConfig, store: FeatureStore, train_idx,
+        val_idx) -> tuple[Model, TrainResult]:
+    """Build the model ``cfg`` describes on ``store`` and train it with
+    ``cfg``'s training settings; the model ends holding its best parameters.
+
+    ``store`` must featurize as ``cfg`` does (:func:`_feature_store`).
+    """
+    model = store.build_model(cfg.model_config(n_tasks=store.dataset.n_tasks))
+    return model, train(model, store, train_idx, val_idx, cfg.train_config())
+
+
+def _seeded(cfg: RunConfig, model_seed: int, train_seed: int) -> RunConfig:
+    return cfg.override({"model.seed": model_seed, "train.seed": train_seed})
+
+
+def _holdout(cfg: RunConfig, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, validation) record indices: ``train.holdout_fraction`` of the
+    records, drawn with ``train.seed``, are held out."""
+    return hyperopt_holdout(n_pairs, seed=cfg.train_config().seed,
+                            fraction=cfg.holdout_fraction())
 
 
 def run_training(cfg: RunConfig, dataset: data_mod.PairDataset,
                  out_checkpoint: str | Path,
                  seed: int | None = None) -> Path:
-    """Train on a seeded 90/10 holdout of the dataset; write the checkpoint."""
+    """Fit ``cfg`` on its holdout split; write the checkpoint and history.
+
+    ``seed`` overrides ``model.seed`` and ``train.seed``.
+    """
     out_checkpoint = Path(out_checkpoint)
-    model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
-    train_cfg = cfg.train_config()
-    if seed is not None:
-        model_cfg = replace(model_cfg, seed=seed)
-        train_cfg = replace(train_cfg, seed=seed)
-    store = FeatureStore(dataset, model_cfg)
-    model = store.build_model()
-    train_idx, val_idx = hyperopt_holdout(
-        dataset.n_pairs, seed=train_cfg.seed,
-        fraction=cfg.holdout_fraction())
-    result = train(model, store, train_idx, val_idx, train_cfg)
+    run_cfg = cfg if seed is None else _seeded(cfg, seed, seed)
+    train_idx, val_idx = _holdout(run_cfg, dataset.n_pairs)
+    model, result = fit(run_cfg, _feature_store(run_cfg, dataset), train_idx,
+                        val_idx)
     model.save(out_checkpoint, optimizer_step=result.best_optimizer_step,
                optimizer_arrays=result.best_optimizer,
                run_config_text=cfg.snapshot())
@@ -222,11 +266,8 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
     ``folds_path`` replays a fold CSV written by the ``split`` command for a
     single repetition instead of building fresh assignments.
     """
-    params = cfg.split_params()
     precomputed = None
     if folds_path is not None:
-        from .splits import read_folds
-
         precomputed = read_folds(folds_path)
         if precomputed.n_records != dataset.n_pairs:
             raise PipelineError(
@@ -236,46 +277,38 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
         k = precomputed.k
         repetitions = 1
         seed = precomputed.seed
-    scheme = scheme or params["scheme"]
-    k = k or params["k"]
-    repetitions = repetitions or params["repetitions"]
-    seed = params["seed"] if seed is None else seed
+    scheme, k, repetitions, seed = _split_settings(cfg, scheme, k, repetitions,
+                                                   seed)
     out_dir = Path(out_dir)
     model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
     if model_cfg.compound_only and scheme == "cold-target":
         raise PipelineError(
             "compound-only variants cannot be evaluated under cold-target "
             "splits: their outputs are indexed by the training proteins")
-    train_cfg = cfg.train_config()
+    train_seed = cfg.train_config().seed
     rows: list[dict] = []
     fold_metrics: list[EvalReport] = []
     with DirectoryLock(out_dir):
+        store = _feature_store(cfg, dataset)
         for rep in range(repetitions):
             rep_seed = seed + rep
             if precomputed is not None:
                 assignment = precomputed
             else:
-                assignment = build_assignment(
-                    dataset, scheme, k, rep_seed,
-                    cluster_threshold=params["cluster_threshold"],
-                    fp_radius=model_cfg.fp_radius, fp_bits=model_cfg.fp_bits)
-            audit = _leakage_audit(assignment, dataset,
-                                   params["cluster_threshold"],
-                                   fp_radius=model_cfg.fp_radius,
-                                   fp_bits=model_cfg.fp_bits)
+                assignment = build_assignment(cfg, dataset, scheme, k,
+                                              rep_seed)
+            audit = _leakage_audit(cfg, assignment, dataset)
             write_folds(out_dir / f"folds_{scheme}_rep{rep}.csv", assignment)
             _, holdout = hyperopt_holdout(dataset.n_pairs, seed=rep_seed,
                                           fraction=cfg.holdout_fraction())
-            store = FeatureStore(dataset, model_cfg)
+            rep_cfg = _seeded(cfg, model_cfg.seed + rep, train_seed + rep)
             for fold, (train_view, val_view) in enumerate(
                     fold_views(assignment, holdout)):
                 if val_view.size == 0:
                     log.warning("fold %d has no validation records after "
                                 "holdout exclusion; skipped", fold)
                     continue
-                model = store.build_model(seed=model_cfg.seed + rep)
-                result = train(model, store, train_view, val_view,
-                               replace(train_cfg, seed=train_cfg.seed + rep))
+                model, result = fit(rep_cfg, store, train_view, val_view)
                 ckpt = out_dir / f"model_{scheme}_rep{rep}_fold{fold}.ckpt"
                 model.save(ckpt, optimizer_step=result.best_optimizer_step,
                            optimizer_arrays=result.best_optimizer,
@@ -287,6 +320,9 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                 fold_metrics.append(report)
                 rows.append({"repetition": rep, "fold": fold,
                              "report": report, "audit": audit})
+                # free this fold's parameters and optimizer state before the
+                # next fold's fit allocates its own
+                del model, result
         report_path = out_dir / f"report_{scheme}.csv"
         write_report(report_path, cfg, rows, fold_metrics, scheme, seed)
     return report_path
@@ -579,15 +615,26 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
              out_dir: str | Path, budget: int | None = None,
              strategy: str | None = None,
              space_path: str | Path | None = None) -> Path:
+    """Search the space for the run config that fits best on the holdout.
+
+    A trial fits ``cfg`` with its point's overrides applied, on the holdout
+    split :func:`run_training` uses, and scores the best validation
+    composite. Writes ``trials.csv`` and the best trial's full config as
+    ``best_config.cfg``; returns the latter's path.
+    """
     params = cfg.tune_params()
     budget = budget or params["budget"]
     strategy = strategy or params["strategy"]
     space = load_space(space_path) if space_path else default_search_space()
     out_dir = Path(out_dir)
-    variant = cfg.get("model", "variant")
-    objective = make_composite_objective(dataset, variant, seed=params["seed"],
-                                         max_epochs=cfg.train_config().max_epochs,
-                                         patience=cfg.train_config().patience)
+    train_idx, val_idx = _holdout(cfg, dataset.n_pairs)
+
+    def objective(point: dict) -> float:
+        trial_cfg = cfg.override(point_overrides(point))
+        _, result = fit(trial_cfg, _feature_store(trial_cfg, dataset),
+                        train_idx, val_idx)
+        return result.best_score
+
     with DirectoryLock(out_dir):
         if strategy == "random":
             result = random_search(space, objective, budget, seed=params["seed"])
@@ -602,78 +649,26 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
             lines.append(f"{t.index},{t.status},{value},{point}")
         (out_dir / "trials.csv").write_text("\n".join(lines) + "\n",
                                             encoding="utf-8")
-        best = result.best
         best_path = out_dir / "best_config.cfg"
-        best_path.write_text(_best_config_text(cfg, best.point),
-                             encoding="utf-8")
+        best_path.write_text(
+            cfg.override(point_overrides(result.best.point)).snapshot(),
+            encoding="utf-8")
     return best_path
-
-
-def _best_config_text(cfg: RunConfig, point: dict) -> str:
-    width = int(point.get("layer_width", 128))
-    layers = ",".join([str(width)] * int(point.get("n_layers", 2)))
-    lines = ["[model]",
-             f"variant={cfg.get('model', 'variant')}",
-             f"hidden_layers={layers}",
-             f"dropout={float(point.get('dropout', 0.1)):.6g}",
-             "",
-             "[train]",
-             f"learning_rate={float(point.get('learning_rate', 1e-3)):.6g}",
-             f"batch_size={int(point.get('batch_size', 32))}"]
-    return "\n".join(lines) + "\n"
 
 
 # -- featurize artifacts -----------------------------------------------------
 
 
-def write_fingerprint_csv(smiles_list: list[str], out_csv: str | Path,
-                          radius: int = 2, n_bits: int = 2048) -> None:
+def write_fingerprint_csv(cfg: RunConfig, smiles_list: list[str],
+                          out_csv: str | Path) -> None:
+    """``smiles,fingerprint_hex`` rows with ``cfg``'s fingerprint settings."""
+    model_cfg = cfg.model_config(n_tasks=1)
     lines = ["smiles,fingerprint_hex"]
     for s in smiles_list:
-        lines.append(f"{s},{ecfp(parse_smiles(s), radius, n_bits).to_hex()}")
+        fingerprint = ecfp(parse_smiles(s), model_cfg.fp_radius,
+                           model_cfg.fp_bits)
+        lines.append(f"{s},{fingerprint.to_hex()}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-_GRAPH_MAGIC = b"MOLGRAF1"
-
-
-def write_graph_features(smiles_list: list[str], out_path: str | Path,
-                         max_degree: int = 6) -> None:
-    with open(out_path, "wb") as handle:
-        handle.write(_GRAPH_MAGIC)
-        handle.write(struct.pack("<II", 1, len(smiles_list)))
-        for s in smiles_list:
-            mol = parse_smiles(s)
-            feats = atom_features(mol, max_degree=max_degree)
-            handle.write(struct.pack("<II", mol.n_atoms, feats.width))
-            handle.write(feats.rows.astype("<f4").tobytes())
-            for i in range(mol.n_atoms):
-                nbrs = mol.adjacency[i]
-                handle.write(struct.pack("<I", len(nbrs)))
-                handle.write(struct.pack(f"<{len(nbrs)}I", *nbrs)
-                             if nbrs else b"")
-
-
-def read_graph_features(path: str | Path) -> list[tuple[np.ndarray, list[list[int]]]]:
-    out = []
-    with open(path, "rb") as handle:
-        if handle.read(8) != _GRAPH_MAGIC:
-            raise PipelineError(f"{path}: not a graph feature file")
-        version, count = struct.unpack("<II", handle.read(8))
-        if version != 1:
-            raise PipelineError(f"{path}: unsupported version {version}")
-        for _ in range(count):
-            n_atoms, width = struct.unpack("<II", handle.read(8))
-            rows = np.frombuffer(handle.read(n_atoms * width * 4),
-                                 dtype="<f4").reshape(n_atoms, width).copy()
-            adjacency = []
-            for _ in range(n_atoms):
-                (deg,) = struct.unpack("<I", handle.read(4))
-                nbrs = list(struct.unpack(f"<{deg}I", handle.read(4 * deg))
-                            if deg else ())
-                adjacency.append(nbrs)
-            out.append((rows, adjacency))
-    return out
 
 
 # -- smoke ---------------------------------------------------------------------
@@ -687,8 +682,6 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
     artifact written is read back. Returns the completed stage names and
     raises :class:`SmokeError` naming the first failing stage.
     """
-    from .runconfig import parse_run_config
-
     fixture_dir = Path(fixture_dir)
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -714,13 +707,9 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
 
     def do_featurize():
         fp_csv = work_dir / "fingerprints.csv"
-        write_fingerprint_csv(smiles_list, fp_csv, radius=2, n_bits=512)
+        write_fingerprint_csv(cfg, smiles_list, fp_csv)
         parsed = fp_csv.read_text(encoding="utf-8").splitlines()
         assert len(parsed) == len(smiles_list) + 1
-        graph_path = work_dir / "graphs.bin"
-        write_graph_features(smiles_list, graph_path)
-        readback = read_graph_features(graph_path)
-        assert len(readback) == len(smiles_list)
         psc_path = work_dir / "descriptors.bin"
         matrix = np.stack([proteins.psc(*dataset.sequences[p])
                            for p in dataset.protein_ids])
@@ -733,16 +722,13 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
     stage("featurize", do_featurize)
 
     def do_splits():
-        from .splits import read_folds
         for scheme in ("warm", "cold-drug", "cold-target", "cold-cluster"):
-            assignment = build_assignment(dataset, scheme, k=3, seed=seed,
-                                          fp_radius=2, fp_bits=512)
+            assignment = build_assignment(cfg, dataset, scheme, k=3, seed=seed)
             path = work_dir / f"folds_{scheme}.csv"
             write_folds(path, assignment)
             loaded = read_folds(path)
             assert np.array_equal(loaded.folds, assignment.folds)
-            audit = _leakage_audit(assignment, dataset, 0.7,
-                                   fp_radius=2, fp_bits=512)
+            audit = _leakage_audit(cfg, assignment, dataset)
             assert audit == "pass", f"{scheme} leakage audit failed"
 
     stage("split", do_splits)

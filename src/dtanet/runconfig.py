@@ -120,6 +120,20 @@ class RunConfig:
     def get(self, section: str, key: str) -> str:
         return self.values[section][key]
 
+    def override(self, mapping: dict[str, object]) -> "RunConfig":
+        """A copy with ``section.key`` -> value overrides applied.
+
+        Values are stored in their ``str`` form; an unknown key raises
+        :class:`ConfigError`.
+        """
+        values = {section: dict(keys) for section, keys in self.values.items()}
+        for dotted, value in mapping.items():
+            section, _, key = dotted.partition(".")
+            if section not in values or key not in values[section]:
+                raise ConfigError(f"unknown config key {dotted}")
+            values[section][key] = str(value)
+        return RunConfig(values=values)
+
     def snapshot(self) -> str:
         """Canonical text form: sections and keys in sorted order."""
         lines = []
@@ -242,9 +256,4 @@ def parse_run_config(path: str | Path | None = None,
                 if key not in values[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
                 values[section][key] = value
-    for dotted, value in (overrides or {}).items():
-        section, _, key = dotted.partition(".")
-        if section not in values or key not in values[section]:
-            raise ConfigError(f"unknown config key {dotted}")
-        values[section][key] = value
-    return RunConfig(values=values)
+    return RunConfig(values=values).override(overrides or {})

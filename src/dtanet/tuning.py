@@ -9,6 +9,11 @@ expected improvement over a seeded candidate pool. Objective failures are
 recorded as failed trials and never abort the search; Cholesky failures
 escalate the jitter and, as a last resort, fall back to a random proposal
 for that iteration.
+
+A point of the space names run-config settings: :func:`point_overrides`
+maps it to ``section.key`` overrides, and the caller fits the run config
+with those applied (``pipeline.run_tune``), so this module knows nothing of
+models or training.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ __all__ = [
     "GaussianProcess",
     "load_space",
     "default_search_space",
-    "make_composite_objective",
+    "point_overrides",
 ]
 
 log = logging.getLogger(__name__)
@@ -320,13 +325,54 @@ def default_search_space() -> SearchSpace:
     })
 
 
+# point dimension -> (config key, type of its value)
+POINT_KEYS = {
+    "learning_rate": ("train.learning_rate", float),
+    "batch_size": ("train.batch_size", int),
+    "dropout": ("model.dropout", float),
+}
+# searched together: ``n_layers`` hidden layers of ``layer_width`` units
+LAYER_DIMENSIONS = ("n_layers", "layer_width")
+
+
+def _unmapped(names) -> tuple[str, str] | None:
+    """``(name, reason)`` for the first dimension name that
+    :func:`point_overrides` cannot map, or ``None``."""
+    for name in names:
+        if name not in POINT_KEYS and name not in LAYER_DIMENSIONS:
+            return name, (f"unknown dimension {name!r}; expected one of "
+                          f"{(*POINT_KEYS, *LAYER_DIMENSIONS)}")
+    layers = [name for name in LAYER_DIMENSIONS if name in names]
+    if len(layers) == 1:
+        partner = next(n for n in LAYER_DIMENSIONS if n != layers[0])
+        return layers[0], f"{layers[0]!r} needs {partner!r} in the same space"
+    return None
+
+
+def point_overrides(point: dict) -> dict[str, str]:
+    """Run-config overrides (``section.key`` -> text) that apply ``point``."""
+    problem = _unmapped(point)
+    if problem is not None:
+        raise TuneError(problem[1])
+    overrides = {POINT_KEYS[name][0]: str(POINT_KEYS[name][1](value))
+                 for name, value in point.items() if name in POINT_KEYS}
+    if "n_layers" in point:
+        width = str(int(point["layer_width"]))
+        overrides["model.hidden_layers"] = ",".join(
+            [width] * int(point["n_layers"]))
+    return overrides
+
+
 def load_space(path: str | Path) -> SearchSpace:
     """Read a space file: ``name kind args...`` per line.
 
     Kinds: ``continuous lo hi [log]``, ``integer lo hi``,
     ``categorical v1 v2 ...`` (values parsed as numbers when possible).
+    Names are the dimensions :func:`point_overrides` knows; ``n_layers`` and
+    ``layer_width`` come together.
     """
     dims: dict[str, Continuous | Integer | Categorical] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -336,6 +382,7 @@ def load_space(path: str | Path) -> SearchSpace:
             if len(parts) < 3:
                 raise TuneError(f"{path}:{lineno}: expected 'name kind args...'")
             name, kind, *args = parts
+            lines[name] = lineno
             if kind == "continuous":
                 is_log = len(args) > 2 and args[2] == "log"
                 dims[name] = Continuous(float(args[0]), float(args[1]), is_log)
@@ -347,6 +394,10 @@ def load_space(path: str | Path) -> SearchSpace:
                 raise TuneError(f"{path}:{lineno}: unknown dimension kind {kind!r}")
     if not dims:
         raise TuneError(f"{path}: empty search space")
+    problem = _unmapped(dims)
+    if problem is not None:
+        name, reason = problem
+        raise TuneError(f"{path}:{lines[name]}: {reason}")
     return SearchSpace(dimensions=dims)
 
 
@@ -357,42 +408,3 @@ def _parse_scalar(text: str):
         except ValueError:
             continue
     return text
-
-
-def make_composite_objective(dataset, variant: str, seed: int = 0,
-                             max_epochs: int = 20, patience: int = 3,
-                             holdout_fraction: float = 0.1):
-    """Objective: train on the 90% split, return the composite score on the 10%.
-
-    The holdout split is random regardless of the CV scheme the resulting
-    hyperparameters will be used with; one tuned configuration per
-    (dataset, variant) is reused across all schemes.
-    """
-    from .model import FeatureStore, ModelConfig
-    from .splits import hyperopt_holdout
-    from .training import TrainConfig, train
-
-    train_idx, val_idx = hyperopt_holdout(dataset.n_pairs, seed=seed)
-
-    def objective(point: dict) -> float:
-        width = int(point.get("layer_width", 128))
-        layers = tuple([width] * int(point.get("n_layers", 2)))
-        cfg = ModelConfig(
-            variant=variant,
-            n_tasks=dataset.n_tasks,
-            hidden_layers=layers,
-            dropout_rates=(float(point.get("dropout", 0.1)),),
-            seed=seed,
-        )
-        store = FeatureStore(dataset, cfg)
-        model = store.build_model()
-        result = train(model, store, train_idx, val_idx, TrainConfig(
-            batch_size=int(point.get("batch_size", 32)),
-            max_epochs=max_epochs,
-            patience=patience,
-            learning_rate=float(point.get("learning_rate", 1e-3)),
-            seed=seed,
-        ))
-        return result.best_score
-
-    return objective

@@ -26,7 +26,7 @@ class TestFeaturize:
     def test_ecfp_csv(self, workspace):
         root, data = workspace
         out = root / "fp.csv"
-        code = main(["featurize", "--ecfp", "--radius", "2", "--bits", "512",
+        code = main(["featurize", "--ecfp", "--set", "model.fp_bits=512",
                      "--input", str(data / "interactions.csv"),
                      "--out", str(out)])
         assert code == 0
@@ -35,13 +35,14 @@ class TestFeaturize:
         assert len(lines) > 1
         assert all(len(l.split(",")[1]) == 512 // 4 for l in lines[1:])
 
-    def test_graph_file(self, workspace):
+    @pytest.mark.parametrize("flags", [[], ["--ecfp", "--psc"]])
+    def test_needs_exactly_one_output_kind(self, workspace, flags):
         root, data = workspace
-        out = root / "graphs.bin"
-        assert main(["featurize", "--graph",
-                     "--input", str(data / "interactions.csv"),
-                     "--out", str(out)]) == 0
-        assert out.read_bytes()[:8] == b"MOLGRAF1"
+        with pytest.raises(SystemExit, match="exactly one of --ecfp/--psc"):
+            main(["featurize", *flags,
+                  "--input", str(data / "interactions.csv"),
+                  "--proteins", str(data / "proteins.tsv"),
+                  "--out", str(root / "both.out")])
 
     def test_psc_matrix(self, workspace):
         root, data = workspace
@@ -142,6 +143,31 @@ class TestCvCommand:
         root, data = workspace
         assert main(["smoke", "--fixture-dir", str(data),
                      "--out-dir", str(tmp_path / "smoke")]) == 0
+
+
+class TestTuneCommand:
+    def _trials(self, data, out, seed):
+        space = out.parent / "space.cfg"
+        space.write_text("learning_rate continuous 1e-4 1e-2 log\n",
+                         encoding="utf-8")
+        assert main(["tune", "--data-dir", str(data), "--seed", str(seed),
+                     "--space", str(space), "--budget", "2",
+                     "--strategy", "random", "--out-dir", str(out),
+                     "--set", "train.max_epochs=1"] + TINY_ARGS) == 0
+        return (out / "trials.csv").read_bytes(), out / "best_config.cfg"
+
+    def test_seed_drives_the_search_and_the_fits(self, workspace, tmp_path):
+        from dtanet.runconfig import parse_run_config
+
+        root, data = workspace
+        one, best = self._trials(data, tmp_path / "s1", 1)
+        again, _ = self._trials(data, tmp_path / "s1b", 1)
+        two, _ = self._trials(data, tmp_path / "s2", 2)
+        assert one == again
+        assert one != two
+        cfg = parse_run_config(best)
+        assert [cfg.get(section, "seed") for section in
+                ("tune", "model", "train")] == ["1", "1", "1"]
 
 
 class TestErrors:

@@ -14,14 +14,12 @@ from dtanet.pipeline import (
     build_assignment,
     end_to_end_smoke,
     load_pair_dataset,
-    read_graph_features,
     read_report,
     run_cv,
     run_evaluate,
     run_predict,
     run_training,
     run_tune,
-    write_graph_features,
     write_report,
 )
 from dtanet.runconfig import ConfigError, parse_run_config
@@ -169,7 +167,8 @@ class TestCvCommand:
         from dtanet.splits import write_folds
 
         dataset = load_pair_dataset(tiny_config, fixture_dir)
-        assignment = build_assignment(dataset, "cold-target", k=2, seed=4)
+        assignment = build_assignment(tiny_config, dataset, "cold-target",
+                                      k=2, seed=4)
         folds_csv = tmp_path / "folds.csv"
         write_folds(folds_csv, assignment)
         report_path = run_cv(tiny_config, dataset, tmp_path / "cv4",
@@ -414,17 +413,76 @@ class TestTuneCommand:
         follow_up = parse_run_config(best)
         assert follow_up.train_config().learning_rate > 0
 
+    @staticmethod
+    def _spy_on_fits(monkeypatch):
+        """Record (model, training set size, result) of every fit."""
+        from dtanet import pipeline, training
 
-class TestGraphFeatureFile:
-    def test_round_trip(self, tmp_path):
-        smiles = ["CCO", "c1ccccc1", "C"]
-        path = tmp_path / "graphs.bin"
-        write_graph_features(smiles, path)
-        loaded = read_graph_features(path)
-        assert len(loaded) == 3
-        rows, adjacency = loaded[0]
-        assert rows.shape == (3, 36)
-        assert adjacency == [[1], [0, 2], [1]]
+        fits = []
+        original = training.train
+
+        def spy(model, store, train_idx, val_idx, train_cfg):
+            result = original(model, store, train_idx, val_idx, train_cfg)
+            fits.append((model, len(train_idx), result))
+            return result
+
+        monkeypatch.setattr(training, "train", spy)
+        monkeypatch.setattr(pipeline, "train", spy)
+        return fits
+
+    def test_trials_fit_the_run_config(self, tmp_path, monkeypatch):
+        from dtanet.synthetic import memory_dataset
+
+        cfg = parse_run_config(None, overrides={
+            **TINY, "model.fp_bits": "512", "model.batchnorm": "false",
+            "train.holdout_fraction": "0.3", "train.max_epochs": "1"})
+        dataset = memory_dataset(n_compounds=10, n_proteins=5, n_pairs=30,
+                                 seed=0)
+        fits = self._spy_on_fits(monkeypatch)
+        run_tune(cfg, dataset, tmp_path / "tune", budget=3, strategy="random")
+        assert len(fits) == 3
+        for model, n_train, _ in fits:
+            params = model.graph.state_dict()
+            assert params["dense0.W"].shape[0] == 512 + 8421
+            assert not any(name.startswith("bn") for name in params)
+            assert n_train == 21  # 70% of 30 pairs
+
+    def _tune(self, tmp_path, cfg):
+        from dtanet.synthetic import memory_dataset
+
+        dataset = memory_dataset(n_compounds=10, n_proteins=5, n_pairs=30,
+                                 seed=0)
+        best = run_tune(cfg, dataset, tmp_path / "tune", budget=3,
+                        strategy="random")
+        header, *rows = (tmp_path / "tune" / "trials.csv").read_text(
+            encoding="utf-8").splitlines()
+        names = header.split(",")[3:]
+        complete = [r.split(",") for r in rows if r.split(",")[1] == "complete"]
+        best_row = min(complete, key=lambda r: (float(r[2]), int(r[0])))
+        point = dict(zip(names, (float(v) for v in best_row[3:])))
+        return dataset, best, best_row[2], point
+
+    def test_best_config_is_the_best_trials_config(self, tmp_path):
+        from dtanet.tuning import point_overrides
+
+        cfg = parse_run_config(None, overrides={
+            **TINY, "train.max_epochs": "1"})
+        _, best, _, point = self._tune(tmp_path, cfg)
+        expected = cfg.override(point_overrides(point))
+        assert parse_run_config(best).snapshot() == expected.snapshot()
+        # full precision: the learning rate is the sampled float itself
+        assert (parse_run_config(best).train_config().learning_rate
+                == point["learning_rate"])
+
+    def test_training_the_best_config_reproduces_its_score(
+            self, tmp_path, monkeypatch):
+        cfg = parse_run_config(None, overrides={
+            **TINY, "train.max_epochs": "2"})
+        dataset, best, printed, _ = self._tune(tmp_path, cfg)
+        fits = self._spy_on_fits(monkeypatch)
+        run_training(parse_run_config(best), dataset, tmp_path / "best.ckpt")
+        (_, _, result), = fits
+        assert f"{result.best_score:.6g}" == printed
 
 
 class TestSmoke:

@@ -17,7 +17,7 @@ from dtanet.tuning import (
     expected_improvement,
     gp_ei_search,
     load_space,
-    make_composite_objective,
+    point_overrides,
     random_search,
 )
 
@@ -190,18 +190,37 @@ class TestSpaceFile:
         path.write_text(
             "# comment\n"
             "learning_rate continuous 1e-4 1e-2 log\n"
-            "layers integer 1 3\n"
-            "width categorical 64 128 256\n", encoding="utf-8")
+            "n_layers integer 1 3\n"
+            "layer_width categorical 64 128 256\n", encoding="utf-8")
         space = load_space(path)
         assert isinstance(space.dimensions["learning_rate"], Continuous)
         assert space.dimensions["learning_rate"].log
-        assert space.dimensions["layers"] == Integer(1, 3)
-        assert space.dimensions["width"].choices == (64, 128, 256)
+        assert space.dimensions["n_layers"] == Integer(1, 3)
+        assert space.dimensions["layer_width"].choices == (64, 128, 256)
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "space.cfg"
         path.write_text("x gaussian 0 1\n", encoding="utf-8")
         with pytest.raises(TuneError, match="unknown dimension kind"):
+            load_space(path)
+
+    def test_unknown_dimension_names_the_line(self, tmp_path):
+        path = tmp_path / "space.cfg"
+        path.write_text("dropout continuous 0 0.5\n"
+                        "momentum continuous 0.8 0.99\n", encoding="utf-8")
+        with pytest.raises(TuneError,
+                           match=r"space.cfg:2: unknown dimension 'momentum'"):
+            load_space(path)
+
+    @pytest.mark.parametrize("line, name", [
+        ("n_layers integer 1 3", "n_layers"),
+        ("layer_width categorical 64 128", "layer_width"),
+    ])
+    def test_layer_dimensions_come_together(self, tmp_path, line, name):
+        path = tmp_path / "space.cfg"
+        path.write_text(f"dropout continuous 0 0.5\n{line}\n",
+                        encoding="utf-8")
+        with pytest.raises(TuneError, match=f"space.cfg:2: '{name}' needs"):
             load_space(path)
 
     def test_default_space_samples(self):
@@ -211,29 +230,61 @@ class TestSpaceFile:
                               "layer_width", "dropout"}
 
 
+class TestPointOverrides:
+    def test_maps_each_dimension_to_its_config_key(self):
+        point = {"learning_rate": 0.0012345678901234, "batch_size": 64,
+                 "n_layers": 3, "layer_width": 128, "dropout": 0.25}
+        assert point_overrides(point) == {
+            "train.learning_rate": "0.0012345678901234",
+            "train.batch_size": "64",
+            "model.hidden_layers": "128,128,128",
+            "model.dropout": "0.25",
+        }
+
+    def test_unmapped_point_fails(self):
+        with pytest.raises(TuneError, match="unknown dimension"):
+            point_overrides({"momentum": 0.9})
+        with pytest.raises(TuneError, match="'n_layers' needs"):
+            point_overrides({"n_layers": 2})
+
+
 class TestCompositeObjective:
-    def test_deterministic_and_failure_paths(self):
+    """The tuning objective: ``pipeline.run_tune`` fitting each trial."""
+
+    @staticmethod
+    def _tune(tmp_path, dataset, name, space_text, epochs):
+        from dtanet.pipeline import run_tune
+        from dtanet.runconfig import parse_run_config
+
+        cfg = parse_run_config(None, overrides={
+            "model.fp_bits": "512", "train.batch_size": "16",
+            "train.max_epochs": str(epochs), "train.patience": str(epochs),
+            "tune.strategy": "random"})
+        space = tmp_path / f"{name}.space"
+        space.write_text(space_text, encoding="utf-8")
+        run_tune(cfg, dataset, tmp_path / name, budget=2, space_path=space)
+        return (tmp_path / name / "trials.csv").read_text(encoding="utf-8")
+
+    def test_deterministic_and_failure_paths(self, tmp_path):
         dataset = memory_dataset(n_compounds=10, n_proteins=5, n_pairs=30,
                                  seed=1)
-        objective = make_composite_objective(dataset, "padme-ecfp", seed=0,
-                                             max_epochs=2, patience=2)
-        point = {"learning_rate": 1e-3, "batch_size": 16, "n_layers": 1,
-                 "layer_width": 16, "dropout": 0.0}
-        first = objective(point)
-        second = objective(point)
+        space = "n_layers integer 1 2\nlayer_width categorical 16\n"
+        first = self._tune(tmp_path, dataset, "a", space, epochs=2)
+        second = self._tune(tmp_path, dataset, "b", space, epochs=2)
         assert first == second
-        assert np.isfinite(first)
+        values = [line.split(",")[2] for line in first.splitlines()[1:]]
+        assert values and all(np.isfinite(float(v)) for v in values)
 
-    def test_invalid_point_becomes_failed_trial(self):
+    def test_invalid_point_becomes_failed_trial(self, tmp_path):
         dataset = memory_dataset(n_compounds=10, n_proteins=5, n_pairs=30,
                                  seed=2)
-        objective = make_composite_objective(dataset, "padme-ecfp", seed=0,
-                                             max_epochs=1, patience=1)
-        space = SearchSpace(dimensions={"n_layers": Integer(8, 9)})
-        result = random_search(space, objective, 2, seed=0)
-        assert all(t.status == "failed" for t in result.trials)
         with pytest.raises(TuneError, match="no completed trial"):
-            _ = result.best
+            self._tune(tmp_path, dataset, "bad",
+                       "n_layers integer 8 9\nlayer_width categorical 16\n",
+                       epochs=1)
+        rows = (tmp_path / "bad" / "trials.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.split(",")[1] == "failed" for row in rows)
 
     def test_holdout_is_ninety_ten(self):
         train_idx, val_idx = hyperopt_holdout(30, seed=0)

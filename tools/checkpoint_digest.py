@@ -1,13 +1,21 @@
-"""Check that checkpoints trained with two or more source trees are identical.
+"""Check that artifacts produced with two or more source trees are identical.
 
     python3 tools/checkpoint_digest.py --src SRC_A --src SRC_B
 
 Each ``--src`` names a ``src`` directory holding a ``dtanet`` package. For
-each one, a fresh interpreter trains the four variants for 3 epochs with
-seed 0 on synthetic pairs, saves each best checkpoint with its Adam moments,
-and reports the SHA-256 digests. The script exits 1 unless every variant's
-checkpoint is byte-identical across the sources, which is how a numerical
-restructuring of the engine shows that it kept the arithmetic.
+each one, a fresh interpreter
+
+* trains the four variants for 3 epochs with seed 0 on synthetic pairs and
+  saves each best checkpoint with its Adam moments;
+* runs the pipeline with the default run config on a synthetic fixture:
+  ``run_training`` (checkpoint and history), a 2-fold 1-repetition warm
+  ``run_cv`` (report, fold CSV and fold checkpoints) and a budget-3 random
+  ``run_tune`` (``trials.csv``);
+
+and reports the SHA-256 digest of each artifact. The script exits 1 unless
+every artifact is byte-identical across the sources, which is how a
+numerical restructuring of the engine, or a refactoring of the pipeline,
+shows that it kept the results.
 """
 
 from __future__ import annotations
@@ -25,8 +33,37 @@ EPOCHS = 3
 SEED = 0
 
 
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def pipeline_digests(work: Path) -> dict[str, str]:
+    """Digest of each artifact of train, cv and tune on the default config."""
+    from dtanet import pipeline
+    from dtanet.runconfig import parse_run_config
+    from dtanet.synthetic import write_fixture
+
+    write_fixture(work / "fixture", seed=SEED)
+    cfg = parse_run_config(None)
+    dataset = pipeline.load_pair_dataset(cfg, work / "fixture")
+    ckpt = pipeline.run_training(cfg, dataset, work / "model.ckpt")
+    out = {"train checkpoint": _sha(ckpt),
+           "train history": _sha(Path(f"{ckpt}.history.csv"))}
+    cv_dir = work / "cv"
+    report = pipeline.run_cv(cfg, dataset, cv_dir, scheme="warm", k=2,
+                             repetitions=1)
+    out["cv report"] = _sha(report)
+    out["cv folds"] = _sha(cv_dir / "folds_warm_rep0.csv")
+    for fold in range(2):
+        out[f"cv fold{fold} checkpoint"] = _sha(
+            cv_dir / f"model_warm_rep0_fold{fold}.ckpt")
+    pipeline.run_tune(cfg, dataset, work / "tune", budget=3, strategy="random")
+    out["tune trials"] = _sha(work / "tune" / "trials.csv")
+    return out
+
+
 def digests() -> dict[str, str]:
-    """Train each variant in this interpreter; digest of each checkpoint."""
+    """Train each variant, then run the pipeline, in this interpreter."""
     from dtanet.model import VARIANTS, FeatureStore, ModelConfig
     from dtanet.synthetic import memory_dataset
     from dtanet.training import TrainConfig, train
@@ -47,7 +84,8 @@ def digests() -> dict[str, str]:
             path = Path(work) / f"{variant}.ckpt"
             model.save(path, optimizer_step=result.best_optimizer_step,
                        optimizer_arrays=result.best_optimizer)
-            out[variant] = hashlib.sha256(path.read_bytes()).hexdigest()
+            out[variant] = _sha(path)
+        out.update(pipeline_digests(Path(work)))
     return out
 
 
@@ -75,18 +113,18 @@ def main(argv=None) -> int:
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True)
         if completed.returncode != 0:
-            print(f"checkpoint_digest: training with {src} failed:\n"
+            print(f"checkpoint_digest: the run with {src} failed:\n"
                   f"{completed.stderr}", file=sys.stderr)
             return 2
         results[str(src)] = json.loads(completed.stdout.splitlines()[-1])
-    variants = next(iter(results.values()))
+    artifacts = next(iter(results.values()))
     same = True
-    for variant in variants:
-        hashes = {r[variant] for r in results.values()}
+    for artifact in artifacts:
+        hashes = {r[artifact] for r in results.values()}
         same = same and len(hashes) == 1
         status = "same" if len(hashes) == 1 else "DIFFERENT"
-        print(f"{variant:26s} {status:9s} "
-              + " ".join(r[variant][:16] for r in results.values()))
+        print(f"{artifact:26s} {status:9s} "
+              + " ".join(r[artifact][:16] for r in results.values()))
     return 0 if same else 1
 
 
