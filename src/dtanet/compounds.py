@@ -11,7 +11,6 @@ patterns are reproducible across platforms.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,13 +42,22 @@ class FeaturizationError(ValueError):
     pass
 
 
+# _FNV_POWERS[k] is FNV_PRIME**k mod 2**32. A zero byte leaves h unchanged
+# under the xor, so the k zero high bytes of a word fold into one multiply.
+_FNV_POWERS = tuple(pow(_FNV_PRIME, k, 1 << 32) for k in range(9))
+
+
 def _mix32(values: Iterable[int]) -> int:
     """FNV-1a over 64-bit little-endian two's-complement words, kept to 32 bits."""
     h = _FNV_OFFSET
     for value in values:
-        for byte in struct.pack("<q", value):
-            h ^= byte
-            h = (h * _FNV_PRIME) & 0xFFFFFFFF
+        word = value & 0xFFFFFFFFFFFFFFFF  # a negative word keeps all 8 bytes
+        n = 0
+        while word:
+            h = ((h ^ (word & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFF
+            word >>= 8
+            n += 1
+        h = (h * _FNV_POWERS[8 - n]) & 0xFFFFFFFF
     return h
 
 

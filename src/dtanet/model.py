@@ -46,7 +46,7 @@ from .compounds import (
     ecfp,
 )
 from .data import PairDataset
-from .engine import Graph
+from .engine import Graph, Parameter
 from .graphconv import GraphConv, GraphGather, GraphPool, pack_graphs
 from .smiles import MolGraph, parse_smiles
 
@@ -235,6 +235,11 @@ class Model:
         gather.name = "gather"
         return graph.add(gather)
 
+    @property
+    def input_weight(self) -> Parameter:
+        """``dense0.W``: one row per input column, compound columns first."""
+        return next(p for p in self.graph.parameters() if p.name == "dense0.W")
+
     # -- inference ----------------------------------------------------------
 
     def predict_feeds(self, feeds: dict) -> np.ndarray:
@@ -419,6 +424,22 @@ class FeatureStore:
         cfg = self.cfg if cfg is None else cfg
         protein_ids = self.dataset.protein_ids if cfg.compound_only else None
         return Model.build(cfg, protein_ids=protein_ids)
+
+    def input_columns_set(self, model: Model, indices) -> list[np.ndarray]:
+        """Per input block of ``model``'s first layer, a mask of the columns
+        that at least one of the pairs ``indices`` sets.
+
+        A graph-conv compound vector is learned, so all its columns count.
+        """
+        pairs = self.dataset.pairs[np.asarray(indices, dtype=np.int64)]
+        if self.cfg.uses_graphconv:
+            masks = [np.ones(model.cfg.conv_dense, dtype=bool)]
+        else:
+            masks = [self.fingerprint_matrix[np.unique(pairs[:, 0])].any(axis=0)]
+        if not self.cfg.compound_only:
+            masks.append(
+                self.protein_matrix[np.unique(pairs[:, 1])].any(axis=0))
+        return masks
 
     def n_records(self) -> int:
         return self.dataset.n_pairs

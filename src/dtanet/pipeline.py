@@ -157,11 +157,17 @@ def _cluster_dataset(cfg: RunConfig, dataset: data_mod.PairDataset):
 def _split_settings(cfg: RunConfig, scheme: str | None, k: int | None,
                     repetitions: int | None,
                     seed: int | None) -> tuple[str, int, int, int]:
-    """(scheme, k, repetitions, seed): each given value, else the config's."""
-    params = cfg.split_params()
-    return (scheme or params["scheme"], k or params["k"],
-            repetitions or params["repetitions"],
-            params["seed"] if seed is None else seed)
+    """(scheme, k, repetitions, seed): each given value, else the config's;
+    a given value is checked as the config's own would be."""
+    params = cfg.override(_given(
+        {"split.scheme": scheme, "split.k": k,
+         "split.repetitions": repetitions, "split.seed": seed})).split_params()
+    return params["scheme"], params["k"], params["repetitions"], params["seed"]
+
+
+def _given(mapping: dict) -> dict:
+    """The entries of ``mapping`` whose value is not None."""
+    return {key: value for key, value in mapping.items() if value is not None}
 
 
 def run_split(cfg: RunConfig, dataset: data_mod.PairDataset,
@@ -622,9 +628,10 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
     composite. Writes ``trials.csv`` and the best trial's full config as
     ``best_config.cfg``; returns the latter's path.
     """
-    params = cfg.tune_params()
-    budget = budget or params["budget"]
-    strategy = strategy or params["strategy"]
+    params = cfg.override(_given({"tune.budget": budget,
+                                  "tune.strategy": strategy})).tune_params()
+    budget = params["budget"]
+    strategy = params["strategy"]
     space = load_space(space_path) if space_path else default_search_space()
     out_dir = Path(out_dir)
     train_idx, val_idx = _holdout(cfg, dataset.n_pairs)

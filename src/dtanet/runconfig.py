@@ -97,6 +97,12 @@ def _as_float(text: str, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {text!r}") from None
 
 
+def _at_least(value: int, low: int, where: str) -> int:
+    if value < low:
+        raise ConfigError(f"{where}: must be at least {low}, got {value}")
+    return value
+
+
 def _as_int_tuple(text: str, where: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
@@ -218,9 +224,11 @@ class RunConfig:
                               f"expected one of {SCHEMES}")
         return {
             "scheme": scheme,
-            "k": _as_int(section["k"], "split.k"),
+            "k": _at_least(_as_int(section["k"], "split.k"), 2, "split.k"),
             "seed": _as_int(section["seed"], "split.seed"),
-            "repetitions": _as_int(section["repetitions"], "split.repetitions"),
+            "repetitions": _at_least(
+                _as_int(section["repetitions"], "split.repetitions"), 1,
+                "split.repetitions"),
             "cluster_threshold": _as_float(section["cluster_threshold"],
                                            "split.cluster_threshold"),
         }
@@ -233,7 +241,8 @@ class RunConfig:
                 f"tune.strategy: expected 'random' or 'gp', got {strategy!r}")
         return {
             "strategy": strategy,
-            "budget": _as_int(section["budget"], "tune.budget"),
+            "budget": _at_least(_as_int(section["budget"], "tune.budget"), 1,
+                                "tune.budget"),
             "n_init": _as_int(section["n_init"], "tune.n_init"),
             "seed": _as_int(section["seed"], "tune.seed"),
         }
@@ -244,7 +253,7 @@ def parse_run_config(path: str | Path | None = None,
     """Load defaults, then the file, then ``section.key`` overrides."""
     values = {section: dict(keys) for section, keys in DEFAULTS.items()}
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         parser.optionxform = str  # keep keys case-sensitive
         read = parser.read(path)
         if not read:

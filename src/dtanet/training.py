@@ -11,6 +11,10 @@ Training keeps the checkpoint with the lowest score seen, evaluates every
 without improvement. The last partial batch of an epoch is kept (batch
 normalization simply sees its actual size). Identical seeds give identical
 histories and identical parameters.
+
+A fit moves only the first-layer rows whose input columns some training pair
+sets (``engine.RowSelection``); the other rows would get exactly zero
+updates, so the result is byte-identical to training every row.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Adam
+from .engine import Adam, RowSelection
 from .metrics import MetricError, concordance_index, rmse
 from .model import FeatureStore, Model, ModelConfig
 
@@ -141,6 +145,17 @@ def train(model: Model, store: FeatureStore, train_idx, val_idx,
         raise TrainingError("empty training set")
     if np.intersect1d(train_idx, val_idx).size:
         raise TrainingError("training and validation sets overlap")
+    weight = model.input_weight
+    weight.row_selection = RowSelection(
+        store.input_columns_set(model, train_idx))
+    try:
+        return _train_loop(model, store, train_idx, val_idx, cfg)
+    finally:
+        weight.row_selection = None  # later backward passes see every row
+
+
+def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
+                val_idx: np.ndarray, cfg: TrainConfig) -> TrainResult:
     adam = Adam(model.graph.parameters(), learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochRow] = []

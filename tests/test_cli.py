@@ -70,6 +70,16 @@ class TestSplitCommand:
         assert assignment.k == 2
 
 
+    def test_zero_folds_is_an_error(self, workspace, tmp_path, capsys):
+        root, data = workspace
+        out = tmp_path / "zero.csv"
+        code = main(["split", "--data-dir", str(data), "--scheme", "random",
+                     "--k", "0", "--out", str(out)] + TINY_ARGS)
+        assert code == 1
+        assert "split.k" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainPredictEvaluate:
     def test_full_chain(self, workspace, tmp_path):
         root, data = workspace

@@ -1,11 +1,14 @@
 """Fingerprints, similarity and atom feature rows."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dtanet.compounds import (
     DEFAULT_ATOM_VOCABULARY,
+    _mix32,
     FeaturizationError,
     Fingerprint,
     atom_feature_width,
@@ -80,6 +83,38 @@ class TestEcfp:
         fp = ecfp(parse_smiles("c1ccncc1CO"))
         back = Fingerprint.from_hex(fp.to_hex(), fp.n_bits, fp.radius)
         assert np.array_equal(fp.bits, back.bits)
+
+
+def mix32_byte_loop(values):
+    """FNV-1a one byte at a time over 64-bit little-endian words."""
+    h = 0x811C9DC5
+    for value in values:
+        for byte in struct.pack("<q", value):
+            h ^= byte
+            h = (h * 0x01000193) & 0xFFFFFFFF
+    return h
+
+
+class TestHash:
+    @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=12))
+    def test_mix32_matches_the_byte_loop(self, values):
+        assert _mix32(values) == mix32_byte_loop(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [0], [-1], [2 ** 63 - 1], [-2 ** 63], [255, 256, 65536],
+        [2 ** 32 - 1, 2 ** 32, -(2 ** 32)]])
+    def test_mix32_edge_words(self, values):
+        assert _mix32(values) == mix32_byte_loop(values)
+
+    @pytest.mark.parametrize("smiles, expected", [
+        ("CCO", (953350625, 2003964339, 2227942339, 2316438832, 2810463853,
+                 3720778046)),
+        ("C[N+](C)(C)C", (953350625, 1796624373, 2652631100, 3451245351)),
+        ("[O-]C(=O)C", (771772554, 953350625, 1151119588, 1363373947,
+                        1430469954, 1661481452, 2052589344, 2661317883)),
+    ])
+    def test_identifiers_are_pinned(self, smiles, expected):
+        assert ecfp_identifiers(parse_smiles(smiles), radius=2) == expected
 
 
 class TestTanimoto:

@@ -10,6 +10,7 @@ from dtanet.engine import (
     Graph,
     NonFiniteError,
     Parameter,
+    RowSelection,
     ShapeError,
 )
 
@@ -578,3 +579,142 @@ class TestAdam:
         p.grad = np.array([np.nan])
         with pytest.raises(NonFiniteError, match="theta"):
             adam.step()
+
+
+def sparse_net(rng, widths, out_width, n=40, distinct=(9, 6)):
+    """An ``indexed_dense`` -> loss net whose tables have zero columns."""
+    g = Graph()
+    blocks, feeds = [], {}
+    for k, width in enumerate(widths):
+        blocks.append((g.placeholder(f"t{k}"), g.object_input(f"i{k}")))
+        feeds[f"t{k}"] = (rng.random((distinct[k], width)) < 0.02).astype(float)
+        feeds[f"i{k}"] = rng.integers(0, distinct[k], size=n)
+    w = g.parameter("W", rng.standard_normal((sum(widths), out_width)) * 0.1)
+    out = g.relu(g.indexed_dense(blocks, w, name="first"))
+    w_out = g.parameter("w_out", rng.standard_normal((out_width, 1)))
+    loss = g.weighted_mse(g.matmul(out, w_out), g.placeholder("target"),
+                          g.placeholder("weight"))
+    feeds["target"] = rng.standard_normal((n, 1))
+    feeds["weight"] = np.ones((n, 1))
+    return g, loss, feeds, w
+
+
+def set_columns(feeds, n_blocks):
+    return [feeds[f"t{k}"].any(axis=0) for k in range(n_blocks)]
+
+
+class TestRowSelection:
+    def test_blocks_stay_whole_below_a_quarter_inactive(self):
+        whole = np.ones(8, dtype=bool)
+        whole[[0, 5]] = False  # 2 of 8 inactive (exactly a quarter): compacted
+        nearly = np.ones(9, dtype=bool)
+        nearly[4] = False  # 1 of 9 inactive: whole
+        selection = RowSelection([whole, nearly, np.zeros(3, dtype=bool)])
+        assert selection.widths == (8, 9, 3)
+        assert selection.n_rows == 6 + 9 + 0
+        (c0, cols0, rows0), (c1, cols1, rows1), (c2, cols2, rows2) = \
+            selection.blocks
+        assert (c0, c1, c2) == (slice(0, 6), slice(6, 15), slice(15, 15))
+        assert cols0.tolist() == [1, 2, 3, 4, 6, 7]
+        assert rows0.tolist() == [1, 2, 3, 4, 6, 7]
+        assert cols1 is None and rows1 == slice(8, 17)
+        assert cols2.size == 0 and rows2.size == 0
+
+    @pytest.mark.parametrize("widths, out_width", [((600, 900), 64),
+                                                    ((300, 2000), 256)])
+    def test_compact_backward_rows_equal_the_full_rows(self, widths,
+                                                       out_width):
+        g, loss, feeds, w = sparse_net(np.random.default_rng(out_width),
+                                       widths, out_width)
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        full = w.grad
+        selection = RowSelection(set_columns(feeds, len(widths)))
+        assert all(columns is not None for _, columns, _ in selection.blocks)
+        w.row_selection = selection
+        g.backward(loss)
+        compact = w.grad
+        assert compact.shape == (selection.n_rows, out_width)
+        kept = np.zeros(w.array.shape[0], dtype=bool)
+        for compact_rows, _, rows in selection.blocks:
+            assert np.array_equal(compact[compact_rows], full[rows])
+            kept[rows] = True
+        assert not full[~kept].any()
+        w.row_selection = None
+        g.backward(loss)
+        assert np.array_equal(w.grad, full)
+
+    def test_selection_must_cover_the_tables(self):
+        g, loss, feeds, w = sparse_net(np.random.default_rng(0), (20, 30), 4)
+        w.row_selection = RowSelection([np.ones(30, dtype=bool),
+                                        np.ones(20, dtype=bool)])
+        g.forward(feeds, [loss])
+        with pytest.raises(ShapeError, match="first.*row selection"):
+            g.backward(loss)
+
+    def test_adam_on_selected_rows_equals_adam_on_every_row(self):
+        # Two weights start equal: one trains every row, one the selection.
+        # Unselected rows get zero gradients, as in a fit; a selected row
+        # also sees zero gradients at some steps.
+        rng = np.random.default_rng(5)
+        widths = (300, 100, 140)
+        masks = [rng.random(300) < 0.3, rng.random(100) < 0.9,
+                 np.ones(140, dtype=bool)]
+        start = rng.standard_normal((540, 3))
+        full = Parameter("w", start)
+        part = Parameter("w", start)
+        part.row_selection = selection = RowSelection(masks)
+        kept = np.concatenate(masks)
+        assert [c is None for _, c, _ in selection.blocks] == \
+            [False, True, True]
+        adam_full, adam_part = Adam([full]), Adam([part])
+        for t in range(5):
+            g = rng.standard_normal((540, 3)) * kept[:, None]
+            g[rng.random(540) < 0.3] = 0.0
+            full.grad = g
+            part.grad = np.concatenate(
+                [g[rows] for _, _, rows in selection.blocks])
+            adam_full.step()
+            adam_part.step()
+            assert np.array_equal(full.array, part.array)
+        assert adam_part.state.m["w"].shape == (selection.n_rows, 3)
+        saved, expected = adam_part.state_arrays(), adam_full.state_arrays()
+        assert saved.keys() == expected.keys()
+        assert np.array_equal(saved["adam.m.w"], adam_full.state.m["w"])
+        assert np.array_equal(saved["adam.v.w"], adam_full.state.v["w"])
+        for key in saved:
+            assert np.array_equal(saved[key], expected[key])
+            assert not np.signbit(saved[key][~kept]).any()
+        part.grad = np.zeros((540, 3))  # a full-shape gradient is refused
+        with pytest.raises(ShapeError, match="'w'"):
+            adam_part.step()
+
+    def test_a_row_zero_in_one_batch_still_moves(self):
+        # The selection holds the fit's columns, not the batch's: a row whose
+        # column one batch leaves at zero has non-zero moments from an
+        # earlier batch, so Adam moves it at that step as the full path does.
+        nets = [sparse_net(np.random.default_rng(3), (50, 40), 8, n=12,
+                           distinct=(4, 3)) for _ in range(2)]
+        first = nets[0][2]
+        second = {k: v.copy() for k, v in first.items()}
+        column = int(np.flatnonzero(first["t0"].any(axis=0))[0])
+        second["t0"][:, column] = 0.0
+        fit_columns = [a | b for a, b in zip(set_columns(first, 2),
+                                             set_columns(second, 2))]
+        nets[1][3].row_selection = selection = RowSelection(fit_columns)
+        assert selection.blocks[0][1] is not None  # the block is compacted
+        after = []
+        for g, loss, _, w in nets:
+            adam = Adam(g.parameters())
+            states = []
+            for batch in (first, second):
+                g.forward(batch, [loss])
+                g.backward(loss)
+                adam.step()
+                states.append(w.array.copy())
+            after.append(states)
+        assert not nets[0][3].grad[column].any()  # no gradient in batch two
+        (full1, full2), (part1, part2) = after
+        assert not np.array_equal(part1[column], part2[column])
+        assert np.array_equal(part1, full1)
+        assert np.array_equal(part2, full2)

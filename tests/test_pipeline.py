@@ -1,6 +1,7 @@
 """Pipeline orchestration and artifact round-trips."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dtanet.pipeline import (
     run_cv,
     run_evaluate,
     run_predict,
+    run_split,
     run_training,
     run_tune,
     write_report,
@@ -91,6 +93,67 @@ class TestRunConfig:
         path.write_text("[split]\nk=7\n", encoding="utf-8")
         cfg = parse_run_config(path)
         assert cfg.split_params()["k"] == 7
+
+
+    def test_readme_config_block_parses_to_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        assert parse_run_config(path).snapshot() == \
+            parse_run_config(None).snapshot()
+
+    @pytest.mark.parametrize("key, value", [
+        ("split.k", "0"), ("split.k", "1"), ("split.repetitions", "0"),
+        ("tune.budget", "0")])
+    def test_too_small_counts_rejected_from_file_and_set(self, tmp_path, key,
+                                                         value):
+        section, name = key.split(".")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[{section}]\n{name} = {value}\n", encoding="utf-8")
+        for cfg in (parse_run_config(path),
+                    parse_run_config(None, overrides={key: value})):
+            params = (cfg.split_params if section == "split"
+                      else cfg.tune_params)
+            with pytest.raises(ConfigError, match=f"{key}: must be at least"):
+                params()
+
+
+class TestExplicitCounts:
+    """An explicit keyword count is used or rejected, never replaced by
+    the config's."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_split_k_below_two_rejected(self, fixture_dir, tiny_config,
+                                        tmp_path, k):
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        with pytest.raises(ConfigError, match="split.k"):
+            run_split(tiny_config, dataset, tmp_path / "folds.csv",
+                      scheme="random", k=k)
+        assert not (tmp_path / "folds.csv").exists()
+
+    def test_cv_zero_repetitions_rejected(self, fixture_dir, tiny_config,
+                                          tmp_path):
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        with pytest.raises(ConfigError, match="split.repetitions"):
+            run_cv(tiny_config, dataset, tmp_path / "cv", repetitions=0)
+        with pytest.raises(ConfigError, match="split.k"):
+            run_cv(tiny_config, dataset, tmp_path / "cv", k=0)
+
+    def test_tune_zero_budget_rejected(self, fixture_dir, tiny_config,
+                                       tmp_path):
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        with pytest.raises(ConfigError, match="tune.budget"):
+            run_tune(tiny_config, dataset, tmp_path / "tune", budget=0,
+                     strategy="random")
+        assert not (tmp_path / "tune" / "trials.csv").exists()
+
+    def test_explicit_k_is_used(self, fixture_dir, tiny_config, tmp_path):
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        assignment = run_split(tiny_config, dataset, tmp_path / "folds.csv",
+                               scheme="random", k=3)
+        assert assignment.k == 3 != tiny_config.split_params()["k"]
 
 
 class TestTrainingCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dtanet.training as training
+from dtanet.engine import Adam, RowSelection
 from dtanet.model import FeatureStore, ModelConfig
 from dtanet.synthetic import memory_dataset
 from dtanet.training import (
@@ -130,6 +131,132 @@ class TestLoop:
         current = model.graph.state_dict()
         for name in current:
             assert np.array_equal(current[name], result.best_state[name])
+
+
+def reference_fit(model, store, train_idx, val_idx, cfg):
+    """``train``'s loop written out with Adam over every first-layer row.
+
+    Returns the per-epoch (train loss, composite) and the best epoch's
+    parameters and full-shape moments.
+    """
+    assert model.input_weight.row_selection is None
+    adam = Adam(model.graph.parameters(), learning_rate=cfg.learning_rate)
+    rng = np.random.default_rng(cfg.seed)
+    history, best = [], (np.inf, None, None)
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(train_idx)
+        total = 0.0
+        for start in range(0, order.size, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            feeds = store.feeds(batch, with_targets=True, model=model)
+            (loss,) = model.graph.forward(feeds, [model.loss], training=True,
+                                          rng=rng)
+            model.graph.backward(model.loss)
+            adam.step()
+            total += float(loss) * batch.size
+        score = validation_scores(model, store, val_idx)[2]
+        history.append((total / order.size, score))
+        if score < best[0]:
+            best = (score, model.graph.state_dict(), adam.state_arrays())
+    return history, best[1], best[2]
+
+
+def small_store(variant, seed=2):
+    dataset = memory_dataset(n_compounds=12, n_proteins=6, n_pairs=60,
+                             seed=seed)
+    return FeatureStore(dataset, ModelConfig(
+        variant=variant, hidden_layers=(16,), dropout_rates=(0.2,),
+        conv_widths=(8, 8), conv_dense=16, seed=seed))
+
+
+class TestActiveRows:
+    """A fit trains only the first-layer rows its training pairs can move,
+    with the bytes of a fit over every row."""
+
+    @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv"])
+    def test_fit_equals_a_fit_over_every_row(self, variant, monkeypatch):
+        built = []
+
+        class RecordedAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordedAdam)
+        store = small_store(variant)
+        idx = np.arange(store.dataset.n_pairs)
+        train_idx, val_idx = idx[:48], idx[48:]
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=4)
+        model, reference = store.build_model(), store.build_model()
+        weight = model.input_weight
+        selection = RowSelection(store.input_columns_set(model, train_idx))
+        assert selection.n_rows < weight.array.shape[0]
+        result = train(model, store, train_idx, val_idx, cfg)
+        assert weight.row_selection is None
+        # the fit kept the first layer's moments compact
+        assert built[0].state.m["dense0.W"].shape == \
+            (selection.n_rows, weight.array.shape[1])
+        history, state, moments = reference_fit(reference, store, train_idx,
+                                                val_idx, cfg)
+        assert [(row.train_loss, row.composite)
+                for row in result.history] == history
+        assert result.best_state.keys() == state.keys()
+        for name in state:
+            assert np.array_equal(result.best_state[name], state[name]), name
+        assert result.best_optimizer.keys() == moments.keys()
+        for name in moments:
+            assert np.array_equal(result.best_optimizer[name],
+                                  moments[name]), name
+
+    @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv",
+                                         "compound-only-ecfp"])
+    def test_active_columns_are_those_a_training_pair_sets(self, variant):
+        store = small_store(variant)
+        model = store.build_model()
+        pairs = store.dataset.pairs
+        # pairs that share neither compound nor protein: each one's columns
+        # count, whatever its place in the training set
+        train_idx, seen = [], set()
+        for i, (compound, protein) in enumerate(pairs):
+            if ("c", compound) not in seen and ("p", protein) not in seen:
+                train_idx.append(i)
+                seen.update({("c", compound), ("p", protein)})
+        compounds, proteins = pairs[train_idx].T
+        if model.cfg.uses_graphconv:
+            expected = [np.ones(16, dtype=bool)]
+        else:
+            expected = [store.fingerprint_matrix[compounds].any(axis=0)]
+        if not model.cfg.compound_only:
+            expected.append(store.protein_matrix[proteins].any(axis=0))
+        masks = store.input_columns_set(model, train_idx)
+        assert len(masks) == len(expected)
+        for mask, want in zip(masks, expected):
+            assert np.array_equal(mask, want)
+        assert sum(mask.size for mask in masks) == \
+            model.input_weight.array.shape[0]
+
+    def test_validation_only_column_keeps_its_initial_row(self):
+        store = small_store("padme-ecfp", seed=3)
+        pairs = store.dataset.pairs
+        held_protein = pairs[0, 1]
+        idx = np.arange(store.dataset.n_pairs)
+        train_idx = idx[pairs[:, 1] != held_protein]
+        val_idx = idx[pairs[:, 1] == held_protein]
+        seen = store.protein_matrix[np.unique(pairs[train_idx, 1])].any(axis=0)
+        only_val = np.flatnonzero((store.protein_matrix[held_protein] != 0)
+                                  & ~seen)
+        assert only_val.size
+        model, reference = store.build_model(), store.build_model()
+        rows = model.cfg.compound_width() + only_val
+        initial = model.input_weight.array[rows].copy()
+        cfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=1)
+        train(model, store, train_idx, val_idx, cfg)
+        assert np.array_equal(model.input_weight.array[rows], initial)
+        _, state, _ = reference_fit(reference, store, train_idx, val_idx, cfg)
+        reference.graph.load_state(state)
+        full_path = reference.predict_feeds(
+            store.feeds(val_idx, with_targets=False))
+        assert np.array_equal(store.predict(model, val_idx), full_path)
 
 
 class TestEpochCostProbe:

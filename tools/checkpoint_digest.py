@@ -9,8 +9,10 @@ each one, a fresh interpreter
   saves each best checkpoint with its Adam moments;
 * runs the pipeline with the default run config on a synthetic fixture:
   ``run_training`` (checkpoint and history), a 2-fold 1-repetition warm
-  ``run_cv`` (report, fold CSV and fold checkpoints) and a budget-3 random
-  ``run_tune`` (``trials.csv``);
+  ``run_cv`` (report, fold CSV and fold checkpoints), a budget-3 random
+  ``run_tune`` (``trials.csv``) and a 2-fold 1-repetition 2-epoch
+  cold-cluster ``run_cv`` of ``padme-graphconv`` (report and fold
+  checkpoints), whose fits train a compacted descriptor block;
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -38,7 +40,8 @@ def _sha(path: Path) -> str:
 
 
 def pipeline_digests(work: Path) -> dict[str, str]:
-    """Digest of each artifact of train, cv and tune on the default config."""
+    """Digest of each artifact of train, cv and tune on the default config,
+    and of a cold-cluster graph-conv cv."""
     from dtanet import pipeline
     from dtanet.runconfig import parse_run_config
     from dtanet.synthetic import write_fixture
@@ -59,6 +62,15 @@ def pipeline_digests(work: Path) -> dict[str, str]:
             cv_dir / f"model_warm_rep0_fold{fold}.ckpt")
     pipeline.run_tune(cfg, dataset, work / "tune", budget=3, strategy="random")
     out["tune trials"] = _sha(work / "tune" / "trials.csv")
+    graph_dir = work / "cv-graphconv"
+    report = pipeline.run_cv(
+        cfg.override({"model.variant": "padme-graphconv",
+                      "train.max_epochs": 2}),
+        dataset, graph_dir, scheme="cold-cluster", k=2, repetitions=1)
+    out["graphconv cluster report"] = _sha(report)
+    for fold in range(2):
+        out[f"graphconv cluster fold{fold}"] = _sha(
+            graph_dir / f"model_cold-cluster_rep0_fold{fold}.ckpt")
     return out
 
 
@@ -123,7 +135,7 @@ def main(argv=None) -> int:
         hashes = {r[artifact] for r in results.values()}
         same = same and len(hashes) == 1
         status = "same" if len(hashes) == 1 else "DIFFERENT"
-        print(f"{artifact:26s} {status:9s} "
+        print(f"{artifact:28s} {status:9s} "
               + " ".join(r[artifact][:16] for r in results.values()))
     return 0 if same else 1
 
