@@ -317,9 +317,6 @@ class PairDataset:
             per_task_counts=per_task,
         )
 
-    def observed_values(self) -> np.ndarray:
-        return self.y[self.w > 0]
-
 
 def assemble_pairs(records: list[InteractionRecord],
                    sequences: dict[str, tuple[str, bool]],

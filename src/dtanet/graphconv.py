@@ -158,15 +158,16 @@ class GraphConv(Node):
         for d, idx in enumerate(batch.degree_index):
             if idx.size == 0:
                 continue  # the degree's parameters end with a zero gradient
+            dzd = dz[idx]
             if w_self[d].wants_grad:
-                self._accumulate(w_self[d], h[idx].T @ dz[idx])
+                self._accumulate(w_self[d], h[idx].T @ dzd)
             if w_nbr[d].wants_grad:
-                self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dz[idx])
+                self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dzd)
             if bias[d].wants_grad:
-                self._accumulate(bias[d], dz[idx].sum(axis=0))
+                self._accumulate(bias[d], dzd.sum(axis=0))
             if want_h:
-                dh[idx] += dz[idx] @ w_self[d].value.T
-                dnbr[idx] = dz[idx] @ w_nbr[d].value.T
+                dh[idx] += dzd @ w_self[d].value.T
+                dnbr[idx] = dzd @ w_nbr[d].value.T
         if want_h:
             # neighbor sums: each atom collects from its neighbors in order
             for column in batch.neighbors.T:

@@ -439,13 +439,14 @@ def _read_pairs_csv(path: str | Path):
     return rows, has_value
 
 
-def _read_responses(path, rows) -> tuple[list, list[int]]:
+def _read_responses(path, rows, inactive_remap=None) -> tuple[list, list[int]]:
     """Transformed responses of ``(line, smiles, protein_id, task_id, value)``
     rows, and the line of each.
 
-    Values go through ingestion's imprecise-value rule and transform:
-    imprecise rows are discarded and counted in the log; a value that is
-    not a number or that the transform rejects fails naming the line.
+    Values go through ingestion's imprecise-value rule, ``inactive_remap``
+    (as ``data.transform_values`` applies it) and transform: imprecise rows
+    are discarded and counted in the log; a value that is not a number or
+    that the transform rejects fails naming the line.
     """
     records, lines = [], []
     imprecise = 0
@@ -460,7 +461,8 @@ def _read_responses(path, rows) -> tuple[list, list[int]]:
             continue
         record = data_mod.InteractionRecord(smiles, protein_id, task, raw)
         try:
-            records.extend(data_mod.transform_values([record]))
+            records.extend(data_mod.transform_values([record],
+                                                     inactive_remap))
         except data_mod.DataError as exc:
             raise PipelineError(f"{path}: line {lineno}: {exc}") from None
         lines.append(lineno)
@@ -492,14 +494,14 @@ def _prediction_store(cfg, rows, sequences, n_tasks: int,
     return FeatureStore(dataset, cfg)
 
 
-def _fit_ad_ranges(path: str | Path, n_tasks: int):
+def _fit_ad_ranges(path: str | Path, n_tasks: int, inactive_remap=None):
     """Per-task reliable response ranges fitted on a training-format CSV
     (values read by :func:`_read_responses`)."""
     rows, has_value = _read_pairs_csv(path)
     if not has_value:
         raise PipelineError(f"{path}: needs a 'value' column to fit the "
                             f"reliable response range")
-    records, lines = _read_responses(path, rows)
+    records, lines = _read_responses(path, rows, inactive_remap)
     for record, lineno in zip(records, lines):
         if record.task_id >= n_tasks:
             raise PipelineError(f"{path}: line {lineno}: task_id "
@@ -520,9 +522,11 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
 
     ``ad_from`` points at a training-format CSV; when given, an ``in_ad``
     column reports whether each *predicted* value falls in the per-task
-    response range fitted on those training responses.
+    response range fitted on those training responses. Their values are
+    read with the inactive-value remap of the run config embedded in the
+    checkpoint; a checkpoint without one reads them without a remap.
     """
-    model, _extras = Model.load(model_path)
+    model, extras = Model.load(model_path)
     rows, has_value = _read_pairs_csv(pairs_csv)
     n_tasks = 1 if model.cfg.compound_only else model.cfg.n_tasks
     bad = next((r for r in rows if not 0 <= r[3] < n_tasks), None)
@@ -536,7 +540,11 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
         store = _prediction_store(model.cfg, rows, sequences, n_tasks,
                                   pairs_csv)
         predictions = store.predict(model, np.arange(len(rows)))
-    ad_ranges = None if ad_from is None else _fit_ad_ranges(ad_from, n_tasks)
+    ad_ranges = None
+    if ad_from is not None:
+        remap = (None if extras["run_config"] is None else
+                 RunConfig.from_snapshot(extras["run_config"]).inactive_remap())
+        ad_ranges = _fit_ad_ranges(ad_from, n_tasks, remap)
     header = ["smiles", "protein_id", "task_id"]
     if has_value:
         header.append("value")

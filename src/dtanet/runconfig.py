@@ -140,6 +140,15 @@ class RunConfig:
             values[section][key] = str(value)
         return RunConfig(values=values)
 
+    @classmethod
+    def from_snapshot(cls, text: str) -> "RunConfig":
+        """The config a :meth:`snapshot` text describes; a key the text
+        lacks keeps its default."""
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str  # keep keys case-sensitive
+        parser.read_string(text)
+        return cls(values=_merged_with_defaults(parser))
+
     def snapshot(self) -> str:
         """Canonical text form: sections and keys in sorted order."""
         lines = []
@@ -189,18 +198,23 @@ class RunConfig:
         return _as_float(self.values["train"]["holdout_fraction"],
                          "train.holdout_fraction")
 
+    def inactive_remap(self) -> tuple[float, float] | None:
+        """The ``(from, to)`` raw-value remap of ``data.inactive_remap_*``,
+        or ``None`` when it is not set."""
+        section = self.values["data"]
+        if not section["inactive_remap_from"]:
+            return None
+        if not section["inactive_remap_to"]:
+            raise ConfigError(
+                "data.inactive_remap_to must be set together with "
+                "data.inactive_remap_from")
+        return (_as_float(section["inactive_remap_from"],
+                          "data.inactive_remap_from"),
+                _as_float(section["inactive_remap_to"],
+                          "data.inactive_remap_to"))
+
     def data_kwargs(self, data_dir: Path) -> dict:
         section = self.values["data"]
-        remap = None
-        if section["inactive_remap_from"]:
-            if not section["inactive_remap_to"]:
-                raise ConfigError(
-                    "data.inactive_remap_to must be set together with "
-                    "data.inactive_remap_from")
-            remap = (_as_float(section["inactive_remap_from"],
-                               "data.inactive_remap_from"),
-                     _as_float(section["inactive_remap_to"],
-                               "data.inactive_remap_to"))
         n_tasks = _as_int(section["n_tasks"], "data.n_tasks")
         return {
             "interactions_path": data_dir / section["interactions"],
@@ -208,7 +222,7 @@ class RunConfig:
             "assay_map_path": (data_dir / section["assay_map"]
                                if section["assay_map"] else None),
             "min_obs": _as_int(section["min_obs"], "data.min_obs"),
-            "inactive_remap": remap,
+            "inactive_remap": self.inactive_remap(),
             "oversample_fraction": _as_float(section["oversample_fraction"],
                                              "data.oversample_fraction"),
             "malformed_tolerance": _as_int(section["malformed_tolerance"],
@@ -251,18 +265,22 @@ class RunConfig:
 def parse_run_config(path: str | Path | None = None,
                      overrides: dict[str, str] | None = None) -> RunConfig:
     """Load defaults, then the file, then ``section.key`` overrides."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.optionxform = str  # keep keys case-sensitive
+    if path is not None and not parser.read(path):
+        raise ConfigError(f"cannot read config file {path}")
+    return RunConfig(values=_merged_with_defaults(parser)).override(
+        overrides or {})
+
+
+def _merged_with_defaults(parser: configparser.ConfigParser) -> dict:
+    """The defaults with the parser's values on top; unknown names raise."""
     values = {section: dict(keys) for section, keys in DEFAULTS.items()}
-    if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        parser.optionxform = str  # keep keys case-sensitive
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        for section in parser.sections():
-            if section not in values:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in values[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                values[section][key] = value
-    return RunConfig(values=values).override(overrides or {})
+    for section in parser.sections():
+        if section not in values:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, value in parser.items(section):
+            if key not in values[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            values[section][key] = value
+    return values

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference_directional, relative_error
+from dtanet import engine
 from dtanet.engine import (
     Adam,
     EngineError,
@@ -718,3 +719,145 @@ class TestRowSelection:
         assert not np.array_equal(part1[column], part2[column])
         assert np.array_equal(part1, full1)
         assert np.array_equal(part2, full2)
+
+
+def mixed_parameters(rng):
+    """Parameters of every rank around a row-selected weight; the flat part
+    spans more than one chunk of the flat update."""
+    shapes = {"scalar": (), "vector": (11,), "cube": (257, 2, 2),
+              "selected": (200, 6), "wide": (300, 120)}
+    params = [Parameter(name, rng.standard_normal(shape))
+              for name, shape in shapes.items()]
+    selected = params[3]
+    selected.row_selection = RowSelection([rng.random(120) < 0.3,
+                                           rng.random(80) < 0.95])
+    assert [c is None for _, c, _ in selected.row_selection.blocks] == \
+        [False, True]
+    assert sum(p.array.size for p in params if p is not selected) > \
+        engine._ADAM_CHUNK
+    return params, selected
+
+
+def compact(param, full_grad):
+    """``full_grad`` in ``param``'s row-selection layout."""
+    return np.concatenate([full_grad[rows] for _, _, rows
+                           in param.row_selection.blocks])
+
+
+class TestFlatAdam:
+    """Parameters outside a row selection are views of one flat buffer, and
+    one update over it is the textbook rule entry by entry."""
+
+    def test_mixed_parameters_bitwise_equal_to_textbook_rule(self):
+        rng = np.random.default_rng(41)
+        lr, b1, b2, eps = 2e-3, 0.85, 0.995, 1e-7
+        params, selected = mixed_parameters(rng)
+        kept = np.zeros(200, dtype=bool)
+        for _, _, rows in selected.row_selection.blocks:
+            kept[rows] = True
+        theta = {p.name: p.array.copy() for p in params}
+        m = {p.name: np.zeros(p.array.shape) for p in params}
+        v = {p.name: np.zeros(p.array.shape) for p in params}
+        adam = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 7):
+            for p in params:
+                g = rng.standard_normal(p.array.shape) * 10.0 ** rng.integers(-5, 2)
+                if g.ndim >= 2:
+                    g[rng.random(g.shape[0]) < 0.3] = 0.0  # rows without gradient
+                if p is selected:
+                    g[~kept] = 0.0
+                    p.grad = compact(p, g)
+                else:
+                    p.grad = g
+                theta[p.name], m[p.name], v[p.name] = textbook_adam(
+                    theta[p.name], m[p.name], v[p.name], g, t, lr, b1, b2, eps)
+            adam.step()
+            for p in params:
+                assert np.array_equal(p.array, theta[p.name]), p.name
+                if p is not selected:
+                    assert np.array_equal(adam.state.m[p.name], m[p.name])
+                    assert np.array_equal(adam.state.v[p.name], v[p.name])
+        saved = adam.state_arrays()
+        for p in params:
+            assert np.array_equal(saved[f"adam.m.{p.name}"], m[p.name])
+            assert np.array_equal(saved[f"adam.v.{p.name}"], v[p.name])
+            assert not np.shares_memory(saved[f"adam.m.{p.name}"],
+                                        adam.flat_m)
+
+    def test_parameters_and_moments_are_views_of_the_buffer(self):
+        rng = np.random.default_rng(43)
+        g = Graph()
+        x = g.placeholder("x")
+        w = g.parameter("w", rng.standard_normal((4, 3)))
+        b = g.parameter("b", rng.standard_normal(3))
+        scale = g.parameter("scale", rng.standard_normal((3, 1)))
+        g.forward({"x": np.ones((2, 4))},
+                  [g.matmul(g.add_bias(g.matmul(x, w), b), scale)])
+        old = w.array
+        adam = Adam(g.parameters())
+        assert w.array is not old and np.array_equal(w.array, old)
+        for p in g.parameters():
+            assert p.value is p.array
+            assert np.shares_memory(p.array, adam.flat_theta)
+            assert np.shares_memory(adam.state.m[p.name], adam.flat_m)
+            assert np.shares_memory(adam.state.v[p.name], adam.flat_v)
+        assert adam.flat_theta.size == 4 * 3 + 3 + 3
+        views = [p.array for p in g.parameters()]
+        loaded = {p.name: rng.standard_normal(p.array.shape)
+                  for p in g.parameters()}
+        g.load_state(loaded)
+        assert all(p.array is view for p, view in zip(g.parameters(), views))
+        assert np.array_equal(adam.flat_theta, np.concatenate(
+            [loaded[p.name].ravel() for p in g.parameters()]))
+        state = g.state_dict()
+        assert state.keys() == loaded.keys()
+        for name in state:
+            assert np.array_equal(state[name], loaded[name])
+            assert not np.shares_memory(state[name], adam.flat_theta)
+
+    def test_a_second_adam_repacks_from_current_values(self):
+        rng = np.random.default_rng(47)
+        p = Parameter("p", rng.standard_normal((5, 2)))
+        first = Adam([p])
+        p.grad = rng.standard_normal((5, 2))
+        first.step()
+        moved = p.array.copy()
+        second = Adam([p])
+        assert np.array_equal(p.array, moved)
+        assert np.shares_memory(p.array, second.flat_theta)
+        assert not np.shares_memory(p.array, first.flat_theta)
+        assert second.state.step == 0 and not second.flat_m.any()
+
+    @pytest.mark.parametrize("bad, named", [
+        (("wide",), "wide"),
+        (("selected",), "selected"),
+        (("wide", "vector"), "vector"),
+        (("wide", "selected"), "selected"),
+    ])
+    def test_nonfinite_gradient_names_the_first_and_writes_nothing(
+            self, bad, named):
+        rng = np.random.default_rng(53)
+        params, selected = mixed_parameters(rng)
+        adam = Adam(params)
+
+        def set_grads():
+            for p in params:
+                p.grad = rng.standard_normal(adam.state.m[p.name].shape)
+
+        set_grads()
+        adam.step()
+        before = ([p.array.copy() for p in params], adam.state_arrays(),
+                  adam.state.step)
+        set_grads()
+        for name in bad:
+            grad = next(p for p in params if p.name == name).grad
+            grad.reshape(-1)[grad.size // 2] = np.nan
+        with pytest.raises(NonFiniteError, match=f"'{named}'"):
+            adam.step()
+        for p, old in zip(params, before[0]):
+            assert np.array_equal(p.array, old), p.name
+        after = adam.state_arrays()
+        assert after.keys() == before[1].keys()
+        for key in after:
+            assert np.array_equal(after[key], before[1][key]), key
+        assert adam.state.step == before[2]

@@ -501,6 +501,60 @@ class TestTableParity:
         assert all(p._winners is None for p in pools)
 
 
+class _PerUseGatherConv(GraphConv):
+    """``GraphConv`` with its backward gathering ``dz[idx]`` at each use."""
+
+    def backprop(self):
+        h_node = self.inputs[0]
+        batch = self.inputs[1].value
+        w_self, w_nbr, bias = self._params()
+        h = h_node.value
+        dz = self.grad * self._mask
+        want_h = h_node.wants_grad
+        if want_h:
+            dh = np.zeros_like(h)
+            dnbr = np.zeros((h.shape[0] + 1, h.shape[1]))
+        for d, idx in enumerate(batch.degree_index):
+            if idx.size == 0:
+                continue
+            if w_self[d].wants_grad:
+                self._accumulate(w_self[d], h[idx].T @ dz[idx])
+            if w_nbr[d].wants_grad:
+                self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dz[idx])
+            if bias[d].wants_grad:
+                self._accumulate(bias[d], dz[idx].sum(axis=0))
+            if want_h:
+                dh[idx] += dz[idx] @ w_self[d].value.T
+                dnbr[idx] = dz[idx] @ w_nbr[d].value.T
+        if want_h:
+            for column in batch.neighbors.T:
+                dh += dnbr[column]
+            self._accumulate(h_node, dh)
+
+
+class TestGatherOnce:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backward_bitwise_equal_to_per_use_gathers(self, seed):
+        mols, batch, _ = _parity_batch(seed)
+        rng = np.random.default_rng(seed + 70)
+        feeds = {"h": rng.standard_normal((batch.n_atoms, 5)),
+                 "structure": batch, "gather_structure": batch,
+                 "target": rng.standard_normal((len(mols), 1)),
+                 "weight": np.ones((len(mols), 1))}
+        grads = []
+        for conv_cls in (GraphConv, _PerUseGatherConv):
+            g, h, loss, _ = _parity_stack(conv_cls, GraphPool, seed)
+            g.forward(feeds, [loss], training=True)
+            g.backward(loss, inputs=(h,))
+            grads.append(({p.name: p.grad for p in g.parameters()}, h.grad))
+        (new, new_dh), (old, old_dh) = grads
+        assert new.keys() == old.keys()
+        for name in new:
+            assert np.array_equal(new[name], old[name]), name
+        assert np.array_equal(new_dh, old_dh)
+        assert any(new[name].any() for name in new if name.startswith("ws0"))
+
+
 class TestPackTable:
     def test_rows_list_sorted_neighbors_padded_with_n_atoms(self):
         _, batch = packed(["CC(C)O", "C", "c1ccccc1"])

@@ -24,7 +24,7 @@ from dtanet.pipeline import (
     run_tune,
     write_report,
 )
-from dtanet.runconfig import ConfigError, parse_run_config
+from dtanet.runconfig import ConfigError, RunConfig, parse_run_config
 from dtanet.smiles import parse_smiles
 from dtanet.synthetic import write_fixture
 
@@ -72,6 +72,14 @@ class TestFixtureGeneration:
 
 
 class TestRunConfig:
+    def test_snapshot_round_trips(self, tiny_config):
+        cfg = tiny_config.override({"data.inactive_remap_from": "1e6",
+                                    "data.inactive_remap_to": "1000"})
+        again = RunConfig.from_snapshot(cfg.snapshot())
+        assert again == cfg
+        assert again.inactive_remap() == (1e6, 1000.0)
+        assert tiny_config.inactive_remap() is None
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_run_config(None, overrides={"model.frobnicate": "1"})
@@ -388,6 +396,37 @@ class TestPredictEvaluate:
         for row in rows:
             pred, in_ad = row.split(",")[-2:]
             assert in_ad == ("1" if check_ad(ad, float(pred)) else "0")
+
+    def test_ad_from_applies_the_checkpoints_remap(self, fixture_dir,
+                                                   tiny_config, tmp_path):
+        # The sentinel 1e30 would transform to -26 and stretch the range over
+        # every prediction; the checkpoint's config remaps it to 1e-22 (26).
+        cfg = tiny_config.override({"data.inactive_remap_from": "1e30",
+                                    "data.inactive_remap_to": "1e-22"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        ckpt = tmp_path / "m.ckpt"
+        FeatureStore(dataset, cfg.model_config(n_tasks=1)).build_model() \
+            .save(ckpt, run_config_text=cfg.snapshot())
+        pairs_csv = tmp_path / "pairs.csv"
+        pairs_csv.write_text(
+            "smiles,protein_id\n" + "".join(
+                f"{dataset.compounds[c]},{dataset.protein_ids[p]}\n"
+                for c, p in dataset.pairs[:6]), encoding="utf-8")
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("smiles,protein_id,task_id,value\n"
+                             "CCO,P0000,0,1e-20\n"
+                             "CCN,P0000,0,1e-21\n"
+                             "CCC,P0000,0,1e30\n", encoding="utf-8")
+        out = run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
+                          tmp_path / "preds.csv", ad_from=train_csv)
+        remapped = fit_ad([24.0, 25.0, 26.0])
+        unmapped = fit_ad([24.0, 25.0, -26.0])
+        _header, *rows = out.read_text().splitlines()
+        predictions = [float(row.split(",")[-2]) for row in rows]
+        assert all(check_ad(unmapped, pred) for pred in predictions)
+        assert [row.split(",")[-1] for row in rows] == \
+            ["1" if check_ad(remapped, pred) else "0" for pred in predictions]
+        assert not any(check_ad(remapped, pred) for pred in predictions)
 
     @pytest.mark.parametrize("value, message", [
         ("abc", "line 3: value 'abc' is not a number"),

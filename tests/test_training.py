@@ -7,6 +7,7 @@ import dtanet.training as training
 from dtanet.engine import Adam, RowSelection
 from dtanet.model import FeatureStore, ModelConfig
 from dtanet.synthetic import memory_dataset
+from test_engine import textbook_adam
 from dtanet.training import (
     TrainConfig,
     TrainingError,
@@ -161,6 +162,49 @@ def reference_fit(model, store, train_idx, val_idx, cfg):
     return history, best[1], best[2]
 
 
+def textbook_fit(model, store, train_idx, val_idx, cfg):
+    """``train``'s loop written out over every first-layer row, with the
+    textbook Adam rule on plain arrays.
+
+    Leaves ``model`` holding the best parameters, as ``train`` does, and
+    returns the per-epoch (train loss, composite), the best epoch's
+    parameters and full-shape moments, and the step count there.
+    """
+    assert model.input_weight.row_selection is None
+    params = model.graph.parameters()
+    m = {p.name: np.zeros(p.array.shape) for p in params}
+    v = {p.name: np.zeros(p.array.shape) for p in params}
+    t = 0
+    rng = np.random.default_rng(cfg.seed)
+    history, best = [], (np.inf, None, None, 0)
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(train_idx)
+        total = 0.0
+        for start in range(0, order.size, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            feeds = store.feeds(batch, with_targets=True, model=model)
+            (loss,) = model.graph.forward(feeds, [model.loss], training=True,
+                                          rng=rng)
+            model.graph.backward(model.loss)
+            t += 1
+            for p in params:
+                theta, m[p.name], v[p.name] = textbook_adam(
+                    p.array, m[p.name], v[p.name], p.grad, t,
+                    cfg.learning_rate, 0.9, 0.999, 1e-8)
+                p.array[...] = theta
+            total += float(loss) * batch.size
+        score = validation_scores(model, store, val_idx)[2]
+        history.append((total / order.size, score))
+        if score < best[0]:
+            moments = {}
+            for p in params:
+                moments[f"adam.m.{p.name}"] = m[p.name].copy()
+                moments[f"adam.v.{p.name}"] = v[p.name].copy()
+            best = (score, model.graph.state_dict(), moments, t)
+    model.graph.load_state(best[1])
+    return history, best[1], best[2], best[3]
+
+
 def small_store(variant, seed=2):
     dataset = memory_dataset(n_compounds=12, n_proteins=6, n_pairs=60,
                              seed=seed)
@@ -257,6 +301,47 @@ class TestActiveRows:
         full_path = reference.predict_feeds(
             store.feeds(val_idx, with_targets=False))
         assert np.array_equal(store.predict(model, val_idx), full_path)
+
+
+class TestRefit:
+    def test_two_fits_equal_a_textbook_loop(self, monkeypatch):
+        # The second fit's optimizer repacks parameters the first one owns.
+        built = []
+
+        class RecordedAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordedAdam)
+        store = small_store("padme-graphconv", seed=5)
+        idx = np.arange(store.dataset.n_pairs)
+        train_idx, val_idx = idx[:48], idx[48:]
+        model, reference = store.build_model(), store.build_model()
+        for seed in (6, 7):
+            cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3,
+                              seed=seed)
+            result = train(model, store, train_idx, val_idx, cfg)
+            history, state, moments, step = textbook_fit(
+                reference, store, train_idx, val_idx, cfg)
+            assert [(row.train_loss, row.composite)
+                    for row in result.history] == history
+            assert result.best_optimizer_step == step
+            current = model.graph.state_dict()
+            assert current.keys() == state.keys()
+            for name in state:
+                assert np.array_equal(result.best_state[name], state[name])
+                assert np.array_equal(current[name], state[name]), name
+            assert result.best_optimizer.keys() == moments.keys()
+            for name in moments:
+                assert np.array_equal(result.best_optimizer[name],
+                                      moments[name]), name
+        first, second = built
+        weight = model.input_weight
+        for p in model.graph.parameters():
+            if p is not weight:
+                assert np.shares_memory(p.array, second.flat_theta), p.name
+                assert not np.shares_memory(p.array, first.flat_theta)
 
 
 class TestEpochCostProbe:

@@ -7,6 +7,9 @@ each one, a fresh interpreter
 
 * trains the four variants for 3 epochs with seed 0 on synthetic pairs and
   saves each best checkpoint with its Adam moments;
+* fits one ``padme-graphconv`` model twice with two ``train`` calls on the
+  same store (the second optimizer repacks parameters the first one owns)
+  and saves the second fit's checkpoint;
 * runs the pipeline with the default run config on a synthetic fixture:
   ``run_training`` (checkpoint and history), a 2-fold 1-repetition warm
   ``run_cv`` (report, fold CSV and fold checkpoints), a budget-3 random
@@ -97,6 +100,17 @@ def digests() -> dict[str, str]:
             model.save(path, optimizer_step=result.best_optimizer_step,
                        optimizer_arrays=result.best_optimizer)
             out[variant] = _sha(path)
+        store = FeatureStore(dataset, ModelConfig(variant="padme-graphconv",
+                                                  seed=SEED))
+        model = store.build_model()
+        for seed in (SEED, SEED + 1):
+            result = train(model, store, train_idx, val_idx,
+                           TrainConfig(max_epochs=EPOCHS, patience=EPOCHS,
+                                       seed=seed))
+        path = Path(work) / "refit.ckpt"
+        model.save(path, optimizer_step=result.best_optimizer_step,
+                   optimizer_arrays=result.best_optimizer)
+        out["padme-graphconv refit"] = _sha(path)
         out.update(pipeline_digests(Path(work)))
     return out
 
