@@ -29,7 +29,7 @@ _configure_threads()
 
 import numpy as np  # noqa: E402  (thread env vars must be set first)
 
-from . import pipeline, synthetic  # noqa: E402
+from . import data, pipeline, synthetic  # noqa: E402
 from .runconfig import SCHEMES, RunConfig, parse_run_config  # noqa: E402
 
 log = logging.getLogger("dtanet")
@@ -53,8 +53,9 @@ def _run_config(args) -> RunConfig:
         if not sep:
             raise SystemExit(f"--set expects key=value, got {item!r}")
         overrides[key] = value
-    cfg = parse_run_config(args.config, overrides)
-    return cfg
+    if getattr(args, "variant", None):
+        overrides["model.variant"] = args.variant
+    return parse_run_config(args.config, overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,14 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_variant(args) -> list[str]:
-    extra = []
-    if getattr(args, "variant", None):
-        extra.append(f"model.variant={args.variant}")
-    return extra
-
-
-def _read_smiles_column(path: Path) -> list[str]:
+def _read_smiles_column(path: Path) -> dict:
+    """SMILES -> parsed graph for each distinct SMILES of the first column,
+    in file order; a SMILES the parser rejects fails naming its line."""
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -151,7 +147,11 @@ def _read_smiles_column(path: Path) -> list[str]:
         if not header or header[0] != "smiles":
             raise pipeline.PipelineError(
                 f"{path}: expected a CSV whose first column is 'smiles'")
-        return list(dict.fromkeys(row[0].strip() for row in reader if row))
+        molecules: dict = {}
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                data.parse_compound(molecules, row[0].strip(), path, lineno)
+        return molecules
 
 
 def _cmd_featurize(args, cfg) -> None:
@@ -160,9 +160,9 @@ def _cmd_featurize(args, cfg) -> None:
     if args.ecfp:
         if args.input is None:
             raise SystemExit("featurize: --input is required for --ecfp")
-        smiles_list = _read_smiles_column(args.input)
-        pipeline.write_fingerprint_csv(cfg, smiles_list, args.out)
-        print(f"featurized {len(smiles_list)} compounds -> {args.out}")
+        molecules = _read_smiles_column(args.input)
+        pipeline.write_fingerprint_csv(cfg, molecules, args.out)
+        print(f"featurized {len(molecules)} compounds -> {args.out}")
     else:
         from . import proteins as proteins_mod
 
@@ -170,7 +170,7 @@ def _cmd_featurize(args, cfg) -> None:
             raise SystemExit("featurize: --proteins is required for --psc")
         table = proteins_mod.read_sequence_table(args.proteins)
         ids = list(table)
-        matrix = np.stack([proteins_mod.psc(*table[p]) for p in ids])
+        matrix = proteins_mod.descriptor_matrix(table, ids)
         proteins_mod.write_descriptor_matrix(args.out, ids, matrix)
         print(f"wrote {len(ids)} descriptors of length {matrix.shape[1]} "
               f"-> {args.out}")
@@ -274,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = list(args.set)
-        overrides.extend(_apply_variant(args))
-        args.set = overrides
         cfg = _run_config(args)
         _COMMANDS[args.command](args, cfg)
     except SystemExit:

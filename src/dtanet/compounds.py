@@ -69,17 +69,8 @@ class Fingerprint:
     n_bits: int
     radius: int
 
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
     def to_hex(self) -> str:
         return bytes(np.packbits(self.bits)).hex()
-
-    @classmethod
-    def from_hex(cls, text: str, n_bits: int, radius: int) -> "Fingerprint":
-        raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
-        bits = np.unpackbits(raw)[:n_bits].astype(np.uint8)
-        return cls(bits=bits, n_bits=n_bits, radius=radius)
 
 
 def _initial_identifiers(graph: MolGraph) -> list[int]:
@@ -181,12 +172,10 @@ def atom_feature_width(vocabulary: Sequence[str] = DEFAULT_ATOM_VOCABULARY,
 
 @dataclass(frozen=True)
 class AtomFeatureMatrix:
-    """Per-atom initial feature rows plus the degree grouping used by
-    convolution layers."""
+    """Per-atom initial feature rows."""
 
     rows: np.ndarray  # float64, (n_atoms, width)
     width: int
-    degree_slices: tuple[np.ndarray, ...]  # atom indices grouped by degree
 
 
 def atom_features(graph: MolGraph,
@@ -218,7 +207,4 @@ def atom_features(graph: MolGraph,
         rows[i, offset] = float(atom.formal_charge)
         rows[i, offset + 1] = 1.0 if atom.aromatic else 0.0
         rows[i, offset + 2] = 1.0 if atom.ring_member else 0.0
-    slices = tuple(
-        np.flatnonzero(np.asarray(degrees) == d) for d in range(max_degree + 1)
-    )
-    return AtomFeatureMatrix(rows=rows, width=width, degree_slices=slices)
+    return AtomFeatureMatrix(rows=rows, width=width)

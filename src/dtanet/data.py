@@ -18,19 +18,20 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import proteins
-from .smiles import SmilesError, parse_smiles
+from .smiles import MolGraph, SmilesError, parse_smiles
 
 __all__ = [
     "DataError",
     "InteractionRecord",
     "DatasetSummary",
     "PairDataset",
+    "parse_compound",
     "load_interactions",
     "parse_value",
     "transform_values",
@@ -57,7 +58,8 @@ class InteractionRecord:
     task_id: int
     raw_value: float
     value: float | None = None  # filled by transform_values
-    weight: float = 1.0
+    # the parsed compound, shared by every record of the same SMILES
+    molecule: MolGraph | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -84,6 +86,20 @@ def parse_value(text: str) -> float | None:
     return value if np.isfinite(value) else None
 
 
+def parse_compound(molecules: dict[str, MolGraph], smiles: str,
+                   path: str | Path, lineno: int) -> MolGraph:
+    """The graph of ``smiles``, parsed once per ``molecules`` cache; a
+    SMILES the parser rejects fails naming ``path`` and ``lineno``."""
+    molecule = molecules.get(smiles)
+    if molecule is None:
+        try:
+            molecule = molecules[smiles] = parse_smiles(smiles)
+        except SmilesError as exc:
+            raise DataError(
+                f"{path}: line {lineno}: bad SMILES: {exc}") from exc
+    return molecule
+
+
 def load_interactions(
     interactions_path: str | Path,
     sequences_path: str | Path,
@@ -92,16 +108,17 @@ def load_interactions(
 ) -> tuple[list[InteractionRecord], DatasetSummary, dict[str, tuple[str, bool]]]:
     """Read and eagerly validate an interaction table.
 
-    Every distinct SMILES is parsed and every referenced protein must be in
-    the sequence table; both fail fast with the offending row. Returns the
-    records (raw values only), a summary, and the sequence table.
+    Every distinct SMILES is parsed once (its records share the graph) and
+    every referenced protein must be in the sequence table; both fail fast
+    with the offending row. Returns the records (raw values only), a
+    summary, and the sequence table.
     """
     sequences = proteins.read_sequence_table(sequences_path)
     assay_map = _read_assay_map(assay_map_path) if assay_map_path else None
     records: list[InteractionRecord] = []
     imprecise = 0
     malformed: list[str] = []
-    seen_smiles: set[str] = set()
+    molecules: dict[str, MolGraph] = {}
     with open(interactions_path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -128,21 +145,15 @@ def load_interactions(
                 task_id = assay_map[task_field]
             else:
                 task_id = int(task_field)
-            if smiles not in seen_smiles:
-                try:
-                    parse_smiles(smiles)
-                except SmilesError as exc:
-                    raise DataError(
-                        f"{interactions_path}: line {lineno}: bad SMILES: {exc}"
-                    ) from exc
-                seen_smiles.add(smiles)
+            molecule = parse_compound(molecules, smiles, interactions_path,
+                                      lineno)
             if protein_id not in sequences:
                 raise DataError(
                     f"{interactions_path}: line {lineno}: no sequence for "
                     f"protein id {protein_id!r}")
             records.append(InteractionRecord(
                 smiles=smiles, protein_id=protein_id, task_id=task_id,
-                raw_value=raw))
+                raw_value=raw, molecule=molecule))
     if len(malformed) > malformed_tolerance:
         raise DataError(
             f"{interactions_path}: {len(malformed)} malformed row(s), "
@@ -293,7 +304,8 @@ def oversample_minority(records: list[InteractionRecord],
 
 @dataclass
 class PairDataset:
-    """Assembled multi-task view: one row per (compound, protein) pair."""
+    """Assembled multi-task view: one row per (compound, protein) pair;
+    ``molecules[i]`` is the graph of ``compounds[i]`` (parsed if not given)."""
 
     compounds: tuple[str, ...]
     protein_ids: tuple[str, ...]
@@ -302,6 +314,15 @@ class PairDataset:
     y: np.ndarray      # (n_pairs, n_tasks) transformed values, 0 where masked
     w: np.ndarray      # (n_pairs, n_tasks) 0/1 mask
     n_tasks: int
+    molecules: tuple[MolGraph, ...] = field(default=(), repr=False,
+                                            compare=False)
+
+    def __post_init__(self):
+        if not self.molecules:
+            self.molecules = tuple(parse_smiles(s) for s in self.compounds)
+        elif len(self.molecules) != len(self.compounds):
+            raise DataError(f"{len(self.molecules)} molecules for "
+                            f"{len(self.compounds)} compounds")
 
     @property
     def n_pairs(self) -> int:
@@ -332,6 +353,7 @@ def assemble_pairs(records: list[InteractionRecord],
     elif max_task >= n_tasks:
         raise DataError(f"task id {max_task} outside 0..{n_tasks - 1}")
     compounds: list[str] = []
+    molecules: list[MolGraph] = []
     compound_index: dict[str, int] = {}
     protein_ids: list[str] = []
     protein_index: dict[str, int] = {}
@@ -340,6 +362,7 @@ def assemble_pairs(records: list[InteractionRecord],
         ci = compound_index.setdefault(record.smiles, len(compounds))
         if ci == len(compounds):
             compounds.append(record.smiles)
+            molecules.append(record.molecule or parse_smiles(record.smiles))
         pi = protein_index.setdefault(record.protein_id, len(protein_ids))
         if pi == len(protein_ids):
             protein_ids.append(record.protein_id)
@@ -367,6 +390,7 @@ def assemble_pairs(records: list[InteractionRecord],
         y=y,
         w=w,
         n_tasks=n_tasks,
+        molecules=tuple(molecules),
     )
 
 

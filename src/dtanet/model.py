@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ import numpy as np
 from . import proteins
 from .compounds import (
     DEFAULT_ATOM_VOCABULARY,
+    FeaturizationError,
     atom_feature_width,
     atom_features,
     ecfp,
@@ -48,7 +49,6 @@ from .compounds import (
 from .data import PairDataset
 from .engine import Graph, Parameter
 from .graphconv import GraphConv, GraphGather, GraphPool, pack_graphs
-from .smiles import MolGraph, parse_smiles
 
 __all__ = ["ModelError", "ModelConfig", "Model", "FeatureStore", "VARIANTS",
            "FEATURIZATION_VERSION"]
@@ -280,7 +280,7 @@ class Model:
             "format_version": _FORMAT_VERSION,
             "featurization": self.cfg.featurization_signature(),
             "featurization_fingerprint": self.cfg.featurization_fingerprint(),
-            "config": _config_to_json(self.cfg),
+            "config": asdict(self.cfg),
             "protein_index": self.protein_index,
             "optimizer_step": optimizer_step,
             "run_config": run_config_text,
@@ -354,30 +354,14 @@ class Model:
         return model, extras
 
 
-def _config_to_json(cfg: ModelConfig) -> dict:
-    payload = asdict(cfg)
-    payload["hidden_layers"] = list(cfg.hidden_layers)
-    payload["dropout_rates"] = list(cfg.dropout_rates)
-    payload["conv_widths"] = list(cfg.conv_widths)
-    payload["atom_vocabulary"] = list(cfg.atom_vocabulary)
-    return payload
-
-
 def _config_from_json(payload: dict) -> ModelConfig:
-    return ModelConfig(
-        variant=payload["variant"],
-        n_tasks=payload["n_tasks"],
-        hidden_layers=tuple(payload["hidden_layers"]),
-        dropout_rates=tuple(payload["dropout_rates"]),
-        use_batchnorm=payload["use_batchnorm"],
-        fp_radius=payload["fp_radius"],
-        fp_bits=payload["fp_bits"],
-        max_degree=payload["max_degree"],
-        conv_widths=tuple(payload["conv_widths"]),
-        conv_dense=payload["conv_dense"],
-        atom_vocabulary=tuple(payload["atom_vocabulary"]),
-        seed=payload["seed"],
-    )
+    """The :class:`ModelConfig` whose ``asdict`` JSON is ``payload``."""
+    return ModelConfig(**{field.name: _as_tuple(payload[field.name])
+                          for field in fields(ModelConfig)})
+
+
+def _as_tuple(value):
+    return tuple(value) if isinstance(value, list) else value
 
 
 class FeatureStore:
@@ -392,20 +376,15 @@ class FeatureStore:
     def __init__(self, dataset: PairDataset, cfg: ModelConfig):
         self.dataset = dataset
         self.cfg = cfg.normalized()
-        self._mols: list[MolGraph] | None = None
         self._atom_feats = None
         self.fingerprint_matrix: np.ndarray | None = None
         if self.cfg.uses_graphconv:
-            self._mols = [parse_smiles(s) for s in dataset.compounds]
-            self._atom_feats = [
-                atom_features(m, self.cfg.atom_vocabulary, self.cfg.max_degree)
-                for m in self._mols
-            ]
+            self._atom_feats = [self._atom_features(smiles, molecule)
+                                for smiles, molecule in zip(dataset.compounds,
+                                                            dataset.molecules)]
         else:
-            rows = [
-                ecfp(parse_smiles(s), self.cfg.fp_radius, self.cfg.fp_bits).bits
-                for s in dataset.compounds
-            ]
+            rows = [ecfp(m, self.cfg.fp_radius, self.cfg.fp_bits).bits
+                    for m in dataset.molecules]
             self.fingerprint_matrix = np.asarray(rows, dtype=np.float64)
         if self.cfg.compound_only:
             self.protein_matrix = None
@@ -413,15 +392,23 @@ class FeatureStore:
                 raise ModelError(
                     "compound-only variants support single-measurement data only")
         else:
-            self.protein_matrix = np.stack([
-                proteins.psc(*dataset.sequences[pid])
-                for pid in dataset.protein_ids
-            ])
+            self.protein_matrix = proteins.descriptor_matrix(
+                dataset.sequences, dataset.protein_ids)
+
+    def _atom_features(self, smiles: str, molecule):
+        try:
+            return atom_features(molecule, self.cfg.atom_vocabulary,
+                                 self.cfg.max_degree)
+        except FeaturizationError as exc:
+            raise FeaturizationError(f"compound {smiles!r}: {exc}") from exc
 
     def build_model(self, cfg: ModelConfig | None = None) -> Model:
         """A fresh model of ``cfg`` (default: the store's own config); ``cfg``
         must featurize inputs as the store's config does."""
         cfg = self.cfg if cfg is None else cfg
+        if cfg.featurization_signature() != self.cfg.featurization_signature():
+            raise ModelError("the model's featurization differs from the "
+                             "feature store's")
         protein_ids = self.dataset.protein_ids if cfg.compound_only else None
         return Model.build(cfg, protein_ids=protein_ids)
 
@@ -441,12 +428,9 @@ class FeatureStore:
                 self.protein_matrix[np.unique(pairs[:, 1])].any(axis=0))
         return masks
 
-    def n_records(self) -> int:
-        return self.dataset.n_pairs
-
     def _compound_feeds(self, compound_idx: np.ndarray) -> dict:
         if self.cfg.uses_graphconv:
-            mols = [self._mols[i] for i in compound_idx]
+            mols = [self.dataset.molecules[i] for i in compound_idx]
             feats = [self._atom_feats[i] for i in compound_idx]
             rows, batch = pack_graphs(mols, feats, self.cfg.max_degree)
             return {"atom_features": rows, "graph_batch": batch}

@@ -40,7 +40,7 @@ from .domain import check_ad, fit_ad_per_task
 from .metrics import EvalReport, evaluate_predictions
 from .model import FeatureStore, Model
 from .runconfig import RunConfig, parse_run_config
-from .smiles import parse_smiles
+from .smiles import MolGraph
 from .splits import (
     FoldAssignment,
     audit_clusters,
@@ -127,9 +127,10 @@ def load_pair_dataset(cfg: RunConfig, data_dir: str | Path) -> data_mod.PairData
 
 
 def build_assignment(cfg: RunConfig, dataset: data_mod.PairDataset,
-                     scheme: str, k: int, seed: int) -> FoldAssignment:
-    """A ``k``-fold ``scheme`` split of the dataset's records; cold-cluster
-    splits cluster with ``cfg``'s fingerprints and threshold."""
+                     scheme: str, k: int, seed: int,
+                     clustering=None) -> FoldAssignment:
+    """A ``k``-fold ``scheme`` split of the dataset's records; a cold-cluster
+    split uses ``clustering``, else :func:`_cluster_dataset`'s."""
     drug_ids = [dataset.compounds[i] for i in dataset.pairs[:, 0]]
     target_ids = [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]
     if scheme == "warm":
@@ -139,8 +140,9 @@ def build_assignment(cfg: RunConfig, dataset: data_mod.PairDataset,
     if scheme == "cold-target":
         return cold_entity_split(drug_ids, target_ids, k, seed, axis="target")
     if scheme == "cold-cluster":
-        return cold_cluster_split(dataset.pairs[:, 0],
-                                  _cluster_dataset(cfg, dataset), k, seed)
+        if clustering is None:
+            clustering = _cluster_dataset(cfg, dataset)
+        return cold_cluster_split(dataset.pairs[:, 0], clustering, k, seed)
     if scheme == "random":
         return random_split(dataset.n_pairs, k, seed)
     raise PipelineError(f"unknown scheme {scheme!r}")
@@ -148,8 +150,8 @@ def build_assignment(cfg: RunConfig, dataset: data_mod.PairDataset,
 
 def _cluster_dataset(cfg: RunConfig, dataset: data_mod.PairDataset):
     model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
-    fingerprints = [ecfp(parse_smiles(s), model_cfg.fp_radius,
-                         model_cfg.fp_bits) for s in dataset.compounds]
+    fingerprints = [ecfp(m, model_cfg.fp_radius, model_cfg.fp_bits)
+                    for m in dataset.molecules]
     return cluster_compounds(fingerprints,
                              cfg.split_params()["cluster_threshold"])
 
@@ -181,30 +183,23 @@ def run_split(cfg: RunConfig, dataset: data_mod.PairDataset,
     return assignment
 
 
-def _leakage_audit(cfg: RunConfig, assignment: FoldAssignment,
+def _leakage_audit(assignment: FoldAssignment,
                    dataset: data_mod.PairDataset) -> str:
-    """"pass" or "FAIL" for the scheme's defining constraint ("n/a" if none).
-
-    A cold-cluster split is audited against the clustering it was built
-    from; only an assignment replayed from a fold file, which does not carry
-    it, is clustered again with ``cfg``'s fingerprints and threshold.
-    """
+    """"pass" or "FAIL" for the scheme's defining constraint ("n/a" if none);
+    a cold-cluster split is audited against the cluster labels it carries."""
     drug_ids = [dataset.compounds[i] for i in dataset.pairs[:, 0]]
     target_ids = [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]
     if assignment.scheme == "warm":
-        return "pass" if not audit_warm(assignment, drug_ids, target_ids) else "FAIL"
-    if assignment.scheme == "cold-drug":
-        leaks = audit_cold(assignment, drug_ids)
+        leaks = audit_warm(assignment, drug_ids, target_ids)
+    elif assignment.scheme == "cold-drug":
+        leaks = any(audit_cold(assignment, drug_ids).values())
     elif assignment.scheme == "cold-target":
-        leaks = audit_cold(assignment, target_ids)
+        leaks = any(audit_cold(assignment, target_ids).values())
     elif assignment.scheme == "cold-cluster":
-        labels = assignment.record_clusters
-        if labels is None:
-            labels = _cluster_dataset(cfg, dataset).labels[dataset.pairs[:, 0]]
-        return "pass" if not audit_clusters(assignment, labels) else "FAIL"
+        leaks = audit_clusters(assignment, assignment.record_clusters)
     else:
         return "n/a"
-    return "pass" if all(not v for v in leaks.values()) else "FAIL"
+    return "FAIL" if leaks else "pass"
 
 
 # -- fitting ------------------------------------------------------------------
@@ -270,7 +265,8 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
     """Repeated k-fold cross-validation; writes a report and per-fold checkpoints.
 
     ``folds_path`` replays a fold CSV written by the ``split`` command for a
-    single repetition instead of building fresh assignments.
+    single repetition instead of building fresh assignments. Cold-cluster
+    splits and the audit of a replayed fold file share one clustering.
     """
     precomputed = None
     if folds_path is not None:
@@ -295,6 +291,10 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
     rows: list[dict] = []
     fold_metrics: list[EvalReport] = []
     with DirectoryLock(out_dir):
+        clustering = (_cluster_dataset(cfg, dataset)
+                      if scheme == "cold-cluster" else None)
+        if precomputed is not None and clustering is not None:
+            precomputed.record_clusters = clustering.labels[dataset.pairs[:, 0]]
         store = _feature_store(cfg, dataset)
         for rep in range(repetitions):
             rep_seed = seed + rep
@@ -302,8 +302,8 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                 assignment = precomputed
             else:
                 assignment = build_assignment(cfg, dataset, scheme, k,
-                                              rep_seed)
-            audit = _leakage_audit(cfg, assignment, dataset)
+                                              rep_seed, clustering)
+            audit = _leakage_audit(assignment, dataset)
             write_folds(out_dir / f"folds_{scheme}_rep{rep}.csv", assignment)
             _, holdout = hyperopt_holdout(dataset.n_pairs, seed=rep_seed,
                                           fraction=cfg.holdout_fraction())
@@ -383,13 +383,6 @@ def read_report(path: str | Path) -> tuple[list[str], list[list[str]]]:
             elif line:
                 rows.append(line.split(","))
     return comments, rows
-
-
-def rewrite_report(path: str | Path, comments: list[str],
-                   rows: list[list[str]]) -> None:
-    """Serialize parsed report content back to its exact file form."""
-    lines = list(comments) + [",".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- prediction -----------------------------------------------------------------
@@ -474,20 +467,24 @@ def _read_responses(path, rows, inactive_remap=None) -> tuple[list, list[int]]:
 
 def _prediction_store(cfg, rows, sequences, n_tasks: int,
                       source) -> FeatureStore:
-    """A :class:`FeatureStore` over the requested pairs, without responses."""
-    compounds = tuple(dict.fromkeys(r[1] for r in rows))
+    """A :class:`FeatureStore` over the requested pairs, without responses;
+    a SMILES the parser rejects fails naming its line of ``source``."""
     protein_ids = tuple(dict.fromkeys(r[2] for r in rows))
     if not cfg.compound_only:
         missing = [p for p in protein_ids if p not in sequences]
         if missing:
             raise PipelineError(
                 f"{source}: no sequence for protein id {missing[0]!r}")
-    compound_index = {s: i for i, s in enumerate(compounds)}
+    molecules: dict[str, MolGraph] = {}
+    for lineno, smiles, *_ in rows:
+        data_mod.parse_compound(molecules, smiles, source, lineno)
+    compound_index = {s: i for i, s in enumerate(molecules)}
     protein_index = {p: i for i, p in enumerate(protein_ids)}
     pairs = np.array([(compound_index[r[1]], protein_index[r[2]])
                       for r in rows], dtype=np.int64)
     dataset = data_mod.PairDataset(
-        compounds=compounds, protein_ids=protein_ids,
+        compounds=tuple(molecules), molecules=tuple(molecules.values()),
+        protein_ids=protein_ids,
         sequences={p: sequences[p] for p in protein_ids if p in sequences},
         pairs=pairs, y=np.zeros((len(rows), n_tasks)),
         w=np.zeros((len(rows), n_tasks)), n_tasks=n_tasks)
@@ -643,10 +640,11 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
     space = load_space(space_path) if space_path else default_search_space()
     out_dir = Path(out_dir)
     train_idx, val_idx = _holdout(cfg, dataset.n_pairs)
+    # no search dimension changes featurization, so every trial shares one
+    store = _feature_store(cfg, dataset)
 
     def objective(point: dict) -> float:
-        trial_cfg = cfg.override(point_overrides(point))
-        _, result = fit(trial_cfg, _feature_store(trial_cfg, dataset),
+        _, result = fit(cfg.override(point_overrides(point)), store,
                         train_idx, val_idx)
         return result.best_score
 
@@ -674,15 +672,15 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
 # -- featurize artifacts -----------------------------------------------------
 
 
-def write_fingerprint_csv(cfg: RunConfig, smiles_list: list[str],
+def write_fingerprint_csv(cfg: RunConfig, molecules: dict[str, MolGraph],
                           out_csv: str | Path) -> None:
-    """``smiles,fingerprint_hex`` rows with ``cfg``'s fingerprint settings."""
+    """``smiles,fingerprint_hex`` rows of ``molecules`` (SMILES -> graph)
+    with ``cfg``'s fingerprint settings."""
     model_cfg = cfg.model_config(n_tasks=1)
     lines = ["smiles,fingerprint_hex"]
-    for s in smiles_list:
-        fingerprint = ecfp(parse_smiles(s), model_cfg.fp_radius,
-                           model_cfg.fp_bits)
-        lines.append(f"{s},{fingerprint.to_hex()}")
+    for smiles, molecule in molecules.items():
+        fingerprint = ecfp(molecule, model_cfg.fp_radius, model_cfg.fp_bits)
+        lines.append(f"{smiles},{fingerprint.to_hex()}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -718,16 +716,16 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
         return value
 
     dataset = stage("ingest", lambda: load_pair_dataset(cfg, fixture_dir))
-    smiles_list = list(dataset.compounds)
 
     def do_featurize():
         fp_csv = work_dir / "fingerprints.csv"
-        write_fingerprint_csv(cfg, smiles_list, fp_csv)
+        write_fingerprint_csv(cfg, dict(zip(dataset.compounds,
+                                            dataset.molecules)), fp_csv)
         parsed = fp_csv.read_text(encoding="utf-8").splitlines()
-        assert len(parsed) == len(smiles_list) + 1
+        assert len(parsed) == len(dataset.compounds) + 1
         psc_path = work_dir / "descriptors.bin"
-        matrix = np.stack([proteins.psc(*dataset.sequences[p])
-                           for p in dataset.protein_ids])
+        matrix = proteins.descriptor_matrix(dataset.sequences,
+                                            dataset.protein_ids)
         proteins.write_descriptor_matrix(psc_path, list(dataset.protein_ids),
                                          matrix)
         ids, loaded = proteins.read_descriptor_matrix(psc_path)
@@ -743,7 +741,7 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
             write_folds(path, assignment)
             loaded = read_folds(path)
             assert np.array_equal(loaded.folds, assignment.folds)
-            audit = _leakage_audit(cfg, assignment, dataset)
+            audit = _leakage_audit(assignment, dataset)
             assert audit == "pass", f"{scheme} leakage audit failed"
 
     stage("split", do_splits)

@@ -30,6 +30,7 @@ __all__ = [
     "LAYOUT_VERSION",
     "SequenceError",
     "psc",
+    "descriptor_matrix",
     "validate_sequence",
     "read_sequence_table",
     "write_descriptor_matrix",
@@ -53,6 +54,10 @@ class SequenceError(ValueError):
 
 
 def _encode(sequence: str) -> np.ndarray:
+    """Residue codes of a usable sequence, else :class:`SequenceError`."""
+    if len(sequence) < 3:
+        raise SequenceError(
+            f"sequence length {len(sequence)} is below the minimum of 3")
     codes = np.empty(len(sequence), dtype=np.int64)
     for pos, letter in enumerate(sequence):
         code = _AA_INDEX.get(letter)
@@ -66,9 +71,6 @@ def _encode(sequence: str) -> np.ndarray:
 
 def validate_sequence(sequence: str) -> None:
     """Raise :class:`SequenceError` if ``sequence`` is unusable."""
-    if len(sequence) < 3:
-        raise SequenceError(
-            f"sequence length {len(sequence)} is below the minimum of 3")
     _encode(sequence)
 
 
@@ -79,9 +81,6 @@ def psc(sequence: str, phosphorylated: bool = False) -> np.ndarray:
     L-2, so each block sums to exactly 1; the final entry is 1 for a
     phosphorylated protein.
     """
-    if len(sequence) < 3:
-        raise SequenceError(
-            f"sequence length {len(sequence)} is below the minimum of 3")
     codes = _encode(sequence)
     length = len(codes)
     out = np.zeros(DESCRIPTOR_LENGTH, dtype=np.float64)
@@ -94,6 +93,11 @@ def psc(sequence: str, phosphorylated: bool = False) -> np.ndarray:
         np.bincount(tri, minlength=8000) / (length - 2))
     out[-1] = 1.0 if phosphorylated else 0.0
     return out
+
+
+def descriptor_matrix(table: dict[str, tuple[str, bool]], ids) -> np.ndarray:
+    """One :func:`psc` row per id in ``ids``, from a sequence table."""
+    return np.stack([psc(*table[protein_id]) for protein_id in ids])
 
 
 def read_sequence_table(path: str | Path) -> dict[str, tuple[str, bool]]:

@@ -117,14 +117,16 @@ class MolGraph:
     def __init__(self, atoms: list[Atom], bonds: list[Bond]):
         self.atoms = atoms
         self.bonds = bonds
-        self.adjacency: list[list[int]] = [[] for _ in atoms]
+        neighbors: list[list[int]] = [[] for _ in atoms]
         self._bond_by_pair: dict[tuple[int, int], Bond] = {}
         for bond in bonds:
-            self.adjacency[bond.a].append(bond.b)
-            self.adjacency[bond.b].append(bond.a)
+            neighbors[bond.a].append(bond.b)
+            neighbors[bond.b].append(bond.a)
             self._bond_by_pair[_pair_key(bond.a, bond.b)] = bond
-        for nbrs in self.adjacency:
-            nbrs.sort()
+        # tuples of ints leave the garbage collector's tracking, which keeps
+        # a dataset of parsed molecules cheap to hold
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(nbrs)) for nbrs in neighbors)
 
     @property
     def n_atoms(self) -> int:
@@ -417,13 +419,14 @@ def _mark_ring_members(graph: MolGraph) -> None:
 
 
 def _assign_hydrogens(graph: MolGraph) -> None:
-    for i, atom in enumerate(graph.atoms):
+    order_sums = [0] * graph.n_atoms
+    for bond in graph.bonds:
+        order_sums[bond.a] += bond.order.valence_units
+        order_sums[bond.b] += bond.order.valence_units
+    for atom, order_sum in zip(graph.atoms, order_sums):
         if atom.explicit_h is not None:
             atom.hydrogens = atom.explicit_h
             continue
-        order_sum = sum(
-            graph.bond_between(i, j).order.valence_units for j in graph.adjacency[i]
-        )
         valences = DEFAULT_VALENCES[atom.element]
         fitted = next((v for v in valences if v >= order_sum), valences[-1])
         if atom.aromatic:

@@ -196,6 +196,49 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error" in err
 
+    def test_bad_smiles_in_featurize_names_file_and_line(self, tmp_path,
+                                                          capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("smiles\nC1CC(\nCCO\n", encoding="utf-8")
+        out = tmp_path / "fp.csv"
+        code = main(["featurize", "--ecfp", "--input", str(bad),
+                     "--out", str(out)])
+        assert code == 1
+        assert f"{bad}: line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_smiles_in_predict_names_file_and_line(self, workspace,
+                                                       tmp_path, capsys):
+        root, data = workspace
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--data-dir", str(data), "--out", str(ckpt)]
+                    + TINY_ARGS) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("smiles,protein_id\nC1CC(,P0000\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(ckpt), "--input", str(bad),
+                     "--proteins", str(data / "proteins.tsv"),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert f"{bad}: line 2" in capsys.readouterr().err
+
+    def test_graph_featurization_error_names_the_compound(
+            self, workspace, tmp_path, capsys):
+        import shutil
+
+        root, data = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        bad = "C(C)(C)(C)(C)(C)(C)C"  # a degree-7 carbon parses
+        with open(copy / "interactions.csv", "a", encoding="utf-8") as handle:
+            handle.write(f"{bad},P0000,0,100\n")
+        code = main(["train", "--data-dir", str(copy), "--variant",
+                     "padme-graphconv", "--out", str(tmp_path / "m.ckpt")]
+                    + TINY_ARGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert repr(bad) in err and "degree 7" in err
+
     def test_error_is_module_qualified(self, workspace, tmp_path, capsys):
         root, data = workspace
         bad = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 """Ingestion, transform and sparsity-filter behaviour."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,3 +217,29 @@ class TestAssemble:
         assert ds.n_pairs == 4
         assert set(ds.compounds) == {"CCO", "CCN"}
         assert np.all(ds.w == 1.0)
+
+
+class TestMolecules:
+    def test_ingestion_keeps_one_graph_per_smiles(self, tmp_path):
+        files = write_files(tmp_path, ["CCO,P1,0,100", "CCN,P1,0,10",
+                                       "CCO,P2,0,1000"])
+        records, _, _ = load_interactions(*files)
+        assert records[0].molecule is records[2].molecule
+        ds = load_dataset(*files)
+        assert [m.n_atoms for m in ds.molecules] == [3, 3]
+        assert [m.atoms[2].element for m in ds.molecules] == ["O", "N"]
+
+    def test_hand_built_dataset_parses_its_compounds(self):
+        ds = assemble_pairs(transform_values([rec("CCO", "P1"),
+                                              rec("C", "P2")]), SEQS)
+        assert [m.n_atoms for m in ds.molecules] == [3, 1]
+        again = replace(ds, y=ds.y + 1.0)
+        assert again.molecules is ds.molecules  # replace() does not reparse
+        fresh = replace(ds, molecules=())
+        assert fresh.molecules is not ds.molecules
+        assert [m.n_atoms for m in fresh.molecules] == [3, 1]
+
+    def test_molecules_must_align_with_compounds(self):
+        ds = assemble_pairs(transform_values([rec("CCO", "P1")]), SEQS)
+        with pytest.raises(DataError, match="2 molecules for 1 compounds"):
+            replace(ds, molecules=ds.molecules * 2)

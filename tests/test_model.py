@@ -1,8 +1,12 @@
 """Model assembly, prediction semantics, checkpoints, cold-start contract."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dtanet.compounds import FeaturizationError
 from dtanet.engine import Graph, NonFiniteError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
@@ -216,7 +220,7 @@ class TestIndexedFirstLayer:
         assert model.graph.state_dict()["dense0.W"].shape == \
             (model.cfg.input_width(), 16)
         rng = np.random.default_rng(5)
-        indices = rng.permutation(store.n_records())
+        indices = rng.permutation(store.dataset.n_pairs)
         feeds = store.feeds(indices, with_targets=True, model=model)
         assert len(feeds["compound_row"]) == indices.size
         model.graph.forward(feeds, [model.loss], training=True, rng=rng)
@@ -252,11 +256,28 @@ class TestIndexedFirstLayer:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_predict_does_not_depend_on_chunk_size(self, variant):
         store, model = self._setup(variant, 40, 10, 300)
-        indices = np.arange(store.n_records())
+        indices = np.arange(store.dataset.n_pairs)
         reference = store.predict(model, indices, batch_size=1024)
         for batch_size in (1, 256):
             assert_matches(store.predict(model, indices,
                                          batch_size=batch_size), reference)
+
+
+class TestFeatureStore:
+    def test_degree_overflow_names_the_compound(self):
+        dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6)
+        bad = "C(C)(C)(C)(C)(C)(C)C"  # a degree-7 carbon
+        dataset = replace(dataset, compounds=(bad, *dataset.compounds[1:]),
+                          molecules=())
+        with pytest.raises(FeaturizationError, match=re.escape(repr(bad))):
+            FeatureStore(dataset, small_config(variant="padme-graphconv"))
+
+    def test_model_must_featurize_as_the_store(self):
+        store = FeatureStore(memory_dataset(n_compounds=4, n_proteins=2,
+                                            n_pairs=6), small_config())
+        store.build_model(small_config(hidden_layers=(8, 8)))
+        with pytest.raises(ModelError, match="featurization"):
+            store.build_model(small_config(fp_bits=1024))
 
 
 class TestBatchnormConsistency:

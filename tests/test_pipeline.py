@@ -252,15 +252,12 @@ class TestCvCommand:
 
     def test_report_write_read_write_byte_identical(self, fixture_dir,
                                                     tiny_config, tmp_path):
-        from dtanet.pipeline import rewrite_report
-
         dataset = load_pair_dataset(tiny_config, fixture_dir)
         report_path = run_cv(tiny_config, dataset, tmp_path / "cv5",
                              scheme="random")
         comments, rows = read_report(report_path)
-        copy = tmp_path / "copy.csv"
-        rewrite_report(copy, comments, rows)
-        assert copy.read_bytes() == report_path.read_bytes()
+        lines = comments + [",".join(row) for row in rows]
+        assert "\n".join(lines) + "\n" == report_path.read_text()
 
     def test_compound_only_variant_through_cv(self, fixture_dir, tmp_path):
         cfg = parse_run_config(None, overrides={
@@ -585,6 +582,78 @@ class TestTuneCommand:
         run_training(parse_run_config(best), dataset, tmp_path / "best.ckpt")
         (_, _, result), = fits
         assert f"{result.best_score:.6g}" == printed
+
+
+class TestParseOnce:
+    @staticmethod
+    def _spy(monkeypatch, function) -> list:
+        """Record the first argument of every call of ``function``, through
+        whichever dtanet module calls it."""
+        import sys
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return function(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("dtanet")
+                    and getattr(module, function.__name__, None) is function):
+                monkeypatch.setattr(module, function.__name__, spy)
+        return calls
+
+    def test_cold_cluster_cv_parses_each_compound_and_clusters_once(
+            self, fixture_dir, tmp_path, monkeypatch):
+        from dtanet.splits import cluster_compounds
+
+        parsed = self._spy(monkeypatch, parse_smiles)
+        clustered = self._spy(monkeypatch, cluster_compounds)
+        cfg = parse_run_config(None, overrides={
+            **TINY, "model.variant": "padme-graphconv",
+            "split.repetitions": "2", "train.max_epochs": "1"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        run_cv(cfg, dataset, tmp_path / "cv", scheme="cold-cluster")
+        lines = (fixture_dir / "interactions.csv").read_text().splitlines()
+        assert sorted(parsed) == sorted({l.split(",")[0] for l in lines[1:]})
+        assert len(clustered) == 1
+        assert (tmp_path / "cv" / "folds_cold-cluster_rep1.csv").exists()
+
+    def test_replayed_cold_cluster_folds_cluster_once(
+            self, fixture_dir, tiny_config, tmp_path, monkeypatch):
+        from dtanet.splits import cluster_compounds
+
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        folds = tmp_path / "folds.csv"
+        run_split(tiny_config, dataset, folds, scheme="cold-cluster")
+        clustered = self._spy(monkeypatch, cluster_compounds)
+        report = run_cv(tiny_config, dataset, tmp_path / "cv",
+                        folds_path=folds)
+        assert len(clustered) == 1
+        _, rows = read_report(report)
+        audits = [r[9] for r in rows if r[2] == "0"]
+        assert audits and set(audits) == {"pass"}
+
+    def test_tune_builds_one_feature_store(self, tmp_path, monkeypatch):
+        from dtanet import pipeline
+        from dtanet.synthetic import memory_dataset
+
+        built = []
+
+        class CountingStore(FeatureStore):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "FeatureStore", CountingStore)
+        cfg = parse_run_config(None, overrides={**TINY,
+                                                "train.max_epochs": "1"})
+        dataset = memory_dataset(n_compounds=10, n_proteins=5, n_pairs=30,
+                                 seed=0)
+        run_tune(cfg, dataset, tmp_path / "tune", budget=3, strategy="random")
+        assert len(built) == 1
+        rows = (tmp_path / "tune" / "trials.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["complete"] * 3
 
 
 class TestSmoke:

@@ -8,6 +8,7 @@ from dtanet.proteins import (
     AMINO_ACIDS,
     DESCRIPTOR_LENGTH,
     SequenceError,
+    descriptor_matrix,
     psc,
     read_descriptor_matrix,
     read_sequence_table,
@@ -116,6 +117,12 @@ class TestDescriptorMatrixFile:
         got_ids, got = read_descriptor_matrix(first)
         write_descriptor_matrix(second, got_ids, got)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_descriptor_matrix_rows_follow_the_ids(self):
+        table = {"A": ("ACDEF", False), "B": ("KLMNP", True)}
+        matrix = descriptor_matrix(table, ["B", "A"])
+        assert np.array_equal(matrix, np.stack([psc("KLMNP", True),
+                                                psc("ACDEF")]))
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,7 +1,9 @@
 """Parser behaviour on the supported SMILES subset."""
 
+import gc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dtanet.smiles import (
     BondOrder,
@@ -132,6 +134,17 @@ class TestErrors:
         with pytest.raises(SmilesError, match="duplicate bond"):
             parse_smiles("C1C1")
 
+    # every input path turns a SmilesError into an error naming the line,
+    # so the parser must raise nothing else
+    @settings(max_examples=400)
+    @given(st.text(alphabet="BCNOPSFIHKLMRUXZabcdeilnoprsu"
+                            "[]()=#:-+@/\\.*%0123456789", max_size=24))
+    def test_raises_only_smiles_errors(self, text):
+        try:
+            parse_smiles(text)
+        except SmilesError:
+            pass
+
 
 class TestInvariants:
     MOLECULES = ["CCO", "c1ccccc1", "CC(C)(C)C", "C1CC1CC(=O)O",
@@ -157,6 +170,14 @@ class TestInvariants:
         assert g.n_atoms == n
         assert len(g.bonds) == n - 1
         assert not any(a.ring_member for a in g.atoms)
+
+    def test_adjacency_leaves_the_collectors_tracking(self):
+        # datasets hold one graph per compound; untracked adjacency keeps
+        # the collector's passes over them short
+        g = parse_smiles("CC(C)O")
+        gc.collect()
+        assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
+        assert not any(gc.is_tracked(nbrs) for nbrs in g.adjacency)
 
     def test_fused_rings_all_members(self):
         g = parse_smiles("c1ccc2ccccc2c1")  # naphthalene

@@ -15,7 +15,12 @@ each one, a fresh interpreter
   ``run_cv`` (report, fold CSV and fold checkpoints), a budget-3 random
   ``run_tune`` (``trials.csv``) and a 2-fold 1-repetition 2-epoch
   cold-cluster ``run_cv`` of ``padme-graphconv`` (report and fold
-  checkpoints), whose fits train a compacted descriptor block;
+  checkpoints), whose fits train a compacted descriptor block, and a
+  2-fold 2-repetition 2-epoch cold-cluster ``run_cv`` of ``padme-ecfp``
+  (report and both fold files);
+* runs two commands through ``cli.main``: ``featurize --ecfp`` on the
+  fixture's interaction table (fingerprint CSV), and ``predict --ad-from``
+  of the ``run_training`` checkpoint on that table (prediction CSV);
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -42,9 +47,16 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _command(argv: list[str]) -> None:
+    from dtanet import cli
+
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"dtanet {' '.join(argv)} failed")
+
+
 def pipeline_digests(work: Path) -> dict[str, str]:
     """Digest of each artifact of train, cv and tune on the default config,
-    and of a cold-cluster graph-conv cv."""
+    of cold-cluster cvs, and of the featurize and predict commands."""
     from dtanet import pipeline
     from dtanet.runconfig import parse_run_config
     from dtanet.synthetic import write_fixture
@@ -74,6 +86,23 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     for fold in range(2):
         out[f"graphconv cluster fold{fold}"] = _sha(
             graph_dir / f"model_cold-cluster_rep0_fold{fold}.ckpt")
+    ecfp_dir = work / "cv-ecfp"
+    report = pipeline.run_cv(cfg.override({"train.max_epochs": 2}), dataset,
+                             ecfp_dir, scheme="cold-cluster", k=2,
+                             repetitions=2)
+    out["ecfp cluster report"] = _sha(report)
+    for rep in range(2):
+        out[f"ecfp cluster folds rep{rep}"] = _sha(
+            ecfp_dir / f"folds_cold-cluster_rep{rep}.csv")
+    interactions = str(work / "fixture" / "interactions.csv")
+    _command(["featurize", "--ecfp", "--input", interactions,
+              "--out", str(work / "fingerprints.csv")])
+    out["featurize ecfp csv"] = _sha(work / "fingerprints.csv")
+    _command(["predict", "--model", str(ckpt), "--input", interactions,
+              "--proteins", str(work / "fixture" / "proteins.tsv"),
+              "--output", str(work / "predictions.csv"),
+              "--ad-from", interactions])
+    out["predict ad-from csv"] = _sha(work / "predictions.csv")
     return out
 
 
