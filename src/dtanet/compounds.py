@@ -1,5 +1,8 @@
 """Compound featurization: circular fingerprints and per-atom feature rows.
 
+Featurizers return plain arrays. :func:`ecfp_matrix` is the one builder of
+fingerprint matrices: model input, clustering and the fingerprint CSV.
+
 The fingerprint is the classic iterative circular construction: every atom
 starts from a hashed invariant tuple, each round rehashes it with the sorted
 (bond order, neighbor identifier) list, environments covering an already-seen
@@ -11,7 +14,6 @@ patterns are reproducible across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,12 +22,11 @@ from .elements import atomic_number
 from .smiles import MolGraph
 
 __all__ = [
-    "Fingerprint",
-    "AtomFeatureMatrix",
     "FeaturizationError",
     "ECFP_ALLOWED_BITS",
     "DEFAULT_ATOM_VOCABULARY",
     "ecfp",
+    "ecfp_matrix",
     "ecfp_identifiers",
     "tanimoto",
     "atom_features",
@@ -59,18 +60,6 @@ def _mix32(values: Iterable[int]) -> int:
             n += 1
         h = (h * _FNV_POWERS[8 - n]) & 0xFFFFFFFF
     return h
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Fixed-length bit vector from circular-neighborhood hashing."""
-
-    bits: np.ndarray  # uint8 0/1, length n_bits
-    n_bits: int
-    radius: int
-
-    def to_hex(self) -> str:
-        return bytes(np.packbits(self.bits)).hex()
 
 
 def _initial_identifiers(graph: MolGraph) -> list[int]:
@@ -131,23 +120,33 @@ def ecfp_identifiers(graph: MolGraph, radius: int) -> tuple[int, ...]:
     return tuple(sorted({identifier for _, identifier in best.values()}))
 
 
-def ecfp(graph: MolGraph, radius: int = 2, n_bits: int = 2048) -> Fingerprint:
-    """Fold the surviving identifiers of ``graph`` into an ``n_bits`` vector."""
+def ecfp(graph: MolGraph, radius: int = 2, n_bits: int = 2048) -> np.ndarray:
+    """Fold the surviving identifiers of ``graph`` into a uint8 0/1 vector."""
     if n_bits not in ECFP_ALLOWED_BITS:
         raise FeaturizationError(f"n_bits must be one of {ECFP_ALLOWED_BITS}, got {n_bits}")
     bits = np.zeros(n_bits, dtype=np.uint8)
     for identifier in ecfp_identifiers(graph, radius):
         bits[identifier % n_bits] = 1
-    return Fingerprint(bits=bits, n_bits=n_bits, radius=radius)
+    return bits
 
 
-def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    """|a AND b| / |a OR b|, with two empty fingerprints counting as identical."""
-    if a.n_bits != b.n_bits:
+def ecfp_matrix(molecules: Sequence[MolGraph], radius: int = 2,
+                n_bits: int = 2048) -> np.ndarray:
+    """uint8 ``(len(molecules), n_bits)`` matrix: row ``i`` is
+    ``ecfp(molecules[i], radius, n_bits)``."""
+    matrix = np.zeros((len(molecules), n_bits), dtype=np.uint8)
+    for row, molecule in zip(matrix, molecules):
+        row[:] = ecfp(molecule, radius, n_bits)
+    return matrix
+
+
+def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
+    """|a AND b| / |a OR b| of two bit vectors; two empty ones are identical."""
+    if a.size != b.size:
         raise FeaturizationError(
-            f"fingerprint length mismatch: {a.n_bits} vs {b.n_bits}")
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    union = int(np.count_nonzero(a.bits | b.bits))
+            f"fingerprint length mismatch: {a.size} vs {b.size}")
+    inter = int(np.count_nonzero(a & b))
+    union = int(np.count_nonzero(a | b))
     if union == 0:
         return 1.0
     return inter / union
@@ -170,18 +169,10 @@ def atom_feature_width(vocabulary: Sequence[str] = DEFAULT_ATOM_VOCABULARY,
     return (len(vocabulary) + 1) + (max_degree + 1) + (_MAX_H_ONEHOT + 1) + 3
 
 
-@dataclass(frozen=True)
-class AtomFeatureMatrix:
-    """Per-atom initial feature rows."""
-
-    rows: np.ndarray  # float64, (n_atoms, width)
-    width: int
-
-
 def atom_features(graph: MolGraph,
                   vocabulary: Sequence[str] = DEFAULT_ATOM_VOCABULARY,
-                  max_degree: int = 6) -> AtomFeatureMatrix:
-    """Fixed-width feature row per atom.
+                  max_degree: int = 6) -> np.ndarray:
+    """Float64 ``(n_atoms, atom_feature_width(...))`` matrix, one row per atom.
 
     Layout: element one-hot over ``vocabulary`` plus an "other" slot, degree
     one-hot 0..max_degree, hydrogen-count one-hot 0..4, formal charge scalar,
@@ -207,4 +198,4 @@ def atom_features(graph: MolGraph,
         rows[i, offset] = float(atom.formal_charge)
         rows[i, offset + 1] = 1.0 if atom.aromatic else 0.0
         rows[i, offset + 2] = 1.0 if atom.ring_member else 0.0
-    return AtomFeatureMatrix(rows=rows, width=width)
+    return rows

@@ -158,6 +158,9 @@ def load_interactions(
         raise DataError(
             f"{interactions_path}: {len(malformed)} malformed row(s), "
             f"tolerance {malformed_tolerance}; first: {malformed[0]}")
+    if malformed:
+        log.warning("discarded %d malformed row(s) from %s; first: %s",
+                    len(malformed), interactions_path, malformed[0])
     if imprecise:
         log.info("discarded %d imprecise value row(s) from %s",
                  imprecise, interactions_path)

@@ -483,7 +483,6 @@ class Graph:
         self._names: set[str] = set()
         self._op_counts: dict[str, int] = {}
         self._forward_ready: set[int] = set()
-        self.last_executed: list[str] = []
 
     # -- construction ----------------------------------------------------
 
@@ -565,12 +564,10 @@ class Graph:
         """Evaluate ``outputs`` given named ``feeds``; each needed node runs once."""
         ctx = _Context(feeds, training, rng)
         needed = self._ancestors(outputs)
-        self.last_executed = []
         for node in self.nodes:
             if id(node) not in needed:
                 continue
             node.value = node.compute(ctx)
-            self.last_executed.append(node.name)
             if (not isinstance(node, (ObjectInput, Parameter))
                     and not np.all(np.isfinite(node.value))):
                 raise NonFiniteError(

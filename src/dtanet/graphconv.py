@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compounds import AtomFeatureMatrix
 from .engine import Node, ObjectInput, Parameter
 from .smiles import MolGraph
 
@@ -51,7 +50,7 @@ class GraphBatch:
 
 
 def pack_graphs(graphs: list[MolGraph],
-                features: list[AtomFeatureMatrix],
+                features: list[np.ndarray],
                 max_degree: int = 6) -> tuple[np.ndarray, GraphBatch]:
     """Concatenate per-molecule feature rows and build the batch topology."""
     if not graphs:
@@ -86,7 +85,7 @@ def pack_graphs(graphs: list[MolGraph],
         mol_starts=mol_starts,
         mol_sizes=mol_sizes,
     )
-    return np.concatenate([f.rows for f in features], axis=0), batch
+    return np.concatenate(features, axis=0), batch
 
 
 def _with_pad_row(x: np.ndarray, fill: float) -> np.ndarray:

@@ -44,7 +44,7 @@ from .compounds import (
     FeaturizationError,
     atom_feature_width,
     atom_features,
-    ecfp,
+    ecfp_matrix,
 )
 from .data import PairDataset
 from .engine import Graph, Parameter
@@ -383,9 +383,9 @@ class FeatureStore:
                                 for smiles, molecule in zip(dataset.compounds,
                                                             dataset.molecules)]
         else:
-            rows = [ecfp(m, self.cfg.fp_radius, self.cfg.fp_bits).bits
-                    for m in dataset.molecules]
-            self.fingerprint_matrix = np.asarray(rows, dtype=np.float64)
+            self.fingerprint_matrix = ecfp_matrix(
+                dataset.molecules, self.cfg.fp_radius,
+                self.cfg.fp_bits).astype(np.float64)
         if self.cfg.compound_only:
             self.protein_matrix = None
             if dataset.n_tasks != 1:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import proteins
-from .compounds import ecfp
+from .compounds import ecfp_matrix
 from .domain import check_ad, fit_ad_per_task
 from .metrics import EvalReport, evaluate_predictions
 from .model import FeatureStore, Model
@@ -148,10 +148,13 @@ def build_assignment(cfg: RunConfig, dataset: data_mod.PairDataset,
     raise PipelineError(f"unknown scheme {scheme!r}")
 
 
-def _cluster_dataset(cfg: RunConfig, dataset: data_mod.PairDataset):
-    model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
-    fingerprints = [ecfp(m, model_cfg.fp_radius, model_cfg.fp_bits)
-                    for m in dataset.molecules]
+def _cluster_dataset(cfg: RunConfig, dataset: data_mod.PairDataset,
+                     fingerprints: np.ndarray | None = None):
+    """Clusters of the compounds' ``cfg`` fingerprints (built if not given)."""
+    if fingerprints is None:
+        model_cfg = cfg.model_config(n_tasks=dataset.n_tasks)
+        fingerprints = ecfp_matrix(dataset.molecules, model_cfg.fp_radius,
+                                   model_cfg.fp_bits)
     return cluster_compounds(fingerprints,
                              cfg.split_params()["cluster_threshold"])
 
@@ -236,7 +239,8 @@ def run_training(cfg: RunConfig, dataset: data_mod.PairDataset,
                  seed: int | None = None) -> Path:
     """Fit ``cfg`` on its holdout split; write the checkpoint and history.
 
-    ``seed`` overrides ``model.seed`` and ``train.seed``.
+    ``seed`` overrides ``model.seed`` and ``train.seed``; the checkpoint
+    embeds the config the model was fit with, the override included.
     """
     out_checkpoint = Path(out_checkpoint)
     run_cfg = cfg if seed is None else _seeded(cfg, seed, seed)
@@ -245,7 +249,7 @@ def run_training(cfg: RunConfig, dataset: data_mod.PairDataset,
                         val_idx)
     model.save(out_checkpoint, optimizer_step=result.best_optimizer_step,
                optimizer_arrays=result.best_optimizer,
-               run_config_text=cfg.snapshot())
+               run_config_text=run_cfg.snapshot())
     history_path = out_checkpoint.with_suffix(out_checkpoint.suffix + ".history.csv")
     history_path.write_text("\n".join(history_rows(result)) + "\n",
                             encoding="utf-8")
@@ -266,7 +270,9 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
 
     ``folds_path`` replays a fold CSV written by the ``split`` command for a
     single repetition instead of building fresh assignments. Cold-cluster
-    splits and the audit of a replayed fold file share one clustering.
+    splits and the audit of a replayed fold file share one clustering, of
+    the feature store's fingerprints if it holds them. A fold checkpoint
+    embeds its repetition's seeded config.
     """
     precomputed = None
     if folds_path is not None:
@@ -291,11 +297,11 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
     rows: list[dict] = []
     fold_metrics: list[EvalReport] = []
     with DirectoryLock(out_dir):
-        clustering = (_cluster_dataset(cfg, dataset)
+        store = _feature_store(cfg, dataset)
+        clustering = (_cluster_dataset(cfg, dataset, store.fingerprint_matrix)
                       if scheme == "cold-cluster" else None)
         if precomputed is not None and clustering is not None:
             precomputed.record_clusters = clustering.labels[dataset.pairs[:, 0]]
-        store = _feature_store(cfg, dataset)
         for rep in range(repetitions):
             rep_seed = seed + rep
             if precomputed is not None:
@@ -318,7 +324,7 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                 ckpt = out_dir / f"model_{scheme}_rep{rep}_fold{fold}.ckpt"
                 model.save(ckpt, optimizer_step=result.best_optimizer_step,
                            optimizer_arrays=result.best_optimizer,
-                           run_config_text=cfg.snapshot())
+                           run_config_text=rep_cfg.snapshot())
                 predicted = store.predict(model, val_view)
                 y, w = store.pair_targets(val_view)
                 report = evaluate_predictions(y, predicted, w, scheme=scheme,
@@ -677,10 +683,11 @@ def write_fingerprint_csv(cfg: RunConfig, molecules: dict[str, MolGraph],
     """``smiles,fingerprint_hex`` rows of ``molecules`` (SMILES -> graph)
     with ``cfg``'s fingerprint settings."""
     model_cfg = cfg.model_config(n_tasks=1)
+    matrix = ecfp_matrix(list(molecules.values()), model_cfg.fp_radius,
+                         model_cfg.fp_bits)
     lines = ["smiles,fingerprint_hex"]
-    for smiles, molecule in molecules.items():
-        fingerprint = ecfp(molecule, model_cfg.fp_radius, model_cfg.fp_bits)
-        lines.append(f"{smiles},{fingerprint.to_hex()}")
+    for smiles, bits in zip(molecules, matrix):
+        lines.append(f"{smiles},{np.packbits(bits).tobytes().hex()}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compounds import FeaturizationError, Fingerprint
+from .compounds import FeaturizationError
 
 __all__ = [
     "SplitError",
@@ -299,9 +299,11 @@ def audit_cold(assignment: FoldAssignment, entity_keys) -> dict[int, set]:
 _CLUSTER_BLOCK_ROWS = 256
 
 
-def cluster_compounds(fingerprints: list[Fingerprint],
-                      threshold: float = 0.7) -> CompoundClustering:
+def cluster_compounds(fingerprints, threshold: float = 0.7) -> CompoundClustering:
     """Single-linkage clusters: union compounds with similarity > threshold.
+
+    ``fingerprints`` holds one 0/1 bit vector per compound: a 2-d array, or
+    a sequence of equal-length vectors.
 
     The comparison is strict, so two compounds at exactly the threshold stay
     apart. Labels are dense and numbered by first occurrence.
@@ -311,15 +313,16 @@ def cluster_compounds(fingerprints: list[Fingerprint],
     ``|a| + |b| - |a AND b|``, and ``inter / union`` is the same correctly
     rounded quotient :func:`~dtanet.compounds.tanimoto` returns.
     """
-    n = len(fingerprints)
-    for fp in fingerprints[1:]:
-        if fp.n_bits != fingerprints[0].n_bits:
-            raise FeaturizationError(
-                f"fingerprint length mismatch: {fingerprints[0].n_bits} vs "
-                f"{fp.n_bits}")
+    try:
+        bits = np.asarray(fingerprints)
+    except ValueError:  # ragged: the vectors differ in length
+        lengths = [len(fp) for fp in fingerprints]
+        other = next(m for m in lengths if m != lengths[0])
+        raise FeaturizationError(
+            f"fingerprint length mismatch: {lengths[0]} vs {other}") from None
+    n = len(bits)
     uf = _UnionFind(n)
     if n > 1:
-        bits = np.array([fp.bits for fp in fingerprints])
         # a bit no compound sets adds nothing to any count
         bits = bits[:, bits.any(axis=0)].astype(np.float64)
         counts = bits.sum(axis=1)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .compounds import ecfp
-from .data import PairDataset
+from .compounds import ecfp_matrix
+from .data import PairDataset, inverse_transform
 from .proteins import AMINO_ACIDS
 from .smiles import parse_smiles
 
@@ -113,7 +113,7 @@ def write_fixture(directory: str | Path, n_compounds: int = 24,
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     compounds = unique_smiles(n_compounds, rng)
-    fingerprints = [ecfp(parse_smiles(s), 2, 512).bits for s in compounds]
+    fingerprints = ecfp_matrix([parse_smiles(s) for s in compounds], 2, 512)
     protein_ids = [f"P{i:04d}" for i in range(n_proteins)]
     sequences = {pid: (random_sequence(rng), bool(rng.integers(0, 2)))
                  for pid in protein_ids}
@@ -137,7 +137,7 @@ def write_fixture(directory: str | Path, n_compounds: int = 24,
         for task in range(n_tasks):
             transformed = _signal(fingerprints[ci],
                                   sequences[protein_ids[pi]][0], rng)
-            raw = 10.0 ** (4.0 - transformed)
+            raw = inverse_transform(transformed)
             rows.append(f"{compounds[ci]},{protein_ids[pi]},{task},{raw:.6g}")
     for _ in range(imprecise_rows):
         ci = int(rng.integers(0, n_compounds))

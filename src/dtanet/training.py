@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Adam, RowSelection
-from .metrics import MetricError, concordance_index, rmse
+from .metrics import evaluate_predictions
 from .model import FeatureStore, Model, ModelConfig
 
 __all__ = ["TrainConfig", "TrainingError", "EpochRow", "TrainResult",
@@ -95,27 +95,18 @@ def composite_score(task_rmse, task_ci) -> tuple[float, bool]:
 
 
 def validation_scores(model: Model, store: FeatureStore, val_idx: np.ndarray):
-    """Per-task RMSE and CI on the validation pairs, plus the composite."""
-    predicted = store.predict(model, val_idx)
+    """Per-task RMSE and CI on the validation pairs (as
+    :func:`~dtanet.metrics.evaluate_predictions` scores them), plus the
+    composite."""
     y, w = store.pair_targets(val_idx)
-    task_rmse: list[float | None] = []
-    task_ci: list[float | None] = []
-    for t in range(y.shape[1]):
-        mask = w[:, t] > 0
-        if not mask.any():
-            task_rmse.append(None)
-            task_ci.append(None)
-            continue
-        task_rmse.append(rmse(y[mask, t], predicted[mask, t]))
-        try:
-            task_ci.append(concordance_index(y[mask, t], predicted[mask, t]))
-        except MetricError:
-            task_ci.append(None)
+    report = evaluate_predictions(y, store.predict(model, val_idx), w)
+    task_rmse = tuple(task.rmse for task in report.tasks)
+    task_ci = tuple(task.ci for task in report.tasks)
     score, fallback = composite_score(task_rmse, task_ci)
     if fallback:
         log.warning("validation has no comparable pairs for CI; "
                     "early-stopping score falls back to RMSE alone")
-    return tuple(task_rmse), tuple(task_ci), score, fallback
+    return task_rmse, task_ci, score, fallback
 
 
 def _run_epoch(model: Model, store: FeatureStore, order: np.ndarray,

@@ -10,11 +10,11 @@ from dtanet.compounds import (
     DEFAULT_ATOM_VOCABULARY,
     _mix32,
     FeaturizationError,
-    Fingerprint,
     atom_feature_width,
     atom_features,
     ecfp,
     ecfp_identifiers,
+    ecfp_matrix,
     tanimoto,
 )
 from dtanet.smiles import parse_smiles
@@ -24,14 +24,14 @@ from dtanet.synthetic import unique_smiles
 def fp_from_bits(indices, n_bits=512):
     bits = np.zeros(n_bits, dtype=np.uint8)
     bits[list(indices)] = 1
-    return Fingerprint(bits=bits, n_bits=n_bits, radius=2)
+    return bits
 
 
 class TestEcfp:
     def test_methane_single_environment(self):
         # every radius covers the same single-atom set, so one id survives
         fp = ecfp(parse_smiles("C"), radius=2, n_bits=2048)
-        assert int(fp.bits.sum()) == 1
+        assert int(fp.sum()) == 1
 
     def test_ethane_two_environment_classes(self):
         # one radius-0 class (both atoms identical), one radius-1 class;
@@ -39,17 +39,17 @@ class TestEcfp:
         ids = ecfp_identifiers(parse_smiles("CC"), radius=2)
         assert len(ids) == 2
         fp = ecfp(parse_smiles("CC"), radius=2, n_bits=2048)
-        assert int(fp.bits.sum()) == len({i % 2048 for i in ids}) == 2
+        assert int(fp.sum()) == len({i % 2048 for i in ids}) == 2
 
     def test_determinism(self):
         a = ecfp(parse_smiles("OC(=O)c1ccccc1O"))
         b = ecfp(parse_smiles("OC(=O)c1ccccc1O"))
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
     def test_atom_order_invariance(self):
         # same molecule written from different starting atoms
         spellings = ["CC(C)CO", "OCC(C)C", "C(C)(CO)C"]
-        prints = [ecfp(parse_smiles(s)).bits for s in spellings]
+        prints = [ecfp(parse_smiles(s)) for s in spellings]
         for other in prints[1:]:
             assert np.array_equal(prints[0], other)
 
@@ -61,7 +61,7 @@ class TestEcfp:
         rng = np.random.default_rng(0)
         for smiles in unique_smiles(25, rng):
             g = parse_smiles(smiles)
-            pops = [int(ecfp(g, 2, n).bits.sum())
+            pops = [int(ecfp(g, 2, n).sum())
                     for n in (512, 1024, 2048, 4096)]
             assert pops == sorted(pops)
 
@@ -80,10 +80,28 @@ class TestEcfp:
         assert len(ecfp_identifiers(g, radius=4)) == 4
         assert len(ecfp_identifiers(g, radius=6)) == 4
 
-    def test_hex_round_trip(self):
-        fp = ecfp(parse_smiles("c1ccncc1CO"))
-        raw = np.frombuffer(bytes.fromhex(fp.to_hex()), dtype=np.uint8)
-        assert np.array_equal(np.unpackbits(raw)[:fp.n_bits], fp.bits)
+    def test_hex_round_trip(self, tmp_path):
+        from dtanet.pipeline import write_fingerprint_csv
+        from dtanet.runconfig import parse_run_config
+
+        molecules = {s: parse_smiles(s) for s in ("c1ccncc1CO", "CCO")}
+        out = tmp_path / "fingerprints.csv"
+        write_fingerprint_csv(parse_run_config(None), molecules, out)
+        for line, molecule in zip(out.read_text().splitlines()[1:],
+                                  molecules.values()):
+            raw = np.frombuffer(bytes.fromhex(line.split(",")[1]),
+                                dtype=np.uint8)
+            fp = ecfp(molecule)
+            assert np.array_equal(np.unpackbits(raw)[:fp.size], fp)
+
+    def test_matrix_rows_are_the_fingerprints(self):
+        molecules = [parse_smiles(s) for s in unique_smiles(
+            12, np.random.default_rng(3))]
+        matrix = ecfp_matrix(molecules, 3, 1024)
+        assert matrix.dtype == np.uint8 and matrix.shape == (12, 1024)
+        for row, molecule in zip(matrix, molecules):
+            assert np.array_equal(row, ecfp(molecule, 3, 1024))
+        assert ecfp_matrix([], 2, 512).shape == (0, 512)
 
 
 def mix32_byte_loop(values):
@@ -147,11 +165,11 @@ class TestTanimoto:
 class TestAtomFeatures:
     def test_default_width_is_36(self):
         assert atom_feature_width() == 36
-        assert atom_features(parse_smiles("C")).width == 36
+        assert atom_features(parse_smiles("C")).shape[1] == 36
 
     def test_single_carbon(self):
         feats = atom_features(parse_smiles("C"))
-        row = feats.rows[0]
+        row = feats[0]
         c_slot = DEFAULT_ATOM_VOCABULARY.index("C")
         assert row[c_slot] == 1.0
         assert row[21 + 0] == 1.0  # degree 0
@@ -159,12 +177,12 @@ class TestAtomFeatures:
 
     def test_ethanol_middle_degree(self):
         feats = atom_features(parse_smiles("CCO"))
-        assert feats.rows.shape == (3, 36)
-        assert feats.rows[1, 21 + 2] == 1.0  # middle carbon has degree 2
+        assert feats.shape == (3, 36)
+        assert feats[1, 21 + 2] == 1.0  # middle carbon has degree 2
 
     def test_unknown_element_goes_to_other(self):
         feats = atom_features(parse_smiles("[U]"))
-        assert feats.rows[0, len(DEFAULT_ATOM_VOCABULARY)] == 1.0
+        assert feats[0, len(DEFAULT_ATOM_VOCABULARY)] == 1.0
 
     def test_degree_overflow_names_atom(self):
         g = parse_smiles("C(C)(C)(C)(C)(C)C")  # central degree 6
@@ -175,14 +193,14 @@ class TestAtomFeatures:
         # same molecule entered two ways: rows match under the atom mapping
         a = parse_smiles("CCO")
         b = parse_smiles("OCC")
-        fa = atom_features(a).rows
-        fb = atom_features(b).rows
+        fa = atom_features(a)
+        fb = atom_features(b)
         assert np.array_equal(fa[[2, 1, 0]], fb)
 
     def test_charge_and_flags(self):
         feats = atom_features(parse_smiles("[NH4+]"))
-        assert feats.rows[0, 33] == 1.0  # charge scalar
-        ring = atom_features(parse_smiles("C1CC1")).rows
+        assert feats[0, 33] == 1.0  # charge scalar
+        ring = atom_features(parse_smiles("C1CC1"))
         assert np.all(ring[:, 35] == 1.0)
-        aromatic = atom_features(parse_smiles("c1ccccc1")).rows
+        aromatic = atom_features(parse_smiles("c1ccccc1"))
         assert np.all(aromatic[:, 34] == 1.0)

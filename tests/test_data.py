@@ -1,11 +1,12 @@
 """Ingestion, transform and sparsity-filter behaviour."""
 
+import logging
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dtanet.data import (
     DataError,
@@ -73,6 +74,43 @@ class TestLoad:
         records, summary, _ = load_interactions(*files, malformed_tolerance=1)
         assert len(records) == 1
         assert summary.discarded_malformed == 1
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=st.lists(st.sampled_from([
+               "only,two", "CCO,P1,0,100,extra", "CCO,P1,x,100",
+               "CCO,P1,-1,100", ",P1,0,100", "CCO,,0,100"]), max_size=4),
+           slots=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           tolerance=st.integers(0, 4))
+    def test_malformed_rows_dropped_and_logged_or_refused(
+            self, tmp_path, caplog, bad, slots, tolerance):
+        # malformed row i goes in front of valid row slots[i]
+        valid = ["CCO,P1,0,100", "CCO,P2,0,10", "CCN,P1,0,1000"]
+        rows = list(valid)
+        for row, slot in sorted(zip(bad, slots), key=lambda p: -p[1]):
+            rows.insert(slot, row)
+        first_bad = 2 + next((i for i, row in enumerate(rows)
+                              if row not in valid), 0)
+        files = write_files(tmp_path, rows)
+        caplog.clear()
+        if len(bad) > tolerance:
+            with pytest.raises(DataError,
+                               match=f"first: line {first_bad}: "):
+                load_interactions(*files, malformed_tolerance=tolerance)
+            return
+        with caplog.at_level(logging.INFO, logger="dtanet.data"):
+            records, summary, _ = load_interactions(
+                *files, malformed_tolerance=tolerance)
+        assert len(records) == 3
+        assert summary.discarded_malformed == len(bad)
+        dropped = [r.getMessage() for r in caplog.records
+                   if "malformed" in r.getMessage()]
+        if bad:
+            assert len(dropped) == 1
+            assert f"discarded {len(bad)} malformed row(s)" in dropped[0]
+            assert f"first: line {first_bad}: " in dropped[0]
+        else:
+            assert dropped == []
 
     def test_assay_map(self, tmp_path):
         files = write_files(tmp_path, ["CCO,P1,assayA,100",

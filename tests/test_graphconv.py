@@ -162,11 +162,11 @@ class TestEquivariance:
         b = parse_smiles("OCC")
         fa, fb = atom_features(a), atom_features(b)
         rng = np.random.default_rng(5)
-        g, _, _, conv = conv_graph(fa.width, 8, rng)
+        g, _, _, conv = conv_graph(fa.shape[1], 8, rng)
         _, batch_a = pack_graphs([a], [fa], MAX_DEGREE)
         _, batch_b = pack_graphs([b], [fb], MAX_DEGREE)
-        (out_a,) = g.forward({"h": fa.rows, "structure": batch_a}, [conv])
-        (out_b,) = g.forward({"h": fb.rows, "structure": batch_b}, [conv])
+        (out_a,) = g.forward({"h": fa, "structure": batch_a}, [conv])
+        (out_b,) = g.forward({"h": fb, "structure": batch_b}, [conv])
         assert np.allclose(out_a[[2, 1, 0]], out_b)
 
 

@@ -173,8 +173,18 @@ class TestTrainingCommand:
         assert history[0] == "epoch,train_loss,val_rmse,val_ci,composite"
         assert len(history) >= 2
         model, extras = Model.load(ckpt)
-        assert extras["run_config"] == tiny_config.snapshot()
+        assert extras["run_config"] == tiny_config.override(
+            {"model.seed": 1, "train.seed": 1}).snapshot()
         assert extras["optimizer_arrays"]  # Adam state rides along
+
+    def test_embedded_config_refits_the_same_checkpoint(
+            self, fixture_dir, tiny_config, tmp_path):
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        first = run_training(tiny_config, dataset, tmp_path / "a.ckpt", seed=3)
+        _, extras = Model.load(first)
+        again = run_training(RunConfig.from_snapshot(extras["run_config"]),
+                             dataset, tmp_path / "b.ckpt")
+        assert first.read_bytes() == again.read_bytes()
 
 
 class TestCvCommand:
@@ -618,6 +628,27 @@ class TestParseOnce:
         assert sorted(parsed) == sorted({l.split(",")[0] for l in lines[1:]})
         assert len(clustered) == 1
         assert (tmp_path / "cv" / "folds_cold-cluster_rep1.csv").exists()
+
+    def test_cold_cluster_cv_of_padme_ecfp_fingerprints_each_compound_once(
+            self, fixture_dir, tmp_path, monkeypatch):
+        from dtanet.compounds import ecfp
+        from dtanet.splits import cluster_compounds
+
+        cfg = parse_run_config(None, overrides={
+            **TINY, "split.repetitions": "2", "train.max_epochs": "1"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        fingerprinted = self._spy(monkeypatch, ecfp)
+        clustered = self._spy(monkeypatch, cluster_compounds)
+        run_cv(cfg, dataset, tmp_path / "cv", scheme="cold-cluster")
+        assert len(fingerprinted) == len(dataset.compounds)
+        assert {id(m) for m in fingerprinted} == {id(m)
+                                                  for m in dataset.molecules}
+        assert len(clustered) == 1
+        for rep in range(2):
+            _, extras = Model.load(
+                tmp_path / "cv" / f"model_cold-cluster_rep{rep}_fold0.ckpt")
+            assert extras["run_config"] == cfg.override(
+                {"model.seed": rep, "train.seed": rep}).snapshot()
 
     def test_replayed_cold_cluster_folds_cluster_once(
             self, fixture_dir, tiny_config, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_force_clusters
 from dtanet import splits
-from dtanet.compounds import FeaturizationError, Fingerprint, ecfp, tanimoto
+from dtanet.compounds import FeaturizationError, ecfp, tanimoto
 from dtanet.smiles import parse_smiles
 from dtanet.splits import (
     CompoundClustering,
@@ -158,7 +158,7 @@ class TestClustering:
         def bits(indices):
             b = np.zeros(512, dtype=np.uint8)
             b[list(indices)] = 1
-            return Fingerprint(bits=b, n_bits=512, radius=2)
+            return b
         fps = [bits({i * 3, i * 3 + 1}) for i in range(6)]
         clustering = cluster_compounds(fps)
         assert len(set(clustering.labels.tolist())) == 6
@@ -185,7 +185,7 @@ class TestClustering:
         def bits(indices):
             b = np.zeros(512, dtype=np.uint8)
             b[list(indices)] = 1
-            return Fingerprint(bits=b, n_bits=512, radius=2)
+            return b
         # subset of 7 bits out of 10 -> similarity exactly 0.7: must NOT merge
         a = bits(set(range(10)))
         b = bits(set(range(7)))
@@ -205,7 +205,7 @@ class TestClustering:
         density = rng.uniform(0.3, 0.9, size=(n, 1))
         bits = (rng.random((n, 10)) < density).astype(np.uint8)
         bits[rng.choice(n, 3, replace=False)] = 0
-        fps = [Fingerprint(bits=b, n_bits=10, radius=2) for b in bits]
+        fps = list(bits)
         sims = np.array([[tanimoto(a, b) for b in fps] for a in fps])
         assert (sims == 0.7).sum() > 0 and (sims > 0.7).sum() > n
         for threshold in (0.7, 0.5, 0.9):
@@ -214,17 +214,14 @@ class TestClustering:
                 sims, threshold)
 
     def test_empty_fingerprints_join(self):
-        empty = Fingerprint(bits=np.zeros(64, dtype=np.uint8), n_bits=64,
-                            radius=2)
-        full = Fingerprint(bits=np.ones(64, dtype=np.uint8), n_bits=64,
-                           radius=2)
+        empty = np.zeros(64, dtype=np.uint8)
+        full = np.ones(64, dtype=np.uint8)
         labels = cluster_compounds([empty, full, empty], 0.99).labels
         assert labels.tolist() == [0, 1, 0]
 
     def test_mismatched_lengths_raise(self):
         def fp(n_bits):
-            return Fingerprint(bits=np.zeros(n_bits, dtype=np.uint8),
-                               n_bits=n_bits, radius=2)
+            return np.zeros(n_bits, dtype=np.uint8)
         with pytest.raises(FeaturizationError, match="512 vs 1024"):
             cluster_compounds([fp(512), fp(512), fp(1024)])
         assert cluster_compounds([fp(1024)]).labels.tolist() == [0]

@@ -17,10 +17,11 @@ each one, a fresh interpreter
   cold-cluster ``run_cv`` of ``padme-graphconv`` (report and fold
   checkpoints), whose fits train a compacted descriptor block, and a
   2-fold 2-repetition 2-epoch cold-cluster ``run_cv`` of ``padme-ecfp``
-  (report and both fold files);
-* runs two commands through ``cli.main``: ``featurize --ecfp`` on the
-  fixture's interaction table (fingerprint CSV), and ``predict --ad-from``
-  of the ``run_training`` checkpoint on that table (prediction CSV);
+  (report, both fold files and the first repetition's fold checkpoints);
+* runs three commands through ``cli.main``: ``featurize --ecfp`` on the
+  fixture's interaction table (fingerprint CSV), ``split --scheme
+  cold-cluster`` of the fixture (fold CSV), and ``predict --ad-from`` of the
+  ``run_training`` checkpoint on that table (prediction CSV);
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -56,7 +57,7 @@ def _command(argv: list[str]) -> None:
 
 def pipeline_digests(work: Path) -> dict[str, str]:
     """Digest of each artifact of train, cv and tune on the default config,
-    of cold-cluster cvs, and of the featurize and predict commands."""
+    of cold-cluster cvs, and of the featurize, split and predict commands."""
     from dtanet import pipeline
     from dtanet.runconfig import parse_run_config
     from dtanet.synthetic import write_fixture
@@ -94,10 +95,16 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     for rep in range(2):
         out[f"ecfp cluster folds rep{rep}"] = _sha(
             ecfp_dir / f"folds_cold-cluster_rep{rep}.csv")
+    for fold in range(2):
+        out[f"ecfp cluster rep0 fold{fold}"] = _sha(
+            ecfp_dir / f"model_cold-cluster_rep0_fold{fold}.ckpt")
     interactions = str(work / "fixture" / "interactions.csv")
     _command(["featurize", "--ecfp", "--input", interactions,
               "--out", str(work / "fingerprints.csv")])
     out["featurize ecfp csv"] = _sha(work / "fingerprints.csv")
+    _command(["split", "--data-dir", str(work / "fixture"),
+              "--scheme", "cold-cluster", "--out", str(work / "split.csv")])
+    out["split cold-cluster csv"] = _sha(work / "split.csv")
     _command(["predict", "--model", str(ckpt), "--input", interactions,
               "--proteins", str(work / "fixture" / "proteins.tsv"),
               "--output", str(work / "predictions.csv"),
