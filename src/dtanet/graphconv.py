@@ -1,35 +1,68 @@
-"""Molecular graph convolution operators.
+"""Molecular graph convolution operators on degree-ordered atom batches.
 
-Molecules in a batch are packed into one flat atom-feature matrix plus one
-padded neighbor table: row ``v`` lists the neighbors of atom ``v`` in
-ascending atom order and is padded with the sentinel ``n_atoms`` up to the
-batch's largest degree. Each operator appends one pad row to the matrix it
-gathers from (zeros for sums, ``-inf`` for maxima) and walks the table one
-column at a time, so a neighbor sum adds neighbors in the same ascending
-order an edge-by-edge scatter would. Atoms grouped by degree select the
-per-degree weights, and per-molecule segment offsets drive the readout. The
-structure rides through the graph as a non-numeric side input; only the
-feature matrix and the layer parameters carry gradients.
+* conv:    h'[v] = relu(W_self(deg v) h[v] + W_nbr(deg v) sum_u h[u] + b(deg v))
+* pool:    h'[v] = elementwise max over {v} and its neighbors, gradients routed
+           to the winning entry (ties go to the lowest atom id)
+* restore: the atom rows back in their original order
+* gather:  per-molecule sum over atom rows (sum keeps molecule size information)
 
-* conv:   h'[v] = relu(W_self(deg v) h[v] + W_nbr(deg v) sum_u h[u] + b(deg v))
-* pool:   h'[v] = elementwise max over {v} and its neighbors, gradients routed
-          to the winning entry (ties go to the lowest atom index); the
-          winners are found in training-mode forwards, or by the backward
-          pass itself after an eval-mode forward
-* gather: per-molecule sum over atom rows (sum keeps molecule size information)
+Layout. :class:`PackedGraphs` packs molecules once into four flat arrays:
+the atom feature rows of every molecule back to back, each atom's
+neighbors as global atom ids in ascending order, per-atom degrees, and
+molecule offsets. A feature store packs its distinct compounds once, when it
+is built; ``pack_graphs`` packs the molecules it is given. A batch of
+molecules (``PackedGraphs.batch``) is index arithmetic over those arrays.
+
+An atom's *original id* is its position with the batch's molecules laid
+back to back in the order asked for. The batch keeps its atoms in *rows*
+sorted stably by degree, which is DeepChem's ``deg_slice`` layout
+(Altae-Tran et al., arXiv:1611.03199): the atoms of degree ``d`` fill the
+contiguous slice ``slices[d]``, in ascending original id. ``atom_ids[r]`` is
+the original id of row ``r`` and ``restore[v]`` the row of atom ``v``.
+``neighbors`` lists each row's neighbors and ``closed`` its closed
+neighborhood (the atom itself included), both as rows in ascending original
+id, padded with ``n_atoms``. The structure rides through the graph as a
+non-numeric side input; only the feature rows and the layer parameters carry
+gradients.
+
+The conv and pool layers read and write rows. ``RestoreAtomOrder`` returns
+the rows to original order before the per-atom dense layer and the readout,
+so that layer's weight gradient and the readout's ``reduceat`` sum atoms in
+the order they always did.
+
+Why each op gives the same bytes as the same op on atoms in original order:
+
+* conv: a degree slice holds the rows that ``h[flatnonzero(degrees == d)]``
+  gathered, in the same order and C-contiguous as that copy was, so every
+  per-degree product gets identical operands. A neighbor sum starts at +0.0
+  and adds the ``d`` real neighbors of its slice in ascending original id.
+  Walking a padding column would add +0.0, which leaves a sum started at
+  +0.0 unchanged (such a sum is never -0.0), so only the real columns are
+  walked. The backward sums each atom's self term and then its neighbors'
+  terms the same way.
+* pool: one walk of each slice's closed neighborhood in ascending original
+  id computes the running maximum and, in training, the winner: a later
+  candidate replaces the winner only when strictly greater, so the lowest
+  original id attaining the maximum wins. The backward's ``bincount``
+  visits the pooled entries in original atom order, so each atom's gradient
+  adds its contributions in the order it did before. (Pool inputs are ReLU
+  outputs, which hold no -0.0, so which of two equal zeros the maximum
+  keeps never shows.)
+* restore and gather move rows or sum them in original order, as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .engine import Node, ObjectInput, Parameter
+from .engine import Node, ObjectInput, Parameter, relu
 from .smiles import MolGraph
 
-__all__ = ["GraphBatch", "GraphStructureError", "pack_graphs",
-           "GraphConv", "GraphPool", "GraphGather"]
+__all__ = ["PackedGraphs", "GraphBatch", "GraphStructureError", "pack_graphs",
+           "GraphConv", "GraphPool", "RestoreAtomOrder", "GraphGather"]
 
 
 class GraphStructureError(ValueError):
@@ -42,58 +75,110 @@ class GraphBatch:
 
     n_atoms: int
     n_mols: int
-    degrees: np.ndarray
-    degree_index: tuple[np.ndarray, ...]  # atom ids grouped by degree
-    neighbors: np.ndarray  # (n_atoms, largest degree), padded with n_atoms
-    mol_starts: np.ndarray
+    degrees: np.ndarray  # per row, ascending
+    slices: tuple[slice, ...]  # rows of each degree 0..max_degree
+    atom_ids: np.ndarray  # original atom id of each row
+    restore: np.ndarray  # row of each original atom id
+    # column-major, so each column of a slice is one contiguous index array
+    neighbors: np.ndarray  # (n_atoms, largest degree) rows, padded with n_atoms
+    closed: np.ndarray  # (n_atoms, largest degree + 1) rows, the same way
+    mol_starts: np.ndarray  # in original atom ids
     mol_sizes: np.ndarray
+
+
+@dataclass(frozen=True)
+class PackedGraphs:
+    """Molecules packed once: feature rows, neighbors, degrees, offsets."""
+
+    features: np.ndarray  # (atoms, width) rows of every molecule back to back
+    neighbors: np.ndarray  # (atoms, max_degree) global ids, padded with atoms
+    degrees: np.ndarray
+    offsets: np.ndarray  # first atom of each molecule, then the atom count
+    max_degree: int
+
+    @classmethod
+    def from_graphs(cls, graphs: list[MolGraph], features: list[np.ndarray],
+                    max_degree: int = 6) -> "PackedGraphs":
+        if len(graphs) != len(features):
+            raise GraphStructureError(
+                "graphs and feature matrices differ in length")
+        sizes = np.fromiter((g.n_atoms for g in graphs), dtype=np.int64,
+                            count=len(graphs))
+        if not sizes.all():
+            raise GraphStructureError("cannot pack an empty molecule")
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        total = int(offsets[-1])
+        degrees = np.fromiter((len(nbrs) for g in graphs for nbrs in g.adjacency),
+                              dtype=np.int64, count=total)
+        over = np.flatnonzero(degrees > max_degree)
+        if over.size:
+            atom = int(over[0])
+            mol = int(np.searchsorted(offsets, atom, side="right")) - 1
+            raise GraphStructureError(
+                f"atom {atom - offsets[mol]} has degree {degrees[atom]}, "
+                f"max supported is {max_degree}")
+        ids = np.fromiter(chain.from_iterable(
+            nbrs for g in graphs for nbrs in g.adjacency),
+            dtype=np.int64, count=int(degrees.sum()))
+        neighbors = np.full((total, max_degree), total, dtype=np.int64)
+        # a mask assignment fills row by row, so each row gets its own ids
+        neighbors[np.arange(max_degree) < degrees[:, None]] = ids + np.repeat(
+            np.repeat(offsets[:-1], sizes), degrees)
+        rows = (np.concatenate(features, axis=0) if features
+                else np.zeros((0, 0)))
+        if rows.shape[0] != total:
+            raise GraphStructureError(
+                f"{rows.shape[0]} feature rows for {total} atoms")
+        return cls(rows, neighbors, degrees, offsets, max_degree)
+
+    def batch(self, molecules) -> tuple[np.ndarray, GraphBatch]:
+        """Feature rows and topology of the packed ``molecules`` (indices,
+        in the order their atoms get original ids)."""
+        mols = np.asarray(molecules, dtype=np.intp)
+        if mols.size == 0:
+            raise GraphStructureError("cannot pack an empty batch")
+        starts = self.offsets[mols]
+        sizes = self.offsets[mols + 1] - starts
+        n = int(sizes.sum())
+        mol_starts = np.cumsum(sizes) - sizes
+        # global id minus original id, per original atom
+        shift = np.repeat(starts - mol_starts, sizes)
+        degrees = self.degrees[np.arange(n) + shift]
+        atom_ids = np.argsort(degrees, kind="stable")
+        restore = np.empty(n + 1, dtype=np.intp)  # last entry: the padding
+        restore[atom_ids] = np.arange(n)
+        restore[n] = n
+        degrees = degrees[atom_ids]
+        counts = np.bincount(degrees, minlength=self.max_degree + 1).tolist()
+        ends = np.cumsum(counts).tolist()
+        width = int(degrees[-1])
+        shift = shift[atom_ids]
+        source = atom_ids + shift
+        real = np.arange(width) < degrees[:, None]
+        nbrs = np.where(real, self.neighbors[source, :width] - shift[:, None], n)
+        closed = np.sort(np.concatenate([nbrs, atom_ids[:, None]], axis=1),
+                         axis=1)
+        batch = GraphBatch(
+            n_atoms=n,
+            n_mols=mols.size,
+            degrees=degrees,
+            slices=tuple(slice(e - c, e) for c, e in zip(counts, ends)),
+            atom_ids=atom_ids,
+            restore=restore[:n],
+            neighbors=restore[nbrs.T].T,
+            closed=restore[closed.T].T,
+            mol_starts=mol_starts,
+            mol_sizes=sizes,
+        )
+        return self.features[source], batch
 
 
 def pack_graphs(graphs: list[MolGraph],
                 features: list[np.ndarray],
                 max_degree: int = 6) -> tuple[np.ndarray, GraphBatch]:
-    """Concatenate per-molecule feature rows and build the batch topology."""
-    if not graphs:
-        raise GraphStructureError("cannot pack an empty batch")
-    if len(graphs) != len(features):
-        raise GraphStructureError("graphs and feature matrices differ in length")
-    mol_sizes = np.array([g.n_atoms for g in graphs], dtype=np.int64)
-    if not mol_sizes.all():
-        raise GraphStructureError("cannot pack an empty molecule")
-    tables = [g.neighbor_table for g in graphs]
-    width = max(table.shape[1] for table in tables)
-    if width > max_degree:
-        i, degree = next((i, d) for g in graphs
-                         for i, d in enumerate(g.degrees()) if d > max_degree)
-        raise GraphStructureError(
-            f"atom {i} has degree {degree}, max supported is {max_degree}")
-    total = int(mol_sizes.sum())
-    mol_starts = np.cumsum(mol_sizes) - mol_sizes
-    # column-major, so each neighbor column is one contiguous index array
-    neighbors = np.full((total, width), total, dtype=np.int64, order="F")
-    for table, start, size in zip(tables, mol_starts, mol_sizes):
-        np.copyto(neighbors[start:start + size, :table.shape[1]],
-                  table + start, where=table < size)
-    degrees = np.count_nonzero(neighbors < total, axis=1)
-    batch = GraphBatch(
-        n_atoms=total,
-        n_mols=len(graphs),
-        degrees=degrees,
-        degree_index=tuple(
-            np.flatnonzero(degrees == d) for d in range(max_degree + 1)),
-        neighbors=neighbors,
-        mol_starts=mol_starts,
-        mol_sizes=mol_sizes,
-    )
-    return np.concatenate(features, axis=0), batch
-
-
-def _with_pad_row(x: np.ndarray, fill: float) -> np.ndarray:
-    """``x`` with one more row of ``fill``, the target of the table's padding."""
-    out = np.empty((x.shape[0] + 1, x.shape[1]))
-    out[:-1] = x
-    out[-1] = fill
-    return out
+    """Feature rows (in row order) and topology of ``graphs`` as one batch."""
+    packed = PackedGraphs.from_graphs(graphs, features, max_degree)
+    return packed.batch(np.arange(len(graphs)))
 
 
 class GraphConv(Node):
@@ -124,25 +209,26 @@ class GraphConv(Node):
             raise self.shape_error(
                 f"atom features {h.shape} do not match "
                 f"({batch.n_atoms}, {in_width})")
-        if int(batch.degrees.max(initial=0)) >= self._n_degrees:
+        if int(batch.degrees[-1]) >= self._n_degrees:
             raise self.shape_error(
-                f"batch contains degree {int(batch.degrees.max())}, "
+                f"batch contains degree {int(batch.degrees[-1])}, "
                 f"parameters only cover 0..{self._n_degrees - 1}")
-        padded = _with_pad_row(h, 0.0)
         nbr_sum = np.zeros_like(h)
-        for column in batch.neighbors.T:
-            nbr_sum += padded[column]
         z = np.empty((batch.n_atoms, out_width))
-        for d, idx in enumerate(batch.degree_index):
-            if idx.size == 0:
+        for d, rows in enumerate(batch.slices):
+            if rows.start == rows.stop:
                 continue
-            z[idx] = (h[idx] @ w_self[d].value
-                      + nbr_sum[idx] @ w_nbr[d].value
-                      + bias[d].value)
+            total = nbr_sum[rows]
+            for column in batch.neighbors[rows, :d].T:
+                total += h[column]
+            out = z[rows]
+            np.matmul(h[rows], w_self[d].value, out=out)
+            out += total @ w_nbr[d].value
+            out += bias[d].value
         self._nbr_sum = nbr_sum
         self._z = z  # pre-activation, kept for gradient-check tooling
         self._mask = z > 0.0
-        return np.where(self._mask, z, 0.0)
+        return relu(z)
 
     def backprop(self):
         h_node = self.inputs[0]
@@ -153,52 +239,65 @@ class GraphConv(Node):
         want_h = h_node.wants_grad
         if want_h:
             dh = np.zeros_like(h)
-            dnbr = np.zeros((h.shape[0] + 1, h.shape[1]))  # last row: padding
-        for d, idx in enumerate(batch.degree_index):
-            if idx.size == 0:
+            dnbr = np.empty_like(h)
+        for d, rows in enumerate(batch.slices):
+            if rows.start == rows.stop:
                 continue  # the degree's parameters end with a zero gradient
-            dzd = dz[idx]
+            dzd = dz[rows]
             if w_self[d].wants_grad:
-                self._accumulate(w_self[d], h[idx].T @ dzd)
+                self._accumulate(w_self[d], h[rows].T @ dzd)
             if w_nbr[d].wants_grad:
-                self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dzd)
+                self._accumulate(w_nbr[d], self._nbr_sum[rows].T @ dzd)
             if bias[d].wants_grad:
                 self._accumulate(bias[d], dzd.sum(axis=0))
             if want_h:
-                dh[idx] += dzd @ w_self[d].value.T
-                dnbr[idx] = dzd @ w_nbr[d].value.T
+                dh[rows] += dzd @ w_self[d].value.T
+                dnbr[rows] = dzd @ w_nbr[d].value.T
         if want_h:
             # neighbor sums: each atom collects from its neighbors in order
-            for column in batch.neighbors.T:
-                dh += dnbr[column]
+            for d, rows in enumerate(batch.slices):
+                total = dh[rows]
+                for column in batch.neighbors[rows, :d].T:
+                    total += dnbr[column]
             self._accumulate(h_node, dh)
 
 
-def _pool_winners(h: np.ndarray, pooled: np.ndarray,
-                  neighbors: np.ndarray) -> np.ndarray:
-    """Per entry, the lowest atom id in the closed neighborhood whose value
-    equals the pooled maximum.
+def _pool(h: np.ndarray, batch: GraphBatch,
+          with_winners: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per entry, the maximum over each row's closed neighborhood and, if
+    asked, the row that first attains it in ascending original id.
 
-    The selects are written as arithmetic on int32 (``w -= eq * (w - c)``
-    is ``w = where(eq, c, w)``): on a 32-molecule batch (318 atoms x 64,
-    2-core Xeon) this took 180 us where a masked ``np.copyto`` from the
-    broadcast id column took 450 us.
+    The winner select is arithmetic on int32 (``w -= gt * (w - c)`` is
+    ``w = where(gt, c, w)``): on a 32-molecule batch (318 atoms x 64, 2-core
+    Xeon) that took 180 us where a masked ``np.copyto`` from the broadcast
+    id column took 450 us.
     """
-    n_atoms = h.shape[0]
-    padded = _with_pad_row(h, -np.inf)
-    winners = np.full(h.shape, n_atoms, dtype=np.int32)
-    # ids ascend along a row, so walking the columns backwards leaves the
-    # lowest neighbor that attains the maximum
-    for column in neighbors.T[::-1]:
-        ids = column.astype(np.int32)[:, None]
-        winners -= (padded[column] == pooled) * (winners - ids)
-    atom = np.arange(n_atoms, dtype=np.int32)[:, None]
-    winners -= ((h == pooled) & (atom < winners)) * (winners - atom)
-    return winners
+    pooled = np.empty_like(h)
+    winners = np.empty(h.shape, dtype=np.int32) if with_winners else None
+    for d, rows in enumerate(batch.slices):
+        if rows.start == rows.stop:
+            continue
+        candidates = batch.closed[rows, :d + 1].T
+        best = pooled[rows]
+        best[...] = h[candidates[0]]
+        if with_winners:
+            ids = candidates.astype(np.int32)[:, :, None]
+            won = winners[rows]
+            won[...] = ids[0]
+        for k in range(1, d + 1):
+            values = h[candidates[k]]
+            if with_winners:
+                won -= (values > best) * (won - ids[k])
+            np.maximum(best, values, out=best)
+    return pooled, winners
 
 
 class GraphPool(Node):
-    """Elementwise max over each atom's closed neighborhood."""
+    """Elementwise max over each atom's closed neighborhood.
+
+    The winners are found in training-mode forwards, or by the backward pass
+    itself after an eval-mode forward.
+    """
 
     def __init__(self, h: Node, structure: ObjectInput):
         super().__init__("graph_pool", (h, structure))
@@ -209,31 +308,50 @@ class GraphPool(Node):
         if h.shape[0] != batch.n_atoms:
             raise self.shape_error(
                 f"{h.shape[0]} feature rows for {batch.n_atoms} atoms")
-        padded = _with_pad_row(h, -np.inf)
-        pooled = h.copy()
-        for column in batch.neighbors.T:
-            np.maximum(pooled, padded[column], out=pooled)
-        self._winners = (_pool_winners(h, pooled, batch.neighbors)
-                         if ctx.training else None)
+        pooled, self._winners = _pool(h, batch, ctx.training)
         return pooled
 
     def backprop(self):
         h_node = self.inputs[0]
         if not h_node.wants_grad:
             return
+        batch: GraphBatch = self.inputs[1].value
         if self._winners is None:  # the forward ran in eval mode
-            self._winners = _pool_winners(h_node.value, self.value,
-                                          self.inputs[1].value.neighbors)
+            self._winners = _pool(h_node.value, batch, True)[1]
         n_atoms, width = self._winners.shape
-        flat = (self._winners.astype(np.intp) * width
+        # visit the entries in original atom order, so that each row's
+        # contributions add up in ascending original id
+        order = batch.restore
+        flat = (self._winners[order].astype(np.intp) * width
                 + np.arange(width)).ravel()
-        contribution = np.bincount(flat, weights=self.grad.ravel(),
+        contribution = np.bincount(flat, weights=self.grad[order].ravel(),
                                    minlength=n_atoms * width)
         self._accumulate(h_node, contribution.reshape(n_atoms, width))
 
 
+class RestoreAtomOrder(Node):
+    """The rows of a degree-ordered batch back in original atom order."""
+
+    def __init__(self, h: Node, structure: ObjectInput):
+        super().__init__("restore_order", (h, structure))
+
+    def compute(self, ctx):
+        h = self.inputs[0].value
+        batch: GraphBatch = self.inputs[1].value
+        if h.shape[0] != batch.n_atoms:
+            raise self.shape_error(
+                f"{h.shape[0]} feature rows for {batch.n_atoms} atoms")
+        return h[batch.restore]
+
+    def backprop(self):
+        if not self.inputs[0].wants_grad:
+            return
+        batch: GraphBatch = self.inputs[1].value
+        self._accumulate(self.inputs[0], self.grad[batch.atom_ids])
+
+
 class GraphGather(Node):
-    """Sum-readout: one row per molecule."""
+    """Sum-readout over rows in original atom order: one row per molecule."""
 
     def __init__(self, h: Node, structure: ObjectInput):
         super().__init__("graph_gather", (h, structure))

@@ -48,7 +48,13 @@ from .compounds import (
 )
 from .data import PairDataset
 from .engine import Graph, Parameter
-from .graphconv import GraphConv, GraphGather, GraphPool, pack_graphs
+from .graphconv import (
+    GraphConv,
+    GraphGather,
+    GraphPool,
+    PackedGraphs,
+    RestoreAtomOrder,
+)
 
 __all__ = ["ModelError", "ModelConfig", "Model", "FeatureStore", "VARIANTS",
            "FEATURIZATION_VERSION"]
@@ -228,6 +234,9 @@ class Model:
             pool.name = f"pool{li}"
             h = graph.add(pool)
             width = out_width
+        restore = RestoreAtomOrder(h, structure)
+        restore.name = "atom_order"
+        h = graph.add(restore)
         w = graph.parameter("convdense.W", _he_uniform(rng, width, cfg.conv_dense))
         b = graph.parameter("convdense.b", np.zeros(cfg.conv_dense))
         h = graph.relu(graph.add_bias(graph.matmul(h, w), b))
@@ -369,19 +378,23 @@ class FeatureStore:
 
     Fingerprints and protein descriptors are computed once and reused across
     epochs. A batch's feeds carry each distinct compound and protein of the
-    batch once plus the per-pair row indices; for graph-convolution variants
-    the distinct molecules' graphs are packed per batch.
+    batch once plus the per-pair row indices. For graph-convolution variants
+    every compound's graph and atom feature rows are packed once, here, and
+    a batch of distinct molecules is selected from that pack.
     """
 
     def __init__(self, dataset: PairDataset, cfg: ModelConfig):
         self.dataset = dataset
         self.cfg = cfg.normalized()
-        self._atom_feats = None
+        self._graphs: PackedGraphs | None = None
         self.fingerprint_matrix: np.ndarray | None = None
         if self.cfg.uses_graphconv:
-            self._atom_feats = [self._atom_features(smiles, molecule)
-                                for smiles, molecule in zip(dataset.compounds,
-                                                            dataset.molecules)]
+            self._graphs = PackedGraphs.from_graphs(
+                dataset.molecules,
+                [self._atom_features(smiles, molecule)
+                 for smiles, molecule in zip(dataset.compounds,
+                                             dataset.molecules)],
+                self.cfg.max_degree)
         else:
             self.fingerprint_matrix = ecfp_matrix(
                 dataset.molecules, self.cfg.fp_radius,
@@ -430,9 +443,7 @@ class FeatureStore:
 
     def _compound_feeds(self, compound_idx: np.ndarray) -> dict:
         if self.cfg.uses_graphconv:
-            mols = [self.dataset.molecules[i] for i in compound_idx]
-            feats = [self._atom_feats[i] for i in compound_idx]
-            rows, batch = pack_graphs(mols, feats, self.cfg.max_degree)
+            rows, batch = self._graphs.batch(compound_idx)
             return {"atom_features": rows, "graph_batch": batch}
         return {"compound": self.fingerprint_matrix[compound_idx]}
 
@@ -482,7 +493,8 @@ class FeatureStore:
         per-pair join of the two.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        chunks = []
+        n_outputs = 1 if self.cfg.compound_only else model.cfg.n_tasks
+        chunks = [np.empty((0, n_outputs))]  # what an empty ``indices`` gives
         for start in range(0, indices.size, batch_size):
             part = indices[start:start + batch_size]
             feeds = self.feeds(part, with_targets=False)

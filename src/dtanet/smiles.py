@@ -26,9 +26,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from .elements import (
     AROMATIC_SYMBOLS,
@@ -137,17 +134,6 @@ class MolGraph:
 
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adjacency]
-
-    @cached_property
-    def neighbor_table(self) -> np.ndarray:
-        """Read-only ``(n_atoms, largest degree)`` array of each atom's
-        neighbors in ascending order, padded with ``n_atoms``."""
-        width = max((len(nbrs) for nbrs in self.adjacency), default=0)
-        table = np.full((self.n_atoms, width), self.n_atoms, dtype=np.int64)
-        for i, nbrs in enumerate(self.adjacency):
-            table[i, :len(nbrs)] = nbrs
-        table.flags.writeable = False
-        return table
 
     def bond_between(self, i: int, j: int) -> Bond:
         return self._bond_by_pair[_pair_key(i, j)]

@@ -158,6 +158,16 @@ class TestOpSemantics:
         g.backward(loss, inputs=(x,))
         assert np.array_equal(x.grad, 2.0 * value / 4.0)
 
+    def test_relu_values_equal_the_masked_select_bitwise(self):
+        # long enough for vector lanes and a scalar tail, signed zeros included
+        specials = [-2.5, -0.0, 0.0, 1e-300, -1e-300, 3.0, np.inf, -np.inf]
+        x = np.concatenate([np.tile(specials, 9),
+                            np.random.default_rng(0).standard_normal(301)])
+        for values in (x, x[::-1].copy(), x.reshape(-1, 1)):
+            expected = np.where(values > 0.0, values, 0.0)
+            assert np.array_equal(engine.relu(values).view(np.int64),
+                                  expected.view(np.int64))
+
     def test_relu_subgradient_zero_at_zero(self):
         g = Graph()
         x = g.placeholder("x")
@@ -502,7 +512,6 @@ class TestAdam:
     @pytest.mark.parametrize("shape", [(129, 7), (300, 3), (257, 2, 2),
                                        (11,), (1, 1), ()])
     def test_bitwise_equal_to_textbook_rule(self, shape):
-        # row blocks are 128 rows, so most shapes here cross a block edge
         rng = np.random.default_rng(len(shape) * 1000 + sum(shape))
         lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-7
         start = rng.standard_normal(shape)
@@ -702,6 +711,44 @@ class TestRowSelection:
         part.grad = np.zeros((540, 3))  # a full-shape gradient is refused
         with pytest.raises(ShapeError, match="'w'"):
             adam_part.step()
+
+    def test_64_wide_selection_in_entry_sized_blocks_equals_textbook(
+            self, monkeypatch):
+        # A 64-wide weight is updated _ADAM_CHUNK // 64 = 512 rows at a
+        # time: the compacted block's 700 kept rows and the whole block's
+        # 1000 rows take two updates each.
+        rng = np.random.default_rng(47)
+        lr, b1, b2, eps = 2e-3, 0.85, 0.995, 1e-7
+        first = np.zeros(2400, dtype=bool)
+        first[rng.permutation(2400)[:700]] = True
+        masks = [first, np.ones(1000, dtype=bool)]
+        start = rng.standard_normal((3400, 64))
+        w = Parameter("w", start)
+        w.row_selection = selection = RowSelection(masks)
+        assert [c is None for _, c, _ in selection.blocks] == [False, True]
+        kept = np.concatenate(masks)
+        updated = []
+        real_update = Adam._update
+
+        def counting(self, theta, rows, g, *rest):
+            updated.append(g.shape[0])
+            real_update(self, theta, rows, g, *rest)
+
+        monkeypatch.setattr(Adam, "_update", counting)
+        adam = Adam([w], learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+        theta, m, v = start.copy(), np.zeros(start.shape), np.zeros(start.shape)
+        for t in range(1, 6):
+            g = rng.standard_normal(start.shape) * kept[:, None]
+            g[rng.random(3400) < 0.2] = 0.0  # selected rows without gradient
+            w.grad = compact(w, g)
+            updated.clear()
+            adam.step()
+            assert updated == [512, 188, 512, 488]
+            theta, m, v = textbook_adam(theta, m, v, g, t, lr, b1, b2, eps)
+            assert np.array_equal(w.array, theta)
+        saved = adam.state_arrays()
+        assert np.array_equal(saved["adam.m.w"], m)
+        assert np.array_equal(saved["adam.v.w"], v)
 
     def test_a_row_zero_in_one_batch_still_moves(self):
         # The selection holds the fit's columns, not the batch's: a row whose

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import central_difference_directional, relative_error
 from dtanet.compounds import atom_features
@@ -13,6 +14,8 @@ from dtanet.graphconv import (
     GraphGather,
     GraphPool,
     GraphStructureError,
+    PackedGraphs,
+    RestoreAtomOrder,
     pack_graphs,
 )
 from dtanet.smiles import Atom, Bond, BondOrder, MolGraph, parse_smiles
@@ -92,7 +95,8 @@ class TestPoolSemantics:
         feats = [atom_features(mols[0])]
         _, batch = pack_graphs(mols, feats, MAX_DEGREE)
         rows = np.array([[1.0], [5.0], [2.0]])
-        assert self._pool(rows, batch).ravel().tolist() == [5.0, 5.0, 5.0]
+        pooled = self._pool(rows[batch.atom_ids], batch)[batch.restore]
+        assert pooled.ravel().tolist() == [5.0, 5.0, 5.0]
 
     def test_isolated_atom_unchanged(self):
         _, batch = pack_graphs([parse_smiles("C")],
@@ -165,8 +169,12 @@ class TestEquivariance:
         g, _, _, conv = conv_graph(fa.shape[1], 8, rng)
         _, batch_a = pack_graphs([a], [fa], MAX_DEGREE)
         _, batch_b = pack_graphs([b], [fb], MAX_DEGREE)
-        (out_a,) = g.forward({"h": fa, "structure": batch_a}, [conv])
-        (out_b,) = g.forward({"h": fb, "structure": batch_b}, [conv])
+        (out_a,) = g.forward({"h": fa[batch_a.atom_ids],
+                              "structure": batch_a}, [conv])
+        out_a = out_a[batch_a.restore]
+        (out_b,) = g.forward({"h": fb[batch_b.atom_ids],
+                              "structure": batch_b}, [conv])
+        out_b = out_b[batch_b.restore]
         assert np.allclose(out_a[[2, 1, 0]], out_b)
 
 
@@ -304,7 +312,8 @@ def _edge_batch(graphs, max_degree=MAX_DEGREE):
     return _EdgeBatch(
         degree_index=tuple(np.flatnonzero(degrees == d)
                            for d in range(max_degree + 1)),
-        edge_src=np.asarray(edge_src), edge_dst=np.asarray(edge_dst),
+        edge_src=np.asarray(edge_src, dtype=np.int64),
+        edge_dst=np.asarray(edge_dst, dtype=np.int64),
         pool_flat=np.asarray(pool_flat), pool_starts=np.asarray(pool_starts),
         pool_segment_of=np.repeat(np.arange(offset), counts))
 
@@ -404,9 +413,10 @@ def _parity_batch(seed):
     return mols, batch, h
 
 
-def _parity_stack(conv_cls, pool_cls, seed):
+def _parity_stack(conv_cls, pool_cls, seed, degree_ordered=True):
     """conv -> pool -> conv -> pool -> gather -> dense, scalar loss; the
-    parameters depend only on ``seed``."""
+    parameters depend only on ``seed``. A degree-ordered stack returns its
+    rows to original atom order before the gather."""
     rng = np.random.default_rng(seed + 1000)
     g = Graph()
     h = g.placeholder("h")
@@ -425,6 +435,8 @@ def _parity_stack(conv_cls, pool_cls, seed):
         x = g.add(conv_cls(x, structure, w_self, w_nbr, bias))
         x = g.add(pool_cls(x, structure))
         pools.append(x)
+    if degree_ordered:
+        x = g.add(RestoreAtomOrder(x, structure))
     x = g.add(GraphGather(x, gather_structure))
     w = g.parameter("wo", rng.standard_normal((3, 1)))
     out = g.matmul(x, w)
@@ -434,26 +446,55 @@ def _parity_stack(conv_cls, pool_cls, seed):
     return g, h, loss, pools
 
 
+def _parity_results(mols, batch, h_value, seed, training):
+    """The parity stack on ``batch`` (``h_value`` in original atom order)
+    and on the edge lists of ``mols``: pooled values, winners, parameter
+    gradients, input gradient and loss of each, in original atom order."""
+    feeds = {"h": h_value, "gather_structure": batch,
+             "target": np.zeros((len(mols), 1)),
+             "weight": np.ones((len(mols), 1))}
+    # the degree-ordered rows, read back through the permutation
+    g, h, loss, pools = _parity_stack(GraphConv, GraphPool, seed)
+    (out,) = g.forward({**feeds, "h": h_value[batch.atom_ids],
+                        "structure": batch}, [loss], training=training)
+    g.backward(loss, inputs=(h,))
+    order = batch.restore
+    results = [(
+        [node.value[order] for node in pools],
+        [batch.atom_ids[node._winners][order] for node in pools],
+        {p.name: p.grad for p in g.parameters()},
+        h.grad[order], out)]
+    g, h, loss, pools = _parity_stack(_EdgeConv, _EdgePool, seed,
+                                      degree_ordered=False)
+    (out,) = g.forward({**feeds, "structure": _edge_batch(mols)}, [loss],
+                       training=training)
+    g.backward(loss, inputs=(h,))
+    results.append((
+        [node.value for node in pools],
+        [node._winners for node in pools],
+        {p.name: p.grad for p in g.parameters()},
+        h.grad, out))
+    return results
+
+
+def _assert_parity(new, ref):
+    new_pooled, new_winners, new_grads, new_dh, new_loss = new
+    ref_pooled, ref_winners, ref_grads, ref_dh, ref_loss = ref
+    for a, b in zip(new_pooled, ref_pooled):
+        assert np.array_equal(a, b)
+    for a, b in zip(new_winners, ref_winners):
+        assert np.array_equal(a, b)
+    assert new_grads.keys() == ref_grads.keys()
+    for name in new_grads:
+        assert np.array_equal(new_grads[name], ref_grads[name]), name
+    assert np.array_equal(new_dh, ref_dh)
+    assert np.array_equal(new_loss, ref_loss)
+
+
 class TestTableParity:
     def _run(self, seed, training):
         mols, batch, h_value = _parity_batch(seed)
-        feeds = {"h": h_value, "gather_structure": batch,
-                 "target": np.zeros((len(mols), 1)),
-                 "weight": np.ones((len(mols), 1))}
-        results = []
-        for conv_cls, pool_cls, structure in (
-                (GraphConv, GraphPool, batch),
-                (_EdgeConv, _EdgePool, _edge_batch(mols))):
-            g, h, loss, pools = _parity_stack(conv_cls, pool_cls, seed)
-            (out,) = g.forward({**feeds, "structure": structure}, [loss],
-                               training=training)
-            g.backward(loss, inputs=(h,))
-            results.append((
-                [node.value for node in pools],
-                [node._winners for node in pools],
-                {p.name: p.grad for p in g.parameters()},
-                h.grad, out))
-        return batch, results
+        return batch, _parity_results(mols, batch, h_value, seed, training)
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("seed", range(8))
@@ -461,17 +502,7 @@ class TestTableParity:
         batch, (new, ref) = self._run(seed, training)
         assert batch.degrees.max() == MAX_DEGREE
         assert (batch.degrees == 0).any()
-        new_pooled, new_winners, new_grads, new_dh, new_loss = new
-        ref_pooled, ref_winners, ref_grads, ref_dh, ref_loss = ref
-        for a, b in zip(new_pooled, ref_pooled):
-            assert np.array_equal(a, b)
-        for a, b in zip(new_winners, ref_winners):
-            assert np.array_equal(a, b)
-        assert new_grads.keys() == ref_grads.keys()
-        for name in new_grads:
-            assert np.array_equal(new_grads[name], ref_grads[name]), name
-        assert np.array_equal(new_dh, ref_dh)
-        assert np.array_equal(new_loss, ref_loss)
+        _assert_parity(new, ref)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_batches_contain_contested_maxima(self, seed):
@@ -501,6 +532,13 @@ class TestTableParity:
         assert all(p._winners is None for p in pools)
 
 
+def _degree_index(batch):
+    """The rows of each degree, as the index arrays that the per-degree
+    gathers used."""
+    return tuple(np.flatnonzero(batch.degrees == d)
+                 for d in range(MAX_DEGREE + 1))
+
+
 class _PerUseGatherConv(GraphConv):
     """``GraphConv`` with its backward gathering ``dz[idx]`` at each use."""
 
@@ -514,7 +552,7 @@ class _PerUseGatherConv(GraphConv):
         if want_h:
             dh = np.zeros_like(h)
             dnbr = np.zeros((h.shape[0] + 1, h.shape[1]))
-        for d, idx in enumerate(batch.degree_index):
+        for d, idx in enumerate(_degree_index(batch)):
             if idx.size == 0:
                 continue
             if w_self[d].wants_grad:
@@ -555,26 +593,22 @@ class TestGatherOnce:
         assert any(new[name].any() for name in new if name.startswith("ws0"))
 
 
+def in_original_order(batch):
+    """The neighbor table and degrees of ``batch`` in original atom ids."""
+    ids = np.append(batch.atom_ids, batch.n_atoms)
+    return ids[batch.neighbors][batch.restore], batch.degrees[batch.restore]
+
+
 class TestPackTable:
     def test_rows_list_sorted_neighbors_padded_with_n_atoms(self):
         _, batch = packed(["CC(C)O", "C", "c1ccccc1"])
         assert batch.n_atoms == 11
-        table = batch.neighbors
+        table, degrees = in_original_order(batch)
         assert table.shape == (11, 3)
         assert table[1].tolist() == [0, 2, 3]
         assert table[4].tolist() == [11, 11, 11]  # the isolated carbon
         assert table[5].tolist() == [6, 10, 11]   # ring closure, then padding
-        assert batch.degrees.tolist() == [1, 3, 1, 1, 0, 2, 2, 2, 2, 2, 2]
-
-    def test_molecule_table_is_cached_and_read_only(self):
-        mol = parse_smiles("CCO")
-        table = mol.neighbor_table
-        assert table is mol.neighbor_table
-        assert table.tolist() == [[1, 3], [0, 2], [1, 3]]
-        with pytest.raises(ValueError):
-            table[0, 0] = 2
-        pack_graphs([mol, mol], [atom_features(mol)] * 2, MAX_DEGREE)
-        assert mol.neighbor_table.tolist() == [[1, 3], [0, 2], [1, 3]]
+        assert degrees.tolist() == [1, 3, 1, 1, 0, 2, 2, 2, 2, 2, 2]
 
     def test_degree_error_names_the_first_offending_atom(self):
         mols = [parse_smiles("CC"), parse_smiles("CC(C)(C)(C)(C)C")]
@@ -587,3 +621,67 @@ class TestPackTable:
         with pytest.raises(GraphStructureError, match="empty molecule"):
             pack_graphs([parse_smiles("C"), empty],
                         [atom_features(parse_smiles("C"))] * 2)
+
+
+def _pack_molecules():
+    """Molecules for one pack: an isolated atom, a degree-6 star, a bond, a
+    branched chain and random graphs (degrees up to 4)."""
+    rng = np.random.default_rng(77)
+    star = MolGraph([Atom("C") for _ in range(7)],
+                    [Bond(0, j, BondOrder.SINGLE) for j in range(1, 7)])
+    mols = [MolGraph([Atom("C")], []), star, parse_smiles("CC"),
+            parse_smiles("CC(C)(C)CC(C)O")]
+    while len(mols) < 10:
+        mol = _random_molecule(rng, int(rng.integers(2, 9)))
+        if max(mol.degrees()) <= 4:
+            mols.append(mol)
+    return mols
+
+
+_PACK_MOLECULES = _pack_molecules()
+_PACK = PackedGraphs.from_graphs(
+    _PACK_MOLECULES, [atom_features(m) for m in _PACK_MOLECULES], MAX_DEGREE)
+
+
+class TestStoreBatches:
+    """A batch selected from a pack, in any molecule order, is the edge-list
+    reference read through ``atom_ids``/``restore``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(selection=st.lists(st.integers(0, len(_PACK_MOLECULES) - 1),
+                              min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 16), training=st.booleans())
+    @example(selection=[1, 0], seed=0, training=True)  # degrees 0, 1, 6 only
+    @example(selection=[0], seed=1, training=False)
+    def test_bitwise_equal_to_edge_lists(self, selection, seed, training):
+        mols = [_PACK_MOLECULES[i] for i in selection]
+        rows, batch = _PACK.batch(selection)
+        original = np.concatenate([atom_features(m) for m in mols])
+        assert np.array_equal(rows, original[batch.atom_ids])
+        n = batch.n_atoms
+        assert np.array_equal(batch.restore[batch.atom_ids], np.arange(n))
+        # rows ascend by degree, each degree's rows by original id
+        assert (np.diff(batch.degrees) >= 0).all()
+        for d, rows_d in enumerate(batch.slices):
+            assert (batch.degrees[rows_d] == d).all()
+            assert (np.diff(batch.atom_ids[rows_d]) > 0).all()
+        h_value = np.random.default_rng(seed).integers(
+            -2, 3, size=(n, 5)).astype(float)
+        new, ref = _parity_results(mols, batch, h_value, seed, training)
+        _assert_parity(new, ref)
+
+    def test_empty_selection_refused(self):
+        with pytest.raises(GraphStructureError, match="empty batch"):
+            _PACK.batch(np.array([], dtype=np.int64))
+
+    def test_pack_graphs_is_the_pack_of_its_molecules(self):
+        mols = _PACK_MOLECULES[2:5]
+        rows, batch = pack_graphs(mols, [atom_features(m) for m in mols],
+                                  MAX_DEGREE)
+        rows_again, again = _PACK.batch([2, 3, 4])
+        assert np.array_equal(rows, rows_again)
+        for field in ("degrees", "atom_ids", "restore", "neighbors",
+                      "closed", "mol_starts", "mol_sizes"):
+            assert np.array_equal(getattr(batch, field),
+                                  getattr(again, field)), field
+        assert batch.slices == again.slices

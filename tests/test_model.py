@@ -8,6 +8,7 @@ import pytest
 
 from dtanet.compounds import FeaturizationError
 from dtanet.engine import Graph, NonFiniteError
+from dtanet.graphconv import GraphStructureError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
 from dtanet.synthetic import memory_dataset, random_sequence
@@ -271,6 +272,28 @@ class TestFeatureStore:
                           molecules=())
         with pytest.raises(FeaturizationError, match=re.escape(repr(bad))):
             FeatureStore(dataset, small_config(variant="padme-graphconv"))
+
+    @pytest.mark.parametrize("variant, n_tasks", [
+        *((variant, 1) for variant in VARIANTS),
+        ("padme-ecfp", 3), ("padme-graphconv", 3)])
+    def test_empty_predict_has_one_column_per_output(self, variant, n_tasks):
+        dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6,
+                                 n_tasks=n_tasks, seed=3)
+        store = FeatureStore(dataset, small_config(
+            variant=variant, n_tasks=n_tasks, conv_widths=(4,),
+            conv_dense=5))
+        model = store.build_model()
+        out = store.predict(model, [])
+        assert out.shape == (0, store.predict(model, [0]).shape[1])
+        assert out.shape[1] == (1 if variant.startswith("compound-only")
+                                else n_tasks)
+
+    def test_empty_compound_selection_is_refused(self):
+        store = FeatureStore(memory_dataset(n_compounds=4, n_proteins=2,
+                                            n_pairs=6),
+                             small_config(variant="padme-graphconv"))
+        with pytest.raises(GraphStructureError, match="empty batch"):
+            store.feeds([], with_targets=False)
 
     def test_model_must_featurize_as_the_store(self):
         store = FeatureStore(memory_dataset(n_compounds=4, n_proteins=2,

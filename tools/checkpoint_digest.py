@@ -18,10 +18,13 @@ each one, a fresh interpreter
   checkpoints), whose fits train a compacted descriptor block, and a
   2-fold 2-repetition 2-epoch cold-cluster ``run_cv`` of ``padme-ecfp``
   (report, both fold files and the first repetition's fold checkpoints);
-* runs three commands through ``cli.main``: ``featurize --ecfp`` on the
+* runs four commands through ``cli.main``: ``featurize --ecfp`` on the
   fixture's interaction table (fingerprint CSV), ``split --scheme
-  cold-cluster`` of the fixture (fold CSV), and ``predict --ad-from`` of the
-  ``run_training`` checkpoint on that table (prediction CSV);
+  cold-cluster`` of the fixture (fold CSV), ``predict --ad-from`` of the
+  ``run_training`` checkpoint on that table (prediction CSV), and
+  ``predict`` of the ``padme-graphconv`` cold-cluster fold-0 checkpoint on
+  it (prediction CSV), which scores the table in one chunk of at most 1024
+  pairs through the eval-mode forward of a degree-ordered batch;
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -110,6 +113,12 @@ def pipeline_digests(work: Path) -> dict[str, str]:
               "--output", str(work / "predictions.csv"),
               "--ad-from", interactions])
     out["predict ad-from csv"] = _sha(work / "predictions.csv")
+    _command(["predict", "--model",
+              str(graph_dir / "model_cold-cluster_rep0_fold0.ckpt"),
+              "--input", interactions,
+              "--proteins", str(work / "fixture" / "proteins.tsv"),
+              "--output", str(work / "graphconv_predictions.csv")])
+    out["predict graphconv csv"] = _sha(work / "graphconv_predictions.csv")
     return out
 
 
