@@ -12,9 +12,19 @@ The join is never materialized. The first dense layer's weight ``dense0.W``
 has one row per input column (compound columns first), and the layer
 projects each distinct compound and each distinct protein of a batch once
 through its block of rows, then adds the two projections per pair
-(``Graph.indexed_dense``). A batch's feeds therefore hold the distinct
-compound inputs, the distinct protein descriptors, and the per-pair row
-indices ``compound_row`` and ``protein_row``.
+(``Graph.indexed_dense``). A training batch's feeds therefore hold the
+distinct compound inputs, the distinct protein descriptors, and the per-pair
+row indices ``compound_row`` and ``protein_row``.
+
+Prediction lifts the distinct row from the batch to the call.
+``FeatureStore.predict`` first projects each distinct compound and protein
+of the whole call once, a block of rows at a time, into one table per input
+block (for graph-conv, the conv stack runs on blocks of distinct molecules
+up to the compound vector first). It then scores the pairs a chunk at a
+time: each chunk only gathers and adds its two projection rows per pair and
+runs the rest of the eval-mode network. The call holds the projection tables
+and one block of input rows, never a call-sized copy of fingerprint or
+descriptor rows.
 
 The compound-only variants cannot see new proteins (a prediction for an
 unknown protein id is a hard error); the paired variants accept any protein
@@ -159,6 +169,9 @@ class Model:
         self.output = output
         self.loss = loss
         self.protein_index = protein_index
+        # the indexed_dense node; its first inputs are the input-block tables
+        self.first_layer = next(node for node in graph.nodes
+                                if node.op == "indexed_dense")
 
     @classmethod
     def build(cls, cfg: ModelConfig,
@@ -251,9 +264,15 @@ class Model:
 
     # -- inference ----------------------------------------------------------
 
-    def predict_feeds(self, feeds: dict) -> np.ndarray:
-        """Eval-mode forward pass: dropout off, batchnorm on running stats."""
-        (out,) = self.graph.forward(feeds, [self.output], training=False)
+    def predict_feeds(self, feeds: dict,
+                      projections: dict | None = None) -> np.ndarray:
+        """Eval-mode forward pass: dropout off, batchnorm on running stats.
+
+        ``projections`` are precomputed first-layer tables, as in
+        ``Graph.forward``.
+        """
+        (out,) = self.graph.forward(feeds, [self.output], training=False,
+                                    projections=projections)
         return out
 
     def output_columns(self, protein_ids) -> np.ndarray:
@@ -488,21 +507,78 @@ class FeatureStore:
     def predict(self, model: Model, indices, batch_size: int = 1024) -> np.ndarray:
         """Per-pair predictions with one column per task.
 
-        Pairs are scored ``batch_size`` at a time. A chunk holds its
-        distinct compound inputs and protein descriptors once each, never a
-        per-pair join of the two.
+        The call runs in two passes. First, each distinct compound and
+        protein of ``indices`` is projected once through its block of
+        ``dense0.W``, at most ``batch_size`` rows at a time, into one
+        ``(distinct, hidden)`` table per input block; a graph-conv compound
+        runs through the conv stack in the same blocks of molecules first.
+        Then the pairs are scored ``batch_size`` at a time: a chunk gathers
+        and adds its pairs' projection rows and runs the rest of the
+        eval-mode network. The call holds those tables plus one block of
+        input rows, never a per-pair join of the two or a call-sized copy of
+        fingerprint or descriptor rows.
         """
+        if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+            raise ModelError(
+                f"batch_size must be a positive integer, got {batch_size!r}")
         indices = np.asarray(indices, dtype=np.int64)
         n_outputs = 1 if self.cfg.compound_only else model.cfg.n_tasks
-        chunks = [np.empty((0, n_outputs))]  # what an empty ``indices`` gives
+        if indices.size == 0:
+            return np.empty((0, n_outputs))
+        pairs = self.dataset.pairs[indices]
+        compounds, compound_row = np.unique(pairs[:, 0], return_inverse=True)
+        tables = [self._projection(model, 0, compounds, batch_size)]
+        pair_rows = {"compound_row": compound_row}
+        if self.cfg.compound_only:
+            columns = model.output_columns(
+                [self.dataset.protein_ids[i] for i in pairs[:, 1]])
+        else:
+            proteins, pair_rows["protein_row"] = np.unique(
+                pairs[:, 1], return_inverse=True)
+            tables.append(self._projection(model, 1, proteins, batch_size))
+        projections = {model.first_layer: tables}
+        chunks = []
         for start in range(0, indices.size, batch_size):
-            part = indices[start:start + batch_size]
-            feeds = self.feeds(part, with_targets=False)
-            out = model.predict_feeds(feeds)
+            part = slice(start, start + batch_size)
+            out = model.predict_feeds(
+                {name: row[part] for name, row in pair_rows.items()},
+                projections)
             if self.cfg.compound_only:
-                protein_idx = self.dataset.pairs[part, 1]
-                cols = model.output_columns(
-                    [self.dataset.protein_ids[i] for i in protein_idx])
-                out = out[np.arange(part.size), cols][:, None]
+                out = out[np.arange(out.shape[0]), columns[part]][:, None]
             chunks.append(out)
         return np.concatenate(chunks, axis=0)
+
+    def _projection(self, model: Model, block: int, distinct: np.ndarray,
+                    batch_size: int) -> np.ndarray:
+        """First-layer projection of the ``distinct`` compounds (``block``
+        0) or proteins (1), in blocks of at most ``batch_size`` rows."""
+        first = model.first_layer
+        lo = 0 if block == 0 else model.cfg.compound_width()
+        parts = []
+        for rows in _row_blocks(distinct.size, batch_size):
+            chosen = distinct[rows]
+            feeds = (self._compound_feeds(chosen) if block == 0
+                     else {"protein": self.protein_matrix[chosen]})
+            (table,) = model.graph.forward(feeds, [first.inputs[block]])
+            parts.append(first.project(table, lo))
+        return np.concatenate(parts, axis=0)
+
+
+def _row_blocks(n: int, limit: int) -> list[slice]:
+    """``range(n)`` split as evenly as can be into blocks of at most
+    ``limit`` rows, except that a block never holds one row unless ``n`` is
+    1 (so a limit below 3 may give blocks of 3 rows).
+
+    A one-row product runs through gemv, which sums in another order than
+    the GEMM of a larger block. For the default first-layer shapes (2048 or
+    8421 input columns into 256, and 128 or 8421 into 64) a GEMM row does
+    not depend on how many rows share the product (checked for 2 to 1100
+    rows, OpenBLAS, 2-core Xeon), so without one-row blocks the blocking
+    never changes a projection. A narrower product of a few rows (below
+    about a million multiply-adds, e.g. 2048 columns into 32 on up to 13
+    rows) can take OpenBLAS's small-matrix kernel, whose rows differ from a
+    larger block's in the last bits.
+    """
+    count = max(1, min(-(-n // limit), n // 2))
+    edges = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]

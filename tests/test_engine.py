@@ -1,5 +1,7 @@
 """Autodiff engine: op semantics, gradients vs central differences, Adam."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,69 @@ class TestOpSemantics:
             assert np.array_equal(engine.relu(values).view(np.int64),
                                   expected.view(np.int64))
 
+    def test_eval_relu_keeps_no_mask_and_its_backward_forms_one(self):
+        g = Graph()
+        x = g.placeholder("x")
+        out = g.relu(x)
+        loss = g.weighted_mse(out, g.placeholder("t"), g.placeholder("w"))
+        rng = np.random.default_rng(7)
+        feeds = {"x": np.array([[0.0, 2.0, -1.0, -0.0]]),
+                 "t": rng.standard_normal((1, 4)), "w": np.ones((1, 4))}
+        g.forward(feeds, [loss], training=False)
+        assert out._mask is None
+        g.backward(loss, inputs=(x,))
+        after_eval = x.grad.copy()
+        g.forward(feeds, [loss], training=True)
+        assert out._mask is not None
+        g.backward(loss, inputs=(x,))
+        assert np.array_equal(after_eval, x.grad)
+        assert after_eval[0, 0] == after_eval[0, 2] == after_eval[0, 3] == 0.0
+
+    def test_eval_batchnorm_equals_the_training_arithmetic_bitwise(self):
+        rng = np.random.default_rng(8)
+        g = Graph()
+        x = g.placeholder("x")
+        gamma = g.parameter("gamma", 1.0 + 0.3 * rng.standard_normal(5))
+        beta = g.parameter("beta", 0.2 * rng.standard_normal(5))
+        bn = g.batch_norm(x, gamma, beta)
+        bn.running_mean = rng.standard_normal(5)
+        bn.running_var = rng.random(5) + 0.5
+        data = rng.normal(1.0, 2.0, size=(33, 5))
+        (value,) = g.forward({"x": data}, [bn], training=False)
+        xhat = (data - bn.running_mean) * (1.0 / np.sqrt(bn.running_var
+                                                          + bn.eps))
+        assert np.array_equal(value, gamma.array * xhat + beta.array)
+        assert bn._centered is None and bn._xhat is None
+
+    def test_backward_after_eval_batchnorm_against_central_differences(self):
+        rng = np.random.default_rng(9)
+        g = Graph()
+        x = g.placeholder("x")
+        gamma = g.parameter("gamma", 1.0 + 0.3 * rng.standard_normal(4))
+        beta = g.parameter("beta", 0.2 * rng.standard_normal(4))
+        bn = g.batch_norm(x, gamma, beta)
+        bn.running_mean = rng.standard_normal(4)
+        bn.running_var = rng.random(4) + 0.5
+        loss = g.weighted_mse(g.relu(bn), g.placeholder("t"),
+                              g.placeholder("w"))
+        feeds = {"x": rng.standard_normal((6, 4)),
+                 "t": rng.standard_normal((6, 4)), "w": np.ones((6, 4))}
+
+        def evaluate():
+            (value,) = g.forward(feeds, [loss], training=False)
+            return float(value)
+
+        for array, node in ((gamma.array, gamma), (beta.array, beta),
+                            (feeds["x"], x)):
+            evaluate()
+            g.backward(loss, inputs=(x,))
+            direction = rng.standard_normal(array.shape)
+            direction /= np.linalg.norm(direction)
+            analytic = float((node.grad * direction).sum())
+            numeric = central_difference_directional(evaluate, array,
+                                                      direction)
+            assert relative_error(analytic, numeric) < 1e-4, node.name
+
     def test_relu_subgradient_zero_at_zero(self):
         g = Graph()
         x = g.placeholder("x")
@@ -252,6 +317,51 @@ class TestGraphExecution:
         with pytest.raises(NonFiniteError, match="'w'"):
             g.load_state({"w": np.array([[np.inf, 0.0]])})
         assert np.array_equal(w.array, np.ones((1, 2)))
+
+    @pytest.mark.parametrize("size", [4, 1 << 20])  # the larger: sum first
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_finite_values_whose_sum_is_not_finite_pass(self, size, mixed):
+        data = np.full((1, size), 1e308)
+        if mixed:
+            data[0, size // 2:] = -1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(data, axis=None)
+        assert np.isnan(total) if mixed and size > 4 else np.isinf(total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check itself stays quiet
+            assert engine.all_finite(data)
+            g = Graph()
+            x = g.placeholder("x")
+            w = g.parameter("w", data)
+            g.load_state({"w": data})
+            (value,) = g.forward({"x": data}, [x])
+            assert np.array_equal(value, data)
+            adam = Adam([w])
+            w.grad = data
+            with np.errstate(over="ignore"):  # the update's (1-b2)*g*g
+                adam.step()
+        assert adam.state.step == 1
+
+    @pytest.mark.parametrize("size", [12, 1 << 20])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_entry_is_caught_everywhere(self, size, bad):
+        data = np.ones((4, size // 4))
+        data[1, 2] = bad
+        assert not engine.all_finite(data)
+        g = Graph()
+        x = g.placeholder("x")
+        with pytest.raises(NonFiniteError, match="'x'"):
+            g.forward({"x": data}, [g.relu(x)])
+        with pytest.raises(NonFiniteError, match="'w'"):
+            g.parameter("w", data)
+        g.parameter("v", np.ones(data.shape))
+        with pytest.raises(NonFiniteError, match="'v'"):
+            g.load_state({"v": data})
+        theta = Parameter("theta", np.ones(data.shape))
+        adam = Adam([theta])
+        theta.grad = data
+        with pytest.raises(NonFiniteError, match="'theta'"):
+            adam.step()
 
     def test_parameter_written_by_hand_caught_by_its_reader(self):
         g = Graph()
@@ -415,6 +525,49 @@ class TestIndexedDense:
         feeds.update(change)
         with pytest.raises(ShapeError, match=f"first.*{message}"):
             g.forward(feeds, [loss])
+
+    def _given(self, widths=(5, 3)):
+        """The net, its feeds, its ``indexed_dense`` node, projections of
+        the node's tables, and the feeds without the tables."""
+        g, loss, feeds, tables, _w = self._net(np.random.default_rng(4),
+                                               widths)
+        first = next(n for n in g.nodes if n.name == "first")
+        projections = {first: [
+            first.project(feeds[f"t{k}"], sum(widths[:k]))
+            for k in range(len(widths))]}
+        rest = {k: v for k, v in feeds.items()
+                if k not in {table.name for table in tables}}
+        return g, loss, feeds, first, projections, rest
+
+    @pytest.mark.parametrize("widths", [(5,), (5, 3)])
+    def test_forward_given_projections_equals_it_and_skips_the_tables(
+            self, widths):
+        g, loss, feeds, _first, projections, rest = self._given(widths)
+        (reference,) = g.forward(feeds, [loss])
+        ran = computed_nodes(g)
+        (value,) = g.forward(rest, [loss], projections=projections)
+        assert value == reference
+        assert not {f"t{k}" for k in range(len(widths))} & set(ran)
+        assert "first" in ran
+
+    def test_backward_needs_a_forward_without_projections(self):
+        g, loss, feeds, _first, projections, rest = self._given()
+        g.forward(rest, [loss], projections=projections)
+        with pytest.raises(EngineError, match="before forward"):
+            g.backward(loss)
+        g.forward(feeds, [loss])
+        g.backward(loss)
+
+    def test_projections_must_fit_the_node(self):
+        g, loss, _feeds, first, projections, rest = self._given()
+        p0, p1 = projections[first]
+        for wrong in ([p0], [p0, p1[:, :2]], [p0, p1[0]]):
+            with pytest.raises(ShapeError, match="first.*projections"):
+                g.forward(rest, [loss], projections={first: wrong})
+        with pytest.raises(ShapeError, match="first.*range"):
+            g.forward(rest, [loss], projections={first: [p0[:1], p1]})
+        with pytest.raises(EngineError, match="not an indexed_dense"):
+            g.forward(rest, [loss], projections={loss: [p0, p1]})
 
 
 class TestBackwardScope:

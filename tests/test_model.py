@@ -256,12 +256,47 @@ class TestIndexedFirstLayer:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_predict_does_not_depend_on_chunk_size(self, variant):
+        """The ecfp variants give the one-chunk bytes in chunks of 16 and
+        256 pairs. Chunks of one pair run the per-pair layers through gemv,
+        and a graph-conv block of other molecules can hold a one-atom degree
+        slice; both sum in another order."""
         store, model = self._setup(variant, 40, 10, 300)
         indices = np.arange(store.dataset.n_pairs)
         reference = store.predict(model, indices, batch_size=1024)
-        for batch_size in (1, 256):
-            assert_matches(store.predict(model, indices,
-                                         batch_size=batch_size), reference)
+        for batch_size in (1, 16, 256):
+            predicted = store.predict(model, indices, batch_size=batch_size)
+            if batch_size > 1 and variant.endswith("ecfp"):
+                assert np.array_equal(predicted, reference), batch_size
+            else:
+                assert_matches(predicted, reference)
+
+    def test_predict_projects_each_distinct_row_once(self, monkeypatch):
+        store, model = self._setup("padme-ecfp", 200, 10, 300)
+        first = model.first_layer
+        projected = []
+
+        def spy(node, table, lo, original=type(first).project):
+            projected.append((lo, table.copy()))
+            return original(node, table, lo)
+
+        monkeypatch.setattr(type(first), "project", spy)
+        indices = np.arange(store.dataset.n_pairs)
+        predicted = store.predict(model, indices, batch_size=100)
+        pairs = store.dataset.pairs
+        compounds, proteins = np.unique(pairs[:, 0]), np.unique(pairs[:, 1])
+        assert compounds.size > 100  # two compound blocks, three chunks
+        width = model.cfg.compound_width()
+        assert {lo for lo, _ in projected} == {0, width}
+        assert [len(t) for lo, t in projected if lo == 0] == [
+            compounds.size // 2, compounds.size - compounds.size // 2]
+        assert np.array_equal(
+            np.concatenate([t for lo, t in projected if lo == 0]),
+            store.fingerprint_matrix[compounds])
+        assert np.array_equal(
+            np.concatenate([t for lo, t in projected if lo == width]),
+            store.protein_matrix[proteins])
+        monkeypatch.undo()
+        assert_matches(predicted, store.predict(model, indices))
 
 
 class TestFeatureStore:
@@ -287,6 +322,14 @@ class TestFeatureStore:
         assert out.shape == (0, store.predict(model, [0]).shape[1])
         assert out.shape[1] == (1 if variant.startswith("compound-only")
                                 else n_tasks)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_refuses_a_batch_size_below_one(self, batch_size):
+        store = FeatureStore(memory_dataset(n_compounds=6, n_proteins=3,
+                                            n_pairs=14), small_config())
+        model = store.build_model()
+        with pytest.raises(ModelError, match=f"batch_size.* {batch_size}$"):
+            store.predict(model, np.arange(14), batch_size=batch_size)
 
     def test_empty_compound_selection_is_refused(self):
         store = FeatureStore(memory_dataset(n_compounds=4, n_proteins=2,

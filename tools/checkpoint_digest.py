@@ -7,6 +7,11 @@ each one, a fresh interpreter
 
 * trains the four variants for 3 epochs with seed 0 on synthetic pairs and
   saves each best checkpoint with its Adam moments;
+* scores 2600 synthetic pairs of 1300 compounds and 12 proteins with the
+  trained ``padme-ecfp`` model through ``FeatureStore.predict`` at its
+  default ``batch_size`` (prediction bytes): three chunks of pairs and two
+  blocks of over a thousand distinct compounds, each holding several
+  distinct compounds and proteins;
 * fits one ``padme-graphconv`` model twice with two ``train`` calls on the
   same store (the second optimizer repacks parameters the first one owns)
   and saves the second fit's checkpoint;
@@ -122,6 +127,20 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     return out
 
 
+def multi_chunk_predict_digest(model) -> str:
+    """Digest of ``model``'s predictions for 2600 pairs of new compounds."""
+    import numpy as np
+
+    from dtanet.model import FeatureStore
+    from dtanet.synthetic import memory_dataset
+
+    dataset = memory_dataset(n_compounds=1300, n_proteins=12, n_pairs=2600,
+                             seed=SEED + 1)
+    predictions = FeatureStore(dataset, model.cfg).predict(
+        model, np.arange(dataset.n_pairs))
+    return hashlib.sha256(predictions.tobytes()).hexdigest()
+
+
 def digests() -> dict[str, str]:
     """Train each variant, then run the pipeline, in this interpreter."""
     from dtanet.model import VARIANTS, FeatureStore, ModelConfig
@@ -145,6 +164,9 @@ def digests() -> dict[str, str]:
             model.save(path, optimizer_step=result.best_optimizer_step,
                        optimizer_arrays=result.best_optimizer)
             out[variant] = _sha(path)
+            if variant == "padme-ecfp":
+                out["padme-ecfp 3-chunk predict"] = \
+                    multi_chunk_predict_digest(model)
         store = FeatureStore(dataset, ModelConfig(variant="padme-graphconv",
                                                   seed=SEED))
         model = store.build_model()
