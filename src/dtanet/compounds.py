@@ -63,17 +63,13 @@ def _mix32(values: Iterable[int]) -> int:
 
 
 def _initial_identifiers(graph: MolGraph) -> list[int]:
-    ids = []
-    for i, atom in enumerate(graph.atoms):
-        ids.append(_mix32((
-            atomic_number(atom.element),
-            graph.degree(i),
-            atom.hydrogens,
-            atom.formal_charge,
-            int(atom.aromatic),
-            int(atom.ring_member),
-        )))
-    return ids
+    return [
+        _mix32((atomic_number(element), len(nbrs), hydrogens, charge,
+                int(aromatic), int(ring)))
+        for element, nbrs, hydrogens, charge, aromatic, ring in zip(
+            graph.elements, graph.adjacency, graph.hydrogens, graph.charges,
+            graph.aromatic, graph.ring)
+    ]
 
 
 def ecfp_identifiers(graph: MolGraph, radius: int) -> tuple[int, ...]:
@@ -101,10 +97,8 @@ def ecfp_identifiers(graph: MolGraph, radius: int) -> tuple[int, ...]:
         new_ids = []
         new_cov = []
         for i in range(graph.n_atoms):
-            neighbors = sorted(
-                (int(graph.bond_between(i, j).order), ids[j])
-                for j in graph.adjacency[i]
-            )
+            neighbors = sorted(zip(graph.bond_orders[i],
+                                   [ids[j] for j in graph.adjacency[i]]))
             payload = [r, ids[i]]
             for order_code, nbr_id in neighbors:
                 payload.append(order_code)
@@ -179,23 +173,24 @@ def atom_features(graph: MolGraph,
     aromatic flag, ring flag.
     """
     vocab_index = {symbol: k for k, symbol in enumerate(vocabulary)}
-    width = atom_feature_width(vocabulary, max_degree)
-    rows = np.zeros((graph.n_atoms, width), dtype=np.float64)
-    degrees = graph.degrees()
-    for i, atom in enumerate(graph.atoms):
-        d = degrees[i]
-        if d > max_degree:
+    degree_at = len(vocabulary) + 1
+    hydrogen_at = degree_at + max_degree + 1
+    scalar_at = hydrogen_at + _MAX_H_ONEHOT + 1
+    hot = []  # the three one-hot columns of each atom
+    for i, (element, nbrs, hydrogens) in enumerate(
+            zip(graph.elements, graph.adjacency, graph.hydrogens)):
+        if len(nbrs) > max_degree:
             raise FeaturizationError(
-                f"atom {i} ({atom.element}) has degree {d}, "
+                f"atom {i} ({element}) has degree {len(nbrs)}, "
                 f"max supported is {max_degree}")
-        offset = 0
-        rows[i, vocab_index.get(atom.element, len(vocabulary))] = 1.0
-        offset += len(vocabulary) + 1
-        rows[i, offset + d] = 1.0
-        offset += max_degree + 1
-        rows[i, offset + min(atom.hydrogens, _MAX_H_ONEHOT)] = 1.0
-        offset += _MAX_H_ONEHOT + 1
-        rows[i, offset] = float(atom.formal_charge)
-        rows[i, offset + 1] = 1.0 if atom.aromatic else 0.0
-        rows[i, offset + 2] = 1.0 if atom.ring_member else 0.0
+        hot.append((vocab_index.get(element, len(vocabulary)),
+                    degree_at + len(nbrs),
+                    hydrogen_at + min(hydrogens, _MAX_H_ONEHOT)))
+    rows = np.zeros((graph.n_atoms, atom_feature_width(vocabulary, max_degree)),
+                    dtype=np.float64)
+    rows[np.arange(graph.n_atoms)[:, None],
+         np.array(hot, dtype=np.intp).reshape(-1, 3)] = 1.0
+    rows[:, scalar_at] = graph.charges
+    rows[:, scalar_at + 1] = graph.aromatic
+    rows[:, scalar_at + 2] = graph.ring
     return rows

@@ -147,10 +147,17 @@ def write_descriptor_matrix(path: str | Path, ids: list[str],
 
 def read_descriptor_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as handle:
+
+        def read(size: int) -> bytes:
+            data = handle.read(size)
+            if len(data) != size:
+                raise SequenceError(f"{path}: truncated descriptor matrix file")
+            return data
+
         magic = handle.read(8)
         if magic != _MAGIC:
             raise SequenceError(f"{path}: not a descriptor matrix file")
-        version, count, dim = struct.unpack("<III", handle.read(12))
+        version, count, dim = struct.unpack("<III", read(12))
         if version != LAYOUT_VERSION:
             raise SequenceError(
                 f"{path}: layout version {version} is not supported "
@@ -160,8 +167,8 @@ def read_descriptor_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                 f"{path}: descriptor length {dim} != {DESCRIPTOR_LENGTH}")
         ids = []
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", handle.read(2))
-            ids.append(handle.read(id_len).decode("utf-8"))
-        payload = handle.read(count * dim * 8)
+            (id_len,) = struct.unpack("<H", read(2))
+            ids.append(read(id_len).decode("utf-8"))
+        payload = read(count * dim * 8)
         matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
     return ids, matrix

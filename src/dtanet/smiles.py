@@ -19,13 +19,27 @@ Implicit hydrogens are assigned to unbracketed organic-subset atoms from
 standard valences (C4, N3, O2, S2/4/6 lowest fit, halogens 1, P3/5, B3),
 where aromatic bonds count one valence unit and an aromatic atom loses one
 unit of available valence. Bracket atoms carry exactly their written
-hydrogen count.
+hydrogen count. Isotopes are accepted and validated but not stored.
+
+A parsed :class:`MolGraph` is plain columns, one tuple per atom property
+indexed by atom: ``elements`` (symbols, aromatic ones upper-cased),
+``charges`` (formal charges), ``hydrogens`` (total hydrogen counts),
+``aromatic`` and ``ring`` (on a cycle). ``bonds`` holds ``(a, b, order)``
+int triples in parse order, ``order`` a :class:`BondOrder` value. The
+derived neighbor lists ``adjacency`` (ascending) and ``bond_orders``
+(parallel to it) serve the featurizers.
+
+Ring flags are read off the parse tree. Every bond that is not a ring
+closure joins an atom to an atom written before it (its parent), so those
+bonds form a spanning tree, and an atom lies on a cycle exactly when it lies
+on the tree path between the two ends of some closure bond. The parser
+records each atom's parent and walks each closure's ends up to their common
+ancestor.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .elements import (
     AROMATIC_SYMBOLS,
@@ -36,8 +50,6 @@ from .elements import (
 )
 
 __all__ = [
-    "Atom",
-    "Bond",
     "BondOrder",
     "MolGraph",
     "SmilesError",
@@ -61,11 +73,6 @@ class BondOrder(enum.IntEnum):
     TRIPLE = 3
     AROMATIC = 4
 
-    @property
-    def valence_units(self) -> int:
-        """Contribution to an atom's bond order sum (aromatic counts as 1)."""
-        return 1 if self is BondOrder.AROMATIC else int(self)
-
 
 _BOND_SYMBOLS = {
     "-": BondOrder.SINGLE,
@@ -83,72 +90,57 @@ _UNSUPPORTED_TOKENS = {
 }
 
 
-@dataclass
-class Atom:
-    """One atom of a parsed molecule.
-
-    ``explicit_h`` is the hydrogen count written in a bracket atom and is
-    ``None`` for organic-subset atoms, whose total hydrogen count is derived
-    from standard valences. ``hydrogens`` always holds the final count.
-    """
-
-    element: str
-    formal_charge: int = 0
-    explicit_h: int | None = None
-    isotope: int | None = None
-    aromatic: bool = False
-    ring_member: bool = False
-    hydrogens: int = 0
-
-
-@dataclass(frozen=True)
-class Bond:
-    a: int
-    b: int
-    order: BondOrder
-
-
 class MolGraph:
-    """Molecular graph: atoms, bonds and derived adjacency."""
+    """Molecular graph as per-atom columns and a bond list (see the module
+    docstring for the layout); derives ``adjacency`` and ``bond_orders``."""
 
-    def __init__(self, atoms: list[Atom], bonds: list[Bond]):
-        self.atoms = atoms
-        self.bonds = bonds
-        neighbors: list[list[int]] = [[] for _ in atoms]
-        self._bond_by_pair: dict[tuple[int, int], Bond] = {}
-        for bond in bonds:
-            neighbors[bond.a].append(bond.b)
-            neighbors[bond.b].append(bond.a)
-            self._bond_by_pair[_pair_key(bond.a, bond.b)] = bond
-        # tuples of ints leave the garbage collector's tracking, which keeps
-        # a dataset of parsed molecules cheap to hold
+    __slots__ = ("elements", "charges", "hydrogens", "aromatic", "ring",
+                 "bonds", "adjacency", "bond_orders")
+
+    def __init__(self, elements, charges, hydrogens, aromatic, ring, bonds):
+        # tuples of ints, strings and bools leave the garbage collector's
+        # tracking, which keeps a dataset of parsed molecules cheap to hold
+        self.elements: tuple[str, ...] = tuple(elements)
+        self.charges: tuple[int, ...] = tuple(charges)
+        self.hydrogens: tuple[int, ...] = tuple(hydrogens)
+        self.aromatic: tuple[bool, ...] = tuple(aromatic)
+        self.ring: tuple[bool, ...] = tuple(ring)
+        self.bonds: tuple[tuple[int, int, int], ...] = tuple(
+            (a, b, int(order)) for a, b, order in bonds)
+        neighbors: list[list[tuple[int, int]]] = [[] for _ in self.elements]
+        for a, b, order in self.bonds:
+            neighbors[a].append((b, order))
+            neighbors[b].append((a, order))
+        for nbrs in neighbors:
+            nbrs.sort()
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in neighbors)
+            tuple(j for j, _ in nbrs) for nbrs in neighbors)
+        self.bond_orders: tuple[tuple[int, ...], ...] = tuple(
+            tuple(order for _, order in nbrs) for nbrs in neighbors)
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        return len(self.elements)
 
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adjacency]
-
-    def bond_between(self, i: int, j: int) -> Bond:
-        return self._bond_by_pair[_pair_key(i, j)]
-
-
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.i = 0
-        self.atoms: list[Atom] = []
-        self.bonds: list[Bond] = []
+        self.elements: list[str] = []
+        self.charges: list[int] = []
+        self.aromatic: list[bool] = []
+        # hydrogen count written in a bracket atom; None for organic-subset
+        # atoms, whose count follows from standard valences
+        self.written_h: list[int | None] = []
+        # each atom's parse-tree parent: the atom it bonds to when written,
+        # so always a smaller index (-1 for the first atom)
+        self.parent: list[int] = []
+        self.bonds: list[tuple[int, int, BondOrder]] = []
+        self.closures: list[tuple[int, int]] = []
         self.bond_pairs: set[tuple[int, int]] = set()
         # ring digit -> (atom index, explicit bond order or None, offset)
         self.open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
@@ -189,7 +181,7 @@ class _Parser:
                     raise self.error("unmatched parenthesis: branch without a preceding atom")
                 if self.pending is not None:
                     raise self.error("bond symbol before branch opening")
-                self.branch_stack.append((self.prev, len(self.atoms), self.i))
+                self.branch_stack.append((self.prev, len(self.elements), self.i))
                 self.take()
             elif ch == ")":
                 if not self.branch_stack:
@@ -197,7 +189,7 @@ class _Parser:
                 if self.pending is not None:
                     raise self.error("dangling bond symbol before ')'", self.pending_offset)
                 anchor, atom_count, open_offset = self.branch_stack.pop()
-                if len(self.atoms) == atom_count:
+                if len(self.elements) == atom_count:
                     raise self.error("empty branch", open_offset)
                 self.prev = anchor
                 self.take()
@@ -228,16 +220,16 @@ class _Parser:
         if nxt is not None and (ch + nxt) in TWO_LETTER_ORGANIC:
             symbol = ch + self.take()
         if symbol in ORGANIC_SUBSET:
-            self._add_atom(Atom(element=symbol), start)
+            self._add_atom(symbol, False, 0, None, start)
         elif symbol in AROMATIC_SYMBOLS:
-            self._add_atom(Atom(element=symbol.upper(), aromatic=True), start)
+            self._add_atom(symbol.upper(), True, 0, None, start)
         else:
             raise SmilesError(f"unknown element symbol {symbol!r}", self.text, start)
 
     def _bracket_atom(self) -> None:
         start = self.i
         self.take()  # '['
-        isotope = self._read_int()
+        self._read_int()  # isotope: accepted, not stored
         symbol_start = self.i
         ch = self.peek()
         if ch is None or not ch.isalpha():
@@ -285,11 +277,7 @@ class _Parser:
         if self.peek() != "]":
             raise self.error("malformed bracket atom: expected ']'")
         self.take()
-        self._add_atom(
-            Atom(element=element, formal_charge=charge, explicit_h=hydrogens,
-                 isotope=isotope, aromatic=aromatic),
-            start,
-        )
+        self._add_atom(element, aromatic, charge, hydrogens, start)
 
     def _read_int(self) -> int | None:
         digits = ""
@@ -297,13 +285,18 @@ class _Parser:
             digits += self.take()
         return int(digits) if digits else None
 
-    def _add_atom(self, atom: Atom, offset: int) -> None:
-        idx = len(self.atoms)
-        self.atoms.append(atom)
+    def _add_atom(self, element: str, aromatic: bool, charge: int,
+                  written_h: int | None, offset: int) -> None:
+        idx = len(self.elements)
+        self.elements.append(element)
+        self.aromatic.append(aromatic)
+        self.charges.append(charge)
+        self.written_h.append(written_h)
+        self.parent.append(-1 if self.prev is None else self.prev)
         if self.prev is not None:
             order = self.pending
             if order is None:
-                both_aromatic = self.atoms[self.prev].aromatic and atom.aromatic
+                both_aromatic = self.aromatic[self.prev] and aromatic
                 order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
             self._add_bond(self.prev, idx, order, offset)
         self.pending = None
@@ -338,86 +331,63 @@ class _Parser:
             if order is None:
                 order = opened_order
             if order is None:
-                both_aromatic = (self.atoms[other].aromatic
-                                 and self.atoms[self.prev].aromatic)
+                both_aromatic = self.aromatic[other] and self.aromatic[self.prev]
                 order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
             self._add_bond(other, self.prev, order, offset)
+            self.closures.append((other, self.prev))
         else:
             self.open_rings[digit] = (self.prev, self.pending, offset)
         self.pending = None
 
     def _add_bond(self, a: int, b: int, order: BondOrder, offset: int) -> None:
-        key = _pair_key(a, b)
+        key = (a, b) if a < b else (b, a)
         if key in self.bond_pairs:
             raise self.error(f"duplicate bond between atoms {key[0]} and {key[1]}", offset)
         self.bond_pairs.add(key)
-        self.bonds.append(Bond(a, b, order))
+        self.bonds.append((a, b, order))
 
     # -- finalization --------------------------------------------------
 
     def _finalize(self) -> MolGraph:
-        graph = MolGraph(self.atoms, self.bonds)
-        _mark_ring_members(graph)
-        _assign_hydrogens(graph)
-        return graph
+        return MolGraph(self.elements, self.charges, self._hydrogens(),
+                        self.aromatic, self._ring_flags(), self.bonds)
 
+    def _ring_flags(self) -> list[bool]:
+        """Flag the atoms on the tree path between the ends of each closure.
 
-def _mark_ring_members(graph: MolGraph) -> None:
-    """Flag atoms that lie on a cycle (endpoints of non-bridge bonds)."""
-    n = graph.n_atoms
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bi, bond in enumerate(graph.bonds):
-        incident[bond.a].append((bond.b, bi))
-        incident[bond.b].append((bond.a, bi))
-    disc = [-1] * n
-    low = [0] * n
-    is_bridge = [False] * len(graph.bonds)
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[list[int]] = [[root, -1, 0]]  # node, parent bond, child cursor
-        while stack:
-            node, parent_bond, cursor = stack[-1]
-            if cursor == 0:
-                disc[node] = low[node] = timer
-                timer += 1
-            if cursor < len(incident[node]):
-                stack[-1][2] += 1
-                nbr, bi = incident[node][cursor]
-                if bi == parent_bond:
-                    continue
-                if disc[nbr] != -1:
-                    low[node] = min(low[node], disc[nbr])
-                else:
-                    stack.append([nbr, bi, 0])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        is_bridge[parent_bond] = True
-    for bi, bond in enumerate(graph.bonds):
-        if not is_bridge[bi]:
-            graph.atoms[bond.a].ring_member = True
-            graph.atoms[bond.b].ring_member = True
+        The bonds that are not ring closures form a spanning tree, so an atom
+        lies on a cycle exactly when it lies on such a path. A parent's index
+        is below its child's, so the larger of the two ends is never the
+        common ancestor and steps up first.
+        """
+        ring = [False] * len(self.elements)
+        for a, b in self.closures:
+            ring[a] = ring[b] = True
+            while a != b:
+                if a < b:
+                    a, b = b, a
+                a = self.parent[a]
+                ring[a] = True
+        return ring
 
-
-def _assign_hydrogens(graph: MolGraph) -> None:
-    order_sums = [0] * graph.n_atoms
-    for bond in graph.bonds:
-        order_sums[bond.a] += bond.order.valence_units
-        order_sums[bond.b] += bond.order.valence_units
-    for atom, order_sum in zip(graph.atoms, order_sums):
-        if atom.explicit_h is not None:
-            atom.hydrogens = atom.explicit_h
-            continue
-        valences = DEFAULT_VALENCES[atom.element]
-        fitted = next((v for v in valences if v >= order_sum), valences[-1])
-        if atom.aromatic:
-            fitted -= 1
-        atom.hydrogens = max(0, fitted - order_sum)
+    def _hydrogens(self) -> list[int]:
+        order_sums = [0] * len(self.elements)
+        for a, b, order in self.bonds:
+            units = 1 if order is BondOrder.AROMATIC else int(order)
+            order_sums[a] += units
+            order_sums[b] += units
+        hydrogens = []
+        for element, aromatic, written, order_sum in zip(
+                self.elements, self.aromatic, self.written_h, order_sums):
+            if written is not None:
+                hydrogens.append(written)
+                continue
+            valences = DEFAULT_VALENCES[element]
+            fitted = next((v for v in valences if v >= order_sum), valences[-1])
+            if aromatic:
+                fitted -= 1
+            hydrogens.append(max(0, fitted - order_sum))
+        return hydrogens
 
 
 def parse_smiles(text: str) -> MolGraph:
@@ -441,10 +411,8 @@ def canonical_atom_order(graph: MolGraph) -> tuple[int, ...]:
     n = graph.n_atoms
     if n == 0:
         return ()
-    labels: list[object] = [
-        (a.element, a.formal_charge, graph.degree(i))
-        for i, a in enumerate(graph.atoms)
-    ]
+    labels: list[object] = list(zip(graph.elements, graph.charges,
+                                    graph.degrees()))
     classes = _dense_ranks(labels)
     n_classes = len(set(classes))
     for _ in range(n):

@@ -479,18 +479,27 @@ def read_folds(path: str | Path) -> FoldAssignment:
     meta: dict[str, str] = {}
     folds: list[int] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if line.startswith("# "):
                 key, _, value = line[2:].partition("=")
                 meta[key] = value
             elif line and line != "record_index,fold":
                 index, _, fold = line.partition(",")
-                if int(index) != len(folds):
-                    raise SplitError(f"{path}: record indices out of order")
-                folds.append(int(fold))
+                try:
+                    index_value, fold_value = int(index), int(fold)
+                except ValueError:
+                    raise SplitError(
+                        f"{path}: line {lineno}: expected 'record_index,fold' "
+                        f"integers, got {line!r}") from None
+                if index_value != len(folds):
+                    raise SplitError(
+                        f"{path}: line {lineno}: record indices out of order")
+                folds.append(fold_value)
     try:
         return FoldAssignment(k=int(meta["k"]), folds=np.array(folds),
                               scheme=meta["scheme"], seed=int(meta["seed"]))
     except KeyError as exc:
         raise SplitError(f"{path}: missing metadata line for {exc}") from exc
+    except SplitError as exc:
+        raise SplitError(f"{path}: {exc}") from exc

@@ -383,11 +383,22 @@ def load_space(path: str | Path) -> SearchSpace:
                 raise TuneError(f"{path}:{lineno}: expected 'name kind args...'")
             name, kind, *args = parts
             lines[name] = lineno
-            if kind == "continuous":
-                is_log = len(args) > 2 and args[2] == "log"
-                dims[name] = Continuous(float(args[0]), float(args[1]), is_log)
-            elif kind == "integer":
-                dims[name] = Integer(int(args[0]), int(args[1]))
+            if kind in ("continuous", "integer"):
+                cast = float if kind == "continuous" else int
+                try:
+                    lo, hi = (cast(a) for a in args[:2])
+                except ValueError:
+                    raise TuneError(
+                        f"{path}:{lineno}: {kind} needs numeric bounds "
+                        f"'lo hi', got {' '.join(args)!r}") from None
+                try:
+                    if kind == "continuous":
+                        is_log = len(args) > 2 and args[2] == "log"
+                        dims[name] = Continuous(lo, hi, is_log)
+                    else:
+                        dims[name] = Integer(lo, hi)
+                except TuneError as exc:
+                    raise TuneError(f"{path}:{lineno}: {exc}") from exc
             elif kind == "categorical":
                 dims[name] = Categorical(tuple(_parse_scalar(a) for a in args))
             else:

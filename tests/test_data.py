@@ -265,7 +265,7 @@ class TestMolecules:
         assert records[0].molecule is records[2].molecule
         ds = load_dataset(*files)
         assert [m.n_atoms for m in ds.molecules] == [3, 3]
-        assert [m.atoms[2].element for m in ds.molecules] == ["O", "N"]
+        assert [m.elements[2] for m in ds.molecules] == ["O", "N"]
 
     def test_hand_built_dataset_parses_its_compounds(self):
         ds = assemble_pairs(transform_values([rec("CCO", "P1"),

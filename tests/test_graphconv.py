@@ -18,7 +18,7 @@ from dtanet.graphconv import (
     RestoreAtomOrder,
     pack_graphs,
 )
-from dtanet.smiles import Atom, Bond, BondOrder, MolGraph, parse_smiles
+from dtanet.smiles import BondOrder, MolGraph, parse_smiles
 from dtanet.synthetic import unique_smiles
 
 MAX_DEGREE = 6
@@ -391,21 +391,27 @@ def _random_molecule(rng, n_atoms):
         i, j = pairs[k]
         if degree[i] < MAX_DEGREE and degree[j] < MAX_DEGREE \
                 and rng.random() < 0.45:
-            bonds.append(Bond(i, j, BondOrder.SINGLE))
+            bonds.append((i, j, BondOrder.SINGLE))
             degree[i] += 1
             degree[j] += 1
-    return MolGraph([Atom("C") for _ in range(n_atoms)], bonds)
+    return _carbons(n_atoms, bonds)
+
+
+def _carbons(n_atoms, bonds=()):
+    """A hand-built graph of ``n_atoms`` bare carbons (no hydrogens, no
+    ring flags) joined by ``bonds``."""
+    return MolGraph(["C"] * n_atoms, [0] * n_atoms, [0] * n_atoms,
+                    [False] * n_atoms, [False] * n_atoms, bonds)
 
 
 def _parity_batch(seed):
     """Random molecules plus an isolated atom and a degree-6 star, in a
     shuffled order; features on a coarse grid so maxima tie often."""
     rng = np.random.default_rng(seed)
-    star = MolGraph([Atom("C") for _ in range(7)],
-                    [Bond(0, j, BondOrder.SINGLE) for j in range(1, 7)])
+    star = _carbons(7, [(0, j, BondOrder.SINGLE) for j in range(1, 7)])
     mols = [_random_molecule(rng, int(rng.integers(1, 10)))
             for _ in range(int(rng.integers(3, 8)))]
-    mols += [MolGraph([Atom("C")], []), star]
+    mols += [_carbons(1), star]
     mols = [mols[k] for k in rng.permutation(len(mols))]
     rows, batch = pack_graphs(mols, [atom_features(m) for m in mols],
                               MAX_DEGREE)
@@ -617,7 +623,7 @@ class TestPackTable:
             pack_graphs(mols, [atom_features(m) for m in mols], max_degree=5)
 
     def test_empty_molecule_rejected(self):
-        empty = MolGraph([], [])
+        empty = _carbons(0)
         with pytest.raises(GraphStructureError, match="empty molecule"):
             pack_graphs([parse_smiles("C"), empty],
                         [atom_features(parse_smiles("C"))] * 2)
@@ -627,9 +633,8 @@ def _pack_molecules():
     """Molecules for one pack: an isolated atom, a degree-6 star, a bond, a
     branched chain and random graphs (degrees up to 4)."""
     rng = np.random.default_rng(77)
-    star = MolGraph([Atom("C") for _ in range(7)],
-                    [Bond(0, j, BondOrder.SINGLE) for j in range(1, 7)])
-    mols = [MolGraph([Atom("C")], []), star, parse_smiles("CC"),
+    star = _carbons(7, [(0, j, BondOrder.SINGLE) for j in range(1, 7)])
+    mols = [_carbons(1), star, parse_smiles("CC"),
             parse_smiles("CC(C)(C)CC(C)O")]
     while len(mols) < 10:
         mol = _random_molecule(rng, int(rng.integers(2, 9)))

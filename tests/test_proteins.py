@@ -124,6 +124,17 @@ class TestDescriptorMatrixFile:
         assert np.array_equal(matrix, np.stack([psc("KLMNP", True),
                                                 psc("ACDEF")]))
 
+    @pytest.mark.parametrize("keep", [8, 15, 21, 23, 100, -1])
+    def test_truncated_file_names_the_file(self, tmp_path, keep):
+        # cuts inside the header, an id length, an id and the payload
+        path = tmp_path / "psc.bin"
+        write_descriptor_matrix(path, ["P1", "P2"],
+                                np.stack([psc("ACDEF"), psc("KLMNP")]))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(SequenceError,
+                           match=r"psc\.bin: truncated descriptor matrix"):
+            read_descriptor_matrix(path)
+
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAPSCFILE")

@@ -333,6 +333,19 @@ class TestFoldArtifacts:
         write_folds(second, loaded)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,x", r"line 6: expected 'record_index,fold' integers, got '1,x'"),
+        ("one,1", r"line 6: expected 'record_index,fold' integers"),
+        ("1,7", "fold index out of range"),
+    ])
+    def test_bad_rows_name_the_file(self, tmp_path, row, message):
+        path = tmp_path / "folds.csv"
+        path.write_text("# scheme=random\n# k=2\n# seed=0\n"
+                        f"record_index,fold\n0,0\n{row}\n2,1\n",
+                        encoding="utf-8")
+        with pytest.raises(SplitError, match=rf"folds\.csv: {message}"):
+            read_folds(path)
+
     def test_every_record_assigned_once(self):
         assignment = random_split(101, 7, seed=0)
         assert assignment.folds.size == 101

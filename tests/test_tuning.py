@@ -204,6 +204,18 @@ class TestSpaceFile:
         with pytest.raises(TuneError, match="unknown dimension kind"):
             load_space(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("dropout continuous 0.1", "continuous needs numeric bounds"),
+        ("dropout continuous a b", "continuous needs numeric bounds"),
+        ("n_layers integer 1 2.5", "integer needs numeric bounds"),
+        ("dropout continuous 0.5 0.1", "continuous bounds need lo < hi"),
+    ])
+    def test_bad_bounds_name_the_line(self, tmp_path, line, message):
+        path = tmp_path / "space.cfg"
+        path.write_text(f"# bounds\n{line}\n", encoding="utf-8")
+        with pytest.raises(TuneError, match=f"space.cfg:2: {message}"):
+            load_space(path)
+
     def test_unknown_dimension_names_the_line(self, tmp_path):
         path = tmp_path / "space.cfg"
         path.write_text("dropout continuous 0 0.5\n"
