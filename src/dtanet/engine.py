@@ -23,11 +23,14 @@ table of distinct rows plus an integer index per output row, and the op
 computes ``sum_k (T_k @ W[rows_k])[index_k]``, so a row shared by many pairs
 is projected once. Its backward sums the upstream gradient per table row and
 writes each block's weight gradient into one array. The op is
-``project(table, lo)`` per block followed by a gather-add, and
-``Graph.forward(..., projections={node: [P_0, P_1, ...]})`` hands it the
-projected tables: the node then only gathers and adds, and the nodes that
-only its tables need do not run. Prediction projects the distinct rows of a
-whole call once this way and scores its chunks against them.
+``project(table, lo)`` per block followed by a gather-add.
+
+``Graph.forward(..., given={node: value})`` takes the value of any node from
+the caller instead of computing it: the node's value goes through the same
+finiteness check as a computed one, and the nodes that only it needs do not
+run. A backward needs a forward without given values. Prediction projects
+the distinct rows of a whole call once through ``project`` and hands each
+chunk's gather-add in as the first layer's value.
 
 Backward fills ``grad`` only on nodes that lie between the loss and a
 ``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
@@ -156,13 +159,12 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 class _Context:
-    __slots__ = ("feeds", "training", "rng", "projections")
+    __slots__ = ("feeds", "training", "rng")
 
-    def __init__(self, feeds, training, rng, projections):
+    def __init__(self, feeds, training, rng):
         self.feeds = feeds
         self.training = training
         self.rng = rng
-        self.projections = projections
 
 
 class Node:
@@ -264,10 +266,7 @@ class _IndexedDense(Node):
     carries a row selection, the backward forms ``W``'s gradient for the
     selected rows only, in the selection's compact layout.
 
-    The op is ``project`` per block followed by a gather-add. A forward
-    given the projections (``Graph.forward(..., projections=...)``) only
-    gathers and adds them, so a caller can project the distinct rows of many
-    batches once and score the batches against the same tables.
+    The op is ``project`` per block followed by a gather-add.
     """
 
     def __init__(self, blocks, weight):
@@ -303,23 +302,10 @@ class _IndexedDense(Node):
                 f"table widths {[t.shape[1] for t in tables]} do not sum to "
                 f"the weight's {w.shape[0]} rows")
 
-    def _check_projections(self, projections, w) -> None:
-        if len(projections) != self.n_blocks or any(
-                p.ndim != 2 or p.shape[1] != w.shape[1] for p in projections):
-            raise self.shape_error(
-                f"expected {self.n_blocks} projections of width "
-                f"{w.shape[1]}, got {[p.shape for p in projections]}")
-
     def compute(self, ctx):
         k = self.n_blocks
-        w = self.inputs[-1].value
-        projections = ctx.projections.get(self)
-        if projections is None:
-            tables = [node.value for node in self.inputs[:k]]
-            self._check_tables(tables, w)
-        else:
-            tables = projections
-            self._check_projections(projections, w)
+        tables = [node.value for node in self.inputs[:k]]
+        self._check_tables(tables, self.inputs[-1].value)
         indices = [node.value for node in self.inputs[k:2 * k]]
         counts = set()
         for table, index, node in zip(tables, indices, self.inputs[k:2 * k]):
@@ -336,12 +322,11 @@ class _IndexedDense(Node):
         if len(counts) != 1:
             raise self.shape_error(
                 f"indices differ in length: {sorted(counts)}")
-        if projections is None:
-            projections = [self.project(table.value, lo)
-                           for table, _, lo, _ in self._blocks()]
-        out = projections[0][indices[0]]
-        for projected, index in zip(projections[1:], indices[1:]):
-            out += projected[index]
+        projected = [self.project(table.value, lo)
+                     for table, _, lo, _ in self._blocks()]
+        out = projected[0][indices[0]]
+        for block, index in zip(projected[1:], indices[1:]):
+            out += block[index]
         return out
 
     def backprop(self):
@@ -588,9 +573,12 @@ class Graph:
 
     # -- construction ----------------------------------------------------
 
-    def add(self, node: Node) -> Node:
-        """Register an externally built node (used by the graph-conv layers)."""
-        return self._register(node, node.name if node.name != node.op else None)
+    def add(self, node: Node, name: str | None = None) -> Node:
+        """Register an externally built node (used by the graph-conv layers)
+        under ``name``, else under the name it carries, if one was set."""
+        if name is None and node.name != node.op:
+            name = node.name
+        return self._register(node, name)
 
     def _register(self, node: Node, name: str | None) -> Node:
         if name is None:
@@ -649,9 +637,9 @@ class Graph:
 
     # -- execution ---------------------------------------------------------
 
-    def _ancestors(self, outputs: list[Node], projections=()) -> set[int]:
-        """Ids of the nodes ``outputs`` depend on; an ``indexed_dense`` node
-        in ``projections`` does not depend on its tables."""
+    def _ancestors(self, outputs: list[Node], given=()) -> set[int]:
+        """Ids of the nodes ``outputs`` depend on; a node in ``given`` does
+        not depend on its inputs."""
         needed: set[int] = set()
         stack = list(outputs)
         while stack:
@@ -659,39 +647,36 @@ class Graph:
             if id(node) in needed:
                 continue
             needed.add(id(node))
-            stack.extend(node.inputs[node.n_blocks:] if node in projections
-                         else node.inputs)
+            if node not in given:
+                stack.extend(node.inputs)
         return needed
 
     def forward(self, feeds: dict, outputs: list[Node],
                 training: bool = False,
                 rng: np.random.Generator | None = None,
-                projections: dict | None = None) -> list[np.ndarray]:
+                given: dict | None = None) -> list[np.ndarray]:
         """Evaluate ``outputs`` given named ``feeds``; each needed node runs once.
 
-        ``projections`` maps an ``indexed_dense`` node to one array per
-        block holding that block's projected table rows (``project`` of the
-        rows its index refers to). The node then only gathers and adds them,
-        and the nodes that only its tables need do not run. A backward needs
-        a forward without projections.
+        ``given`` maps nodes of this graph to values that the forward takes
+        instead of computing them; the nodes that only they need do not run.
+        A backward needs a forward without given values.
         """
-        projections = projections or {}
-        for node in projections:
-            if not isinstance(node, _IndexedDense) or node not in self.nodes:
-                raise EngineError(
-                    f"projections given for '{node.name}', which is not an "
-                    f"indexed_dense node of this graph")
-        ctx = _Context(feeds, training, rng, projections)
-        needed = self._ancestors(outputs, projections)
+        given = given or {}
+        for node in given:
+            if node not in self.nodes:
+                raise EngineError(f"a value is given for '{node.name}', "
+                                  f"which is not a node of this graph")
+        ctx = _Context(feeds, training, rng)
+        needed = self._ancestors(outputs, given)
         for node in self.nodes:
             if id(node) not in needed:
                 continue
-            node.value = node.compute(ctx)
+            node.value = given[node] if node in given else node.compute(ctx)
             if (not isinstance(node, (ObjectInput, Parameter))
                     and not all_finite(node.value)):
                 raise NonFiniteError(
                     f"non-finite values produced by node '{node.name}' ({node.op})")
-        self._forward_ready = set() if projections else needed
+        self._forward_ready = set() if given else needed
         return [node.value for node in outputs]
 
     def backward(self, loss: Node, inputs: tuple[Node, ...] = ()) -> None:
@@ -705,7 +690,7 @@ class Graph:
         """
         if id(loss) not in self._forward_ready or loss.value is None:
             raise EngineError("backward called before forward (a forward "
-                              "given projections does not count)")
+                              "given node values does not count)")
         if np.size(loss.value) != 1:
             raise EngineError(
                 f"loss node '{loss.name}' is not scalar: shape {loss.value.shape}")

@@ -11,20 +11,16 @@ one output per task:
 The join is never materialized. The first dense layer's weight ``dense0.W``
 has one row per input column (compound columns first), and the layer
 projects each distinct compound and each distinct protein of a batch once
-through its block of rows, then adds the two projections per pair
+through its block of rows, then adds the two projected rows per pair
 (``Graph.indexed_dense``). A training batch's feeds therefore hold the
 distinct compound inputs, the distinct protein descriptors, and the per-pair
 row indices ``compound_row`` and ``protein_row``.
 
-Prediction lifts the distinct row from the batch to the call.
-``FeatureStore.predict`` first projects each distinct compound and protein
-of the whole call once, a block of rows at a time, into one table per input
-block (for graph-conv, the conv stack runs on blocks of distinct molecules
-up to the compound vector first). It then scores the pairs a chunk at a
-time: each chunk only gathers and adds its two projection rows per pair and
-runs the rest of the eval-mode network. The call holds the projection tables
-and one block of input rows, never a call-sized copy of fingerprint or
-descriptor rows.
+Prediction lifts the distinct row from the batch to the call:
+``FeatureStore.predict`` projects each distinct compound and protein of the
+whole call once, then hands each chunk's gather-add of those projected rows to
+the eval-mode network as the first layer's value
+(``Graph.forward(..., given=...)``).
 
 The compound-only variants cannot see new proteins (a prediction for an
 unknown protein id is a hard error); the paired variants accept any protein
@@ -240,22 +236,15 @@ class Model:
                      for d in range(cfg.max_degree + 1)]
             bias = [graph.parameter(f"conv{li}.b{d}", np.zeros(out_width))
                     for d in range(cfg.max_degree + 1)]
-            conv = GraphConv(h, structure, w_self, w_nbr, bias)
-            conv.name = f"conv{li}"
-            h = graph.add(conv)
-            pool = GraphPool(h, structure)
-            pool.name = f"pool{li}"
-            h = graph.add(pool)
+            h = graph.add(GraphConv(h, structure, w_self, w_nbr, bias),
+                          f"conv{li}")
+            h = graph.add(GraphPool(h, structure), f"pool{li}")
             width = out_width
-        restore = RestoreAtomOrder(h, structure)
-        restore.name = "atom_order"
-        h = graph.add(restore)
+        h = graph.add(RestoreAtomOrder(h, structure), "atom_order")
         w = graph.parameter("convdense.W", _he_uniform(rng, width, cfg.conv_dense))
         b = graph.parameter("convdense.b", np.zeros(cfg.conv_dense))
         h = graph.relu(graph.add_bias(graph.matmul(h, w), b))
-        gather = GraphGather(h, structure)
-        gather.name = "gather"
-        return graph.add(gather)
+        return graph.add(GraphGather(h, structure), "gather")
 
     @property
     def input_weight(self) -> Parameter:
@@ -265,14 +254,14 @@ class Model:
     # -- inference ----------------------------------------------------------
 
     def predict_feeds(self, feeds: dict,
-                      projections: dict | None = None) -> np.ndarray:
+                      given: dict | None = None) -> np.ndarray:
         """Eval-mode forward pass: dropout off, batchnorm on running stats.
 
-        ``projections`` are precomputed first-layer tables, as in
-        ``Graph.forward``.
+        ``given`` maps nodes to values the forward takes instead of
+        computing them, as in ``Graph.forward``.
         """
         (out,) = self.graph.forward(feeds, [self.output], training=False,
-                                    projections=projections)
+                                    given=given)
         return out
 
     def output_columns(self, protein_ids) -> np.ndarray:
@@ -513,10 +502,20 @@ class FeatureStore:
         ``(distinct, hidden)`` table per input block; a graph-conv compound
         runs through the conv stack in the same blocks of molecules first.
         Then the pairs are scored ``batch_size`` at a time: a chunk gathers
-        and adds its pairs' projection rows and runs the rest of the
-        eval-mode network. The call holds those tables plus one block of
-        input rows, never a per-pair join of the two or a call-sized copy of
+        and adds its pairs' projection rows, as the first layer does, and
+        hands the sum in as that layer's value to the rest of the eval-mode
+        network. The call holds those tables plus one block of input rows,
+        never a per-pair join of the two or a call-sized copy of
         fingerprint or descriptor rows.
+
+        A pair's prediction depends on the other pairs of the call only in
+        its last bits, through the BLAS kernel that a product's shape
+        selects. A pair scored alone (a one-row product goes through gemv),
+        or in a chunk whose row count is not a multiple of 4 (a
+        ``batch_size`` that is not one, or the last chunk of a call), can
+        differ in the last bits from the same pair scored in a full chunk
+        of the default size. Calls that chunk the same pairs the same way
+        give the same bytes.
         """
         if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
             raise ModelError(
@@ -528,21 +527,20 @@ class FeatureStore:
         pairs = self.dataset.pairs[indices]
         compounds, compound_row = np.unique(pairs[:, 0], return_inverse=True)
         tables = [self._projection(model, 0, compounds, batch_size)]
-        pair_rows = {"compound_row": compound_row}
         if self.cfg.compound_only:
             columns = model.output_columns(
                 [self.dataset.protein_ids[i] for i in pairs[:, 1]])
         else:
-            proteins, pair_rows["protein_row"] = np.unique(
-                pairs[:, 1], return_inverse=True)
+            proteins, protein_row = np.unique(pairs[:, 1], return_inverse=True)
             tables.append(self._projection(model, 1, proteins, batch_size))
-        projections = {model.first_layer: tables}
         chunks = []
         for start in range(0, indices.size, batch_size):
             part = slice(start, start + batch_size)
-            out = model.predict_feeds(
-                {name: row[part] for name, row in pair_rows.items()},
-                projections)
+            # the first layer's gather-add, in its order
+            first = tables[0][compound_row[part]]
+            if not self.cfg.compound_only:
+                first += tables[1][protein_row[part]]
+            out = model.predict_feeds({}, {model.first_layer: first})
             if self.cfg.compound_only:
                 out = out[np.arange(out.shape[0]), columns[part]][:, None]
             chunks.append(out)

@@ -168,7 +168,12 @@ def read_descriptor_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
         ids = []
         for _ in range(count):
             (id_len,) = struct.unpack("<H", read(2))
-            ids.append(read(id_len).decode("utf-8"))
+            raw = read(id_len)
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise SequenceError(
+                    f"{path}: protein id {raw!r} is not UTF-8") from None
         payload = read(count * dim * 8)
         matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
     return ids, matrix

@@ -476,13 +476,20 @@ def write_folds(path: str | Path, assignment: FoldAssignment) -> None:
 
 
 def read_folds(path: str | Path) -> FoldAssignment:
-    meta: dict[str, str] = {}
+    meta: dict[str, str | int] = {}
     folds: list[int] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if line.startswith("# "):
                 key, _, value = line[2:].partition("=")
+                if key in ("k", "seed"):
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise SplitError(
+                            f"{path}: line {lineno}: expected an integer "
+                            f"{key}, got {value!r}") from None
                 meta[key] = value
             elif line and line != "record_index,fold":
                 index, _, fold = line.partition(",")
@@ -497,8 +504,8 @@ def read_folds(path: str | Path) -> FoldAssignment:
                         f"{path}: line {lineno}: record indices out of order")
                 folds.append(fold_value)
     try:
-        return FoldAssignment(k=int(meta["k"]), folds=np.array(folds),
-                              scheme=meta["scheme"], seed=int(meta["seed"]))
+        return FoldAssignment(k=meta["k"], folds=np.array(folds),
+                              scheme=meta["scheme"], seed=meta["seed"])
     except KeyError as exc:
         raise SplitError(f"{path}: missing metadata line for {exc}") from exc
     except SplitError as exc:

@@ -282,6 +282,19 @@ class TestGraphExecution:
         g.forward({"x": np.ones((1, 2))}, [used])
         assert "y" not in ran
 
+    def test_add_registers_a_node_under_the_name_given(self):
+        g = Graph()
+        x = g.placeholder("x")
+        named = g.add(engine._Relu(x), "act")
+        carried = engine._Relu(x)
+        carried.name = "carried"
+        g.add(carried)
+        unnamed = g.add(engine._Relu(x))
+        assert [named.name, carried.name, unnamed.name] == \
+            ["act", "carried", "relu0"]
+        with pytest.raises(EngineError, match="duplicate node name 'act'"):
+            g.add(engine._Relu(x), "act")
+
     def test_shape_error_names_node(self):
         g = Graph()
         a = g.placeholder("a")
@@ -527,47 +540,50 @@ class TestIndexedDense:
             g.forward(feeds, [loss])
 
     def _given(self, widths=(5, 3)):
-        """The net, its feeds, its ``indexed_dense`` node, projections of
-        the node's tables, and the feeds without the tables."""
-        g, loss, feeds, tables, _w = self._net(np.random.default_rng(4),
-                                               widths)
+        """The net, its feeds, its ``indexed_dense`` node, and that node's
+        value for the feeds as a caller forms it: ``project`` per block,
+        then a gather-add."""
+        g, loss, feeds, _tables, _w = self._net(np.random.default_rng(4),
+                                                widths)
         first = next(n for n in g.nodes if n.name == "first")
-        projections = {first: [
-            first.project(feeds[f"t{k}"], sum(widths[:k]))
-            for k in range(len(widths))]}
-        rest = {k: v for k, v in feeds.items()
-                if k not in {table.name for table in tables}}
-        return g, loss, feeds, first, projections, rest
+        value = first.project(feeds["t0"], 0)[feeds["i0"]]
+        for k in range(1, len(widths)):
+            value += first.project(feeds[f"t{k}"],
+                                   sum(widths[:k]))[feeds[f"i{k}"]]
+        return g, loss, feeds, first, value
 
     @pytest.mark.parametrize("widths", [(5,), (5, 3)])
-    def test_forward_given_projections_equals_it_and_skips_the_tables(
-            self, widths):
-        g, loss, feeds, _first, projections, rest = self._given(widths)
+    def test_given_first_layer_equals_forward_skips_inputs(self, widths):
+        g, loss, feeds, first, value = self._given(widths)
         (reference,) = g.forward(feeds, [loss])
         ran = computed_nodes(g)
-        (value,) = g.forward(rest, [loss], projections=projections)
-        assert value == reference
-        assert not {f"t{k}" for k in range(len(widths))} & set(ran)
-        assert "first" in ran
+        rest = {name: feeds[name] for name in ("target", "weight")}
+        (got,) = g.forward(rest, [loss], given={first: value})
+        assert got == reference
+        assert first.value is value
+        assert not {node.name for node in (first, *first.inputs)} & set(ran)
+        assert "b" in ran
 
-    def test_backward_needs_a_forward_without_projections(self):
-        g, loss, feeds, _first, projections, rest = self._given()
-        g.forward(rest, [loss], projections=projections)
+    def test_backward_needs_a_forward_without_given_values(self):
+        g, loss, feeds, first, value = self._given()
+        g.forward(feeds, [loss], given={first: value})
         with pytest.raises(EngineError, match="before forward"):
             g.backward(loss)
         g.forward(feeds, [loss])
         g.backward(loss)
 
-    def test_projections_must_fit_the_node(self):
-        g, loss, _feeds, first, projections, rest = self._given()
-        p0, p1 = projections[first]
-        for wrong in ([p0], [p0, p1[:, :2]], [p0, p1[0]]):
-            with pytest.raises(ShapeError, match="first.*projections"):
-                g.forward(rest, [loss], projections={first: wrong})
-        with pytest.raises(ShapeError, match="first.*range"):
-            g.forward(rest, [loss], projections={first: [p0[:1], p1]})
-        with pytest.raises(EngineError, match="not an indexed_dense"):
-            g.forward(rest, [loss], projections={loss: [p0, p1]})
+    def test_given_values_are_checked_for_finiteness(self):
+        g, loss, feeds, first, value = self._given()
+        value[0, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="'first'"):
+            g.forward(feeds, [loss], given={first: value})
+
+    def test_given_nodes_must_be_in_the_graph(self):
+        g, loss, feeds, _first, value = self._given()
+        stranger = Graph().placeholder("stranger")
+        with pytest.raises(EngineError,
+                           match="'stranger', which is not a node of this"):
+            g.forward(feeds, [loss], given={stranger: value})
 
 
 class TestBackwardScope:

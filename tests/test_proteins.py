@@ -135,6 +135,15 @@ class TestDescriptorMatrixFile:
                            match=r"psc\.bin: truncated descriptor matrix"):
             read_descriptor_matrix(path)
 
+    def test_id_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "psc.bin"
+        write_descriptor_matrix(path, ["P1"], np.stack([psc("ACDEF")]))
+        data = path.read_bytes()
+        # the id's bytes follow the 20-byte header and its 2-byte length
+        path.write_bytes(data[:22] + b"\xff" + data[23:])
+        with pytest.raises(SequenceError, match=r"psc\.bin: .*not UTF-8"):
+            read_descriptor_matrix(path)
+
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAPSCFILE")

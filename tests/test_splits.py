@@ -346,6 +346,18 @@ class TestFoldArtifacts:
         with pytest.raises(SplitError, match=rf"folds\.csv: {message}"):
             read_folds(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("# k=abc\n# seed=0\n", r"line 2: expected an integer k, got 'abc'"),
+        ("# k=2\n# seed=\n", r"line 3: expected an integer seed, got ''"),
+    ], ids=["k", "seed"])
+    def test_bad_metadata_names_the_file_and_line(self, tmp_path, header,
+                                                  message):
+        path = tmp_path / "folds.csv"
+        path.write_text(f"# scheme=random\n{header}"
+                        "record_index,fold\n0,0\n1,1\n", encoding="utf-8")
+        with pytest.raises(SplitError, match=rf"folds\.csv: {message}"):
+            read_folds(path)
+
     def test_every_record_assigned_once(self):
         assignment = random_split(101, 7, seed=0)
         assert assignment.folds.size == 101

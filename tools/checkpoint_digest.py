@@ -12,6 +12,9 @@ each one, a fresh interpreter
   default ``batch_size`` (prediction bytes): three chunks of pairs and two
   blocks of over a thousand distinct compounds, each holding several
   distinct compounds and proteins;
+* scores 2600 synthetic pairs of 1300 compounds and the 8 training
+  proteins with the trained ``compound-only-ecfp`` model the same way
+  (prediction bytes of the single-table first layer, three chunks);
 * fits one ``padme-graphconv`` model twice with two ``train`` calls on the
   same store (the second optimizer repacks parameters the first one owns)
   and saves the second fit's checkpoint;
@@ -127,15 +130,16 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     return out
 
 
-def multi_chunk_predict_digest(model) -> str:
-    """Digest of ``model``'s predictions for 2600 pairs of new compounds."""
+def multi_chunk_predict_digest(model, n_proteins: int = 12) -> str:
+    """Digest of ``model``'s predictions for 2600 pairs of new compounds
+    and ``n_proteins`` proteins."""
     import numpy as np
 
     from dtanet.model import FeatureStore
     from dtanet.synthetic import memory_dataset
 
-    dataset = memory_dataset(n_compounds=1300, n_proteins=12, n_pairs=2600,
-                             seed=SEED + 1)
+    dataset = memory_dataset(n_compounds=1300, n_proteins=n_proteins,
+                             n_pairs=2600, seed=SEED + 1)
     predictions = FeatureStore(dataset, model.cfg).predict(
         model, np.arange(dataset.n_pairs))
     return hashlib.sha256(predictions.tobytes()).hexdigest()
@@ -167,6 +171,12 @@ def digests() -> dict[str, str]:
             if variant == "padme-ecfp":
                 out["padme-ecfp 3-chunk predict"] = \
                     multi_chunk_predict_digest(model)
+            if variant == "compound-only-ecfp":
+                # synthetic protein ids depend on the count only, so these
+                # are the proteins the model has output units for
+                out["compound-only predict"] = \
+                    multi_chunk_predict_digest(model,
+                                               len(dataset.protein_ids))
         store = FeatureStore(dataset, ModelConfig(variant="padme-graphconv",
                                                   seed=SEED))
         model = store.build_model()
