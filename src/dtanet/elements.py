@@ -31,6 +31,10 @@ ORGANIC_SUBSET = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
 # Lowercase one-letter symbols that denote aromatic atoms.
 AROMATIC_SYMBOLS = frozenset({"b", "c", "n", "o", "p", "s"})
 
+# Symbols accepted in bracket atoms: every element, the aromatic ones above
+# and the bracket-only aromatic "se" and "as" of OpenSMILES.
+BRACKET_SYMBOLS = frozenset(PERIODIC_TABLE) | AROMATIC_SYMBOLS | {"se", "as"}
+
 # Two-letter symbols recognised outside brackets.
 TWO_LETTER_ORGANIC = ("Cl", "Br")
 

@@ -37,6 +37,7 @@ than the one this code produces.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass, fields, replace
@@ -45,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import proteins
+from .artifacts import write_artifact
 from .compounds import (
     DEFAULT_ATOM_VOCABULARY,
     FeaturizationError,
@@ -305,14 +307,11 @@ class Model:
         }
         blob = json.dumps(header, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(struct.pack("<IQ", _FORMAT_VERSION, len(blob)))
-            handle.write(blob)
-            for entry in manifest:
-                array = np.ascontiguousarray(state[entry["name"]],
-                                             dtype="<f8")
-                handle.write(array.tobytes())
+        tensors = (np.ascontiguousarray(state[name], dtype="<f8").tobytes()
+                   for name in sorted(state))
+        write_artifact(path, itertools.chain(
+            (_MAGIC, struct.pack("<IQ", _FORMAT_VERSION, len(blob)), blob),
+            tensors))
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["Model", dict]:

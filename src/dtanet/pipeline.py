@@ -18,6 +18,9 @@ Artifact formats written here:
 * trial log ``trials.csv``: ``trial,status,value`` then one column per
   search dimension, one row per trial.
 
+Every artifact, here and in the other modules, is written through
+:mod:`dtanet.artifacts`, which replaces the file atomically.
+
 A run directory is owned by a single process at a time, enforced with a
 lock file.
 """
@@ -35,6 +38,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import proteins
+from .artifacts import write_artifact, write_lines
 from .compounds import ecfp_matrix
 from .domain import check_ad, fit_ad_per_task
 from .metrics import EvalReport, evaluate_predictions
@@ -251,8 +255,7 @@ def run_training(cfg: RunConfig, dataset: data_mod.PairDataset,
                optimizer_arrays=result.best_optimizer,
                run_config_text=run_cfg.snapshot())
     history_path = out_checkpoint.with_suffix(out_checkpoint.suffix + ".history.csv")
-    history_path.write_text("\n".join(history_rows(result)) + "\n",
-                            encoding="utf-8")
+    write_lines(history_path, history_rows(result))
     log.info("best composite %.4f at epoch %d", result.best_score,
              result.best_epoch)
     return out_checkpoint
@@ -374,7 +377,7 @@ def write_report(path: str | Path, cfg: RunConfig, rows: list[dict],
         std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         out.append(f"{scheme},{seed},mean,,{metric},,{mean:.6g},,,")
         out.append(f"{scheme},{seed},std,,{metric},,{std:.6g},,,")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    write_lines(path, out)
 
 
 def read_report(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -510,12 +513,17 @@ def _fit_ad_ranges(path: str | Path, n_tasks: int, inactive_remap=None):
             raise PipelineError(f"{path}: line {lineno}: task_id "
                                 f"{record.task_id} outside the model's "
                                 f"0..{n_tasks - 1}")
+    return fit_ad_per_task(*_responses(records, n_tasks))
+
+
+def _responses(records, n_tasks: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, w)``: each record's row holds its value and weight 1 at its task."""
     y = np.zeros((len(records), n_tasks))
     w = np.zeros((len(records), n_tasks))
     for i, record in enumerate(records):
         y[i, record.task_id] = record.value
         w[i, record.task_id] = 1.0
-    return fit_ad_per_task(y, w)
+    return y, w
 
 
 def run_predict(model_path: str | Path, pairs_csv: str | Path,
@@ -554,18 +562,22 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
     header.append("prediction")
     if ad_ranges is not None:
         header.append("in_ad")
-    lines = [",".join(header)]
-    for i, (_line, smiles, protein_id, task, value) in enumerate(rows):
-        pred = predictions[i, 0 if model.cfg.compound_only else task]
-        fields = [smiles, protein_id, str(task)]
-        if has_value:
-            fields.append(value)
-        fields.append(f"{pred:.6g}")
-        if ad_ranges is not None:
-            ad = ad_ranges[task]
-            fields.append("1" if ad is not None and check_ad(ad, pred) else "0")
-        lines.append(",".join(fields))
-    Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def lines():
+        yield ",".join(header)
+        for i, (_line, smiles, protein_id, task, value) in enumerate(rows):
+            pred = predictions[i, 0 if model.cfg.compound_only else task]
+            fields = [smiles, protein_id, str(task)]
+            if has_value:
+                fields.append(value)
+            fields.append(f"{pred:.6g}")
+            if ad_ranges is not None:
+                ad = ad_ranges[task]
+                fields.append("1" if ad is not None and check_ad(ad, pred)
+                              else "0")
+            yield ",".join(fields)
+
+    write_lines(out_csv, lines())
     return Path(out_csv)
 
 
@@ -607,13 +619,10 @@ def run_evaluate(predictions_csv: str | Path, out_csv: str | Path,
     if not records:
         raise PipelineError(f"{path}: no prediction rows")
     n_tasks = max(record.task_id for record in records) + 1
-    y = np.zeros((len(records), n_tasks))
+    y, w = _responses(records, n_tasks)
     f = np.zeros((len(records), n_tasks))
-    w = np.zeros((len(records), n_tasks))
     for i, (record, lineno) in enumerate(zip(records, record_lines)):
-        y[i, record.task_id] = record.value
         f[i, record.task_id] = predictions[lineno]
-        w[i, record.task_id] = 1.0
     report = evaluate_predictions(y, f, w, scheme=scheme, seed=seed)
     lines = ["task_id,n_records,rmse,r2,ci"]
     for task in report.tasks:
@@ -621,7 +630,7 @@ def run_evaluate(predictions_csv: str | Path, out_csv: str | Path,
                      f"{_fmt(task.r2)},{_fmt(task.ci)}")
     lines.append(f"aggregate,{report.n_records},{_fmt(report.rmse)},"
                  f"{_fmt(report.r2)},{_fmt(report.ci)}")
-    Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out_csv, lines)
     return report
 
 
@@ -666,12 +675,10 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
             point = ",".join(str(t.point[name]) for name in space.dimensions)
             value = "" if t.value is None else f"{t.value:.6g}"
             lines.append(f"{t.index},{t.status},{value},{point}")
-        (out_dir / "trials.csv").write_text("\n".join(lines) + "\n",
-                                            encoding="utf-8")
+        write_lines(out_dir / "trials.csv", lines)
         best_path = out_dir / "best_config.cfg"
-        best_path.write_text(
-            cfg.override(point_overrides(result.best.point)).snapshot(),
-            encoding="utf-8")
+        best = cfg.override(point_overrides(result.best.point))
+        write_artifact(best_path, [best.snapshot().encode("utf-8")])
     return best_path
 
 
@@ -688,7 +695,7 @@ def write_fingerprint_csv(cfg: RunConfig, molecules: dict[str, MolGraph],
     lines = ["smiles,fingerprint_hex"]
     for smiles, bits in zip(molecules, matrix):
         lines.append(f"{smiles},{np.packbits(bits).tobytes().hex()}")
-    Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out_csv, lines)
 
 
 # -- smoke ---------------------------------------------------------------------
@@ -764,7 +771,7 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
             raw = data_mod.inverse_transform(dataset.y[row, 0])
             lines.append(f"{dataset.compounds[ci]},{dataset.protein_ids[pi]},"
                          f"0,{raw:.6g}")
-        pairs_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(pairs_csv, lines)
         return run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
                            work_dir / "predictions.csv", ad_from=pairs_csv)
 

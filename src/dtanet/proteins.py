@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_artifact
+
 __all__ = [
     "AMINO_ACIDS",
     "DESCRIPTOR_LENGTH",
@@ -134,15 +136,12 @@ def write_descriptor_matrix(path: str | Path, ids: list[str],
         raise SequenceError(
             f"matrix shape {matrix.shape} does not match "
             f"({len(ids)}, {DESCRIPTOR_LENGTH})")
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<III", LAYOUT_VERSION, len(ids),
-                                 DESCRIPTOR_LENGTH))
-        for protein_id in ids:
-            raw = protein_id.encode("utf-8")
-            handle.write(struct.pack("<H", len(raw)))
-            handle.write(raw)
-        handle.write(matrix.astype("<f8").tobytes())
+    chunks = [_MAGIC, struct.pack("<III", LAYOUT_VERSION, len(ids),
+                                  DESCRIPTOR_LENGTH)]
+    for protein_id in ids:
+        raw = protein_id.encode("utf-8")
+        chunks += [struct.pack("<H", len(raw)), raw]
+    write_artifact(path, chunks + [matrix.astype("<f8").tobytes()])
 
 
 def read_descriptor_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:

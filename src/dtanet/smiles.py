@@ -5,7 +5,8 @@ The supported dialect is a practical subset of SMILES:
 * organic-subset atoms B, C, N, O, P, S, F, Cl, Br, I and their aromatic
   lowercase forms b, c, n, o, p, s;
 * bracket atoms with optional isotope, hydrogen count and formal charge,
-  e.g. ``[NH4+]``, ``[13C]``, ``[O-]``;
+  e.g. ``[NH4+]``, ``[13C]``, ``[O-]``, including the aromatic ``[se]`` and
+  ``[as]``, which are written only in brackets;
 * bond symbols ``-``, ``=``, ``#``, ``:``;
 * branches in parentheses and ring closures ``1``..``9`` and ``%nn``.
 
@@ -22,7 +23,7 @@ unit of available valence. Bracket atoms carry exactly their written
 hydrogen count. Isotopes are accepted and validated but not stored.
 
 A parsed :class:`MolGraph` is plain columns, one tuple per atom property
-indexed by atom: ``elements`` (symbols, aromatic ones upper-cased),
+indexed by atom: ``elements`` (symbols, aromatic ones capitalized),
 ``charges`` (formal charges), ``hydrogens`` (total hydrogen counts),
 ``aromatic`` and ``ring`` (on a cycle). ``bonds`` holds ``(a, b, order)``
 int triples in parse order, ``order`` a :class:`BondOrder` value. The
@@ -43,9 +44,9 @@ import enum
 
 from .elements import (
     AROMATIC_SYMBOLS,
+    BRACKET_SYMBOLS,
     DEFAULT_VALENCES,
     ORGANIC_SUBSET,
-    PERIODIC_TABLE,
     TWO_LETTER_ORGANIC,
 )
 
@@ -237,21 +238,13 @@ class _Parser:
                               self.text, self.i)
         symbol = self.take()
         nxt = self.peek()
-        if nxt is not None and nxt.islower() and symbol.isupper():
-            if (symbol + nxt) in PERIODIC_TABLE:
-                symbol += self.take()
-        aromatic = False
-        if symbol.islower():
-            if symbol not in AROMATIC_SYMBOLS:
-                raise SmilesError(f"unknown element symbol {symbol!r}", self.text,
-                                  symbol_start)
-            element = symbol.upper()
-            aromatic = True
-        else:
-            if symbol not in PERIODIC_TABLE:
-                raise SmilesError(f"unknown element symbol {symbol!r}", self.text,
-                                  symbol_start)
-            element = symbol
+        if nxt is not None and symbol + nxt in BRACKET_SYMBOLS:
+            symbol += self.take()
+        if symbol not in BRACKET_SYMBOLS:
+            raise SmilesError(f"unknown element symbol {symbol!r}", self.text,
+                              symbol_start)
+        element = symbol.capitalize()
+        aromatic = symbol.islower()
         if self.peek() == "@":
             raise self.error("unsupported token: stereo descriptor '@'")
         hydrogens = 0

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_lines
 from .compounds import FeaturizationError
 
 __all__ = [
@@ -465,14 +466,10 @@ def holdout_fold_views(n: int, k: int, seed: int = 0,
 
 
 def write_folds(path: str | Path, assignment: FoldAssignment) -> None:
-    lines = [
-        f"# scheme={assignment.scheme}",
-        f"# k={assignment.k}",
-        f"# seed={assignment.seed}",
-        "record_index,fold",
-    ]
-    lines.extend(f"{i},{int(f)}" for i, f in enumerate(assignment.folds))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [
+        f"# scheme={assignment.scheme}", f"# k={assignment.k}",
+        f"# seed={assignment.seed}", "record_index,fold",
+        *(f"{i},{int(f)}" for i, f in enumerate(assignment.folds))])
 
 
 def read_folds(path: str | Path) -> FoldAssignment:

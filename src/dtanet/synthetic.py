@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_lines
 from .compounds import ecfp_matrix
 from .data import PairDataset, inverse_transform
 from .proteins import AMINO_ACIDS
@@ -132,7 +133,7 @@ def write_fixture(directory: str | Path, n_compounds: int = 24,
                 continue
             cells.add((ci, pi))
             protein_counts[pi] += 1
-    rows = []
+    rows = ["smiles,protein_id,task_id,value"]
     for ci, pi in sorted(cells):
         for task in range(n_tasks):
             transformed = _signal(fingerprints[ci],
@@ -144,13 +145,9 @@ def write_fixture(directory: str | Path, n_compounds: int = 24,
         pi = int(rng.integers(0, n_proteins))
         rows.append(f"{compounds[ci]},{protein_ids[pi]},0,>10000")
     interactions = directory / "interactions.csv"
-    interactions.write_text(
-        "smiles,protein_id,task_id,value\n" + "\n".join(rows) + "\n",
-        encoding="utf-8")
+    write_lines(interactions, rows)
     proteins_path = directory / "proteins.tsv"
-    protein_lines = [
+    write_lines(proteins_path, (
         f"{pid}\t{1 if sequences[pid][1] else 0}\t{sequences[pid][0]}"
-        for pid in protein_ids
-    ]
-    proteins_path.write_text("\n".join(protein_lines) + "\n", encoding="utf-8")
+        for pid in protein_ids))
     return {"interactions": interactions, "proteins": proteins_path}

@@ -62,6 +62,22 @@ class TestBasicParsing:
         assert parse_smiles("[Fe+2]").charges == (2,)
         assert parse_smiles("[Fe++]").charges == (2,)
 
+    @pytest.mark.parametrize("smiles,element,at", [
+        ("c1cc[se]c1", "Se", 3),
+        ("[as]1cccc1", "As", 0),
+        ("c1c[13seH+]cc1", "Se", 2),
+    ])
+    def test_bracket_only_aromatic_symbols(self, smiles, element, at):
+        g = parse_smiles(smiles)
+        assert g.n_atoms == 5 and all(g.aromatic) and all(g.ring)
+        assert g.elements[at] == element
+        assert all(order == BondOrder.AROMATIC for _, _, order in g.bonds)
+
+    def test_two_letter_aromatic_symbols_stay_bracket_only(self):
+        with pytest.raises(SmilesError, match="unknown element symbol 'e'"):
+            parse_smiles("c1ccsec1")
+        assert not parse_smiles("[Se]").aromatic[0]
+
     def test_percent_ring_closure(self):
         g = parse_smiles("C%11CC%11")
         assert len(g.bonds) == 3

@@ -24,7 +24,7 @@ from dtanet.smiles import SmilesError, parse_smiles
 
 CORPUS_SEED = 20181013
 CORPUS_SIZE = 20_000
-GOLDEN_DIGEST = "f480391ec644903a5504b90e08e6af760dd100c94c3d38cb2dc72f29aef8b9d0"
+GOLDEN_DIGEST = "9cfd39aeb08c368651d6c0b3503b4ab40e819090bfd709efaee76c5d0f4f9d44"
 
 _ORGANIC = ("C", "C", "C", "N", "O", "S", "P", "F", "Cl", "Br", "I", "B")
 _AROMATIC = ("c", "c", "c", "n", "o", "s", "p", "b")

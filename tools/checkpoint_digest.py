@@ -18,21 +18,25 @@ each one, a fresh interpreter
 * fits one ``padme-graphconv`` model twice with two ``train`` calls on the
   same store (the second optimizer repacks parameters the first one owns)
   and saves the second fit's checkpoint;
-* runs the pipeline with the default run config on a synthetic fixture:
+* writes a synthetic fixture (``interactions.csv`` and ``proteins.tsv``)
+  and runs the pipeline with the default run config on it:
   ``run_training`` (checkpoint and history), a 2-fold 1-repetition warm
   ``run_cv`` (report, fold CSV and fold checkpoints), a budget-3 random
-  ``run_tune`` (``trials.csv``) and a 2-fold 1-repetition 2-epoch
-  cold-cluster ``run_cv`` of ``padme-graphconv`` (report and fold
-  checkpoints), whose fits train a compacted descriptor block, and a
-  2-fold 2-repetition 2-epoch cold-cluster ``run_cv`` of ``padme-ecfp``
-  (report, both fold files and the first repetition's fold checkpoints);
-* runs four commands through ``cli.main``: ``featurize --ecfp`` on the
-  fixture's interaction table (fingerprint CSV), ``split --scheme
-  cold-cluster`` of the fixture (fold CSV), ``predict --ad-from`` of the
-  ``run_training`` checkpoint on that table (prediction CSV), and
-  ``predict`` of the ``padme-graphconv`` cold-cluster fold-0 checkpoint on
-  it (prediction CSV), which scores the table in one chunk of at most 1024
-  pairs through the eval-mode forward of a degree-ordered batch;
+  ``run_tune`` (``trials.csv`` and ``best_config.cfg``) and a 2-fold
+  1-repetition 2-epoch cold-cluster ``run_cv`` of ``padme-graphconv``
+  (report and fold checkpoints), whose fits train a compacted descriptor
+  block, and a 2-fold 2-repetition 2-epoch cold-cluster ``run_cv`` of
+  ``padme-ecfp`` (report, both fold files and the first repetition's fold
+  checkpoints);
+* runs six commands through ``cli.main``: ``featurize --ecfp`` on the
+  fixture's interaction table (fingerprint CSV), ``featurize --psc`` on its
+  sequence table (descriptor matrix), ``split --scheme cold-cluster`` of
+  the fixture (fold CSV), ``predict --ad-from`` of the ``run_training``
+  checkpoint on that table (prediction CSV), ``evaluate`` of that
+  prediction CSV (evaluation CSV), and ``predict`` of the
+  ``padme-graphconv`` cold-cluster fold-0 checkpoint on the table
+  (prediction CSV), which scores it in one chunk of at most 1024 pairs
+  through the eval-mode forward of a degree-ordered batch;
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -67,18 +71,21 @@ def _command(argv: list[str]) -> None:
 
 
 def pipeline_digests(work: Path) -> dict[str, str]:
-    """Digest of each artifact of train, cv and tune on the default config,
-    of cold-cluster cvs, and of the featurize, split and predict commands."""
+    """Digest of each artifact of the fixture, of train, cv and tune on the
+    default config, of cold-cluster cvs, and of the featurize, split,
+    predict and evaluate commands."""
     from dtanet import pipeline
     from dtanet.runconfig import parse_run_config
     from dtanet.synthetic import write_fixture
 
-    write_fixture(work / "fixture", seed=SEED)
+    fixture = write_fixture(work / "fixture", seed=SEED)
+    out = {"fixture interactions": _sha(fixture["interactions"]),
+           "fixture proteins": _sha(fixture["proteins"])}
     cfg = parse_run_config(None)
     dataset = pipeline.load_pair_dataset(cfg, work / "fixture")
     ckpt = pipeline.run_training(cfg, dataset, work / "model.ckpt")
-    out = {"train checkpoint": _sha(ckpt),
-           "train history": _sha(Path(f"{ckpt}.history.csv"))}
+    out["train checkpoint"] = _sha(ckpt)
+    out["train history"] = _sha(Path(f"{ckpt}.history.csv"))
     cv_dir = work / "cv"
     report = pipeline.run_cv(cfg, dataset, cv_dir, scheme="warm", k=2,
                              repetitions=1)
@@ -89,6 +96,7 @@ def pipeline_digests(work: Path) -> dict[str, str]:
             cv_dir / f"model_warm_rep0_fold{fold}.ckpt")
     pipeline.run_tune(cfg, dataset, work / "tune", budget=3, strategy="random")
     out["tune trials"] = _sha(work / "tune" / "trials.csv")
+    out["tune best config"] = _sha(work / "tune" / "best_config.cfg")
     graph_dir = work / "cv-graphconv"
     report = pipeline.run_cv(
         cfg.override({"model.variant": "padme-graphconv",
@@ -113,6 +121,9 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     _command(["featurize", "--ecfp", "--input", interactions,
               "--out", str(work / "fingerprints.csv")])
     out["featurize ecfp csv"] = _sha(work / "fingerprints.csv")
+    _command(["featurize", "--psc", "--proteins", str(fixture["proteins"]),
+              "--out", str(work / "descriptors.bin")])
+    out["featurize psc matrix"] = _sha(work / "descriptors.bin")
     _command(["split", "--data-dir", str(work / "fixture"),
               "--scheme", "cold-cluster", "--out", str(work / "split.csv")])
     out["split cold-cluster csv"] = _sha(work / "split.csv")
@@ -121,6 +132,9 @@ def pipeline_digests(work: Path) -> dict[str, str]:
               "--output", str(work / "predictions.csv"),
               "--ad-from", interactions])
     out["predict ad-from csv"] = _sha(work / "predictions.csv")
+    _command(["evaluate", "--predictions", str(work / "predictions.csv"),
+              "--output", str(work / "evaluation.csv")])
+    out["evaluate ad-from csv"] = _sha(work / "evaluation.csv")
     _command(["predict", "--model",
               str(graph_dir / "model_cold-cluster_rep0_fold0.ckpt"),
               "--input", interactions,
