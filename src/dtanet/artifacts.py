@@ -1,6 +1,8 @@
 """Atomic artifact files: the one place that decides how bytes reach disk.
 
-The bytes go to ``.{name}.{pid}.tmp`` next to the destination, created with
+The bytes go to ``.{name}.{pid}.{token}.tmp`` next to the destination, with
+a random token per write, so a temporary file left by a killed writer never
+blocks a later one that got the same pid. It is created exclusively with
 mode 0o666 (less the umask, as ``Path.write_text`` would create it); the
 file is flushed and fsynced, then renamed over the destination. A write that
 fails for any reason, a full disk or an exception raised by the chunk source
@@ -19,7 +21,7 @@ __all__ = ["write_artifact", "write_lines"]
 def write_artifact(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Replace ``path`` with the concatenation of ``chunks``, in order."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
     handle = open(tmp, "xb")  # O_CREAT | O_EXCL
     try:
         with handle:

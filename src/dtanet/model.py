@@ -403,9 +403,10 @@ class FeatureStore:
                                              dataset.molecules)],
                 self.cfg.max_degree)
         else:
+            # uint8 0/1, an eighth of float64's bytes; _compound_feeds casts
+            # the rows it hands out, exactly
             self.fingerprint_matrix = ecfp_matrix(
-                dataset.molecules, self.cfg.fp_radius,
-                self.cfg.fp_bits).astype(np.float64)
+                dataset.molecules, self.cfg.fp_radius, self.cfg.fp_bits)
         if self.cfg.compound_only:
             self.protein_matrix = None
             if dataset.n_tasks != 1:
@@ -452,7 +453,8 @@ class FeatureStore:
         if self.cfg.uses_graphconv:
             rows, batch = self._graphs.batch(compound_idx)
             return {"atom_features": rows, "graph_batch": batch}
-        return {"compound": self.fingerprint_matrix[compound_idx]}
+        return {"compound":
+                self.fingerprint_matrix[compound_idx].astype(np.float64)}
 
     def feeds(self, indices, with_targets: bool = True,
               model: Model | None = None) -> dict:

@@ -49,6 +49,7 @@ DESCRIPTOR_LENGTH = AAC_LENGTH + DC_LENGTH + TC_LENGTH + 1
 LAYOUT_VERSION = 1
 
 _MAGIC = b"PSCMAT01"
+_MAX_ID_BYTES = 0xFFFF  # an id's byte length is stored as uint16
 
 
 class SequenceError(ValueError):
@@ -138,8 +139,12 @@ def write_descriptor_matrix(path: str | Path, ids: list[str],
             f"({len(ids)}, {DESCRIPTOR_LENGTH})")
     chunks = [_MAGIC, struct.pack("<III", LAYOUT_VERSION, len(ids),
                                   DESCRIPTOR_LENGTH)]
-    for protein_id in ids:
+    for position, protein_id in enumerate(ids):
         raw = protein_id.encode("utf-8")
+        if len(raw) > _MAX_ID_BYTES:
+            raise SequenceError(
+                f"{path}: protein id at position {position} is {len(raw)} "
+                f"UTF-8 bytes long; the limit is {_MAX_ID_BYTES}")
         chunks += [struct.pack("<H", len(raw)), raw]
     write_artifact(path, chunks + [matrix.astype("<f8").tobytes()])
 

@@ -100,13 +100,32 @@ class TestFailedWrites:
         assert list(tmp_path.iterdir()) == []
 
     def test_an_existing_temporary_file_is_not_removed(self, tmp_path):
+        # a file left by a killed writer whose pid this process now has
         path = tmp_path / "artifact.csv"
         tmp = tmp_path / f".artifact.csv.{os.getpid()}.tmp"
         tmp.write_bytes(b"someone else's")
-        with pytest.raises(FileExistsError):
-            write_lines(path, ["a"])
+        write_lines(path, ["a"])
+        write_lines(path, ["b"])
+        assert path.read_text() == "b\n"
         assert tmp.read_bytes() == b"someone else's"
-        assert not path.exists()
+        assert leftovers(tmp_path) == [tmp.name]
+
+    def test_each_write_uses_its_own_temporary_file(self, tmp_path,
+                                                    monkeypatch):
+        opened = []
+        real_open = open
+
+        def spy(file, mode="r", *args, **kwargs):
+            opened.append((Path(file).name, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        for _ in range(3):
+            write_artifact(tmp_path / "artifact.bin", [b"x"])
+        names = [name for name, mode in opened if mode == "xb"]
+        assert len(set(names)) == 3
+        assert all(name.startswith(f".artifact.bin.{os.getpid()}.")
+                   for name in names)
 
 
 # The child imports everything first, then lowers its own file-size limit

@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from dtanet.compounds import (
     DEFAULT_ATOM_VOCABULARY,
-    _mix32,
+    ECFP_ALLOWED_BITS,
     FeaturizationError,
+    _byte_width,
+    _fnv1a,
     atom_feature_width,
     atom_features,
     ecfp,
@@ -17,8 +19,9 @@ from dtanet.compounds import (
     ecfp_matrix,
     tanimoto,
 )
-from dtanet.smiles import parse_smiles
-from dtanet.synthetic import unique_smiles
+from dtanet.elements import atomic_number
+from dtanet.smiles import MolGraph, parse_smiles
+from dtanet.synthetic import random_smiles, unique_smiles
 
 
 def fp_from_bits(indices, n_bits=512):
@@ -103,6 +106,19 @@ class TestEcfp:
             assert np.array_equal(row, ecfp(molecule, 3, 1024))
         assert ecfp_matrix([], 2, 512).shape == (0, 512)
 
+    def test_matrix_checks_its_arguments_without_molecules(self):
+        with pytest.raises(FeaturizationError, match="n_bits"):
+            ecfp_matrix([], 2, 1000)
+        with pytest.raises(FeaturizationError, match="radius"):
+            ecfp_matrix([], -1, 512)
+        with pytest.raises(FeaturizationError, match="radius"):
+            ecfp(parse_smiles("C"), -1)
+
+    def test_empty_molecule_is_rejected(self):
+        empty = MolGraph((), (), (), (), (), ())
+        with pytest.raises(FeaturizationError, match="empty molecule"):
+            ecfp_matrix([parse_smiles("CC"), empty], 2, 512)
+
 
 def mix32_byte_loop(values):
     """FNV-1a one byte at a time over 64-bit little-endian words."""
@@ -114,16 +130,43 @@ def mix32_byte_loop(values):
     return h
 
 
+def fnv1a_words(values, width=None):
+    """:func:`_fnv1a` over ``values`` one word at a time, reading each
+    word's :func:`_byte_width` bytes unless ``width`` is given."""
+    h = np.full(1, 0x811C9DC5, dtype=np.uint32)
+    for value in values:
+        word = np.array([value], dtype=np.int64)
+        _fnv1a(h, word, _byte_width(word) if width is None else width)
+    return int(h[0])
+
+
+EDGE_WORDS = [
+    [], [0], [-1], [2 ** 63 - 1], [-2 ** 63], [255, 256, 65536],
+    [2 ** 32 - 1, 2 ** 32, -(2 ** 32)], [2 ** 53 + 1, 2 ** 56 - 1, 2 ** 56]]
+
+
 class TestHash:
     @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=12))
     def test_mix32_matches_the_byte_loop(self, values):
-        assert _mix32(values) == mix32_byte_loop(values)
+        assert fnv1a_words(values) == mix32_byte_loop(values)
+        assert fnv1a_words(values, 8) == mix32_byte_loop(values)
 
-    @pytest.mark.parametrize("values", [
-        [], [0], [-1], [2 ** 63 - 1], [-2 ** 63], [255, 256, 65536],
-        [2 ** 32 - 1, 2 ** 32, -(2 ** 32)]])
+    @pytest.mark.parametrize("values", EDGE_WORDS)
     def test_mix32_edge_words(self, values):
-        assert _mix32(values) == mix32_byte_loop(values)
+        assert fnv1a_words(values) == mix32_byte_loop(values)
+        assert fnv1a_words(values, 8) == mix32_byte_loop(values)
+
+    @given(st.lists(st.integers(0, 2 ** 32 - 1), max_size=12))
+    def test_unsigned_32_bit_words_read_four_bytes(self, values):
+        assert fnv1a_words(values, 4) == mix32_byte_loop(values)
+
+    @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
+                    max_size=40))
+    def test_each_state_hashes_its_own_word(self, values):
+        words = np.array(values, dtype=np.int64)
+        h = np.full(len(values), 0x811C9DC5, dtype=np.uint32)
+        _fnv1a(h, words, _byte_width(words))
+        assert h.tolist() == [mix32_byte_loop([v]) for v in values]
 
     @pytest.mark.parametrize("smiles, expected", [
         ("CCO", (953350625, 2003964339, 2227942339, 2316438832, 2810463853,
@@ -134,6 +177,107 @@ class TestHash:
     ])
     def test_identifiers_are_pinned(self, smiles, expected):
         assert ecfp_identifiers(parse_smiles(smiles), radius=2) == expected
+
+
+def scalar_ecfp_identifiers(graph, radius):
+    """ECFP identifiers computed one atom at a time, with frozenset atom
+    sets and a dictionary of the best occurrence of each: the reference
+    that the array path of :mod:`dtanet.compounds` has to match."""
+    ids = [mix32_byte_loop((atomic_number(element), len(nbrs), hydrogens,
+                            charge, int(aromatic), int(ring)))
+           for element, nbrs, hydrogens, charge, aromatic, ring in zip(
+               graph.elements, graph.adjacency, graph.hydrogens,
+               graph.charges, graph.aromatic, graph.ring)]
+    coverage = [frozenset((i,)) for i in range(graph.n_atoms)]
+    best = {}
+
+    def register(r):
+        for atom_set, identifier in zip(coverage, ids):
+            seen = best.get(atom_set)
+            if seen is None or (r, identifier) < seen:
+                best[atom_set] = (r, identifier)
+
+    register(0)
+    for r in range(1, radius + 1):
+        new_ids = []
+        for i, (nbrs, orders) in enumerate(zip(graph.adjacency,
+                                               graph.bond_orders)):
+            payload = [r, ids[i]]
+            for order, nbr_id in sorted(zip(orders, (ids[j] for j in nbrs))):
+                payload += [order, nbr_id]
+            new_ids.append(mix32_byte_loop(payload))
+        coverage = [coverage[i].union(*(coverage[j] for j in nbrs))
+                    for i, nbrs in enumerate(graph.adjacency)]
+        ids = new_ids
+        register(r)
+    return tuple(sorted({identifier for _, identifier in best.values()}))
+
+
+def reference_molecules():
+    """Small, charged, aromatic, large (over 64 and over 128 atoms) and
+    disconnected molecules."""
+    rng = np.random.default_rng(11)
+    molecules = [parse_smiles(s) for s in unique_smiles(24, rng)]
+    molecules += [parse_smiles(s) for s in (
+        "C", "CC", "[O-]C(=O)C", "C[N+](C)(C)C", "[NH4+]", "c1ccccc1",
+        "C#N", "c1cc[se]c1", "OC(=O)c1ccccc1O", "C1CC2CCC1CC2")]
+    molecules += [parse_smiles(random_smiles(rng, (30, 34))),
+                  parse_smiles(random_smiles(rng, (60, 64)))]
+    molecules.append(MolGraph(("Na", "Cl"), (1, -1), (0, 0), (False, False),
+                              (False, False), ()))
+    molecules.append(MolGraph(("C", "C", "O", "N"), (0, 0, 0, 0),
+                              (3, 2, 1, 3), (False,) * 4, (False,) * 4,
+                              [(0, 1, 1), (1, 2, 1)]))
+    return molecules
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """``(molecules, {radius: scalar identifiers per molecule})``."""
+    molecules = reference_molecules()
+    return molecules, {r: [scalar_ecfp_identifiers(m, r) for m in molecules]
+                       for r in range(5)}
+
+
+class TestBatchAgainstScalarReference:
+    def test_reference_set_spans_multi_word_atom_sets(self, reference):
+        sizes = [m.n_atoms for m in reference[0]]
+        assert max(sizes) > 128 and any(64 < n <= 128 for n in sizes)
+
+    @pytest.mark.parametrize("radius", range(5))
+    def test_shuffled_batch_rows_match(self, reference, radius):
+        molecules, expected = reference
+        for seed, n_bits in enumerate(ECFP_ALLOWED_BITS):
+            order = np.random.default_rng(seed).permutation(len(molecules))
+            matrix = ecfp_matrix([molecules[i] for i in order], radius,
+                                 n_bits)
+            for row, i in zip(matrix, order):
+                folded = np.zeros(n_bits, dtype=np.uint8)
+                folded[[k % n_bits for k in expected[radius][i]]] = 1
+                assert np.array_equal(row, folded)
+
+    @pytest.mark.parametrize("radius", range(5))
+    def test_one_molecule_calls_match(self, reference, radius):
+        molecules, expected = reference
+        matrix = ecfp_matrix(molecules, radius, 1024)
+        for row, molecule, ids in zip(matrix, molecules, expected[radius]):
+            assert ecfp_identifiers(molecule, radius) == ids
+            assert np.array_equal(ecfp(molecule, radius, 1024), row)
+
+    def test_small_blocks_give_the_same_rows(self, reference, monkeypatch):
+        from dtanet import compounds
+
+        molecules = reference[0]
+        whole = ecfp_matrix(molecules, 3, 2048)
+        monkeypatch.setattr(compounds, "_BLOCK_WORDS", 64)
+        assert np.array_equal(ecfp_matrix(molecules, 3, 2048), whole)
+
+    def test_disconnected_atoms_keep_their_own_environments(self, reference):
+        salt = reference[0][-2]  # [Na+].[Cl-]: two atoms, no bonds
+        ids = scalar_ecfp_identifiers(salt, 0)
+        assert len(ids) == 2
+        for r in range(5):
+            assert ecfp_identifiers(salt, r) == ids
 
 
 class TestTanimoto:

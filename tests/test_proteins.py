@@ -149,3 +149,21 @@ class TestDescriptorMatrixFile:
         path.write_bytes(b"NOTAPSCFILE")
         with pytest.raises(SequenceError, match="not a descriptor matrix"):
             read_descriptor_matrix(path)
+
+    def test_overlong_id_names_its_position_and_keeps_the_file(self, tmp_path):
+        path = tmp_path / "psc.bin"
+        write_descriptor_matrix(path, ["P1"], np.stack([psc("ACDEF")]))
+        before = path.read_bytes()
+        ids = ["P1", "é" * 32768]  # 65536 UTF-8 bytes, one past the limit
+        with pytest.raises(SequenceError,
+                           match=r"psc\.bin: protein id at position 1 .*65535"):
+            write_descriptor_matrix(path, ids,
+                                    np.stack([psc("ACDEF"), psc("GHIKL")]))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["psc.bin"]
+
+    def test_id_at_the_byte_limit_round_trips(self, tmp_path):
+        path = tmp_path / "psc.bin"
+        ids = ["x" * 65535]
+        write_descriptor_matrix(path, ids, np.stack([psc("ACDEF")]))
+        assert read_descriptor_matrix(path)[0] == ids

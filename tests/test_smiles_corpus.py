@@ -19,7 +19,12 @@ import random
 
 import pytest
 
-from dtanet.compounds import FeaturizationError, atom_features, ecfp_identifiers
+from dtanet.compounds import (
+    FeaturizationError,
+    _ecfp_blocks,
+    atom_features,
+    ecfp_identifiers,
+)
 from dtanet.smiles import SmilesError, parse_smiles
 
 CORPUS_SEED = 20181013
@@ -131,15 +136,25 @@ def smiles_corpus(seed: int = CORPUS_SEED, size: int = CORPUS_SIZE) -> list[str]
     return corpus
 
 
-def _outcome_bytes(parsed) -> bytes:
+def _outcome_bytes(parsed, ids) -> bytes:
+    """The digest bytes of one parse outcome; ``ids`` holds a valid
+    molecule's ECFP identifiers at radius 0..3."""
     if isinstance(parsed, SmilesError):
         return f"E|{parsed}|{parsed.offset}".encode()
-    ids = [ecfp_identifiers(parsed, r) for r in range(4)]
     try:
         features = atom_features(parsed).tobytes()
     except FeaturizationError as err:
         features = f"F|{err}".encode()
     return f"M|{ids}|{parsed.adjacency}|".encode() + features
+
+
+def _batch_identifiers(graphs, radius: int) -> list[tuple[int, ...]]:
+    """``ecfp_identifiers(graph, radius)`` of every graph, from one batch."""
+    found: list[set[int]] = [set() for _ in graphs]
+    for rows, ids in _ecfp_blocks(graphs, radius):
+        for row, identifier in zip(rows.tolist(), ids.tolist()):
+            found[row].add(identifier)
+    return [tuple(sorted(s)) for s in found]
 
 
 def _parse_or_error(text: str):
@@ -162,9 +177,16 @@ def test_corpus_covers_valid_and_invalid_strings(parsed_corpus):
 
 
 def test_golden_digest(parsed_corpus):
+    graphs = [p for _, p in parsed_corpus if not isinstance(p, SmilesError)]
+    by_radius = [_batch_identifiers(graphs, r) for r in range(4)]
+    for k in range(0, len(graphs), 500):  # the batch is the one-molecule call
+        assert [ecfp_identifiers(graphs[k], r) for r in range(4)] == [
+            ids[k] for ids in by_radius]
+    ids = iter(zip(*by_radius))
     digest = hashlib.sha256()
     for _, parsed in parsed_corpus:
-        outcome = _outcome_bytes(parsed)
+        outcome = _outcome_bytes(
+            parsed, None if isinstance(parsed, SmilesError) else list(next(ids)))
         digest.update(len(outcome).to_bytes(8, "little"))
         digest.update(outcome)
     assert digest.hexdigest() == GOLDEN_DIGEST

@@ -18,6 +18,8 @@ each one, a fresh interpreter
 * fits one ``padme-graphconv`` model twice with two ``train`` calls on the
   same store (the second optimizer repacks parameters the first one owns)
   and saves the second fit's checkpoint;
+* fingerprints the 1300 compounds with ``ecfp_matrix`` at radius 0..3,
+  with 512 and with 4096 bits (matrix bytes);
 * writes a synthetic fixture (``interactions.csv`` and ``proteins.tsv``)
   and runs the pipeline with the default run config on it:
   ``run_training`` (checkpoint and history), a 2-fold 1-repetition warm
@@ -144,19 +146,38 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     return out
 
 
+def new_compounds_dataset(n_proteins: int = 12):
+    """2600 synthetic pairs of 1300 compounds no model was trained on."""
+    from dtanet.synthetic import memory_dataset
+
+    return memory_dataset(n_compounds=1300, n_proteins=n_proteins,
+                          n_pairs=2600, seed=SEED + 1)
+
+
 def multi_chunk_predict_digest(model, n_proteins: int = 12) -> str:
     """Digest of ``model``'s predictions for 2600 pairs of new compounds
     and ``n_proteins`` proteins."""
     import numpy as np
 
     from dtanet.model import FeatureStore
-    from dtanet.synthetic import memory_dataset
 
-    dataset = memory_dataset(n_compounds=1300, n_proteins=n_proteins,
-                             n_pairs=2600, seed=SEED + 1)
+    dataset = new_compounds_dataset(n_proteins)
     predictions = FeatureStore(dataset, model.cfg).predict(
         model, np.arange(dataset.n_pairs))
     return hashlib.sha256(predictions.tobytes()).hexdigest()
+
+
+def ecfp_matrices_digest() -> str:
+    """Digest of the fingerprint matrices of the 1300 new compounds at
+    radius 0..3, with 512 and with 4096 bits."""
+    from dtanet.compounds import ecfp_matrix
+
+    molecules = new_compounds_dataset().molecules
+    digest = hashlib.sha256()
+    for radius in range(4):
+        for n_bits in (512, 4096):
+            digest.update(ecfp_matrix(molecules, radius, n_bits).tobytes())
+    return digest.hexdigest()
 
 
 def digests() -> dict[str, str]:
@@ -202,6 +223,7 @@ def digests() -> dict[str, str]:
         model.save(path, optimizer_step=result.best_optimizer_step,
                    optimizer_arrays=result.best_optimizer)
         out["padme-graphconv refit"] = _sha(path)
+        out["ecfp matrices"] = ecfp_matrices_digest()
         out.update(pipeline_digests(Path(work)))
     return out
 
