@@ -4,7 +4,8 @@ The bytes go to ``.{name}.{pid}.{token}.tmp`` next to the destination, with
 a random token per write, so a temporary file left by a killed writer never
 blocks a later one that got the same pid. It is created exclusively with
 mode 0o666 (less the umask, as ``Path.write_text`` would create it); the
-file is flushed and fsynced, then renamed over the destination. A write that
+file is flushed and fsynced, then renamed over the destination, and the
+directory is fsynced so that the rename itself survives a crash. A write that
 fails for any reason, a full disk or an exception raised by the chunk source
 alike, removes the temporary file and leaves the destination as it was.
 """
@@ -33,6 +34,11 @@ def write_artifact(path: str | Path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -29,7 +29,7 @@ _configure_threads()
 
 import numpy as np  # noqa: E402  (thread env vars must be set first)
 
-from . import data, pipeline, synthetic  # noqa: E402
+from . import pipeline, synthetic  # noqa: E402
 from .runconfig import SCHEMES, RunConfig, parse_run_config  # noqa: E402
 
 log = logging.getLogger("dtanet")
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="emit compound/protein featurizations")
     _add_common(p)
-    p.add_argument("--input", type=Path, help="CSV with a leading smiles column")
+    p.add_argument("--input", type=Path, help="CSV with a smiles column")
     p.add_argument("--proteins", type=Path, help="protein sequence table (TSV)")
     p.add_argument("--ecfp", action="store_true",
                    help="write hex fingerprints CSV (model.fp_radius, "
@@ -136,31 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_smiles_column(path: Path) -> dict:
-    """SMILES -> parsed graph for each distinct SMILES of the first column,
-    in file order; a SMILES the parser rejects fails naming its line."""
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "smiles":
-            raise pipeline.PipelineError(
-                f"{path}: expected a CSV whose first column is 'smiles'")
-        molecules: dict = {}
-        for lineno, row in enumerate(reader, start=2):
-            if row:
-                data.parse_compound(molecules, row[0].strip(), path, lineno)
-        return molecules
-
-
 def _cmd_featurize(args, cfg) -> None:
     if args.ecfp == args.psc:
         raise SystemExit("featurize: pick exactly one of --ecfp/--psc")
     if args.ecfp:
         if args.input is None:
             raise SystemExit("featurize: --input is required for --ecfp")
-        molecules = _read_smiles_column(args.input)
+        molecules = pipeline.read_compounds(args.input)
         pipeline.write_fingerprint_csv(cfg, molecules, args.out)
         print(f"featurized {len(molecules)} compounds -> {args.out}")
     else:

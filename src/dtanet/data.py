@@ -34,6 +34,7 @@ __all__ = [
     "parse_compound",
     "load_interactions",
     "parse_value",
+    "transform_value",
     "transform_values",
     "inverse_transform",
     "filter_sparse",
@@ -221,21 +222,31 @@ def summarize(records: list[InteractionRecord]) -> DatasetSummary:
     )
 
 
+def transform_value(raw: float,
+                    inactive_remap: tuple[float, float] | None = None) -> float:
+    """``4 - log10(raw)`` after the optional exact-match remap; a raw value
+    that is non-positive after the remap fails."""
+    value = raw
+    if inactive_remap is not None and value == inactive_remap[0]:
+        value = inactive_remap[1]
+    if value <= 0:
+        raise DataError(f"non-positive raw value {raw}")
+    return 4.0 - np.log10(value)
+
+
 def transform_values(
     records: list[InteractionRecord],
     inactive_remap: tuple[float, float] | None = None,
 ) -> list[InteractionRecord]:
-    """Apply the optional exact-match remap, then value -> 4 - log10(value)."""
+    """:func:`transform_value` of each record's raw value."""
     out = []
     for record in records:
-        raw = record.raw_value
-        if inactive_remap is not None and raw == inactive_remap[0]:
-            raw = inactive_remap[1]
-        if raw <= 0:
-            raise DataError(
-                f"non-positive raw value {record.raw_value} for "
-                f"({record.smiles!r}, {record.protein_id!r})")
-        out.append(replace(record, value=4.0 - np.log10(raw)))
+        try:
+            value = transform_value(record.raw_value, inactive_remap)
+        except DataError as exc:
+            raise DataError(f"{exc} for ({record.smiles!r}, "
+                            f"{record.protein_id!r})") from None
+        out.append(replace(record, value=value))
     return out
 
 

@@ -32,6 +32,7 @@ import json
 import logging
 import os
 import socket
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +72,9 @@ from .tuning import (
 
 __all__ = ["PipelineError", "SmokeError", "DirectoryLock", "load_pair_dataset",
            "build_assignment", "run_split", "fit", "run_training", "run_cv",
-           "run_predict", "run_evaluate", "run_tune", "write_fingerprint_csv",
-           "write_report", "read_report", "end_to_end_smoke"]
+           "run_predict", "run_evaluate", "run_tune", "read_compounds",
+           "write_fingerprint_csv", "write_report", "read_report",
+           "end_to_end_smoke"]
 
 log = logging.getLogger(__name__)
 
@@ -328,10 +330,12 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                 model.save(ckpt, optimizer_step=result.best_optimizer_step,
                            optimizer_arrays=result.best_optimizer,
                            run_config_text=rep_cfg.snapshot())
-                predicted = store.predict(model, val_view)
-                y, w = store.pair_targets(val_view)
-                report = evaluate_predictions(y, predicted, w, scheme=scheme,
-                                              seed=rep_seed)
+                report = result.best_report
+                if report is None:  # no epoch was evaluated
+                    y, w = store.pair_targets(val_view)
+                    report = evaluate_predictions(
+                        y, store.predict(model, val_view), w)
+                report = replace(report, scheme=scheme, seed=rep_seed)
                 fold_metrics.append(report)
                 rows.append({"repetition": rep, "fold": fold,
                              "report": report, "audit": audit})
@@ -397,133 +401,130 @@ def read_report(path: str | Path) -> tuple[list[str], list[list[str]]]:
 # -- prediction -----------------------------------------------------------------
 
 
-def _data_rows(path, reader, n_fields: int):
-    """``(line number, fields)`` per non-empty row after the header; a row
-    with fewer than ``n_fields`` fields fails naming its line."""
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) < n_fields:
-            raise PipelineError(f"{path}: line {lineno}: expected "
-                                f"{n_fields} fields, got {len(row)}")
-        yield lineno, row
+def _pair_table(path: str | Path, needed: tuple[str, ...],
+                optional: tuple[str, ...] = ()) -> dict[str, list]:
+    """``line`` (each data row's line number), the ``needed`` columns and
+    the ``optional`` ones the header has, by name, one entry per row.
 
-
-def _task_id(path, lineno: int, text: str) -> int:
-    try:
-        task = int(text)
-    except ValueError:
-        task = -1
-    if task < 0:
-        raise PipelineError(f"{path}: line {lineno}: task_id {text!r} is "
-                            f"not a non-negative integer")
-    return task
-
-
-def _read_pairs_csv(path: str | Path):
-    """(rows, has_value): one ``(line, smiles, protein_id, task_id, value)``
-    per data row; ``value`` is the raw text, ``None`` without that column."""
+    Other columns are ignored, blank rows skipped and fields stripped. A
+    ``task_id`` column holds non-negative integers (zeros if it is optional
+    and absent). A header without a ``needed`` column, a row shorter than
+    the header and a bad ``task_id`` fail naming the file (and the line).
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:2] != ["smiles", "protein_id"]:
-            raise PipelineError(
-                f"{path}: expected header starting 'smiles,protein_id'")
-        has_task = "task_id" in header
-        has_value = "value" in header
-        task_col = header.index("task_id") if has_task else None
-        value_col = header.index("value") if has_value else None
-        rows = []
-        for lineno, row in _data_rows(path, reader, len(header)):
-            task = _task_id(path, lineno, row[task_col]) if has_task else 0
-            value = row[value_col] if has_value else None
-            rows.append((lineno, row[0].strip(), row[1].strip(), task, value))
-    return rows, has_value
+        header = next(reader, None) or []
+        missing = [name for name in needed if name not in header]
+        if missing:
+            raise PipelineError(f"{path}: no {missing[0]!r} column")
+        columns = {name: header.index(name) for name in needed + optional
+                   if name in header}
+        table: dict[str, list] = {name: [] for name in ("line", *columns)}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise PipelineError(f"{path}: line {lineno}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+            table["line"].append(lineno)
+            for name, col in columns.items():
+                table[name].append(row[col].strip())
+            if "task_id" in columns:
+                text = table["task_id"][-1]
+                try:
+                    task = int(text)
+                except ValueError:
+                    task = -1
+                if task < 0:
+                    raise PipelineError(f"{path}: line {lineno}: task_id "
+                                        f"{text!r} is not a non-negative "
+                                        f"integer")
+                table["task_id"][-1] = task
+    if "task_id" in optional and "task_id" not in columns:
+        table["task_id"] = [0] * len(table["line"])
+    return table
 
 
-def _read_responses(path, rows, inactive_remap=None) -> tuple[list, list[int]]:
-    """Transformed responses of ``(line, smiles, protein_id, task_id, value)``
-    rows, and the line of each.
+def _task_outside(path, lineno: int, task: int,
+                  n_tasks: int) -> PipelineError:
+    return PipelineError(f"{path}: line {lineno}: task_id {task} outside "
+                         f"the model's 0..{n_tasks - 1}")
+
+
+def _responses(path, table: dict[str, list], n_tasks: int | None = None,
+               inactive_remap=None) -> tuple[np.ndarray, np.ndarray, list]:
+    """``(y, w, kept)`` of a table's ``value`` and ``task_id`` columns: row
+    ``i`` holds the response of table row ``kept[i]`` at its task, with
+    weight 1 there.
 
     Values go through ingestion's imprecise-value rule, ``inactive_remap``
-    (as ``data.transform_values`` applies it) and transform: imprecise rows
-    are discarded and counted in the log; a value that is not a number or
-    that the transform rejects fails naming the line.
+    and transform: imprecise rows are discarded and counted in the log; a
+    value that is not a number or that the transform rejects fails naming
+    its line, as does a kept row's task outside ``n_tasks`` when given.
+    Without ``n_tasks``, the tasks are 0 to the largest kept one.
     """
-    records, lines = [], []
-    imprecise = 0
-    for lineno, smiles, protein_id, task, value in rows:
+    kept, values = [], []
+    for i, (lineno, task, text) in enumerate(
+            zip(table["line"], table["task_id"], table["value"])):
         try:
-            raw = data_mod.parse_value(value)
+            raw = data_mod.parse_value(text)
         except ValueError:
-            raise PipelineError(f"{path}: line {lineno}: value {value!r} is "
+            raise PipelineError(f"{path}: line {lineno}: value {text!r} is "
                                 f"not a number") from None
         if raw is None:
-            imprecise += 1
             continue
-        record = data_mod.InteractionRecord(smiles, protein_id, task, raw)
+        if n_tasks is not None and task >= n_tasks:
+            raise _task_outside(path, lineno, task, n_tasks)
         try:
-            records.extend(data_mod.transform_values([record],
-                                                     inactive_remap))
+            values.append(data_mod.transform_value(raw, inactive_remap))
         except data_mod.DataError as exc:
             raise PipelineError(f"{path}: line {lineno}: {exc}") from None
-        lines.append(lineno)
-    if imprecise:
-        log.info("discarded %d imprecise value row(s) from %s",
-                 imprecise, path)
-    return records, lines
+        kept.append(i)
+    discarded = len(table["line"]) - len(kept)
+    if discarded:
+        log.info("discarded %d imprecise value row(s) from %s", discarded,
+                 path)
+    tasks = [table["task_id"][i] for i in kept]
+    if n_tasks is None:
+        n_tasks = max(tasks, default=-1) + 1
+    y = np.zeros((len(kept), n_tasks))
+    w = np.zeros((len(kept), n_tasks))
+    y[np.arange(len(kept)), tasks] = values
+    w[np.arange(len(kept)), tasks] = 1.0
+    return y, w, kept
 
 
-def _prediction_store(cfg, rows, sequences, n_tasks: int,
+def _parse_compounds(path, table: dict[str, list]) -> dict[str, MolGraph]:
+    """SMILES -> graph of each distinct SMILES of ``table``, in file order;
+    one the parser rejects fails naming its line."""
+    molecules: dict[str, MolGraph] = {}
+    for lineno, smiles in zip(table["line"], table["smiles"]):
+        data_mod.parse_compound(molecules, smiles, path, lineno)
+    return molecules
+
+
+def _prediction_store(cfg, table: dict[str, list], sequences, n_tasks: int,
                       source) -> FeatureStore:
-    """A :class:`FeatureStore` over the requested pairs, without responses;
-    a SMILES the parser rejects fails naming its line of ``source``."""
-    protein_ids = tuple(dict.fromkeys(r[2] for r in rows))
+    """A :class:`FeatureStore` over the table's pairs, without responses."""
+    protein_ids = tuple(dict.fromkeys(table["protein_id"]))
     if not cfg.compound_only:
         missing = [p for p in protein_ids if p not in sequences]
         if missing:
             raise PipelineError(
                 f"{source}: no sequence for protein id {missing[0]!r}")
-    molecules: dict[str, MolGraph] = {}
-    for lineno, smiles, *_ in rows:
-        data_mod.parse_compound(molecules, smiles, source, lineno)
+    molecules = _parse_compounds(source, table)
     compound_index = {s: i for i, s in enumerate(molecules)}
     protein_index = {p: i for i, p in enumerate(protein_ids)}
-    pairs = np.array([(compound_index[r[1]], protein_index[r[2]])
-                      for r in rows], dtype=np.int64)
+    pairs = np.array([(compound_index[s], protein_index[p]) for s, p in
+                      zip(table["smiles"], table["protein_id"])],
+                     dtype=np.int64)
     dataset = data_mod.PairDataset(
         compounds=tuple(molecules), molecules=tuple(molecules.values()),
         protein_ids=protein_ids,
         sequences={p: sequences[p] for p in protein_ids if p in sequences},
-        pairs=pairs, y=np.zeros((len(rows), n_tasks)),
-        w=np.zeros((len(rows), n_tasks)), n_tasks=n_tasks)
+        pairs=pairs, y=np.zeros((len(pairs), n_tasks)),
+        w=np.zeros((len(pairs), n_tasks)), n_tasks=n_tasks)
     return FeatureStore(dataset, cfg)
-
-
-def _fit_ad_ranges(path: str | Path, n_tasks: int, inactive_remap=None):
-    """Per-task reliable response ranges fitted on a training-format CSV
-    (values read by :func:`_read_responses`)."""
-    rows, has_value = _read_pairs_csv(path)
-    if not has_value:
-        raise PipelineError(f"{path}: needs a 'value' column to fit the "
-                            f"reliable response range")
-    records, lines = _read_responses(path, rows, inactive_remap)
-    for record, lineno in zip(records, lines):
-        if record.task_id >= n_tasks:
-            raise PipelineError(f"{path}: line {lineno}: task_id "
-                                f"{record.task_id} outside the model's "
-                                f"0..{n_tasks - 1}")
-    return fit_ad_per_task(*_responses(records, n_tasks))
-
-
-def _responses(records, n_tasks: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(y, w)``: each record's row holds its value and weight 1 at its task."""
-    y = np.zeros((len(records), n_tasks))
-    w = np.zeros((len(records), n_tasks))
-    for i, record in enumerate(records):
-        y[i, record.task_id] = record.value
-        w[i, record.task_id] = 1.0
-    return y, w
 
 
 def run_predict(model_path: str | Path, pairs_csv: str | Path,
@@ -531,31 +532,35 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
                 ad_from: str | Path | None = None) -> Path:
     """Predict interaction strengths for (compound, protein) pairs.
 
-    ``ad_from`` points at a training-format CSV; when given, an ``in_ad``
-    column reports whether each *predicted* value falls in the per-task
-    response range fitted on those training responses. Their values are
-    read with the inactive-value remap of the run config embedded in the
-    checkpoint; a checkpoint without one reads them without a remap.
+    ``ad_from`` points at a table with a ``value`` column; when given, an
+    ``in_ad`` column reports whether each *predicted* value falls in the
+    per-task response range fitted on those responses. They are read by
+    :func:`_responses` with the inactive-value remap of the run config
+    embedded in the checkpoint; a checkpoint without one reads them without
+    a remap.
     """
     model, extras = Model.load(model_path)
-    rows, has_value = _read_pairs_csv(pairs_csv)
+    table = _pair_table(pairs_csv, ("smiles", "protein_id"),
+                        ("task_id", "value"))
     n_tasks = 1 if model.cfg.compound_only else model.cfg.n_tasks
-    bad = next((r for r in rows if not 0 <= r[3] < n_tasks), None)
-    if bad is not None:
-        raise PipelineError(
-            f"{pairs_csv}: line {bad[0]}: task_id {bad[3]} outside the "
-            f"model's 0..{n_tasks - 1}")
+    for lineno, task in zip(table["line"], table["task_id"]):
+        if task >= n_tasks:
+            raise _task_outside(pairs_csv, lineno, task, n_tasks)
     predictions = np.empty((0, n_tasks))
-    if rows:
+    if table["line"]:
         sequences = proteins.read_sequence_table(proteins_path)
-        store = _prediction_store(model.cfg, rows, sequences, n_tasks,
+        store = _prediction_store(model.cfg, table, sequences, n_tasks,
                                   pairs_csv)
-        predictions = store.predict(model, np.arange(len(rows)))
+        predictions = store.predict(model, np.arange(len(table["line"])))
     ad_ranges = None
     if ad_from is not None:
         remap = (None if extras["run_config"] is None else
                  RunConfig.from_snapshot(extras["run_config"]).inactive_remap())
-        ad_ranges = _fit_ad_ranges(ad_from, n_tasks, remap)
+        y, w, _ = _responses(ad_from,
+                             _pair_table(ad_from, ("value",), ("task_id",)),
+                             n_tasks, remap)
+        ad_ranges = fit_ad_per_task(y, w)
+    has_value = "value" in table
     header = ["smiles", "protein_id", "task_id"]
     if has_value:
         header.append("value")
@@ -565,11 +570,12 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
 
     def lines():
         yield ",".join(header)
-        for i, (_line, smiles, protein_id, task, value) in enumerate(rows):
+        for i, (smiles, protein_id, task) in enumerate(
+                zip(table["smiles"], table["protein_id"], table["task_id"])):
             pred = predictions[i, 0 if model.cfg.compound_only else task]
             fields = [smiles, protein_id, str(task)]
             if has_value:
-                fields.append(value)
+                fields.append(table["value"][i])
             fields.append(f"{pred:.6g}")
             if ad_ranges is not None:
                 ad = ad_ranges[task]
@@ -585,44 +591,25 @@ def run_evaluate(predictions_csv: str | Path, out_csv: str | Path,
                  scheme: str = "", seed: int = 0) -> EvalReport:
     """Score a prediction CSV that carries both value and prediction columns.
 
-    Values are read as ``--ad-from`` reads them (:func:`_read_responses`).
-    A short row, a task id that is not a non-negative integer, or a
-    prediction that is not a finite number fails naming the line.
+    Values are read as ``--ad-from`` reads them (:func:`_responses`); every
+    row's prediction must be a finite number, else it fails naming the line.
     """
     path = predictions_csv
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or "prediction" not in header or "value" not in header:
-            raise PipelineError(
-                f"{path}: needs 'value' and 'prediction' columns")
-        column = {name: i for i, name in enumerate(header)}
-        rows = []
-        predictions: dict[int, float] = {}
-        for lineno, row in _data_rows(path, reader, len(header)):
-            task = (_task_id(path, lineno, row[column["task_id"]])
-                    if "task_id" in column else 0)
-            text = row[column["prediction"]]
-            try:
-                prediction = float(text)
-            except ValueError:
-                prediction = np.nan
-            if not np.isfinite(prediction):
-                raise PipelineError(f"{path}: line {lineno}: prediction "
-                                    f"{text!r} is not a number")
-            predictions[lineno] = prediction
-            smiles, protein_id = (row[column[name]] if name in column else ""
-                                  for name in ("smiles", "protein_id"))
-            rows.append((lineno, smiles, protein_id, task,
-                         row[column["value"]]))
-    records, record_lines = _read_responses(path, rows)
-    if not records:
+    table = _pair_table(path, ("value", "prediction"), ("task_id",))
+    predictions = []
+    for lineno, text in zip(table["line"], table["prediction"]):
+        try:
+            prediction = float(text)
+        except ValueError:
+            prediction = np.nan
+        if not np.isfinite(prediction):
+            raise PipelineError(f"{path}: line {lineno}: prediction "
+                                f"{text!r} is not a number")
+        predictions.append(prediction)
+    y, w, kept = _responses(path, table)
+    if not kept:
         raise PipelineError(f"{path}: no prediction rows")
-    n_tasks = max(record.task_id for record in records) + 1
-    y, w = _responses(records, n_tasks)
-    f = np.zeros((len(records), n_tasks))
-    for i, (record, lineno) in enumerate(zip(records, record_lines)):
-        f[i, record.task_id] = predictions[lineno]
+    f = w * np.array(predictions)[kept, None]
     report = evaluate_predictions(y, f, w, scheme=scheme, seed=seed)
     lines = ["task_id,n_records,rmse,r2,ci"]
     for task in report.tasks:
@@ -683,6 +670,11 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
 
 
 # -- featurize artifacts -----------------------------------------------------
+
+
+def read_compounds(path: str | Path) -> dict[str, MolGraph]:
+    """SMILES -> graph of each distinct SMILES of the table at ``path``."""
+    return _parse_compounds(path, _pair_table(path, ("smiles",)))
 
 
 def write_fingerprint_csv(cfg: RunConfig, molecules: dict[str, MolGraph],

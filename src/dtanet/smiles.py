@@ -27,8 +27,7 @@ indexed by atom: ``elements`` (symbols, aromatic ones capitalized),
 ``charges`` (formal charges), ``hydrogens`` (total hydrogen counts),
 ``aromatic`` and ``ring`` (on a cycle). ``bonds`` holds ``(a, b, order)``
 int triples in parse order, ``order`` a :class:`BondOrder` value. The
-derived neighbor lists ``adjacency`` (ascending) and ``bond_orders``
-(parallel to it) serve the featurizers.
+derived neighbor lists ``adjacency`` (ascending) serve the featurizers.
 
 Ring flags are read off the parse tree. Every bond that is not a ring
 closure joins an atom to an atom written before it (its parent), so those
@@ -93,10 +92,10 @@ _UNSUPPORTED_TOKENS = {
 
 class MolGraph:
     """Molecular graph as per-atom columns and a bond list (see the module
-    docstring for the layout); derives ``adjacency`` and ``bond_orders``."""
+    docstring for the layout); derives ``adjacency``."""
 
     __slots__ = ("elements", "charges", "hydrogens", "aromatic", "ring",
-                 "bonds", "adjacency", "bond_orders")
+                 "bonds", "adjacency")
 
     def __init__(self, elements, charges, hydrogens, aromatic, ring, bonds):
         # tuples of ints, strings and bools leave the garbage collector's
@@ -108,16 +107,12 @@ class MolGraph:
         self.ring: tuple[bool, ...] = tuple(ring)
         self.bonds: tuple[tuple[int, int, int], ...] = tuple(
             (a, b, int(order)) for a, b, order in bonds)
-        neighbors: list[list[tuple[int, int]]] = [[] for _ in self.elements]
-        for a, b, order in self.bonds:
-            neighbors[a].append((b, order))
-            neighbors[b].append((a, order))
-        for nbrs in neighbors:
-            nbrs.sort()
+        neighbors: list[list[int]] = [[] for _ in self.elements]
+        for a, b, _order in self.bonds:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j, _ in nbrs) for nbrs in neighbors)
-        self.bond_orders: tuple[tuple[int, ...], ...] = tuple(
-            tuple(order for _, order in nbrs) for nbrs in neighbors)
+            tuple(sorted(nbrs)) for nbrs in neighbors)
 
     @property
     def n_atoms(self) -> int:

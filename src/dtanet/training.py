@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Adam, RowSelection
-from .metrics import evaluate_predictions
+from .metrics import EvalReport, evaluate_predictions
 from .model import FeatureStore, Model, ModelConfig
 
 __all__ = ["TrainConfig", "TrainingError", "EpochRow", "TrainResult",
@@ -81,6 +81,8 @@ class TrainResult:
     best_optimizer_step: int
     evals_performed: int
     epoch_seconds: list[float] = field(default_factory=list)
+    # the best epoch's validation report; None when no epoch was evaluated
+    best_report: EvalReport | None = None
 
 
 def composite_score(task_rmse, task_ci) -> tuple[float, bool]:
@@ -95,9 +97,9 @@ def composite_score(task_rmse, task_ci) -> tuple[float, bool]:
 
 
 def validation_scores(model: Model, store: FeatureStore, val_idx: np.ndarray):
-    """Per-task RMSE and CI on the validation pairs (as
-    :func:`~dtanet.metrics.evaluate_predictions` scores them), plus the
-    composite."""
+    """Per-task RMSE and CI on the validation pairs, the composite, whether
+    it fell back to RMSE alone, and the
+    :func:`~dtanet.metrics.evaluate_predictions` report they come from."""
     y, w = store.pair_targets(val_idx)
     report = evaluate_predictions(y, store.predict(model, val_idx), w)
     task_rmse = tuple(task.rmse for task in report.tasks)
@@ -106,7 +108,7 @@ def validation_scores(model: Model, store: FeatureStore, val_idx: np.ndarray):
     if fallback:
         log.warning("validation has no comparable pairs for CI; "
                     "early-stopping score falls back to RMSE alone")
-    return task_rmse, task_ci, score, fallback
+    return task_rmse, task_ci, score, fallback, report
 
 
 def _run_epoch(model: Model, store: FeatureStore, order: np.ndarray,
@@ -155,6 +157,7 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
     best_state: dict[str, np.ndarray] | None = None
     best_optimizer: dict[str, np.ndarray] | None = None
     best_step = 0
+    best_report = None
     strikes = 0
     evals = 0
     epoch_seconds: list[float] = []
@@ -165,7 +168,7 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
         epoch_seconds.append(time.perf_counter() - started)
         row = EpochRow(epoch=epoch, train_loss=train_loss)
         if epoch % cfg.eval_every == 0 and val_idx.size:
-            task_rmse, task_ci, score, fallback = validation_scores(
+            task_rmse, task_ci, score, fallback, report = validation_scores(
                 model, store, val_idx)
             evals += 1
             row.val_rmse = task_rmse
@@ -178,6 +181,7 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
                 best_state = model.graph.state_dict()
                 best_optimizer = adam.state_arrays()
                 best_step = adam.state.step
+                best_report = report
                 strikes = 0
             else:
                 strikes += 1
@@ -198,7 +202,8 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
                        best_score=float(best_score), best_state=best_state,
                        best_optimizer=best_optimizer,
                        best_optimizer_step=best_step,
-                       evals_performed=evals, epoch_seconds=epoch_seconds)
+                       evals_performed=evals, epoch_seconds=epoch_seconds,
+                       best_report=best_report)
 
 
 def history_rows(result: TrainResult) -> list[str]:

@@ -3,6 +3,7 @@ leave the previous file intact."""
 
 import errno
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -126,6 +127,30 @@ class TestFailedWrites:
         assert len(set(names)) == 3
         assert all(name.startswith(f".artifact.bin.{os.getpid()}.")
                    for name in names)
+
+
+class TestDurability:
+    def test_the_directory_is_fsynced_after_the_rename(self, tmp_path,
+                                                       monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace",))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write_lines(tmp_path / "artifact.csv", ["a"])
+        renamed = events.index(("replace",))
+        assert ("fsync", False, (tmp_path / "artifact.csv").stat().st_ino) \
+            in events[:renamed]
+        assert ("fsync", True, tmp_path.stat().st_ino) in events[renamed:]
 
 
 # The child imports everything first, then lowers its own file-size limit

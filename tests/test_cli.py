@@ -35,6 +35,30 @@ class TestFeaturize:
         assert len(lines) > 1
         assert all(len(l.split(",")[1]) == 512 // 4 for l in lines[1:])
 
+    def test_ecfp_reads_a_table_whose_tasks_are_assay_ids(self, tmp_path):
+        table = tmp_path / "assays.csv"
+        table.write_text("smiles,protein_id,task_id,value\n"
+                         "CCO,P1,CHEMBL1614,100\n"
+                         "c1ccccc1O,P2,CHEMBL27,>10000\n"
+                         "CCO,P2,CHEMBL27,5\n", encoding="utf-8")
+        smiles = tmp_path / "smiles.csv"
+        smiles.write_text("smiles\nCCO\nc1ccccc1O\n", encoding="utf-8")
+        for path in (table, smiles):
+            assert main(["featurize", "--ecfp", "--input", str(path),
+                         "--out", str(tmp_path / f"{path.stem}.fp")]) == 0
+        fingerprints = (tmp_path / "assays.fp").read_text().splitlines()
+        assert len(fingerprints) == 3
+        assert fingerprints == \
+            (tmp_path / "smiles.fp").read_text().splitlines()
+
+    def test_ecfp_names_a_missing_smiles_column(self, tmp_path, capsys):
+        table = tmp_path / "ids.csv"
+        table.write_text("compound,protein_id\nCCO,P1\n", encoding="utf-8")
+        code = main(["featurize", "--ecfp", "--input", str(table),
+                     "--out", str(tmp_path / "fp.csv")])
+        assert code == 1
+        assert f"{table}: no 'smiles' column" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [[], ["--ecfp", "--psc"]])
     def test_needs_exactly_one_output_kind(self, workspace, flags):
         root, data = workspace

@@ -189,6 +189,9 @@ def scalar_ecfp_identifiers(graph, radius):
                graph.elements, graph.adjacency, graph.hydrogens,
                graph.charges, graph.aromatic, graph.ring)]
     coverage = [frozenset((i,)) for i in range(graph.n_atoms)]
+    bond_order = {}
+    for a, b, order in graph.bonds:
+        bond_order[a, b] = bond_order[b, a] = order
     best = {}
 
     def register(r):
@@ -200,10 +203,10 @@ def scalar_ecfp_identifiers(graph, radius):
     register(0)
     for r in range(1, radius + 1):
         new_ids = []
-        for i, (nbrs, orders) in enumerate(zip(graph.adjacency,
-                                               graph.bond_orders)):
+        for i, nbrs in enumerate(graph.adjacency):
             payload = [r, ids[i]]
-            for order, nbr_id in sorted(zip(orders, (ids[j] for j in nbrs))):
+            for order, nbr_id in sorted((bond_order[i, j], ids[j])
+                                        for j in nbrs):
                 payload += [order, nbr_id]
             new_ids.append(mix32_byte_loop(payload))
         coverage = [coverage[i].union(*(coverage[j] for j in nbrs))

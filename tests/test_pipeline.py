@@ -269,6 +269,42 @@ class TestCvCommand:
         lines = comments + [",".join(row) for row in rows]
         assert "\n".join(lines) + "\n" == report_path.read_text()
 
+    def test_each_fold_reports_its_best_epochs_validation(
+            self, fixture_dir, tiny_config, tmp_path, monkeypatch):
+        from dtanet import pipeline
+
+        fits, scored = [], []
+        real_train, real_predict = pipeline.train, FeatureStore.predict
+
+        def train(*args):
+            fits.append(real_train(*args))
+            return fits[-1]
+
+        def predict(store, model, indices, *args, **kwargs):
+            scored.append(len(indices))
+            return real_predict(store, model, indices, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", train)
+        monkeypatch.setattr(FeatureStore, "predict", predict)
+        dataset = load_pair_dataset(tiny_config, fixture_dir)
+        report_path = run_cv(tiny_config, dataset, tmp_path / "cv",
+                             scheme="warm")
+        _, rows = read_report(report_path)
+        rmses = [float(r[6]) for r in rows if r[4] == "aggregate"]
+        assert rmses == [float(f"{fit.best_report.rmse:.6g}")
+                         for fit in fits]
+        assert len(scored) == sum(fit.evals_performed for fit in fits)
+
+    def test_a_fold_without_an_evaluated_epoch_is_scored_once_fitted(
+            self, fixture_dir, tiny_config, tmp_path):
+        cfg = tiny_config.override({"train.eval_every": "3"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        report_path = run_cv(cfg, dataset, tmp_path / "cv", scheme="warm")
+        _, rows = read_report(report_path)
+        aggregates = [r for r in rows if r[4] == "aggregate"]
+        assert len(aggregates) == 2
+        assert all(float(r[6]) > 0 for r in aggregates)
+
     def test_compound_only_variant_through_cv(self, fixture_dir, tmp_path):
         cfg = parse_run_config(None, overrides={
             **TINY, "model.variant": "compound-only-ecfp"})
@@ -481,6 +517,7 @@ class TestPredictEvaluate:
                            "integer"),
         ("CCN,P0,0,5,abc", "line 3: prediction 'abc' is not a number"),
         ("CCN,P0,0,5,nan", "line 3: prediction 'nan' is not a number"),
+        ("CCN,P0,0,>10000,nan", "line 3: prediction 'nan' is not a number"),
         ("CCN,P0,0,abc,1.0", "line 3: value 'abc' is not a number"),
         ("CCN,P0,0,0,1.0", "line 3: non-positive raw value"),
         ("CCN,P0", "line 3: expected 5 fields, got 2"),
@@ -490,6 +527,64 @@ class TestPredictEvaluate:
         preds.write_text("smiles,protein_id,task_id,value,prediction\n"
                          f"CCO,P0,0,100,1.5\n{row}\n", encoding="utf-8")
         with pytest.raises(PipelineError, match=f"preds.csv: {message}"):
+            run_evaluate(preds, tmp_path / "eval.csv")
+
+    @staticmethod
+    def _untrained_checkpoint(fixture_dir, cfg, path):
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        FeatureStore(dataset, cfg.model_config(n_tasks=1)).build_model() \
+            .save(path)
+        return dataset
+
+    def test_predict_finds_columns_by_name(self, fixture_dir, tiny_config,
+                                           tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        dataset = self._untrained_checkpoint(fixture_dir, tiny_config, ckpt)
+        rows = [(dataset.compounds[c], dataset.protein_ids[p], "0", value)
+                for (c, p), value in zip(dataset.pairs[:6],
+                                         ["100", ">10000", "5"] * 2)]
+        plain = tmp_path / "plain.csv"
+        plain.write_text("smiles,protein_id,task_id,value\n" + "".join(
+            f"{s},{p},{t},{v}\n" for s, p, t, v in rows), encoding="utf-8")
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("value,note,task_id,protein_id,smiles\n" + "".join(
+            f"{v},x,{t},{p},{s}\n" for s, p, t, v in rows), encoding="utf-8")
+        outputs = [run_predict(ckpt, table, fixture_dir / "proteins.tsv",
+                               tmp_path / f"{table.stem}.out.csv",
+                               ad_from=table).read_bytes()
+                   for table in (plain, shuffled)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(
+            b"smiles,protein_id,task_id,value,prediction,in_ad\n")
+
+    @pytest.mark.parametrize("pairs, train, message", [
+        ("smiles,value\n{s},100\n", "value\n100\n",
+         "pairs.csv: no 'protein_id' column"),
+        ("smiles,protein_id\n{s},{p}\n", "smiles,protein_id\n{s},{p}\n",
+         "train.csv: no 'value' column"),
+    ], ids=["pairs", "ad-from"])
+    def test_predict_names_a_missing_column(self, fixture_dir, tiny_config,
+                                            tmp_path, pairs, train, message):
+        ckpt = tmp_path / "m.ckpt"
+        dataset = self._untrained_checkpoint(fixture_dir, tiny_config, ckpt)
+        c, p = dataset.pairs[0]
+        names = {"s": dataset.compounds[c], "p": dataset.protein_ids[p]}
+        pairs_csv = tmp_path / "pairs.csv"
+        train_csv = tmp_path / "train.csv"
+        pairs_csv.write_text(pairs.format(**names), encoding="utf-8")
+        train_csv.write_text(train.format(**names), encoding="utf-8")
+        with pytest.raises(PipelineError, match=message):
+            run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
+                        tmp_path / "preds.csv", ad_from=train_csv)
+
+    @pytest.mark.parametrize("column", ["value", "prediction"])
+    def test_evaluate_names_a_missing_column(self, tmp_path, column):
+        header = ",".join(c for c in ("smiles", "value", "prediction")
+                          if c != column)
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"{header}\nCCO,1.5\n", encoding="utf-8")
+        with pytest.raises(PipelineError,
+                           match=f"preds.csv: no '{column}' column"):
             run_evaluate(preds, tmp_path / "eval.csv")
 
     def test_unknown_protein_reported(self, fixture_dir, tiny_config,

@@ -39,8 +39,11 @@ class TestBasicParsing:
         g = parse_smiles("C(=O)O")
         assert g.n_atoms == 3
         assert g.bonds == ((0, 1, BondOrder.DOUBLE), (0, 2, BondOrder.SINGLE))
-        assert g.bond_orders == ((BondOrder.DOUBLE, BondOrder.SINGLE),
-                                 (BondOrder.DOUBLE,), (BondOrder.SINGLE,))
+        order = {frozenset((a, b)): o for a, b, o in g.bonds}
+        assert [[order[frozenset((i, j))] for j in nbrs]
+                for i, nbrs in enumerate(g.adjacency)] == \
+            [[BondOrder.DOUBLE, BondOrder.SINGLE], [BondOrder.DOUBLE],
+             [BondOrder.SINGLE]]
 
     def test_kekule_and_aromatic_benzene_both_parse(self):
         kekule = parse_smiles("C1=CC=CC=C1")
@@ -189,7 +192,7 @@ class TestInvariants:
         g = parse_smiles("CC(C)O")
         gc.collect()
         assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
-        nested = (g.bonds, g.adjacency, g.bond_orders)
+        nested = (g.bonds, g.adjacency)
         assert not any(gc.is_tracked(row) for column in nested for row in column)
         assert not any(gc.is_tracked(column) for column in (
             g.elements, g.charges, g.hydrogens, g.aromatic, g.ring))

@@ -53,7 +53,7 @@ class TestCompositeScore:
         train(model, store, idx, np.array([], dtype=np.int64),
               TrainConfig(batch_size=30, max_epochs=300, patience=300,
                           learning_rate=3e-3, seed=0))
-        _, _, score, fallback = validation_scores(model, store, idx)
+        _, _, score, fallback, _ = validation_scores(model, store, idx)
         assert score < -0.9  # near the -1 extreme after memorization
         assert not fallback
 
@@ -74,7 +74,7 @@ class TestLoop:
         scripted = iter([0.5, 0.7, 0.9, 1.1])
 
         def fake_scores(*args, **kwargs):
-            return (0.5,), (None,), next(scripted), True
+            return (0.5,), (None,), next(scripted), True, None
 
         monkeypatch.setattr(training, "validation_scores", fake_scores)
         idx = np.arange(dataset.n_pairs)
@@ -122,7 +122,7 @@ class TestLoop:
         scripted = iter([0.1] + [1.0] * 9)
 
         def fake_scores(*args, **kwargs):
-            return (0.5,), (None,), next(scripted), True
+            return (0.5,), (None,), next(scripted), True, None
 
         monkeypatch.setattr(training, "validation_scores", fake_scores)
         idx = np.arange(dataset.n_pairs)

@@ -39,6 +39,9 @@ each one, a fresh interpreter
   ``padme-graphconv`` cold-cluster fold-0 checkpoint on the table
   (prediction CSV), which scores it in one chunk of at most 1024 pairs
   through the eval-mode forward of a degree-ordered batch;
+* runs ``predict --ad-from`` and ``evaluate`` on a table of 40 fixture rows
+  and two imprecise ``>10000`` rows, and ``featurize --ecfp`` on that
+  table with assay ids for task ids (one digest of the three outputs);
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -143,7 +146,40 @@ def pipeline_digests(work: Path) -> dict[str, str]:
               "--proteins", str(work / "fixture" / "proteins.tsv"),
               "--output", str(work / "graphconv_predictions.csv")])
     out["predict graphconv csv"] = _sha(work / "graphconv_predictions.csv")
+    out["reader tables"] = reader_tables_digest(work, ckpt)
     return out
+
+
+def reader_tables_digest(work: Path, ckpt: Path) -> str:
+    """Digest of ``predict --ad-from`` and ``evaluate`` on 40 rows of the
+    fixture's table and two imprecise ``>10000`` rows, and of ``featurize
+    --ecfp`` of the same table with assay ids in its ``task_id`` column."""
+    header, *rows = (work / "fixture" / "interactions.csv").read_text(
+        encoding="utf-8").splitlines()
+    rows = rows[:40] + [row.rsplit(",", 1)[0] + ",>10000"
+                        for row in rows[40:42]]
+    table = work / "imprecise.csv"
+    table.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assays = work / "assays.csv"
+    fields = [row.split(",") for row in rows]
+    assays.write_text("\n".join([header] + [
+        f"{smiles},{protein},CHEMBL{i % 3},{value}"
+        for i, (smiles, protein, _task, value) in enumerate(fields)])
+        + "\n", encoding="utf-8")
+    _command(["predict", "--model", str(ckpt), "--input", str(table),
+              "--proteins", str(work / "fixture" / "proteins.tsv"),
+              "--output", str(work / "imprecise_predictions.csv"),
+              "--ad-from", str(table)])
+    _command(["evaluate", "--predictions",
+              str(work / "imprecise_predictions.csv"),
+              "--output", str(work / "imprecise_evaluation.csv")])
+    _command(["featurize", "--ecfp", "--input", str(assays),
+              "--out", str(work / "assay_fingerprints.csv")])
+    digest = hashlib.sha256()
+    for name in ("imprecise_predictions.csv", "imprecise_evaluation.csv",
+                 "assay_fingerprints.csv"):
+        digest.update((work / name).read_bytes())
+    return digest.hexdigest()
 
 
 def new_compounds_dataset(n_proteins: int = 12):
