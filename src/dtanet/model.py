@@ -522,7 +522,7 @@ class FeatureStore:
             raise ModelError(
                 f"batch_size must be a positive integer, got {batch_size!r}")
         indices = np.asarray(indices, dtype=np.int64)
-        n_outputs = 1 if self.cfg.compound_only else model.cfg.n_tasks
+        n_outputs = model.cfg.n_tasks
         if indices.size == 0:
             return np.empty((0, n_outputs))
         pairs = self.dataset.pairs[indices]

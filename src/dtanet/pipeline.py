@@ -5,6 +5,7 @@ fits the config on its seeded holdout split, each ``cv`` fold fits it with
 the repetition's seeds applied as overrides, and each ``tune`` trial fits it
 with the trial's search point applied as overrides
 (:func:`tuning.point_overrides`) on the same holdout split ``train`` uses.
+Every ``cv`` validation fold, in every repetition, excludes that holdout.
 The best trial's full config is written as ``best_config.cfg``, so
 ``train --config best_config.cfg`` fits the model the search scored.
 
@@ -132,19 +133,23 @@ def load_pair_dataset(cfg: RunConfig, data_dir: str | Path) -> data_mod.PairData
 # -- splits ---------------------------------------------------------------
 
 
+def _record_entities(dataset: data_mod.PairDataset) -> dict[str, list]:
+    """Each record's ``drug`` id (its SMILES) and ``target`` id, by axis."""
+    return {"drug": [dataset.compounds[i] for i in dataset.pairs[:, 0]],
+            "target": [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]}
+
+
 def build_assignment(cfg: RunConfig, dataset: data_mod.PairDataset,
                      scheme: str, k: int, seed: int,
                      clustering=None) -> FoldAssignment:
     """A ``k``-fold ``scheme`` split of the dataset's records; a cold-cluster
     split uses ``clustering``, else :func:`_cluster_dataset`'s."""
-    drug_ids = [dataset.compounds[i] for i in dataset.pairs[:, 0]]
-    target_ids = [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]
+    ids = _record_entities(dataset)
     if scheme == "warm":
-        return warm_split(drug_ids, target_ids, k, seed)
-    if scheme == "cold-drug":
-        return cold_entity_split(drug_ids, target_ids, k, seed, axis="drug")
-    if scheme == "cold-target":
-        return cold_entity_split(drug_ids, target_ids, k, seed, axis="target")
+        return warm_split(ids["drug"], ids["target"], k, seed)
+    if scheme in ("cold-drug", "cold-target"):
+        return cold_entity_split(ids["drug"], ids["target"], k, seed,
+                                 axis=scheme.removeprefix("cold-"))
     if scheme == "cold-cluster":
         if clustering is None:
             clustering = _cluster_dataset(cfg, dataset)
@@ -196,15 +201,14 @@ def _leakage_audit(assignment: FoldAssignment,
                    dataset: data_mod.PairDataset) -> str:
     """"pass" or "FAIL" for the scheme's defining constraint ("n/a" if none);
     a cold-cluster split is audited against the cluster labels it carries."""
-    drug_ids = [dataset.compounds[i] for i in dataset.pairs[:, 0]]
-    target_ids = [dataset.protein_ids[i] for i in dataset.pairs[:, 1]]
-    if assignment.scheme == "warm":
-        leaks = audit_warm(assignment, drug_ids, target_ids)
-    elif assignment.scheme == "cold-drug":
-        leaks = any(audit_cold(assignment, drug_ids).values())
-    elif assignment.scheme == "cold-target":
-        leaks = any(audit_cold(assignment, target_ids).values())
-    elif assignment.scheme == "cold-cluster":
+    ids = _record_entities(dataset)
+    scheme = assignment.scheme
+    if scheme == "warm":
+        leaks = audit_warm(assignment, ids["drug"], ids["target"])
+    elif scheme in ("cold-drug", "cold-target"):
+        keys = ids[scheme.removeprefix("cold-")]
+        leaks = any(audit_cold(assignment, keys).values())
+    elif scheme == "cold-cluster":
         leaks = audit_clusters(assignment, assignment.record_clusters)
     else:
         return "n/a"
@@ -276,8 +280,9 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
     ``folds_path`` replays a fold CSV written by the ``split`` command for a
     single repetition instead of building fresh assignments. Cold-cluster
     splits and the audit of a replayed fold file share one clustering, of
-    the feature store's fingerprints if it holds them. A fold checkpoint
-    embeds its repetition's seeded config.
+    the feature store's fingerprints if it holds them. Validation folds
+    exclude the ``train``/``tune`` holdout. A fold checkpoint embeds its
+    repetition's seeded config.
     """
     precomputed = None
     if folds_path is not None:
@@ -307,6 +312,7 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                       if scheme == "cold-cluster" else None)
         if precomputed is not None and clustering is not None:
             precomputed.record_clusters = clustering.labels[dataset.pairs[:, 0]]
+        _, holdout = _holdout(cfg, dataset.n_pairs)
         for rep in range(repetitions):
             rep_seed = seed + rep
             if precomputed is not None:
@@ -316,8 +322,6 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                                               rep_seed, clustering)
             audit = _leakage_audit(assignment, dataset)
             write_folds(out_dir / f"folds_{scheme}_rep{rep}.csv", assignment)
-            _, holdout = hyperopt_holdout(dataset.n_pairs, seed=rep_seed,
-                                          fraction=cfg.holdout_fraction())
             rep_cfg = _seeded(cfg, model_cfg.seed + rep, train_seed + rep)
             for fold, (train_view, val_view) in enumerate(
                     fold_views(assignment, holdout)):
@@ -542,7 +546,7 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
     model, extras = Model.load(model_path)
     table = _pair_table(pairs_csv, ("smiles", "protein_id"),
                         ("task_id", "value"))
-    n_tasks = 1 if model.cfg.compound_only else model.cfg.n_tasks
+    n_tasks = model.cfg.n_tasks
     for lineno, task in zip(table["line"], table["task_id"]):
         if task >= n_tasks:
             raise _task_outside(pairs_csv, lineno, task, n_tasks)
@@ -572,7 +576,7 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
         yield ",".join(header)
         for i, (smiles, protein_id, task) in enumerate(
                 zip(table["smiles"], table["protein_id"], table["task_id"])):
-            pred = predictions[i, 0 if model.cfg.compound_only else task]
+            pred = predictions[i, task]
             fields = [smiles, protein_id, str(task)]
             if has_value:
                 fields.append(table["value"][i])

@@ -10,19 +10,18 @@ Four schemes are provided:
   fingerprint similarity (strictly above the threshold) and whole clusters
   are assigned greedily, largest first, onto the lightest fold.
 
-A separate holdout split supports hyperparameter work: 10% of records are
-held out for tuning, and the per-fold views later exclude those records from
-validation folds while keeping them in training folds, which sizes the views
-at 80% / 18% of the dataset.
+A separate holdout split supports hyperparameter work: training and tuning
+validate on the 10% of records it holds out, which the per-fold views keep
+in training folds and drop from validation folds (views of 80% / 18%).
 
 Everything is deterministic given (records, seed); ``audit_*`` helpers
-re-check the defining constraint of each scheme from scratch.
+re-check each scheme's constraint from scratch with :func:`fold_spans`.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +39,7 @@ __all__ = [
     "cluster_compounds",
     "cold_cluster_split",
     "random_split",
+    "fold_spans",
     "hyperopt_holdout",
     "fold_views",
     "holdout_fold_views",
@@ -113,6 +113,26 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
+# -- groups ------------------------------------------------------------------
+
+
+def fold_spans(folds, groups, k: int) -> np.ndarray:
+    """Number of distinct folds the records of each group fall in: entry
+    ``g`` counts the folds (0..k-1) of the records whose non-negative
+    integer group is ``g``, 0 if there are none."""
+    cells = np.unique(np.asarray(groups, dtype=np.int64) * k
+                      + np.asarray(folds, dtype=np.int64))
+    return np.bincount(cells // k)
+
+
+def _entity_codes(keys) -> tuple[np.ndarray, list]:
+    """(each record's entity code, the entities): the distinct keys are
+    numbered in order of first occurrence."""
+    index: dict = {}
+    codes = [index.setdefault(key, len(index)) for key in keys]
+    return np.array(codes, dtype=np.int64), list(index)
+
+
 # -- warm ------------------------------------------------------------------
 
 
@@ -134,29 +154,29 @@ def warm_split(drugs, targets, k: int, seed: int = 0) -> FoldAssignment:
         raise SplitError("drugs and targets differ in length")
     if k < 2:
         raise SplitError("warm split needs k >= 2")
+    axes = []
     for kind, keys in (("drug", drugs), ("target", targets)):
-        counts = Counter(keys)
-        for key, count in counts.items():
-            if count < 2:
-                raise SplitError(
-                    f"warm split infeasible: {kind} {key!r} has only "
-                    f"{count} observation(s)")
+        codes, entities = _entity_codes(keys)
+        counts = np.bincount(codes, minlength=len(entities))
+        if np.any(counts < 2):
+            e = int(np.argmax(counts < 2))
+            raise SplitError(
+                f"warm split infeasible: {kind} {entities[e]!r} has only "
+                f"{counts[e]} observation(s)")
+        axes.append((codes, counts))
     rng = np.random.default_rng(seed)
     adjacency: dict[int, list[int]] = defaultdict(list)
-    for axis in (drugs, targets):
-        groups: dict[object, list[int]] = defaultdict(list)
-        for i, key in enumerate(axis):
-            groups[key].append(i)
-        for key in groups:
-            records = np.array(groups[key])
+    for codes, counts in axes:
+        # each entity's records, entities in code order, records in index order
+        for records in np.split(np.argsort(codes, kind="stable"),
+                                np.cumsum(counts))[:-1]:
             rng.shuffle(records)
             a, b = int(records[0]), int(records[1])
             adjacency[a].append(b)
             adjacency[b].append(a)
     folds = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(k, dtype=np.int64)
-    for root in rng.permutation(n):
-        root = int(root)
+    for root in rng.permutation(n).tolist():
         if folds[root] != -1 or root not in adjacency:
             continue
         colors = {root: 0}
@@ -171,16 +191,13 @@ def warm_split(drugs, targets, k: int, seed: int = 0) -> FoldAssignment:
                     raise SplitError(
                         "internal error: warm-split constraint graph is "
                         "not 2-colorable")
-        component = list(colors)
-        class0 = [r for r in component if colors[r] == 0]
-        class1 = [r for r in component if colors[r] == 1]
+        class0 = [r for r, color in colors.items() if color == 0]
+        class1 = [r for r, color in colors.items() if color == 1]
         first, second = np.argsort(sizes, kind="stable")[:2]
         if len(class1) > len(class0):
             class0, class1 = class1, class0
-        for rec in class0:
-            folds[rec] = first
-        for rec in class1:
-            folds[rec] = second
+        folds[class0] = first
+        folds[class1] = second
         sizes[first] += len(class0)
         sizes[second] += len(class1)
     for rec in rng.permutation(n):
@@ -188,7 +205,7 @@ def warm_split(drugs, targets, k: int, seed: int = 0) -> FoldAssignment:
             dest = int(np.argmin(sizes))
             folds[rec] = dest
             sizes[dest] += 1
-    _rebalance_warm(folds, sizes, drugs, targets, rng)
+    _rebalance_warm(folds, sizes, axes, rng)
     violations = audit_warm(FoldAssignment(k, folds, "warm", seed), drugs, targets)
     if violations:
         raise SplitError(
@@ -196,20 +213,19 @@ def warm_split(drugs, targets, k: int, seed: int = 0) -> FoldAssignment:
     return FoldAssignment(k=k, folds=folds, scheme="warm", seed=seed)
 
 
-def _rebalance_warm(folds, sizes, drugs, targets, rng) -> None:
-    """Even out fold sizes with moves that keep every entity in >= 2 folds."""
-    n = folds.size
-    entity_folds: dict[object, Counter] = defaultdict(Counter)
-    for i in range(n):
-        entity_folds[("d", drugs[i])][int(folds[i])] += 1
-        entity_folds[("t", targets[i])][int(folds[i])] += 1
+def _rebalance_warm(folds, sizes, axes, rng) -> None:
+    """Even out fold sizes with moves that keep every entity in >= 2 folds.
 
-    def span_after_move(key, src, dest) -> int:
-        present = set(entity_folds[key])
-        if entity_folds[key][src] == 1:
-            present.discard(src)
-        present.add(dest)
-        return len(present)
+    ``axes`` holds one (entity code of each record, records per entity)
+    pair per axis.
+    """
+    n, k = folds.size, sizes.size
+    # records per (entity, fold), one (entities, k) table per axis
+    tables = [(codes, np.bincount(codes * k + folds, minlength=counts.size * k)
+               .reshape(-1, k)) for codes, counts in axes]
+
+    def span_after_move(row, src, dest) -> int:
+        return np.count_nonzero(row) - (row[src] == 1) + (row[dest] == 0)
 
     order = rng.permutation(n)
     for _ in range(4 * n):
@@ -217,28 +233,20 @@ def _rebalance_warm(folds, sizes, drugs, targets, rng) -> None:
         light = int(np.argmin(sizes))
         if sizes[heavy] - sizes[light] <= 1:
             break
-        moved = False
         for rec in order:
-            rec = int(rec)
             if folds[rec] != heavy:
                 continue
-            d_key = ("d", drugs[rec])
-            t_key = ("t", targets[rec])
-            if span_after_move(d_key, heavy, light) < 2:
-                continue
-            if span_after_move(t_key, heavy, light) < 2:
+            rows = [table[codes[rec]] for codes, table in tables]
+            if any(span_after_move(row, heavy, light) < 2 for row in rows):
                 continue
             folds[rec] = light
             sizes[heavy] -= 1
             sizes[light] += 1
-            for key in (d_key, t_key):
-                entity_folds[key][heavy] -= 1
-                if entity_folds[key][heavy] == 0:
-                    del entity_folds[key][heavy]
-                entity_folds[key][light] += 1
-            moved = True
+            for row in rows:
+                row[heavy] -= 1
+                row[light] += 1
             break
-        if not moved:
+        else:  # no record of the heavy fold can move
             break
 
 
@@ -246,12 +254,10 @@ def audit_warm(assignment: FoldAssignment, drugs, targets) -> list[str]:
     """Entities present in fewer than two folds (empty list means pass)."""
     violations = []
     for kind, keys in (("drug", drugs), ("target", targets)):
-        fold_sets: dict[object, set[int]] = defaultdict(set)
-        for i, key in enumerate(keys):
-            fold_sets[key].add(int(assignment.folds[i]))
-        for key, present in fold_sets.items():
-            if len(present) < 2:
-                violations.append(f"{kind} {key!r}")
+        codes, entities = _entity_codes(keys)
+        spans = fold_spans(assignment.folds, codes, assignment.k)
+        violations.extend(f"{kind} {entities[e]!r}"
+                          for e in np.flatnonzero(spans < 2))
     return violations
 
 
@@ -267,28 +273,27 @@ def cold_entity_split(drugs, targets, k: int, seed: int = 0,
     """
     if axis not in ("drug", "target"):
         raise SplitError(f"axis must be 'drug' or 'target', got {axis!r}")
-    keys = list(drugs) if axis == "drug" else list(targets)
-    entities = list(dict.fromkeys(keys))
-    if len(entities) < k:
+    codes, entities = _entity_codes(drugs if axis == "drug" else targets)
+    m = len(entities)
+    if m < k:
         raise SplitError(
             f"cold-{axis} split needs at least {k} distinct entities, "
-            f"found {len(entities)}")
+            f"found {m}")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(entities))
-    fold_of_entity = {entities[int(e)]: i % k for i, e in enumerate(order)}
-    folds = np.array([fold_of_entity[key] for key in keys], dtype=np.int64)
+    fold_of_entity = np.empty(m, dtype=np.int64)
+    fold_of_entity[rng.permutation(m)] = np.arange(m) % k
+    folds = fold_of_entity[codes]
     return FoldAssignment(k=k, folds=folds, scheme=f"cold-{axis}", seed=seed)
 
 
 def audit_cold(assignment: FoldAssignment, entity_keys) -> dict[int, set]:
     """Per-fold intersection of in-fold and out-of-fold entity sets."""
-    keys = list(entity_keys)
-    leaks: dict[int, set] = {}
-    for f in range(assignment.k):
-        inside = {keys[i] for i in assignment.fold_indices(f)}
-        outside = {keys[i] for i in range(len(keys))
-                   if assignment.folds[i] != f}
-        leaks[f] = inside & outside
+    k, folds = assignment.k, assignment.folds
+    codes, entities = _entity_codes(entity_keys)
+    leaking = (fold_spans(folds, codes, k) > 1)[codes]
+    leaks: dict[int, set] = {f: set() for f in range(k)}
+    for cell in np.unique(codes[leaking] * k + folds[leaking]).tolist():
+        leaks[cell % k].add(entities[cell // k])
     return leaks
 
 
@@ -336,11 +341,7 @@ def cluster_compounds(fingerprints, threshold: float = 0.7) -> CompoundClusterin
             linked = np.triu(similar > threshold, k=1)
             for i, j in zip(*np.nonzero(linked)):
                 uf.union(lo + int(i), lo + int(j))
-    labels = np.empty(n, dtype=np.int64)
-    remap: dict[int, int] = {}
-    for i in range(n):
-        root = uf.find(i)
-        labels[i] = remap.setdefault(root, len(remap))
+    labels, _ = _entity_codes(uf.find(i) for i in range(n))
     return CompoundClustering(labels=labels, threshold=threshold)
 
 
@@ -383,10 +384,8 @@ def cold_cluster_split(compound_of_record, clustering: CompoundClustering,
 
 def audit_clusters(assignment: FoldAssignment, record_cluster_labels) -> list[int]:
     """Cluster ids whose records span more than one fold."""
-    spans: dict[int, set[int]] = defaultdict(set)
-    for rec, label in enumerate(record_cluster_labels):
-        spans[int(label)].add(int(assignment.folds[rec]))
-    return sorted(c for c, folds in spans.items() if len(folds) > 1)
+    spans = fold_spans(assignment.folds, record_cluster_labels, assignment.k)
+    return np.flatnonzero(spans > 1).tolist()
 
 
 # -- random / holdout --------------------------------------------------------
@@ -422,15 +421,10 @@ def fold_views(assignment: FoldAssignment,
     The validation view of fold f is the fold minus the holdout records; the
     training view is everything outside the fold (holdout records included).
     """
-    holdout_set = set(int(i) for i in holdout)
-    views = []
-    for f in range(assignment.k):
-        in_fold = assignment.fold_indices(f)
-        val = np.array([i for i in in_fold if int(i) not in holdout_set],
-                       dtype=np.int64)
-        train = np.flatnonzero(assignment.folds != f)
-        views.append((train, val))
-    return views
+    kept = ~np.isin(np.arange(assignment.n_records), holdout)
+    return [(np.flatnonzero(assignment.folds != f),
+             np.flatnonzero((assignment.folds == f) & kept))
+            for f in range(assignment.k)]
 
 
 @dataclass
@@ -448,15 +442,11 @@ def holdout_fold_views(n: int, k: int, seed: int = 0,
     its proportional share of both, so training views are 80% and validation
     views 18% of the dataset to within one record (for fraction 0.1, k=5).
     """
-    _, holdout = hyperopt_holdout(n, seed=seed, fraction=fraction)
+    rest, holdout = hyperopt_holdout(n, seed=seed, fraction=fraction)
     rng = np.random.default_rng(seed + 1)
-    holdout_mask = np.zeros(n, dtype=bool)
-    holdout_mask[holdout] = True
     folds = np.empty(n, dtype=np.int64)
-    members = np.flatnonzero(holdout_mask)
-    rest = np.flatnonzero(~holdout_mask)
-    folds[members[rng.permutation(members.size)]] = np.arange(members.size) % k
-    folds[rest[rng.permutation(rest.size)]] = np.arange(rest.size) % k
+    for part in (holdout, rest):
+        folds[part[rng.permutation(part.size)]] = np.arange(part.size) % k
     assignment = FoldAssignment(k=k, folds=folds, scheme="random", seed=seed)
     return HoldoutViews(holdout=holdout, assignment=assignment,
                         views=fold_views(assignment, holdout))

@@ -72,10 +72,6 @@ class Continuous:
                     / (math.log(self.hi) - math.log(self.lo))]
         return [(value - self.lo) / (self.hi - self.lo)]
 
-    @property
-    def width(self):
-        return 1
-
 
 @dataclass(frozen=True)
 class Integer:
@@ -91,10 +87,6 @@ class Integer:
 
     def encode(self, value):
         return [(value - self.lo) / (self.hi - self.lo)]
-
-    @property
-    def width(self):
-        return 1
 
 
 @dataclass(frozen=True)
@@ -112,10 +104,6 @@ class Categorical:
         row = [0.0] * len(self.choices)
         row[self.choices.index(value)] = 1.0
         return row
-
-    @property
-    def width(self):
-        return len(self.choices)
 
 
 @dataclass

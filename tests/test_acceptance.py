@@ -17,7 +17,7 @@ import pytest
 
 from conftest import brute_force_ci, brute_force_clusters, \
     central_difference_directional, relative_error
-from dtanet.compounds import atom_features, ecfp, tanimoto
+from dtanet.compounds import atom_features, ecfp_matrix, tanimoto
 from dtanet.data import InteractionRecord, inverse_transform, transform_values
 from dtanet.domain import check_ad, fit_ad
 from dtanet.engine import Adam, Graph
@@ -414,7 +414,7 @@ def test_criterion_7_split_contracts():
             leaks = audit_cold(cold, keys)
             assert all(not leak for leak in leaks.values())
         smiles = unique_smiles(200, np.random.default_rng(200))
-        fps = [ecfp(parse_smiles(s), 2, 512) for s in smiles]
+        fps = ecfp_matrix([parse_smiles(s) for s in smiles], 2, 512)
         clustering = cluster_compounds(fps, 0.7)
         sims = np.zeros((200, 200))
         for i in range(200):

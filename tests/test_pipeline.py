@@ -295,6 +295,31 @@ class TestCvCommand:
                          for fit in fits]
         assert len(scored) == sum(fit.evals_performed for fit in fits)
 
+    @pytest.mark.parametrize("train_seed", ["0", "3"])
+    def test_validation_folds_exclude_the_tuning_holdout(
+            self, fixture_dir, tmp_path, monkeypatch, train_seed):
+        from dtanet import pipeline
+
+        validated = []
+        real_fit = pipeline.fit
+
+        def fit(cfg, store, train_idx, val_idx):
+            validated.append(np.asarray(val_idx))
+            return real_fit(cfg, store, train_idx, val_idx)
+
+        monkeypatch.setattr(pipeline, "fit", fit)
+        cfg = parse_run_config(None, overrides={
+            **TINY, "split.repetitions": "2", "train.max_epochs": "1",
+            "train.seed": train_seed})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        run_tune(cfg, dataset, tmp_path / "tune", budget=1, strategy="random")
+        (tuning_holdout,) = validated
+        run_cv(cfg, dataset, tmp_path / "cv", scheme="random")
+        folds = validated[1:]
+        assert len(folds) == 4  # two repetitions of two folds
+        for val_view in folds:
+            assert np.intersect1d(val_view, tuning_holdout).size == 0
+
     def test_a_fold_without_an_evaluated_epoch_is_scored_once_fitted(
             self, fixture_dir, tiny_config, tmp_path):
         cfg = tiny_config.override({"train.eval_every": "3"})

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_clusters
 from dtanet import splits
-from dtanet.compounds import FeaturizationError, ecfp, tanimoto
+from dtanet.compounds import FeaturizationError, ecfp, ecfp_matrix, tanimoto
 from dtanet.smiles import parse_smiles
 from dtanet.splits import (
     CompoundClustering,
@@ -17,6 +18,7 @@ from dtanet.splits import (
     cluster_compounds,
     cold_cluster_split,
     cold_entity_split,
+    fold_spans,
     fold_views,
     holdout_fold_views,
     hyperopt_holdout,
@@ -166,7 +168,7 @@ class TestClustering:
     def test_matches_bfs_components_on_200_compounds(self):
         rng = np.random.default_rng(42)
         smiles = unique_smiles(200, rng)
-        fps = [ecfp(parse_smiles(s), 2, 512) for s in smiles]
+        fps = ecfp_matrix([parse_smiles(s) for s in smiles], 2, 512)
         clustering = cluster_compounds(fps, 0.7)
         n = len(fps)
         sims = np.zeros((n, n))
@@ -278,6 +280,68 @@ class TestColdClusterSplit:
         compound_of_record = np.arange(10)
         with pytest.raises(SplitError, match="impossible"):
             cold_cluster_split(compound_of_record, clustering, k=3, seed=0)
+
+
+@st.composite
+def leaky_assignments(draw):
+    """(assignment, drugs, targets, cluster labels) over 2-5 folds; the
+    first k records, one per fold, share drug, target and cluster 0, so
+    every audit has something to find."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 30))
+    folds = list(range(k)) + draw(st.lists(st.integers(0, k - 1),
+                                           min_size=n - k, max_size=n - k))
+
+    def column(high):
+        return [0] * k + draw(st.lists(st.integers(0, high),
+                                       min_size=n - k, max_size=n - k))
+    drugs, targets, labels = column(6), column(4), column(8)
+    order = draw(st.permutations(range(n)))
+    return (FoldAssignment(k, np.array(folds)[order], "x", 0),
+            [f"D{drugs[i]}" for i in order], [f"T{targets[i]}" for i in order],
+            np.array(labels)[order])
+
+
+def brute_force_spans(folds, keys) -> dict:
+    """key -> set of folds its records fall in, keys in first-occurrence
+    order."""
+    spans: dict = {}
+    for fold, key in zip(folds.tolist(), keys):
+        spans.setdefault(key, set()).add(fold)
+    return spans
+
+
+class TestAuditsAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(leaky_assignments())
+    def test_spans_and_audits_equal_set_computation(self, case):
+        assignment, drugs, targets, labels = case
+        folds, k = assignment.folds, assignment.k
+        cluster_spans = brute_force_spans(folds, labels.tolist())
+        expected = [len(cluster_spans.get(g, ())) for g in
+                    range(labels.max() + 1)]
+        assert fold_spans(folds, labels, k).tolist() == expected
+        assert audit_clusters(assignment, labels) == sorted(
+            g for g, span in cluster_spans.items() if len(span) > 1)
+        assert audit_clusters(assignment, labels)  # cluster 0 leaks
+        assert audit_warm(assignment, drugs, targets) == [
+            f"{kind} {key!r}"
+            for kind, keys in (("drug", drugs), ("target", targets))
+            for key, span in brute_force_spans(folds, keys).items()
+            if len(span) < 2]
+        for keys in (drugs, targets):
+            leaks = audit_cold(assignment, keys)
+            assert leaks == {
+                f: ({keys[i] for i in range(len(keys)) if folds[i] == f}
+                    & {keys[i] for i in range(len(keys)) if folds[i] != f})
+                for f in range(k)}
+            assert any(leaks.values())
+
+    def test_spans_count_empty_groups_as_zero(self):
+        spans = fold_spans(np.array([0, 1, 1, 2]), np.array([3, 3, 0, 3]), 3)
+        assert spans.tolist() == [1, 0, 0, 3]
+        assert fold_spans(np.array([], dtype=np.int64),
+                          np.array([], dtype=np.int64), 2).tolist() == []
 
 
 class TestHoldout:

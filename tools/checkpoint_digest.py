@@ -42,6 +42,9 @@ each one, a fresh interpreter
 * runs ``predict --ad-from`` and ``evaluate`` on a table of 40 fixture rows
   and two imprecise ``>10000`` rows, and ``featurize --ecfp`` on that
   table with assay ids for task ids (one digest of the three outputs);
+* writes the fold CSV of the fixture under each of the five schemes with
+  ``run_split`` at the default config's k and seed (one digest of the
+  five);
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -147,7 +150,22 @@ def pipeline_digests(work: Path) -> dict[str, str]:
               "--output", str(work / "graphconv_predictions.csv")])
     out["predict graphconv csv"] = _sha(work / "graphconv_predictions.csv")
     out["reader tables"] = reader_tables_digest(work, ckpt)
+    out["split folds"] = split_folds_digest(cfg, dataset, work)
     return out
+
+
+def split_folds_digest(cfg, dataset, work: Path) -> str:
+    """Digest of the fold CSVs ``run_split`` writes for ``dataset`` under
+    the warm, cold-drug, cold-target, cold-cluster and random schemes."""
+    from dtanet import pipeline
+
+    digest = hashlib.sha256()
+    for scheme in ("warm", "cold-drug", "cold-target", "cold-cluster",
+                   "random"):
+        path = work / f"split_{scheme}.csv"
+        pipeline.run_split(cfg, dataset, path, scheme=scheme)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def reader_tables_digest(work: Path, ckpt: Path) -> str:
