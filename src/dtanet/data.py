@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,7 @@ def parse_value(text: str) -> float | None:
     if stripped.startswith(">") or stripped.startswith("<"):
         return None
     value = float(stripped)
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def parse_compound(molecules: dict[str, MolGraph], smiles: str,
@@ -130,11 +131,12 @@ def load_interactions(
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            problem = _row_problem(row, assay_map)
+            fields = [f.strip() for f in row]
+            problem = _row_problem(fields, assay_map)
             if problem:
                 malformed.append(f"line {lineno}: {problem}")
                 continue
-            smiles, protein_id, task_field, value_field = (f.strip() for f in row)
+            smiles, protein_id, task_field, value_field = fields
             try:
                 raw = parse_value(value_field)
             except ValueError:
@@ -171,10 +173,12 @@ def load_interactions(
     return records, summary, sequences
 
 
-def _row_problem(row: list[str], assay_map: dict[str, int] | None) -> str | None:
-    if len(row) != 4:
-        return f"expected 4 fields, got {len(row)}"
-    smiles, protein_id, task_field, _ = (f.strip() for f in row)
+def _row_problem(fields: list[str],
+                 assay_map: dict[str, int] | None) -> str | None:
+    """What makes a row of stripped ``fields`` malformed, if anything."""
+    if len(fields) != 4:
+        return f"expected 4 fields, got {len(fields)}"
+    smiles, protein_id, task_field, _ = fields
     if not smiles:
         return "empty SMILES field"
     if not protein_id:
@@ -204,9 +208,12 @@ def _read_assay_map(path: str | Path) -> dict[str, int]:
                 raise DataError(
                     f"{path}:{lineno}: expected 'assay_id<TAB>task_id'")
             try:
-                mapping[parts[0]] = int(parts[1])
+                task = int(parts[1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: task_id must be an integer") from exc
+            if task < 0:
+                raise DataError(f"{path}:{lineno}: task_id {task} is negative")
+            mapping[parts[0]] = task
     return mapping
 
 
@@ -246,7 +253,9 @@ def transform_values(
         except DataError as exc:
             raise DataError(f"{exc} for ({record.smiles!r}, "
                             f"{record.protein_id!r})") from None
-        out.append(replace(record, value=value))
+        out.append(InteractionRecord(record.smiles, record.protein_id,
+                                     record.task_id, record.raw_value, value,
+                                     record.molecule))
     return out
 
 
@@ -371,7 +380,10 @@ def assemble_pairs(records: list[InteractionRecord],
     compound_index: dict[str, int] = {}
     protein_ids: list[str] = []
     protein_index: dict[str, int] = {}
-    cell_values: dict[tuple[int, int, int], list[float]] = defaultdict(list)
+    # (compound, protein) -> pair row, numbered in first-occurrence order
+    pair_rows: dict[tuple[int, int], int] = {}
+    # (pair row, task) -> the values observed in that cell
+    cell_values: dict[tuple[int, int], list[float]] = defaultdict(list)
     for record in records:
         ci = compound_index.setdefault(record.smiles, len(compounds))
         if ci == len(compounds):
@@ -380,19 +392,17 @@ def assemble_pairs(records: list[InteractionRecord],
         pi = protein_index.setdefault(record.protein_id, len(protein_ids))
         if pi == len(protein_ids):
             protein_ids.append(record.protein_id)
-        cell_values[(ci, pi, record.task_id)].append(record.value)
-    pair_rows: dict[tuple[int, int], int] = {}
-    pair_list: list[tuple[int, int]] = []
-    for (ci, pi, _task) in cell_values:
-        if (ci, pi) not in pair_rows:
-            pair_rows[(ci, pi)] = len(pair_list)
-            pair_list.append((ci, pi))
-    y = np.zeros((len(pair_list), n_tasks))
-    w = np.zeros((len(pair_list), n_tasks))
-    for (ci, pi, task), values in cell_values.items():
-        row = pair_rows[(ci, pi)]
-        y[row, task] = float(np.mean(values))
-        w[row, task] = 1.0
+        row = pair_rows.setdefault((ci, pi), len(pair_rows))
+        cell_values[(row, record.task_id)].append(record.value)
+    cells = np.array(list(cell_values), dtype=np.int64).reshape(-1, 2)
+    y = np.zeros((len(pair_rows), n_tasks))
+    w = np.zeros((len(pair_rows), n_tasks))
+    # one value is its own mean; numpy's pairwise sum makes sum()/len()
+    # differ from np.mean for longer cells
+    y[cells[:, 0], cells[:, 1]] = [
+        values[0] if len(values) == 1 else float(np.mean(values))
+        for values in cell_values.values()]
+    w[cells[:, 0], cells[:, 1]] = 1.0
     missing = [p for p in protein_ids if p not in sequences]
     if missing:
         raise DataError(f"no sequence for protein id {missing[0]!r}")
@@ -400,7 +410,7 @@ def assemble_pairs(records: list[InteractionRecord],
         compounds=tuple(compounds),
         protein_ids=tuple(protein_ids),
         sequences={p: sequences[p] for p in protein_ids},
-        pairs=np.array(pair_list, dtype=np.int64).reshape(len(pair_list), 2),
+        pairs=np.array(list(pair_rows), dtype=np.int64).reshape(-1, 2),
         y=y,
         w=w,
         n_tasks=n_tasks,

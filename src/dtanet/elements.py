@@ -35,9 +35,6 @@ AROMATIC_SYMBOLS = frozenset({"b", "c", "n", "o", "p", "s"})
 # and the bracket-only aromatic "se" and "as" of OpenSMILES.
 BRACKET_SYMBOLS = frozenset(PERIODIC_TABLE) | AROMATIC_SYMBOLS | {"se", "as"}
 
-# Two-letter symbols recognised outside brackets.
-TWO_LETTER_ORGANIC = ("Cl", "Br")
-
 # Standard valences used to assign implicit hydrogens to unbracketed
 # organic-subset atoms. Multi-valent elements list alternatives low to high;
 # the smallest valence that accommodates the explicit bond order sum wins.

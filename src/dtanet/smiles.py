@@ -8,7 +8,13 @@ The supported dialect is a practical subset of SMILES:
   e.g. ``[NH4+]``, ``[13C]``, ``[O-]``, including the aromatic ``[se]`` and
   ``[as]``, which are written only in brackets;
 * bond symbols ``-``, ``=``, ``#``, ``:``;
-* branches in parentheses and ring closures ``1``..``9`` and ``%nn``.
+* branches in parentheses and ring closures ``0``..``9`` and ``%nn``.
+
+Digits are ASCII ``0``-``9`` only, as in the grammar of Weininger (J. Chem.
+Inf. Comput. Sci. 28 (1988) 31) and OpenSMILES: a ring label, ``%nn``,
+isotope, hydrogen count or charge written with any other digit (``²``,
+Arabic-Indic ``١``) is a :class:`SmilesError` at that character, or at the
+``%`` of a ``%nn``.
 
 Stereo descriptors (``@``, ``/``, ``\\``), wildcard atoms (``*``) and
 multi-fragment strings (``.``) are rejected with a diagnostic. No aromaticity
@@ -29,6 +35,13 @@ indexed by atom: ``elements`` (symbols, aromatic ones capitalized),
 int triples in parse order, ``order`` a :class:`BondOrder` value. The
 derived neighbor lists ``adjacency`` (ascending) serve the featurizers.
 
+:func:`parse_smiles` scans the text once through a local index. Atoms of
+the organic subset take one dict lookup (plus the ``Cl``/``Br`` check), and
+bond symbols, branches and one-digit ring closures are handled in the loop
+itself; only bracket atoms and ``%nn`` labels, which are rare, go through
+helpers. Each bond adds its valence units to its two atoms as it is read,
+so implicit hydrogens need no second pass over the bonds.
+
 Ring flags are read off the parse tree. Every bond that is not a ring
 closure joins an atom to an atom written before it (its parent), so those
 bonds form a spanning tree, and an atom lies on a cycle exactly when it lies
@@ -46,7 +59,6 @@ from .elements import (
     BRACKET_SYMBOLS,
     DEFAULT_VALENCES,
     ORGANIC_SUBSET,
-    TWO_LETTER_ORGANIC,
 )
 
 __all__ = [
@@ -74,12 +86,17 @@ class BondOrder(enum.IntEnum):
     AROMATIC = 4
 
 
-_BOND_SYMBOLS = {
-    "-": BondOrder.SINGLE,
-    "=": BondOrder.DOUBLE,
-    "#": BondOrder.TRIPLE,
-    ":": BondOrder.AROMATIC,
-}
+# the parser keeps bond orders as the plain ints MolGraph stores
+_SINGLE, _DOUBLE, _TRIPLE, _AROMATIC = (int(order) for order in BondOrder)
+
+_BOND_SYMBOLS = {"-": _SINGLE, "=": _DOUBLE, "#": _TRIPLE, ":": _AROMATIC}
+
+# unbracketed atom symbol -> (element, aromatic)
+_ORGANIC_ATOMS = {**{s: (s, False) for s in ORGANIC_SUBSET},
+                  **{s: (s.upper(), True) for s in AROMATIC_SYMBOLS}}
+
+# SMILES numbers are ASCII: str.isdigit() would also take "²" or "١"
+_DIGITS = frozenset("0123456789")
 
 _UNSUPPORTED_TOKENS = {
     ".": "multi-fragment separator '.'",
@@ -122,262 +139,6 @@ class MolGraph:
         return [len(nbrs) for nbrs in self.adjacency]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.elements: list[str] = []
-        self.charges: list[int] = []
-        self.aromatic: list[bool] = []
-        # hydrogen count written in a bracket atom; None for organic-subset
-        # atoms, whose count follows from standard valences
-        self.written_h: list[int | None] = []
-        # each atom's parse-tree parent: the atom it bonds to when written,
-        # so always a smaller index (-1 for the first atom)
-        self.parent: list[int] = []
-        self.bonds: list[tuple[int, int, BondOrder]] = []
-        self.closures: list[tuple[int, int]] = []
-        self.bond_pairs: set[tuple[int, int]] = set()
-        # ring digit -> (atom index, explicit bond order or None, offset)
-        self.open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
-        # (anchor atom, atom count at '(' time, offset of '(')
-        self.branch_stack: list[tuple[int, int, int]] = []
-        self.prev: int | None = None
-        self.pending: BondOrder | None = None
-        self.pending_offset = 0
-
-    def error(self, message: str, offset: int | None = None) -> SmilesError:
-        return SmilesError(message, self.text, self.i if offset is None else offset)
-
-    def peek(self) -> str | None:
-        return self.text[self.i] if self.i < len(self.text) else None
-
-    def take(self) -> str:
-        ch = self.text[self.i]
-        self.i += 1
-        return ch
-
-    def parse(self) -> MolGraph:
-        if not self.text:
-            raise SmilesError("empty SMILES string", self.text, 0)
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if ch in _UNSUPPORTED_TOKENS:
-                raise self.error(f"unsupported token: {_UNSUPPORTED_TOKENS[ch]}")
-            if ch in _BOND_SYMBOLS:
-                if self.prev is None:
-                    raise self.error("bond symbol without a preceding atom")
-                if self.pending is not None:
-                    raise self.error("two consecutive bond symbols")
-                self.pending = _BOND_SYMBOLS[ch]
-                self.pending_offset = self.i
-                self.take()
-            elif ch == "(":
-                if self.prev is None:
-                    raise self.error("unmatched parenthesis: branch without a preceding atom")
-                if self.pending is not None:
-                    raise self.error("bond symbol before branch opening")
-                self.branch_stack.append((self.prev, len(self.elements), self.i))
-                self.take()
-            elif ch == ")":
-                if not self.branch_stack:
-                    raise self.error("unmatched parenthesis: ')' without '('")
-                if self.pending is not None:
-                    raise self.error("dangling bond symbol before ')'", self.pending_offset)
-                anchor, atom_count, open_offset = self.branch_stack.pop()
-                if len(self.elements) == atom_count:
-                    raise self.error("empty branch", open_offset)
-                self.prev = anchor
-                self.take()
-            elif ch.isdigit() or ch == "%":
-                self._ring_closure()
-            elif ch == "[":
-                self._bracket_atom()
-            elif ch.isalpha():
-                self._organic_atom()
-            else:
-                raise self.error(f"unexpected character {ch!r}")
-        if self.branch_stack:
-            raise self.error("unmatched parenthesis: '(' never closed", self.branch_stack[0][2])
-        if self.open_rings:
-            digit, (_, _, offset) = next(iter(self.open_rings.items()))
-            raise self.error(f"unmatched ring closure {digit}", offset)
-        if self.pending is not None:
-            raise self.error("dangling bond symbol at end of input", self.pending_offset)
-        return self._finalize()
-
-    # -- atoms ---------------------------------------------------------
-
-    def _organic_atom(self) -> None:
-        start = self.i
-        ch = self.take()
-        symbol = ch
-        nxt = self.peek()
-        if nxt is not None and (ch + nxt) in TWO_LETTER_ORGANIC:
-            symbol = ch + self.take()
-        if symbol in ORGANIC_SUBSET:
-            self._add_atom(symbol, False, 0, None, start)
-        elif symbol in AROMATIC_SYMBOLS:
-            self._add_atom(symbol.upper(), True, 0, None, start)
-        else:
-            raise SmilesError(f"unknown element symbol {symbol!r}", self.text, start)
-
-    def _bracket_atom(self) -> None:
-        start = self.i
-        self.take()  # '['
-        self._read_int()  # isotope: accepted, not stored
-        symbol_start = self.i
-        ch = self.peek()
-        if ch is None or not ch.isalpha():
-            raise SmilesError("malformed bracket atom: expected element symbol",
-                              self.text, self.i)
-        symbol = self.take()
-        nxt = self.peek()
-        if nxt is not None and symbol + nxt in BRACKET_SYMBOLS:
-            symbol += self.take()
-        if symbol not in BRACKET_SYMBOLS:
-            raise SmilesError(f"unknown element symbol {symbol!r}", self.text,
-                              symbol_start)
-        element = symbol.capitalize()
-        aromatic = symbol.islower()
-        if self.peek() == "@":
-            raise self.error("unsupported token: stereo descriptor '@'")
-        hydrogens = 0
-        if self.peek() == "H":
-            self.take()
-            count = self._read_int()
-            hydrogens = 1 if count is None else count
-        charge = 0
-        ch = self.peek()
-        if ch in ("+", "-"):
-            sign = 1 if ch == "+" else -1
-            repeats = 0
-            while self.peek() == ch:
-                self.take()
-                repeats += 1
-            digits = self._read_int()
-            if digits is not None:
-                if repeats != 1:
-                    raise self.error("malformed bracket atom: mixed charge notation")
-                charge = sign * digits
-            else:
-                charge = sign * repeats
-        if self.peek() != "]":
-            raise self.error("malformed bracket atom: expected ']'")
-        self.take()
-        self._add_atom(element, aromatic, charge, hydrogens, start)
-
-    def _read_int(self) -> int | None:
-        digits = ""
-        while (ch := self.peek()) is not None and ch.isdigit():
-            digits += self.take()
-        return int(digits) if digits else None
-
-    def _add_atom(self, element: str, aromatic: bool, charge: int,
-                  written_h: int | None, offset: int) -> None:
-        idx = len(self.elements)
-        self.elements.append(element)
-        self.aromatic.append(aromatic)
-        self.charges.append(charge)
-        self.written_h.append(written_h)
-        self.parent.append(-1 if self.prev is None else self.prev)
-        if self.prev is not None:
-            order = self.pending
-            if order is None:
-                both_aromatic = self.aromatic[self.prev] and aromatic
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-            self._add_bond(self.prev, idx, order, offset)
-        self.pending = None
-        self.prev = idx
-
-    # -- rings ---------------------------------------------------------
-
-    def _ring_closure(self) -> None:
-        offset = self.i
-        if self.peek() == "%":
-            self.take()
-            d1, d2 = self.peek(), None
-            if d1 is not None and d1.isdigit():
-                self.take()
-                d2 = self.peek()
-            if d2 is None or not d2.isdigit():
-                raise self.error("malformed ring closure: '%' needs two digits", offset)
-            self.take()
-            digit = int(d1 + d2)
-        else:
-            digit = int(self.take())
-        if self.prev is None:
-            raise self.error("ring closure before any atom", offset)
-        if digit in self.open_rings:
-            other, opened_order, opened_offset = self.open_rings.pop(digit)
-            if other == self.prev:
-                raise self.error(f"ring closure {digit} bonds an atom to itself", offset)
-            order = self.pending
-            if order is not None and opened_order is not None and order != opened_order:
-                raise self.error(
-                    f"conflicting bond orders for ring closure {digit}", offset)
-            if order is None:
-                order = opened_order
-            if order is None:
-                both_aromatic = self.aromatic[other] and self.aromatic[self.prev]
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-            self._add_bond(other, self.prev, order, offset)
-            self.closures.append((other, self.prev))
-        else:
-            self.open_rings[digit] = (self.prev, self.pending, offset)
-        self.pending = None
-
-    def _add_bond(self, a: int, b: int, order: BondOrder, offset: int) -> None:
-        key = (a, b) if a < b else (b, a)
-        if key in self.bond_pairs:
-            raise self.error(f"duplicate bond between atoms {key[0]} and {key[1]}", offset)
-        self.bond_pairs.add(key)
-        self.bonds.append((a, b, order))
-
-    # -- finalization --------------------------------------------------
-
-    def _finalize(self) -> MolGraph:
-        return MolGraph(self.elements, self.charges, self._hydrogens(),
-                        self.aromatic, self._ring_flags(), self.bonds)
-
-    def _ring_flags(self) -> list[bool]:
-        """Flag the atoms on the tree path between the ends of each closure.
-
-        The bonds that are not ring closures form a spanning tree, so an atom
-        lies on a cycle exactly when it lies on such a path. A parent's index
-        is below its child's, so the larger of the two ends is never the
-        common ancestor and steps up first.
-        """
-        ring = [False] * len(self.elements)
-        for a, b in self.closures:
-            ring[a] = ring[b] = True
-            while a != b:
-                if a < b:
-                    a, b = b, a
-                a = self.parent[a]
-                ring[a] = True
-        return ring
-
-    def _hydrogens(self) -> list[int]:
-        order_sums = [0] * len(self.elements)
-        for a, b, order in self.bonds:
-            units = 1 if order is BondOrder.AROMATIC else int(order)
-            order_sums[a] += units
-            order_sums[b] += units
-        hydrogens = []
-        for element, aromatic, written, order_sum in zip(
-                self.elements, self.aromatic, self.written_h, order_sums):
-            if written is not None:
-                hydrogens.append(written)
-                continue
-            valences = DEFAULT_VALENCES[element]
-            fitted = next((v for v in valences if v >= order_sum), valences[-1])
-            if aromatic:
-                fitted -= 1
-            hydrogens.append(max(0, fitted - order_sum))
-        return hydrogens
-
-
 def parse_smiles(text: str) -> MolGraph:
     """Parse ``text`` into a :class:`MolGraph`.
 
@@ -386,7 +147,254 @@ def parse_smiles(text: str) -> MolGraph:
             closures, unknown element symbols, malformed bracket atoms, or
             tokens outside the supported subset.
     """
-    return _Parser(text).parse()
+    n = len(text)
+    if not n:
+        raise SmilesError("empty SMILES string", text, 0)
+    elements: list[str] = []
+    charges: list[int] = []
+    aromatic: list[bool] = []
+    # hydrogen count written in a bracket atom; None for organic-subset
+    # atoms, whose count follows from standard valences
+    written_h: list[int | None] = []
+    # bond order units on each atom (an aromatic bond counts one)
+    units: list[int] = []
+    # each atom's parse-tree parent: the atom it bonds to when written,
+    # so always a smaller index (-1 for the first atom)
+    parent: list[int] = []
+    bonds: list[tuple[int, int, int]] = []
+    # (smaller atom, larger atom) of each ring-closure bond
+    closures: list[tuple[int, int]] = []
+    # ring label -> (atom index, explicit bond order or None, offset)
+    open_rings: dict[int, tuple[int, int | None, int]] = {}
+    # (anchor atom, atom count at '(' time, offset of '(')
+    branches: list[tuple[int, int, int]] = []
+    prev = -1  # the atom the next one bonds to; -1 before the first
+    pending: int | None = None  # bond order written before an atom or label
+    pending_offset = 0
+    i = 0
+    while i < n:
+        ch = text[i]
+        atom = _ORGANIC_ATOMS.get(ch)
+        if atom is not None:
+            i += 1
+            if (ch == "C" and text.startswith("l", i)
+                    or ch == "B" and text.startswith("r", i)):
+                atom = _ORGANIC_ATOMS[ch + text[i]]
+                i += 1
+            charge, hydrogens = 0, None
+        elif ch == "[":
+            i, atom, charge, hydrogens = _bracket_atom(text, i)
+        else:
+            order = _BOND_SYMBOLS.get(ch)
+            if order is not None:
+                if prev < 0:
+                    raise SmilesError("bond symbol without a preceding atom",
+                                      text, i)
+                if pending is not None:
+                    raise SmilesError("two consecutive bond symbols", text, i)
+                pending, pending_offset = order, i
+                i += 1
+            elif ch in _DIGITS or ch == "%":
+                offset = i
+                if ch == "%":
+                    label = _percent_label(text, i)
+                    i += 3
+                else:
+                    label = ord(ch) - 48
+                    i += 1
+                if prev < 0:
+                    raise SmilesError("ring closure before any atom", text,
+                                      offset)
+                opened = open_rings.pop(label, None)
+                if opened is None:
+                    open_rings[label] = (prev, pending, offset)
+                else:
+                    other, order, _ = opened
+                    if other == prev:
+                        raise SmilesError(
+                            f"ring closure {label} bonds an atom to itself",
+                            text, offset)
+                    if pending is not None:
+                        if order is not None and pending != order:
+                            raise SmilesError(
+                                f"conflicting bond orders for ring closure "
+                                f"{label}", text, offset)
+                        order = pending
+                    if order is None:
+                        order = (_AROMATIC if aromatic[other] and aromatic[prev]
+                                 else _SINGLE)
+                    key = (other, prev) if other < prev else (prev, other)
+                    if parent[key[1]] == key[0] or key in closures:
+                        raise SmilesError(
+                            f"duplicate bond between atoms {key[0]} and "
+                            f"{key[1]}", text, offset)
+                    bonds.append((other, prev, order))
+                    closures.append(key)
+                    bond_units = 1 if order == _AROMATIC else order
+                    units[other] += bond_units
+                    units[prev] += bond_units
+                pending = None
+            elif ch == "(":
+                if prev < 0:
+                    raise SmilesError("unmatched parenthesis: branch without "
+                                      "a preceding atom", text, i)
+                if pending is not None:
+                    raise SmilesError("bond symbol before branch opening",
+                                      text, i)
+                branches.append((prev, len(elements), i))
+                i += 1
+            elif ch == ")":
+                if not branches:
+                    raise SmilesError("unmatched parenthesis: ')' without '('",
+                                      text, i)
+                if pending is not None:
+                    raise SmilesError("dangling bond symbol before ')'", text,
+                                      pending_offset)
+                prev, atom_count, open_offset = branches.pop()
+                if len(elements) == atom_count:
+                    raise SmilesError("empty branch", text, open_offset)
+                i += 1
+            elif ch in _UNSUPPORTED_TOKENS:
+                raise SmilesError(
+                    f"unsupported token: {_UNSUPPORTED_TOKENS[ch]}", text, i)
+            elif ch.isalpha():
+                raise SmilesError(f"unknown element symbol {ch!r}", text, i)
+            else:
+                raise SmilesError(f"unexpected character {ch!r}", text, i)
+            continue
+        element, is_aromatic = atom
+        idx = len(elements)
+        elements.append(element)
+        aromatic.append(is_aromatic)
+        charges.append(charge)
+        written_h.append(hydrogens)
+        parent.append(prev)
+        if prev < 0:
+            units.append(0)
+        else:
+            order = pending
+            if order is None:
+                order = _AROMATIC if is_aromatic and aromatic[prev] else _SINGLE
+            bonds.append((prev, idx, order))
+            bond_units = 1 if order == _AROMATIC else order
+            units[prev] += bond_units
+            units.append(bond_units)
+        pending = None
+        prev = idx
+    if branches:
+        raise SmilesError("unmatched parenthesis: '(' never closed", text,
+                          branches[0][2])
+    if open_rings:
+        label, (_, _, offset) = next(iter(open_rings.items()))
+        raise SmilesError(f"unmatched ring closure {label}", text, offset)
+    if pending is not None:
+        raise SmilesError("dangling bond symbol at end of input", text,
+                          pending_offset)
+    return MolGraph(elements, charges,
+                    _hydrogens(elements, aromatic, written_h, units),
+                    aromatic, _ring_flags(parent, closures), bonds)
+
+
+def _read_int(text: str, i: int) -> tuple[int | None, int]:
+    """The ASCII decimal number at ``text[i:]`` (None if there is none) and
+    the offset after it."""
+    start = i
+    while i < len(text) and text[i] in _DIGITS:
+        i += 1
+    return (int(text[start:i]) if i > start else None), i
+
+
+def _bracket_atom(text: str, i: int):
+    """Read the bracket atom at ``text[i] == '['``: the offset after its
+    ``]``, its ``(element, aromatic)``, charge and hydrogen count."""
+    _isotope, i = _read_int(text, i + 1)  # accepted, not stored
+    symbol_start = i
+    ch = text[i:i + 1]
+    if not ch.isalpha():
+        raise SmilesError("malformed bracket atom: expected element symbol",
+                          text, i)
+    symbol = ch
+    i += 1
+    if i < len(text) and symbol + text[i] in BRACKET_SYMBOLS:
+        symbol += text[i]
+        i += 1
+    if symbol not in BRACKET_SYMBOLS:
+        raise SmilesError(f"unknown element symbol {symbol!r}", text,
+                          symbol_start)
+    if text.startswith("@", i):
+        raise SmilesError("unsupported token: stereo descriptor '@'", text, i)
+    hydrogens = 0
+    if text.startswith("H", i):
+        count, i = _read_int(text, i + 1)
+        hydrogens = 1 if count is None else count
+    charge = 0
+    ch = text[i:i + 1]
+    if ch == "+" or ch == "-":
+        sign = 1 if ch == "+" else -1
+        repeats = 0
+        while text.startswith(ch, i):
+            i += 1
+            repeats += 1
+        digits, i = _read_int(text, i)
+        if digits is not None:
+            if repeats != 1:
+                raise SmilesError(
+                    "malformed bracket atom: mixed charge notation", text, i)
+            charge = sign * digits
+        else:
+            charge = sign * repeats
+    if not text.startswith("]", i):
+        raise SmilesError("malformed bracket atom: expected ']'", text, i)
+    return i + 1, (symbol.capitalize(), symbol.islower()), charge, hydrogens
+
+
+def _percent_label(text: str, i: int) -> int:
+    """The two-digit ring label of the ``%nn`` at ``text[i] == '%'``."""
+    digits = text[i + 1:i + 3]
+    if len(digits) < 2 or not (digits[0] in _DIGITS and digits[1] in _DIGITS):
+        raise SmilesError("malformed ring closure: '%' needs two digits", text,
+                          i)
+    return int(digits)
+
+
+def _ring_flags(parent: list[int], closures: list[tuple[int, int]]) -> list[bool]:
+    """Flag the atoms on the tree path between the ends of each closure.
+
+    The bonds that are not ring closures form a spanning tree, so an atom
+    lies on a cycle exactly when it lies on such a path. A parent's index
+    is below its child's, so the larger of the two ends is never the
+    common ancestor and steps up first.
+    """
+    ring = [False] * len(parent)
+    for a, b in closures:
+        ring[a] = ring[b] = True
+        while a != b:
+            if a < b:
+                a, b = b, a
+            a = parent[a]
+            ring[a] = True
+    return ring
+
+
+def _hydrogens(elements: list[str], aromatic: list[bool],
+               written_h: list[int | None], units: list[int]) -> list[int]:
+    """Written counts of bracket atoms; for the others, the lowest standard
+    valence that holds the atom's bond units, minus those units and one
+    more for an aromatic atom."""
+    hydrogens = []
+    for element, is_aromatic, written, used in zip(elements, aromatic,
+                                                   written_h, units):
+        if written is not None:
+            hydrogens.append(written)
+            continue
+        valences = DEFAULT_VALENCES[element]
+        fitted = valences[0]
+        if fitted < used:  # only P and S have a higher valence to try
+            fitted = next((v for v in valences if v >= used), valences[-1])
+        if is_aromatic:
+            fitted -= 1
+        hydrogens.append(fitted - used if fitted > used else 0)
+    return hydrogens
 
 
 def canonical_atom_order(graph: MolGraph) -> tuple[int, ...]:

@@ -67,6 +67,12 @@ class TestLoad:
         with pytest.raises(DataError, match="line 3"):
             load_interactions(*files)
 
+    def test_non_ascii_digit_in_smiles_names_file_and_line(self, tmp_path):
+        files = write_files(tmp_path, ["CCO,P1,0,100", "C\u00b2,P2,0,10"])
+        with pytest.raises(DataError,
+                           match=r"interactions\.csv: line 3: bad SMILES"):
+            load_dataset(*files)
+
     def test_malformed_tolerance(self, tmp_path):
         files = write_files(tmp_path, ["CCO,P1,0,100", "only,two"])
         with pytest.raises(DataError, match="malformed"):
@@ -119,6 +125,14 @@ class TestLoad:
         mapping.write_text("assayA\t0\nassayB\t1\n", encoding="utf-8")
         records, summary, _ = load_interactions(*files, assay_map_path=mapping)
         assert {r.task_id for r in records} == {0, 1}
+
+    def test_negative_assay_map_task_is_refused(self, tmp_path):
+        files = write_files(tmp_path, ["CCO,P1,A,100", "CCO,P2,B,10"])
+        mapping = tmp_path / "assay_map.tsv"
+        mapping.write_text("A\t-1\nB\t1\n", encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=r"assay_map\.tsv:1: task_id -1 is negative"):
+            load_dataset(*files, assay_map_path=mapping)
 
     def test_header_is_checked(self, tmp_path):
         interactions = tmp_path / "x.csv"
@@ -247,6 +261,23 @@ class TestAssemble:
         assert ds.y[0, 1] == 0.0  # masked cells carry value 0
         assert ds.summary().n_pairs == 3
         assert ds.summary().per_task_counts == (1, 1, 1)
+
+    def test_replicates_average_like_np_mean_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        counts = (1, 2, 7, 8, 9, 20)
+        cells = [[float(v) for v in rng.uniform(-3.0, 9.0, size=n)]
+                 for n in counts]
+        records = [rec("C", f"P{k}", value=v)
+                   for k, values in enumerate(cells) for v in values]
+        ds = assemble_pairs(records, {f"P{k}": SEQS["P1"]
+                                      for k in range(len(counts))})
+        assert ds.protein_ids == tuple(f"P{k}" for k in range(len(counts)))
+        expected = np.array([float(np.mean(v)) for v in cells])
+        assert ds.y[:, 0].tobytes() == expected.tobytes()
+        assert ds.y[0, 0] == cells[0][0]
+        # the cells are long enough for numpy's pairwise sum to differ from
+        # a running sum, so sum()/len() would not give these bytes
+        assert any(sum(v) / len(v) != float(np.mean(v)) for v in cells)
 
     def test_load_dataset_end_to_end(self, tmp_path):
         files = write_files(tmp_path, ["CCO,P1,0,100", "CCO,P2,0,10",

@@ -146,6 +146,21 @@ class TestErrors:
         assert fragment in str(err.value)
         assert err.value.offset == offset
 
+    # SMILES numbers are ASCII; str.isdigit() also accepts these digits
+    @pytest.mark.parametrize("bad,fragment,offset", [
+        ("C\u00b2", "unexpected character", 1),                  # C²
+        ("C\u0661CC\u0661", "unexpected character", 1),          # Arabic-Indic 1
+        ("[CH\u0661]", "expected ']'", 3),
+        ("[13C-\u0661]", "expected ']'", 5),
+        ("[\u06613C]", "expected element symbol", 1),
+        ("C%\u0661\u0662CC%\u0661\u0662", "'%' needs two digits", 1),
+    ])
+    def test_non_ascii_digits_are_rejected(self, bad, fragment, offset):
+        with pytest.raises(SmilesError) as err:
+            parse_smiles(bad)
+        assert fragment in str(err.value)
+        assert err.value.offset == offset
+
     def test_duplicate_bond(self):
         with pytest.raises(SmilesError, match="duplicate bond"):
             parse_smiles("C1C1")

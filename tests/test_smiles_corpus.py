@@ -6,7 +6,10 @@ aromatic lowercase atoms, and mutations of all of these. The digest covers
 every parse outcome: the ``SmilesError`` message and offset of an invalid
 string, and for a valid one its ECFP identifiers at radius 0..3, its
 atom-feature bytes and its adjacency. Any change to the parser or the
-featurizers that alters one byte of output changes the digest.
+featurizers that alters one byte of output changes the digest. A second
+digest pins every parsed column as it is, in parse order: the ECFP and
+atom-feature bytes do not see the bond order of each parsed bond,
+hydrogen counts above 4 or elements outside the feature vocabulary.
 
 The generator draws only through ``Random.random()``, whose sequence for a
 given seed is fixed across Python versions.
@@ -30,6 +33,7 @@ from dtanet.smiles import SmilesError, parse_smiles
 CORPUS_SEED = 20181013
 CORPUS_SIZE = 20_000
 GOLDEN_DIGEST = "9cfd39aeb08c368651d6c0b3503b4ab40e819090bfd709efaee76c5d0f4f9d44"
+GOLDEN_COLUMNS_DIGEST = "dc0e45e0d528d95dc5686630758487e8a95f657ebbb2789f464550622b1ca977"
 
 _ORGANIC = ("C", "C", "C", "N", "O", "S", "P", "F", "Cl", "Br", "I", "B")
 _AROMATIC = ("c", "c", "c", "n", "o", "s", "p", "b")
@@ -190,6 +194,20 @@ def test_golden_digest(parsed_corpus):
         digest.update(len(outcome).to_bytes(8, "little"))
         digest.update(outcome)
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_golden_columns_digest(parsed_corpus):
+    digest = hashlib.sha256()
+    for _, parsed in parsed_corpus:
+        if isinstance(parsed, SmilesError):
+            outcome = b"E"
+        else:
+            outcome = repr((parsed.elements, parsed.charges, parsed.hydrogens,
+                            parsed.aromatic, parsed.ring,
+                            parsed.bonds)).encode()
+        digest.update(len(outcome).to_bytes(8, "little"))
+        digest.update(outcome)
+    assert digest.hexdigest() == GOLDEN_COLUMNS_DIGEST
 
 
 def _ring_atoms_by_bond_removal(graph) -> tuple[bool, ...]:

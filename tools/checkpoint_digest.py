@@ -45,6 +45,11 @@ each one, a fresh interpreter
 * writes the fold CSV of the fixture under each of the five schemes with
   ``run_split`` at the default config's k and seed (one digest of the
   five);
+* parses the 1300 compounds with ``parse_smiles`` (every column of each
+  graph) and loads with ``load_dataset`` the fixture's table with one row
+  repeated once and another eight times under other values (cells of 2
+  and 9 observations) and two ``>10000`` rows (the compounds, protein ids,
+  pairs, ``y`` and ``w`` arrays), one digest of both;
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -151,7 +156,36 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     out["predict graphconv csv"] = _sha(work / "graphconv_predictions.csv")
     out["reader tables"] = reader_tables_digest(work, ckpt)
     out["split folds"] = split_folds_digest(cfg, dataset, work)
+    out["ingestion"] = ingestion_digest(work)
     return out
+
+
+def ingestion_digest(work: Path) -> str:
+    """Digest of the parsed columns of the 1300 new compounds and of the
+    arrays ``load_dataset`` builds from the fixture's table with replicate
+    and imprecise rows appended."""
+    from dtanet.data import load_dataset
+    from dtanet.smiles import parse_smiles
+
+    digest = hashlib.sha256()
+    for smiles in new_compounds_dataset().compounds:
+        graph = parse_smiles(smiles)
+        digest.update(repr((graph.elements, graph.charges, graph.hydrogens,
+                            graph.aromatic, graph.ring,
+                            graph.bonds)).encode())
+    text = (work / "fixture" / "interactions.csv").read_text(encoding="utf-8")
+    header, first, second, *_ = text.splitlines()
+    extra = [first.rsplit(",", 1)[0] + ",731.5"]
+    extra += [second.rsplit(",", 1)[0] + f",{3.7 * 2.9 ** k:.6g}"
+              for k in range(8)]
+    extra += [row.rsplit(",", 1)[0] + ",>10000" for row in (first, second)]
+    table = work / "replicates.csv"
+    table.write_text(text + "\n".join(extra) + "\n", encoding="utf-8")
+    dataset = load_dataset(table, work / "fixture" / "proteins.tsv")
+    digest.update(repr((dataset.compounds, dataset.protein_ids)).encode())
+    for array in (dataset.pairs, dataset.y, dataset.w):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def split_folds_digest(cfg, dataset, work: Path) -> str:
