@@ -7,10 +7,10 @@ non-numeric, non-finite or inequality-prefixed (``>10000``, ``<0.5``) are
 imprecise and dropped with a count; structurally broken rows count as
 malformed and abort once they exceed the configured tolerance.
 
-Responses are transformed as 4 - log10(raw), optionally after an exact-match
-remap of one raw value onto another (used to pull a sentinel inactive
-concentration closer to the active range). Duplicated (compound, protein,
-task) observations are averaged after the transform.
+Responses are transformed as each row is read: 4 - log10(raw), optionally
+after an exact-match remap of one raw value onto another (used to pull a
+sentinel inactive concentration closer to the active range). Duplicated
+(compound, protein, task) observations are averaged after the transform.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "transform_values",
     "inverse_transform",
     "filter_sparse",
-    "oversample_minority",
     "assemble_pairs",
     "load_dataset",
 ]
@@ -59,7 +58,7 @@ class InteractionRecord:
     protein_id: str
     task_id: int
     raw_value: float
-    value: float | None = None  # filled by transform_values
+    value: float | None = None  # transformed response; None when raw
     # the parsed compound, shared by every record of the same SMILES
     molecule: MolGraph | None = field(default=None, repr=False, compare=False)
 
@@ -107,13 +106,15 @@ def load_interactions(
     sequences_path: str | Path,
     assay_map_path: str | Path | None = None,
     malformed_tolerance: int = 0,
+    inactive_remap: tuple[float, float] | None = None,
 ) -> tuple[list[InteractionRecord], DatasetSummary, dict[str, tuple[str, bool]]]:
-    """Read and eagerly validate an interaction table.
+    """Read, eagerly validate and transform an interaction table.
 
-    Every distinct SMILES is parsed once (its records share the graph) and
-    every referenced protein must be in the sequence table; both fail fast
-    with the offending row. Returns the records (raw values only), a
-    summary, and the sequence table.
+    Every distinct SMILES is parsed once (its records share the graph),
+    every referenced protein must be in the sequence table and every kept
+    value must pass :func:`transform_value` under ``inactive_remap``; each
+    fails fast naming the file and line. Returns the records, each with its
+    raw and transformed value, a summary, and the sequence table.
     """
     sequences = proteins.read_sequence_table(sequences_path)
     assay_map = _read_assay_map(assay_map_path) if assay_map_path else None
@@ -132,11 +133,11 @@ def load_interactions(
             if not row:
                 continue
             fields = [f.strip() for f in row]
-            problem = _row_problem(fields, assay_map)
+            problem, task_id = _row_problem(fields, assay_map)
             if problem:
                 malformed.append(f"line {lineno}: {problem}")
                 continue
-            smiles, protein_id, task_field, value_field = fields
+            smiles, protein_id, _, value_field = fields
             try:
                 raw = parse_value(value_field)
             except ValueError:
@@ -144,10 +145,11 @@ def load_interactions(
             if raw is None:
                 imprecise += 1
                 continue
-            if assay_map is not None:
-                task_id = assay_map[task_field]
-            else:
-                task_id = int(task_field)
+            try:
+                value = transform_value(raw, inactive_remap)
+            except DataError as exc:
+                raise DataError(
+                    f"{interactions_path}: line {lineno}: {exc}") from None
             molecule = parse_compound(molecules, smiles, interactions_path,
                                       lineno)
             if protein_id not in sequences:
@@ -156,7 +158,7 @@ def load_interactions(
                     f"protein id {protein_id!r}")
             records.append(InteractionRecord(
                 smiles=smiles, protein_id=protein_id, task_id=task_id,
-                raw_value=raw, molecule=molecule))
+                raw_value=raw, value=value, molecule=molecule))
     if len(malformed) > malformed_tolerance:
         raise DataError(
             f"{interactions_path}: {len(malformed)} malformed row(s), "
@@ -173,27 +175,29 @@ def load_interactions(
     return records, summary, sequences
 
 
-def _row_problem(fields: list[str],
-                 assay_map: dict[str, int] | None) -> str | None:
-    """What makes a row of stripped ``fields`` malformed, if anything."""
+def _row_problem(fields: list[str], assay_map: dict[str, int] | None
+                 ) -> tuple[str | None, int]:
+    """What makes a row of stripped ``fields`` malformed, if anything, and
+    the row's task id (-1 when malformed)."""
     if len(fields) != 4:
-        return f"expected 4 fields, got {len(fields)}"
+        return f"expected 4 fields, got {len(fields)}", -1
     smiles, protein_id, task_field, _ = fields
     if not smiles:
-        return "empty SMILES field"
+        return "empty SMILES field", -1
     if not protein_id:
-        return "empty protein_id field"
+        return "empty protein_id field", -1
     if assay_map is not None:
-        if task_field not in assay_map:
-            return f"assay id {task_field!r} missing from the assay map"
-        return None
+        task = assay_map.get(task_field)
+        if task is None:
+            return f"assay id {task_field!r} missing from the assay map", -1
+        return None, task
     try:
         task = int(task_field)
     except ValueError:
-        return f"task_id {task_field!r} is not an integer"
+        return f"task_id {task_field!r} is not an integer", -1
     if task < 0:
-        return f"task_id {task} is negative"
-    return None
+        return f"task_id {task} is negative", -1
+    return None, task
 
 
 def _read_assay_map(path: str | Path) -> dict[str, int]:
@@ -213,6 +217,9 @@ def _read_assay_map(path: str | Path) -> dict[str, int]:
                 raise DataError(f"{path}:{lineno}: task_id must be an integer") from exc
             if task < 0:
                 raise DataError(f"{path}:{lineno}: task_id {task} is negative")
+            if parts[0] in mapping:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate assay id {parts[0]!r}")
             mapping[parts[0]] = task
     return mapping
 
@@ -287,42 +294,6 @@ def filter_sparse(records: list[InteractionRecord],
     if records and not current:
         log.warning("sparsity filter (min_obs=%d) removed every record", min_obs)
     return current
-
-
-def oversample_minority(records: list[InteractionRecord],
-                        target_fraction: float,
-                        max_factor: int = 50) -> list[InteractionRecord]:
-    """Replicate records away from the modal transformed value.
-
-    Semantics: the modal value is the single most frequent transformed
-    response; all other records are the minority. Minority records are
-    replicated cyclically (deterministically, no randomness) until they make
-    up at least ``target_fraction`` of the result, capped at ``max_factor``
-    copies each. Requires transformed values.
-    """
-    if not 0.0 <= target_fraction < 1.0:
-        raise DataError("target_fraction must be in [0, 1)")
-    if any(r.value is None for r in records):
-        raise DataError("oversampling requires transformed values")
-    counts = Counter(r.value for r in records)
-    if len(counts) < 2:
-        return list(records)
-    mode_value, _ = counts.most_common(1)[0]
-    minority = [r for r in records if r.value != mode_value]
-    majority_n = len(records) - len(minority)
-    if not minority or len(minority) / len(records) >= target_fraction:
-        return list(records)
-    # smallest m with m*|minority| / (m*|minority| + |majority|) >= fraction
-    needed = int(np.ceil(
-        target_fraction * majority_n / (len(minority) * (1.0 - target_fraction))))
-    factor = min(max(needed, 1), max_factor)
-    out = list(records)
-    for _ in range(factor - 1):
-        out.extend(minority)
-    if factor == max_factor and needed > max_factor:
-        log.warning("oversampling capped at factor %d (needed %d)",
-                    max_factor, needed)
-    return out
 
 
 @dataclass
@@ -424,19 +395,16 @@ def load_dataset(
     assay_map_path: str | Path | None = None,
     min_obs: int = 0,
     inactive_remap: tuple[float, float] | None = None,
-    oversample_fraction: float = 0.0,
     malformed_tolerance: int = 0,
     n_tasks: int | None = None,
 ) -> PairDataset:
-    """Full ingestion chain: load, transform, filter, optionally oversample."""
+    """Full ingestion chain: load and transform, optionally filter, assemble."""
     records, _, sequences = load_interactions(
-        interactions_path, sequences_path, assay_map_path, malformed_tolerance)
-    records = transform_values(records, inactive_remap)
+        interactions_path, sequences_path, assay_map_path, malformed_tolerance,
+        inactive_remap)
     if min_obs > 0:
         records = filter_sparse(records, min_obs)
         if not records:
             raise DataError(
                 f"sparsity filter min_obs={min_obs} removed every record")
-    if oversample_fraction > 0.0:
-        records = oversample_minority(records, oversample_fraction)
     return assemble_pairs(records, sequences, n_tasks=n_tasks)

@@ -216,6 +216,14 @@ class RunConfig:
     def data_kwargs(self, data_dir: Path) -> dict:
         section = self.values["data"]
         n_tasks = _as_int(section["n_tasks"], "data.n_tasks")
+        # the key stays so that snapshots and old checkpoints keep reading
+        oversample = _as_float(section["oversample_fraction"],
+                               "data.oversample_fraction")
+        if oversample != 0:
+            raise ConfigError(
+                f"data.oversample_fraction: only 0 is accepted, got "
+                f"{oversample}; replicated records are averaged into one "
+                f"pair row, so they cannot add a pair")
         return {
             "interactions_path": data_dir / section["interactions"],
             "sequences_path": data_dir / section["proteins"],
@@ -223,8 +231,6 @@ class RunConfig:
                                if section["assay_map"] else None),
             "min_obs": _as_int(section["min_obs"], "data.min_obs"),
             "inactive_remap": self.inactive_remap(),
-            "oversample_fraction": _as_float(section["oversample_fraction"],
-                                             "data.oversample_fraction"),
             "malformed_tolerance": _as_int(section["malformed_tolerance"],
                                            "data.malformed_tolerance"),
             "n_tasks": n_tasks if n_tasks > 0 else None,

@@ -16,7 +16,6 @@ from dtanet.data import (
     inverse_transform,
     load_dataset,
     load_interactions,
-    oversample_minority,
     transform_values,
 )
 
@@ -134,6 +133,55 @@ class TestLoad:
                            match=r"assay_map\.tsv:1: task_id -1 is negative"):
             load_dataset(*files, assay_map_path=mapping)
 
+    def test_duplicate_assay_id_is_refused(self, tmp_path):
+        files = write_files(tmp_path, ["CCO,P1,A,100", "CCO,P2,B,10"])
+        mapping = tmp_path / "assay_map.tsv"
+        mapping.write_text("A\t0\nB\t1\nA\t1\n", encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=r"assay_map\.tsv:3: duplicate assay id 'A'"):
+            load_dataset(*files, assay_map_path=mapping)
+
+    @pytest.mark.parametrize("value, remap", [
+        ("0", None), ("-5", None), ("1000000", (1_000_000.0, 0.0)),
+        ("1000000", (1_000_000.0, -1.0))])
+    def test_non_positive_value_names_file_and_line(self, tmp_path, value,
+                                                    remap):
+        files = write_files(tmp_path, ["CCO,P1,0,100", f"CCN,P1,0,{value}"])
+        with pytest.raises(DataError, match=r"interactions\.csv: line 3: "
+                                            r"non-positive raw value"):
+            load_dataset(*files, inactive_remap=remap)
+
+    @pytest.mark.parametrize("rows, error", [
+        (["CCN,P1,0,0", "C(,P2,0,10"], "line 2: non-positive raw value"),
+        (["C(,P2,0,10", "CCN,P1,0,0"], "line 2: bad SMILES")])
+    def test_the_first_bad_row_in_the_file_is_named(self, tmp_path, rows,
+                                                    error):
+        files = write_files(tmp_path, rows)
+        with pytest.raises(DataError, match=error):
+            load_dataset(*files)
+
+    def test_one_pass_equals_the_public_pieces_composed(self, tmp_path):
+        # a cell of three replicates (one remapped), a two-replicate cell on
+        # task 1, imprecise rows, and a compound and a protein that the
+        # sparsity filter removes
+        files = write_files(tmp_path, [
+            "CCO,P1,0,100", "CCO,P1,0,1000000", "CCO,P1,0,37", "CCO,P2,0,10",
+            "CCN,P1,0,1000000", "CCN,P2,0,>10000", "CCN,P2,1,2.5",
+            "CCN,P2,1,7", "CCC,P3,0,5", "CCC,P1,0,n.d."])
+        remap = (1_000_000.0, 1_000.0)
+        raw_records, _, sequences = load_interactions(*files)
+        transformed = transform_values(raw_records, remap)
+        records, _, _ = load_interactions(*files, inactive_remap=remap)
+        assert records == transformed
+        expected = assemble_pairs(filter_sparse(transformed, 1), sequences)
+        got = load_dataset(*files, inactive_remap=remap, min_obs=1)
+        assert got.compounds == expected.compounds == ("CCO", "CCN")
+        assert got.protein_ids == expected.protein_ids == ("P1", "P2")
+        for name in ("pairs", "y", "w"):
+            ours, theirs = getattr(got, name), getattr(expected, name)
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+            assert ours.tobytes() == theirs.tobytes()
+
     def test_header_is_checked(self, tmp_path):
         interactions = tmp_path / "x.csv"
         interactions.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -223,24 +271,6 @@ class TestFilterSparse:
                    for _ in range(60)]
         once = filter_sparse(records, 2)
         assert filter_sparse(once, 2) == once
-
-
-class TestOversample:
-    def test_minority_fraction_reached(self):
-        records = transform_values(
-            [rec("C", "P1", raw=1000.0)] * 18 + [rec("N", "P1", raw=10.0)] * 2)
-        out = oversample_minority(records, 0.3)
-        minority = [r for r in out if r.value != 1.0]
-        assert len(minority) / len(out) >= 0.3
-
-    def test_noop_when_balanced(self):
-        records = transform_values([rec("C", "P1", raw=10.0),
-                                    rec("N", "P1", raw=100.0)])
-        assert oversample_minority(records, 0.4) == records
-
-    def test_requires_transform(self):
-        with pytest.raises(DataError, match="transformed"):
-            oversample_minority([rec("C", "P1")], 0.3)
 
 
 class TestAssemble:

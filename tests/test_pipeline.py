@@ -102,6 +102,17 @@ class TestRunConfig:
         cfg = parse_run_config(path)
         assert cfg.split_params()["k"] == 7
 
+    def test_nonzero_oversample_fraction_is_refused(self, tmp_path):
+        cfg = parse_run_config(
+            None, overrides={"data.oversample_fraction": "0.3"})
+        with pytest.raises(ConfigError,
+                           match=r"data\.oversample_fraction: only 0 .*"
+                                 r"cannot add a pair"):
+            cfg.data_kwargs(tmp_path)
+        # the key stays in snapshots at its default, which still loads
+        default = parse_run_config(None)
+        assert "oversample_fraction=0\n" in default.snapshot()
+        assert "oversample_fraction" not in default.data_kwargs(tmp_path)
 
     def test_readme_config_block_parses_to_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(

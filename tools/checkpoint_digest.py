@@ -49,7 +49,10 @@ each one, a fresh interpreter
   graph) and loads with ``load_dataset`` the fixture's table with one row
   repeated once and another eight times under other values (cells of 2
   and 9 observations) and two ``>10000`` rows (the compounds, protein ids,
-  pairs, ``y`` and ``w`` arrays), one digest of both;
+  pairs, ``y`` and ``w`` arrays), and loads that table again with its task
+  ids replaced by two assay ids, one more row of a compound seen once, an
+  assay map, an ``inactive_remap`` and ``min_obs=1`` (the same arrays), one
+  digest of all three;
 
 and reports the SHA-256 digest of each artifact. The script exits 1 unless
 every artifact is byte-identical across the sources, which is how a
@@ -163,7 +166,8 @@ def pipeline_digests(work: Path) -> dict[str, str]:
 def ingestion_digest(work: Path) -> str:
     """Digest of the parsed columns of the 1300 new compounds and of the
     arrays ``load_dataset`` builds from the fixture's table with replicate
-    and imprecise rows appended."""
+    and imprecise rows appended, as it is and with two assays, a remap and
+    a sparsity filter."""
     from dtanet.data import load_dataset
     from dtanet.smiles import parse_smiles
 
@@ -181,10 +185,23 @@ def ingestion_digest(work: Path) -> str:
     extra += [row.rsplit(",", 1)[0] + ",>10000" for row in (first, second)]
     table = work / "replicates.csv"
     table.write_text(text + "\n".join(extra) + "\n", encoding="utf-8")
-    dataset = load_dataset(table, work / "fixture" / "proteins.tsv")
-    digest.update(repr((dataset.compounds, dataset.protein_ids)).encode())
-    for array in (dataset.pairs, dataset.y, dataset.w):
-        digest.update(array.tobytes())
+    rows = text.splitlines()[1:] + extra
+    assays = work / "replicate_assays.csv"
+    assays.write_text("\n".join([header] + [
+        f"{smiles},{protein},assay{i % 2},{value}"
+        for i, (smiles, protein, _task, value) in enumerate(
+            row.split(",") for row in rows)]
+        # a compound seen once, which min_obs=1 removes
+        + ["CCCCCCCCO,P0001,assay1,5.5"]) + "\n", encoding="utf-8")
+    assay_map = work / "assay_map.tsv"
+    assay_map.write_text("assay0\t0\nassay1\t1\n", encoding="utf-8")
+    proteins = work / "fixture" / "proteins.tsv"
+    for dataset in (load_dataset(table, proteins),
+                    load_dataset(assays, proteins, assay_map_path=assay_map,
+                                 min_obs=1, inactive_remap=(731.5, 1e4))):
+        digest.update(repr((dataset.compounds, dataset.protein_ids)).encode())
+        for array in (dataset.pairs, dataset.y, dataset.w):
+            digest.update(array.tobytes())
     return digest.hexdigest()
 
 
