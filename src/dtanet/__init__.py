@@ -5,13 +5,13 @@ from .domain import check_ad, fit_ad
 from .metrics import aggregate, concordance_index, r2, rmse
 from .model import FeatureStore, Model, ModelConfig
 from .proteins import psc
-from .smiles import MolGraph, canonical_atom_order, parse_smiles
+from .smiles import MoleculeTable, parse_smiles
 from .training import TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "parse_smiles", "canonical_atom_order", "MolGraph",
+    "parse_smiles", "MoleculeTable",
     "ecfp", "tanimoto", "atom_features",
     "psc",
     "rmse", "r2", "concordance_index", "aggregate",

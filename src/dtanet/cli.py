@@ -142,9 +142,9 @@ def _cmd_featurize(args, cfg) -> None:
     if args.ecfp:
         if args.input is None:
             raise SystemExit("featurize: --input is required for --ecfp")
-        molecules = pipeline.read_compounds(args.input)
-        pipeline.write_fingerprint_csv(cfg, molecules, args.out)
-        print(f"featurized {len(molecules)} compounds -> {args.out}")
+        compounds, molecules = pipeline.read_compounds(args.input)
+        pipeline.write_fingerprint_csv(cfg, compounds, molecules, args.out)
+        print(f"featurized {len(compounds)} compounds -> {args.out}")
     else:
         from . import proteins as proteins_mod
 

@@ -1,8 +1,10 @@
 """Compound featurization: circular fingerprints and per-atom feature rows.
 
-Featurizers return plain arrays. :func:`ecfp_matrix` is the one builder of
-fingerprint matrices: model input, clustering and the fingerprint CSV.
-:func:`ecfp` and :func:`ecfp_identifiers` are its one-molecule views.
+Featurizers read the columns of a molecule table and return plain arrays.
+:func:`ecfp_matrix` is the one builder of fingerprint matrices: model input,
+clustering and the fingerprint CSV. :func:`ecfp` and :func:`ecfp_identifiers`
+are its one-molecule views, as :func:`atom_features` is of
+:func:`atom_feature_matrix`.
 
 The fingerprint is the classic iterative circular construction (ECFP,
 Rogers & Hahn, J. Chem. Inf. Model. 50 (2010) 742): every atom starts from
@@ -14,7 +16,7 @@ length. Hashing is FNV-1a over the values serialized as 64-bit little-endian
 two's-complement words, so bit patterns are reproducible across platforms.
 
 All molecules of a call are fingerprinted together, as numpy arithmetic over
-flat atom columns, in blocks of molecules of similar size:
+the table's atom columns, in blocks of molecules of similar size:
 
 * atoms of a block are numbered globally and ordered by descending degree,
   so the atoms with more than ``k`` neighbors are a prefix of every column
@@ -40,13 +42,12 @@ dictionary of best occurrences per atom set keeps.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .elements import atomic_number
-from .smiles import MolGraph
+from .elements import PERIODIC_TABLE, SYMBOLS
+from .smiles import MoleculeTable
 
 __all__ = [
     "FeaturizationError",
@@ -57,6 +58,7 @@ __all__ = [
     "ecfp_identifiers",
     "tanimoto",
     "atom_features",
+    "atom_feature_matrix",
     "atom_feature_width",
 ]
 
@@ -102,39 +104,21 @@ def _byte_width(words: np.ndarray) -> int:
     return (int(words.max()).bit_length() + 7) // 8
 
 
-def _column(molecules: Sequence[MolGraph], name: str, n: int) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(getattr(m, name) for m in molecules),
-                       dtype=np.int64, count=n)
-
-
-def _ecfp_block(molecules: Sequence[MolGraph],
+def _ecfp_block(molecules: MoleculeTable,
                 radius: int) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, identifiers)``: surviving identifier ``identifiers[k]`` of
-    molecule ``molecules[rows[k]]``, for every molecule."""
-    sizes = np.array([m.n_atoms for m in molecules], dtype=np.int64)
-    n = int(sizes.sum())
-    first = np.cumsum(sizes) - sizes
+    molecule ``rows[k]`` of ``molecules``, for every molecule."""
+    sizes = molecules.sizes
+    n = molecules.n_atoms
     mol = np.repeat(np.arange(len(molecules)), sizes)
-    local = np.arange(n) - first[mol]
-    n_bonds = [len(m.bonds) for m in molecules]
-    bonds = np.fromiter(
-        chain.from_iterable(chain.from_iterable(m.bonds for m in molecules)),
-        dtype=np.int64, count=3 * sum(n_bonds)).reshape(-1, 3)
-    ends = bonds[:, :2] + np.repeat(first, n_bonds)[:, None]
-    src = np.concatenate([ends[:, 0], ends[:, 1]])
-    dst = np.concatenate([ends[:, 1], ends[:, 0]])
-    order = np.concatenate([bonds[:, 2], bonds[:, 2]])
+    local = np.arange(n) - molecules.atom_offsets[mol]
+    src, dst, order = molecules.edges()
     order_width = _byte_width(order)
     degree = np.bincount(src, minlength=n)
 
     invariants = np.stack([
-        np.fromiter(map(atomic_number, chain.from_iterable(
-            m.elements for m in molecules)), dtype=np.int64, count=n),
-        degree,
-        _column(molecules, "hydrogens", n),
-        _column(molecules, "charges", n),
-        _column(molecules, "aromatic", n),
-        _column(molecules, "ring", n)], axis=1)
+        molecules.atomic_numbers, degree, molecules.hydrogens,
+        molecules.charges, molecules.aromatic, molecules.ring], axis=1)
     ids = np.full(n, _FNV_OFFSET, dtype=np.uint32)
     for column in invariants.T:
         _fnv1a(ids, column, _byte_width(column))
@@ -187,13 +171,13 @@ def _ecfp_block(molecules: Sequence[MolGraph],
     return mols[first_of_set], ids[first_of_set]
 
 
-def _ecfp_blocks(molecules: Sequence[MolGraph], radius: int):
+def _ecfp_blocks(molecules: MoleculeTable, radius: int):
     """Yield ``(rows, identifiers)`` per block: ``identifiers[k]`` survives
-    in ``molecules[rows[k]]``. Blocks take molecules by ascending size, so
-    a block's bitset width follows its largest molecule."""
+    in molecule ``rows[k]``. Blocks take molecules by ascending size, so a
+    block's bitset width follows its largest molecule."""
     if radius < 0:
         raise FeaturizationError("radius must be >= 0")
-    sizes = [m.n_atoms for m in molecules]
+    sizes = molecules.sizes.tolist()
     if 0 in sizes:
         raise FeaturizationError("cannot fingerprint an empty molecule")
     blocks: list[list[int]] = []
@@ -205,29 +189,32 @@ def _ecfp_blocks(molecules: Sequence[MolGraph], radius: int):
             atoms = sizes[i]
         blocks[-1].append(i)
     for block in blocks:
-        rows, ids = _ecfp_block([molecules[i] for i in block], radius)
+        rows, ids = _ecfp_block(molecules.take(block), radius)
         yield np.asarray(block)[rows], ids
 
 
-def ecfp_identifiers(graph: MolGraph, radius: int) -> tuple[int, ...]:
+def ecfp_identifiers(graph: MoleculeTable, radius: int) -> tuple[int, ...]:
     """Surviving 32-bit substructure identifiers of ``graph``, sorted
     ascending: the distinct identifiers :func:`ecfp_matrix` folds."""
-    ((_, ids),) = _ecfp_blocks([graph], radius)
+    ((_, ids),) = _ecfp_blocks(graph, radius)
     return tuple(np.unique(ids).tolist())
 
 
-def ecfp(graph: MolGraph, radius: int = 2, n_bits: int = 2048) -> np.ndarray:
+def ecfp(graph: MoleculeTable, radius: int = 2,
+         n_bits: int = 2048) -> np.ndarray:
     """Fold the surviving identifiers of ``graph`` into a uint8 0/1 vector."""
-    return ecfp_matrix([graph], radius, n_bits)[0]
+    return ecfp_matrix(graph, radius, n_bits)[0]
 
 
-def ecfp_matrix(molecules: Sequence[MolGraph], radius: int = 2,
-                n_bits: int = 2048) -> np.ndarray:
+def ecfp_matrix(molecules: MoleculeTable | Sequence[MoleculeTable],
+                radius: int = 2, n_bits: int = 2048) -> np.ndarray:
     """uint8 ``(len(molecules), n_bits)`` matrix: row ``i`` is the
-    fingerprint of ``molecules[i]``, bit ``id % n_bits`` set for each of its
-    surviving identifiers."""
+    fingerprint of molecule ``i``, bit ``id % n_bits`` set for each of its
+    surviving identifiers. ``molecules`` is a table or a sequence of
+    tables."""
     if n_bits not in ECFP_ALLOWED_BITS:
         raise FeaturizationError(f"n_bits must be one of {ECFP_ALLOWED_BITS}, got {n_bits}")
+    molecules = MoleculeTable.concat(molecules)
     matrix = np.zeros((len(molecules), n_bits), dtype=np.uint8)
     for rows, ids in _ecfp_blocks(molecules, radius):
         matrix[rows, ids % n_bits] = 1
@@ -263,34 +250,54 @@ def atom_feature_width(vocabulary: Sequence[str] = DEFAULT_ATOM_VOCABULARY,
     return (len(vocabulary) + 1) + (max_degree + 1) + (_MAX_H_ONEHOT + 1) + 3
 
 
-def atom_features(graph: MolGraph,
-                  vocabulary: Sequence[str] = DEFAULT_ATOM_VOCABULARY,
-                  max_degree: int = 6) -> np.ndarray:
-    """Float64 ``(n_atoms, atom_feature_width(...))`` matrix, one row per atom.
+def atom_feature_matrix(molecules: MoleculeTable,
+                        vocabulary: Sequence[str] = DEFAULT_ATOM_VOCABULARY,
+                        max_degree: int = 6) -> np.ndarray:
+    """Float64 ``(molecules.n_atoms, atom_feature_width(...))`` matrix, one
+    row per atom of the table.
 
     Layout: element one-hot over ``vocabulary`` plus an "other" slot, degree
     one-hot 0..max_degree, hydrogen-count one-hot 0..4, formal charge scalar,
     aromatic flag, ring flag.
+
+    An atom of degree above ``max_degree`` raises a
+    :class:`FeaturizationError` naming it in its molecule, whose row is the
+    error's ``molecule``.
     """
-    vocab_index = {symbol: k for k, symbol in enumerate(vocabulary)}
+    degrees = np.bincount(molecules.edges()[0], minlength=molecules.n_atoms)
+    over = np.flatnonzero(degrees > max_degree)
+    if over.size:
+        atom = int(over[0])
+        row = int(np.searchsorted(molecules.atom_offsets, atom, side="right")) - 1
+        error = FeaturizationError(
+            f"atom {atom - molecules.atom_offsets[row]} "
+            f"({SYMBOLS[int(molecules.atomic_numbers[atom])]}) has degree "
+            f"{degrees[atom]}, max supported is {max_degree}")
+        error.molecule = row
+        raise error
+    # atomic number -> element slot; a symbol listed twice keeps its last slot
+    slots = np.full(len(SYMBOLS), len(vocabulary), dtype=np.intp)
+    for k, symbol in enumerate(vocabulary):
+        if symbol in PERIODIC_TABLE:
+            slots[PERIODIC_TABLE[symbol]] = k
     degree_at = len(vocabulary) + 1
     hydrogen_at = degree_at + max_degree + 1
     scalar_at = hydrogen_at + _MAX_H_ONEHOT + 1
-    hot = []  # the three one-hot columns of each atom
-    for i, (element, nbrs, hydrogens) in enumerate(
-            zip(graph.elements, graph.adjacency, graph.hydrogens)):
-        if len(nbrs) > max_degree:
-            raise FeaturizationError(
-                f"atom {i} ({element}) has degree {len(nbrs)}, "
-                f"max supported is {max_degree}")
-        hot.append((vocab_index.get(element, len(vocabulary)),
-                    degree_at + len(nbrs),
-                    hydrogen_at + min(hydrogens, _MAX_H_ONEHOT)))
-    rows = np.zeros((graph.n_atoms, atom_feature_width(vocabulary, max_degree)),
+    n = molecules.n_atoms
+    rows = np.zeros((n, atom_feature_width(vocabulary, max_degree)),
                     dtype=np.float64)
-    rows[np.arange(graph.n_atoms)[:, None],
-         np.array(hot, dtype=np.intp).reshape(-1, 3)] = 1.0
-    rows[:, scalar_at] = graph.charges
-    rows[:, scalar_at + 1] = graph.aromatic
-    rows[:, scalar_at + 2] = graph.ring
+    rows[np.arange(n)[:, None], np.stack([
+        slots[molecules.atomic_numbers], degree_at + degrees,
+        hydrogen_at + np.minimum(molecules.hydrogens, _MAX_H_ONEHOT)],
+        axis=1)] = 1.0
+    rows[:, scalar_at] = molecules.charges
+    rows[:, scalar_at + 1] = molecules.aromatic
+    rows[:, scalar_at + 2] = molecules.ring
     return rows
+
+
+def atom_features(graph: MoleculeTable,
+                  vocabulary: Sequence[str] = DEFAULT_ATOM_VOCABULARY,
+                  max_degree: int = 6) -> np.ndarray:
+    """The :func:`atom_feature_matrix` of the one molecule ``graph``."""
+    return atom_feature_matrix(graph, vocabulary, max_degree)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import proteins
-from .smiles import MolGraph, SmilesError, parse_smiles
+from .smiles import MoleculeColumns, MoleculeTable, SmilesError, parse_table
 
 __all__ = [
     "DataError",
@@ -59,8 +59,6 @@ class InteractionRecord:
     task_id: int
     raw_value: float
     value: float | None = None  # transformed response; None when raw
-    # the parsed compound, shared by every record of the same SMILES
-    molecule: MolGraph | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -87,18 +85,17 @@ def parse_value(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def parse_compound(molecules: dict[str, MolGraph], smiles: str,
-                   path: str | Path, lineno: int) -> MolGraph:
-    """The graph of ``smiles``, parsed once per ``molecules`` cache; a
-    SMILES the parser rejects fails naming ``path`` and ``lineno``."""
-    molecule = molecules.get(smiles)
-    if molecule is None:
+def parse_compound(compounds: dict[str, int], columns: MoleculeColumns,
+                   smiles: str, path: str | Path, lineno: int) -> None:
+    """Scan ``smiles`` into ``columns`` unless ``compounds`` (SMILES -> row)
+    has it; a SMILES the parser rejects fails naming ``path`` and ``lineno``."""
+    if smiles not in compounds:
         try:
-            molecule = molecules[smiles] = parse_smiles(smiles)
+            columns.append(smiles)
         except SmilesError as exc:
             raise DataError(
                 f"{path}: line {lineno}: bad SMILES: {exc}") from exc
-    return molecule
+        compounds[smiles] = len(compounds)
 
 
 def load_interactions(
@@ -107,21 +104,24 @@ def load_interactions(
     assay_map_path: str | Path | None = None,
     malformed_tolerance: int = 0,
     inactive_remap: tuple[float, float] | None = None,
-) -> tuple[list[InteractionRecord], DatasetSummary, dict[str, tuple[str, bool]]]:
+) -> tuple[list[InteractionRecord], DatasetSummary,
+           dict[str, tuple[str, bool]], MoleculeTable]:
     """Read, eagerly validate and transform an interaction table.
 
-    Every distinct SMILES is parsed once (its records share the graph),
-    every referenced protein must be in the sequence table and every kept
-    value must pass :func:`transform_value` under ``inactive_remap``; each
-    fails fast naming the file and line. Returns the records, each with its
-    raw and transformed value, a summary, and the sequence table.
+    Every distinct SMILES is parsed once, every referenced protein must be
+    in the sequence table and every kept value must pass
+    :func:`transform_value` under ``inactive_remap``; each fails fast naming
+    the file and line. Returns the records, each with its raw and
+    transformed value, a summary, the sequence table, and the molecule table
+    of the records' distinct SMILES in the order they were first read.
     """
     sequences = proteins.read_sequence_table(sequences_path)
     assay_map = _read_assay_map(assay_map_path) if assay_map_path else None
     records: list[InteractionRecord] = []
     imprecise = 0
     malformed: list[str] = []
-    molecules: dict[str, MolGraph] = {}
+    compounds: dict[str, int] = {}
+    columns = MoleculeColumns()
     with open(interactions_path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -150,15 +150,15 @@ def load_interactions(
             except DataError as exc:
                 raise DataError(
                     f"{interactions_path}: line {lineno}: {exc}") from None
-            molecule = parse_compound(molecules, smiles, interactions_path,
-                                      lineno)
+            parse_compound(compounds, columns, smiles, interactions_path,
+                           lineno)
             if protein_id not in sequences:
                 raise DataError(
                     f"{interactions_path}: line {lineno}: no sequence for "
                     f"protein id {protein_id!r}")
             records.append(InteractionRecord(
                 smiles=smiles, protein_id=protein_id, task_id=task_id,
-                raw_value=raw, value=value, molecule=molecule))
+                raw_value=raw, value=value))
     if len(malformed) > malformed_tolerance:
         raise DataError(
             f"{interactions_path}: {len(malformed)} malformed row(s), "
@@ -172,7 +172,7 @@ def load_interactions(
     summary = summarize(records)
     summary.discarded_imprecise = imprecise
     summary.discarded_malformed = len(malformed)
-    return records, summary, sequences
+    return records, summary, sequences, columns.table()
 
 
 def _row_problem(fields: list[str], assay_map: dict[str, int] | None
@@ -261,8 +261,7 @@ def transform_values(
             raise DataError(f"{exc} for ({record.smiles!r}, "
                             f"{record.protein_id!r})") from None
         out.append(InteractionRecord(record.smiles, record.protein_id,
-                                     record.task_id, record.raw_value, value,
-                                     record.molecule))
+                                     record.task_id, record.raw_value, value))
     return out
 
 
@@ -299,7 +298,8 @@ def filter_sparse(records: list[InteractionRecord],
 @dataclass
 class PairDataset:
     """Assembled multi-task view: one row per (compound, protein) pair;
-    ``molecules[i]`` is the graph of ``compounds[i]`` (parsed if not given)."""
+    row ``i`` of the ``molecules`` table is ``compounds[i]`` (parsed if not
+    given)."""
 
     compounds: tuple[str, ...]
     protein_ids: tuple[str, ...]
@@ -308,12 +308,12 @@ class PairDataset:
     y: np.ndarray      # (n_pairs, n_tasks) transformed values, 0 where masked
     w: np.ndarray      # (n_pairs, n_tasks) 0/1 mask
     n_tasks: int
-    molecules: tuple[MolGraph, ...] = field(default=(), repr=False,
+    molecules: MoleculeTable | None = field(default=None, repr=False,
                                             compare=False)
 
     def __post_init__(self):
-        if not self.molecules:
-            self.molecules = tuple(parse_smiles(s) for s in self.compounds)
+        if self.molecules is None:
+            self.molecules = parse_table(self.compounds)
         elif len(self.molecules) != len(self.compounds):
             raise DataError(f"{len(self.molecules)} molecules for "
                             f"{len(self.compounds)} compounds")
@@ -337,6 +337,14 @@ def assemble_pairs(records: list[InteractionRecord],
                    sequences: dict[str, tuple[str, bool]],
                    n_tasks: int | None = None) -> PairDataset:
     """Group records by (compound, protein); duplicates average post-transform."""
+    return _assemble_pairs(records, sequences, n_tasks, None)
+
+
+def _assemble_pairs(records, sequences, n_tasks,
+                    parsed: tuple[dict[str, int], MoleculeTable] | None
+                    ) -> PairDataset:
+    """:func:`assemble_pairs`, taking the molecules from ``parsed`` (SMILES
+    -> row of its table) when given, else parsing them."""
     if not records:
         raise DataError("cannot assemble an empty record list")
     if any(r.value is None for r in records):
@@ -347,7 +355,6 @@ def assemble_pairs(records: list[InteractionRecord],
     elif max_task >= n_tasks:
         raise DataError(f"task id {max_task} outside 0..{n_tasks - 1}")
     compounds: list[str] = []
-    molecules: list[MolGraph] = []
     compound_index: dict[str, int] = {}
     protein_ids: list[str] = []
     protein_index: dict[str, int] = {}
@@ -359,7 +366,6 @@ def assemble_pairs(records: list[InteractionRecord],
         ci = compound_index.setdefault(record.smiles, len(compounds))
         if ci == len(compounds):
             compounds.append(record.smiles)
-            molecules.append(record.molecule or parse_smiles(record.smiles))
         pi = protein_index.setdefault(record.protein_id, len(protein_ids))
         if pi == len(protein_ids):
             protein_ids.append(record.protein_id)
@@ -377,6 +383,10 @@ def assemble_pairs(records: list[InteractionRecord],
     missing = [p for p in protein_ids if p not in sequences]
     if missing:
         raise DataError(f"no sequence for protein id {missing[0]!r}")
+    molecules = None
+    if parsed is not None:
+        rows, table = parsed
+        molecules = table.take([rows[smiles] for smiles in compounds])
     return PairDataset(
         compounds=tuple(compounds),
         protein_ids=tuple(protein_ids),
@@ -385,7 +395,7 @@ def assemble_pairs(records: list[InteractionRecord],
         y=y,
         w=w,
         n_tasks=n_tasks,
-        molecules=tuple(molecules),
+        molecules=molecules,
     )
 
 
@@ -399,12 +409,14 @@ def load_dataset(
     n_tasks: int | None = None,
 ) -> PairDataset:
     """Full ingestion chain: load and transform, optionally filter, assemble."""
-    records, _, sequences = load_interactions(
+    records, _, sequences, molecules = load_interactions(
         interactions_path, sequences_path, assay_map_path, malformed_tolerance,
         inactive_remap)
+    read = {smiles: row for row, smiles in
+            enumerate(dict.fromkeys(r.smiles for r in records))}
     if min_obs > 0:
         records = filter_sparse(records, min_obs)
         if not records:
             raise DataError(
                 f"sparsity filter min_obs={min_obs} removed every record")
-    return assemble_pairs(records, sequences, n_tasks=n_tasks)
+    return _assemble_pairs(records, sequences, n_tasks, (read, molecules))

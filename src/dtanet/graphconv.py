@@ -6,12 +6,13 @@
 * restore: the atom rows back in their original order
 * gather:  per-molecule sum over atom rows (sum keeps molecule size information)
 
-Layout. :class:`PackedGraphs` packs molecules once into four flat arrays:
-the atom feature rows of every molecule back to back, each atom's
-neighbors as global atom ids in ascending order, per-atom degrees, and
-molecule offsets. A feature store packs its distinct compounds once, when it
-is built; ``pack_graphs`` packs the molecules it is given. A batch of
-molecules (``PackedGraphs.batch``) is index arithmetic over those arrays.
+Layout. :class:`PackedGraphs` packs a :class:`~dtanet.smiles.MoleculeTable`
+once into four flat arrays: the atom feature rows of every molecule back to
+back, each atom's neighbors as global atom ids in ascending order (read off
+the table's CSR neighbor array), per-atom degrees, and the table's atom
+offsets. A feature store packs its distinct compounds once, when it is
+built; ``pack_graphs`` packs the molecules it is given. A batch of molecules
+(``PackedGraphs.batch``) is index arithmetic over those arrays.
 
 An atom's *original id* is its position with the batch's molecules laid
 back to back in the order asked for. The batch keeps its atoms in *rows*
@@ -54,12 +55,12 @@ Why each op gives the same bytes as the same op on atoms in original order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .engine import Node, ObjectInput, Parameter, relu
-from .smiles import MolGraph
+from .smiles import MoleculeTable
 
 __all__ = ["PackedGraphs", "GraphBatch", "GraphStructureError", "pack_graphs",
            "GraphConv", "GraphPool", "RestoreAtomOrder", "GraphGather"]
@@ -97,39 +98,30 @@ class PackedGraphs:
     max_degree: int
 
     @classmethod
-    def from_graphs(cls, graphs: list[MolGraph], features: list[np.ndarray],
-                    max_degree: int = 6) -> "PackedGraphs":
-        if len(graphs) != len(features):
-            raise GraphStructureError(
-                "graphs and feature matrices differ in length")
-        sizes = np.fromiter((g.n_atoms for g in graphs), dtype=np.int64,
-                            count=len(graphs))
-        if not sizes.all():
+    def from_table(cls, molecules: MoleculeTable, features: np.ndarray,
+                   max_degree: int = 6) -> "PackedGraphs":
+        """Pack ``molecules`` with ``features``, one row per atom."""
+        if not molecules.sizes.all():
             raise GraphStructureError("cannot pack an empty molecule")
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        total = int(offsets[-1])
-        degrees = np.fromiter((len(nbrs) for g in graphs for nbrs in g.adjacency),
-                              dtype=np.int64, count=total)
+        total = molecules.n_atoms
+        neighbor_offsets, ids = molecules.neighbors()
+        degrees = np.diff(neighbor_offsets)
         over = np.flatnonzero(degrees > max_degree)
         if over.size:
             atom = int(over[0])
-            mol = int(np.searchsorted(offsets, atom, side="right")) - 1
+            mol = int(np.searchsorted(molecules.atom_offsets, atom,
+                                      side="right")) - 1
             raise GraphStructureError(
-                f"atom {atom - offsets[mol]} has degree {degrees[atom]}, "
-                f"max supported is {max_degree}")
-        ids = np.fromiter(chain.from_iterable(
-            nbrs for g in graphs for nbrs in g.adjacency),
-            dtype=np.int64, count=int(degrees.sum()))
+                f"atom {atom - molecules.atom_offsets[mol]} has degree "
+                f"{degrees[atom]}, max supported is {max_degree}")
         neighbors = np.full((total, max_degree), total, dtype=np.int64)
         # a mask assignment fills row by row, so each row gets its own ids
-        neighbors[np.arange(max_degree) < degrees[:, None]] = ids + np.repeat(
-            np.repeat(offsets[:-1], sizes), degrees)
-        rows = (np.concatenate(features, axis=0) if features
-                else np.zeros((0, 0)))
-        if rows.shape[0] != total:
+        neighbors[np.arange(max_degree) < degrees[:, None]] = ids
+        if features.shape[0] != total:
             raise GraphStructureError(
-                f"{rows.shape[0]} feature rows for {total} atoms")
-        return cls(rows, neighbors, degrees, offsets, max_degree)
+                f"{features.shape[0]} feature rows for {total} atoms")
+        return cls(features, neighbors, degrees, molecules.atom_offsets,
+                   max_degree)
 
     def batch(self, molecules) -> tuple[np.ndarray, GraphBatch]:
         """Feature rows and topology of the packed ``molecules`` (indices,
@@ -173,12 +165,17 @@ class PackedGraphs:
         return self.features[source], batch
 
 
-def pack_graphs(graphs: list[MolGraph],
-                features: list[np.ndarray],
+def pack_graphs(graphs: MoleculeTable | Sequence[MoleculeTable],
+                features: np.ndarray | Sequence[np.ndarray],
                 max_degree: int = 6) -> tuple[np.ndarray, GraphBatch]:
-    """Feature rows (in row order) and topology of ``graphs`` as one batch."""
-    packed = PackedGraphs.from_graphs(graphs, features, max_degree)
-    return packed.batch(np.arange(len(graphs)))
+    """Feature rows (in row order) and topology of ``graphs`` (a table or
+    tables) as one batch; ``features`` is one matrix or one per table."""
+    molecules = MoleculeTable.concat(graphs)
+    if not isinstance(features, np.ndarray):
+        features = (np.concatenate(features, axis=0) if len(features)
+                    else np.zeros((0, 0)))
+    packed = PackedGraphs.from_table(molecules, features, max_degree)
+    return packed.batch(np.arange(len(molecules)))
 
 
 class GraphConv(Node):

@@ -50,8 +50,8 @@ from .artifacts import write_artifact
 from .compounds import (
     DEFAULT_ATOM_VOCABULARY,
     FeaturizationError,
+    atom_feature_matrix,
     atom_feature_width,
-    atom_features,
     ecfp_matrix,
 )
 from .data import PairDataset
@@ -396,12 +396,16 @@ class FeatureStore:
         self._graphs: PackedGraphs | None = None
         self.fingerprint_matrix: np.ndarray | None = None
         if self.cfg.uses_graphconv:
-            self._graphs = PackedGraphs.from_graphs(
-                dataset.molecules,
-                [self._atom_features(smiles, molecule)
-                 for smiles, molecule in zip(dataset.compounds,
-                                             dataset.molecules)],
-                self.cfg.max_degree)
+            try:
+                rows = atom_feature_matrix(dataset.molecules,
+                                           self.cfg.atom_vocabulary,
+                                           self.cfg.max_degree)
+            except FeaturizationError as exc:
+                raise FeaturizationError(
+                    f"compound {dataset.compounds[exc.molecule]!r}: {exc}"
+                ) from exc
+            self._graphs = PackedGraphs.from_table(dataset.molecules, rows,
+                                                   self.cfg.max_degree)
         else:
             # uint8 0/1, an eighth of float64's bytes; _compound_feeds casts
             # the rows it hands out, exactly
@@ -415,13 +419,6 @@ class FeatureStore:
         else:
             self.protein_matrix = proteins.descriptor_matrix(
                 dataset.sequences, dataset.protein_ids)
-
-    def _atom_features(self, smiles: str, molecule):
-        try:
-            return atom_features(molecule, self.cfg.atom_vocabulary,
-                                 self.cfg.max_degree)
-        except FeaturizationError as exc:
-            raise FeaturizationError(f"compound {smiles!r}: {exc}") from exc
 
     def build_model(self, cfg: ModelConfig | None = None) -> Model:
         """A fresh model of ``cfg`` (default: the store's own config); ``cfg``

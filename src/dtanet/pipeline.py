@@ -35,6 +35,7 @@ import os
 import socket
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .domain import check_ad, fit_ad_per_task
 from .metrics import EvalReport, evaluate_predictions
 from .model import FeatureStore, Model
 from .runconfig import RunConfig, parse_run_config
-from .smiles import MolGraph
+from .smiles import MoleculeColumns, MoleculeTable
 from .splits import (
     FoldAssignment,
     audit_clusters,
@@ -498,13 +499,15 @@ def _responses(path, table: dict[str, list], n_tasks: int | None = None,
     return y, w, kept
 
 
-def _parse_compounds(path, table: dict[str, list]) -> dict[str, MolGraph]:
-    """SMILES -> graph of each distinct SMILES of ``table``, in file order;
-    one the parser rejects fails naming its line."""
-    molecules: dict[str, MolGraph] = {}
+def _parse_compounds(path, table: dict[str, list]
+                     ) -> tuple[dict[str, int], MoleculeTable]:
+    """The distinct SMILES of ``table`` (SMILES -> row, in file order) and
+    their molecule table; one the parser rejects fails naming its line."""
+    compounds: dict[str, int] = {}
+    columns = MoleculeColumns()
     for lineno, smiles in zip(table["line"], table["smiles"]):
-        data_mod.parse_compound(molecules, smiles, path, lineno)
-    return molecules
+        data_mod.parse_compound(compounds, columns, smiles, path, lineno)
+    return compounds, columns.table()
 
 
 def _prediction_store(cfg, table: dict[str, list], sequences, n_tasks: int,
@@ -516,14 +519,13 @@ def _prediction_store(cfg, table: dict[str, list], sequences, n_tasks: int,
         if missing:
             raise PipelineError(
                 f"{source}: no sequence for protein id {missing[0]!r}")
-    molecules = _parse_compounds(source, table)
-    compound_index = {s: i for i, s in enumerate(molecules)}
+    compounds, molecules = _parse_compounds(source, table)
     protein_index = {p: i for i, p in enumerate(protein_ids)}
-    pairs = np.array([(compound_index[s], protein_index[p]) for s, p in
+    pairs = np.array([(compounds[s], protein_index[p]) for s, p in
                       zip(table["smiles"], table["protein_id"])],
                      dtype=np.int64)
     dataset = data_mod.PairDataset(
-        compounds=tuple(molecules), molecules=tuple(molecules.values()),
+        compounds=tuple(compounds), molecules=molecules,
         protein_ids=protein_ids,
         sequences={p: sequences[p] for p in protein_ids if p in sequences},
         pairs=pairs, y=np.zeros((len(pairs), n_tasks)),
@@ -676,20 +678,21 @@ def run_tune(cfg: RunConfig, dataset: data_mod.PairDataset,
 # -- featurize artifacts -----------------------------------------------------
 
 
-def read_compounds(path: str | Path) -> dict[str, MolGraph]:
-    """SMILES -> graph of each distinct SMILES of the table at ``path``."""
+def read_compounds(path: str | Path) -> tuple[dict[str, int], MoleculeTable]:
+    """The distinct SMILES of the table at ``path`` (SMILES -> row) and
+    their molecule table."""
     return _parse_compounds(path, _pair_table(path, ("smiles",)))
 
 
-def write_fingerprint_csv(cfg: RunConfig, molecules: dict[str, MolGraph],
+def write_fingerprint_csv(cfg: RunConfig, compounds: Iterable[str],
+                          molecules: MoleculeTable,
                           out_csv: str | Path) -> None:
-    """``smiles,fingerprint_hex`` rows of ``molecules`` (SMILES -> graph)
-    with ``cfg``'s fingerprint settings."""
+    """``smiles,fingerprint_hex`` rows of ``compounds``, whose molecules are
+    the rows of ``molecules``, with ``cfg``'s fingerprint settings."""
     model_cfg = cfg.model_config(n_tasks=1)
-    matrix = ecfp_matrix(list(molecules.values()), model_cfg.fp_radius,
-                         model_cfg.fp_bits)
+    matrix = ecfp_matrix(molecules, model_cfg.fp_radius, model_cfg.fp_bits)
     lines = ["smiles,fingerprint_hex"]
-    for smiles, bits in zip(molecules, matrix):
+    for smiles, bits in zip(compounds, matrix):
         lines.append(f"{smiles},{np.packbits(bits).tobytes().hex()}")
     write_lines(out_csv, lines)
 
@@ -729,8 +732,8 @@ def end_to_end_smoke(fixture_dir: str | Path, work_dir: str | Path,
 
     def do_featurize():
         fp_csv = work_dir / "fingerprints.csv"
-        write_fingerprint_csv(cfg, dict(zip(dataset.compounds,
-                                            dataset.molecules)), fp_csv)
+        write_fingerprint_csv(cfg, dataset.compounds, dataset.molecules,
+                              fp_csv)
         parsed = fp_csv.read_text(encoding="utf-8").splitlines()
         assert len(parsed) == len(dataset.compounds) + 1
         psc_path = work_dir / "descriptors.bin"

@@ -19,7 +19,7 @@ from .artifacts import write_lines
 from .compounds import ecfp_matrix
 from .data import PairDataset, inverse_transform
 from .proteins import AMINO_ACIDS
-from .smiles import parse_smiles
+from .smiles import parse_table
 
 __all__ = ["random_smiles", "random_sequence", "memory_dataset",
            "write_fixture"]
@@ -114,7 +114,7 @@ def write_fixture(directory: str | Path, n_compounds: int = 24,
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     compounds = unique_smiles(n_compounds, rng)
-    fingerprints = ecfp_matrix([parse_smiles(s) for s in compounds], 2, 512)
+    fingerprints = ecfp_matrix(parse_table(compounds), 2, 512)
     protein_ids = [f"P{i:04d}" for i in range(n_proteins)]
     sequences = {pid: (random_sequence(rng), bool(rng.integers(0, 2)))
                  for pid in protein_ids}

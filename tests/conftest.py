@@ -8,8 +8,13 @@ oracle runs breadth-first search over an explicit similarity graph.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+from dtanet.elements import PERIODIC_TABLE, SYMBOLS
+from dtanet.smiles import MoleculeTable
 
 
 def central_difference_directional(eval_loss, param_array: np.ndarray,
@@ -66,6 +71,56 @@ def brute_force_clusters(similarity: np.ndarray, threshold: float) -> list[int]:
                     queue.append(other)
         current += 1
     return labels
+
+
+def molecule_table(elements, charges, hydrogens, aromatic, ring,
+                   bonds=()) -> MoleculeTable:
+    """A hand-built one-molecule table: element symbols and the other
+    per-atom columns, and ``(a, b, order)`` bonds."""
+    n = len(elements)
+    return MoleculeTable(
+        atom_offsets=np.array([0, n]),
+        bond_offsets=np.array([0, len(bonds)]),
+        atomic_numbers=np.array([PERIODIC_TABLE[e] for e in elements],
+                                dtype=np.int64),
+        charges=np.array(charges, dtype=np.int64),
+        hydrogens=np.array(hydrogens, dtype=np.int64),
+        aromatic=np.array(aromatic, dtype=bool),
+        ring=np.array(ring, dtype=bool),
+        bonds=np.array(bonds, dtype=np.int64).reshape(-1, 3))
+
+
+def molecule_view(table: MoleculeTable, row: int = 0) -> SimpleNamespace:
+    """Molecule ``row`` of ``table`` as Python tuples: element symbols,
+    charges, hydrogens, aromatic and ring flags, ``(a, b, order)`` bonds in
+    local ids, and each atom's neighbors in ascending order, built here from
+    the bonds rather than by the table."""
+    atoms = slice(*table.atom_offsets[row:row + 2])
+    bonds = tuple(tuple(bond) for bond in table.bonds[
+        slice(*table.bond_offsets[row:row + 2])].tolist())
+    n_atoms = atoms.stop - atoms.start
+    adjacency = [[] for _ in range(n_atoms)]
+    for a, b, _ in bonds:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return SimpleNamespace(
+        n_atoms=n_atoms,
+        elements=tuple(SYMBOLS[z] for z in table.atomic_numbers[atoms].tolist()),
+        charges=tuple(table.charges[atoms].tolist()),
+        hydrogens=tuple(table.hydrogens[atoms].tolist()),
+        aromatic=tuple(table.aromatic[atoms].tolist()),
+        ring=tuple(table.ring[atoms].tolist()),
+        bonds=bonds,
+        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+
+
+def assert_tables_equal(a: MoleculeTable, b: MoleculeTable) -> None:
+    """Equal columns, dtypes and shapes, column for column."""
+    for name in ("atom_offsets", "bond_offsets", "atomic_numbers", "charges",
+                 "hydrogens", "aromatic", "ring", "bonds"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert np.array_equal(x, y), name
 
 
 @pytest.fixture(scope="session")

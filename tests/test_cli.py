@@ -222,14 +222,17 @@ class TestErrors:
 
     def test_bad_smiles_in_featurize_names_file_and_line(self, tmp_path,
                                                           capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("smiles\nC1CC(\nCCO\n", encoding="utf-8")
         out = tmp_path / "fp.csv"
-        code = main(["featurize", "--ecfp", "--input", str(bad),
-                     "--out", str(out)])
-        assert code == 1
-        assert f"{bad}: line 2" in capsys.readouterr().err
-        assert not out.exists()
+        # a bad SMILES first, and one after a repeated good SMILES
+        for text, line in (("smiles\nC1CC(\nCCO\n", 2),
+                           ("smiles\nCCO\nCCO\nC1CC(\nC1CC(C\n", 4)):
+            bad = tmp_path / "bad.csv"
+            bad.write_text(text, encoding="utf-8")
+            code = main(["featurize", "--ecfp", "--input", str(bad),
+                         "--out", str(out)])
+            assert code == 1
+            assert f"{bad}: line {line}: bad SMILES" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_smiles_in_predict_names_file_and_line(self, workspace,
                                                        tmp_path, capsys):
@@ -237,14 +240,19 @@ class TestErrors:
         ckpt = tmp_path / "model.ckpt"
         assert main(["train", "--data-dir", str(data), "--out", str(ckpt)]
                     + TINY_ARGS) == 0
-        bad = tmp_path / "bad.csv"
-        bad.write_text("smiles,protein_id\nC1CC(,P0000\n", encoding="utf-8")
-        capsys.readouterr()
-        code = main(["predict", "--model", str(ckpt), "--input", str(bad),
-                     "--proteins", str(data / "proteins.tsv"),
-                     "--output", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert f"{bad}: line 2" in capsys.readouterr().err
+        # a bad SMILES first, and one after a repeated good SMILES
+        for text, line in (
+                ("smiles,protein_id\nC1CC(,P0000\n", 2),
+                ("smiles,protein_id\nCCO,P0000\nCCO,P0001\nC1CC(,P0000\n"
+                 "C1CC(C,P0000\n", 4)):
+            bad = tmp_path / "bad.csv"
+            bad.write_text(text, encoding="utf-8")
+            capsys.readouterr()
+            code = main(["predict", "--model", str(ckpt), "--input", str(bad),
+                         "--proteins", str(data / "proteins.tsv"),
+                         "--output", str(tmp_path / "o.csv")])
+            assert code == 1
+            assert f"{bad}: line {line}: bad SMILES" in capsys.readouterr().err
 
     def test_graph_featurization_error_names_the_compound(
             self, workspace, tmp_path, capsys):

@@ -12,6 +12,7 @@ from dtanet.compounds import (
     FeaturizationError,
     _byte_width,
     _fnv1a,
+    atom_feature_matrix,
     atom_feature_width,
     atom_features,
     ecfp,
@@ -19,8 +20,9 @@ from dtanet.compounds import (
     ecfp_matrix,
     tanimoto,
 )
-from dtanet.elements import atomic_number
-from dtanet.smiles import MolGraph, parse_smiles
+from conftest import molecule_table, molecule_view
+from dtanet.elements import PERIODIC_TABLE
+from dtanet.smiles import MoleculeTable, parse_smiles, parse_table
 from dtanet.synthetic import random_smiles, unique_smiles
 
 
@@ -87,11 +89,12 @@ class TestEcfp:
         from dtanet.pipeline import write_fingerprint_csv
         from dtanet.runconfig import parse_run_config
 
-        molecules = {s: parse_smiles(s) for s in ("c1ccncc1CO", "CCO")}
+        compounds = ("c1ccncc1CO", "CCO")
         out = tmp_path / "fingerprints.csv"
-        write_fingerprint_csv(parse_run_config(None), molecules, out)
-        for line, molecule in zip(out.read_text().splitlines()[1:],
-                                  molecules.values()):
+        write_fingerprint_csv(parse_run_config(None), compounds,
+                              parse_table(compounds), out)
+        for line, smiles in zip(out.read_text().splitlines()[1:], compounds):
+            molecule = parse_smiles(smiles)
             raw = np.frombuffer(bytes.fromhex(line.split(",")[1]),
                                 dtype=np.uint8)
             fp = ecfp(molecule)
@@ -115,7 +118,7 @@ class TestEcfp:
             ecfp(parse_smiles("C"), -1)
 
     def test_empty_molecule_is_rejected(self):
-        empty = MolGraph((), (), (), (), (), ())
+        empty = molecule_table((), (), (), (), ())
         with pytest.raises(FeaturizationError, match="empty molecule"):
             ecfp_matrix([parse_smiles("CC"), empty], 2, 512)
 
@@ -179,11 +182,13 @@ class TestHash:
         assert ecfp_identifiers(parse_smiles(smiles), radius=2) == expected
 
 
-def scalar_ecfp_identifiers(graph, radius):
-    """ECFP identifiers computed one atom at a time, with frozenset atom
-    sets and a dictionary of the best occurrence of each: the reference
-    that the array path of :mod:`dtanet.compounds` has to match."""
-    ids = [mix32_byte_loop((atomic_number(element), len(nbrs), hydrogens,
+def scalar_ecfp_identifiers(table, radius):
+    """ECFP identifiers of the one molecule ``table`` computed one atom at
+    a time, with frozenset atom sets and a dictionary of the best occurrence
+    of each: the reference that the array path of :mod:`dtanet.compounds`
+    has to match."""
+    graph = molecule_view(table)
+    ids = [mix32_byte_loop((PERIODIC_TABLE[element], len(nbrs), hydrogens,
                             charge, int(aromatic), int(ring)))
            for element, nbrs, hydrogens, charge, aromatic, ring in zip(
                graph.elements, graph.adjacency, graph.hydrogens,
@@ -226,11 +231,11 @@ def reference_molecules():
         "C#N", "c1cc[se]c1", "OC(=O)c1ccccc1O", "C1CC2CCC1CC2")]
     molecules += [parse_smiles(random_smiles(rng, (30, 34))),
                   parse_smiles(random_smiles(rng, (60, 64)))]
-    molecules.append(MolGraph(("Na", "Cl"), (1, -1), (0, 0), (False, False),
-                              (False, False), ()))
-    molecules.append(MolGraph(("C", "C", "O", "N"), (0, 0, 0, 0),
-                              (3, 2, 1, 3), (False,) * 4, (False,) * 4,
-                              [(0, 1, 1), (1, 2, 1)]))
+    molecules.append(molecule_table(("Na", "Cl"), (1, -1), (0, 0),
+                                    (False, False), (False, False)))
+    molecules.append(molecule_table(("C", "C", "O", "N"), (0, 0, 0, 0),
+                                    (3, 2, 1, 3), (False,) * 4, (False,) * 4,
+                                    [(0, 1, 1), (1, 2, 1)]))
     return molecules
 
 
@@ -245,6 +250,7 @@ def reference():
 class TestBatchAgainstScalarReference:
     def test_reference_set_spans_multi_word_atom_sets(self, reference):
         sizes = [m.n_atoms for m in reference[0]]
+        assert sizes == MoleculeTable.concat(reference[0]).sizes.tolist()
         assert max(sizes) > 128 and any(64 < n <= 128 for n in sizes)
 
     @pytest.mark.parametrize("radius", range(5))
@@ -351,3 +357,24 @@ class TestAtomFeatures:
         assert np.all(ring[:, 35] == 1.0)
         aromatic = atom_features(parse_smiles("c1ccccc1"))
         assert np.all(aromatic[:, 34] == 1.0)
+
+    def test_custom_vocabulary_slots(self):
+        feats = atom_features(parse_smiles("CNO[Se]"), vocabulary=("O", "C"))
+        assert feats.shape == (4, atom_feature_width(("O", "C")))
+        assert feats[:, :3].tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0],
+                                         [0, 0, 1]]
+
+    def test_matrix_rows_are_each_molecules_rows(self):
+        smiles = unique_smiles(30, np.random.default_rng(4)) + [
+            "[U]", "[NH4+]", "c1cc[se]c1", "CS(=O)(=O)[O-]"]
+        assert np.array_equal(
+            atom_feature_matrix(parse_table(smiles)),
+            np.concatenate([atom_features(parse_smiles(s)) for s in smiles]))
+
+    def test_matrix_degree_error_names_the_molecule_row(self):
+        table = parse_table(["CC", "CCC(C)(C)(C)(C)C"])
+        with pytest.raises(FeaturizationError,
+                           match=r"atom 2 \(C\) has degree 6, max supported "
+                                 r"is 5") as err:
+            atom_feature_matrix(table, max_degree=5)
+        assert err.value.molecule == 1

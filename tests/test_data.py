@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import assert_tables_equal, molecule_view
 from dtanet.data import (
     DataError,
     InteractionRecord,
@@ -18,6 +19,7 @@ from dtanet.data import (
     load_interactions,
     transform_values,
 )
+from dtanet.smiles import MoleculeColumns, MoleculeTable, parse_table
 
 SEQS = {"P1": ("ACDEFKLM", False), "P2": ("KLMNPQRS", True),
         "P3": ("WWYYACDE", False)}
@@ -43,16 +45,17 @@ class TestLoad:
     def test_three_row_fixture(self, tmp_path):
         files = write_files(tmp_path, ["CCO,P1,0,100", "CCO,P2,0,10",
                                        "CCN,P1,0,1000"])
-        records, summary, sequences = load_interactions(*files)
+        records, summary, sequences, molecules = load_interactions(*files)
         assert summary.n_compounds == 2
         assert summary.n_proteins == 2
         assert summary.n_pairs == 3
         assert sequences["P2"] == ("KLMNPQRS", True)
+        assert_tables_equal(molecules, parse_table(["CCO", "CCN"]))
 
     def test_imprecise_rows_discarded_and_counted(self, tmp_path):
         files = write_files(tmp_path, ["CCO,P1,0,100", "CCO,P2,0,>10000",
                                        "CCN,P1,0,<5", "CCN,P2,0,oops"])
-        records, summary, _ = load_interactions(*files)
+        records, summary, _, _ = load_interactions(*files)
         assert len(records) == 1
         assert summary.discarded_imprecise == 3
 
@@ -76,7 +79,7 @@ class TestLoad:
         files = write_files(tmp_path, ["CCO,P1,0,100", "only,two"])
         with pytest.raises(DataError, match="malformed"):
             load_interactions(*files)
-        records, summary, _ = load_interactions(*files, malformed_tolerance=1)
+        records, summary, _, _ = load_interactions(*files, malformed_tolerance=1)
         assert len(records) == 1
         assert summary.discarded_malformed == 1
 
@@ -104,7 +107,7 @@ class TestLoad:
                 load_interactions(*files, malformed_tolerance=tolerance)
             return
         with caplog.at_level(logging.INFO, logger="dtanet.data"):
-            records, summary, _ = load_interactions(
+            records, summary, _, _ = load_interactions(
                 *files, malformed_tolerance=tolerance)
         assert len(records) == 3
         assert summary.discarded_malformed == len(bad)
@@ -122,7 +125,7 @@ class TestLoad:
                                        "CCO,P2,assayB,10"])
         mapping = tmp_path / "assay_map.tsv"
         mapping.write_text("assayA\t0\nassayB\t1\n", encoding="utf-8")
-        records, summary, _ = load_interactions(*files, assay_map_path=mapping)
+        records, summary, _, _ = load_interactions(*files, assay_map_path=mapping)
         assert {r.task_id for r in records} == {0, 1}
 
     def test_negative_assay_map_task_is_refused(self, tmp_path):
@@ -153,7 +156,10 @@ class TestLoad:
 
     @pytest.mark.parametrize("rows, error", [
         (["CCN,P1,0,0", "C(,P2,0,10"], "line 2: non-positive raw value"),
-        (["C(,P2,0,10", "CCN,P1,0,0"], "line 2: bad SMILES")])
+        (["C(,P2,0,10", "CCN,P1,0,0"], "line 2: bad SMILES"),
+        # a bad SMILES after a repeated good one is named by its own line
+        (["CCO,P1,0,10", "CCO,P2,0,10", "C1C(,P1,0,10", "CCN,P1,0,0"],
+         "line 4: bad SMILES")])
     def test_the_first_bad_row_in_the_file_is_named(self, tmp_path, rows,
                                                     error):
         files = write_files(tmp_path, rows)
@@ -169,9 +175,9 @@ class TestLoad:
             "CCN,P1,0,1000000", "CCN,P2,0,>10000", "CCN,P2,1,2.5",
             "CCN,P2,1,7", "CCC,P3,0,5", "CCC,P1,0,n.d."])
         remap = (1_000_000.0, 1_000.0)
-        raw_records, _, sequences = load_interactions(*files)
+        raw_records, _, sequences, _ = load_interactions(*files)
         transformed = transform_values(raw_records, remap)
-        records, _, _ = load_interactions(*files, inactive_remap=remap)
+        records, _, _, _ = load_interactions(*files, inactive_remap=remap)
         assert records == transformed
         expected = assemble_pairs(filter_sparse(transformed, 1), sequences)
         got = load_dataset(*files, inactive_remap=remap, min_obs=1)
@@ -319,26 +325,47 @@ class TestAssemble:
 
 
 class TestMolecules:
-    def test_ingestion_keeps_one_graph_per_smiles(self, tmp_path):
+    def test_ingestion_keeps_one_graph_per_smiles(self, tmp_path,
+                                                  monkeypatch):
         files = write_files(tmp_path, ["CCO,P1,0,100", "CCN,P1,0,10",
                                        "CCO,P2,0,1000"])
-        records, _, _ = load_interactions(*files)
-        assert records[0].molecule is records[2].molecule
+        scanned = []
+        append = MoleculeColumns.append
+
+        def spy(columns, text):
+            scanned.append(text)
+            return append(columns, text)
+
+        monkeypatch.setattr(MoleculeColumns, "append", spy)
         ds = load_dataset(*files)
-        assert [m.n_atoms for m in ds.molecules] == [3, 3]
-        assert [m.elements[2] for m in ds.molecules] == ["O", "N"]
+        assert scanned == ["CCO", "CCN"]
+        assert len(ds.molecules) == 2
+        assert ds.molecules.sizes.tolist() == [3, 3]
+        assert [molecule_view(ds.molecules, i).elements[2]
+                for i in range(2)] == ["O", "N"]
 
     def test_hand_built_dataset_parses_its_compounds(self):
         ds = assemble_pairs(transform_values([rec("CCO", "P1"),
                                               rec("C", "P2")]), SEQS)
-        assert [m.n_atoms for m in ds.molecules] == [3, 1]
+        assert ds.molecules.sizes.tolist() == [3, 1]
         again = replace(ds, y=ds.y + 1.0)
         assert again.molecules is ds.molecules  # replace() does not reparse
-        fresh = replace(ds, molecules=())
+        fresh = replace(ds, molecules=None)
         assert fresh.molecules is not ds.molecules
-        assert [m.n_atoms for m in fresh.molecules] == [3, 1]
+        assert fresh.molecules.sizes.tolist() == [3, 1]
 
     def test_molecules_must_align_with_compounds(self):
         ds = assemble_pairs(transform_values([rec("CCO", "P1")]), SEQS)
         with pytest.raises(DataError, match="2 molecules for 1 compounds"):
-            replace(ds, molecules=ds.molecules * 2)
+            replace(ds, molecules=MoleculeTable.concat([ds.molecules] * 2))
+
+    def test_sparsity_filter_keeps_the_rows_of_the_kept_compounds(
+            self, tmp_path):
+        # CCN is read first but filtered out, and CCO's first row goes with
+        # P3, so the kept compounds come out in another order than read
+        files = write_files(tmp_path, [
+            "CCN,P1,0,10", "CCO,P3,0,10", "C1CC1,P1,0,10", "C1CC1,P2,0,10",
+            "CCO,P1,0,10", "CCO,P2,0,10", "C1CC1,P1,0,20"])
+        ds = load_dataset(*files, min_obs=1)
+        assert ds.compounds == ("C1CC1", "CCO")
+        assert_tables_equal(ds.molecules, parse_table(ds.compounds))

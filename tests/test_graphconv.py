@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import central_difference_directional, relative_error
+from conftest import (
+    central_difference_directional,
+    molecule_table,
+    molecule_view,
+    relative_error,
+)
 from dtanet.compounds import atom_features
 from dtanet.engine import Adam, Graph, Node
 from dtanet.graphconv import (
@@ -18,7 +23,7 @@ from dtanet.graphconv import (
     RestoreAtomOrder,
     pack_graphs,
 )
-from dtanet.smiles import BondOrder, MolGraph, parse_smiles
+from dtanet.smiles import BondOrder, MoleculeTable, parse_smiles
 from dtanet.synthetic import unique_smiles
 
 MAX_DEGREE = 6
@@ -296,7 +301,7 @@ class _EdgeBatch:
 def _edge_batch(graphs, max_degree=MAX_DEGREE):
     degrees, edge_src, edge_dst, pool_flat, pool_starts = [], [], [], [], []
     offset = 0
-    for g in graphs:
+    for g in map(molecule_view, graphs):
         for i in range(g.n_atoms):
             atom = offset + i
             nbrs = g.adjacency[i]
@@ -400,8 +405,8 @@ def _random_molecule(rng, n_atoms):
 def _carbons(n_atoms, bonds=()):
     """A hand-built graph of ``n_atoms`` bare carbons (no hydrogens, no
     ring flags) joined by ``bonds``."""
-    return MolGraph(["C"] * n_atoms, [0] * n_atoms, [0] * n_atoms,
-                    [False] * n_atoms, [False] * n_atoms, bonds)
+    return molecule_table(["C"] * n_atoms, [0] * n_atoms, [0] * n_atoms,
+                          [False] * n_atoms, [False] * n_atoms, bonds)
 
 
 def _parity_batch(seed):
@@ -638,14 +643,15 @@ def _pack_molecules():
             parse_smiles("CC(C)(C)CC(C)O")]
     while len(mols) < 10:
         mol = _random_molecule(rng, int(rng.integers(2, 9)))
-        if max(mol.degrees()) <= 4:
+        if np.diff(mol.neighbors()[0]).max() <= 4:
             mols.append(mol)
     return mols
 
 
 _PACK_MOLECULES = _pack_molecules()
-_PACK = PackedGraphs.from_graphs(
-    _PACK_MOLECULES, [atom_features(m) for m in _PACK_MOLECULES], MAX_DEGREE)
+_PACK = PackedGraphs.from_table(
+    MoleculeTable.concat(_PACK_MOLECULES),
+    np.concatenate([atom_features(m) for m in _PACK_MOLECULES]), MAX_DEGREE)
 
 
 class TestStoreBatches:

@@ -304,7 +304,7 @@ class TestFeatureStore:
         dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6)
         bad = "C(C)(C)(C)(C)(C)(C)C"  # a degree-7 carbon
         dataset = replace(dataset, compounds=(bad, *dataset.compounds[1:]),
-                          molecules=())
+                          molecules=None)
         with pytest.raises(FeaturizationError, match=re.escape(repr(bad))):
             FeatureStore(dataset, small_config(variant="padme-graphconv"))
 

@@ -25,7 +25,7 @@ from dtanet.pipeline import (
     write_report,
 )
 from dtanet.runconfig import ConfigError, RunConfig, parse_run_config
-from dtanet.smiles import parse_smiles
+from dtanet.smiles import MoleculeColumns, parse_smiles
 from dtanet.synthetic import write_fixture
 
 TINY = {
@@ -744,11 +744,25 @@ class TestParseOnce:
                 monkeypatch.setattr(module, function.__name__, spy)
         return calls
 
+    @staticmethod
+    def _spy_scans(monkeypatch) -> list:
+        """Record the text of every SMILES scan, the step every parse of a
+        SMILES goes through."""
+        scanned = []
+        append = MoleculeColumns.append
+
+        def spy(columns, text):
+            scanned.append(text)
+            return append(columns, text)
+
+        monkeypatch.setattr(MoleculeColumns, "append", spy)
+        return scanned
+
     def test_cold_cluster_cv_parses_each_compound_and_clusters_once(
             self, fixture_dir, tmp_path, monkeypatch):
         from dtanet.splits import cluster_compounds
 
-        parsed = self._spy(monkeypatch, parse_smiles)
+        parsed = self._spy_scans(monkeypatch)
         clustered = self._spy(monkeypatch, cluster_compounds)
         cfg = parse_run_config(None, overrides={
             **TINY, "model.variant": "padme-graphconv",
@@ -759,6 +773,22 @@ class TestParseOnce:
         assert sorted(parsed) == sorted({l.split(",")[0] for l in lines[1:]})
         assert len(clustered) == 1
         assert (tmp_path / "cv" / "folds_cold-cluster_rep1.csv").exists()
+
+    def test_predict_parses_each_compound_once(self, fixture_dir, tmp_path,
+                                               monkeypatch):
+        cfg = parse_run_config(None, overrides={
+            **TINY, "model.variant": "padme-graphconv",
+            "model.conv_widths": "8", "model.conv_dense": "16"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        ckpt = run_training(cfg, dataset, tmp_path / "gc.ckpt", seed=0)
+        table = fixture_dir / "interactions.csv"
+        parsed = self._spy_scans(monkeypatch)
+        run_predict(ckpt, table, fixture_dir / "proteins.tsv",
+                    tmp_path / "preds.csv", ad_from=table)
+        lines = table.read_text().splitlines()
+        smiles = [line.split(",")[0] for line in lines[1:]]
+        assert len(smiles) > len(set(smiles))
+        assert parsed == list(dict.fromkeys(smiles))
 
     def test_cold_cluster_cv_of_padme_ecfp_fingerprints_each_compound_once(
             self, fixture_dir, tmp_path, monkeypatch):

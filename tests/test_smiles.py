@@ -2,27 +2,36 @@
 
 import gc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import molecule_view
 from dtanet.smiles import (
     BondOrder,
+    MoleculeColumns,
+    MoleculeTable,
     SmilesError,
-    canonical_atom_order,
     parse_smiles,
 )
 
 
+def parse(text: str):
+    """The parsed molecule of ``text`` as Python tuples."""
+    return molecule_view(parse_smiles(text))
+
+
 class TestBasicParsing:
     def test_ethanol(self):
-        g = parse_smiles("CCO")
+        table = parse_smiles("CCO")
+        g = molecule_view(table)
         assert g.elements == ("C", "C", "O")
         assert len(g.bonds) == 2
         assert all(order == BondOrder.SINGLE for _, _, order in g.bonds)
-        assert g.degrees() == [1, 2, 1]
+        assert np.diff(table.neighbors()[0]).tolist() == [1, 2, 1]
 
     def test_aromatic_benzene(self):
-        g = parse_smiles("c1ccccc1")
+        g = parse("c1ccccc1")
         assert g.n_atoms == 6
         assert len(g.bonds) == 6
         assert g.elements == ("C",) * 6 and all(g.aromatic)
@@ -30,13 +39,13 @@ class TestBasicParsing:
         assert all(g.ring)
 
     def test_ammonium_bracket(self):
-        g = parse_smiles("[NH4+]")
+        g = parse("[NH4+]")
         assert g.elements == ("N",)
         assert g.charges == (1,)
         assert g.hydrogens == (4,)
 
     def test_branch_with_double_bond(self):
-        g = parse_smiles("C(=O)O")
+        g = parse("C(=O)O")
         assert g.n_atoms == 3
         assert g.bonds == ((0, 1, BondOrder.DOUBLE), (0, 2, BondOrder.SINGLE))
         order = {frozenset((a, b)): o for a, b, o in g.bonds}
@@ -46,8 +55,8 @@ class TestBasicParsing:
              [BondOrder.SINGLE]]
 
     def test_kekule_and_aromatic_benzene_both_parse(self):
-        kekule = parse_smiles("C1=CC=CC=C1")
-        aromatic = parse_smiles("c1ccccc1")
+        kekule = parse("C1=CC=CC=C1")
+        aromatic = parse("c1ccccc1")
         assert kekule.n_atoms == aromatic.n_atoms == 6
         assert len(kekule.bonds) == len(aromatic.bonds) == 6
         # no aromaticity perception: spellings differ in bond orders
@@ -56,14 +65,14 @@ class TestBasicParsing:
         assert {order for _, _, order in aromatic.bonds} == {BondOrder.AROMATIC}
 
     def test_two_letter_elements(self):
-        g = parse_smiles("ClCBr")
+        g = parse("ClCBr")
         assert g.elements == ("Cl", "C", "Br")
 
     def test_isotope_and_charge(self):
-        assert parse_smiles("[13C]").elements == ("C",)
-        assert parse_smiles("[O-]").charges == (-1,)
-        assert parse_smiles("[Fe+2]").charges == (2,)
-        assert parse_smiles("[Fe++]").charges == (2,)
+        assert parse("[13C]").elements == ("C",)
+        assert parse("[O-]").charges == (-1,)
+        assert parse("[Fe+2]").charges == (2,)
+        assert parse("[Fe++]").charges == (2,)
 
     @pytest.mark.parametrize("smiles,element,at", [
         ("c1cc[se]c1", "Se", 3),
@@ -71,7 +80,7 @@ class TestBasicParsing:
         ("c1c[13seH+]cc1", "Se", 2),
     ])
     def test_bracket_only_aromatic_symbols(self, smiles, element, at):
-        g = parse_smiles(smiles)
+        g = parse(smiles)
         assert g.n_atoms == 5 and all(g.aromatic) and all(g.ring)
         assert g.elements[at] == element
         assert all(order == BondOrder.AROMATIC for _, _, order in g.bonds)
@@ -79,15 +88,15 @@ class TestBasicParsing:
     def test_two_letter_aromatic_symbols_stay_bracket_only(self):
         with pytest.raises(SmilesError, match="unknown element symbol 'e'"):
             parse_smiles("c1ccsec1")
-        assert not parse_smiles("[Se]").aromatic[0]
+        assert not parse("[Se]").aromatic[0]
 
     def test_percent_ring_closure(self):
-        g = parse_smiles("C%11CC%11")
+        g = parse("C%11CC%11")
         assert len(g.bonds) == 3
         assert all(g.ring)
 
     def test_ring_digit_reuse_after_closure(self):
-        g = parse_smiles("C1CC1C1CC1")
+        g = parse("C1CC1C1CC1")
         assert g.n_atoms == 6
         assert len(g.bonds) == 7
 
@@ -109,13 +118,13 @@ class TestImplicitHydrogens:
         ("[C]", [0]),               # bracket atoms carry only written hydrogens
     ])
     def test_hydrogen_counts(self, smiles, expected):
-        g = parse_smiles(smiles)
+        g = parse(smiles)
         assert list(g.hydrogens) == expected
 
     def test_sulfur_lowest_fit_valence(self):
         # S with 4 explicit bond units fits valence 4, leaving no hydrogens;
         # with 3 it fits 4, leaving one
-        g = parse_smiles("CS(=O)C")
+        g = parse("CS(=O)C")
         assert g.hydrogens[1] == 0
 
 
@@ -184,64 +193,85 @@ class TestInvariants:
 
     @pytest.mark.parametrize("smiles", MOLECULES)
     def test_degree_sum_is_twice_bond_count(self, smiles):
-        g = parse_smiles(smiles)
-        assert sum(g.degrees()) == 2 * len(g.bonds)
+        g = parse(smiles)
+        offsets, ids = parse_smiles(smiles).neighbors()
+        assert offsets[-1] == ids.size == 2 * len(g.bonds)
+        assert [tuple(ids[offsets[i]:offsets[i + 1]].tolist())
+                for i in range(g.n_atoms)] == list(g.adjacency)
 
     @pytest.mark.parametrize("smiles", MOLECULES)
     def test_repeated_parse_is_stable(self, smiles):
-        a = parse_smiles(smiles)
-        b = parse_smiles(smiles)
+        a = parse(smiles)
+        b = parse(smiles)
         assert a.elements == b.elements
         assert a.bonds == b.bonds
 
     @given(st.integers(min_value=1, max_value=12))
     def test_linear_chains(self, n):
-        g = parse_smiles("C" * n)
+        g = parse("C" * n)
         assert g.n_atoms == n
         assert len(g.bonds) == n - 1
         assert not any(g.ring)
 
     def test_adjacency_leaves_the_collectors_tracking(self):
-        # datasets hold one graph per compound; untracked columns keep the
-        # collector's passes over them short
-        g = parse_smiles("CC(C)O")
+        # datasets hold one table of every compound; its columns and CSR
+        # neighbor array are numeric arrays, which the collector never
+        # tracks
+        table = parse_smiles("CC(C)O")
+        offsets, ids = table.neighbors()
+        assert [ids[offsets[i]:offsets[i + 1]].tolist()
+                for i in range(table.n_atoms)] == [[1], [0, 2, 3], [1], [1]]
+        columns = (offsets, ids, table.atom_offsets, table.bond_offsets,
+                   table.atomic_numbers, table.charges, table.hydrogens,
+                   table.aromatic, table.ring, table.bonds)
         gc.collect()
-        assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
-        nested = (g.bonds, g.adjacency)
-        assert not any(gc.is_tracked(row) for column in nested for row in column)
-        assert not any(gc.is_tracked(column) for column in (
-            g.elements, g.charges, g.hydrogens, g.aromatic, g.ring))
-        gc.collect()  # a tuple of tuples goes one pass after its rows
-        assert not any(gc.is_tracked(column) for column in nested)
+        assert not any(gc.is_tracked(column) for column in columns)
+        assert all(column.dtype != object for column in columns)
 
     def test_fused_rings_all_members(self):
-        g = parse_smiles("c1ccc2ccccc2c1")  # naphthalene
+        g = parse("c1ccc2ccccc2c1")  # naphthalene
         assert all(g.ring)
 
     def test_ring_flag_only_on_cycle(self):
-        g = parse_smiles("C1CC1CC")
+        g = parse("C1CC1CC")
         assert g.ring == (True, True, True, False, False)
 
 
-class TestCanonicalOrder:
-    def test_single_atom_identity(self):
-        assert canonical_atom_order(parse_smiles("C")) == (0,)
+class TestTable:
+    def test_rejected_string_appends_nothing(self):
+        columns = MoleculeColumns()
+        columns.append("CCO")
+        before = {name: list(value) for name, value in vars(columns).items()}
+        for bad in ("CC(C", "c1cc[se]c1C1", "[Xx]", "C=1CCCCC#1"):
+            with pytest.raises(SmilesError):
+                columns.append(bad)
+        assert {name: list(value)
+                for name, value in vars(columns).items()} == before
+        columns.append("[NH4+]")
+        table = columns.table()
+        assert len(table) == 2
+        assert table.atom_offsets.tolist() == [0, 3, 4]
+        assert table.bond_offsets.tolist() == [0, 2, 2]
 
-    def test_branch_reorderings_agree(self):
-        a = parse_smiles("CCO")
-        b = parse_smiles("OCC")
-        key_a = [(a.elements[i], len(a.adjacency[i]))
-                 for i in canonical_atom_order(a)]
-        key_b = [(b.elements[i], len(b.adjacency[i]))
-                 for i in canonical_atom_order(b)]
-        assert sorted(key_a) == sorted(key_b)
+    def test_take_and_concat_keep_local_bond_ids(self):
+        parts = [parse_smiles(s) for s in ("CCO", "[NH4+]", "c1ccccc1", "C#N")]
+        table = MoleculeTable.concat(parts)
+        assert len(table) == 4 and table.n_atoms == 12
+        assert table.bonds[:, :2].max() == 5  # local ids in each molecule
+        picked = table.take([2, 0, 2])
+        assert [molecule_view(picked, i).bonds for i in range(3)] == [
+            molecule_view(parts[k]).bonds for k in (2, 0, 2)]
+        assert picked.edges()[0].max() == picked.n_atoms - 1
+        empty = table.take([])
+        assert len(empty) == 0 and empty.bonds.shape == (0, 3)
+        assert len(MoleculeTable.concat([])) == 0
 
-    def test_isobutane_center_is_separated(self):
-        g = parse_smiles("CC(C)C")
-        order = canonical_atom_order(g)
-        assert order == (0, 2, 3, 1)  # three degree-1 carbons, then the hub
-
-    def test_permutation_property(self):
-        g = parse_smiles("CC(C)CO")
-        order = canonical_atom_order(g)
-        assert sorted(order) == list(range(g.n_atoms))
+    def test_counts_beyond_64_bits_are_smiles_errors(self):
+        # the int64 columns hold these two exactly
+        assert parse("[CH9223372036854775807]").hydrogens == (2 ** 63 - 1,)
+        assert parse("[C-9223372036854775807]").charges == (1 - 2 ** 63,)
+        for bad in ("[CH9223372036854775808]", "[C+9223372036854775808]",
+                    "CC[N-99999999999999999999]"):
+            with pytest.raises(SmilesError, match="beyond 64 bits") as err:
+                parse_smiles(bad)
+            assert bad[err.value.offset] == "["

@@ -5,11 +5,13 @@ templates (fused, bridged, spiro, cubane) under digit and ``%nn`` labels,
 aromatic lowercase atoms, and mutations of all of these. The digest covers
 every parse outcome: the ``SmilesError`` message and offset of an invalid
 string, and for a valid one its ECFP identifiers at radius 0..3, its
-atom-feature bytes and its adjacency. Any change to the parser or the
+atom-feature bytes and its neighbor lists. Any change to the parser or the
 featurizers that alters one byte of output changes the digest. A second
 digest pins every parsed column as it is, in parse order: the ECFP and
 atom-feature bytes do not see the bond order of each parsed bond,
-hydrogen counts above 4 or elements outside the feature vocabulary.
+hydrogen counts above 4 or elements outside the feature vocabulary. Both
+digests hash Python text: element symbols, tuples of ints and bools, and
+neighbor lists as tuples of tuples.
 
 The generator draws only through ``Random.random()``, whose sequence for a
 given seed is fixed across Python versions.
@@ -20,15 +22,17 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
+from conftest import assert_tables_equal, molecule_view
 from dtanet.compounds import (
     FeaturizationError,
     _ecfp_blocks,
     atom_features,
     ecfp_identifiers,
 )
-from dtanet.smiles import SmilesError, parse_smiles
+from dtanet.smiles import MoleculeTable, SmilesError, parse_smiles, parse_table
 
 CORPUS_SEED = 20181013
 CORPUS_SIZE = 20_000
@@ -149,13 +153,16 @@ def _outcome_bytes(parsed, ids) -> bytes:
         features = atom_features(parsed).tobytes()
     except FeaturizationError as err:
         features = f"F|{err}".encode()
-    return f"M|{ids}|{parsed.adjacency}|".encode() + features
+    offsets, neighbors = parsed.neighbors()
+    adjacency = tuple(tuple(neighbors[offsets[i]:offsets[i + 1]].tolist())
+                      for i in range(parsed.n_atoms))
+    return f"M|{ids}|{adjacency}|".encode() + features
 
 
 def _batch_identifiers(graphs, radius: int) -> list[tuple[int, ...]]:
     """``ecfp_identifiers(graph, radius)`` of every graph, from one batch."""
     found: list[set[int]] = [set() for _ in graphs]
-    for rows, ids in _ecfp_blocks(graphs, radius):
+    for rows, ids in _ecfp_blocks(MoleculeTable.concat(graphs), radius):
         for row, identifier in zip(rows.tolist(), ids.tolist()):
             found[row].add(identifier)
     return [tuple(sorted(s)) for s in found]
@@ -202,12 +209,24 @@ def test_golden_columns_digest(parsed_corpus):
         if isinstance(parsed, SmilesError):
             outcome = b"E"
         else:
-            outcome = repr((parsed.elements, parsed.charges, parsed.hydrogens,
-                            parsed.aromatic, parsed.ring,
-                            parsed.bonds)).encode()
+            view = molecule_view(parsed)
+            outcome = repr((view.elements, view.charges, view.hydrogens,
+                            view.aromatic, view.ring, view.bonds)).encode()
         digest.update(len(outcome).to_bytes(8, "little"))
         digest.update(outcome)
     assert digest.hexdigest() == GOLDEN_COLUMNS_DIGEST
+
+
+def test_batch_parse_is_the_one_string_parses_joined(parsed_corpus):
+    texts = [t for t, p in parsed_corpus if not isinstance(p, SmilesError)]
+    batch = parse_table(texts)
+    assert_tables_equal(batch, MoleculeTable.concat(
+        [p for _, p in parsed_corpus if not isinstance(p, SmilesError)]))
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 2000):
+        rows = rng.permutation(len(texts))[:size]
+        assert_tables_equal(batch.take(rows),
+                            parse_table([texts[i] for i in rows]))
 
 
 def _ring_atoms_by_bond_removal(graph) -> tuple[bool, ...]:
@@ -235,13 +254,14 @@ def _ring_atoms_by_bond_removal(graph) -> tuple[bool, ...]:
     ("CC1CC1(C)C", (False, True, True, True, False, False)),
 ])
 def test_ring_flags_on_hand_cases(smiles, expected):
-    graph = parse_smiles(smiles)
+    graph = molecule_view(parse_smiles(smiles))
     assert graph.ring == expected
     assert _ring_atoms_by_bond_removal(graph) == expected
 
 
 def test_ring_flags_match_bond_removal_rule(parsed_corpus):
-    graphs = [p for _, p in parsed_corpus if not isinstance(p, SmilesError)]
+    graphs = [molecule_view(p) for _, p in parsed_corpus
+              if not isinstance(p, SmilesError)]
     assert sum(any(g.ring) for g in graphs) > 1000
     for graph in graphs:
         assert graph.ring == _ring_atoms_by_bond_removal(graph)

@@ -45,10 +45,15 @@ each one, a fresh interpreter
 * writes the fold CSV of the fixture under each of the five schemes with
   ``run_split`` at the default config's k and seed (one digest of the
   five);
+* packs the 1300 compounds into one graph-conv batch with
+  ``parse_smiles``, ``atom_features`` and ``pack_graphs`` (the feature rows
+  and every ``GraphBatch`` array);
 * parses the 1300 compounds with ``parse_smiles`` (every column of each
-  graph) and loads with ``load_dataset`` the fixture's table with one row
-  repeated once and another eight times under other values (cells of 2
-  and 9 observations) and two ``>10000`` rows (the compounds, protein ids,
+  molecule, rendered as Python tuples of element symbols, ints, bools and
+  bond triples, so that a tree from before the molecule table hashes the
+  same text) and loads with ``load_dataset`` the fixture's table with one
+  row repeated once and another eight times under other values (cells of
+  2 and 9 observations) and two ``>10000`` rows (the compounds, protein ids,
   pairs, ``y`` and ``w`` arrays), and loads that table again with its task
   ids replaced by two assay ids, one more row of a compound seen once, an
   assay map, an ``inactive_remap`` and ``min_obs=1`` (the same arrays), one
@@ -163,6 +168,45 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     return out
 
 
+def graph_packing_digest() -> str:
+    """Digest of the feature rows and the ``GraphBatch`` arrays of the 1300
+    new compounds packed as one batch."""
+    import numpy as np
+
+    from dtanet.compounds import atom_features
+    from dtanet.graphconv import pack_graphs
+    from dtanet.smiles import parse_smiles
+
+    molecules = [parse_smiles(s) for s in new_compounds_dataset().compounds]
+    rows, batch = pack_graphs(molecules,
+                              [atom_features(m) for m in molecules], 6)
+    digest = hashlib.sha256()
+    for name, array in [("rows", rows)] + [
+            (field, getattr(batch, field)) for field in (
+                "degrees", "atom_ids", "restore", "neighbors", "closed",
+                "mol_starts", "mol_sizes")]:
+        digest.update(f"{name}|{array.dtype}|{array.shape}|".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr((batch.n_atoms, batch.n_mols, batch.slices)).encode())
+    return digest.hexdigest()
+
+
+def _parsed_columns(molecule) -> tuple:
+    """The parsed columns of one molecule as Python tuples: element
+    symbols, charges, hydrogen counts, aromatic and ring flags, and
+    ``(a, b, order)`` bonds."""
+    if hasattr(molecule, "elements"):  # a tree that held tuples per molecule
+        return (molecule.elements, molecule.charges, molecule.hydrogens,
+                molecule.aromatic, molecule.ring, molecule.bonds)
+    from dtanet.elements import SYMBOLS
+
+    return (tuple(SYMBOLS[z] for z in molecule.atomic_numbers.tolist()),
+            tuple(molecule.charges.tolist()),
+            tuple(molecule.hydrogens.tolist()),
+            tuple(molecule.aromatic.tolist()), tuple(molecule.ring.tolist()),
+            tuple(map(tuple, molecule.bonds.tolist())))
+
+
 def ingestion_digest(work: Path) -> str:
     """Digest of the parsed columns of the 1300 new compounds and of the
     arrays ``load_dataset`` builds from the fixture's table with replicate
@@ -173,10 +217,7 @@ def ingestion_digest(work: Path) -> str:
 
     digest = hashlib.sha256()
     for smiles in new_compounds_dataset().compounds:
-        graph = parse_smiles(smiles)
-        digest.update(repr((graph.elements, graph.charges, graph.hydrogens,
-                            graph.aromatic, graph.ring,
-                            graph.bonds)).encode())
+        digest.update(repr(_parsed_columns(parse_smiles(smiles))).encode())
     text = (work / "fixture" / "interactions.csv").read_text(encoding="utf-8")
     header, first, second, *_ = text.splitlines()
     extra = [first.rsplit(",", 1)[0] + ",731.5"]
@@ -329,6 +370,7 @@ def digests() -> dict[str, str]:
                    optimizer_arrays=result.best_optimizer)
         out["padme-graphconv refit"] = _sha(path)
         out["ecfp matrices"] = ecfp_matrices_digest()
+        out["graph packing"] = graph_packing_digest()
         out.update(pipeline_digests(Path(work)))
     return out
 
