@@ -25,12 +25,34 @@ is projected once. Its backward sums the upstream gradient per table row and
 writes each block's weight gradient into one array. The op is
 ``project(table, lo)`` per block followed by a gather-add.
 
-``Graph.forward(..., given={node: value})`` takes the value of any node from
-the caller instead of computing it: the node's value goes through the same
-finiteness check as a computed one, and the nodes that only it needs do not
-run. A backward needs a forward without given values. Prediction projects
-the distinct rows of a whole call once through ``project`` and hands each
-chunk's gather-add in as the first layer's value.
+Execution is planned once per kind of call. ``Graph.forward`` and
+``Graph.infer`` keep one plan per (requested outputs, given nodes, mode):
+the needed nodes in order, with each node's consumer count in the call and
+a flag that says whether its value is checked. ``backward`` keeps one plan
+per (loss, named inputs): which nodes want a gradient, in order.
+Registering a node drops every cached plan.
+
+A node's finiteness check is implied, and skipped, in two cases only: a
+ReLU, or an identity dropout (eval mode or rate 0), whose input was checked
+or implied finite earlier in the same pass. Neither op can turn finite
+input into a non-finite value. A ``Parameter`` is not checked in a pass, so
+a ReLU that reads one directly is still checked.
+
+``Graph.infer(feeds, outputs, given={node: value})`` is the inference pass:
+eval mode, and no backward can follow it. ``given`` takes the value of any
+node from the caller instead of computing it: the node's value goes through
+the same finiteness check as a computed one, and the nodes that only it
+needs do not run. Prediction projects the distinct rows of a whole call
+once through ``project`` and hands each chunk's gather-add in as the first
+layer's value. Inside ``infer``, ``add_bias``, eval batch normalization and
+ReLU write their result into their input's buffer when an op of the same
+pass produced that buffer, it has exactly one consumer and it is not a
+requested output. A feed, a ``Parameter``, a given value and an identity
+dropout's alias of its input are never written. The arithmetic is the same,
+so the bytes are. After ``infer`` only the requested outputs are
+meaningful: an intermediate node's ``value`` may hold a later node's
+result. ``forward(training=False)`` is the eval-mode pass that a backward
+may follow (the gradient tooling uses it).
 
 Backward fills ``grad`` only on nodes that lie between the loss and a
 ``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
@@ -99,7 +121,9 @@ Conventions fixed here and relied on by tests:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,12 +183,18 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 class _Context:
-    __slots__ = ("feeds", "training", "rng")
+    """One pass's feeds and mode. ``inference`` is set in ``Graph.infer``,
+    after which no backward runs; ``reuse`` is set per node by the plan and
+    tells an op that supports it to write into its first input's buffer."""
 
-    def __init__(self, feeds, training, rng):
+    __slots__ = ("feeds", "training", "rng", "inference", "reuse")
+
+    def __init__(self, feeds, training, rng, inference=False):
         self.feeds = feeds
         self.training = training
         self.rng = rng
+        self.inference = inference
+        self.reuse = False
 
 
 class Node:
@@ -180,6 +210,9 @@ class Node:
         self.wants_grad = True
 
     def compute(self, ctx: _Context) -> np.ndarray:
+        """The node's value from its inputs' values: an array of its own,
+        never an input's buffer (identity dropout alone returns its input),
+        because ``Graph.infer`` may write into it once it is dead."""
         raise NotImplementedError
 
     def backprop(self) -> None:
@@ -367,6 +400,9 @@ class _AddBias(Node):
         x, bias = self.inputs[0].value, self.inputs[1].value
         if bias.ndim != 1 or x.ndim != 2 or x.shape[1] != bias.shape[0]:
             raise self.shape_error(f"bias {bias.shape} does not fit {x.shape}")
+        if ctx.reuse:
+            x += bias
+            return x
         return x + bias
 
     def backprop(self):
@@ -377,13 +413,14 @@ class _AddBias(Node):
             self._accumulate(bias, self.grad.sum(axis=0))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``where(x > 0, x, +0.0)`` for finite ``x``, without branching on the
     mask: ``maximum`` may keep a -0.0, which adding +0.0 turns into +0.0,
     and adding +0.0 leaves every other value as it is. On a 321 x 64 array
     with half its entries negative this took 22 us where ``where`` took
-    115 us (2-core Xeon), the difference being mispredicted branches."""
-    out = np.maximum(x, 0.0)
+    115 us (2-core Xeon), the difference being mispredicted branches.
+    ``out``, which may be ``x``, receives the result."""
+    out = np.maximum(x, 0.0, out=out)
     out += 0.0
     return out
 
@@ -399,7 +436,7 @@ class _Relu(Node):
     def compute(self, ctx):
         x = self.inputs[0].value
         self._mask = x > 0.0 if ctx.training else None
-        return relu(x)
+        return relu(x, out=x if ctx.reuse else None)
 
     def backprop(self):
         x = self.inputs[0]
@@ -502,7 +539,7 @@ class _BatchNorm(Node):
             self._xhat = self._centered * self._inv_std
             return gamma * self._xhat + beta
         self._centered = self._xhat = None
-        out = x - mean
+        out = np.subtract(x, mean, out=x if ctx.reuse else None)
         out *= self._inv_std
         out *= gamma
         out += beta
@@ -562,6 +599,26 @@ class _WeightedMse(Node):
             )
 
 
+class _Plan(NamedTuple):
+    """A cached forward or inference schedule."""
+
+    # (node, given, check, reuse) per needed node, in graph order
+    steps: tuple
+    needed: frozenset
+
+
+class _GradPlan(NamedTuple):
+    """A cached backward schedule."""
+
+    wants: tuple  # each graph node's ``wants_grad``, in graph order
+    order: tuple  # the nodes that want a gradient, in reverse graph order
+    filled: tuple  # the parameters and named inputs that end with one
+
+
+# ops that may write their result into their first input's buffer in infer
+_IN_PLACE = (_AddBias, _BatchNorm, _Relu)
+
+
 class Graph:
     """Container and executor for a static computation graph."""
 
@@ -569,7 +626,11 @@ class Graph:
         self.nodes: list[Node] = []
         self._names: set[str] = set()
         self._op_counts: dict[str, int] = {}
-        self._forward_ready: set[int] = set()
+        # forward and inference plans under (outputs, given, mode) keys,
+        # backward plans under (loss, inputs) keys
+        self._plans: dict[tuple, _Plan | _GradPlan] = {}
+        # the nodes the last forward computed; a backward needs its loss there
+        self._ready: frozenset = frozenset()
 
     # -- construction ----------------------------------------------------
 
@@ -594,6 +655,7 @@ class Graph:
         node.name = name
         self._names.add(name)
         self.nodes.append(node)
+        self._plans.clear()
         return node
 
     def placeholder(self, name: str) -> Placeholder:
@@ -637,46 +699,97 @@ class Graph:
 
     # -- execution ---------------------------------------------------------
 
-    def _ancestors(self, outputs: list[Node], given=()) -> set[int]:
-        """Ids of the nodes ``outputs`` depend on; a node in ``given`` does
-        not depend on its inputs."""
-        needed: set[int] = set()
+    def _ancestors(self, outputs, given=()) -> set[Node]:
+        """The nodes ``outputs`` depend on; a node in ``given`` does not
+        depend on its inputs."""
+        needed: set[Node] = set()
         stack = list(outputs)
         while stack:
             node = stack.pop()
-            if id(node) in needed:
+            if node in needed:
                 continue
-            needed.add(id(node))
+            needed.add(node)
             if node not in given:
                 stack.extend(node.inputs)
         return needed
 
-    def forward(self, feeds: dict, outputs: list[Node],
-                training: bool = False,
-                rng: np.random.Generator | None = None,
-                given: dict | None = None) -> list[np.ndarray]:
-        """Evaluate ``outputs`` given named ``feeds``; each needed node runs once.
+    def _plan(self, outputs: list[Node], given: dict, mode: str) -> _Plan:
+        key = (tuple(outputs), frozenset(given), mode)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._schedule(outputs, given, mode)
+        return plan
 
-        ``given`` maps nodes of this graph to values that the forward takes
-        instead of computing them; the nodes that only they need do not run.
-        A backward needs a forward without given values.
-        """
-        given = given or {}
+    def _schedule(self, outputs, given, mode: str) -> _Plan:
+        """The plan of a pass in ``mode`` ("train", "eval" or "infer")."""
         for node in given:
             if node not in self.nodes:
                 raise EngineError(f"a value is given for '{node.name}', "
                                   f"which is not a node of this graph")
-        ctx = _Context(feeds, training, rng)
         needed = self._ancestors(outputs, given)
-        for node in self.nodes:
-            if id(node) not in needed:
-                continue
-            node.value = given[node] if node in given else node.compute(ctx)
-            if (not isinstance(node, (ObjectInput, Parameter))
-                    and not all_finite(node.value)):
+        ordered = [node for node in self.nodes if node in needed]
+        consumers = Counter(inp for node in ordered if node not in given
+                            for inp in node.inputs)
+        requested = set(outputs)
+        finite: set[Node] = set()  # checked or implied finite in the pass
+        fresh: set[Node] = set()  # buffers an op of this pass produced
+        steps = []
+        for node in ordered:
+            is_given = node in given
+            identity = isinstance(node, _Dropout) and (mode != "train"
+                                                       or node.rate == 0.0)
+            implied = (not is_given
+                       and (identity or isinstance(node, _Relu))
+                       and node.inputs[0] in finite)
+            check = not (implied or isinstance(node, (ObjectInput, Parameter)))
+            if check or implied:
+                finite.add(node)
+            reuse = False
+            if mode == "infer" and not is_given:
+                reuse = (isinstance(node, _IN_PLACE)
+                         and node.inputs[0] in fresh
+                         and consumers[node.inputs[0]] == 1
+                         and node.inputs[0] not in requested)
+                if not (identity or isinstance(
+                        node, (Placeholder, ObjectInput, Parameter))):
+                    fresh.add(node)
+            steps.append((node, is_given, check, reuse))
+        return _Plan(tuple(steps), frozenset(needed))
+
+    def _run(self, plan: _Plan, ctx: _Context, given: dict) -> None:
+        for node, is_given, check, reuse in plan.steps:
+            if is_given:
+                node.value = given[node]
+            else:
+                ctx.reuse = reuse
+                node.value = node.compute(ctx)
+            if check and not all_finite(node.value):
                 raise NonFiniteError(
                     f"non-finite values produced by node '{node.name}' ({node.op})")
-        self._forward_ready = set() if given else needed
+
+    def forward(self, feeds: dict, outputs: list[Node],
+                training: bool = False,
+                rng: np.random.Generator | None = None) -> list[np.ndarray]:
+        """Evaluate ``outputs`` given named ``feeds``; each needed node runs
+        once and keeps its value, so a backward may follow."""
+        plan = self._plan(outputs, {}, "train" if training else "eval")
+        self._run(plan, _Context(feeds, training, rng), {})
+        self._ready = plan.needed
+        return [node.value for node in outputs]
+
+    def infer(self, feeds: dict, outputs: list[Node],
+              given: dict | None = None) -> list[np.ndarray]:
+        """Eval-mode values of ``outputs``; no backward can follow.
+
+        ``given`` maps nodes of this graph to values that the pass takes
+        instead of computing them; the nodes that only they need do not
+        run. Ops may write into dead buffers of the pass, so only the
+        returned values are meaningful afterwards.
+        """
+        given = given or {}
+        plan = self._plan(outputs, given, "infer")
+        self._ready = frozenset()
+        self._run(plan, _Context(feeds, False, None, inference=True), given)
         return [node.value for node in outputs]
 
     def backward(self, loss: Node, inputs: tuple[Node, ...] = ()) -> None:
@@ -688,34 +801,47 @@ class Graph:
         all zeros if nothing flowed into it; every other node ends with
         ``None`` unless it lies on such a path.
         """
-        if id(loss) not in self._forward_ready or loss.value is None:
-            raise EngineError("backward called before forward (a forward "
-                              "given node values does not count)")
+        if loss not in self._ready or loss.value is None:
+            raise EngineError("backward called before forward (an inference "
+                              "pass does not count)")
         if np.size(loss.value) != 1:
             raise EngineError(
                 f"loss node '{loss.name}' is not scalar: shape {loss.value.shape}")
-        named = {id(node) for node in inputs}
-        known = {id(node) for node in self.nodes}
+        key = (loss, tuple(inputs))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._grad_plan(loss, inputs)
+        for node, wants in zip(self.nodes, plan.wants):
+            node.grad = None
+            node.wants_grad = wants
+        loss.grad = np.ones_like(loss.value)
+        for node in plan.order:
+            if node.grad is not None:
+                node.backprop()
+        for node in plan.filled:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
+
+    def _grad_plan(self, loss: Node, inputs) -> _GradPlan:
+        named = set(inputs)
         for node in inputs:
-            if id(node) not in known or isinstance(node, ObjectInput):
+            if node not in self.nodes or isinstance(node, ObjectInput):
                 raise EngineError(
                     f"cannot take the gradient of '{node.name}': not a "
                     f"numeric node of this graph")
         reachable = self._ancestors([loss])
+        wanting: set[Node] = set()
         for node in self.nodes:  # creation order: inputs are decided first
-            node.grad = None
-            node.wants_grad = (
-                id(node) in reachable and not isinstance(node, ObjectInput)
-                and (isinstance(node, Parameter) or id(node) in named
-                     or any(inp.wants_grad for inp in node.inputs)))
-        loss.grad = np.ones_like(loss.value)
-        for node in reversed(self.nodes):
-            if node.wants_grad and node.grad is not None:
-                node.backprop()
-        for node in self.nodes:
-            if (node.grad is None and node.wants_grad
-                    and (isinstance(node, Parameter) or id(node) in named)):
-                node.grad = np.zeros_like(node.value)
+            if (node in reachable and not isinstance(node, ObjectInput)
+                    and (isinstance(node, Parameter) or node in named
+                         or any(inp in wanting for inp in node.inputs))):
+                wanting.add(node)
+        return _GradPlan(
+            wants=tuple(node in wanting for node in self.nodes),
+            order=tuple(node for node in reversed(self.nodes)
+                        if node in wanting),
+            filled=tuple(node for node in self.nodes if node in wanting
+                         and (isinstance(node, Parameter) or node in named)))
 
     def zero_grad(self) -> None:
         for node in self.nodes:

@@ -224,7 +224,8 @@ class GraphConv(Node):
             out += bias[d].value
         self._nbr_sum = nbr_sum
         self._z = z  # pre-activation, kept for gradient-check tooling
-        self._mask = z > 0.0
+        # no backward follows an inference pass, so it needs no mask
+        self._mask = None if ctx.inference else z > 0.0
         return relu(z)
 
     def backprop(self):

@@ -19,8 +19,8 @@ row indices ``compound_row`` and ``protein_row``.
 Prediction lifts the distinct row from the batch to the call:
 ``FeatureStore.predict`` projects each distinct compound and protein of the
 whole call once, then hands each chunk's gather-add of those projected rows to
-the eval-mode network as the first layer's value
-(``Graph.forward(..., given=...)``).
+the network's inference pass as the first layer's value
+(``Graph.infer(..., given=...)``).
 
 The compound-only variants cannot see new proteins (a prediction for an
 unknown protein id is a hard error); the paired variants accept any protein
@@ -257,13 +257,13 @@ class Model:
 
     def predict_feeds(self, feeds: dict,
                       given: dict | None = None) -> np.ndarray:
-        """Eval-mode forward pass: dropout off, batchnorm on running stats.
+        """The output of an inference pass (``Graph.infer``): dropout off,
+        batchnorm on running stats.
 
-        ``given`` maps nodes to values the forward takes instead of
-        computing them, as in ``Graph.forward``.
+        ``given`` maps nodes to values the pass takes instead of computing
+        them, as in ``Graph.infer``.
         """
-        (out,) = self.graph.forward(feeds, [self.output], training=False,
-                                    given=given)
+        (out,) = self.graph.infer(feeds, [self.output], given)
         return out
 
     def output_columns(self, protein_ids) -> np.ndarray:
@@ -436,7 +436,7 @@ class FeatureStore:
 
         A graph-conv compound vector is learned, so all its columns count.
         """
-        pairs = self.dataset.pairs[np.asarray(indices, dtype=np.int64)]
+        pairs = self.dataset.pairs[self._pair_indices(indices)]
         if self.cfg.uses_graphconv:
             masks = [np.ones(model.cfg.conv_dense, dtype=bool)]
         else:
@@ -453,10 +453,30 @@ class FeatureStore:
         return {"compound":
                 self.fingerprint_matrix[compound_idx].astype(np.float64)}
 
+    def _pair_indices(self, indices) -> np.ndarray:
+        """``indices`` as an int64 array of pair rows of the dataset; a
+        :class:`ModelError` names the first entry that is not one."""
+        array = np.asarray(indices)
+        if array.ndim != 1:
+            raise ModelError(f"pair indices must be a 1-d sequence of "
+                             f"integers, got shape {array.shape}")
+        if array.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if array.dtype.kind not in "iu":  # floats, bools, strings, objects
+            raise ModelError(f"pair index {array[:1].tolist()[0]!r} (entry "
+                             f"0) is not an integer: the indices are "
+                             f"{array.dtype}")
+        n_pairs = self.dataset.n_pairs
+        if array.min() < 0 or array.max() >= n_pairs:
+            k = int(np.flatnonzero((array < 0) | (array >= n_pairs))[0])
+            raise ModelError(f"pair index {array[k]} (entry {k}) is outside "
+                             f"the dataset's {n_pairs} pairs")
+        return array.astype(np.int64, copy=False)
+
     def feeds(self, indices, with_targets: bool = True,
               model: Model | None = None) -> dict:
         """Graph feeds for the pairs ``indices`` (targets need ``model``)."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = self._pair_indices(indices)
         compound_idx = self.dataset.pairs[indices, 0]
         protein_idx = self.dataset.pairs[indices, 1]
         distinct, compound_row = np.unique(compound_idx, return_inverse=True)
@@ -488,7 +508,7 @@ class FeatureStore:
         return feeds
 
     def pair_targets(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = self._pair_indices(indices)
         return self.dataset.y[indices], self.dataset.w[indices]
 
     def predict(self, model: Model, indices, batch_size: int = 1024) -> np.ndarray:
@@ -501,10 +521,15 @@ class FeatureStore:
         runs through the conv stack in the same blocks of molecules first.
         Then the pairs are scored ``batch_size`` at a time: a chunk gathers
         and adds its pairs' projection rows, as the first layer does, and
-        hands the sum in as that layer's value to the rest of the eval-mode
-        network. The call holds those tables plus one block of input rows,
-        never a per-pair join of the two or a call-sized copy of
-        fingerprint or descriptor rows.
+        hands the sum in as that layer's value to an inference pass of the
+        rest of the network (``Graph.infer``), whose ops write into the
+        chunk's dead buffers in place. The call holds those tables plus one
+        block of input rows, never a per-pair join of the two or a
+        call-sized copy of fingerprint or descriptor rows.
+
+        ``indices`` is a 1-d sequence of integer pair rows of the dataset,
+        and ``batch_size`` a positive integer (not a bool); anything else
+        is a :class:`ModelError` that names the first bad index.
 
         A pair's prediction depends on the other pairs of the call only in
         its last bits, through the BLAS kernel that a product's shape
@@ -515,10 +540,11 @@ class FeatureStore:
         of the default size. Calls that chunk the same pairs the same way
         give the same bytes.
         """
-        if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        if (not isinstance(batch_size, (int, np.integer))
+                or isinstance(batch_size, bool) or batch_size < 1):
             raise ModelError(
                 f"batch_size must be a positive integer, got {batch_size!r}")
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = self._pair_indices(indices)
         n_outputs = model.cfg.n_tasks
         if indices.size == 0:
             return np.empty((0, n_outputs))
@@ -555,7 +581,7 @@ class FeatureStore:
             chosen = distinct[rows]
             feeds = (self._compound_feeds(chosen) if block == 0
                      else {"protein": self.protein_matrix[chosen]})
-            (table,) = model.graph.forward(feeds, [first.inputs[block]])
+            (table,) = model.graph.infer(feeds, [first.inputs[block]])
             parts.append(first.project(table, lo))
         return np.concatenate(parts, axis=0)
 

@@ -403,6 +403,104 @@ class TestGraphExecution:
         assert np.array_equal(run(), run())
 
 
+def dense_chain():
+    """x -> matmul -> add_bias -> batch norm -> relu -> dropout -> matmul ->
+    add_bias, with moved running statistics: (graph, feeds, nodes by name)."""
+    rng = np.random.default_rng(12)
+    g = Graph()
+    x = g.placeholder("x")
+    h = g.add_bias(g.matmul(x, g.parameter("w0", rng.standard_normal((4, 6))),
+                            name="mm0"),
+                   g.parameter("b0", rng.standard_normal(6)), name="ab0")
+    h = g.batch_norm(h, g.parameter("gamma", rng.standard_normal(6)),
+                     g.parameter("beta", rng.standard_normal(6)), name="bn")
+    h = g.dropout(g.relu(h, name="act"), 0.3, name="drop")
+    g.add_bias(g.matmul(h, g.parameter("w1", rng.standard_normal((6, 2))),
+                        name="mm1"),
+               g.parameter("b1", rng.standard_normal(2)), name="out")
+    bn = next(node for node in g.nodes if node.name == "bn")
+    bn.running_mean = rng.standard_normal(6)
+    bn.running_var = rng.random(6) + 0.5
+    return g, {"x": rng.standard_normal((5, 4))}, {n.name: n for n in g.nodes}
+
+
+class TestPlannedExecution:
+    def test_infer_writes_only_dead_buffers_of_its_own_pass(self):
+        g, feeds, n = dense_chain()
+        (reference,) = g.forward(feeds, [n["out"]])
+        reference = reference.copy()
+        (out,) = g.infer(feeds, [n["out"]])
+        assert out.tobytes() == reference.tobytes()
+        # matmul -> add_bias -> batch norm -> relu share one buffer; the
+        # dropout aliases it; the output add_bias reuses its matmul's
+        assert n["ab0"].value is n["mm0"].value is n["act"].value
+        assert n["drop"].value is n["act"].value
+        assert n["out"].value is n["mm1"].value
+        assert not np.shares_memory(n["x"].value, n["mm0"].value)
+        bn, out = g.infer(feeds, [n["bn"], n["out"]])  # bn is requested
+        assert out.tobytes() == reference.tobytes()
+        assert bn is n["bn"].value and not np.shares_memory(bn, n["act"].value)
+
+    @pytest.mark.parametrize("mode, checked", [
+        ("infer", ["x", "mm0", "ab0", "bn", "mm1", "out"]),
+        ("eval", ["x", "mm0", "ab0", "bn", "mm1", "out"]),
+        ("train", ["x", "mm0", "ab0", "bn", "drop", "mm1", "out"]),
+    ])
+    def test_relu_and_identity_dropout_checks_are_implied(self, mode, checked,
+                                                          monkeypatch):
+        g, feeds, n = dense_chain()
+        seen = []
+
+        def spy(a, original=engine.all_finite):
+            # the latest node holding the array; later ones have not run
+            seen.append([name for name, node in n.items()
+                         if node.value is a][-1])
+            return original(a)
+
+        monkeypatch.setattr(engine, "all_finite", spy)
+        if mode == "infer":
+            g.infer(feeds, [n["out"]])
+        else:
+            g.forward(feeds, [n["out"]], training=mode == "train",
+                      rng=np.random.default_rng(0))
+        assert seen == checked
+
+    def test_nonfinite_parameter_read_by_a_relu_is_caught_there(self):
+        g = Graph()
+        p = g.parameter("p", np.ones((2, 3)))
+        act = g.dropout(g.relu(p, name="act"), 0.0)
+        p.array[0, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="'act'"):
+            g.infer({}, [act])
+        with pytest.raises(NonFiniteError, match="'act'"):
+            g.forward({}, [act], training=True)
+
+    def test_a_node_added_after_a_cached_plan_is_computed(self):
+        g, feeds, n = dense_chain()
+        g.infer(feeds, [n["act"]])
+        g.forward(feeds, [n["act"]])
+        # a second reader of the ReLU's input: the ReLU may no longer write
+        # into that buffer, and the new node must run
+        second = g.add_bias(n["bn"], g.parameter("zero", np.zeros(6)))
+        (bn,) = g.forward(feeds, [n["bn"]])
+        expected = bn.copy()
+        act, added = g.infer(feeds, [n["act"], second])
+        assert added.tobytes() == expected.tobytes()
+        assert act.tobytes() == engine.relu(expected).tobytes()
+
+    def test_a_node_added_after_a_cached_backward_plan_is_scoped(self):
+        g, feeds, n = dense_chain()
+        loss = g.weighted_mse(n["out"], g.placeholder("t"),
+                              g.placeholder("w"))
+        feeds.update(t=np.zeros((5, 2)), w=np.ones((5, 2)))
+        g.forward(feeds, [loss], training=True, rng=np.random.default_rng(0))
+        g.backward(loss)
+        side = g.relu(n["bn"])  # not on the loss's path
+        g.forward(feeds, [loss], training=True, rng=np.random.default_rng(0))
+        g.backward(loss)
+        assert side.wants_grad is False and side.grad is None
+
+
 class TestGradientChecks:
     def _two_layer_net(self, rng, n=5, d_in=4, hidden=6, use_bn=True,
                        dropout=0.0):
@@ -558,7 +656,7 @@ class TestIndexedDense:
         (reference,) = g.forward(feeds, [loss])
         ran = computed_nodes(g)
         rest = {name: feeds[name] for name in ("target", "weight")}
-        (got,) = g.forward(rest, [loss], given={first: value})
+        (got,) = g.infer(rest, [loss], given={first: value})
         assert got == reference
         assert first.value is value
         assert not {node.name for node in (first, *first.inputs)} & set(ran)
@@ -566,7 +664,7 @@ class TestIndexedDense:
 
     def test_backward_needs_a_forward_without_given_values(self):
         g, loss, feeds, first, value = self._given()
-        g.forward(feeds, [loss], given={first: value})
+        g.infer(feeds, [loss], given={first: value})
         with pytest.raises(EngineError, match="before forward"):
             g.backward(loss)
         g.forward(feeds, [loss])
@@ -576,14 +674,14 @@ class TestIndexedDense:
         g, loss, feeds, first, value = self._given()
         value[0, 0] = np.inf
         with pytest.raises(NonFiniteError, match="'first'"):
-            g.forward(feeds, [loss], given={first: value})
+            g.infer(feeds, [loss], given={first: value})
 
     def test_given_nodes_must_be_in_the_graph(self):
         g, loss, feeds, _first, value = self._given()
         stranger = Graph().placeholder("stranger")
         with pytest.raises(EngineError,
                            match="'stranger', which is not a node of this"):
-            g.forward(feeds, [loss], given={stranger: value})
+            g.infer(feeds, [loss], given={stranger: value})
 
 
 class TestBackwardScope:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dtanet.compounds import FeaturizationError
-from dtanet.engine import Graph, NonFiniteError
+from dtanet.engine import EngineError, Graph, NonFiniteError
 from dtanet.graphconv import GraphStructureError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
@@ -299,6 +299,112 @@ class TestIndexedFirstLayer:
         assert_matches(predicted, store.predict(model, indices))
 
 
+def trained_like(variant):
+    """A model of a store over 30 pairs, every state entry moved off its
+    initial value (running variances kept positive), and the pairs' feeds."""
+    store = FeatureStore(memory_dataset(n_compounds=12, n_proteins=4,
+                                        n_pairs=30, seed=6),
+                         small_config(variant=variant, hidden_layers=(16, 8),
+                                      dropout_rates=(0.2,), conv_widths=(8,),
+                                      conv_dense=12))
+    model = store.build_model()
+    rng = np.random.default_rng(7)
+    feeds = store.feeds(np.arange(30), with_targets=True, model=model)
+    model.graph.forward(feeds, [model.loss], training=True, rng=rng)
+    model.graph.load_state({
+        k: (np.abs(v) + 0.5 if k.endswith("running_var")
+            else v + 0.1 * rng.standard_normal(v.shape))
+        for k, v in model.graph.state_dict().items()})
+    return model, feeds
+
+
+def node_named(model, name):
+    return next(node for node in model.graph.nodes if node.name == name)
+
+
+class TestInference:
+    """``Graph.infer`` reuses dead buffers and skips implied checks; its
+    results must be the eval-mode forward's bytes."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_infer_equals_the_eval_forward_bitwise(self, variant):
+        model, feeds = trained_like(variant)
+        graph, first = model.graph, model.first_layer
+        for outputs in ([model.output], [node_named(model, "bn0"),
+                                         model.output]):
+            reference = [v.copy() for v in graph.forward(feeds, outputs)]
+            for got, want in zip(graph.infer(feeds, outputs), reference):
+                assert got.tobytes() == want.tobytes()
+            (value,) = graph.forward(feeds, [first])
+            given = graph.infer({}, outputs, {first: value.copy()})
+            for got, want in zip(given, reference):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv"])
+    def test_infer_writes_no_feed_parameter_given_value_or_earlier_result(
+            self, variant):
+        model, feeds = trained_like(variant)
+        graph, first = model.graph, model.first_layer
+
+        def snapshot(arrays):
+            return [a.tobytes() for a in arrays]
+
+        numeric = [v for v in feeds.values() if isinstance(v, np.ndarray)]
+        kept = snapshot(numeric + [p.array for p in graph.parameters()])
+        (earlier,) = graph.infer(feeds, [model.output])
+        (value,) = graph.forward(feeds, [first])
+        value = value.copy()
+        given = {first: value}
+        before = snapshot([earlier, value])
+        (again,) = graph.infer(feeds, [model.output])
+        graph.infer({}, [model.output], given)
+        graph.infer({}, [node_named(model, "bn0"), model.output], given)
+        assert snapshot([earlier, value]) == before
+        assert again.tobytes() == earlier.tobytes()
+        assert again is not earlier
+        assert snapshot(numeric + [p.array for p in graph.parameters()]) \
+            == kept
+
+    def test_a_backward_after_infer_is_refused(self):
+        model, feeds = trained_like("padme-graphconv")
+        graph = model.graph
+        graph.forward(feeds, [model.loss], training=True,
+                      rng=np.random.default_rng(0))
+        graph.infer(feeds, [model.loss])
+        with pytest.raises(EngineError, match="before forward"):
+            graph.backward(model.loss)
+        conv = node_named(model, "conv0")
+        assert conv._mask is None  # an inference pass keeps no mask
+        graph.forward(feeds, [model.loss], training=False)
+        graph.backward(model.loss)
+        assert conv._mask is not None
+
+    @pytest.mark.parametrize("where, name", [
+        ("dense1.b", "add_bias1"),
+        ("given", "indexed_dense0"),
+        ("running_var", "bn0"),
+    ])
+    def test_nonfinite_values_name_the_node_they_did(self, where, name):
+        model, feeds = trained_like("padme-ecfp")
+        graph, first = model.graph, model.first_layer
+        (value,) = graph.forward(feeds, [first])
+        value = value.copy()
+        if where == "dense1.b":
+            next(p for p in graph.parameters()
+                 if p.name == "dense1.b").array[3] = np.nan
+        elif where == "given":
+            value[2, 5] = np.inf
+        else:
+            node_named(model, "bn0").running_var[1] = -1.0
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=f"'{name}'"):
+            graph.infer({}, [model.output], {first: value})
+        if where != "given":
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NonFiniteError, match=f"'{name}'"):
+                graph.forward(feeds, [model.output])
+
+
 class TestFeatureStore:
     def test_degree_overflow_names_the_compound(self):
         dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6)
@@ -323,13 +429,31 @@ class TestFeatureStore:
         assert out.shape[1] == (1 if variant.startswith("compound-only")
                                 else n_tasks)
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("batch_size", [0, -1, True])
     def test_predict_refuses_a_batch_size_below_one(self, batch_size):
         store = FeatureStore(memory_dataset(n_compounds=6, n_proteins=3,
                                             n_pairs=14), small_config())
         model = store.build_model()
         with pytest.raises(ModelError, match=f"batch_size.* {batch_size}$"):
             store.predict(model, np.arange(14), batch_size=batch_size)
+
+    @pytest.mark.parametrize("indices, message", [
+        ([-1], "pair index -1 (entry 0) is outside the dataset's 14 pairs"),
+        ([3, 14, 15], "pair index 14 (entry 1) is outside"),
+        ([[1, 2]], "1-d sequence of integers, got shape (1, 2)"),
+        ([1.5], "pair index 1.5 (entry 0) is not an integer"),
+        ([True, False], "pair index True (entry 0) is not an integer"),
+        (["3"], "pair index '3' (entry 0) is not an integer"),
+    ])
+    @pytest.mark.parametrize("call", ["predict", "feeds", "pair_targets"])
+    def test_bad_pair_indices_are_refused_naming_the_entry(self, indices,
+                                                           message, call):
+        store = FeatureStore(memory_dataset(n_compounds=6, n_proteins=3,
+                                            n_pairs=14), small_config())
+        args = (store.build_model(), indices) if call == "predict" \
+            else (indices,)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            getattr(store, call)(*args)
 
     def test_empty_compound_selection_is_refused(self):
         store = FeatureStore(memory_dataset(n_compounds=4, n_proteins=2,

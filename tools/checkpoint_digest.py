@@ -12,12 +12,20 @@ each one, a fresh interpreter
   default ``batch_size`` (prediction bytes): three chunks of pairs and two
   blocks of over a thousand distinct compounds, each holding several
   distinct compounds and proteins;
+* scores the first 2598 of those pairs with the same model at
+  ``batch_size=5`` (prediction bytes): 519 chunks of five pairs and a last
+  one of three, after projections in blocks of four or five distinct
+  compounds or proteins;
 * scores 2600 synthetic pairs of 1300 compounds and the 8 training
   proteins with the trained ``compound-only-ecfp`` model the same way
   (prediction bytes of the single-table first layer, three chunks);
 * fits one ``padme-graphconv`` model twice with two ``train`` calls on the
   same store (the second optimizer repacks parameters the first one owns)
   and saves the second fit's checkpoint;
+* scores the 2600 pairs of 1300 compounds with that refit model at
+  ``batch_size=64`` (prediction bytes), so the conv stack runs over the
+  1144 distinct compounds in 18 blocks and the dense layers over 41
+  chunks;
 * fingerprints the 1300 compounds with ``ecfp_matrix`` at radius 0..3,
   with 512 and with 4096 bits (matrix bytes);
 * writes a synthetic fixture (``interactions.csv`` and ``proteins.tsv``)
@@ -300,16 +308,19 @@ def new_compounds_dataset(n_proteins: int = 12):
                           n_pairs=2600, seed=SEED + 1)
 
 
-def multi_chunk_predict_digest(model, n_proteins: int = 12) -> str:
-    """Digest of ``model``'s predictions for 2600 pairs of new compounds
-    and ``n_proteins`` proteins."""
+def multi_chunk_predict_digest(model, n_proteins: int = 12,
+                               batch_size: int = 1024,
+                               n_pairs: int = 2600) -> str:
+    """Digest of ``model``'s predictions for the first ``n_pairs`` of the
+    2600 pairs of new compounds and ``n_proteins`` proteins, scored
+    ``batch_size`` at a time."""
     import numpy as np
 
     from dtanet.model import FeatureStore
 
     dataset = new_compounds_dataset(n_proteins)
     predictions = FeatureStore(dataset, model.cfg).predict(
-        model, np.arange(dataset.n_pairs))
+        model, np.arange(n_pairs), batch_size=batch_size)
     return hashlib.sha256(predictions.tobytes()).hexdigest()
 
 
@@ -352,6 +363,9 @@ def digests() -> dict[str, str]:
             if variant == "padme-ecfp":
                 out["padme-ecfp 3-chunk predict"] = \
                     multi_chunk_predict_digest(model)
+                out["padme-ecfp batch-5 predict"] = \
+                    multi_chunk_predict_digest(model, batch_size=5,
+                                               n_pairs=2598)
             if variant == "compound-only-ecfp":
                 # synthetic protein ids depend on the count only, so these
                 # are the proteins the model has output units for
@@ -369,6 +383,8 @@ def digests() -> dict[str, str]:
         model.save(path, optimizer_step=result.best_optimizer_step,
                    optimizer_arrays=result.best_optimizer)
         out["padme-graphconv refit"] = _sha(path)
+        out["graphconv batch-64 predict"] = \
+            multi_chunk_predict_digest(model, batch_size=64)
         out["ecfp matrices"] = ecfp_matrices_digest()
         out["graph packing"] = graph_packing_digest()
         out.update(pipeline_digests(Path(work)))
