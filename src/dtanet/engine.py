@@ -49,10 +49,19 @@ ReLU write their result into their input's buffer when an op of the same
 pass produced that buffer, it has exactly one consumer and it is not a
 requested output. A feed, a ``Parameter``, a given value and an identity
 dropout's alias of its input are never written. The arithmetic is the same,
-so the bytes are. After ``infer`` only the requested outputs are
-meaningful: an intermediate node's ``value`` may hold a later node's
-result. ``forward(training=False)`` is the eval-mode pass that a backward
-may follow (the gradient tooling uses it).
+so the bytes are.
+
+An inference pass keeps only what it returns. Once ``infer`` has collected
+the requested outputs, or has raised, every node of its plan that is not a
+``Parameter`` holds ``value = None``: feeds, given nodes, intermediates and
+the outputs themselves. A caller's feed or given array is only
+un-referenced, never written. An op keeps an array that only a backward
+reads (the graph convolution's neighbor sums, pre-activation and mask, the
+loss's residual) only in a pass that a backward may follow, so an inference
+pass leaves none behind. ``forward``, in training and eval mode, keeps
+every value and cache of its pass; ``forward(training=False)`` is the
+eval-mode pass that a backward may follow (the gradient tooling uses it).
+Parameters and batch-norm running statistics outlive every pass.
 
 Backward fills ``grad`` only on nodes that lie between the loss and a
 ``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
@@ -578,10 +587,12 @@ class _WeightedMse(Node):
         if pred.shape != target.shape or pred.shape != weight.shape:
             raise self.shape_error(
                 f"pred {pred.shape}, target {target.shape}, weight {weight.shape}")
-        self._diff = pred - target
+        diff = pred - target
         total = weight.sum()
         self._denom = total if total > 0.0 else 1.0
-        return np.asarray((weight * self._diff ** 2).sum() / self._denom)
+        # only a backward reads the difference
+        self._diff = None if ctx.inference else diff
+        return np.asarray((weight * diff ** 2).sum() / self._denom)
 
     def backprop(self):
         pred, target, weight = self.inputs
@@ -605,6 +616,7 @@ class _Plan(NamedTuple):
     # (node, given, check, reuse) per needed node, in graph order
     steps: tuple
     needed: frozenset
+    released: tuple  # the needed nodes whose value an inference pass drops
 
 
 class _GradPlan(NamedTuple):
@@ -754,7 +766,9 @@ class Graph:
                         node, (Placeholder, ObjectInput, Parameter))):
                     fresh.add(node)
             steps.append((node, is_given, check, reuse))
-        return _Plan(tuple(steps), frozenset(needed))
+        released = tuple(node for node in ordered
+                         if not isinstance(node, Parameter))
+        return _Plan(tuple(steps), frozenset(needed), released)
 
     def _run(self, plan: _Plan, ctx: _Context, given: dict) -> None:
         for node, is_given, check, reuse in plan.steps:
@@ -783,14 +797,20 @@ class Graph:
 
         ``given`` maps nodes of this graph to values that the pass takes
         instead of computing them; the nodes that only they need do not
-        run. Ops may write into dead buffers of the pass, so only the
-        returned values are meaningful afterwards.
+        run. Ops may write into dead buffers of the pass. Whether the
+        pass returns or raises, it leaves ``value = None`` on every node of
+        its plan but the parameters, so it holds nothing once it is over.
         """
         given = given or {}
         plan = self._plan(outputs, given, "infer")
         self._ready = frozenset()
-        self._run(plan, _Context(feeds, False, None, inference=True), given)
-        return [node.value for node in outputs]
+        try:
+            self._run(plan, _Context(feeds, False, None, inference=True),
+                      given)
+            return [node.value for node in outputs]
+        finally:
+            for node in plan.released:
+                node.value = None
 
     def backward(self, loss: Node, inputs: tuple[Node, ...] = ()) -> None:
         """Reverse-mode d(loss)/d(node) for the nodes that depend on a parameter.

@@ -222,10 +222,15 @@ class GraphConv(Node):
             np.matmul(h[rows], w_self[d].value, out=out)
             out += total @ w_nbr[d].value
             out += bias[d].value
+        if ctx.inference:
+            # no backward follows: keep nothing for one, and z is dead
+            self._nbr_sum = self._z = self._mask = None
+            return relu(z, out=z)
         self._nbr_sum = nbr_sum
-        self._z = z  # pre-activation, kept for gradient-check tooling
-        # no backward follows an inference pass, so it needs no mask
-        self._mask = None if ctx.inference else z > 0.0
+        # the pre-activation: kept by forwards only, for the gradient-check
+        # tooling's kink guard
+        self._z = z
+        self._mask = z > 0.0
         return relu(z)
 
     def backprop(self):

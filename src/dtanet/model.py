@@ -525,7 +525,11 @@ class FeatureStore:
         rest of the network (``Graph.infer``), whose ops write into the
         chunk's dead buffers in place. The call holds those tables plus one
         block of input rows, never a per-pair join of the two or a
-        call-sized copy of fingerprint or descriptor rows.
+        call-sized copy of fingerprint or descriptor rows. Once it returns
+        it holds nothing but the predictions it hands back: each inference
+        pass drops every value and op cache of its pass from the graph, so
+        the model keeps only its parameters and batch-norm running
+        statistics between calls.
 
         ``indices`` is a 1-d sequence of integer pair rows of the dataset,
         and ``batch_size`` a positive integer (not a bool); anything else

@@ -97,6 +97,15 @@ def _as_float(text: str, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {text!r}") from None
 
 
+def _unit_fraction(text: str, where: str, closed: bool) -> float:
+    """A number in [0, 1), or in [0, 1] when ``closed``; NaN is refused."""
+    value = _as_float(text, where)
+    if not (0.0 <= value < 1.0 or (closed and value == 1.0)):
+        interval = "[0, 1]" if closed else "[0, 1)"
+        raise ConfigError(f"{where}: must be in {interval}, got {value}")
+    return value
+
+
 def _at_least(value: int, low: int, where: str) -> int:
     if value < low:
         raise ConfigError(f"{where}: must be at least {low}, got {value}")
@@ -195,8 +204,8 @@ class RunConfig:
         )
 
     def holdout_fraction(self) -> float:
-        return _as_float(self.values["train"]["holdout_fraction"],
-                         "train.holdout_fraction")
+        return _unit_fraction(self.values["train"]["holdout_fraction"],
+                              "train.holdout_fraction", closed=False)
 
     def inactive_remap(self) -> tuple[float, float] | None:
         """The ``(from, to)`` raw-value remap of ``data.inactive_remap_*``,
@@ -249,8 +258,9 @@ class RunConfig:
             "repetitions": _at_least(
                 _as_int(section["repetitions"], "split.repetitions"), 1,
                 "split.repetitions"),
-            "cluster_threshold": _as_float(section["cluster_threshold"],
-                                           "split.cluster_threshold"),
+            "cluster_threshold": _unit_fraction(section["cluster_threshold"],
+                                                "split.cluster_threshold",
+                                                closed=True),
         }
 
     def tune_params(self) -> dict:

@@ -220,9 +220,13 @@ class MoleculeColumns:
             *(np.array(getattr(self, name), dtype=dtype) for name, dtype in
               zip(_PER_ATOM, (np.int64, np.int64, np.int64, bool, bool))),
             np.array(self.bonds, dtype=np.int64).reshape(-1, 3))
-        src, _, order = table.edges()
-        units = np.bincount(src, np.where(order == _AROMATIC, 1, order),
-                            table.n_atoms).astype(np.int64)
+        # each bond's valence units, counted at both of its ends
+        first = np.repeat(table.atom_offsets[:-1], np.diff(table.bond_offsets))
+        order = table.bonds[:, 2]
+        weight = np.where(order == _AROMATIC, 1, order)
+        units = np.bincount(table.bonds[:, 0] + first, weight, table.n_atoms)
+        units += np.bincount(table.bonds[:, 1] + first, weight, table.n_atoms)
+        units = units.astype(np.int64)
         implicit = (_FITTED[table.atomic_numbers, np.minimum(units, 7)]
                     - table.aromatic - units)
         unset = table.hydrogens < 0

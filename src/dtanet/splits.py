@@ -406,6 +406,8 @@ def hyperopt_holdout(n: int, seed: int = 0,
     """Seeded (train, holdout) record split, holdout ~= fraction of records."""
     if n < 10:
         raise SplitError(f"holdout split needs at least 10 records, got {n}")
+    if not 0.0 <= fraction < 1.0:  # NaN included
+        raise SplitError(f"holdout fraction must be in [0, 1), got {fraction}")
     h = int(round(n * fraction))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)

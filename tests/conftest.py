@@ -34,6 +34,12 @@ def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
+def held_values(graph) -> list[str]:
+    """Names of ``graph``'s non-parameter nodes that hold a value."""
+    return [node.name for node in graph.nodes
+            if node.op != "parameter" and node.value is not None]
+
+
 def brute_force_ci(y, f) -> float:
     """Direct pair enumeration: 1 / 0.5 / 0 per comparable pair."""
     y = np.asarray(y, dtype=float)

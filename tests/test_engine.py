@@ -5,7 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import central_difference_directional, relative_error
+from conftest import (
+    central_difference_directional,
+    held_values,
+    relative_error,
+)
 from dtanet import engine
 from dtanet.engine import (
     Adam,
@@ -262,6 +266,22 @@ def computed_nodes(graph: Graph) -> list[str]:
     return ran
 
 
+def recorded_values(graph: Graph) -> dict:
+    """Each node's value in the latest pass, by name, recorded as the pass
+    runs: a node's output when it computes, and each input's value when a
+    node reads it (which is how a given node's value shows). ``infer``
+    drops the values from the graph, so this is how a test sees them."""
+    seen = {}
+    for node in graph.nodes:
+        def compute(ctx, node=node, original=node.compute):
+            for inp in node.inputs:
+                seen[inp.name] = inp.value
+            seen[node.name] = value = original(ctx)
+            return value
+        node.compute = compute
+    return seen
+
+
 class TestGraphExecution:
     def test_each_node_computed_once(self):
         g = Graph()
@@ -429,17 +449,61 @@ class TestPlannedExecution:
         g, feeds, n = dense_chain()
         (reference,) = g.forward(feeds, [n["out"]])
         reference = reference.copy()
+        seen = recorded_values(g)
         (out,) = g.infer(feeds, [n["out"]])
         assert out.tobytes() == reference.tobytes()
         # matmul -> add_bias -> batch norm -> relu share one buffer; the
         # dropout aliases it; the output add_bias reuses its matmul's
-        assert n["ab0"].value is n["mm0"].value is n["act"].value
-        assert n["drop"].value is n["act"].value
-        assert n["out"].value is n["mm1"].value
-        assert not np.shares_memory(n["x"].value, n["mm0"].value)
+        assert seen["ab0"] is seen["mm0"] is seen["act"]
+        assert seen["drop"] is seen["act"]
+        assert seen["out"] is seen["mm1"] is out
+        assert not np.shares_memory(seen["x"], seen["mm0"])
+        seen.clear()
         bn, out = g.infer(feeds, [n["bn"], n["out"]])  # bn is requested
         assert out.tobytes() == reference.tobytes()
-        assert bn is n["bn"].value and not np.shares_memory(bn, n["act"].value)
+        assert bn is seen["bn"] and not np.shares_memory(bn, seen["act"])
+
+    def test_infer_leaves_no_value_but_the_parameters(self):
+        g, feeds, n = dense_chain()
+        g.forward(feeds, [n["out"]])  # values an inference pass must drop
+        x = feeds["x"].copy()
+        (out,) = g.infer(feeds, [n["out"]])
+        assert held_values(g) == []
+        assert all(p.value is p.array for p in g.parameters())
+        assert feeds["x"].tobytes() == x.tobytes()
+        (again,) = g.infer(feeds, [n["out"]])
+        assert again.tobytes() == out.tobytes()
+
+    def test_infer_with_a_given_value_leaves_it_unwritten(self):
+        g, feeds, n = dense_chain()
+        (value,) = g.forward(feeds, [n["bn"]])
+        kept = value.copy()
+        g.infer(feeds, [n["out"]])
+        (out,) = g.infer({}, [n["out"]], given={n["bn"]: value})
+        assert held_values(g) == []
+        assert value.tobytes() == kept.tobytes()
+        (reference,) = g.infer(feeds, [n["out"]])
+        assert out.tobytes() == reference.tobytes()
+
+    def test_an_infer_that_raises_leaves_no_value(self):
+        g, feeds, n = dense_chain()
+        g.forward(feeds, [n["out"]])
+        next(p for p in g.parameters() if p.name == "b1").array[1] = np.nan
+        with pytest.raises(NonFiniteError, match="'out'"):
+            g.infer(feeds, [n["out"]])
+        assert held_values(g) == []
+        bn = n["bn"]
+        value = np.full((5, 6), np.inf)
+        with pytest.raises(NonFiniteError, match="'bn'"):
+            g.infer({}, [n["out"]], given={bn: value})
+        assert held_values(g) == [] and np.isinf(value).all()
+
+    def test_a_forward_keeps_its_values(self):
+        g, feeds, n = dense_chain()
+        g.infer(feeds, [n["out"]])
+        g.forward(feeds, [n["out"]])
+        assert set(held_values(g)) == set(n) - {p.name
+                                                for p in g.parameters()}
 
     @pytest.mark.parametrize("mode, checked", [
         ("infer", ["x", "mm0", "ab0", "bn", "mm1", "out"]),
@@ -655,10 +719,11 @@ class TestIndexedDense:
         g, loss, feeds, first, value = self._given(widths)
         (reference,) = g.forward(feeds, [loss])
         ran = computed_nodes(g)
+        seen = recorded_values(g)
         rest = {name: feeds[name] for name in ("target", "weight")}
         (got,) = g.infer(rest, [loss], given={first: value})
         assert got == reference
-        assert first.value is value
+        assert seen["first"] is value
         assert not {node.name for node in (first, *first.inputs)} & set(ran)
         assert "b" in ran
 

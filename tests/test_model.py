@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import held_values
 from dtanet.compounds import FeaturizationError
 from dtanet.engine import EngineError, Graph, NonFiniteError
-from dtanet.graphconv import GraphStructureError
+from dtanet.graphconv import GraphConv, GraphStructureError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
 from dtanet.synthetic import memory_dataset, random_sequence
@@ -299,14 +300,19 @@ class TestIndexedFirstLayer:
         assert_matches(predicted, store.predict(model, indices))
 
 
+def small_store(variant):
+    """A store over 30 pairs for a small model of ``variant``."""
+    return FeatureStore(memory_dataset(n_compounds=12, n_proteins=4,
+                                       n_pairs=30, seed=6),
+                        small_config(variant=variant, hidden_layers=(16, 8),
+                                     dropout_rates=(0.2,), conv_widths=(8,),
+                                     conv_dense=12))
+
+
 def trained_like(variant):
     """A model of a store over 30 pairs, every state entry moved off its
     initial value (running variances kept positive), and the pairs' feeds."""
-    store = FeatureStore(memory_dataset(n_compounds=12, n_proteins=4,
-                                        n_pairs=30, seed=6),
-                         small_config(variant=variant, hidden_layers=(16, 8),
-                                      dropout_rates=(0.2,), conv_widths=(8,),
-                                      conv_dense=12))
+    store = small_store(variant)
     model = store.build_model()
     rng = np.random.default_rng(7)
     feeds = store.feeds(np.arange(30), with_targets=True, model=model)
@@ -378,6 +384,32 @@ class TestInference:
         graph.forward(feeds, [model.loss], training=False)
         graph.backward(model.loss)
         assert conv._mask is not None
+
+    def test_an_eval_forward_keeps_what_a_backward_reads(self):
+        model, feeds = trained_like("padme-graphconv")
+        graph = model.graph
+        convs = [n for n in graph.nodes if isinstance(n, GraphConv)]
+        graph.infer(feeds, [model.loss])
+        assert all(c._z is None and c._nbr_sum is None for c in convs)
+        assert model.loss._diff is None
+        graph.forward(feeds, [model.loss], training=False)
+        graph.backward(model.loss)
+        assert all(c._z is not None and c._nbr_sum is not None
+                   for c in convs)
+        assert model.loss._diff is not None
+        assert all(p.grad is not None for p in graph.parameters())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_predict_leaves_nothing_of_its_passes_on_the_graph(self, variant):
+        store = small_store(variant)
+        model = store.build_model()
+        indices = np.arange(store.dataset.n_pairs)
+        first = store.predict(model, indices, batch_size=16)
+        assert held_values(model.graph) == []
+        assert all(n._z is None and n._nbr_sum is None
+                   for n in model.graph.nodes if isinstance(n, GraphConv))
+        again = store.predict(model, indices, batch_size=16)
+        assert again.tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("where, name", [
         ("dense1.b", "add_bias1"),

@@ -1,6 +1,7 @@
 """Pipeline orchestration and artifact round-trips."""
 
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,32 @@ class TestRunConfig:
                 params()
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("train.holdout_fraction", "-0.1"), ("train.holdout_fraction", "1"),
+        ("train.holdout_fraction", "1.5"), ("train.holdout_fraction", "nan"),
+        ("split.cluster_threshold", "-0.1"),
+        ("split.cluster_threshold", "1.01"),
+        ("split.cluster_threshold", "nan"),
+        ("split.cluster_threshold", "inf")])
+    def test_fractions_outside_their_interval_rejected(self, key, value):
+        cfg = parse_run_config(None, overrides={key: value})
+        read, interval = ((cfg.holdout_fraction, "[0, 1)")
+                          if key.startswith("train")
+                          else (cfg.split_params, "[0, 1]"))
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{key}: must be in {interval}")):
+            read()
+
+    @pytest.mark.parametrize("holdout, threshold", [("0", "0"),
+                                                    ("0.99", "1")])
+    def test_fractions_at_their_bounds_accepted(self, holdout, threshold):
+        cfg = parse_run_config(None, overrides={
+            "train.holdout_fraction": holdout,
+            "split.cluster_threshold": threshold})
+        assert cfg.holdout_fraction() == float(holdout)
+        assert cfg.split_params()["cluster_threshold"] == float(threshold)
+
+
 class TestExplicitCounts:
     """An explicit keyword count is used or rejected, never replaced by
     the config's."""
@@ -167,6 +194,26 @@ class TestExplicitCounts:
             run_tune(tiny_config, dataset, tmp_path / "tune", budget=0,
                      strategy="random")
         assert not (tmp_path / "tune" / "trials.csv").exists()
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "1.5"])
+    def test_training_refuses_a_bad_holdout_fraction(self, fixture_dir,
+                                                     tmp_path, fraction):
+        cfg = parse_run_config(None, overrides={
+            **TINY, "train.holdout_fraction": fraction})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        with pytest.raises(ConfigError, match="train.holdout_fraction"):
+            run_training(cfg, dataset, tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_cold_cluster_split_refuses_a_bad_threshold(self, fixture_dir,
+                                                        tmp_path):
+        cfg = parse_run_config(None, overrides={
+            **TINY, "split.cluster_threshold": "nan"})
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        with pytest.raises(ConfigError, match="split.cluster_threshold"):
+            run_split(cfg, dataset, tmp_path / "folds.csv",
+                      scheme="cold-cluster")
+        assert not (tmp_path / "folds.csv").exists()
 
     def test_explicit_k_is_used(self, fixture_dir, tiny_config, tmp_path):
         dataset = load_pair_dataset(tiny_config, fixture_dir)

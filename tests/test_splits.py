@@ -384,6 +384,15 @@ class TestHoldout:
         with pytest.raises(SplitError, match="at least 10"):
             hyperopt_holdout(9, seed=0)
 
+    @pytest.mark.parametrize("fraction", [-0.1, -0.5, 1.0, 1.5, np.nan])
+    def test_fraction_outside_zero_to_one_refused(self, fraction):
+        with pytest.raises(SplitError, match=r"must be in \[0, 1\)"):
+            hyperopt_holdout(100, seed=0, fraction=fraction)
+
+    def test_zero_fraction_holds_out_nothing(self):
+        train, holdout = hyperopt_holdout(100, seed=0, fraction=0.0)
+        assert holdout.size == 0 and np.array_equal(train, np.arange(100))
+
 
 class TestFoldArtifacts:
     def test_round_trip_byte_identical(self, tmp_path):

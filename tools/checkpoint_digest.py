@@ -26,6 +26,10 @@ each one, a fresh interpreter
   ``batch_size=64`` (prediction bytes), so the conv stack runs over the
   1144 distinct compounds in 18 blocks and the dense layers over 41
   chunks;
+* scores those 2600 pairs with that refit model twice in a row, with two
+  ``FeatureStore.predict`` calls on one store at the default
+  ``batch_size`` (the bytes of both calls), so the second call runs on a
+  graph the first call's inference passes ran on;
 * fingerprints the 1300 compounds with ``ecfp_matrix`` at radius 0..3,
   with 512 and with 4096 bits (matrix bytes);
 * writes a synthetic fixture (``interactions.csv`` and ``proteins.tsv``)
@@ -324,6 +328,21 @@ def multi_chunk_predict_digest(model, n_proteins: int = 12,
     return hashlib.sha256(predictions.tobytes()).hexdigest()
 
 
+def repeat_predict_digest(model) -> str:
+    """Digest of two consecutive predictions of the 2600 pairs of new
+    compounds by ``model``, from one store at the default ``batch_size``."""
+    import numpy as np
+
+    from dtanet.model import FeatureStore
+
+    store = FeatureStore(new_compounds_dataset(), model.cfg)
+    pairs = np.arange(store.dataset.n_pairs)
+    digest = hashlib.sha256()
+    for _ in range(2):
+        digest.update(store.predict(model, pairs).tobytes())
+    return digest.hexdigest()
+
+
 def ecfp_matrices_digest() -> str:
     """Digest of the fingerprint matrices of the 1300 new compounds at
     radius 0..3, with 512 and with 4096 bits."""
@@ -385,6 +404,7 @@ def digests() -> dict[str, str]:
         out["padme-graphconv refit"] = _sha(path)
         out["graphconv batch-64 predict"] = \
             multi_chunk_predict_digest(model, batch_size=64)
+        out["graphconv repeat predict"] = repeat_predict_digest(model)
         out["ecfp matrices"] = ecfp_matrices_digest()
         out["graph packing"] = graph_packing_digest()
         out.update(pipeline_digests(Path(work)))
