@@ -75,13 +75,14 @@ class DatasetSummary:
 def parse_value(text: str) -> float | None:
     """The raw response in ``text``; ``None`` when it is imprecise.
 
-    Inequality-prefixed (``>10000``, ``<0.5``) and non-finite values are
-    imprecise. Raises ``ValueError`` when ``text`` is not a number at all.
+    Any text that is not a precise finite number is imprecise:
+    inequality-prefixed (``>10000``, ``<0.5``), non-finite and non-numeric
+    (``n.d.``) values alike.
     """
-    stripped = text.strip()
-    if stripped.startswith(">") or stripped.startswith("<"):
+    try:
+        value = float(text)  # also refuses a ">" or "<" prefix
+    except ValueError:
         return None
-    value = float(stripped)
     return value if math.isfinite(value) else None
 
 
@@ -138,10 +139,7 @@ def load_interactions(
                 malformed.append(f"line {lineno}: {problem}")
                 continue
             smiles, protein_id, _, value_field = fields
-            try:
-                raw = parse_value(value_field)
-            except ValueError:
-                raw = None  # ingestion counts a non-numeric value as imprecise
+            raw = parse_value(value_field)
             if raw is None:
                 imprecise += 1
                 continue

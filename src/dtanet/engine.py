@@ -13,10 +13,6 @@ every entry is, and the exact entrywise test only when the sum is not
 finite; on a smaller array the entrywise test alone. The outcome and the
 error message are always those of the entrywise test.
 
-An eval-mode forward keeps no state that only a backward reads: ReLU forms
-its mask and batch normalization its normalized input only in training, and
-a backward after an eval-mode forward derives them from the input.
-
 ``indexed_dense`` is the first dense layer of a model whose input row joins
 several blocks (a compound vector and a protein descriptor): each block is a
 table of distinct rows plus an integer index per output row, and the op
@@ -58,10 +54,12 @@ the outputs themselves. A caller's feed or given array is only
 un-referenced, never written. An op keeps an array that only a backward
 reads (the graph convolution's neighbor sums, pre-activation and mask, the
 loss's residual) only in a pass that a backward may follow, so an inference
-pass leaves none behind. ``forward``, in training and eval mode, keeps
-every value and cache of its pass; ``forward(training=False)`` is the
-eval-mode pass that a backward may follow (the gradient tooling uses it).
-Parameters and batch-norm running statistics outlive every pass.
+pass leaves none behind. Op state has one rule: every ``forward``, in
+training and eval mode, forms and keeps what its ops' backwards read (the
+ReLU mask, batch normalization's normalized input, the graph pooling
+winners), and no backward derives such state from its input; ``infer``
+keeps none of it. Parameters and batch-norm running statistics outlive
+every pass.
 
 Backward fills ``grad`` only on nodes that lie between the loss and a
 ``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
@@ -435,8 +433,7 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class _Relu(Node):
-    """The mask of positive inputs is kept by training-mode forwards only; a
-    backward after an eval-mode forward forms it from the input."""
+    """Every forward keeps the mask of positive inputs for the backward."""
 
     def __init__(self, x):
         super().__init__("relu", (x,))
@@ -444,14 +441,13 @@ class _Relu(Node):
 
     def compute(self, ctx):
         x = self.inputs[0].value
-        self._mask = x > 0.0 if ctx.training else None
+        self._mask = None if ctx.inference else x > 0.0
         return relu(x, out=x if ctx.reuse else None)
 
     def backprop(self):
         x = self.inputs[0]
         if x.wants_grad:
-            mask = x.value > 0.0 if self._mask is None else self._mask
-            self._accumulate(x, self.grad * mask)
+            self._accumulate(x, self.grad * self._mask)
 
 
 class _Concat(Node):
@@ -507,9 +503,9 @@ class _Dropout(Node):
 class _BatchNorm(Node):
     """Per-feature normalization with running statistics for eval mode.
 
-    An eval-mode forward runs the training arithmetic in the same order but
-    in its one output buffer, and keeps no centered or normalized copy; a
-    backward after it forms the normalized input from the input.
+    An eval-mode pass runs the training arithmetic in the same order but in
+    its one output buffer; an eval ``forward`` copies the normalized input
+    from it for the backward, and ``infer`` keeps no copy.
     """
 
     def __init__(self, x, gamma, beta, momentum=0.9, eps=1e-5):
@@ -541,15 +537,15 @@ class _BatchNorm(Node):
         else:
             mean = self.running_mean
             var = self.running_var
-        self._mean = mean
         self._inv_std = 1.0 / np.sqrt(var + self.eps)
         if ctx.training:
             self._centered = x - mean
             self._xhat = self._centered * self._inv_std
             return gamma * self._xhat + beta
-        self._centered = self._xhat = None
         out = np.subtract(x, mean, out=x if ctx.reuse else None)
         out *= self._inv_std
+        self._centered = None
+        self._xhat = None if ctx.inference else out.copy()
         out *= gamma
         out += beta
         return out
@@ -558,10 +554,7 @@ class _BatchNorm(Node):
         x_node, gamma_node, beta_node = self.inputs
         gamma = gamma_node.value
         if gamma_node.wants_grad:
-            xhat = self._xhat
-            if xhat is None:  # the forward ran in eval mode
-                xhat = (x_node.value - self._mean) * self._inv_std
-            self._accumulate(gamma_node, (self.grad * xhat).sum(axis=0))
+            self._accumulate(gamma_node, (self.grad * self._xhat).sum(axis=0))
         if beta_node.wants_grad:
             self._accumulate(beta_node, self.grad.sum(axis=0))
         if not x_node.wants_grad:
@@ -887,6 +880,7 @@ class Graph:
         for key, value in state.items():
             if not all_finite(value):
                 raise NonFiniteError(f"state entry '{key}' has non-finite values")
+            owner, _, stat = key.rpartition(".")
             if key in by_name:
                 param = by_name[key]
                 if param.array.shape != value.shape:
@@ -894,12 +888,14 @@ class Graph:
                         f"parameter '{key}': stored shape {value.shape} != "
                         f"expected {param.array.shape}")
                 param.array[...] = value
-            elif key.endswith(".running_mean"):
-                bn_nodes[key[:-len(".running_mean")]].running_mean = value.copy()
-            elif key.endswith(".running_var"):
-                bn_nodes[key[:-len(".running_var")]].running_var = value.copy()
+            elif owner in bn_nodes and stat in ("running_mean", "running_var"):
+                setattr(bn_nodes[owner], stat, value.copy())
             else:
                 raise EngineError(f"unknown state entry '{key}'")
+        for node in bn_nodes.values():
+            if (node.running_mean is None) != (node.running_var is None):
+                raise EngineError(f"'{node.name}' holds one of its two "
+                                  f"running statistics")
 
 
 # A block of rows is compacted to its active rows once at least this share

@@ -298,8 +298,7 @@ def _pool(h: np.ndarray, batch: GraphBatch,
 class GraphPool(Node):
     """Elementwise max over each atom's closed neighborhood.
 
-    The winners are found in training-mode forwards, or by the backward pass
-    itself after an eval-mode forward.
+    Every forward finds the winners for the backward; ``infer`` does not.
     """
 
     def __init__(self, h: Node, structure: ObjectInput):
@@ -311,7 +310,7 @@ class GraphPool(Node):
         if h.shape[0] != batch.n_atoms:
             raise self.shape_error(
                 f"{h.shape[0]} feature rows for {batch.n_atoms} atoms")
-        pooled, self._winners = _pool(h, batch, ctx.training)
+        pooled, self._winners = _pool(h, batch, not ctx.inference)
         return pooled
 
     def backprop(self):
@@ -319,8 +318,6 @@ class GraphPool(Node):
         if not h_node.wants_grad:
             return
         batch: GraphBatch = self.inputs[1].value
-        if self._winners is None:  # the forward ran in eval mode
-            self._winners = _pool(h_node.value, batch, True)[1]
         n_atoms, width = self._winners.shape
         # visit the entries in original atom order, so that each row's
         # contributions add up in ascending original id

@@ -165,8 +165,6 @@ class EvalReport:
     ci: float | None
     r2_excluded: tuple[int, ...] = ()
     ci_excluded: tuple[int, ...] = ()
-    scheme: str = ""
-    seed: int = 0
 
     @property
     def n_records(self) -> int:
@@ -174,8 +172,7 @@ class EvalReport:
 
 
 def evaluate_predictions(y: np.ndarray, predicted: np.ndarray,
-                         weights: np.ndarray, scheme: str = "",
-                         seed: int = 0) -> EvalReport:
+                         weights: np.ndarray) -> EvalReport:
     """Masked per-task metrics for (n_records, n_tasks) arrays."""
     y = np.asarray(y, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
@@ -213,5 +210,4 @@ def evaluate_predictions(y: np.ndarray, predicted: np.ndarray,
     except MetricError:
         ci_agg, ci_excluded = None, tuple(range(len(tasks)))
     return EvalReport(tasks=tasks, rmse=rmse_agg, r2=r2_agg, ci=ci_agg,
-                      r2_excluded=r2_excluded, ci_excluded=ci_excluded,
-                      scheme=scheme, seed=seed)
+                      r2_excluded=r2_excluded, ci_excluded=ci_excluded)

@@ -31,7 +31,8 @@ version, uint64 JSON header length, a JSON header (config snapshot,
 featurization layout version, tensor manifest, optional optimizer state
 metadata and run-config snapshot), then the float64 little-endian tensor
 payloads in manifest order. Loading refuses featurization layouts other
-than the one this code produces.
+than the one this code produces, and any checkpoint that it cannot fully
+restore, with a ``ModelError`` naming the file.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .compounds import (
     ecfp_matrix,
 )
 from .data import PairDataset
-from .engine import Graph, Parameter
+from .engine import EngineError, Graph, NonFiniteError, Parameter
 from .graphconv import (
     GraphConv,
     GraphGather,
@@ -329,44 +330,63 @@ class Model:
             blob = handle.read(header_len)
             if len(blob) != header_len:
                 raise ModelError(f"{path}: truncated checkpoint header")
-            header = json.loads(blob.decode("utf-8"))
             payload = handle.read()
-        layout = header["featurization"]["layout_version"]
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError:
+            raise ModelError(f"{path}: checkpoint header is not JSON") from None
+        try:  # every header entry that loading reads
+            layout = header["featurization"]["layout_version"]
+            cfg = _config_from_json(header["config"])
+            protein_index = header["protein_index"]
+            fingerprint = header["featurization_fingerprint"]
+            manifest = [(entry["name"], tuple(entry["shape"]), entry["offset"])
+                        for entry in header["tensors"]]
+            extras = {"optimizer_step": header["optimizer_step"],
+                      "run_config": header["run_config"]}
+        except KeyError as exc:
+            raise ModelError(f"{path}: checkpoint header has no "
+                             f"{exc.args[0]!r}") from None
+        except TypeError:  # an entry of another JSON type
+            raise ModelError(f"{path}: malformed checkpoint header") from None
         if layout != FEATURIZATION_VERSION:
             raise ModelError(
                 f"{path}: featurization layout {layout} is incompatible "
                 f"with this build ({FEATURIZATION_VERSION})")
-        cfg = _config_from_json(header["config"])
-        protein_index = header["protein_index"]
         protein_ids = None
         if protein_index is not None:
             ordered = sorted(protein_index, key=protein_index.get)
             protein_ids = tuple(ordered)
         model = cls.build(cfg, protein_ids=protein_ids)
-        if model.cfg.featurization_fingerprint() != header["featurization_fingerprint"]:
+        if model.cfg.featurization_fingerprint() != fingerprint:
             raise ModelError(f"{path}: featurization fingerprint mismatch")
         tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+        for name, shape, start in manifest:
             size = int(np.prod(shape)) if shape else 1
-            start = entry["offset"]
             if start < 0 or start + size * 8 > len(payload):
                 raise ModelError(
-                    f"{path}: truncated checkpoint: tensor {entry['name']!r} "
+                    f"{path}: truncated checkpoint: tensor {name!r} "
                     f"needs bytes {start}..{start + size * 8} of a "
                     f"{len(payload)}-byte payload")
             array = np.frombuffer(payload, dtype="<f8", count=size,
                                   offset=start).reshape(shape).copy()
-            tensors[entry["name"]] = array
+            tensors[name] = array
+        # batch-norm running statistics may be absent: a model saved before
+        # any training forward has none
+        missing = sorted({p.name for p in model.graph.parameters()}
+                         .difference(tensors))
+        if missing:
+            raise ModelError(f"{path}: checkpoint has no tensor {missing[0]!r}")
         model_state = {k: v for k, v in tensors.items()
                        if not k.startswith("adam.")}
-        adam_state = {k: v for k, v in tensors.items() if k.startswith("adam.")}
-        model.graph.load_state(model_state)
-        extras = {
-            "optimizer_arrays": adam_state,
-            "optimizer_step": header["optimizer_step"],
-            "run_config": header["run_config"],
-        }
+        extras["optimizer_arrays"] = {k: v for k, v in tensors.items()
+                                      if k.startswith("adam.")}
+        try:
+            model.graph.load_state(model_state)
+        except NonFiniteError:
+            raise
+        except EngineError as exc:  # an unknown entry or a wrong shape
+            raise ModelError(f"{path}: {exc}") from None
         return model, extras
 
 

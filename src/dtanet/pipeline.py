@@ -33,7 +33,6 @@ import json
 import logging
 import os
 import socket
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -306,7 +305,6 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
             "splits: their outputs are indexed by the training proteins")
     train_seed = cfg.train_config().seed
     rows: list[dict] = []
-    fold_metrics: list[EvalReport] = []
     with DirectoryLock(out_dir):
         store = _feature_store(cfg, dataset)
         clustering = (_cluster_dataset(cfg, dataset, store.fingerprint_matrix)
@@ -340,15 +338,13 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                     y, w = store.pair_targets(val_view)
                     report = evaluate_predictions(
                         y, store.predict(model, val_view), w)
-                report = replace(report, scheme=scheme, seed=rep_seed)
-                fold_metrics.append(report)
-                rows.append({"repetition": rep, "fold": fold,
-                             "report": report, "audit": audit})
+                rows.append({"seed": rep_seed, "repetition": rep,
+                             "fold": fold, "report": report, "audit": audit})
                 # free this fold's parameters and optimizer state before the
                 # next fold's fit allocates its own
                 del model, result
         report_path = out_dir / f"report_{scheme}.csv"
-        write_report(report_path, cfg, rows, fold_metrics, scheme, seed)
+        write_report(report_path, cfg, rows, scheme, seed)
     return report_path
 
 
@@ -356,9 +352,17 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
+def _metric_cells(report: EvalReport) -> list[str]:
+    """``task_id,n_records,rmse,r2,ci`` of each task, then of the aggregate."""
+    return [f"{key},{m.n_records},{_fmt(m.rmse)},{_fmt(m.r2)},{_fmt(m.ci)}"
+            for key, m in [*((t.task_id, t) for t in report.tasks),
+                           ("aggregate", report)]]
+
+
 def write_report(path: str | Path, cfg: RunConfig, rows: list[dict],
-                 fold_metrics: list[EvalReport], scheme: str,
-                 seed: int) -> None:
+                 scheme: str, seed: int) -> None:
+    """The cv report; each row is a fold's ``seed``, ``repetition``,
+    ``fold``, ``report`` and ``audit``."""
     config_lines = [f"# config.{line}" for line in cfg.snapshot().splitlines()
                     if line and not line.startswith("[")]
     header = ("scheme,seed,repetition,fold,task_id,n_records,"
@@ -367,19 +371,12 @@ def write_report(path: str | Path, cfg: RunConfig, rows: list[dict],
     out.extend(config_lines)
     out.append(header)
     for row in rows:
-        report: EvalReport = row["report"]
-        for task in report.tasks:
-            out.append(
-                f"{scheme},{report.seed},{row['repetition']},{row['fold']},"
-                f"{task.task_id},{task.n_records},{_fmt(task.rmse)},"
-                f"{_fmt(task.r2)},{_fmt(task.ci)},{row['audit']}")
-        out.append(
-            f"{scheme},{report.seed},{row['repetition']},{row['fold']},"
-            f"aggregate,{report.n_records},{_fmt(report.rmse)},"
-            f"{_fmt(report.r2)},{_fmt(report.ci)},{row['audit']}")
+        prefix = f"{scheme},{row['seed']},{row['repetition']},{row['fold']},"
+        out.extend(f"{prefix}{cells},{row['audit']}"
+                   for cells in _metric_cells(row["report"]))
     for metric in ("rmse", "r2", "ci"):
-        values = [getattr(r, metric) for r in fold_metrics
-                  if getattr(r, metric) is not None]
+        values = [getattr(row["report"], metric) for row in rows
+                  if getattr(row["report"], metric) is not None]
         if not values:
             continue
         mean = float(np.mean(values))
@@ -463,19 +460,16 @@ def _responses(path, table: dict[str, list], n_tasks: int | None = None,
     weight 1 there.
 
     Values go through ingestion's imprecise-value rule, ``inactive_remap``
-    and transform: imprecise rows are discarded and counted in the log; a
-    value that is not a number or that the transform rejects fails naming
-    its line, as does a kept row's task outside ``n_tasks`` when given.
+    and transform: imprecise rows (any value that is not a precise finite
+    number) are discarded and counted in the log; a value that the
+    transform rejects fails naming its line, as does a kept row's task
+    outside ``n_tasks`` when given.
     Without ``n_tasks``, the tasks are 0 to the largest kept one.
     """
     kept, values = [], []
     for i, (lineno, task, text) in enumerate(
             zip(table["line"], table["task_id"], table["value"])):
-        try:
-            raw = data_mod.parse_value(text)
-        except ValueError:
-            raise PipelineError(f"{path}: line {lineno}: value {text!r} is "
-                                f"not a number") from None
+        raw = data_mod.parse_value(text)
         if raw is None:
             continue
         if n_tasks is not None and task >= n_tasks:
@@ -593,8 +587,8 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
     return Path(out_csv)
 
 
-def run_evaluate(predictions_csv: str | Path, out_csv: str | Path,
-                 scheme: str = "", seed: int = 0) -> EvalReport:
+def run_evaluate(predictions_csv: str | Path,
+                 out_csv: str | Path) -> EvalReport:
     """Score a prediction CSV that carries both value and prediction columns.
 
     Values are read as ``--ad-from`` reads them (:func:`_responses`); every
@@ -616,14 +610,9 @@ def run_evaluate(predictions_csv: str | Path, out_csv: str | Path,
     if not kept:
         raise PipelineError(f"{path}: no prediction rows")
     f = w * np.array(predictions)[kept, None]
-    report = evaluate_predictions(y, f, w, scheme=scheme, seed=seed)
-    lines = ["task_id,n_records,rmse,r2,ci"]
-    for task in report.tasks:
-        lines.append(f"{task.task_id},{task.n_records},{_fmt(task.rmse)},"
-                     f"{_fmt(task.r2)},{_fmt(task.ci)}")
-    lines.append(f"aggregate,{report.n_records},{_fmt(report.rmse)},"
-                 f"{_fmt(report.r2)},{_fmt(report.ci)}")
-    write_lines(out_csv, lines)
+    report = evaluate_predictions(y, f, w)
+    write_lines(out_csv, ["task_id,n_records,rmse,r2,ci",
+                          *_metric_cells(report)])
     return report
 
 

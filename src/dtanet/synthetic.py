@@ -102,8 +102,7 @@ def memory_dataset(n_compounds: int, n_proteins: int, n_pairs: int,
 
 def write_fixture(directory: str | Path, n_compounds: int = 24,
                   n_proteins: int = 12, obs_per_compound: int = 4,
-                  n_tasks: int = 1, seed: int = 0,
-                  imprecise_rows: int = 0) -> dict[str, Path]:
+                  n_tasks: int = 1, seed: int = 0) -> dict[str, Path]:
     """Write ``interactions.csv`` and ``proteins.tsv`` under ``directory``.
 
     Every compound gets at least ``obs_per_compound`` observations and every
@@ -140,10 +139,6 @@ def write_fixture(directory: str | Path, n_compounds: int = 24,
                                   sequences[protein_ids[pi]][0], rng)
             raw = inverse_transform(transformed)
             rows.append(f"{compounds[ci]},{protein_ids[pi]},{task},{raw:.6g}")
-    for _ in range(imprecise_rows):
-        ci = int(rng.integers(0, n_compounds))
-        pi = int(rng.integers(0, n_proteins))
-        rows.append(f"{compounds[ci]},{protein_ids[pi]},0,>10000")
     interactions = directory / "interactions.csv"
     write_lines(interactions, rows)
     proteins_path = directory / "proteins.tsv"

@@ -269,9 +269,12 @@ class GaussianProcess:
         return mean, std
 
 
+# random points that each GP-guided trial scores by expected improvement
+_EI_CANDIDATES = 1024
+
+
 def gp_ei_search(space: SearchSpace, objective, budget: int,
-                 n_init: int = 10, seed: int = 0,
-                 n_candidates: int = 1024) -> SearchResult:
+                 n_init: int = 10, seed: int = 0) -> SearchResult:
     """GP-guided minimization: random warm-up, then EI over a candidate pool."""
     if budget <= n_init:
         raise TuneError(f"budget {budget} must exceed n_init {n_init}")
@@ -286,7 +289,7 @@ def gp_ei_search(space: SearchSpace, objective, budget: int,
             y = np.array([t.value for t in complete])
             try:
                 gp.fit(x, y)
-                candidates = [space.sample(rng) for _ in range(n_candidates)]
+                candidates = [space.sample(rng) for _ in range(_EI_CANDIDATES)]
                 encoded = np.stack([space.encode(c) for c in candidates])
                 mean, std = gp.predict(encoded)
                 ei = expected_improvement(mean, std, float(y.min()))

@@ -174,7 +174,7 @@ class TestOpSemantics:
             assert np.array_equal(engine.relu(values).view(np.int64),
                                   expected.view(np.int64))
 
-    def test_eval_relu_keeps_no_mask_and_its_backward_forms_one(self):
+    def test_relu_mask_is_kept_by_every_forward_and_no_inference(self):
         g = Graph()
         x = g.placeholder("x")
         out = g.relu(x)
@@ -182,12 +182,14 @@ class TestOpSemantics:
         rng = np.random.default_rng(7)
         feeds = {"x": np.array([[0.0, 2.0, -1.0, -0.0]]),
                  "t": rng.standard_normal((1, 4)), "w": np.ones((1, 4))}
-        g.forward(feeds, [loss], training=False)
+        g.infer(feeds, [loss])
         assert out._mask is None
+        g.forward(feeds, [loss], training=False)
+        assert out._mask.tolist() == [[False, True, False, False]]
         g.backward(loss, inputs=(x,))
         after_eval = x.grad.copy()
         g.forward(feeds, [loss], training=True)
-        assert out._mask is not None
+        assert out._mask.tolist() == [[False, True, False, False]]
         g.backward(loss, inputs=(x,))
         assert np.array_equal(after_eval, x.grad)
         assert after_eval[0, 0] == after_eval[0, 2] == after_eval[0, 3] == 0.0
@@ -206,6 +208,11 @@ class TestOpSemantics:
         xhat = (data - bn.running_mean) * (1.0 / np.sqrt(bn.running_var
                                                           + bn.eps))
         assert np.array_equal(value, gamma.array * xhat + beta.array)
+        # the eval forward keeps the normalized input its backward reads
+        assert np.array_equal(bn._xhat, xhat) and bn._centered is None
+        assert not hasattr(bn, "_mean")
+        (inferred,) = g.infer({"x": data}, [bn])
+        assert np.array_equal(inferred, value)
         assert bn._centered is None and bn._xhat is None
 
     def test_backward_after_eval_batchnorm_against_central_differences(self):

@@ -531,15 +531,20 @@ class TestTableParity:
                 hits += padded[column] == pool.value
             assert (hits >= 2).any()
 
-    def test_winners_only_in_training_forward(self):
+    def test_winners_in_every_forward_and_no_inference(self):
         mols, batch, h_value = _parity_batch(3)
         g, h, loss, pools = _parity_stack(GraphConv, GraphPool, 3)
         feeds = {"h": h_value, "structure": batch, "gather_structure": batch,
                  "target": np.zeros((len(mols), 1)),
                  "weight": np.ones((len(mols), 1))}
         g.forward(feeds, [loss], training=True)
-        assert all(p._winners is not None for p in pools)
+        trained = [p._winners for p in pools]
+        assert all(w is not None for w in trained)
         g.forward(feeds, [loss], training=False)
+        # the eval forward finds the same winners as the training one
+        assert all(np.array_equal(p._winners, w)
+                   for p, w in zip(pools, trained))
+        g.infer(feeds, [loss])
         assert all(p._winners is None for p in pools)
 
 

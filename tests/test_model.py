@@ -1,6 +1,8 @@
 """Model assembly, prediction semantics, checkpoints, cold-start contract."""
 
+import json
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -519,6 +521,18 @@ class TestBatchnormConsistency:
         assert np.max(np.abs(train_out - eval_out)) < 1e-10
 
 
+def _with_tensors(header, tensors):
+    """A checkpoint header whose manifest is ``tensors(manifest)``."""
+    return {**header, "tensors": tensors(header["tensors"])}
+
+
+def _with_bias_copy(header, **entry):
+    """A checkpoint header with one more manifest entry: the output bias's,
+    updated by ``entry``."""
+    bias = next(e for e in header["tensors"] if e["name"] == "output.b")
+    return {**header, "tensors": [*header["tensors"], {**bias, **entry}]}
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, tmp_path):
         dataset = memory_dataset(n_compounds=8, n_proteins=4, n_pairs=16,
@@ -581,6 +595,78 @@ class TestCheckpoint:
         path.write_bytes(raw[:keep])
         with pytest.raises(ModelError, match="model.ckpt.*truncated"):
             Model.load(path)
+
+    def _saved(self, tmp_path, **overrides):
+        dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6,
+                                 seed=7)
+        model = FeatureStore(dataset, small_config(**overrides)).build_model()
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        return model, path
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        """Replace the checkpoint's header by ``edit(header)``, raw bytes or
+        a value written as JSON; the tensor payload stays as it was."""
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[12:20])
+        blob = edit(json.loads(raw[20:20 + length]))
+        if not isinstance(blob, bytes):
+            blob = json.dumps(blob).encode()
+        path.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(blob)) + blob
+                         + raw[20 + length:])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: _with_tensors(
+            h, lambda ts: [t for t in ts if t["name"] != "dense0.W"]),
+         "has no tensor 'dense0.W'"),
+        (lambda h: b"{not json", "header is not JSON"),
+        (lambda h: {k: v for k, v in h.items() if k != "featurization"},
+         "header has no 'featurization'"),
+        (lambda h: [1, 2], "malformed checkpoint header"),
+        (lambda h: _with_tensors(
+            h, lambda ts: [{**t, "shape": 5} for t in ts]),
+         "malformed checkpoint header"),
+        (lambda h: _with_bias_copy(h, name="output.c"),
+         "unknown state entry 'output.c'"),
+        (lambda h: _with_bias_copy(h, name="bn9.running_mean"),
+         "unknown state entry 'bn9.running_mean'"),
+        (lambda h: _with_bias_copy(h, shape=[1, 1]),
+         "parameter 'output.b': stored shape"),
+    ], ids=["missing-parameter", "not-json", "no-featurization",
+            "array-header", "shape-not-a-list", "unknown-tensor",
+            "unknown-statistic", "wrong-shape"])
+    def test_refuses_what_it_cannot_restore(self, tmp_path, edit, message):
+        _, path = self._saved(tmp_path)
+        self._rewrite_header(path, edit)
+        with pytest.raises(ModelError, match=f"model.ckpt: .*{message}"):
+            Model.load(path)
+
+    def test_refuses_half_the_running_statistics(self, tmp_path):
+        model, path = self._saved(tmp_path)
+        for node in model.graph.nodes:
+            if node.op == "batchnorm":
+                node.running_mean = np.zeros(16)
+                node.running_var = np.ones(16)
+        model.save(path)
+        self._rewrite_header(path, lambda h: _with_tensors(
+            h, lambda ts: [t for t in ts
+                           if not t["name"].endswith("running_var")]))
+        with pytest.raises(ModelError, match="model.ckpt: 'bn0' holds one"):
+            Model.load(path)
+
+    def test_loads_batchnorm_without_running_statistics(self, tmp_path):
+        model, path = self._saved(tmp_path, use_batchnorm=True)
+        norms = [node for node in model.graph.nodes if node.op == "batchnorm"]
+        assert norms and all(node.running_mean is None for node in norms)
+        loaded, _ = Model.load(path)
+        assert loaded.graph.state_dict().keys() == model.graph.state_dict().keys()
+        rng = np.random.default_rng(0)
+        feeds = {"compound": rng.random((3, 512)),
+                 "protein": rng.random((3, DESCRIPTOR_LENGTH)),
+                 "compound_row": np.arange(3), "protein_row": np.arange(3)}
+        assert np.array_equal(model.predict_feeds(feeds),
+                              loaded.predict_feeds(feeds))
 
     def test_poisoned_checkpoint_fails_at_load(self, tmp_path):
         dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6,

@@ -554,21 +554,23 @@ class TestPredictEvaluate:
             ["1" if check_ad(remapped, pred) else "0" for pred in predictions]
         assert not any(check_ad(remapped, pred) for pred in predictions)
 
-    @pytest.mark.parametrize("value, message", [
-        ("abc", "line 3: value 'abc' is not a number"),
-        ("0", "line 3: non-positive raw value"),
-    ])
-    def test_ad_from_bad_value_names_the_line(self, fixture_dir, tiny_config,
-                                              tmp_path, value, message):
-        dataset = load_pair_dataset(tiny_config, fixture_dir)
+    def _one_pair(self, fixture_dir, cfg, tmp_path):
+        """An untrained checkpoint and a one-pair table of the fixture."""
         ckpt = tmp_path / "m.ckpt"
-        FeatureStore(dataset, tiny_config.model_config(n_tasks=1)) \
-            .build_model().save(ckpt)
+        dataset = self._untrained_checkpoint(fixture_dir, cfg, ckpt)
         pairs_csv = tmp_path / "pairs.csv"
         c, p = dataset.pairs[0]
         pairs_csv.write_text("smiles,protein_id\n"
                              f"{dataset.compounds[c]},{dataset.protein_ids[p]}\n",
                              encoding="utf-8")
+        return ckpt, pairs_csv
+
+    @pytest.mark.parametrize("value, message", [
+        ("0", "line 3: non-positive raw value"),
+    ])
+    def test_ad_from_bad_value_names_the_line(self, fixture_dir, tiny_config,
+                                              tmp_path, value, message):
+        ckpt, pairs_csv = self._one_pair(fixture_dir, tiny_config, tmp_path)
         train_csv = tmp_path / "train.csv"
         train_csv.write_text("smiles,protein_id,task_id,value\n"
                              f"CCO,P0000,0,100\nCCN,P0000,0,{value}\n",
@@ -576,6 +578,29 @@ class TestPredictEvaluate:
         with pytest.raises(PipelineError, match=f"train.csv: {message}"):
             run_predict(ckpt, pairs_csv, fixture_dir / "proteins.tsv",
                         tmp_path / "preds.csv", ad_from=train_csv)
+
+    @pytest.mark.parametrize("value", ["abc", "n.d."])
+    def test_ad_from_discards_a_non_numeric_value(self, fixture_dir,
+                                                  tiny_config, tmp_path,
+                                                  caplog, value):
+        # ingestion drops such a row as imprecise, and so does --ad-from
+        ckpt, pairs_csv = self._one_pair(fixture_dir, tiny_config, tmp_path)
+        tables = {}
+        for name, extra in (("train", f"CCN,P0000,0,{value}\n"),
+                            ("plain", "")):
+            tables[name] = tmp_path / f"{name}.csv"
+            tables[name].write_text(
+                "smiles,protein_id,task_id,value\n"
+                f"CCO,P0000,0,100\nCCC,P0000,0,20\n{extra}",
+                encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="dtanet.pipeline"):
+            outputs = [run_predict(ckpt, pairs_csv,
+                                   fixture_dir / "proteins.tsv",
+                                   tmp_path / f"{name}.out.csv",
+                                   ad_from=table).read_bytes()
+                       for name, table in tables.items()]
+        assert "discarded 1 imprecise value row(s) from" in caplog.text
+        assert outputs[0] == outputs[1]
 
     def test_evaluate_reads_values_like_ingestion(self, tmp_path, caplog):
         preds = tmp_path / "preds.csv"
@@ -593,6 +618,35 @@ class TestPredictEvaluate:
         task0 = next(t for t in report.tasks if t.task_id == 0)
         assert task0.rmse == pytest.approx(expected, rel=1e-12)
 
+    def test_evaluate_discards_a_non_numeric_value(self, tmp_path, caplog):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("smiles,protein_id,task_id,value,prediction\n"
+                         "CCO,P0,0,100,1.5\nCCN,P0,0,abc,1.0\n"
+                         "CCC,P0,0,20,2.5\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="dtanet.pipeline"):
+            report = run_evaluate(preds, tmp_path / "eval.csv")
+        assert "discarded 1 imprecise value row(s)" in caplog.text
+        assert report.n_records == 2
+
+    def test_predict_then_evaluate_drops_an_nd_value(self, fixture_dir,
+                                                     tiny_config, tmp_path,
+                                                     caplog):
+        ckpt = tmp_path / "m.ckpt"
+        dataset = self._untrained_checkpoint(fixture_dir, tiny_config, ckpt)
+        table = tmp_path / "pairs.csv"
+        table.write_text("smiles,protein_id,task_id,value\n" + "".join(
+            f"{dataset.compounds[c]},{dataset.protein_ids[p]},0,{value}\n"
+            for (c, p), value in zip(dataset.pairs[:4],
+                                     ["100", "n.d.", "5", "20"])),
+            encoding="utf-8")
+        out = run_predict(ckpt, table, fixture_dir / "proteins.tsv",
+                          tmp_path / "preds.csv")
+        assert out.read_text().splitlines()[2].split(",")[3] == "n.d."
+        with caplog.at_level(logging.INFO, logger="dtanet.pipeline"):
+            report = run_evaluate(out, tmp_path / "eval.csv")
+        assert "discarded 1 imprecise value row(s)" in caplog.text
+        assert report.n_records == 3
+
     @pytest.mark.parametrize("row, message", [
         ("CCN,P0,-1,5,1.0", "line 3: task_id '-1' is not a non-negative "
                             "integer"),
@@ -601,7 +655,6 @@ class TestPredictEvaluate:
         ("CCN,P0,0,5,abc", "line 3: prediction 'abc' is not a number"),
         ("CCN,P0,0,5,nan", "line 3: prediction 'nan' is not a number"),
         ("CCN,P0,0,>10000,nan", "line 3: prediction 'nan' is not a number"),
-        ("CCN,P0,0,abc,1.0", "line 3: value 'abc' is not a number"),
         ("CCN,P0,0,0,1.0", "line 3: non-positive raw value"),
         ("CCN,P0", "line 3: expected 5 fields, got 2"),
     ])
@@ -699,6 +752,30 @@ class TestTuneCommand:
         assert "[model]" in text and "[train]" in text
         follow_up = parse_run_config(best)
         assert follow_up.train_config().learning_rate > 0
+
+    def test_default_gp_strategy_is_reproducible(self, fixture_dir,
+                                                 tiny_config, tmp_path,
+                                                 caplog):
+        cfg = tiny_config.override({"train.max_epochs": "1",
+                                    "tune.n_init": "2"})
+        assert cfg.tune_params()["strategy"] == "gp"
+        dataset = load_pair_dataset(cfg, fixture_dir)
+        outputs = []
+        for run in ("a", "b"):
+            with caplog.at_level(logging.WARNING, logger="dtanet.tuning"):
+                best = run_tune(cfg, dataset, tmp_path / run, budget=3,
+                                strategy="gp")
+            trials = tmp_path / run / "trials.csv"
+            outputs.append((trials.read_bytes(), best.read_bytes()))
+        # the third trial is the GP's proposal, not a random fallback
+        assert "GP proposal failed" not in caplog.text
+        header, *rows = outputs[0][0].decode().splitlines()
+        assert header.startswith("trial,status,value,")
+        assert [row.split(",")[:2] for row in rows] == [
+            [str(k), "complete"] for k in range(3)]
+        assert parse_run_config(tmp_path / "a" / "best_config.cfg") \
+            .train_config().learning_rate > 0
+        assert outputs[0] == outputs[1]
 
     @staticmethod
     def _spy_on_fits(monkeypatch):

@@ -50,7 +50,7 @@ each one, a fresh interpreter
   prediction CSV (evaluation CSV), and ``predict`` of the
   ``padme-graphconv`` cold-cluster fold-0 checkpoint on the table
   (prediction CSV), which scores it in one chunk of at most 1024 pairs
-  through the eval-mode forward of a degree-ordered batch;
+  through the inference pass of a degree-ordered batch;
 * runs ``predict --ad-from`` and ``evaluate`` on a table of 40 fixture rows
   and two imprecise ``>10000`` rows, and ``featurize --ecfp`` on that
   table with assay ids for task ids (one digest of the three outputs);
