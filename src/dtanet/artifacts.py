@@ -19,15 +19,20 @@ from pathlib import Path
 __all__ = ["write_artifact", "write_lines"]
 
 
-def write_artifact(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Replace ``path`` with the concatenation of ``chunks``, in order."""
+def write_artifact(path: str | Path, chunks: Iterable) -> None:
+    """Replace ``path`` with the concatenation of ``chunks``, in order.
+
+    A chunk is any bytes-like object (``bytes``, or a C-contiguous numpy
+    array, whose buffer is written as it is). Each chunk is dropped once
+    written, before the next one is drawn, so a source that makes large
+    chunks on demand holds one at a time.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
     handle = open(tmp, "xb")  # O_CREAT | O_EXCL
     try:
         with handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

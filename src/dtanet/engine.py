@@ -110,7 +110,7 @@ This is exact. There is no weight decay, so an inactive row's gradient is
 changes no byte. Each selected row's gradient entry is the same dot product
 over the batch's distinct table rows as on the full path (the tests check
 the compact product bitwise against the full one), its update runs the same
-arithmetic, and ``Adam.state_arrays`` writes the moments back at full shape
+arithmetic, and ``Adam.moments`` expands the moments back to full shape
 with +0 rows, so checkpoints are byte-identical to a fit over every row. A
 column-compacted forward ``T[:, cols] @ W[cols]`` would not be: it sums over
 the columns in another order.
@@ -129,6 +129,7 @@ Conventions fixed here and relied on by tests:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,6 +148,8 @@ __all__ = [
     "RowSelection",
     "Adam",
     "AdamState",
+    "AdamMoments",
+    "require_finite",
 ]
 
 
@@ -187,6 +190,14 @@ def all_finite(a: np.ndarray) -> bool:
         if np.isfinite(total):
             return True
     return bool(np.isfinite(a).all())
+
+
+def require_finite(state: dict[str, np.ndarray]) -> None:
+    """Raise :class:`NonFiniteError` naming the first entry of ``state``
+    with a non-finite value."""
+    for key, value in state.items():
+        if not all_finite(value):
+            raise NonFiniteError(f"state entry '{key}' has non-finite values")
 
 
 class _Context:
@@ -865,21 +876,25 @@ class Graph:
     def parameters(self) -> list[Parameter]:
         return [node for node in self.nodes if isinstance(node, Parameter)]
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """All trainable parameters plus batch-norm running statistics."""
-        state = {p.name: p.array.copy() for p in self.parameters()}
+    def live_state(self) -> dict[str, np.ndarray]:
+        """The arrays the graph holds, uncopied: every trainable parameter
+        plus batch-norm running statistics. Read them, do not write them."""
+        state = {p.name: p.array for p in self.parameters()}
         for node in self.nodes:
             if isinstance(node, _BatchNorm) and node.running_mean is not None:
-                state[f"{node.name}.running_mean"] = node.running_mean.copy()
-                state[f"{node.name}.running_var"] = node.running_var.copy()
+                state[f"{node.name}.running_mean"] = node.running_mean
+                state[f"{node.name}.running_var"] = node.running_var
         return state
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """A copy of :meth:`live_state`."""
+        return {key: value.copy() for key, value in self.live_state().items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         by_name = {p.name: p for p in self.parameters()}
         bn_nodes = {n.name: n for n in self.nodes if isinstance(n, _BatchNorm)}
+        require_finite(state)
         for key, value in state.items():
-            if not all_finite(value):
-                raise NonFiniteError(f"state entry '{key}' has non-finite values")
             owner, _, stat = key.rpartition(".")
             if key in by_name:
                 param = by_name[key]
@@ -995,8 +1010,8 @@ class Adam:
     A parameter that carries a ``row_selection`` when the optimizer is
     built stays where it is; its gradient and moments are in that
     selection's compact layout, and ``step`` moves only the selected rows,
-    ``_ADAM_CHUNK // width`` at a time. ``state_arrays`` returns full-shape
-    moments with +0 rows elsewhere.
+    ``_ADAM_CHUNK // width`` at a time. ``moments`` maps the moments, in
+    their compact layout, to full-shape arrays with +0 rows elsewhere.
     """
 
     def __init__(self, parameters: list[Parameter], learning_rate: float = 1e-3,
@@ -1100,17 +1115,54 @@ class Adam:
         b /= a
         theta[rows] -= b
 
+    def moments(self) -> "AdamMoments":
+        """The live moments, uncopied, as a mapping that expands each one to
+        its parameter's full shape when it is read."""
+        return AdamMoments({
+            f"adam.{kind}.{p.name}": (moments[p.name], p.array.shape,
+                                      self._blocks.get(p.name))
+            for p in self.parameters
+            for kind, moments in (("m", self.state.m), ("v", self.state.v))})
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of the moments at each parameter's full shape."""
-        out = {}
-        for p in self.parameters:
-            blocks = self._blocks.get(p.name)
-            for kind, moments in (("m", self.state.m), ("v", self.state.v)):
-                if blocks is None:
-                    full = moments[p.name].copy()
-                else:
-                    full = np.zeros_like(p.array)
-                    for compact_rows, weight_rows in blocks:
-                        full[weight_rows] = moments[p.name][compact_rows]
-                out[f"adam.{kind}.{p.name}"] = full
-        return out
+        return dict(self.moments())
+
+
+class AdamMoments(Mapping):
+    """Adam moments by ``adam.{m,v}.<param>`` key, read-only.
+
+    Each entry holds its moment array in the optimizer's layout (compact
+    for a row-selected weight), the parameter's shape and the selection's
+    ``(compact rows, weight rows)`` blocks, or ``None`` for a moment kept at
+    full shape. Reading an entry returns a new full-shape array, +0 on the
+    rows outside the selection; ``shape`` gives that shape without
+    expanding it. The mapping holds the arrays, not the optimizer.
+    """
+
+    def __init__(self, entries: dict[str, tuple]):
+        self._entries = entries
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        moment, shape, blocks = self._entries[key]
+        if blocks is None:
+            return moment.copy()
+        full = np.zeros(shape)
+        for compact_rows, weight_rows in blocks:
+            full[weight_rows] = moment[compact_rows]
+        return full
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def shape(self, key: str) -> tuple[int, ...]:
+        return self._entries[key][1]
+
+    def copy(self) -> "AdamMoments":
+        """A mapping over copies of the moments, in the same layout."""
+        return AdamMoments({key: (moment.copy(), shape, blocks)
+                            for key, (moment, shape, blocks)
+                            in self._entries.items()})

@@ -40,7 +40,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import struct
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -56,7 +58,13 @@ from .compounds import (
     ecfp_matrix,
 )
 from .data import PairDataset
-from .engine import EngineError, Graph, NonFiniteError, Parameter
+from .engine import (
+    AdamMoments,
+    EngineError,
+    Graph,
+    NonFiniteError,
+    Parameter,
+)
 from .graphconv import (
     GraphConv,
     GraphGather,
@@ -284,18 +292,30 @@ class Model:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | Path, optimizer_step: int = 0,
-             optimizer_arrays: dict[str, np.ndarray] | None = None,
+             optimizer_arrays: Mapping[str, np.ndarray] | None = None,
              run_config_text: str | None = None) -> None:
-        state = dict(self.graph.state_dict())
-        if optimizer_arrays:
-            state.update(optimizer_arrays)
+        """Write the checkpoint: a JSON header, then each tensor's float64
+        bytes in name order, through one atomic ``write_artifact``.
+
+        Every tensor is written from its array in place: the model's
+        parameters and batch-norm statistics as the graph holds them, with
+        no ``state_dict`` copy, and each entry of ``optimizer_arrays`` as it
+        is read, one at a time and once per save, so an
+        :class:`~dtanet.engine.AdamMoments` mapping expands one moment at a
+        time (its manifest shapes come from ``AdamMoments.shape``).
+        """
+        state = self.graph.live_state()
+        optimizer = optimizer_arrays or {}
+        owners = {**dict.fromkeys(state, state),
+                  **dict.fromkeys(optimizer, optimizer)}
+        names = sorted(owners)
         manifest = []
         offset = 0
-        for name in sorted(state):
-            array = np.ascontiguousarray(state[name], dtype=np.float64)
-            manifest.append({"name": name, "shape": list(array.shape),
+        for name in names:
+            shape = _stored_shape(owners[name], name)
+            manifest.append({"name": name, "shape": list(shape),
                              "offset": offset})
-            offset += array.size * 8
+            offset += math.prod(shape) * 8
         header = {
             "format_version": _FORMAT_VERSION,
             "featurization": self.cfg.featurization_signature(),
@@ -308,8 +328,9 @@ class Model:
         }
         blob = json.dumps(header, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        tensors = (np.ascontiguousarray(state[name], dtype="<f8").tobytes()
-                   for name in sorted(state))
+        # each array's own buffer, not a ``tobytes`` copy of it
+        tensors = (np.ascontiguousarray(owners[name][name], dtype="<f8")
+                   for name in names)
         write_artifact(path, itertools.chain(
             (_MAGIC, struct.pack("<IQ", _FORMAT_VERSION, len(blob)), blob),
             tensors))
@@ -388,6 +409,14 @@ class Model:
         except EngineError as exc:  # an unknown entry or a wrong shape
             raise ModelError(f"{path}: {exc}") from None
         return model, extras
+
+
+def _stored_shape(tensors: Mapping, name: str) -> tuple[int, ...]:
+    """The shape tensor ``name`` of ``tensors`` is saved with; a moment of
+    an :class:`~dtanet.engine.AdamMoments` is not expanded to find it."""
+    if isinstance(tensors, AdamMoments):
+        return tensors.shape(name)
+    return np.ascontiguousarray(tensors[name], dtype=np.float64).shape
 
 
 def _config_from_json(payload: dict) -> ModelConfig:

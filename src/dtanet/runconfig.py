@@ -9,6 +9,7 @@ checkpoints and reports so results stay traceable to their settings.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,6 +107,14 @@ def _unit_fraction(text: str, where: str, closed: bool) -> float:
     return value
 
 
+def _positive_float(text: str, where: str) -> float:
+    """A finite number above 0; NaN is refused."""
+    value = _as_float(text, where)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{where}: must be finite and > 0, got {value}")
+    return value
+
+
 def _at_least(value: int, low: int, where: str) -> int:
     if value < low:
         raise ConfigError(f"{where}: must be at least {low}, got {value}")
@@ -197,8 +206,8 @@ class RunConfig:
             batch_size=_as_int(section["batch_size"], "train.batch_size"),
             max_epochs=_as_int(section["max_epochs"], "train.max_epochs"),
             patience=_as_int(section["patience"], "train.patience"),
-            learning_rate=_as_float(section["learning_rate"],
-                                    "train.learning_rate"),
+            learning_rate=_positive_float(section["learning_rate"],
+                                          "train.learning_rate"),
             eval_every=_as_int(section["eval_every"], "train.eval_every"),
             seed=_as_int(section["seed"], "train.seed"),
         )

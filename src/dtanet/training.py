@@ -12,6 +12,19 @@ without improvement. The last partial batch of an epoch is kept (batch
 normalization simply sees its actual size). Identical seeds give identical
 histories and identical parameters.
 
+A fit holds one copy of its state. An epoch that becomes the best is
+recorded (its epoch, step and report) and nothing is copied: validation
+runs through ``Graph.infer``, which moves no parameter or running
+statistic, so the best is still the live state. It is copied (parameters
+and batch-norm statistics with ``Graph.state_dict``, the Adam moments in
+their compact layout) only before the first step of a later epoch, and
+loaded back when the fit ends. A best that is still live at the end is
+neither copied nor loaded; its parameters and statistics are checked for
+finiteness as loading would check them. ``TrainResult`` therefore has no
+copy of the best parameters (``train`` leaves them on the model), and its
+``best_optimizer`` is an :class:`~dtanet.engine.AdamMoments` mapping that
+expands each moment to full shape when it is read.
+
 A fit moves only the first-layer rows whose input columns some training pair
 sets (``engine.RowSelection``); the other rows would get exactly zero
 updates, so the result is byte-identical to training every row.
@@ -20,12 +33,13 @@ updates, so the result is byte-identical to training every row.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Adam, RowSelection
+from .engine import Adam, AdamMoments, RowSelection, require_finite
 from .metrics import EvalReport, evaluate_predictions
 from .model import FeatureStore, Model, ModelConfig
 
@@ -58,6 +72,9 @@ class TrainConfig:
             raise TrainingError("max_epochs must be >= 1")
         if self.eval_every < 1:
             raise TrainingError("eval_every must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainingError(f"learning_rate must be finite and > 0, got "
+                                f"{self.learning_rate}")
         return self
 
 
@@ -76,8 +93,8 @@ class TrainResult:
     history: list[EpochRow]
     best_epoch: int
     best_score: float
-    best_state: dict[str, np.ndarray]
-    best_optimizer: dict[str, np.ndarray]
+    # the best epoch's Adam moments, each expanded to full shape when read
+    best_optimizer: AdamMoments
     best_optimizer_step: int
     evals_performed: int
     epoch_seconds: list[float] = field(default_factory=list)
@@ -130,10 +147,15 @@ def _run_epoch(model: Model, store: FeatureStore, order: np.ndarray,
 
 def train(model: Model, store: FeatureStore, train_idx, val_idx,
           cfg: TrainConfig) -> TrainResult:
-    """Train ``model`` in place and leave it holding the best parameters."""
+    """Train ``model`` in place and leave it holding the best parameters.
+
+    ``train_idx`` and ``val_idx`` are 1-d sequences of integer pair rows of
+    the store's dataset; anything else is a :class:`~dtanet.model.ModelError`
+    that names the first bad entry.
+    """
     cfg = cfg.validated()
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    val_idx = np.asarray(val_idx, dtype=np.int64)
+    train_idx = store._pair_indices(train_idx)
+    val_idx = store._pair_indices(val_idx)
     if train_idx.size == 0:
         raise TrainingError("empty training set")
     if np.intersect1d(train_idx, val_idx).size:
@@ -149,19 +171,23 @@ def train(model: Model, store: FeatureStore, train_idx, val_idx,
 
 def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
                 val_idx: np.ndarray, cfg: TrainConfig) -> TrainResult:
-    adam = Adam(model.graph.parameters(), learning_rate=cfg.learning_rate)
+    graph = model.graph
+    adam = Adam(graph.parameters(), learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochRow] = []
     best_score = np.inf
     best_epoch = 0
-    best_state: dict[str, np.ndarray] | None = None
-    best_optimizer: dict[str, np.ndarray] | None = None
     best_step = 0
     best_report = None
+    # the best epoch's (state, moments) once a later step would overwrite
+    # them; None while the best is the live state
+    snapshot: tuple[dict[str, np.ndarray], AdamMoments] | None = None
     strikes = 0
     evals = 0
     epoch_seconds: list[float] = []
     for epoch in range(1, cfg.max_epochs + 1):
+        if best_epoch and snapshot is None:
+            snapshot = graph.state_dict(), adam.moments().copy()
         started = time.perf_counter()
         order = rng.permutation(train_idx)
         train_loss = _run_epoch(model, store, order, adam, cfg.batch_size, rng)
@@ -178,10 +204,9 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
             if score < best_score:
                 best_score = score
                 best_epoch = epoch
-                best_state = model.graph.state_dict()
-                best_optimizer = adam.state_arrays()
                 best_step = adam.state.step
                 best_report = report
+                snapshot = None
                 strikes = 0
             else:
                 strikes += 1
@@ -190,16 +215,19 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
                 break
         else:
             history.append(row)
-    if best_state is None:
+    if not best_epoch:
         # nothing was evaluated (e.g. no validation set): keep the final state
-        best_state = model.graph.state_dict()
-        best_optimizer = adam.state_arrays()
         best_step = adam.state.step
-        best_epoch = history[-1].epoch if history else 0
+        best_epoch = history[-1].epoch
         best_score = float("nan")
-    model.graph.load_state(best_state)
+    if snapshot is None:  # the best is the live state
+        require_finite(graph.live_state())
+        best_optimizer = adam.moments()
+    else:
+        state, best_optimizer = snapshot
+        graph.load_state(state)
     return TrainResult(history=history, best_epoch=best_epoch,
-                       best_score=float(best_score), best_state=best_state,
+                       best_score=float(best_score),
                        best_optimizer=best_optimizer,
                        best_optimizer_step=best_step,
                        evals_performed=evals, epoch_seconds=epoch_seconds,

@@ -1051,6 +1051,40 @@ class TestRowSelection:
         with pytest.raises(ShapeError, match="'w'"):
             adam_part.step()
 
+    def test_moments_expand_on_read_and_copy_in_compact_layout(self):
+        rng = np.random.default_rng(8)
+        w = Parameter("w", rng.standard_normal((60, 3)))
+        b = Parameter("b", rng.standard_normal(3))
+        mask = rng.random(60) < 0.4
+        w.row_selection = RowSelection([mask])
+        adam = Adam([w, b])
+        w.grad = rng.standard_normal((int(mask.sum()), 3))
+        b.grad = rng.standard_normal(3)
+        adam.step()
+        live = adam.moments()
+        snapshot = live.copy()
+        assert list(live) == ["adam.m.w", "adam.v.w", "adam.m.b", "adam.v.b"]
+        assert live.shape("adam.m.w") == (60, 3)
+        assert live.shape("adam.v.b") == (3,)
+        expanded = dict(snapshot)
+        assert expanded.keys() == adam.state_arrays().keys()
+        for key, full in adam.state_arrays().items():
+            assert np.array_equal(expanded[key], full)
+            assert live[key].shape == live.shape(key)
+        assert np.array_equal(expanded["adam.m.w"][mask], adam.state.m["w"])
+        assert not expanded["adam.m.w"][~mask].any()
+        with pytest.raises(TypeError):
+            live["adam.m.b"] = np.zeros(3)
+        # the live mapping follows the optimizer; its copy and every array
+        # read from either do not
+        w.grad, b.grad = w.grad + 1.0, b.grad + 1.0
+        adam.step()
+        for key in expanded:
+            assert np.array_equal(snapshot[key], expanded[key])
+        assert not np.array_equal(live["adam.m.b"], expanded["adam.m.b"])
+        expanded["adam.m.b"][:] = 0.0
+        assert snapshot["adam.m.b"].any()
+
     def test_64_wide_selection_in_entry_sized_blocks_equals_textbook(
             self, monkeypatch):
         # A 64-wide weight is updated _ADAM_CHUNK // 64 = 512 rows at a

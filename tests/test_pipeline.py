@@ -165,6 +165,24 @@ class TestRunConfig:
         assert cfg.holdout_fraction() == float(holdout)
         assert cfg.split_params()["cluster_threshold"] == float(threshold)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.001", "0"])
+    def test_learning_rate_not_finite_and_positive_rejected(self, tmp_path,
+                                                            value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[train]\nlearning_rate = {value}\n",
+                        encoding="utf-8")
+        for cfg in (parse_run_config(path), parse_run_config(
+                None, overrides={"train.learning_rate": value})):
+            with pytest.raises(ConfigError,
+                               match=r"train\.learning_rate: must be finite "
+                                     r"and > 0"):
+                cfg.train_config()
+
+    def test_smallest_positive_learning_rate_accepted(self):
+        cfg = parse_run_config(None,
+                               overrides={"train.learning_rate": "5e-324"})
+        assert cfg.train_config().learning_rate == 5e-324
+
 
 class TestExplicitCounts:
     """An explicit keyword count is used or rejected, never replaced by

@@ -1,11 +1,14 @@
 """Training loop: early stopping, determinism, composite score."""
 
+import re
+
 import numpy as np
 import pytest
 
 import dtanet.training as training
-from dtanet.engine import Adam, RowSelection
-from dtanet.model import FeatureStore, ModelConfig
+from dtanet import engine
+from dtanet.engine import Adam, NonFiniteError, RowSelection
+from dtanet.model import FeatureStore, ModelConfig, ModelError
 from dtanet.synthetic import memory_dataset
 from test_engine import textbook_adam
 from dtanet.training import (
@@ -97,20 +100,47 @@ class TestLoop:
             idx = np.arange(dataset.n_pairs)
             result = train(model, store, idx[:32], idx[32:], TrainConfig(
                 batch_size=8, max_epochs=6, patience=6, seed=11))
-            return result
-        a, b = run(), run()
+            return result, model.graph.state_dict()
+        (a, a_state), (b, b_state) = run(), run()
         assert [r.train_loss for r in a.history] == \
                [r.train_loss for r in b.history]
         assert [r.composite for r in a.history] == \
                [r.composite for r in b.history]
-        for name in a.best_state:
-            assert np.array_equal(a.best_state[name], b.best_state[name])
+        assert a_state.keys() == b_state.keys()
+        for name in a_state:
+            assert np.array_equal(a_state[name], b_state[name])
 
     def test_empty_train_set_rejected(self):
         dataset, store, model = make_setup(seed=6)
         with pytest.raises(TrainingError, match="empty training set"):
             train(model, store, np.array([], dtype=np.int64),
                   np.arange(4), TrainConfig())
+
+    @pytest.mark.parametrize("train_idx, val_idx, entry", [
+        ([0.5, 1.5, 2.7, 3.2], [10, 11], "0.5 (entry 0)"),
+        ([True, False, True], [10, 11], "True (entry 0)"),
+        ([0, 1, 2, 3], [10.9, 11.1], "10.9 (entry 0)"),
+        ([0, 1, 2, 3], [10, 120], "120 (entry 1)"),
+        ([0, -1], [10, 11], "-1 (entry 1)")])
+    def test_bad_indices_are_refused_naming_the_entry(self, train_idx,
+                                                      val_idx, entry):
+        dataset = memory_dataset(24, 6, 120)
+        store = FeatureStore(dataset, ModelConfig(
+            variant="padme-ecfp", hidden_layers=(8,), dropout_rates=(0.0,),
+            fp_bits=512))
+        model = store.build_model()
+        with pytest.raises(ModelError, match=re.escape(f"pair index {entry}")):
+            train(model, store, train_idx, val_idx, TrainConfig(max_epochs=1))
+        assert model.input_weight.row_selection is None
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf"), -0.001, 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        dataset, store, model = make_setup(seed=6)
+        with pytest.raises(TrainingError, match="learning_rate must be "
+                                                "finite and > 0"):
+            train(model, store, np.arange(10), np.arange(10, 15),
+                  TrainConfig(learning_rate=rate))
 
     def test_overlapping_sets_rejected(self):
         dataset, store, model = make_setup(seed=6)
@@ -120,8 +150,10 @@ class TestLoop:
     def test_restores_best_parameters(self, monkeypatch):
         dataset, store, model = make_setup(seed=7)
         scripted = iter([0.1] + [1.0] * 9)
+        evaluated = []  # the state each evaluation saw
 
-        def fake_scores(*args, **kwargs):
+        def fake_scores(model, *args, **kwargs):
+            evaluated.append(model.graph.state_dict())
             return (0.5,), (None,), next(scripted), True, None
 
         monkeypatch.setattr(training, "validation_scores", fake_scores)
@@ -130,12 +162,28 @@ class TestLoop:
             batch_size=16, max_epochs=10, patience=3, seed=0))
         assert result.best_epoch == 1
         current = model.graph.state_dict()
+        assert current.keys() == evaluated[0].keys()
         for name in current:
-            assert np.array_equal(current[name], result.best_state[name])
+            assert np.array_equal(current[name], evaluated[0][name])
 
 
-def reference_fit(model, store, train_idx, val_idx, cfg):
-    """``train``'s loop written out with Adam over every first-layer row.
+def record_adams(monkeypatch) -> list:
+    """The list of every ``Adam`` that ``train`` builds from now on."""
+    built = []
+
+    class RecordedAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(training, "Adam", RecordedAdam)
+    return built
+
+
+def reference_fit(model, store, train_idx, val_idx, cfg, scores=None):
+    """``train``'s loop written out with Adam over every first-layer row,
+    evaluated every epoch; ``scores``, if given, scripts the composite of
+    each epoch in place of the validation score.
 
     Returns the per-epoch (train loss, composite) and the best epoch's
     parameters and full-shape moments.
@@ -155,7 +203,8 @@ def reference_fit(model, store, train_idx, val_idx, cfg):
             model.graph.backward(model.loss)
             adam.step()
             total += float(loss) * batch.size
-        score = validation_scores(model, store, val_idx)[2]
+        score = (validation_scores(model, store, val_idx)[2] if scores is None
+                 else scores[len(history)])
         history.append((total / order.size, score))
         if score < best[0]:
             best = (score, model.graph.state_dict(), adam.state_arrays())
@@ -219,14 +268,7 @@ class TestActiveRows:
 
     @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv"])
     def test_fit_equals_a_fit_over_every_row(self, variant, monkeypatch):
-        built = []
-
-        class RecordedAdam(Adam):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(training, "Adam", RecordedAdam)
+        built = record_adams(monkeypatch)
         store = small_store(variant)
         idx = np.arange(store.dataset.n_pairs)
         train_idx, val_idx = idx[:48], idx[48:]
@@ -244,9 +286,10 @@ class TestActiveRows:
                                                 val_idx, cfg)
         assert [(row.train_loss, row.composite)
                 for row in result.history] == history
-        assert result.best_state.keys() == state.keys()
+        current = model.graph.state_dict()
+        assert current.keys() == state.keys()
         for name in state:
-            assert np.array_equal(result.best_state[name], state[name]), name
+            assert np.array_equal(current[name], state[name]), name
         assert result.best_optimizer.keys() == moments.keys()
         for name in moments:
             assert np.array_equal(result.best_optimizer[name],
@@ -306,14 +349,7 @@ class TestActiveRows:
 class TestRefit:
     def test_two_fits_equal_a_textbook_loop(self, monkeypatch):
         # The second fit's optimizer repacks parameters the first one owns.
-        built = []
-
-        class RecordedAdam(Adam):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(training, "Adam", RecordedAdam)
+        built = record_adams(monkeypatch)
         store = small_store("padme-graphconv", seed=5)
         idx = np.arange(store.dataset.n_pairs)
         train_idx, val_idx = idx[:48], idx[48:]
@@ -330,7 +366,6 @@ class TestRefit:
             current = model.graph.state_dict()
             assert current.keys() == state.keys()
             for name in state:
-                assert np.array_equal(result.best_state[name], state[name])
                 assert np.array_equal(current[name], state[name]), name
             assert result.best_optimizer.keys() == moments.keys()
             for name in moments:
@@ -342,6 +377,147 @@ class TestRefit:
             if p is not weight:
                 assert np.shares_memory(p.array, second.flat_theta), p.name
                 assert not np.shares_memory(p.array, first.flat_theta)
+
+
+def script_scores(monkeypatch, scores, act=None):
+    """Make ``train``'s evaluations return ``scores`` in turn; ``act(model,
+    evaluation)`` runs at each one, numbered from 0."""
+    scripted = iter(enumerate(scores))
+
+    def fake_scores(model, *args, **kwargs):
+        evaluation, score = next(scripted)
+        if act is not None:
+            act(model, evaluation)
+        return (0.5,), (None,), score, True, None
+
+    monkeypatch.setattr(training, "validation_scores", fake_scores)
+
+
+def count_copies(monkeypatch):
+    """Record each state copy a fit takes: the Adam step at every
+    ``Graph.state_dict`` call and every ``AdamMoments.copy`` call."""
+    copies = {"state": [], "moments": 0}
+    built = record_adams(monkeypatch)
+    state_dict, copy = engine.Graph.state_dict, engine.AdamMoments.copy
+
+    def counted_state_dict(graph):
+        copies["state"].append(built[-1].state.step)
+        return state_dict(graph)
+
+    def counted_copy(moments):
+        copies["moments"] += 1
+        return copy(moments)
+
+    monkeypatch.setattr(engine.Graph, "state_dict", counted_state_dict)
+    monkeypatch.setattr(engine.AdamMoments, "copy", counted_copy)
+    return copies
+
+
+class TestSnapshot:
+    """A fit copies its best epoch only before a later step would overwrite
+    it, and restores that copy at the end."""
+
+    @pytest.mark.parametrize("max_epochs, eval_every, scores, copied", [
+        (1, 1, [0.5], 0),
+        (3, 3, [0.5], 0),
+        # each improvement but the last is copied before the next epoch
+        (3, 1, [0.9, 0.8, 0.7], 2)])
+    def test_best_at_the_last_epoch_is_never_copied(
+            self, monkeypatch, max_epochs, eval_every, scores, copied):
+        dataset, store, model = make_setup(seed=8)
+        script_scores(monkeypatch, scores)
+        copies = count_copies(monkeypatch)
+        idx = np.arange(dataset.n_pairs)
+        result = train(model, store, idx[:30], idx[30:], TrainConfig(
+            batch_size=16, max_epochs=max_epochs, patience=3,
+            eval_every=eval_every, seed=0))
+        assert result.best_epoch == max_epochs
+        assert len(copies["state"]) == copies["moments"] == copied
+
+    def test_early_best_is_copied_once(self, monkeypatch):
+        dataset, store, model = make_setup(seed=8)
+        script_scores(monkeypatch, [0.1, 1.0, 1.0, 1.0])
+        copies = count_copies(monkeypatch)
+        idx = np.arange(dataset.n_pairs)
+        result = train(model, store, idx[:30], idx[30:], TrainConfig(
+            batch_size=16, max_epochs=4, patience=3, seed=0))
+        assert result.best_epoch == 1
+        assert len(result.history) == 4
+        assert len(copies["state"]) == 1 and copies["moments"] == 1
+
+    def test_copy_before_the_next_epoch_restores_a_reference_fit(
+            self, monkeypatch):
+        store = small_store("padme-ecfp", seed=6)
+        idx = np.arange(store.dataset.n_pairs)
+        train_idx, val_idx = idx[:48], idx[48:]
+        cfg = TrainConfig(batch_size=8, max_epochs=6, patience=3,
+                          eval_every=2, seed=3)
+        model, reference = store.build_model(), store.build_model()
+        script_scores(monkeypatch, [0.1, 1.0, 1.0])  # epochs 2, 4 and 6
+        copies = count_copies(monkeypatch)
+        result = train(model, store, train_idx, val_idx, cfg)
+        monkeypatch.undo()
+        assert result.best_epoch == 2 and len(result.history) == 6
+        # one copy, at the step count the best epoch ended on, so before
+        # epoch 3's first step
+        assert copies["state"] == [result.best_optimizer_step]
+        assert copies["moments"] == 1
+        assert result.best_optimizer_step == 2 * 6  # 48 pairs in batches of 8
+        _, state, moments = reference_fit(reference, store, train_idx,
+                                          val_idx, cfg,
+                                          scores=[1.0, 0.1] + [1.0] * 4)
+        current = model.graph.state_dict()
+        assert current.keys() == state.keys()
+        for name in state:
+            assert np.array_equal(current[name], state[name]), name
+        assert result.best_optimizer.keys() == moments.keys()
+        for name in moments:
+            assert result.best_optimizer.shape(name) == moments[name].shape
+            assert np.array_equal(result.best_optimizer[name],
+                                  moments[name]), name
+
+    @pytest.mark.parametrize("entry", ["output.b", "bn0.running_var"])
+    def test_non_finite_live_best_is_refused_naming_the_entry(
+            self, monkeypatch, entry):
+        def poison(model, evaluation):
+            if evaluation < 2:  # the last epoch's evaluation is the best
+                return
+            owner, _, stat = entry.rpartition(".")
+            for node in model.graph.nodes:
+                if node.name == entry:
+                    node.array[0] = np.nan
+                elif node.name == owner and stat == "running_var":
+                    node.running_var[0] = np.nan
+
+        dataset, store, model = make_setup(seed=9)
+        script_scores(monkeypatch, [0.3, 0.2, 0.1], poison)
+        idx = np.arange(dataset.n_pairs)
+        with pytest.raises(NonFiniteError,
+                           match=re.escape(f"state entry '{entry}'")):
+            train(model, store, idx[:30], idx[30:], TrainConfig(
+                batch_size=16, max_epochs=3, patience=3, seed=0))
+
+    @pytest.mark.parametrize("scores", [[0.3, 0.2, 0.1], [0.1, 0.2, 0.3]])
+    def test_save_of_the_lazy_moments_writes_the_expanded_bytes(
+            self, monkeypatch, tmp_path, scores):
+        store = small_store("padme-ecfp", seed=4)
+        idx = np.arange(store.dataset.n_pairs)
+        model = store.build_model()
+        script_scores(monkeypatch, scores)
+        built = record_adams(monkeypatch)
+        result = train(model, store, idx[:48], idx[48:], TrainConfig(
+            batch_size=8, max_epochs=3, patience=3, seed=2))
+        monkeypatch.undo()
+        lazy, expanded = tmp_path / "lazy.ckpt", tmp_path / "expanded.ckpt"
+        model.save(lazy, optimizer_step=result.best_optimizer_step,
+                   optimizer_arrays=result.best_optimizer)
+        if result.best_epoch == 3:  # the best is what the optimizer holds
+            arrays = built[0].state_arrays()
+        else:
+            arrays = dict(result.best_optimizer)
+        model.save(expanded, optimizer_step=result.best_optimizer_step,
+                   optimizer_arrays=arrays)
+        assert lazy.read_bytes() == expanded.read_bytes()
 
 
 class TestEpochCostProbe:

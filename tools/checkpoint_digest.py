@@ -19,6 +19,10 @@ each one, a fresh interpreter
 * scores 2600 synthetic pairs of 1300 compounds and the 8 training
   proteins with the trained ``compound-only-ecfp`` model the same way
   (prediction bytes of the single-table first layer, three chunks);
+* fits one ``padme-ecfp`` model with an early best epoch (evaluated
+  every 2 epochs at learning rate 0.01 and patience 1, so the fit stops 2
+  epochs after its best and restores it) and saves its checkpoint (one
+  digest of the best epoch and the checkpoint bytes);
 * fits one ``padme-graphconv`` model twice with two ``train`` calls on the
   same store (the second optimizer repacks parameters the first one owns)
   and saves the second fit's checkpoint;
@@ -356,6 +360,25 @@ def ecfp_matrices_digest() -> str:
     return digest.hexdigest()
 
 
+def early_best_digest(dataset, train_idx, val_idx, work: Path) -> str:
+    """A ``padme-ecfp`` fit whose best epoch is earlier than its last: the
+    digest of its best epoch and its checkpoint."""
+    from dtanet.model import FeatureStore, ModelConfig
+    from dtanet.training import TrainConfig, train
+
+    store = FeatureStore(dataset, ModelConfig(variant="padme-ecfp", seed=SEED))
+    model = store.build_model()
+    result = train(model, store, train_idx, val_idx,
+                   TrainConfig(max_epochs=12, patience=1, eval_every=2,
+                               learning_rate=0.01, seed=SEED))
+    path = work / "early-best.ckpt"
+    model.save(path, optimizer_step=result.best_optimizer_step,
+               optimizer_arrays=result.best_optimizer)
+    digest = hashlib.sha256(f"best epoch {result.best_epoch}\n".encode())
+    digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def digests() -> dict[str, str]:
     """Train each variant, then run the pipeline, in this interpreter."""
     from dtanet.model import VARIANTS, FeatureStore, ModelConfig
@@ -391,6 +414,8 @@ def digests() -> dict[str, str]:
                 out["compound-only predict"] = \
                     multi_chunk_predict_digest(model,
                                                len(dataset.protein_ids))
+        out["padme-ecfp early-best checkpoint"] = early_best_digest(
+            dataset, train_idx, val_idx, Path(work))
         store = FeatureStore(dataset, ModelConfig(variant="padme-graphconv",
                                                   seed=SEED))
         model = store.build_model()
@@ -445,7 +470,7 @@ def main(argv=None) -> int:
         hashes = {r[artifact] for r in results.values()}
         same = same and len(hashes) == 1
         status = "same" if len(hashes) == 1 else "DIFFERENT"
-        print(f"{artifact:28s} {status:9s} "
+        print(f"{artifact:32s} {status:9s} "
               + " ".join(r[artifact][:16] for r in results.values()))
     return 0 if same else 1
 
