@@ -105,15 +105,14 @@ layout and updates only those rows. The forward still reads the full
 weight, so validation and prediction see every row.
 
 This is exact. There is no weight decay, so an inactive row's gradient is
-±0 at every step of the fit: its moments stay +0 and its update
+±0 at every step of the fit: its moments would stay +0 and its update
 ``lr*0/(sqrt(0)+eps)`` is +0, which leaves the row as it was. Skipping it
 changes no byte. Each selected row's gradient entry is the same dot product
 over the batch's distinct table rows as on the full path (the tests check
-the compact product bitwise against the full one), its update runs the same
-arithmetic, and ``Adam.moments`` expands the moments back to full shape
-with +0 rows, so checkpoints are byte-identical to a fit over every row. A
-column-compacted forward ``T[:, cols] @ W[cols]`` would not be: it sums over
-the columns in another order.
+the compact product bitwise against the full one) and its update runs the
+same arithmetic, so the parameters are byte-identical to a fit over every
+row. A column-compacted forward ``T[:, cols] @ W[cols]`` would not be: it
+sums over the columns in another order.
 
 Conventions fixed here and relied on by tests:
 
@@ -129,7 +128,6 @@ Conventions fixed here and relied on by tests:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -148,7 +146,6 @@ __all__ = [
     "RowSelection",
     "Adam",
     "AdamState",
-    "AdamMoments",
     "require_finite",
 ]
 
@@ -1010,8 +1007,7 @@ class Adam:
     A parameter that carries a ``row_selection`` when the optimizer is
     built stays where it is; its gradient and moments are in that
     selection's compact layout, and ``step`` moves only the selected rows,
-    ``_ADAM_CHUNK // width`` at a time. ``moments`` maps the moments, in
-    their compact layout, to full-shape arrays with +0 rows elsewhere.
+    ``_ADAM_CHUNK // width`` at a time.
     """
 
     def __init__(self, parameters: list[Parameter], learning_rate: float = 1e-3,
@@ -1114,55 +1110,3 @@ class Adam:
         np.multiply(self.learning_rate, b, out=b)
         b /= a
         theta[rows] -= b
-
-    def moments(self) -> "AdamMoments":
-        """The live moments, uncopied, as a mapping that expands each one to
-        its parameter's full shape when it is read."""
-        return AdamMoments({
-            f"adam.{kind}.{p.name}": (moments[p.name], p.array.shape,
-                                      self._blocks.get(p.name))
-            for p in self.parameters
-            for kind, moments in (("m", self.state.m), ("v", self.state.v))})
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Copies of the moments at each parameter's full shape."""
-        return dict(self.moments())
-
-
-class AdamMoments(Mapping):
-    """Adam moments by ``adam.{m,v}.<param>`` key, read-only.
-
-    Each entry holds its moment array in the optimizer's layout (compact
-    for a row-selected weight), the parameter's shape and the selection's
-    ``(compact rows, weight rows)`` blocks, or ``None`` for a moment kept at
-    full shape. Reading an entry returns a new full-shape array, +0 on the
-    rows outside the selection; ``shape`` gives that shape without
-    expanding it. The mapping holds the arrays, not the optimizer.
-    """
-
-    def __init__(self, entries: dict[str, tuple]):
-        self._entries = entries
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        moment, shape, blocks = self._entries[key]
-        if blocks is None:
-            return moment.copy()
-        full = np.zeros(shape)
-        for compact_rows, weight_rows in blocks:
-            full[weight_rows] = moment[compact_rows]
-        return full
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def shape(self, key: str) -> tuple[int, ...]:
-        return self._entries[key][1]
-
-    def copy(self) -> "AdamMoments":
-        """A mapping over copies of the moments, in the same layout."""
-        return AdamMoments({key: (moment.copy(), shape, blocks)
-                            for key, (moment, shape, blocks)
-                            in self._entries.items()})

@@ -28,11 +28,13 @@ sequence, which is what makes cold-start prediction possible.
 
 Checkpoints are a small binary container: magic ``DTNCKPT1``, uint32 format
 version, uint64 JSON header length, a JSON header (config snapshot,
-featurization layout version, tensor manifest, optional optimizer state
-metadata and run-config snapshot), then the float64 little-endian tensor
-payloads in manifest order. Loading refuses featurization layouts other
-than the one this code produces, and any checkpoint that it cannot fully
-restore, with a ``ModelError`` naming the file.
+featurization layout version, tensor manifest and run-config snapshot), then
+the float64 little-endian payloads of the parameters and batch-norm running
+statistics in manifest order. A checkpoint holds what scoring reads: no
+optimizer state, so a fit cannot resume from one. Loading refuses
+featurization layouts other than the one this code produces, and any
+checkpoint that it cannot fully restore, with a ``ModelError`` naming the
+file.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -59,7 +61,6 @@ from .compounds import (
 )
 from .data import PairDataset
 from .engine import (
-    AdamMoments,
     EngineError,
     Graph,
     NonFiniteError,
@@ -291,45 +292,36 @@ class Model:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self, path: str | Path, optimizer_step: int = 0,
-             optimizer_arrays: Mapping[str, np.ndarray] | None = None,
+    def save(self, path: str | Path,
              run_config_text: str | None = None) -> None:
-        """Write the checkpoint: a JSON header, then each tensor's float64
-        bytes in name order, through one atomic ``write_artifact``.
+        """Write the checkpoint: a JSON header, then the float64 bytes of
+        every parameter and batch-norm statistic in name order, through one
+        atomic ``write_artifact``.
 
-        Every tensor is written from its array in place: the model's
-        parameters and batch-norm statistics as the graph holds them, with
-        no ``state_dict`` copy, and each entry of ``optimizer_arrays`` as it
-        is read, one at a time and once per save, so an
-        :class:`~dtanet.engine.AdamMoments` mapping expands one moment at a
-        time (its manifest shapes come from ``AdamMoments.shape``).
+        Every tensor is written from the array the graph holds, with no
+        ``state_dict`` copy.
         """
         state = self.graph.live_state()
-        optimizer = optimizer_arrays or {}
-        owners = {**dict.fromkeys(state, state),
-                  **dict.fromkeys(optimizer, optimizer)}
-        names = sorted(owners)
+        names = sorted(state)
         manifest = []
         offset = 0
         for name in names:
-            shape = _stored_shape(owners[name], name)
-            manifest.append({"name": name, "shape": list(shape),
+            manifest.append({"name": name, "shape": list(state[name].shape),
                              "offset": offset})
-            offset += math.prod(shape) * 8
+            offset += state[name].size * 8
         header = {
             "format_version": _FORMAT_VERSION,
             "featurization": self.cfg.featurization_signature(),
             "featurization_fingerprint": self.cfg.featurization_fingerprint(),
             "config": asdict(self.cfg),
             "protein_index": self.protein_index,
-            "optimizer_step": optimizer_step,
             "run_config": run_config_text,
             "tensors": manifest,
         }
         blob = json.dumps(header, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
         # each array's own buffer, not a ``tobytes`` copy of it
-        tensors = (np.ascontiguousarray(owners[name][name], dtype="<f8")
+        tensors = (np.ascontiguousarray(state[name], dtype="<f8")
                    for name in names)
         write_artifact(path, itertools.chain(
             (_MAGIC, struct.pack("<IQ", _FORMAT_VERSION, len(blob)), blob),
@@ -337,6 +329,16 @@ class Model:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["Model", dict]:
+        """The model a checkpoint holds, and its ``extras``
+        (``{"run_config": <snapshot text or None>}``).
+
+        The header is read and the model built from it before the payload
+        is read, in one ``readinto`` of a buffer sized from the file; each
+        tensor is a view of that buffer, copied once, by ``load_state``,
+        into the model. A file that also holds Adam moments (``adam.*``
+        tensors and an ``optimizer_step`` header key, as checkpoints were
+        once written) loads the same way; those entries are ignored.
+        """
         with open(path, "rb") as handle:
             magic = handle.read(8)
             if magic != _MAGIC:
@@ -351,72 +353,65 @@ class Model:
             blob = handle.read(header_len)
             if len(blob) != header_len:
                 raise ModelError(f"{path}: truncated checkpoint header")
-            payload = handle.read()
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except ValueError:
-            raise ModelError(f"{path}: checkpoint header is not JSON") from None
-        try:  # every header entry that loading reads
-            layout = header["featurization"]["layout_version"]
-            cfg = _config_from_json(header["config"])
-            protein_index = header["protein_index"]
-            fingerprint = header["featurization_fingerprint"]
-            manifest = [(entry["name"], tuple(entry["shape"]), entry["offset"])
-                        for entry in header["tensors"]]
-            extras = {"optimizer_step": header["optimizer_step"],
-                      "run_config": header["run_config"]}
-        except KeyError as exc:
-            raise ModelError(f"{path}: checkpoint header has no "
-                             f"{exc.args[0]!r}") from None
-        except TypeError:  # an entry of another JSON type
-            raise ModelError(f"{path}: malformed checkpoint header") from None
-        if layout != FEATURIZATION_VERSION:
-            raise ModelError(
-                f"{path}: featurization layout {layout} is incompatible "
-                f"with this build ({FEATURIZATION_VERSION})")
-        protein_ids = None
-        if protein_index is not None:
-            ordered = sorted(protein_index, key=protein_index.get)
-            protein_ids = tuple(ordered)
-        model = cls.build(cfg, protein_ids=protein_ids)
-        if model.cfg.featurization_fingerprint() != fingerprint:
-            raise ModelError(f"{path}: featurization fingerprint mismatch")
-        tensors = {}
+            try:
+                header = json.loads(blob.decode("utf-8"))
+            except ValueError:
+                raise ModelError(
+                    f"{path}: checkpoint header is not JSON") from None
+            try:  # every header entry that loading reads
+                layout = header["featurization"]["layout_version"]
+                cfg = _config_from_json(header["config"])
+                protein_index = header["protein_index"]
+                fingerprint = header["featurization_fingerprint"]
+                manifest = [(entry["name"], tuple(entry["shape"]),
+                             entry["offset"])
+                            for entry in header["tensors"]
+                            if not entry["name"].startswith("adam.")]
+                extras = {"run_config": header["run_config"]}
+            except KeyError as exc:
+                raise ModelError(f"{path}: checkpoint header has no "
+                                 f"{exc.args[0]!r}") from None
+            except (TypeError, AttributeError):  # an entry of another type
+                raise ModelError(
+                    f"{path}: malformed checkpoint header") from None
+            if layout != FEATURIZATION_VERSION:
+                raise ModelError(
+                    f"{path}: featurization layout {layout} is incompatible "
+                    f"with this build ({FEATURIZATION_VERSION})")
+            protein_ids = None
+            if protein_index is not None:
+                ordered = sorted(protein_index, key=protein_index.get)
+                protein_ids = tuple(ordered)
+            model = cls.build(cfg, protein_ids=protein_ids)
+            if model.cfg.featurization_fingerprint() != fingerprint:
+                raise ModelError(
+                    f"{path}: featurization fingerprint mismatch")
+            payload = bytearray(max(0, os.fstat(handle.fileno()).st_size
+                                    - handle.tell()))
+            payload = memoryview(payload)[:handle.readinto(payload)]
+        state = {}
         for name, shape, start in manifest:
-            size = int(np.prod(shape)) if shape else 1
+            size = math.prod(shape)
             if start < 0 or start + size * 8 > len(payload):
                 raise ModelError(
                     f"{path}: truncated checkpoint: tensor {name!r} "
                     f"needs bytes {start}..{start + size * 8} of a "
                     f"{len(payload)}-byte payload")
-            array = np.frombuffer(payload, dtype="<f8", count=size,
-                                  offset=start).reshape(shape).copy()
-            tensors[name] = array
+            state[name] = np.frombuffer(payload, dtype="<f8", count=size,
+                                        offset=start).reshape(shape)
         # batch-norm running statistics may be absent: a model saved before
         # any training forward has none
         missing = sorted({p.name for p in model.graph.parameters()}
-                         .difference(tensors))
+                         .difference(state))
         if missing:
             raise ModelError(f"{path}: checkpoint has no tensor {missing[0]!r}")
-        model_state = {k: v for k, v in tensors.items()
-                       if not k.startswith("adam.")}
-        extras["optimizer_arrays"] = {k: v for k, v in tensors.items()
-                                      if k.startswith("adam.")}
         try:
-            model.graph.load_state(model_state)
+            model.graph.load_state(state)
         except NonFiniteError:
             raise
         except EngineError as exc:  # an unknown entry or a wrong shape
             raise ModelError(f"{path}: {exc}") from None
         return model, extras
-
-
-def _stored_shape(tensors: Mapping, name: str) -> tuple[int, ...]:
-    """The shape tensor ``name`` of ``tensors`` is saved with; a moment of
-    an :class:`~dtanet.engine.AdamMoments` is not expanded to find it."""
-    if isinstance(tensors, AdamMoments):
-        return tensors.shape(name)
-    return np.ascontiguousarray(tensors[name], dtype=np.float64).shape
 
 
 def _config_from_json(payload: dict) -> ModelConfig:

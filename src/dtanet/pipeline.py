@@ -257,9 +257,7 @@ def run_training(cfg: RunConfig, dataset: data_mod.PairDataset,
     train_idx, val_idx = _holdout(run_cfg, dataset.n_pairs)
     model, result = fit(run_cfg, _feature_store(run_cfg, dataset), train_idx,
                         val_idx)
-    model.save(out_checkpoint, optimizer_step=result.best_optimizer_step,
-               optimizer_arrays=result.best_optimizer,
-               run_config_text=run_cfg.snapshot())
+    model.save(out_checkpoint, run_config_text=run_cfg.snapshot())
     history_path = out_checkpoint.with_suffix(out_checkpoint.suffix + ".history.csv")
     write_lines(history_path, history_rows(result))
     log.info("best composite %.4f at epoch %d", result.best_score,
@@ -330,9 +328,7 @@ def run_cv(cfg: RunConfig, dataset: data_mod.PairDataset,
                     continue
                 model, result = fit(rep_cfg, store, train_view, val_view)
                 ckpt = out_dir / f"model_{scheme}_rep{rep}_fold{fold}.ckpt"
-                model.save(ckpt, optimizer_step=result.best_optimizer_step,
-                           optimizer_arrays=result.best_optimizer,
-                           run_config_text=rep_cfg.snapshot())
+                model.save(ckpt, run_config_text=rep_cfg.snapshot())
                 report = result.best_report
                 if report is None:  # no epoch was evaluated
                     y, w = store.pair_targets(val_view)

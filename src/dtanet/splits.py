@@ -80,9 +80,6 @@ class FoldAssignment:
     def n_records(self) -> int:
         return int(self.folds.size)
 
-    def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.folds == fold)
-
 
 @dataclass
 class CompoundClustering:

@@ -13,17 +13,15 @@ normalization simply sees its actual size). Identical seeds give identical
 histories and identical parameters.
 
 A fit holds one copy of its state. An epoch that becomes the best is
-recorded (its epoch, step and report) and nothing is copied: validation
-runs through ``Graph.infer``, which moves no parameter or running
-statistic, so the best is still the live state. It is copied (parameters
-and batch-norm statistics with ``Graph.state_dict``, the Adam moments in
-their compact layout) only before the first step of a later epoch, and
-loaded back when the fit ends. A best that is still live at the end is
-neither copied nor loaded; its parameters and statistics are checked for
-finiteness as loading would check them. ``TrainResult`` therefore has no
-copy of the best parameters (``train`` leaves them on the model), and its
-``best_optimizer`` is an :class:`~dtanet.engine.AdamMoments` mapping that
-expands each moment to full shape when it is read.
+recorded (its epoch and report) and nothing is copied: validation runs
+through ``Graph.infer``, which moves no parameter or running statistic, so
+the best is still the live state. Its parameters and batch-norm statistics
+are copied with ``Graph.state_dict`` only before the first step of a later
+epoch, and loaded back when the fit ends. A best that
+is still live at the end is neither copied nor loaded; its parameters and
+statistics are checked for finiteness as loading would check them.
+``TrainResult`` therefore has no copy of the best parameters: ``train``
+leaves them on the model.
 
 A fit moves only the first-layer rows whose input columns some training pair
 sets (``engine.RowSelection``); the other rows would get exactly zero
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Adam, AdamMoments, RowSelection, require_finite
+from .engine import Adam, RowSelection, require_finite
 from .metrics import EvalReport, evaluate_predictions
 from .model import FeatureStore, Model, ModelConfig
 
@@ -93,9 +91,6 @@ class TrainResult:
     history: list[EpochRow]
     best_epoch: int
     best_score: float
-    # the best epoch's Adam moments, each expanded to full shape when read
-    best_optimizer: AdamMoments
-    best_optimizer_step: int
     evals_performed: int
     epoch_seconds: list[float] = field(default_factory=list)
     # the best epoch's validation report; None when no epoch was evaluated
@@ -177,17 +172,16 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
     history: list[EpochRow] = []
     best_score = np.inf
     best_epoch = 0
-    best_step = 0
     best_report = None
-    # the best epoch's (state, moments) once a later step would overwrite
-    # them; None while the best is the live state
-    snapshot: tuple[dict[str, np.ndarray], AdamMoments] | None = None
+    # the best epoch's state once a later step would overwrite it; None
+    # while the best is the live state
+    snapshot: dict[str, np.ndarray] | None = None
     strikes = 0
     evals = 0
     epoch_seconds: list[float] = []
     for epoch in range(1, cfg.max_epochs + 1):
         if best_epoch and snapshot is None:
-            snapshot = graph.state_dict(), adam.moments().copy()
+            snapshot = graph.state_dict()
         started = time.perf_counter()
         order = rng.permutation(train_idx)
         train_loss = _run_epoch(model, store, order, adam, cfg.batch_size, rng)
@@ -204,7 +198,6 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
             if score < best_score:
                 best_score = score
                 best_epoch = epoch
-                best_step = adam.state.step
                 best_report = report
                 snapshot = None
                 strikes = 0
@@ -217,19 +210,14 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
             history.append(row)
     if not best_epoch:
         # nothing was evaluated (e.g. no validation set): keep the final state
-        best_step = adam.state.step
         best_epoch = history[-1].epoch
         best_score = float("nan")
     if snapshot is None:  # the best is the live state
         require_finite(graph.live_state())
-        best_optimizer = adam.moments()
     else:
-        state, best_optimizer = snapshot
-        graph.load_state(state)
+        graph.load_state(snapshot)
     return TrainResult(history=history, best_epoch=best_epoch,
                        best_score=float(best_score),
-                       best_optimizer=best_optimizer,
-                       best_optimizer_step=best_step,
                        evals_performed=evals, epoch_seconds=epoch_seconds,
                        best_report=best_report)
 

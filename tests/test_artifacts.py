@@ -165,7 +165,7 @@ _CHILD = textwrap.dedent("""
     kind, path, limit = sys.argv[1], sys.argv[2], int(sys.argv[3])
     if kind == "checkpoint":
         model, _ = Model.load(path)
-        write = lambda: model.save(path, optimizer_step=7)
+        write = lambda: model.save(path)
     else:
         folds = np.arange(5000) % 3
         write = lambda: write_folds(path, FoldAssignment(

@@ -879,14 +879,14 @@ class TestAdam:
         second.grad = rng.standard_normal(4)
         adam.step()
         before = ([first.array.copy(), second.array.copy()],
-                  adam.state_arrays(), adam.state.step)
+                  moment_copies(adam), adam.state.step)
         first.grad = rng.standard_normal((200, 3))
         second.grad = np.array([0.0, np.inf, 1.0, 2.0])
         with pytest.raises(NonFiniteError, match="second"):
             adam.step()
         assert np.array_equal(first.array, before[0][0])
         assert np.array_equal(second.array, before[0][1])
-        after = adam.state_arrays()
+        after = moment_copies(adam)
         assert after.keys() == before[1].keys()
         assert all(np.array_equal(after[k], before[1][k]) for k in after)
         assert adam.state.step == before[2]
@@ -1040,50 +1040,20 @@ class TestRowSelection:
             adam_part.step()
             assert np.array_equal(full.array, part.array)
         assert adam_part.state.m["w"].shape == (selection.n_rows, 3)
-        saved, expected = adam_part.state_arrays(), adam_full.state_arrays()
-        assert saved.keys() == expected.keys()
-        assert np.array_equal(saved["adam.m.w"], adam_full.state.m["w"])
-        assert np.array_equal(saved["adam.v.w"], adam_full.state.v["w"])
-        for key in saved:
-            assert np.array_equal(saved[key], expected[key])
-            assert not np.signbit(saved[key][~kept]).any()
+        # each compact moment is the full optimizer's moment on the selected
+        # rows, and +0 on the inactive rows of a whole block; the full
+        # moment is +0 on every inactive row, so dropping them loses nothing
+        inactive = compact(part, np.repeat(~kept[:, None], 3, axis=1))
+        assert inactive.any()
+        for kind in ("m", "v"):
+            moment = getattr(adam_part.state, kind)["w"]
+            full_moment = getattr(adam_full.state, kind)["w"]
+            assert np.array_equal(moment, compact(part, full_moment))
+            assert_positive_zero(moment[inactive])
+            assert_positive_zero(full_moment[~kept])
         part.grad = np.zeros((540, 3))  # a full-shape gradient is refused
         with pytest.raises(ShapeError, match="'w'"):
             adam_part.step()
-
-    def test_moments_expand_on_read_and_copy_in_compact_layout(self):
-        rng = np.random.default_rng(8)
-        w = Parameter("w", rng.standard_normal((60, 3)))
-        b = Parameter("b", rng.standard_normal(3))
-        mask = rng.random(60) < 0.4
-        w.row_selection = RowSelection([mask])
-        adam = Adam([w, b])
-        w.grad = rng.standard_normal((int(mask.sum()), 3))
-        b.grad = rng.standard_normal(3)
-        adam.step()
-        live = adam.moments()
-        snapshot = live.copy()
-        assert list(live) == ["adam.m.w", "adam.v.w", "adam.m.b", "adam.v.b"]
-        assert live.shape("adam.m.w") == (60, 3)
-        assert live.shape("adam.v.b") == (3,)
-        expanded = dict(snapshot)
-        assert expanded.keys() == adam.state_arrays().keys()
-        for key, full in adam.state_arrays().items():
-            assert np.array_equal(expanded[key], full)
-            assert live[key].shape == live.shape(key)
-        assert np.array_equal(expanded["adam.m.w"][mask], adam.state.m["w"])
-        assert not expanded["adam.m.w"][~mask].any()
-        with pytest.raises(TypeError):
-            live["adam.m.b"] = np.zeros(3)
-        # the live mapping follows the optimizer; its copy and every array
-        # read from either do not
-        w.grad, b.grad = w.grad + 1.0, b.grad + 1.0
-        adam.step()
-        for key in expanded:
-            assert np.array_equal(snapshot[key], expanded[key])
-        assert not np.array_equal(live["adam.m.b"], expanded["adam.m.b"])
-        expanded["adam.m.b"][:] = 0.0
-        assert snapshot["adam.m.b"].any()
 
     def test_64_wide_selection_in_entry_sized_blocks_equals_textbook(
             self, monkeypatch):
@@ -1119,9 +1089,10 @@ class TestRowSelection:
             assert updated == [512, 188, 512, 488]
             theta, m, v = textbook_adam(theta, m, v, g, t, lr, b1, b2, eps)
             assert np.array_equal(w.array, theta)
-        saved = adam.state_arrays()
-        assert np.array_equal(saved["adam.m.w"], m)
-        assert np.array_equal(saved["adam.v.w"], v)
+        assert np.array_equal(adam.state.m["w"], compact(w, m))
+        assert np.array_equal(adam.state.v["w"], compact(w, v))
+        assert_positive_zero(m[~kept])
+        assert_positive_zero(v[~kept])
 
     def test_a_row_zero_in_one_batch_still_moves(self):
         # The selection holds the fit's columns, not the batch's: a row whose
@@ -1177,6 +1148,17 @@ def compact(param, full_grad):
                            in param.row_selection.blocks])
 
 
+def moment_copies(adam):
+    """A copy of each of ``adam``'s moments, in its own layout."""
+    return {(kind, name): moment.copy()
+            for kind, moments in (("m", adam.state.m), ("v", adam.state.v))
+            for name, moment in moments.items()}
+
+
+def assert_positive_zero(values):
+    assert not values.any() and not np.signbit(values).any()
+
+
 class TestFlatAdam:
     """Parameters outside a row selection are views of one flat buffer, and
     one update over it is the textbook rule entry by entry."""
@@ -1210,12 +1192,12 @@ class TestFlatAdam:
                 if p is not selected:
                     assert np.array_equal(adam.state.m[p.name], m[p.name])
                     assert np.array_equal(adam.state.v[p.name], v[p.name])
-        saved = adam.state_arrays()
-        for p in params:
-            assert np.array_equal(saved[f"adam.m.{p.name}"], m[p.name])
-            assert np.array_equal(saved[f"adam.v.{p.name}"], v[p.name])
-            assert not np.shares_memory(saved[f"adam.m.{p.name}"],
-                                        adam.flat_m)
+        assert np.array_equal(adam.state.m["selected"],
+                              compact(selected, m["selected"]))
+        assert np.array_equal(adam.state.v["selected"],
+                              compact(selected, v["selected"]))
+        assert_positive_zero(m["selected"][~kept])
+        assert_positive_zero(v["selected"][~kept])
 
     def test_parameters_and_moments_are_views_of_the_buffer(self):
         rng = np.random.default_rng(43)
@@ -1279,7 +1261,7 @@ class TestFlatAdam:
 
         set_grads()
         adam.step()
-        before = ([p.array.copy() for p in params], adam.state_arrays(),
+        before = ([p.array.copy() for p in params], moment_copies(adam),
                   adam.state.step)
         set_grads()
         for name in bad:
@@ -1289,7 +1271,7 @@ class TestFlatAdam:
             adam.step()
         for p, old in zip(params, before[0]):
             assert np.array_equal(p.array, old), p.name
-        after = adam.state_arrays()
+        after = moment_copies(adam)
         assert after.keys() == before[1].keys()
         for key in after:
             assert np.array_equal(after[key], before[1][key]), key

@@ -1,8 +1,10 @@
 """Model assembly, prediction semantics, checkpoints, cold-start contract."""
 
 import json
+import math
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -554,13 +556,10 @@ class TestCheckpoint:
         model = store.build_model()
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
-        model.save(first, optimizer_step=7,
-                   optimizer_arrays={"adam.m.output.b": np.zeros(1)},
-                   run_config_text="cfg")
+        model.save(first, run_config_text="cfg")
         loaded, extras = Model.load(first)
-        loaded.save(second, optimizer_step=extras["optimizer_step"],
-                    optimizer_arrays=extras["optimizer_arrays"],
-                    run_config_text=extras["run_config"])
+        assert extras == {"run_config": "cfg"}
+        loaded.save(second, run_config_text=extras["run_config"])
         assert first.read_bytes() == second.read_bytes()
 
     def test_refuses_wrong_magic(self, tmp_path):
@@ -589,8 +588,7 @@ class TestCheckpoint:
                                  seed=7)
         model = FeatureStore(dataset, small_config()).build_model()
         path = tmp_path / "model.ckpt"
-        model.save(path, optimizer_step=3,
-                   optimizer_arrays={"adam.m.output.b": np.zeros(1)})
+        model.save(path)
         raw = path.read_bytes()
         path.write_bytes(raw[:keep])
         with pytest.raises(ModelError, match="model.ckpt.*truncated"):
@@ -627,6 +625,7 @@ class TestCheckpoint:
         (lambda h: _with_tensors(
             h, lambda ts: [{**t, "shape": 5} for t in ts]),
          "malformed checkpoint header"),
+        (lambda h: _with_bias_copy(h, name=5), "malformed checkpoint header"),
         (lambda h: _with_bias_copy(h, name="output.c"),
          "unknown state entry 'output.c'"),
         (lambda h: _with_bias_copy(h, name="bn9.running_mean"),
@@ -634,8 +633,8 @@ class TestCheckpoint:
         (lambda h: _with_bias_copy(h, shape=[1, 1]),
          "parameter 'output.b': stored shape"),
     ], ids=["missing-parameter", "not-json", "no-featurization",
-            "array-header", "shape-not-a-list", "unknown-tensor",
-            "unknown-statistic", "wrong-shape"])
+            "array-header", "shape-not-a-list", "name-not-a-string",
+            "unknown-tensor", "unknown-statistic", "wrong-shape"])
     def test_refuses_what_it_cannot_restore(self, tmp_path, edit, message):
         _, path = self._saved(tmp_path)
         self._rewrite_header(path, edit)
@@ -690,3 +689,86 @@ class TestCheckpoint:
         model.save(path)
         loaded, _ = Model.load(path)
         assert loaded.protein_index == model.protein_index
+
+    def _trained(self, tmp_path):
+        """A store, a model fit for one epoch (so its batch-norm running
+        statistics exist), and its checkpoint."""
+        dataset = memory_dataset(n_compounds=6, n_proteins=3, n_pairs=12,
+                                 seed=9)
+        store = FeatureStore(dataset, small_config())
+        model = store.build_model()
+        idx = np.arange(dataset.n_pairs)
+        train(model, store, idx[:8], idx[8:],
+              TrainConfig(batch_size=4, max_epochs=1, seed=0))
+        path = tmp_path / "model.ckpt"
+        model.save(path, run_config_text="cfg")
+        return store, model, path
+
+    def test_checkpoint_holds_the_model_state_only(self, tmp_path):
+        _, model, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + length])
+        state = model.graph.state_dict()
+        assert "optimizer_step" not in header
+        assert [t["name"] for t in header["tensors"]] == sorted(state)
+        assert len(raw) == 20 + length + sum(v.nbytes for v in state.values())
+
+    def test_loads_a_checkpoint_with_adam_moments(self, tmp_path):
+        # Checkpoints were once written with the best epoch's Adam moments:
+        # an ``optimizer_step`` header key and an ``adam.{m,v}.<param>``
+        # tensor per parameter, sorted with the rest, so stored first.
+        store, model, path = self._trained(tmp_path)
+        rng = np.random.default_rng(1)
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + length])
+        payload = raw[20 + length:]
+        tensors, shapes = {}, {}
+        for t in header["tensors"]:
+            end = t["offset"] + 8 * math.prod(t["shape"])
+            tensors[t["name"]] = payload[t["offset"]:end]
+            shapes[t["name"]] = t["shape"]
+        for p in model.graph.parameters():
+            for kind in ("m", "v"):
+                moment = rng.standard_normal(p.array.shape).astype("<f8")
+                tensors[f"adam.{kind}.{p.name}"] = moment.tobytes()
+                shapes[f"adam.{kind}.{p.name}"] = list(p.array.shape)
+        manifest, offset = [], 0
+        for name in sorted(tensors):
+            manifest.append({"name": name, "shape": shapes[name],
+                             "offset": offset})
+            offset += len(tensors[name])
+        blob = json.dumps({**header, "optimizer_step": 3,
+                           "tensors": manifest}).encode()
+        path.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(blob)) + blob
+                         + b"".join(tensors[name] for name in sorted(tensors)))
+        assert manifest[0]["name"].startswith("adam.")
+        loaded, extras = Model.load(path)
+        assert extras == {"run_config": "cfg"}
+        state, saved = loaded.graph.state_dict(), model.graph.state_dict()
+        assert state.keys() == saved.keys()
+        for name in saved:
+            assert np.array_equal(state[name], saved[name]), name
+        idx = np.arange(store.dataset.n_pairs)
+        assert store.predict(loaded, idx).tobytes() == \
+            store.predict(model, idx).tobytes()
+
+    def test_load_holds_little_beyond_the_state_it_loads(self, tmp_path):
+        # The default padme-ecfp model: 22 MB of parameters. Loading holds
+        # the built model and the file's payload, not a copy per tensor.
+        model = Model.build(ModelConfig())
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        state_bytes = sum(v.nbytes for v in model.graph.live_state().values())
+        del model
+        tracemalloc.start()
+        try:
+            loaded, _ = Model.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(v.nbytes for v in loaded.graph.live_state().values()) == \
+            state_bytes
+        assert peak <= 2.2 * state_bytes
+

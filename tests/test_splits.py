@@ -122,7 +122,8 @@ class TestColdEntitySplit:
         drugs = [f"D{i}" for i in range(5)] * 2
         targets = [f"T{i % 3}" for i in range(10)]
         assignment = cold_entity_split(drugs, targets, k=5, seed=0, axis="drug")
-        per_fold = [len({drugs[i] for i in assignment.fold_indices(f)})
+        per_fold = [len({drugs[i]
+                         for i in np.flatnonzero(assignment.folds == f)})
                     for f in range(5)]
         assert per_fold == [1] * 5
 
@@ -141,7 +142,8 @@ class TestColdEntitySplit:
         targets = [f"T{i % 7}" for i in range(200)]
         for k in (3, 5, 7):
             assignment = cold_entity_split(drugs, targets, k=k, seed=2)
-            counts = [len({drugs[i] for i in assignment.fold_indices(f)})
+            counts = [len({drugs[i]
+                           for i in np.flatnonzero(assignment.folds == f)})
                       for f in range(k)]
             assert max(counts) - min(counts) <= 1
 
@@ -376,9 +378,10 @@ class TestHoldout:
         _, holdout = hyperopt_holdout(50, seed=0)
         for f, (train_view, val_view) in enumerate(
                 fold_views(assignment, holdout)):
+            fold = np.flatnonzero(assignment.folds == f)
             assert np.intersect1d(val_view, holdout).size == 0
-            assert set(val_view) <= set(assignment.fold_indices(f))
-            assert np.intersect1d(train_view, assignment.fold_indices(f)).size == 0
+            assert set(val_view) <= set(fold)
+            assert np.intersect1d(train_view, fold).size == 0
 
     def test_too_small(self):
         with pytest.raises(SplitError, match="at least 10"):

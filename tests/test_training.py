@@ -185,13 +185,13 @@ def reference_fit(model, store, train_idx, val_idx, cfg, scores=None):
     evaluated every epoch; ``scores``, if given, scripts the composite of
     each epoch in place of the validation score.
 
-    Returns the per-epoch (train loss, composite) and the best epoch's
-    parameters and full-shape moments.
+    Returns the per-epoch (train loss, composite), the best epoch's
+    parameters and the optimizer, which holds the last step's moments.
     """
     assert model.input_weight.row_selection is None
     adam = Adam(model.graph.parameters(), learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    history, best = [], (np.inf, None, None)
+    history, best = [], (np.inf, None)
     for _ in range(cfg.max_epochs):
         order = rng.permutation(train_idx)
         total = 0.0
@@ -207,8 +207,8 @@ def reference_fit(model, store, train_idx, val_idx, cfg, scores=None):
                  else scores[len(history)])
         history.append((total / order.size, score))
         if score < best[0]:
-            best = (score, model.graph.state_dict(), adam.state_arrays())
-    return history, best[1], best[2]
+            best = (score, model.graph.state_dict())
+    return history, best[1], adam
 
 
 def textbook_fit(model, store, train_idx, val_idx, cfg):
@@ -216,8 +216,8 @@ def textbook_fit(model, store, train_idx, val_idx, cfg):
     textbook Adam rule on plain arrays.
 
     Leaves ``model`` holding the best parameters, as ``train`` does, and
-    returns the per-epoch (train loss, composite), the best epoch's
-    parameters and full-shape moments, and the step count there.
+    returns the per-epoch (train loss, composite) and the best epoch's
+    parameters.
     """
     assert model.input_weight.row_selection is None
     params = model.graph.parameters()
@@ -225,7 +225,7 @@ def textbook_fit(model, store, train_idx, val_idx, cfg):
     v = {p.name: np.zeros(p.array.shape) for p in params}
     t = 0
     rng = np.random.default_rng(cfg.seed)
-    history, best = [], (np.inf, None, None, 0)
+    history, best = [], (np.inf, None)
     for _ in range(cfg.max_epochs):
         order = rng.permutation(train_idx)
         total = 0.0
@@ -245,13 +245,9 @@ def textbook_fit(model, store, train_idx, val_idx, cfg):
         score = validation_scores(model, store, val_idx)[2]
         history.append((total / order.size, score))
         if score < best[0]:
-            moments = {}
-            for p in params:
-                moments[f"adam.m.{p.name}"] = m[p.name].copy()
-                moments[f"adam.v.{p.name}"] = v[p.name].copy()
-            best = (score, model.graph.state_dict(), moments, t)
+            best = (score, model.graph.state_dict())
     model.graph.load_state(best[1])
-    return history, best[1], best[2], best[3]
+    return history, best[1]
 
 
 def small_store(variant, seed=2):
@@ -282,18 +278,22 @@ class TestActiveRows:
         # the fit kept the first layer's moments compact
         assert built[0].state.m["dense0.W"].shape == \
             (selection.n_rows, weight.array.shape[1])
-        history, state, moments = reference_fit(reference, store, train_idx,
-                                                val_idx, cfg)
+        history, state, full = reference_fit(reference, store, train_idx,
+                                             val_idx, cfg)
         assert [(row.train_loss, row.composite)
                 for row in result.history] == history
         current = model.graph.state_dict()
         assert current.keys() == state.keys()
         for name in state:
             assert np.array_equal(current[name], state[name]), name
-        assert result.best_optimizer.keys() == moments.keys()
-        for name in moments:
-            assert np.array_equal(result.best_optimizer[name],
-                                  moments[name]), name
+        # the last step's moments: the full path's, on the selected rows
+        for kind in ("m", "v"):
+            moments = getattr(built[0].state, kind)
+            for name, moment in getattr(full.state, kind).items():
+                if name == "dense0.W":
+                    moment = np.concatenate([moment[rows] for _, _, rows
+                                             in selection.blocks])
+                assert np.array_equal(moments[name], moment), (kind, name)
 
     @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv",
                                          "compound-only-ecfp"])
@@ -358,19 +358,14 @@ class TestRefit:
             cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3,
                               seed=seed)
             result = train(model, store, train_idx, val_idx, cfg)
-            history, state, moments, step = textbook_fit(
+            history, state = textbook_fit(
                 reference, store, train_idx, val_idx, cfg)
             assert [(row.train_loss, row.composite)
                     for row in result.history] == history
-            assert result.best_optimizer_step == step
             current = model.graph.state_dict()
             assert current.keys() == state.keys()
             for name in state:
                 assert np.array_equal(current[name], state[name]), name
-            assert result.best_optimizer.keys() == moments.keys()
-            for name in moments:
-                assert np.array_equal(result.best_optimizer[name],
-                                      moments[name]), name
         first, second = built
         weight = model.input_weight
         for p in model.graph.parameters():
@@ -394,23 +389,18 @@ def script_scores(monkeypatch, scores, act=None):
 
 
 def count_copies(monkeypatch):
-    """Record each state copy a fit takes: the Adam step at every
-    ``Graph.state_dict`` call and every ``AdamMoments.copy`` call."""
-    copies = {"state": [], "moments": 0}
+    """The Adam step at each state copy a fit takes (each
+    ``Graph.state_dict`` call)."""
+    steps = []
     built = record_adams(monkeypatch)
-    state_dict, copy = engine.Graph.state_dict, engine.AdamMoments.copy
+    state_dict = engine.Graph.state_dict
 
     def counted_state_dict(graph):
-        copies["state"].append(built[-1].state.step)
+        steps.append(built[-1].state.step)
         return state_dict(graph)
 
-    def counted_copy(moments):
-        copies["moments"] += 1
-        return copy(moments)
-
     monkeypatch.setattr(engine.Graph, "state_dict", counted_state_dict)
-    monkeypatch.setattr(engine.AdamMoments, "copy", counted_copy)
-    return copies
+    return steps
 
 
 class TestSnapshot:
@@ -432,7 +422,7 @@ class TestSnapshot:
             batch_size=16, max_epochs=max_epochs, patience=3,
             eval_every=eval_every, seed=0))
         assert result.best_epoch == max_epochs
-        assert len(copies["state"]) == copies["moments"] == copied
+        assert len(copies) == copied
 
     def test_early_best_is_copied_once(self, monkeypatch):
         dataset, store, model = make_setup(seed=8)
@@ -443,7 +433,7 @@ class TestSnapshot:
             batch_size=16, max_epochs=4, patience=3, seed=0))
         assert result.best_epoch == 1
         assert len(result.history) == 4
-        assert len(copies["state"]) == 1 and copies["moments"] == 1
+        assert len(copies) == 1
 
     def test_copy_before_the_next_epoch_restores_a_reference_fit(
             self, monkeypatch):
@@ -460,21 +450,13 @@ class TestSnapshot:
         assert result.best_epoch == 2 and len(result.history) == 6
         # one copy, at the step count the best epoch ended on, so before
         # epoch 3's first step
-        assert copies["state"] == [result.best_optimizer_step]
-        assert copies["moments"] == 1
-        assert result.best_optimizer_step == 2 * 6  # 48 pairs in batches of 8
-        _, state, moments = reference_fit(reference, store, train_idx,
-                                          val_idx, cfg,
-                                          scores=[1.0, 0.1] + [1.0] * 4)
+        assert copies == [2 * 6]  # 48 pairs in batches of 8
+        _, state, _ = reference_fit(reference, store, train_idx, val_idx,
+                                    cfg, scores=[1.0, 0.1] + [1.0] * 4)
         current = model.graph.state_dict()
         assert current.keys() == state.keys()
         for name in state:
             assert np.array_equal(current[name], state[name]), name
-        assert result.best_optimizer.keys() == moments.keys()
-        for name in moments:
-            assert result.best_optimizer.shape(name) == moments[name].shape
-            assert np.array_equal(result.best_optimizer[name],
-                                  moments[name]), name
 
     @pytest.mark.parametrize("entry", ["output.b", "bn0.running_var"])
     def test_non_finite_live_best_is_refused_naming_the_entry(
@@ -496,28 +478,6 @@ class TestSnapshot:
                            match=re.escape(f"state entry '{entry}'")):
             train(model, store, idx[:30], idx[30:], TrainConfig(
                 batch_size=16, max_epochs=3, patience=3, seed=0))
-
-    @pytest.mark.parametrize("scores", [[0.3, 0.2, 0.1], [0.1, 0.2, 0.3]])
-    def test_save_of_the_lazy_moments_writes_the_expanded_bytes(
-            self, monkeypatch, tmp_path, scores):
-        store = small_store("padme-ecfp", seed=4)
-        idx = np.arange(store.dataset.n_pairs)
-        model = store.build_model()
-        script_scores(monkeypatch, scores)
-        built = record_adams(monkeypatch)
-        result = train(model, store, idx[:48], idx[48:], TrainConfig(
-            batch_size=8, max_epochs=3, patience=3, seed=2))
-        monkeypatch.undo()
-        lazy, expanded = tmp_path / "lazy.ckpt", tmp_path / "expanded.ckpt"
-        model.save(lazy, optimizer_step=result.best_optimizer_step,
-                   optimizer_arrays=result.best_optimizer)
-        if result.best_epoch == 3:  # the best is what the optimizer holds
-            arrays = built[0].state_arrays()
-        else:
-            arrays = dict(result.best_optimizer)
-        model.save(expanded, optimizer_step=result.best_optimizer_step,
-                   optimizer_arrays=arrays)
-        assert lazy.read_bytes() == expanded.read_bytes()
 
 
 class TestEpochCostProbe:

@@ -6,7 +6,7 @@ Each ``--src`` names a ``src`` directory holding a ``dtanet`` package. For
 each one, a fresh interpreter
 
 * trains the four variants for 3 epochs with seed 0 on synthetic pairs and
-  saves each best checkpoint with its Adam moments;
+  saves each best checkpoint;
 * scores 2600 synthetic pairs of 1300 compounds and 12 proteins with the
   trained ``padme-ecfp`` model through ``FeatureStore.predict`` at its
   default ``batch_size`` (prediction bytes): three chunks of pairs and two
@@ -21,8 +21,8 @@ each one, a fresh interpreter
   (prediction bytes of the single-table first layer, three chunks);
 * fits one ``padme-ecfp`` model with an early best epoch (evaluated
   every 2 epochs at learning rate 0.01 and patience 1, so the fit stops 2
-  epochs after its best and restores it) and saves its checkpoint (one
-  digest of the best epoch and the checkpoint bytes);
+  epochs after its best and restores it) and saves its checkpoint (its
+  best epoch leads both of its digests);
 * fits one ``padme-graphconv`` model twice with two ``train`` calls on the
   same store (the second optimizer repacks parameters the first one owns)
   and saves the second fit's checkpoint;
@@ -75,7 +75,12 @@ each one, a fresh interpreter
   assay map, an ``inactive_remap`` and ``min_obs=1`` (the same arrays), one
   digest of all three;
 
-and reports the SHA-256 digest of each artifact. The script exits 1 unless
+and reports the SHA-256 digest of each artifact. Each checkpoint also has
+a ``<row> loaded state`` row: the digest of the parameters and batch-norm
+statistics ``Model.load`` reads back from it, with their names and shapes,
+and of the run-config snapshot it carries; a change of the checkpoint
+format alone changes the checkpoint row but not that one. The script exits
+1 unless
 every artifact is byte-identical across the sources, which is how a
 numerical restructuring of the engine, or a refactoring of the pipeline,
 shows that it kept the results.
@@ -100,6 +105,24 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _checkpoint(out: dict[str, str], name: str, path: Path,
+                preamble: str = "") -> None:
+    """Put the ``name`` row, the digest of ``preamble`` and the checkpoint
+    file's bytes, and the ``name loaded state`` row into ``out``."""
+    from dtanet.model import Model
+
+    digest = hashlib.sha256(preamble.encode())
+    digest.update(path.read_bytes())
+    out[name] = digest.hexdigest()
+    model, extras = Model.load(path)
+    digest = hashlib.sha256(preamble.encode())
+    digest.update(f"run_config|{extras['run_config']!r}|".encode())
+    for key, array in sorted(model.graph.state_dict().items()):
+        digest.update(f"{key}|{array.shape}|".encode())
+        digest.update(array.tobytes())
+    out[f"{name} loaded state"] = digest.hexdigest()
+
+
 def _command(argv: list[str]) -> None:
     from dtanet import cli
 
@@ -121,7 +144,7 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     cfg = parse_run_config(None)
     dataset = pipeline.load_pair_dataset(cfg, work / "fixture")
     ckpt = pipeline.run_training(cfg, dataset, work / "model.ckpt")
-    out["train checkpoint"] = _sha(ckpt)
+    _checkpoint(out, "train checkpoint", ckpt)
     out["train history"] = _sha(Path(f"{ckpt}.history.csv"))
     cv_dir = work / "cv"
     report = pipeline.run_cv(cfg, dataset, cv_dir, scheme="warm", k=2,
@@ -129,8 +152,8 @@ def pipeline_digests(work: Path) -> dict[str, str]:
     out["cv report"] = _sha(report)
     out["cv folds"] = _sha(cv_dir / "folds_warm_rep0.csv")
     for fold in range(2):
-        out[f"cv fold{fold} checkpoint"] = _sha(
-            cv_dir / f"model_warm_rep0_fold{fold}.ckpt")
+        _checkpoint(out, f"cv fold{fold} checkpoint",
+                    cv_dir / f"model_warm_rep0_fold{fold}.ckpt")
     pipeline.run_tune(cfg, dataset, work / "tune", budget=3, strategy="random")
     out["tune trials"] = _sha(work / "tune" / "trials.csv")
     out["tune best config"] = _sha(work / "tune" / "best_config.cfg")
@@ -141,8 +164,8 @@ def pipeline_digests(work: Path) -> dict[str, str]:
         dataset, graph_dir, scheme="cold-cluster", k=2, repetitions=1)
     out["graphconv cluster report"] = _sha(report)
     for fold in range(2):
-        out[f"graphconv cluster fold{fold}"] = _sha(
-            graph_dir / f"model_cold-cluster_rep0_fold{fold}.ckpt")
+        _checkpoint(out, f"graphconv cluster fold{fold}",
+                    graph_dir / f"model_cold-cluster_rep0_fold{fold}.ckpt")
     ecfp_dir = work / "cv-ecfp"
     report = pipeline.run_cv(cfg.override({"train.max_epochs": 2}), dataset,
                              ecfp_dir, scheme="cold-cluster", k=2,
@@ -152,8 +175,8 @@ def pipeline_digests(work: Path) -> dict[str, str]:
         out[f"ecfp cluster folds rep{rep}"] = _sha(
             ecfp_dir / f"folds_cold-cluster_rep{rep}.csv")
     for fold in range(2):
-        out[f"ecfp cluster rep0 fold{fold}"] = _sha(
-            ecfp_dir / f"model_cold-cluster_rep0_fold{fold}.ckpt")
+        _checkpoint(out, f"ecfp cluster rep0 fold{fold}",
+                    ecfp_dir / f"model_cold-cluster_rep0_fold{fold}.ckpt")
     interactions = str(work / "fixture" / "interactions.csv")
     _command(["featurize", "--ecfp", "--input", interactions,
               "--out", str(work / "fingerprints.csv")])
@@ -360,9 +383,10 @@ def ecfp_matrices_digest() -> str:
     return digest.hexdigest()
 
 
-def early_best_digest(dataset, train_idx, val_idx, work: Path) -> str:
+def early_best_digests(out: dict[str, str], dataset, train_idx, val_idx,
+                       work: Path) -> None:
     """A ``padme-ecfp`` fit whose best epoch is earlier than its last: the
-    digest of its best epoch and its checkpoint."""
+    checkpoint rows of its checkpoint, each digest led by its best epoch."""
     from dtanet.model import FeatureStore, ModelConfig
     from dtanet.training import TrainConfig, train
 
@@ -372,11 +396,9 @@ def early_best_digest(dataset, train_idx, val_idx, work: Path) -> str:
                    TrainConfig(max_epochs=12, patience=1, eval_every=2,
                                learning_rate=0.01, seed=SEED))
     path = work / "early-best.ckpt"
-    model.save(path, optimizer_step=result.best_optimizer_step,
-               optimizer_arrays=result.best_optimizer)
-    digest = hashlib.sha256(f"best epoch {result.best_epoch}\n".encode())
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+    model.save(path)
+    _checkpoint(out, "padme-ecfp early-best checkpoint", path,
+                f"best epoch {result.best_epoch}\n")
 
 
 def digests() -> dict[str, str]:
@@ -395,13 +417,11 @@ def digests() -> dict[str, str]:
             store = FeatureStore(dataset, ModelConfig(variant=variant,
                                                       seed=SEED))
             model = store.build_model()
-            result = train(model, store, train_idx, val_idx,
-                           TrainConfig(max_epochs=EPOCHS, patience=EPOCHS,
-                                       seed=SEED))
+            train(model, store, train_idx, val_idx,
+                  TrainConfig(max_epochs=EPOCHS, patience=EPOCHS, seed=SEED))
             path = Path(work) / f"{variant}.ckpt"
-            model.save(path, optimizer_step=result.best_optimizer_step,
-                       optimizer_arrays=result.best_optimizer)
-            out[variant] = _sha(path)
+            model.save(path)
+            _checkpoint(out, variant, path)
             if variant == "padme-ecfp":
                 out["padme-ecfp 3-chunk predict"] = \
                     multi_chunk_predict_digest(model)
@@ -414,19 +434,16 @@ def digests() -> dict[str, str]:
                 out["compound-only predict"] = \
                     multi_chunk_predict_digest(model,
                                                len(dataset.protein_ids))
-        out["padme-ecfp early-best checkpoint"] = early_best_digest(
-            dataset, train_idx, val_idx, Path(work))
+        early_best_digests(out, dataset, train_idx, val_idx, Path(work))
         store = FeatureStore(dataset, ModelConfig(variant="padme-graphconv",
                                                   seed=SEED))
         model = store.build_model()
         for seed in (SEED, SEED + 1):
-            result = train(model, store, train_idx, val_idx,
-                           TrainConfig(max_epochs=EPOCHS, patience=EPOCHS,
-                                       seed=seed))
+            train(model, store, train_idx, val_idx,
+                  TrainConfig(max_epochs=EPOCHS, patience=EPOCHS, seed=seed))
         path = Path(work) / "refit.ckpt"
-        model.save(path, optimizer_step=result.best_optimizer_step,
-                   optimizer_arrays=result.best_optimizer)
-        out["padme-graphconv refit"] = _sha(path)
+        model.save(path)
+        _checkpoint(out, "padme-graphconv refit", path)
         out["graphconv batch-64 predict"] = \
             multi_chunk_predict_digest(model, batch_size=64)
         out["graphconv repeat predict"] = repeat_predict_digest(model)
@@ -465,12 +482,13 @@ def main(argv=None) -> int:
             return 2
         results[str(src)] = json.loads(completed.stdout.splitlines()[-1])
     artifacts = next(iter(results.values()))
+    width = max(map(len, artifacts))
     same = True
     for artifact in artifacts:
         hashes = {r[artifact] for r in results.values()}
         same = same and len(hashes) == 1
         status = "same" if len(hashes) == 1 else "DIFFERENT"
-        print(f"{artifact:32s} {status:9s} "
+        print(f"{artifact:{width}s} {status:9s} "
               + " ".join(r[artifact][:16] for r in results.values()))
     return 0 if same else 1
 
