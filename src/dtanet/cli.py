@@ -35,12 +35,20 @@ from .runconfig import SCHEMES, RunConfig, parse_run_config  # noqa: E402
 log = logging.getLogger("dtanet")
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer of at least 0, as numpy seeds are."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="run configuration file (INI sections)")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
                         help="override a config key, e.g. --set split.k=3")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="seed overriding the config for this command")
     parser.add_argument("--data-dir", type=Path, default=Path("."),
                         help="directory holding the data files")

@@ -116,6 +116,9 @@ def load_interactions(
     transformed value, a summary, the sequence table, and the molecule table
     of the records' distinct SMILES in the order they were first read.
     """
+    if malformed_tolerance < 0:
+        raise DataError(f"malformed_tolerance must be at least 0, got "
+                        f"{malformed_tolerance}")
     sequences = proteins.read_sequence_table(sequences_path)
     assay_map = _read_assay_map(assay_map_path) if assay_map_path else None
     records: list[InteractionRecord] = []
@@ -333,16 +336,12 @@ class PairDataset:
 
 def assemble_pairs(records: list[InteractionRecord],
                    sequences: dict[str, tuple[str, bool]],
-                   n_tasks: int | None = None) -> PairDataset:
-    """Group records by (compound, protein); duplicates average post-transform."""
-    return _assemble_pairs(records, sequences, n_tasks, None)
-
-
-def _assemble_pairs(records, sequences, n_tasks,
-                    parsed: tuple[dict[str, int], MoleculeTable] | None
-                    ) -> PairDataset:
-    """:func:`assemble_pairs`, taking the molecules from ``parsed`` (SMILES
-    -> row of its table) when given, else parsing them."""
+                   n_tasks: int | None = None,
+                   parsed: tuple[dict[str, int], MoleculeTable] | None = None
+                   ) -> PairDataset:
+    """Group records by (compound, protein); duplicates average
+    post-transform. The molecules are taken from ``parsed`` (SMILES -> row
+    of its table) when given, else the dataset parses them."""
     if not records:
         raise DataError("cannot assemble an empty record list")
     if any(r.value is None for r in records):
@@ -417,4 +416,5 @@ def load_dataset(
         if not records:
             raise DataError(
                 f"sparsity filter min_obs={min_obs} removed every record")
-    return _assemble_pairs(records, sequences, n_tasks, (read, molecules))
+    return assemble_pairs(records, sequences, n_tasks,
+                          parsed=(read, molecules))

@@ -21,45 +21,42 @@ is projected once. Its backward sums the upstream gradient per table row and
 writes each block's weight gradient into one array. The op is
 ``project(table, lo)`` per block followed by a gather-add.
 
-Execution is planned once per kind of call. ``Graph.forward`` and
-``Graph.infer`` keep one plan per (requested outputs, given nodes, mode):
-the needed nodes in order, with each node's consumer count in the call and
-a flag that says whether its value is checked. ``backward`` keeps one plan
-per (loss, named inputs): which nodes want a gradient, in order.
-Registering a node drops every cached plan.
+There are two passes: ``Graph.forward`` trains and ``Graph.infer`` scores.
+Each keeps one plan per (requested outputs, given nodes, pass): the needed
+nodes in order, with each node's consumer count in the call and a flag that
+says whether its value is checked. ``backward`` keeps one plan per (loss,
+named inputs): which nodes want a gradient, in order. Registering a node
+drops every cached plan.
 
 A node's finiteness check is implied, and skipped, in two cases only: a
-ReLU, or an identity dropout (eval mode or rate 0), whose input was checked
-or implied finite earlier in the same pass. Neither op can turn finite
-input into a non-finite value. A ``Parameter`` is not checked in a pass, so
-a ReLU that reads one directly is still checked.
+ReLU, or an identity dropout (rate 0, or in ``infer``), whose input was
+checked or implied finite earlier in the same pass. Neither op can turn
+finite input into a non-finite value. A ``Parameter`` is not checked in a
+pass, so a ReLU that reads one directly is still checked.
 
 ``Graph.infer(feeds, outputs, given={node: value})`` is the inference pass:
-eval mode, and no backward can follow it. ``given`` takes the value of any
-node from the caller instead of computing it: the node's value goes through
-the same finiteness check as a computed one, and the nodes that only it
-needs do not run. Prediction projects the distinct rows of a whole call
-once through ``project`` and hands each chunk's gather-add in as the first
-layer's value. Inside ``infer``, ``add_bias``, eval batch normalization and
-ReLU write their result into their input's buffer when an op of the same
-pass produced that buffer, it has exactly one consumer and it is not a
-requested output. A feed, a ``Parameter``, a given value and an identity
-dropout's alias of its input are never written. The arithmetic is the same,
-so the bytes are.
+no dropout, batch normalization on its running statistics, and no backward
+after it. ``given`` takes the value of any node from the caller instead of
+computing it: the node's value goes through the same finiteness check as a
+computed one, and the nodes that only it needs do not run. Prediction
+projects the distinct rows of a whole call once through ``project`` and
+hands each chunk's gather-add in as the first layer's value. Inside
+``infer``, ``add_bias``, batch normalization and ReLU write their result
+into their input's buffer when an op of the same pass produced that buffer,
+it has exactly one consumer and it is not a requested output. A feed, a
+``Parameter``, a given value and an identity dropout's alias of its input
+are never written. Writing in place changes no arithmetic, so no byte.
 
 An inference pass keeps only what it returns. Once ``infer`` has collected
 the requested outputs, or has raised, every node of its plan that is not a
 ``Parameter`` holds ``value = None``: feeds, given nodes, intermediates and
 the outputs themselves. A caller's feed or given array is only
-un-referenced, never written. An op keeps an array that only a backward
-reads (the graph convolution's neighbor sums, pre-activation and mask, the
-loss's residual) only in a pass that a backward may follow, so an inference
-pass leaves none behind. Op state has one rule: every ``forward``, in
-training and eval mode, forms and keeps what its ops' backwards read (the
-ReLU mask, batch normalization's normalized input, the graph pooling
-winners), and no backward derives such state from its input; ``infer``
-keeps none of it. Parameters and batch-norm running statistics outlive
-every pass.
+un-referenced, never written. Op state has one rule: a training ``forward``
+keeps what its backward reads (the ReLU mask, batch normalization's
+centered and normalized input, the graph convolution's neighbor sums and
+mask, the graph pooling winners, the loss's residual), and no backward
+derives such state from its input; ``infer`` keeps nothing. Parameters and
+batch-norm running statistics outlive every pass.
 
 Backward fills ``grad`` only on nodes that lie between the loss and a
 ``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
@@ -117,10 +114,11 @@ sums over the columns in another order.
 Conventions fixed here and relied on by tests:
 
 * the ReLU subgradient at 0 is 0;
-* dropout is inverted (activations scaled by 1/(1-p) at train time, identity
-  in eval mode) and draws its mask from the generator passed to ``forward``;
+* dropout is inverted (activations scaled by 1/(1-p) in ``forward``, identity
+  in ``infer``) and draws its mask from the generator passed to ``forward``;
 * batch normalization uses biased batch variance and updates running
-  statistics with momentum 0.9 only in training mode;
+  statistics with momentum 0.9 in every ``forward``; ``infer`` normalizes
+  with the running statistics and leaves them as they are;
 * the weighted squared-error loss divides by the total weight, so masked
   entries contribute exactly zero loss and zero gradient.
 """
@@ -198,15 +196,14 @@ def require_finite(state: dict[str, np.ndarray]) -> None:
 
 
 class _Context:
-    """One pass's feeds and mode. ``inference`` is set in ``Graph.infer``,
+    """One pass's feeds and kind. ``inference`` is set in ``Graph.infer``,
     after which no backward runs; ``reuse`` is set per node by the plan and
     tells an op that supports it to write into its first input's buffer."""
 
-    __slots__ = ("feeds", "training", "rng", "inference", "reuse")
+    __slots__ = ("feeds", "rng", "inference", "reuse")
 
-    def __init__(self, feeds, training, rng, inference=False):
+    def __init__(self, feeds, rng, inference=False):
         self.feeds = feeds
-        self.training = training
         self.rng = rng
         self.inference = inference
         self.reuse = False
@@ -490,7 +487,7 @@ class _Dropout(Node):
 
     def compute(self, ctx):
         x = self.inputs[0].value
-        if not ctx.training or self.rate == 0.0:
+        if ctx.inference or self.rate == 0.0:
             self._mask = None
             return x
         if ctx.rng is None:
@@ -509,11 +506,12 @@ class _Dropout(Node):
 
 
 class _BatchNorm(Node):
-    """Per-feature normalization with running statistics for eval mode.
+    """Per-feature normalization over the batch, with running statistics.
 
-    An eval-mode pass runs the training arithmetic in the same order but in
-    its one output buffer; an eval ``forward`` copies the normalized input
-    from it for the backward, and ``infer`` keeps no copy.
+    A training ``forward`` normalizes with the batch's statistics, moves the
+    running ones, and keeps the centered and normalized input its backward
+    reads. ``infer`` normalizes with the running statistics in its one
+    output buffer and keeps nothing.
     """
 
     def __init__(self, x, gamma, beta, momentum=0.9, eps=1e-5):
@@ -534,29 +532,24 @@ class _BatchNorm(Node):
             raise self.shape_error(
                 f"x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
         self._ensure_state(x.shape[1])
-        self._training = ctx.training
-        if ctx.training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = (self.momentum * self.running_mean
-                                 + (1.0 - self.momentum) * mean)
-            self.running_var = (self.momentum * self.running_var
-                                + (1.0 - self.momentum) * var)
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if ctx.inference:
+            self._inv_std = self._centered = self._xhat = None
+            out = np.subtract(x, self.running_mean,
+                              out=x if ctx.reuse else None)
+            out *= 1.0 / np.sqrt(self.running_var + self.eps)
+            out *= gamma
+            out += beta
+            return out
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        self.running_mean = (self.momentum * self.running_mean
+                             + (1.0 - self.momentum) * mean)
+        self.running_var = (self.momentum * self.running_var
+                            + (1.0 - self.momentum) * var)
         self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        if ctx.training:
-            self._centered = x - mean
-            self._xhat = self._centered * self._inv_std
-            return gamma * self._xhat + beta
-        out = np.subtract(x, mean, out=x if ctx.reuse else None)
-        out *= self._inv_std
-        self._centered = None
-        self._xhat = None if ctx.inference else out.copy()
-        out *= gamma
-        out += beta
-        return out
+        self._centered = x - mean
+        self._xhat = self._centered * self._inv_std
+        return gamma * self._xhat + beta
 
     def backprop(self):
         x_node, gamma_node, beta_node = self.inputs
@@ -568,9 +561,6 @@ class _BatchNorm(Node):
         if not x_node.wants_grad:
             return
         dxhat = self.grad * gamma
-        if not self._training:
-            self._accumulate(x_node, dxhat * self._inv_std)
-            return
         n = self.grad.shape[0]
         dvar = (dxhat * self._centered).sum(axis=0) * (-0.5) * self._inv_std ** 3
         dmean = (-(dxhat * self._inv_std).sum(axis=0)
@@ -639,7 +629,7 @@ class Graph:
         self.nodes: list[Node] = []
         self._names: set[str] = set()
         self._op_counts: dict[str, int] = {}
-        # forward and inference plans under (outputs, given, mode) keys,
+        # forward and inference plans under (outputs, given, inference) keys,
         # backward plans under (loss, inputs) keys
         self._plans: dict[tuple, _Plan | _GradPlan] = {}
         # the nodes the last forward computed; a backward needs its loss there
@@ -726,15 +716,17 @@ class Graph:
                 stack.extend(node.inputs)
         return needed
 
-    def _plan(self, outputs: list[Node], given: dict, mode: str) -> _Plan:
-        key = (tuple(outputs), frozenset(given), mode)
+    def _plan(self, outputs: list[Node], given: dict,
+              inference: bool) -> _Plan:
+        key = (tuple(outputs), frozenset(given), inference)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._schedule(outputs, given, mode)
+            plan = self._plans[key] = self._schedule(outputs, given,
+                                                     inference)
         return plan
 
-    def _schedule(self, outputs, given, mode: str) -> _Plan:
-        """The plan of a pass in ``mode`` ("train", "eval" or "infer")."""
+    def _schedule(self, outputs, given, inference: bool) -> _Plan:
+        """The plan of an inference pass, or else of a training one."""
         for node in given:
             if node not in self.nodes:
                 raise EngineError(f"a value is given for '{node.name}', "
@@ -749,7 +741,7 @@ class Graph:
         steps = []
         for node in ordered:
             is_given = node in given
-            identity = isinstance(node, _Dropout) and (mode != "train"
+            identity = isinstance(node, _Dropout) and (inference
                                                        or node.rate == 0.0)
             implied = (not is_given
                        and (identity or isinstance(node, _Relu))
@@ -758,7 +750,7 @@ class Graph:
             if check or implied:
                 finite.add(node)
             reuse = False
-            if mode == "infer" and not is_given:
+            if inference and not is_given:
                 reuse = (isinstance(node, _IN_PLACE)
                          and node.inputs[0] in fresh
                          and consumers[node.inputs[0]] == 1
@@ -783,18 +775,23 @@ class Graph:
                     f"non-finite values produced by node '{node.name}' ({node.op})")
 
     def forward(self, feeds: dict, outputs: list[Node],
-                training: bool = False,
+                training: bool = True,
                 rng: np.random.Generator | None = None) -> list[np.ndarray]:
-        """Evaluate ``outputs`` given named ``feeds``; each needed node runs
-        once and keeps its value, so a backward may follow."""
-        plan = self._plan(outputs, {}, "train" if training else "eval")
-        self._run(plan, _Context(feeds, training, rng), {})
+        """The training pass: each needed node runs once and keeps its
+        value, and each op keeps what its backward reads (``infer`` keeps
+        nothing). ``training`` must be True; scores come from ``infer``."""
+        if not training:
+            raise EngineError("Graph.forward only trains; score with "
+                              "Graph.infer")
+        plan = self._plan(outputs, {}, False)
+        self._run(plan, _Context(feeds, rng), {})
         self._ready = plan.needed
         return [node.value for node in outputs]
 
     def infer(self, feeds: dict, outputs: list[Node],
               given: dict | None = None) -> list[np.ndarray]:
-        """Eval-mode values of ``outputs``; no backward can follow.
+        """The inference pass: ``outputs`` with dropout off and batch
+        normalization on its running statistics; no backward can follow.
 
         ``given`` maps nodes of this graph to values that the pass takes
         instead of computing them; the nodes that only they need do not
@@ -803,11 +800,10 @@ class Graph:
         its plan but the parameters, so it holds nothing once it is over.
         """
         given = given or {}
-        plan = self._plan(outputs, given, "infer")
+        plan = self._plan(outputs, given, True)
         self._ready = frozenset()
         try:
-            self._run(plan, _Context(feeds, False, None, inference=True),
-                      given)
+            self._run(plan, _Context(feeds, None, inference=True), given)
             return [node.value for node in outputs]
         finally:
             for node in plan.released:

@@ -268,7 +268,8 @@ class Model:
     def predict_feeds(self, feeds: dict,
                       given: dict | None = None) -> np.ndarray:
         """The output of an inference pass (``Graph.infer``): dropout off,
-        batchnorm on running stats.
+        batchnorm on running stats. Unlike a training ``forward``, which
+        keeps what its backward reads, the pass keeps nothing.
 
         ``given`` maps nodes to values the pass takes instead of computing
         them, as in ``Graph.infer``.
@@ -333,11 +334,13 @@ class Model:
         (``{"run_config": <snapshot text or None>}``).
 
         The header is read and the model built from it before the payload
-        is read, in one ``readinto`` of a buffer sized from the file; each
-        tensor is a view of that buffer, copied once, by ``load_state``,
-        into the model. A file that also holds Adam moments (``adam.*``
-        tensors and an ``optimizer_step`` header key, as checkpoints were
-        once written) loads the same way; those entries are ignored.
+        is read, in one ``readinto`` of the bytes from the first tensor the
+        model takes to the end of the last; each tensor is a view of that
+        buffer, copied once, by ``load_state``, into the model. A file that
+        also holds Adam moments (``adam.*`` tensors and an
+        ``optimizer_step`` header key, as checkpoints were once written)
+        loads the same way; those entries are ignored, and as they are
+        stored first, their bytes are never read.
         """
         with open(path, "rb") as handle:
             magic = handle.read(8)
@@ -386,19 +389,26 @@ class Model:
             if model.cfg.featurization_fingerprint() != fingerprint:
                 raise ModelError(
                     f"{path}: featurization fingerprint mismatch")
-            payload = bytearray(max(0, os.fstat(handle.fileno()).st_size
-                                    - handle.tell()))
-            payload = memoryview(payload)[:handle.readinto(payload)]
-        state = {}
-        for name, shape, start in manifest:
-            size = math.prod(shape)
-            if start < 0 or start + size * 8 > len(payload):
-                raise ModelError(
-                    f"{path}: truncated checkpoint: tensor {name!r} "
-                    f"needs bytes {start}..{start + size * 8} of a "
-                    f"{len(payload)}-byte payload")
-            state[name] = np.frombuffer(payload, dtype="<f8", count=size,
-                                        offset=start).reshape(shape)
+            available = max(0, os.fstat(handle.fileno()).st_size
+                            - handle.tell())
+            for name, shape, start in manifest:
+                end = start + math.prod(shape) * 8
+                if start < 0 or end > available:
+                    raise ModelError(
+                        f"{path}: truncated checkpoint: tensor {name!r} "
+                        f"needs bytes {start}..{end} of a "
+                        f"{available}-byte payload")
+            lo = min((start for _, _, start in manifest), default=0)
+            hi = max((start + math.prod(shape) * 8
+                      for _, shape, start in manifest), default=0)
+            handle.seek(lo, os.SEEK_CUR)
+            payload = bytearray(hi - lo)
+            if handle.readinto(payload) != len(payload):
+                raise ModelError(f"{path}: truncated checkpoint payload")
+        state = {name: np.frombuffer(payload, dtype="<f8",
+                                     count=math.prod(shape),
+                                     offset=start - lo).reshape(shape)
+                 for name, shape, start in manifest}
         # batch-norm running statistics may be absent: a model saved before
         # any training forward has none
         missing = sorted({p.name for p in model.graph.parameters()}

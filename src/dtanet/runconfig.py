@@ -121,6 +121,11 @@ def _at_least(value: int, low: int, where: str) -> int:
     return value
 
 
+def _count(text: str, where: str) -> int:
+    """An integer of at least 0: a seed, a count or a tolerance."""
+    return _at_least(_as_int(text, where), 0, where)
+
+
 def _as_int_tuple(text: str, where: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
@@ -197,7 +202,7 @@ class RunConfig:
             conv_widths=_as_int_tuple(section["conv_widths"],
                                       "model.conv_widths"),
             conv_dense=_as_int(section["conv_dense"], "model.conv_dense"),
-            seed=_as_int(section["seed"], "model.seed"),
+            seed=_count(section["seed"], "model.seed"),
         )
 
     def train_config(self) -> TrainConfig:
@@ -209,7 +214,7 @@ class RunConfig:
             learning_rate=_positive_float(section["learning_rate"],
                                           "train.learning_rate"),
             eval_every=_as_int(section["eval_every"], "train.eval_every"),
-            seed=_as_int(section["seed"], "train.seed"),
+            seed=_count(section["seed"], "train.seed"),
         )
 
     def holdout_fraction(self) -> float:
@@ -233,7 +238,7 @@ class RunConfig:
 
     def data_kwargs(self, data_dir: Path) -> dict:
         section = self.values["data"]
-        n_tasks = _as_int(section["n_tasks"], "data.n_tasks")
+        n_tasks = _count(section["n_tasks"], "data.n_tasks")
         # the key stays so that snapshots and old checkpoints keep reading
         oversample = _as_float(section["oversample_fraction"],
                                "data.oversample_fraction")
@@ -247,10 +252,10 @@ class RunConfig:
             "sequences_path": data_dir / section["proteins"],
             "assay_map_path": (data_dir / section["assay_map"]
                                if section["assay_map"] else None),
-            "min_obs": _as_int(section["min_obs"], "data.min_obs"),
+            "min_obs": _count(section["min_obs"], "data.min_obs"),
             "inactive_remap": self.inactive_remap(),
-            "malformed_tolerance": _as_int(section["malformed_tolerance"],
-                                           "data.malformed_tolerance"),
+            "malformed_tolerance": _count(section["malformed_tolerance"],
+                                          "data.malformed_tolerance"),
             "n_tasks": n_tasks if n_tasks > 0 else None,
         }
 
@@ -263,7 +268,7 @@ class RunConfig:
         return {
             "scheme": scheme,
             "k": _at_least(_as_int(section["k"], "split.k"), 2, "split.k"),
-            "seed": _as_int(section["seed"], "split.seed"),
+            "seed": _count(section["seed"], "split.seed"),
             "repetitions": _at_least(
                 _as_int(section["repetitions"], "split.repetitions"), 1,
                 "split.repetitions"),
@@ -282,8 +287,8 @@ class RunConfig:
             "strategy": strategy,
             "budget": _at_least(_as_int(section["budget"], "tune.budget"), 1,
                                 "tune.budget"),
-            "n_init": _as_int(section["n_init"], "tune.n_init"),
-            "seed": _as_int(section["seed"], "tune.seed"),
+            "n_init": _count(section["n_init"], "tune.n_init"),
+            "seed": _count(section["seed"], "tune.seed"),
         }
 
 

@@ -131,8 +131,7 @@ def _run_epoch(model: Model, store: FeatureStore, order: np.ndarray,
     for start in range(0, order.size, batch_size):
         batch = order[start:start + batch_size]
         feeds = store.feeds(batch, with_targets=True, model=model)
-        (loss_value,) = graph.forward(feeds, [model.loss], training=True,
-                                      rng=rng)
+        (loss_value,) = graph.forward(feeds, [model.loss], rng=rng)
         graph.backward(model.loss)
         adam.step()
         graph.zero_grad()

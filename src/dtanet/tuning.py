@@ -276,6 +276,8 @@ _EI_CANDIDATES = 1024
 def gp_ei_search(space: SearchSpace, objective, budget: int,
                  n_init: int = 10, seed: int = 0) -> SearchResult:
     """GP-guided minimization: random warm-up, then EI over a candidate pool."""
+    if n_init < 0:
+        raise TuneError(f"n_init must be at least 0, got {n_init}")
     if budget <= n_init:
         raise TuneError(f"budget {budget} must exceed n_init {n_init}")
     rng = np.random.default_rng(seed)

@@ -213,6 +213,16 @@ class TestErrors:
         assert code == 1
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_that_numpy_refuses_is_a_usage_error(self, tmp_path, capsys,
+                                                      seed):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--data-dir", str(tmp_path), "--seed", seed,
+                  "--out", str(tmp_path / "x.ckpt")])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.ckpt")])

@@ -83,6 +83,12 @@ class TestLoad:
         assert len(records) == 1
         assert summary.discarded_malformed == 1
 
+    def test_negative_malformed_tolerance_refused(self, tmp_path):
+        files = write_files(tmp_path, ["CCO,P1,0,100", "only,two"])
+        with pytest.raises(DataError, match="malformed_tolerance must be at "
+                                            "least 0, got -1"):
+            load_interactions(*files, malformed_tolerance=-1)
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bad=st.lists(st.sampled_from([
@@ -280,6 +286,16 @@ class TestFilterSparse:
 
 
 class TestAssemble:
+    def test_parsed_molecules_are_taken_from_their_table(self):
+        table = parse_table(["CCO", "N", "C"])
+        records = transform_values([rec("C", "P1"), rec("CCO", "P2"),
+                                    rec("C", "P2")])
+        ds = assemble_pairs(records, SEQS,
+                            parsed=({"CCO": 0, "N": 1, "C": 2}, table))
+        assert ds.compounds == ("C", "CCO")
+        assert_tables_equal(ds.molecules, table.take([2, 0]))
+        assert assemble_pairs(records, SEQS).molecules is not None
+
     def test_duplicates_average_after_transform(self):
         records = transform_values([rec("C", "P1", raw=10.0),
                                     rec("C", "P1", raw=1000.0)])

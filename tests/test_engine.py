@@ -106,12 +106,12 @@ class TestOpSemantics:
         assert np.allclose(a.grad, 2.0 * 1.0 / 10.0)
         assert np.allclose(b.grad, 0.0)
 
-    def test_dropout_eval_is_identity(self):
+    def test_dropout_is_identity_in_infer(self):
         g = Graph()
         x = g.placeholder("x")
         out = g.dropout(x, 0.5)
         data = np.arange(6, dtype=float).reshape(2, 3)
-        (value,) = g.forward({"x": data}, [out], training=False)
+        (value,) = g.infer({"x": data}, [out])
         assert np.array_equal(value, data)
 
     def test_dropout_inverted_scaling(self):
@@ -125,9 +125,9 @@ class TestOpSemantics:
         assert np.allclose(kept, 2.0)  # scaled by 1/(1-p)
         assert abs(value.mean() - 1.0) < 0.05
 
-    def test_batchnorm_train_eval_agreement(self):
-        # with running statistics equal to the batch statistics, train-mode
-        # and eval-mode forward agree to 1e-10
+    def test_batchnorm_forward_and_infer_agreement(self):
+        # with running statistics equal to the batch statistics, the
+        # training forward and the inference pass agree to 1e-10
         g = Graph()
         x = g.placeholder("x")
         gamma = g.parameter("gamma", np.array([1.5, 0.5]))
@@ -137,8 +137,8 @@ class TestOpSemantics:
         (train_out,) = g.forward({"x": data}, [bn], training=True)
         bn.running_mean = data.mean(axis=0)
         bn.running_var = data.var(axis=0)
-        (eval_out,) = g.forward({"x": data}, [bn], training=False)
-        assert np.max(np.abs(train_out - eval_out)) < 1e-10
+        (inferred,) = g.infer({"x": data}, [bn])
+        assert np.max(np.abs(train_out - inferred)) < 1e-10
 
     def test_relu_local_derivative_values(self):
         # d relu/dx is exactly 1 at x=2, 0 at x=-1, 0 at the kink
@@ -174,7 +174,7 @@ class TestOpSemantics:
             assert np.array_equal(engine.relu(values).view(np.int64),
                                   expected.view(np.int64))
 
-    def test_relu_mask_is_kept_by_every_forward_and_no_inference(self):
+    def test_relu_mask_is_kept_by_a_forward_and_no_inference(self):
         g = Graph()
         x = g.placeholder("x")
         out = g.relu(x)
@@ -182,40 +182,40 @@ class TestOpSemantics:
         rng = np.random.default_rng(7)
         feeds = {"x": np.array([[0.0, 2.0, -1.0, -0.0]]),
                  "t": rng.standard_normal((1, 4)), "w": np.ones((1, 4))}
+        g.forward(feeds, [loss])
+        assert out._mask.tolist() == [[False, True, False, False]]
         g.infer(feeds, [loss])
         assert out._mask is None
-        g.forward(feeds, [loss], training=False)
-        assert out._mask.tolist() == [[False, True, False, False]]
+        g.forward(feeds, [loss])
         g.backward(loss, inputs=(x,))
-        after_eval = x.grad.copy()
-        g.forward(feeds, [loss], training=True)
-        assert out._mask.tolist() == [[False, True, False, False]]
-        g.backward(loss, inputs=(x,))
-        assert np.array_equal(after_eval, x.grad)
-        assert after_eval[0, 0] == after_eval[0, 2] == after_eval[0, 3] == 0.0
+        assert x.grad[0, 0] == x.grad[0, 2] == x.grad[0, 3] == 0.0
 
-    def test_eval_batchnorm_equals_the_training_arithmetic_bitwise(self):
+    def test_infer_batchnorm_equals_the_numpy_formula_bitwise(self):
         rng = np.random.default_rng(8)
         g = Graph()
         x = g.placeholder("x")
         gamma = g.parameter("gamma", 1.0 + 0.3 * rng.standard_normal(5))
         beta = g.parameter("beta", 0.2 * rng.standard_normal(5))
-        bn = g.batch_norm(x, gamma, beta)
+        # a zero bias hands batch norm a buffer of the pass to write into
+        shifted = g.add_bias(x, g.parameter("zero", np.zeros(5)))
+        bn = g.batch_norm(shifted, gamma, beta)
         bn.running_mean = rng.standard_normal(5)
         bn.running_var = rng.random(5) + 0.5
         data = rng.normal(1.0, 2.0, size=(33, 5))
-        (value,) = g.forward({"x": data}, [bn], training=False)
+        seen = recorded_values(g)
+        (value,) = g.infer({"x": data}, [bn])
+        assert value is seen[shifted.name]
         xhat = (data - bn.running_mean) * (1.0 / np.sqrt(bn.running_var
                                                           + bn.eps))
         assert np.array_equal(value, gamma.array * xhat + beta.array)
-        # the eval forward keeps the normalized input its backward reads
-        assert np.array_equal(bn._xhat, xhat) and bn._centered is None
-        assert not hasattr(bn, "_mean")
-        (inferred,) = g.infer({"x": data}, [bn])
-        assert np.array_equal(inferred, value)
+        # a training forward keeps what its backward reads; infer drops it
+        g.forward({"x": data}, [bn])
+        assert bn._centered is not None and bn._xhat is not None
+        g.infer({"x": data}, [bn])
         assert bn._centered is None and bn._xhat is None
+        assert not hasattr(bn, "_mean")
 
-    def test_backward_after_eval_batchnorm_against_central_differences(self):
+    def test_backward_through_batchnorm_against_central_differences(self):
         rng = np.random.default_rng(9)
         g = Graph()
         x = g.placeholder("x")
@@ -230,7 +230,7 @@ class TestOpSemantics:
                  "t": rng.standard_normal((6, 4)), "w": np.ones((6, 4))}
 
         def evaluate():
-            (value,) = g.forward(feeds, [loss], training=False)
+            (value,) = g.forward(feeds, [loss])
             return float(value)
 
         for array, node in ((gamma.array, gamma), (beta.array, beta),
@@ -412,6 +412,14 @@ class TestGraphExecution:
         with pytest.raises(NonFiniteError, match="proj"):
             g.forward({"x": np.ones((3, 2))}, [out])
 
+    def test_forward_only_trains(self):
+        g = Graph()
+        x = g.placeholder("x")
+        out = g.relu(x)
+        with pytest.raises(EngineError, match=r"Graph\.infer"):
+            g.forward({"x": np.ones((1, 2))}, [out], training=False)
+        assert x.value is None and out.value is None
+
     def test_backward_before_forward(self):
         g = Graph()
         x = g.placeholder("x")
@@ -430,49 +438,69 @@ class TestGraphExecution:
         assert np.array_equal(run(), run())
 
 
-def dense_chain():
+def dense_chain(batch_norm=True, rate=0.3):
     """x -> matmul -> add_bias -> batch norm -> relu -> dropout -> matmul ->
-    add_bias, with moved running statistics: (graph, feeds, nodes by name)."""
+    add_bias, with moved running statistics: (graph, feeds, nodes by name).
+    Without ``batch_norm`` the add_bias feeds the relu; its parameters and
+    statistics are drawn either way, so the rest of the chain is the same."""
     rng = np.random.default_rng(12)
     g = Graph()
     x = g.placeholder("x")
     h = g.add_bias(g.matmul(x, g.parameter("w0", rng.standard_normal((4, 6))),
                             name="mm0"),
                    g.parameter("b0", rng.standard_normal(6)), name="ab0")
-    h = g.batch_norm(h, g.parameter("gamma", rng.standard_normal(6)),
-                     g.parameter("beta", rng.standard_normal(6)), name="bn")
-    h = g.dropout(g.relu(h, name="act"), 0.3, name="drop")
+    gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
+    if batch_norm:
+        h = g.batch_norm(h, g.parameter("gamma", gamma),
+                         g.parameter("beta", beta), name="bn")
+    h = g.dropout(g.relu(h, name="act"), rate, name="drop")
     g.add_bias(g.matmul(h, g.parameter("w1", rng.standard_normal((6, 2))),
                         name="mm1"),
                g.parameter("b1", rng.standard_normal(2)), name="out")
-    bn = next(node for node in g.nodes if node.name == "bn")
-    bn.running_mean = rng.standard_normal(6)
-    bn.running_var = rng.random(6) + 0.5
-    return g, {"x": rng.standard_normal((5, 4))}, {n.name: n for n in g.nodes}
+    n = {node.name: node for node in g.nodes}
+    mean, var = rng.standard_normal(6), rng.random(6) + 0.5
+    if batch_norm:
+        n["bn"].running_mean, n["bn"].running_var = mean, var
+    return g, {"x": rng.standard_normal((5, 4))}, n
+
+
+def train_forward(g, feeds, outputs):
+    """A training forward with a fixed dropout stream."""
+    return g.forward(feeds, outputs, rng=np.random.default_rng(0))
 
 
 class TestPlannedExecution:
     def test_infer_writes_only_dead_buffers_of_its_own_pass(self):
         g, feeds, n = dense_chain()
+        seen = recorded_values(g)
+        (out,) = g.infer(feeds, [n["out"]])
+        # matmul -> add_bias -> batch norm -> relu share one buffer; the
+        # dropout aliases it; the output add_bias reuses its matmul's
+        assert seen["ab0"] is seen["mm0"] is seen["bn"] is seen["act"]
+        assert seen["drop"] is seen["act"]
+        assert seen["out"] is seen["mm1"] is out
+        assert not np.shares_memory(seen["x"], seen["mm0"])
+        out = out.copy()
+        seen.clear()
+        bn, again = g.infer(feeds, [n["bn"], n["out"]])  # bn is requested
+        assert again.tobytes() == out.tobytes()
+        assert bn is seen["bn"] and not np.shares_memory(bn, seen["act"])
+
+    def test_infer_in_place_equals_a_forward_without_batch_norm_or_dropout(
+            self):
+        # with neither, a training forward runs infer's arithmetic out of
+        # place; batch norm's own bytes are the numpy formula test's
+        g, feeds, n = dense_chain(batch_norm=False, rate=0.0)
         (reference,) = g.forward(feeds, [n["out"]])
         reference = reference.copy()
         seen = recorded_values(g)
         (out,) = g.infer(feeds, [n["out"]])
-        assert out.tobytes() == reference.tobytes()
-        # matmul -> add_bias -> batch norm -> relu share one buffer; the
-        # dropout aliases it; the output add_bias reuses its matmul's
         assert seen["ab0"] is seen["mm0"] is seen["act"]
-        assert seen["drop"] is seen["act"]
-        assert seen["out"] is seen["mm1"] is out
-        assert not np.shares_memory(seen["x"], seen["mm0"])
-        seen.clear()
-        bn, out = g.infer(feeds, [n["bn"], n["out"]])  # bn is requested
         assert out.tobytes() == reference.tobytes()
-        assert bn is seen["bn"] and not np.shares_memory(bn, seen["act"])
 
     def test_infer_leaves_no_value_but_the_parameters(self):
         g, feeds, n = dense_chain()
-        g.forward(feeds, [n["out"]])  # values an inference pass must drop
+        train_forward(g, feeds, [n["out"]])  # values infer must drop
         x = feeds["x"].copy()
         (out,) = g.infer(feeds, [n["out"]])
         assert held_values(g) == []
@@ -483,7 +511,7 @@ class TestPlannedExecution:
 
     def test_infer_with_a_given_value_leaves_it_unwritten(self):
         g, feeds, n = dense_chain()
-        (value,) = g.forward(feeds, [n["bn"]])
+        (value,) = g.infer(feeds, [n["bn"]])
         kept = value.copy()
         g.infer(feeds, [n["out"]])
         (out,) = g.infer({}, [n["out"]], given={n["bn"]: value})
@@ -494,7 +522,7 @@ class TestPlannedExecution:
 
     def test_an_infer_that_raises_leaves_no_value(self):
         g, feeds, n = dense_chain()
-        g.forward(feeds, [n["out"]])
+        train_forward(g, feeds, [n["out"]])
         next(p for p in g.parameters() if p.name == "b1").array[1] = np.nan
         with pytest.raises(NonFiniteError, match="'out'"):
             g.infer(feeds, [n["out"]])
@@ -508,13 +536,12 @@ class TestPlannedExecution:
     def test_a_forward_keeps_its_values(self):
         g, feeds, n = dense_chain()
         g.infer(feeds, [n["out"]])
-        g.forward(feeds, [n["out"]])
+        train_forward(g, feeds, [n["out"]])
         assert set(held_values(g)) == set(n) - {p.name
                                                 for p in g.parameters()}
 
     @pytest.mark.parametrize("mode, checked", [
         ("infer", ["x", "mm0", "ab0", "bn", "mm1", "out"]),
-        ("eval", ["x", "mm0", "ab0", "bn", "mm1", "out"]),
         ("train", ["x", "mm0", "ab0", "bn", "drop", "mm1", "out"]),
     ])
     def test_relu_and_identity_dropout_checks_are_implied(self, mode, checked,
@@ -532,8 +559,7 @@ class TestPlannedExecution:
         if mode == "infer":
             g.infer(feeds, [n["out"]])
         else:
-            g.forward(feeds, [n["out"]], training=mode == "train",
-                      rng=np.random.default_rng(0))
+            train_forward(g, feeds, [n["out"]])
         assert seen == checked
 
     def test_nonfinite_parameter_read_by_a_relu_is_caught_there(self):
@@ -553,7 +579,7 @@ class TestPlannedExecution:
         # a second reader of the ReLU's input: the ReLU may no longer write
         # into that buffer, and the new node must run
         second = g.add_bias(n["bn"], g.parameter("zero", np.zeros(6)))
-        (bn,) = g.forward(feeds, [n["bn"]])
+        (bn,) = g.infer(feeds, [n["bn"]])
         expected = bn.copy()
         act, added = g.infer(feeds, [n["act"], second])
         assert added.tobytes() == expected.tobytes()

@@ -237,7 +237,7 @@ class TestIndexedFirstLayer:
         graph, out, loss = concat_reference(model)
         ref_feeds = per_pair_feeds(store, indices, feeds)
 
-        (reference,) = graph.forward(ref_feeds, [out])
+        (reference,) = graph.infer(ref_feeds, [out])
         if model.cfg.compound_only:
             cols = model.output_columns([store.dataset.protein_ids[i] for i in
                                          store.dataset.pairs[indices, 1]])
@@ -304,19 +304,19 @@ class TestIndexedFirstLayer:
         assert_matches(predicted, store.predict(model, indices))
 
 
-def small_store(variant):
+def small_store(variant, **overrides):
     """A store over 30 pairs for a small model of ``variant``."""
+    cfg = dict(variant=variant, hidden_layers=(16, 8), dropout_rates=(0.2,),
+               conv_widths=(8,), conv_dense=12)
     return FeatureStore(memory_dataset(n_compounds=12, n_proteins=4,
                                        n_pairs=30, seed=6),
-                        small_config(variant=variant, hidden_layers=(16, 8),
-                                     dropout_rates=(0.2,), conv_widths=(8,),
-                                     conv_dense=12))
+                        small_config(**{**cfg, **overrides}))
 
 
-def trained_like(variant):
+def trained_like(variant, **overrides):
     """A model of a store over 30 pairs, every state entry moved off its
     initial value (running variances kept positive), and the pairs' feeds."""
-    store = small_store(variant)
+    store = small_store(variant, **overrides)
     model = store.build_model()
     rng = np.random.default_rng(7)
     feeds = store.feeds(np.arange(30), with_targets=True, model=model)
@@ -333,15 +333,17 @@ def node_named(model, name):
 
 
 class TestInference:
-    """``Graph.infer`` reuses dead buffers and skips implied checks; its
-    results must be the eval-mode forward's bytes."""
+    """``Graph.infer`` reuses dead buffers and skips implied checks; without
+    batch norm or dropout its results must be a training forward's bytes."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_infer_equals_the_eval_forward_bitwise(self, variant):
-        model, feeds = trained_like(variant)
+    def test_infer_equals_a_forward_without_batch_norm_or_dropout(
+            self, variant):
+        model, feeds = trained_like(variant, use_batchnorm=False,
+                                    dropout_rates=(0.0,))
         graph, first = model.graph, model.first_layer
-        for outputs in ([model.output], [node_named(model, "bn0"),
-                                         model.output]):
+        biased = next(node for node in graph.nodes if first in node.inputs)
+        for outputs in ([model.output], [biased, model.output]):
             reference = [v.copy() for v in graph.forward(feeds, outputs)]
             for got, want in zip(graph.infer(feeds, outputs), reference):
                 assert got.tobytes() == want.tobytes()
@@ -385,18 +387,18 @@ class TestInference:
             graph.backward(model.loss)
         conv = node_named(model, "conv0")
         assert conv._mask is None  # an inference pass keeps no mask
-        graph.forward(feeds, [model.loss], training=False)
+        graph.forward(feeds, [model.loss], rng=np.random.default_rng(0))
         graph.backward(model.loss)
         assert conv._mask is not None
 
-    def test_an_eval_forward_keeps_what_a_backward_reads(self):
+    def test_a_forward_keeps_what_a_backward_reads(self):
         model, feeds = trained_like("padme-graphconv")
         graph = model.graph
         convs = [n for n in graph.nodes if isinstance(n, GraphConv)]
         graph.infer(feeds, [model.loss])
         assert all(c._z is None and c._nbr_sum is None for c in convs)
         assert model.loss._diff is None
-        graph.forward(feeds, [model.loss], training=False)
+        graph.forward(feeds, [model.loss], rng=np.random.default_rng(0))
         graph.backward(model.loss)
         assert all(c._z is not None and c._nbr_sum is not None
                    for c in convs)
@@ -435,10 +437,10 @@ class TestInference:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NonFiniteError, match=f"'{name}'"):
             graph.infer({}, [model.output], {first: value})
-        if where != "given":
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(NonFiniteError, match=f"'{name}'"):
-                graph.forward(feeds, [model.output])
+        if where == "dense1.b":  # a forward reads no running statistic
+            with pytest.raises(NonFiniteError, match=f"'{name}'"):
+                graph.forward(feeds, [model.output],
+                              rng=np.random.default_rng(0))
 
 
 class TestFeatureStore:
@@ -714,12 +716,12 @@ class TestCheckpoint:
         assert [t["name"] for t in header["tensors"]] == sorted(state)
         assert len(raw) == 20 + length + sum(v.nbytes for v in state.values())
 
-    def test_loads_a_checkpoint_with_adam_moments(self, tmp_path):
-        # Checkpoints were once written with the best epoch's Adam moments:
-        # an ``optimizer_step`` header key and an ``adam.{m,v}.<param>``
-        # tensor per parameter, sorted with the rest, so stored first.
-        store, model, path = self._trained(tmp_path)
-        rng = np.random.default_rng(1)
+    @staticmethod
+    def _add_adam_moments(path, model, rng):
+        """Rewrite ``model``'s checkpoint at ``path`` as checkpoints were
+        once written, with the best epoch's Adam moments: an
+        ``optimizer_step`` header key and an ``adam.{m,v}.<param>`` tensor
+        per parameter, sorted with the rest, so stored first."""
         raw = path.read_bytes()
         (length,) = struct.unpack("<Q", raw[12:20])
         header = json.loads(raw[20:20 + length])
@@ -744,6 +746,10 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(blob)) + blob
                          + b"".join(tensors[name] for name in sorted(tensors)))
         assert manifest[0]["name"].startswith("adam.")
+
+    def test_loads_a_checkpoint_with_adam_moments(self, tmp_path):
+        store, model, path = self._trained(tmp_path)
+        self._add_adam_moments(path, model, np.random.default_rng(1))
         loaded, extras = Model.load(path)
         assert extras == {"run_config": "cfg"}
         state, saved = loaded.graph.state_dict(), model.graph.state_dict()
@@ -753,6 +759,21 @@ class TestCheckpoint:
         idx = np.arange(store.dataset.n_pairs)
         assert store.predict(loaded, idx).tobytes() == \
             store.predict(model, idx).tobytes()
+        # the moments are never read: the default padme-ecfp model's file
+        # holds three times its 22 MB of state, and loading it holds as
+        # little as loading a file without them
+        model = Model.build(ModelConfig())
+        model.save(path)
+        self._add_adam_moments(path, model, np.random.default_rng(2))
+        state_bytes = sum(v.nbytes for v in model.graph.live_state().values())
+        del model
+        tracemalloc.start()
+        try:
+            Model.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * state_bytes
 
     def test_load_holds_little_beyond_the_state_it_loads(self, tmp_path):
         # The default padme-ecfp model: 22 MB of parameters. Loading holds

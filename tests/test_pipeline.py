@@ -139,6 +139,19 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=f"{key}: must be at least"):
                 params()
 
+    @pytest.mark.parametrize("key, value", [
+        ("data.malformed_tolerance", "-1"), ("data.min_obs", "-2"),
+        ("data.n_tasks", "-3"), ("tune.n_init", "-2"), ("model.seed", "-1"),
+        ("train.seed", "-1"), ("split.seed", "-1"), ("tune.seed", "-1")])
+    def test_negative_counts_and_seeds_rejected(self, key, value):
+        cfg = parse_run_config(None, overrides={key: value})
+        read = {"data": lambda: cfg.data_kwargs(Path(".")),
+                "model": lambda: cfg.model_config(1),
+                "train": cfg.train_config, "split": cfg.split_params,
+                "tune": cfg.tune_params}[key.split(".")[0]]
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{key}: must be at least 0")):
+            read()
 
     @pytest.mark.parametrize("key, value", [
         ("train.holdout_fraction", "-0.1"), ("train.holdout_fraction", "1"),

@@ -169,6 +169,10 @@ class TestGpEiSearch:
         with pytest.raises(TuneError, match="exceed"):
             gp_ei_search(QUADRATIC_SPACE, quadratic, 5, n_init=5, seed=0)
 
+    def test_negative_n_init_refused(self):
+        with pytest.raises(TuneError, match="n_init must be at least 0"):
+            gp_ei_search(QUADRATIC_SPACE, quadratic, 5, n_init=-2, seed=0)
+
     def test_mixed_space_with_categories(self):
         space = SearchSpace(dimensions={
             "x": Continuous(0.0, 1.0),
