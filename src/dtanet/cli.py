@@ -30,7 +30,8 @@ _configure_threads()
 import numpy as np  # noqa: E402  (thread env vars must be set first)
 
 from . import pipeline, synthetic  # noqa: E402
-from .runconfig import SCHEMES, RunConfig, parse_run_config  # noqa: E402
+from .runconfig import RunConfig, parse_run_config  # noqa: E402
+from .splits import SCHEMES  # noqa: E402
 
 log = logging.getLogger("dtanet")
 

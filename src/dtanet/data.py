@@ -36,7 +36,6 @@ __all__ = [
     "load_interactions",
     "parse_value",
     "transform_value",
-    "transform_values",
     "inverse_transform",
     "filter_sparse",
     "assemble_pairs",
@@ -58,7 +57,7 @@ class InteractionRecord:
     protein_id: str
     task_id: int
     raw_value: float
-    value: float | None = None  # transformed response; None when raw
+    value: float  # transform_value(raw_value) under the load's remap
 
 
 @dataclass
@@ -249,23 +248,6 @@ def transform_value(raw: float,
     return 4.0 - np.log10(value)
 
 
-def transform_values(
-    records: list[InteractionRecord],
-    inactive_remap: tuple[float, float] | None = None,
-) -> list[InteractionRecord]:
-    """:func:`transform_value` of each record's raw value."""
-    out = []
-    for record in records:
-        try:
-            value = transform_value(record.raw_value, inactive_remap)
-        except DataError as exc:
-            raise DataError(f"{exc} for ({record.smiles!r}, "
-                            f"{record.protein_id!r})") from None
-        out.append(InteractionRecord(record.smiles, record.protein_id,
-                                     record.task_id, record.raw_value, value))
-    return out
-
-
 def inverse_transform(value: float) -> float:
     """The raw response corresponding to a transformed value."""
     return float(10.0 ** (4.0 - value))
@@ -344,8 +326,6 @@ def assemble_pairs(records: list[InteractionRecord],
     of its table) when given, else the dataset parses them."""
     if not records:
         raise DataError("cannot assemble an empty record list")
-    if any(r.value is None for r in records):
-        raise DataError("records must be transformed before assembly")
     max_task = max(r.task_id for r in records)
     if n_tasks is None:
         n_tasks = max_task + 1

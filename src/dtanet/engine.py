@@ -55,8 +55,15 @@ un-referenced, never written. Op state has one rule: a training ``forward``
 keeps what its backward reads (the ReLU mask, batch normalization's
 centered and normalized input, the graph convolution's neighbor sums and
 mask, the graph pooling winners, the loss's residual), and no backward
-derives such state from its input; ``infer`` keeps nothing. Parameters and
-batch-norm running statistics outlive every pass.
+derives such state from its input; ``infer`` keeps nothing.
+
+Model state is the parameters and the batch-norm running statistics, and
+all of it exists from construction: a batch norm allocates its running
+mean (zeros) and variance (ones), sized from its ``gamma``, when it is
+built. No pass creates state; a training ``forward`` moves the running
+statistics and ``infer`` only reads them. ``Graph.live_state`` lists every
+entry, and ``Graph.load_state`` writes each one in place after checking
+its name and shape.
 
 Backward fills ``grad`` only on nodes that lie between the loss and a
 ``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
@@ -508,30 +515,26 @@ class _Dropout(Node):
 class _BatchNorm(Node):
     """Per-feature normalization over the batch, with running statistics.
 
-    A training ``forward`` normalizes with the batch's statistics, moves the
-    running ones, and keeps the centered and normalized input its backward
-    reads. ``infer`` normalizes with the running statistics in its one
-    output buffer and keeps nothing.
+    The running mean (zeros) and variance (ones) are allocated here, one
+    entry per ``gamma`` entry, so they exist before any pass. A training
+    ``forward`` normalizes with the batch's statistics, moves the running
+    ones, and keeps the centered and normalized input its backward reads.
+    ``infer`` normalizes with the running statistics in its one output
+    buffer and keeps nothing.
     """
 
     def __init__(self, x, gamma, beta, momentum=0.9, eps=1e-5):
         super().__init__("batchnorm", (x, gamma, beta))
         self.momentum = momentum
         self.eps = eps
-        self.running_mean: np.ndarray | None = None
-        self.running_var: np.ndarray | None = None
-
-    def _ensure_state(self, width: int) -> None:
-        if self.running_mean is None:
-            self.running_mean = np.zeros(width)
-            self.running_var = np.ones(width)
+        self.running_mean = np.zeros(gamma.array.shape)
+        self.running_var = np.ones(gamma.array.shape)
 
     def compute(self, ctx):
         x, gamma, beta = (node.value for node in self.inputs)
         if x.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
             raise self.shape_error(
                 f"x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
-        self._ensure_state(x.shape[1])
         if ctx.inference:
             self._inv_std = self._centered = self._xhat = None
             out = np.subtract(x, self.running_mean,
@@ -775,14 +778,10 @@ class Graph:
                     f"non-finite values produced by node '{node.name}' ({node.op})")
 
     def forward(self, feeds: dict, outputs: list[Node],
-                training: bool = True,
                 rng: np.random.Generator | None = None) -> list[np.ndarray]:
         """The training pass: each needed node runs once and keeps its
         value, and each op keeps what its backward reads (``infer`` keeps
-        nothing). ``training`` must be True; scores come from ``infer``."""
-        if not training:
-            raise EngineError("Graph.forward only trains; score with "
-                              "Graph.infer")
+        nothing). Scores come from ``infer``."""
         plan = self._plan(outputs, {}, False)
         self._run(plan, _Context(feeds, rng), {})
         self._ready = plan.needed
@@ -874,7 +873,7 @@ class Graph:
         plus batch-norm running statistics. Read them, do not write them."""
         state = {p.name: p.array for p in self.parameters()}
         for node in self.nodes:
-            if isinstance(node, _BatchNorm) and node.running_mean is not None:
+            if isinstance(node, _BatchNorm):
                 state[f"{node.name}.running_mean"] = node.running_mean
                 state[f"{node.name}.running_var"] = node.running_var
         return state
@@ -884,26 +883,17 @@ class Graph:
         return {key: value.copy() for key, value in self.live_state().items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        by_name = {p.name: p for p in self.parameters()}
-        bn_nodes = {n.name: n for n in self.nodes if isinstance(n, _BatchNorm)}
+        """Write ``state`` into the live arrays of the same names, in place."""
+        live = self.live_state()
         require_finite(state)
         for key, value in state.items():
-            owner, _, stat = key.rpartition(".")
-            if key in by_name:
-                param = by_name[key]
-                if param.array.shape != value.shape:
-                    raise ShapeError(
-                        f"parameter '{key}': stored shape {value.shape} != "
-                        f"expected {param.array.shape}")
-                param.array[...] = value
-            elif owner in bn_nodes and stat in ("running_mean", "running_var"):
-                setattr(bn_nodes[owner], stat, value.copy())
-            else:
+            if key not in live:
                 raise EngineError(f"unknown state entry '{key}'")
-        for node in bn_nodes.values():
-            if (node.running_mean is None) != (node.running_var is None):
-                raise EngineError(f"'{node.name}' holds one of its two "
-                                  f"running statistics")
+            if live[key].shape != value.shape:
+                raise ShapeError(
+                    f"state entry '{key}': stored shape {value.shape} != "
+                    f"expected {live[key].shape}")
+            live[key][...] = value
 
 
 # A block of rows is compacted to its active rows once at least this share

@@ -409,10 +409,7 @@ class Model:
                                      count=math.prod(shape),
                                      offset=start - lo).reshape(shape)
                  for name, shape, start in manifest}
-        # batch-norm running statistics may be absent: a model saved before
-        # any training forward has none
-        missing = sorted({p.name for p in model.graph.parameters()}
-                         .difference(state))
+        missing = sorted(set(model.graph.live_state()).difference(state))
         if missing:
             raise ModelError(f"{path}: checkpoint has no tensor {missing[0]!r}")
         try:

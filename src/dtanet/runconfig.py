@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .model import ModelConfig, VARIANTS
+from .splits import SCHEMES
 from .training import TrainConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "DEFAULTS"]
@@ -71,8 +72,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "seed": "0",
     },
 }
-
-SCHEMES = ("warm", "cold-drug", "cold-target", "cold-cluster", "random")
 
 
 def _as_bool(text: str, where: str) -> bool:

@@ -31,6 +31,7 @@ from .artifacts import write_lines
 from .compounds import FeaturizationError
 
 __all__ = [
+    "SCHEMES",
     "SplitError",
     "FoldAssignment",
     "CompoundClustering",
@@ -55,6 +56,9 @@ log = logging.getLogger(__name__)
 
 class SplitError(ValueError):
     pass
+
+
+SCHEMES = ("warm", "cold-drug", "cold-target", "cold-cluster", "random")
 
 
 @dataclass
@@ -476,6 +480,10 @@ def read_folds(path: str | Path) -> FoldAssignment:
                         raise SplitError(
                             f"{path}: line {lineno}: expected an integer "
                             f"{key}, got {value!r}") from None
+                if key == "scheme" and value not in SCHEMES:
+                    raise SplitError(
+                        f"{path}: line {lineno}: unknown scheme {value!r}; "
+                        f"expected one of {SCHEMES}")
                 meta[key] = value
             elif line and line != "record_index,fold":
                 index, _, fold = line.partition(",")

@@ -361,8 +361,9 @@ def load_space(path: str | Path) -> SearchSpace:
 
     Kinds: ``continuous lo hi [log]``, ``integer lo hi``,
     ``categorical v1 v2 ...`` (values parsed as numbers when possible).
-    Names are the dimensions :func:`point_overrides` knows; ``n_layers`` and
-    ``layer_width`` come together.
+    Names are the dimensions :func:`point_overrides` knows, each on one
+    line; ``n_layers`` and ``layer_width`` come together. A duplicate name
+    or a word past a kind's arguments fails naming the line.
     """
     dims: dict[str, Continuous | Integer | Categorical] = {}
     lines: dict[str, int] = {}
@@ -375,6 +376,9 @@ def load_space(path: str | Path) -> SearchSpace:
             if len(parts) < 3:
                 raise TuneError(f"{path}:{lineno}: expected 'name kind args...'")
             name, kind, *args = parts
+            if name in lines:
+                raise TuneError(f"{path}:{lineno}: duplicate dimension "
+                                f"{name!r} (first on line {lines[name]})")
             lines[name] = lineno
             if kind in ("continuous", "integer"):
                 cast = float if kind == "continuous" else int
@@ -384,10 +388,14 @@ def load_space(path: str | Path) -> SearchSpace:
                     raise TuneError(
                         f"{path}:{lineno}: {kind} needs numeric bounds "
                         f"'lo hi', got {' '.join(args)!r}") from None
+                scales = ([], ["log"]) if kind == "continuous" else ([],)
+                if args[2:] not in scales:
+                    raise TuneError(
+                        f"{path}:{lineno}: unexpected "
+                        f"{' '.join(args[2:])!r} after the {kind} bounds")
                 try:
                     if kind == "continuous":
-                        is_log = len(args) > 2 and args[2] == "log"
-                        dims[name] = Continuous(lo, hi, is_log)
+                        dims[name] = Continuous(lo, hi, args[2:] == ["log"])
                     else:
                         dims[name] = Integer(lo, hi)
                 except TuneError as exc:

@@ -18,7 +18,7 @@ import pytest
 from conftest import brute_force_ci, brute_force_clusters, \
     central_difference_directional, relative_error
 from dtanet.compounds import atom_features, ecfp_matrix, tanimoto
-from dtanet.data import InteractionRecord, inverse_transform, transform_values
+from dtanet.data import inverse_transform, transform_value
 from dtanet.domain import check_ad, fit_ad
 from dtanet.engine import Adam, Graph
 from dtanet.graphconv import GraphConv, GraphGather, GraphPool, pack_graphs
@@ -68,7 +68,7 @@ def _fd_all_params(graph, loss, feeds, rng, rng_seed=None):
     def evaluate():
         fwd_rng = (np.random.default_rng(rng_seed)
                    if rng_seed is not None else None)
-        (value,) = graph.forward(feeds, [loss], training=True, rng=fwd_rng)
+        (value,) = graph.forward(feeds, [loss], rng=fwd_rng)
         return float(value)
 
     evaluate()
@@ -261,8 +261,7 @@ def test_criterion_1_gradient_correctness():
                     g, loss, feeds = _relu_instance(seed)
                 else:
                     g, loss, feeds = _graph_op_instance(kind, seed)
-                g.forward(feeds, [loss], training=True,
-                          rng=np.random.default_rng(0))
+                g.forward(feeds, [loss], rng=np.random.default_rng(0))
                 if _near_kink(g):
                     redraws += 1
                     seed += 1000
@@ -275,8 +274,7 @@ def test_criterion_1_gradient_correctness():
         seed = 7000
         while done < 6:
             g, loss, feeds = _padme_graphconv_stack(seed)
-            g.forward(feeds, [loss], training=True,
-                      rng=np.random.default_rng(0))
+            g.forward(feeds, [loss], rng=np.random.default_rng(0))
             if _near_kink(g):
                 redraws += 1
                 seed += 1000
@@ -312,8 +310,7 @@ def test_criterion_2_overfit_64_pairs():
             for start in range(0, 64, 64):
                 feeds = store.feeds(order[start:start + 64],
                                     with_targets=True, model=model)
-                model.graph.forward(feeds, [model.loss], training=True,
-                                    rng=rng)
+                model.graph.forward(feeds, [model.loss], rng=rng)
                 model.graph.backward(model.loss)
                 adam.step()
                 model.graph.zero_grad()
@@ -384,15 +381,14 @@ def test_criterion_5_psc_contract():
 
 def test_criterion_6_transform_contract():
     with criterion(6, "remap 1e6->1e3 transforms to exactly 1.0; round-trip"):
-        (record,) = transform_values(
-            [InteractionRecord("C", "P", 0, 1_000_000.0)],
-            inactive_remap=(1_000_000.0, 1_000.0))
-        assert record.value == 1.0
+        value = transform_value(1_000_000.0,
+                                inactive_remap=(1_000_000.0, 1_000.0))
+        assert value == 1.0
         rng = np.random.default_rng(5)
         for _ in range(500):
             raw = float(10.0 ** rng.uniform(-6, 9))
-            (r,) = transform_values([InteractionRecord("C", "P", 0, raw)])
-            assert abs(inverse_transform(r.value) - raw) / raw < 1e-9
+            value = transform_value(raw)
+            assert abs(inverse_transform(value) - raw) / raw < 1e-9
 
 
 # -- 7. split contracts ----------------------------------------------------------

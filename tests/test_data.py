@@ -17,7 +17,7 @@ from dtanet.data import (
     inverse_transform,
     load_dataset,
     load_interactions,
-    transform_values,
+    transform_value,
 )
 from dtanet.smiles import MoleculeColumns, MoleculeTable, parse_table
 
@@ -26,6 +26,10 @@ SEQS = {"P1": ("ACDEFKLM", False), "P2": ("KLMNPQRS", True),
 
 
 def rec(smiles, protein, task=0, raw=100.0, value=None):
+    """A record of ``raw``, with ``transform_value(raw)`` unless ``value``
+    is given."""
+    if value is None:
+        value = transform_value(raw)
     return InteractionRecord(smiles=smiles, protein_id=protein, task_id=task,
                              raw_value=raw, value=value)
 
@@ -182,7 +186,8 @@ class TestLoad:
             "CCN,P2,1,7", "CCC,P3,0,5", "CCC,P1,0,n.d."])
         remap = (1_000_000.0, 1_000.0)
         raw_records, _, sequences, _ = load_interactions(*files)
-        transformed = transform_values(raw_records, remap)
+        transformed = [replace(r, value=transform_value(r.raw_value, remap))
+                       for r in raw_records]
         records, _, _, _ = load_interactions(*files, inactive_remap=remap)
         assert records == transformed
         expected = assemble_pairs(filter_sparse(transformed, 1), sequences)
@@ -204,29 +209,24 @@ class TestLoad:
 
 class TestTransform:
     def test_log_values(self):
-        out = transform_values([rec("C", "P1", raw=1.0),
-                                rec("C", "P2", raw=10000.0)])
-        assert out[0].value == 4.0
-        assert out[1].value == 0.0
+        assert transform_value(1.0) == 4.0
+        assert transform_value(10000.0) == 0.0
 
     def test_inactive_remap_then_transform(self):
-        out = transform_values([rec("C", "P1", raw=1_000_000.0)],
-                               inactive_remap=(1_000_000.0, 1_000.0))
-        assert out[0].value == 1.0
+        assert transform_value(1_000_000.0,
+                               inactive_remap=(1_000_000.0, 1_000.0)) == 1.0
 
     def test_remap_is_exact_match_only(self):
-        out = transform_values([rec("C", "P1", raw=999_999.0)],
-                               inactive_remap=(1_000_000.0, 1_000.0))
-        assert out[0].value != 1.0
+        assert transform_value(999_999.0,
+                               inactive_remap=(1_000_000.0, 1_000.0)) != 1.0
 
     def test_non_positive_rejected(self):
         with pytest.raises(DataError, match="non-positive"):
-            transform_values([rec("C", "P1", raw=0.0)])
+            transform_value(0.0)
 
     @given(st.floats(1e-6, 1e9))
     def test_round_trip(self, raw):
-        (record,) = transform_values([rec("C", "P1", raw=raw)])
-        back = inverse_transform(record.value)
+        back = inverse_transform(transform_value(raw))
         assert abs(back - raw) / raw < 1e-9
 
 
@@ -288,8 +288,7 @@ class TestFilterSparse:
 class TestAssemble:
     def test_parsed_molecules_are_taken_from_their_table(self):
         table = parse_table(["CCO", "N", "C"])
-        records = transform_values([rec("C", "P1"), rec("CCO", "P2"),
-                                    rec("C", "P2")])
+        records = [rec("C", "P1"), rec("CCO", "P2"), rec("C", "P2")]
         ds = assemble_pairs(records, SEQS,
                             parsed=({"CCO": 0, "N": 1, "C": 2}, table))
         assert ds.compounds == ("C", "CCO")
@@ -297,16 +296,15 @@ class TestAssemble:
         assert assemble_pairs(records, SEQS).molecules is not None
 
     def test_duplicates_average_after_transform(self):
-        records = transform_values([rec("C", "P1", raw=10.0),
-                                    rec("C", "P1", raw=1000.0)])
+        records = [rec("C", "P1", raw=10.0), rec("C", "P1", raw=1000.0)]
         ds = assemble_pairs(records, SEQS)
         assert ds.n_pairs == 1
         assert ds.y[0, 0] == pytest.approx((3.0 + 1.0) / 2.0)
 
     def test_multitask_masks(self):
-        records = transform_values([rec("C", "P1", task=0, raw=10.0),
-                                    rec("C", "P1", task=2, raw=100.0),
-                                    rec("N", "P2", task=1, raw=10.0)])
+        records = [rec("C", "P1", task=0, raw=10.0),
+                   rec("C", "P1", task=2, raw=100.0),
+                   rec("N", "P2", task=1, raw=10.0)]
         ds = assemble_pairs(records, SEQS)
         assert ds.n_tasks == 3
         assert ds.w.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
@@ -361,8 +359,7 @@ class TestMolecules:
                 for i in range(2)] == ["O", "N"]
 
     def test_hand_built_dataset_parses_its_compounds(self):
-        ds = assemble_pairs(transform_values([rec("CCO", "P1"),
-                                              rec("C", "P2")]), SEQS)
+        ds = assemble_pairs([rec("CCO", "P1"), rec("C", "P2")], SEQS)
         assert ds.molecules.sizes.tolist() == [3, 1]
         again = replace(ds, y=ds.y + 1.0)
         assert again.molecules is ds.molecules  # replace() does not reparse
@@ -371,7 +368,7 @@ class TestMolecules:
         assert fresh.molecules.sizes.tolist() == [3, 1]
 
     def test_molecules_must_align_with_compounds(self):
-        ds = assemble_pairs(transform_values([rec("CCO", "P1")]), SEQS)
+        ds = assemble_pairs([rec("CCO", "P1")], SEQS)
         with pytest.raises(DataError, match="2 molecules for 1 compounds"):
             replace(ds, molecules=MoleculeTable.concat([ds.molecules] * 2))
 

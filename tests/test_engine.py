@@ -25,7 +25,7 @@ from dtanet.engine import (
 def loss_only(graph, loss, feeds, rng_seed=None):
     def evaluate():
         rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-        (value,) = graph.forward(feeds, [loss], training=True, rng=rng)
+        (value,) = graph.forward(feeds, [loss], rng=rng)
         return float(value)
     return evaluate
 
@@ -119,11 +119,26 @@ class TestOpSemantics:
         x = g.placeholder("x")
         out = g.dropout(x, 0.5)
         data = np.ones((200, 50))
-        (value,) = g.forward({"x": data}, [out], training=True,
-                             rng=np.random.default_rng(0))
+        (value,) = g.forward({"x": data}, [out], rng=np.random.default_rng(0))
         kept = value[value > 0]
         assert np.allclose(kept, 2.0)  # scaled by 1/(1-p)
         assert abs(value.mean() - 1.0) < 0.05
+
+    def test_batchnorm_state_exists_from_construction(self):
+        g = Graph()
+        x = g.placeholder("x")
+        gamma = g.parameter("gamma", np.array([1.5, 0.5, 2.0]))
+        bn = g.batch_norm(x, gamma, g.parameter("beta", np.zeros(3)),
+                          name="bn")
+        state = g.live_state()
+        assert state["bn.running_mean"].tolist() == [0.0, 0.0, 0.0]
+        assert state["bn.running_var"].tolist() == [1.0, 1.0, 1.0]
+        g.infer({"x": np.ones((4, 3))}, [bn])
+        assert g.live_state().keys() == state.keys()
+        assert state["bn.running_mean"] is bn.running_mean
+        assert bn.running_var.tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(ShapeError, match="'bn.running_var': stored shape"):
+            g.load_state({"bn.running_var": np.ones(2)})
 
     def test_batchnorm_forward_and_infer_agreement(self):
         # with running statistics equal to the batch statistics, the
@@ -134,7 +149,7 @@ class TestOpSemantics:
         beta = g.parameter("beta", np.array([0.2, -0.1]))
         bn = g.batch_norm(x, gamma, beta)
         data = np.random.default_rng(3).normal(2.0, 3.0, size=(64, 2))
-        (train_out,) = g.forward({"x": data}, [bn], training=True)
+        (train_out,) = g.forward({"x": data}, [bn])
         bn.running_mean = data.mean(axis=0)
         bn.running_var = data.var(axis=0)
         (inferred,) = g.infer({"x": data}, [bn])
@@ -412,14 +427,6 @@ class TestGraphExecution:
         with pytest.raises(NonFiniteError, match="proj"):
             g.forward({"x": np.ones((3, 2))}, [out])
 
-    def test_forward_only_trains(self):
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.relu(x)
-        with pytest.raises(EngineError, match=r"Graph\.infer"):
-            g.forward({"x": np.ones((1, 2))}, [out], training=False)
-        assert x.value is None and out.value is None
-
     def test_backward_before_forward(self):
         g = Graph()
         x = g.placeholder("x")
@@ -433,7 +440,7 @@ class TestGraphExecution:
             x = g.placeholder("x")
             out = g.dropout(g.relu(x), 0.3)
             (value,) = g.forward({"x": np.arange(12.0).reshape(3, 4)}, [out],
-                                 training=True, rng=np.random.default_rng(11))
+                                 rng=np.random.default_rng(11))
             return value
         assert np.array_equal(run(), run())
 
@@ -570,7 +577,7 @@ class TestPlannedExecution:
         with pytest.raises(NonFiniteError, match="'act'"):
             g.infer({}, [act])
         with pytest.raises(NonFiniteError, match="'act'"):
-            g.forward({}, [act], training=True)
+            g.forward({}, [act])
 
     def test_a_node_added_after_a_cached_plan_is_computed(self):
         g, feeds, n = dense_chain()
@@ -590,10 +597,10 @@ class TestPlannedExecution:
         loss = g.weighted_mse(n["out"], g.placeholder("t"),
                               g.placeholder("w"))
         feeds.update(t=np.zeros((5, 2)), w=np.ones((5, 2)))
-        g.forward(feeds, [loss], training=True, rng=np.random.default_rng(0))
+        g.forward(feeds, [loss], rng=np.random.default_rng(0))
         g.backward(loss)
         side = g.relu(n["bn"])  # not on the loss's path
-        g.forward(feeds, [loss], training=True, rng=np.random.default_rng(0))
+        g.forward(feeds, [loss], rng=np.random.default_rng(0))
         g.backward(loss)
         assert side.wants_grad is False and side.grad is None
 

@@ -530,7 +530,7 @@ class TestTableParity:
         g, h, loss, pools = _parity_stack(GraphConv, GraphPool, seed)
         g.forward({"h": h_value, "structure": batch, "gather_structure": batch,
                    "target": np.zeros((len(mols), 1)),
-                   "weight": np.ones((len(mols), 1))}, [loss], training=True)
+                   "weight": np.ones((len(mols), 1))}, [loss])
         for pool in pools:
             h_in = pool.inputs[0].value
             padded = np.vstack([h_in, np.full((1, h_in.shape[1]), -np.inf)])
@@ -601,7 +601,7 @@ class TestGatherOnce:
         grads = []
         for conv_cls in (GraphConv, _PerUseGatherConv):
             g, h, loss, _ = _parity_stack(conv_cls, GraphPool, seed)
-            g.forward(feeds, [loss], training=True)
+            g.forward(feeds, [loss])
             g.backward(loss, inputs=(h,))
             grads.append(({p.name: p.grad for p in g.parameters()}, h.grad))
         (new, new_dh), (old, old_dh) = grads

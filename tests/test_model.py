@@ -149,7 +149,7 @@ class TestPrediction:
                  "weight": np.zeros((4, 3)),
                  "compound_row": np.arange(4), "protein_row": np.arange(4)}
         feeds["weight"][:, 0] = 1.0  # only task 0 observed
-        model.graph.forward(feeds, [model.loss], training=True, rng=rng)
+        model.graph.forward(feeds, [model.loss], rng=rng)
         model.graph.backward(model.loss)
         out_w = next(p for p in model.graph.parameters()
                      if p.name == "output.W")
@@ -229,7 +229,7 @@ class TestIndexedFirstLayer:
         indices = rng.permutation(store.dataset.n_pairs)
         feeds = store.feeds(indices, with_targets=True, model=model)
         assert len(feeds["compound_row"]) == indices.size
-        model.graph.forward(feeds, [model.loss], training=True, rng=rng)
+        model.graph.forward(feeds, [model.loss], rng=rng)
         model.graph.load_state({  # move every entry off its initial value
             k: (np.abs(v) + 0.5 if k.endswith("running_var")
                 else v + 0.1 * rng.standard_normal(v.shape))
@@ -244,16 +244,14 @@ class TestIndexedFirstLayer:
             reference = reference[np.arange(indices.size), cols][:, None]
         assert_matches(store.predict(model, indices), reference)
 
-        (value,) = model.graph.forward(feeds, [model.output], training=True,
+        (value,) = model.graph.forward(feeds, [model.output],
                                        rng=np.random.default_rng(3))
-        (reference,) = graph.forward(ref_feeds, [out], training=True,
+        (reference,) = graph.forward(ref_feeds, [out],
                                      rng=np.random.default_rng(3))
         assert_matches(value, reference)
-        model.graph.forward(feeds, [model.loss], training=True,
-                            rng=np.random.default_rng(4))
+        model.graph.forward(feeds, [model.loss], rng=np.random.default_rng(4))
         model.graph.backward(model.loss)
-        graph.forward(ref_feeds, [loss], training=True,
-                      rng=np.random.default_rng(4))
+        graph.forward(ref_feeds, [loss], rng=np.random.default_rng(4))
         graph.backward(loss)
         by_name = {p.name: p for p in graph.parameters()}
         for param in model.graph.parameters():
@@ -320,7 +318,7 @@ def trained_like(variant, **overrides):
     model = store.build_model()
     rng = np.random.default_rng(7)
     feeds = store.feeds(np.arange(30), with_targets=True, model=model)
-    model.graph.forward(feeds, [model.loss], training=True, rng=rng)
+    model.graph.forward(feeds, [model.loss], rng=rng)
     model.graph.load_state({
         k: (np.abs(v) + 0.5 if k.endswith("running_var")
             else v + 0.1 * rng.standard_normal(v.shape))
@@ -380,8 +378,7 @@ class TestInference:
     def test_a_backward_after_infer_is_refused(self):
         model, feeds = trained_like("padme-graphconv")
         graph = model.graph
-        graph.forward(feeds, [model.loss], training=True,
-                      rng=np.random.default_rng(0))
+        graph.forward(feeds, [model.loss], rng=np.random.default_rng(0))
         graph.infer(feeds, [model.loss])
         with pytest.raises(EngineError, match="before forward"):
             graph.backward(model.loss)
@@ -515,8 +512,7 @@ class TestBatchnormConsistency:
         feeds = {"compound": rng.random((32, 512)),
                  "protein": rng.random((32, 8421)),
                  "compound_row": np.arange(32), "protein_row": np.arange(32)}
-        (train_out,) = model.graph.forward(feeds, [model.output],
-                                           training=True, rng=rng)
+        (train_out,) = model.graph.forward(feeds, [model.output], rng=rng)
         bn = next(n for n in model.graph.nodes if n.op == "batchnorm")
         x_node = bn.inputs[0]
         bn.running_mean = x_node.value.mean(axis=0)
@@ -550,6 +546,20 @@ class TestCheckpoint:
         idx = np.arange(8)
         assert np.array_equal(store.predict(model, idx),
                               store.predict(loaded, idx))
+
+    def test_predict_changes_no_state(self, tmp_path):
+        dataset = memory_dataset(n_compounds=6, n_proteins=3, n_pairs=10,
+                                 seed=6)
+        store = FeatureStore(dataset, small_config())
+        model = store.build_model()
+        keys = model.graph.live_state().keys()
+        assert {"bn0.running_mean", "bn0.running_var"} <= keys
+        before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+        model.save(before)
+        store.predict(model, np.arange(dataset.n_pairs))
+        assert model.graph.live_state().keys() == keys
+        model.save(after)
+        assert after.read_bytes() == before.read_bytes()
 
     def test_write_read_write_byte_identical(self, tmp_path):
         dataset = memory_dataset(n_compounds=6, n_proteins=3, n_pairs=10,
@@ -633,7 +643,7 @@ class TestCheckpoint:
         (lambda h: _with_bias_copy(h, name="bn9.running_mean"),
          "unknown state entry 'bn9.running_mean'"),
         (lambda h: _with_bias_copy(h, shape=[1, 1]),
-         "parameter 'output.b': stored shape"),
+         "state entry 'output.b': stored shape"),
     ], ids=["missing-parameter", "not-json", "no-featurization",
             "array-header", "shape-not-a-list", "name-not-a-string",
             "unknown-tensor", "unknown-statistic", "wrong-shape"])
@@ -644,30 +654,33 @@ class TestCheckpoint:
             Model.load(path)
 
     def test_refuses_half_the_running_statistics(self, tmp_path):
-        model, path = self._saved(tmp_path)
-        for node in model.graph.nodes:
-            if node.op == "batchnorm":
-                node.running_mean = np.zeros(16)
-                node.running_var = np.ones(16)
-        model.save(path)
+        _, path = self._saved(tmp_path)
         self._rewrite_header(path, lambda h: _with_tensors(
             h, lambda ts: [t for t in ts
                            if not t["name"].endswith("running_var")]))
-        with pytest.raises(ModelError, match="model.ckpt: 'bn0' holds one"):
+        with pytest.raises(ModelError, match="model.ckpt: checkpoint has no "
+                                             "tensor 'bn0.running_var'"):
             Model.load(path)
 
-    def test_loads_batchnorm_without_running_statistics(self, tmp_path):
-        model, path = self._saved(tmp_path, use_batchnorm=True)
-        norms = [node for node in model.graph.nodes if node.op == "batchnorm"]
-        assert norms and all(node.running_mean is None for node in norms)
-        loaded, _ = Model.load(path)
-        assert loaded.graph.state_dict().keys() == model.graph.state_dict().keys()
-        rng = np.random.default_rng(0)
-        feeds = {"compound": rng.random((3, 512)),
-                 "protein": rng.random((3, DESCRIPTOR_LENGTH)),
-                 "compound_row": np.arange(3), "protein_row": np.arange(3)}
-        assert np.array_equal(model.predict_feeds(feeds),
-                              loaded.predict_feeds(feeds))
+    def test_refuses_a_checkpoint_without_running_statistics(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        self._rewrite_header(path, lambda h: _with_tensors(
+            h, lambda ts: [t for t in ts if ".running_" not in t["name"]]))
+        with pytest.raises(ModelError, match="model.ckpt: checkpoint has no "
+                                             "tensor 'bn0.running_mean'"):
+            Model.load(path)
+
+    @pytest.mark.parametrize("shape", [[1], [7], [16, 1]])
+    def test_refuses_a_running_statistic_in_another_shape(self, tmp_path,
+                                                          shape):
+        _, path = self._saved(tmp_path)
+        self._rewrite_header(path, lambda h: _with_tensors(
+            h, lambda ts: [{**t, "shape": shape}
+                           if t["name"] == "bn0.running_mean" else t
+                           for t in ts]))
+        with pytest.raises(ModelError, match=re.escape(
+                "model.ckpt: state entry 'bn0.running_mean': stored shape")):
+            Model.load(path)
 
     def test_poisoned_checkpoint_fails_at_load(self, tmp_path):
         dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6,
@@ -694,7 +707,7 @@ class TestCheckpoint:
 
     def _trained(self, tmp_path):
         """A store, a model fit for one epoch (so its batch-norm running
-        statistics exist), and its checkpoint."""
+        statistics have moved), and its checkpoint."""
         dataset = memory_dataset(n_compounds=6, n_proteins=3, n_pairs=12,
                                  seed=9)
         store = FeatureStore(dataset, small_config())

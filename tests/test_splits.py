@@ -434,6 +434,14 @@ class TestFoldArtifacts:
         with pytest.raises(SplitError, match=rf"folds\.csv: {message}"):
             read_folds(path)
 
+    def test_unknown_scheme_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "folds.csv"
+        path.write_text("# k=2\n# seed=0\n# scheme=bogus\n"
+                        "record_index,fold\n0,0\n1,1\n", encoding="utf-8")
+        with pytest.raises(SplitError,
+                           match=r"folds\.csv: line 3: unknown scheme 'bogus'"):
+            read_folds(path)
+
     def test_every_record_assigned_once(self):
         assignment = random_split(101, 7, seed=0)
         assert assignment.folds.size == 101

@@ -198,8 +198,7 @@ def reference_fit(model, store, train_idx, val_idx, cfg, scores=None):
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             feeds = store.feeds(batch, with_targets=True, model=model)
-            (loss,) = model.graph.forward(feeds, [model.loss], training=True,
-                                          rng=rng)
+            (loss,) = model.graph.forward(feeds, [model.loss], rng=rng)
             model.graph.backward(model.loss)
             adam.step()
             total += float(loss) * batch.size
@@ -232,8 +231,7 @@ def textbook_fit(model, store, train_idx, val_idx, cfg):
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             feeds = store.feeds(batch, with_targets=True, model=model)
-            (loss,) = model.graph.forward(feeds, [model.loss], training=True,
-                                          rng=rng)
+            (loss,) = model.graph.forward(feeds, [model.loss], rng=rng)
             model.graph.backward(model.loss)
             t += 1
             for p in params:

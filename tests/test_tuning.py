@@ -213,11 +213,21 @@ class TestSpaceFile:
         ("dropout continuous a b", "continuous needs numeric bounds"),
         ("n_layers integer 1 2.5", "integer needs numeric bounds"),
         ("dropout continuous 0.5 0.1", "continuous bounds need lo < hi"),
+        ("dropout continuous 0 0.5 lgo",
+         "unexpected 'lgo' after the continuous bounds"),
+        ("dropout continuous 0 0.5 log log",
+         "unexpected 'log log' after the continuous bounds"),
+        ("n_layers integer 1 3 7", "unexpected '7' after the integer bounds"),
+        ("n_layers integer 1 3 log", "unexpected 'log' after the integer bounds"),
+        ("learning_rate continuous 1e-4 1e-2 log\n"
+         "learning_rate continuous 1e-4 1e-2",
+         r"duplicate dimension 'learning_rate' \(first on line 2\)"),
     ])
     def test_bad_bounds_name_the_line(self, tmp_path, line, message):
         path = tmp_path / "space.cfg"
         path.write_text(f"# bounds\n{line}\n", encoding="utf-8")
-        with pytest.raises(TuneError, match=f"space.cfg:2: {message}"):
+        last = 1 + len(line.splitlines())  # the line at fault
+        with pytest.raises(TuneError, match=f"space.cfg:{last}: {message}"):
             load_space(path)
 
     def test_unknown_dimension_names_the_line(self, tmp_path):
