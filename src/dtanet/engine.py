@@ -521,12 +521,16 @@ class _BatchNorm(Node):
     ones, and keeps the centered and normalized input its backward reads.
     ``infer`` normalizes with the running statistics in its one output
     buffer and keeps nothing.
+
+    Each ``forward`` moves the running statistics by ``momentum``; ``eps``
+    is added to every variance before its square root. Both are constants.
     """
 
-    def __init__(self, x, gamma, beta, momentum=0.9, eps=1e-5):
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, x, gamma, beta):
         super().__init__("batchnorm", (x, gamma, beta))
-        self.momentum = momentum
-        self.eps = eps
         self.running_mean = np.zeros(gamma.array.shape)
         self.running_var = np.ones(gamma.array.shape)
 
@@ -697,8 +701,8 @@ class Graph:
     def dropout(self, x, rate, name=None):
         return self._register(_Dropout(x, rate), name)
 
-    def batch_norm(self, x, gamma, beta, momentum=0.9, eps=1e-5, name=None):
-        return self._register(_BatchNorm(x, gamma, beta, momentum, eps), name)
+    def batch_norm(self, x, gamma, beta, name=None):
+        return self._register(_BatchNorm(x, gamma, beta), name)
 
     def weighted_mse(self, pred, target, weight, name=None):
         return self._register(_WeightedMse(pred, target, weight), name)

@@ -163,8 +163,6 @@ class EvalReport:
     rmse: float | None
     r2: float | None
     ci: float | None
-    r2_excluded: tuple[int, ...] = ()
-    ci_excluded: tuple[int, ...] = ()
 
     @property
     def n_records(self) -> int:
@@ -177,10 +175,6 @@ def evaluate_predictions(y: np.ndarray, predicted: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-        predicted = predicted[:, None]
-        weights = weights[:, None]
     tasks: list[TaskMetrics] = []
     for t in range(y.shape[1]):
         mask = weights[:, t] > 0
@@ -202,12 +196,11 @@ def evaluate_predictions(y: np.ndarray, predicted: np.ndarray,
     counts = [t.n_records for t in tasks]
     rmse_agg, _ = aggregate([t.rmse for t in tasks], counts)
     try:
-        r2_agg, r2_excluded = aggregate([t.r2 for t in tasks], counts)
+        r2_agg, _ = aggregate([t.r2 for t in tasks], counts)
     except MetricError:
-        r2_agg, r2_excluded = None, tuple(range(len(tasks)))
+        r2_agg = None
     try:
-        ci_agg, ci_excluded = aggregate([t.ci for t in tasks], counts)
+        ci_agg, _ = aggregate([t.ci for t in tasks], counts)
     except MetricError:
-        ci_agg, ci_excluded = None, tuple(range(len(tasks)))
-    return EvalReport(tasks=tasks, rmse=rmse_agg, r2=r2_agg, ci=ci_agg,
-                      r2_excluded=r2_excluded, ci_excluded=ci_excluded)
+        ci_agg = None
+    return EvalReport(tasks=tasks, rmse=rmse_agg, r2=r2_agg, ci=ci_agg)

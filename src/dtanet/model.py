@@ -28,18 +28,17 @@ sequence, which is what makes cold-start prediction possible.
 
 Checkpoints are a small binary container: magic ``DTNCKPT1``, uint32 format
 version, uint64 JSON header length, a JSON header (config snapshot,
-featurization layout version, tensor manifest and run-config snapshot), then
+featurization signature, tensor manifest and run-config snapshot), then
 the float64 little-endian payloads of the parameters and batch-norm running
 statistics in manifest order. A checkpoint holds what scoring reads: no
-optimizer state, so a fit cannot resume from one. Loading refuses
-featurization layouts other than the one this code produces, and any
-checkpoint that it cannot fully restore, with a ``ModelError`` naming the
-file.
+optimizer state, so a fit cannot resume from one. Loading compares the
+stored featurization signature with this build's entry by entry and refuses
+a file whose inputs this code would lay out differently, or that it cannot
+fully restore, with a ``ModelError`` naming the file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -102,7 +101,6 @@ class ModelConfig:
     max_degree: int = 6
     conv_widths: tuple[int, ...] = (64, 64)
     conv_dense: int = 128
-    atom_vocabulary: tuple[str, ...] = DEFAULT_ATOM_VOCABULARY
     seed: int = 0
 
     def normalized(self) -> "ModelConfig":
@@ -125,8 +123,7 @@ class ModelConfig:
             raise ModelError("dropout rates must be in [0, 1)")
         return replace(self, dropout_rates=tuple(rates),
                        hidden_layers=tuple(self.hidden_layers),
-                       conv_widths=tuple(self.conv_widths),
-                       atom_vocabulary=tuple(self.atom_vocabulary))
+                       conv_widths=tuple(self.conv_widths))
 
     @property
     def uses_graphconv(self) -> bool:
@@ -152,14 +149,21 @@ class ModelConfig:
             "fp_radius": self.fp_radius,
             "fp_bits": self.fp_bits,
             "max_degree": self.max_degree,
-            "atom_vocabulary": list(self.atom_vocabulary),
+            "atom_vocabulary": list(DEFAULT_ATOM_VOCABULARY),
             "protein_layout": proteins.LAYOUT_VERSION,
             "protein_dim": proteins.DESCRIPTOR_LENGTH,
         }
 
-    def featurization_fingerprint(self) -> str:
-        payload = json.dumps(self.featurization_signature(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+def _check_featurization(stored: dict, cfg: ModelConfig, where) -> None:
+    """Refuse a featurization signature ``stored`` (of a checkpoint or a
+    feature store) that any entry of ``cfg``'s own signature contradicts;
+    the :class:`ModelError` names ``where``, the entry and both values."""
+    for key, value in cfg.featurization_signature().items():
+        theirs = stored.get(key)
+        if theirs != value:
+            raise ModelError(f"{where}: featurization {key} {theirs!r} is "
+                             f"incompatible with this build's {value!r}")
 
 
 def _he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -238,7 +242,7 @@ class Model:
                           rng: np.random.Generator):
         h = graph.placeholder("atom_features")
         structure = graph.object_input("graph_batch")
-        width = atom_feature_width(cfg.atom_vocabulary, cfg.max_degree)
+        width = atom_feature_width(DEFAULT_ATOM_VOCABULARY, cfg.max_degree)
         for li, out_width in enumerate(cfg.conv_widths):
             w_self = [graph.parameter(f"conv{li}.wself{d}",
                                       _he_uniform(rng, width, out_width))
@@ -311,9 +315,7 @@ class Model:
                              "offset": offset})
             offset += state[name].size * 8
         header = {
-            "format_version": _FORMAT_VERSION,
             "featurization": self.cfg.featurization_signature(),
-            "featurization_fingerprint": self.cfg.featurization_fingerprint(),
             "config": asdict(self.cfg),
             "protein_index": self.protein_index,
             "run_config": run_config_text,
@@ -362,10 +364,9 @@ class Model:
                 raise ModelError(
                     f"{path}: checkpoint header is not JSON") from None
             try:  # every header entry that loading reads
-                layout = header["featurization"]["layout_version"]
+                signature = header["featurization"]
                 cfg = _config_from_json(header["config"])
                 protein_index = header["protein_index"]
-                fingerprint = header["featurization_fingerprint"]
                 manifest = [(entry["name"], tuple(entry["shape"]),
                              entry["offset"])
                             for entry in header["tensors"]
@@ -377,18 +378,14 @@ class Model:
             except (TypeError, AttributeError):  # an entry of another type
                 raise ModelError(
                     f"{path}: malformed checkpoint header") from None
-            if layout != FEATURIZATION_VERSION:
-                raise ModelError(
-                    f"{path}: featurization layout {layout} is incompatible "
-                    f"with this build ({FEATURIZATION_VERSION})")
+            if not isinstance(signature, dict):
+                raise ModelError(f"{path}: malformed checkpoint header")
+            _check_featurization(signature, cfg, path)
             protein_ids = None
             if protein_index is not None:
                 ordered = sorted(protein_index, key=protein_index.get)
                 protein_ids = tuple(ordered)
             model = cls.build(cfg, protein_ids=protein_ids)
-            if model.cfg.featurization_fingerprint() != fingerprint:
-                raise ModelError(
-                    f"{path}: featurization fingerprint mismatch")
             available = max(0, os.fstat(handle.fileno()).st_size
                             - handle.tell())
             for name, shape, start in manifest:
@@ -449,7 +446,7 @@ class FeatureStore:
         if self.cfg.uses_graphconv:
             try:
                 rows = atom_feature_matrix(dataset.molecules,
-                                           self.cfg.atom_vocabulary,
+                                           DEFAULT_ATOM_VOCABULARY,
                                            self.cfg.max_degree)
             except FeaturizationError as exc:
                 raise FeaturizationError(
@@ -475,9 +472,8 @@ class FeatureStore:
         """A fresh model of ``cfg`` (default: the store's own config); ``cfg``
         must featurize inputs as the store's config does."""
         cfg = self.cfg if cfg is None else cfg
-        if cfg.featurization_signature() != self.cfg.featurization_signature():
-            raise ModelError("the model's featurization differs from the "
-                             "feature store's")
+        _check_featurization(self.cfg.featurization_signature(), cfg,
+                             "feature store")
         protein_ids = self.dataset.protein_ids if cfg.compound_only else None
         return Model.build(cfg, protein_ids=protein_ids)
 
@@ -524,9 +520,9 @@ class FeatureStore:
                              f"the dataset's {n_pairs} pairs")
         return array.astype(np.int64, copy=False)
 
-    def feeds(self, indices, with_targets: bool = True,
-              model: Model | None = None) -> dict:
-        """Graph feeds for the pairs ``indices`` (targets need ``model``)."""
+    def feeds(self, indices, model: Model | None = None) -> dict:
+        """Graph feeds, targets and weights for the pairs ``indices``; a
+        compound-only store needs ``model`` for its protein output columns."""
         indices = self._pair_indices(indices)
         compound_idx = self.dataset.pairs[indices, 0]
         protein_idx = self.dataset.pairs[indices, 1]
@@ -537,25 +533,24 @@ class FeatureStore:
             distinct, protein_row = np.unique(protein_idx, return_inverse=True)
             feeds["protein"] = self.protein_matrix[distinct]
             feeds["protein_row"] = protein_row
-        if with_targets:
-            if self.cfg.compound_only:
-                if model is None or model.protein_index is None:
-                    raise ModelError(
-                        "compound-only targets need the built model (for its "
-                        "protein output mapping)")
-                n_out = len(model.protein_index)
-                target = np.zeros((indices.size, n_out))
-                weight = np.zeros((indices.size, n_out))
-                cols = model.output_columns(
-                    [self.dataset.protein_ids[i] for i in protein_idx])
-                rows = np.arange(indices.size)
-                target[rows, cols] = self.dataset.y[indices, 0]
-                weight[rows, cols] = self.dataset.w[indices, 0]
-            else:
-                target = self.dataset.y[indices]
-                weight = self.dataset.w[indices]
-            feeds["target"] = target
-            feeds["weight"] = weight
+        if self.cfg.compound_only:
+            if model is None or model.protein_index is None:
+                raise ModelError(
+                    "compound-only targets need the built model (for its "
+                    "protein output mapping)")
+            n_out = len(model.protein_index)
+            target = np.zeros((indices.size, n_out))
+            weight = np.zeros((indices.size, n_out))
+            cols = model.output_columns(
+                [self.dataset.protein_ids[i] for i in protein_idx])
+            rows = np.arange(indices.size)
+            target[rows, cols] = self.dataset.y[indices, 0]
+            weight[rows, cols] = self.dataset.w[indices, 0]
+        else:
+            target = self.dataset.y[indices]
+            weight = self.dataset.w[indices]
+        feeds["target"] = target
+        feeds["weight"] = weight
         return feeds
 
     def pair_targets(self, indices) -> tuple[np.ndarray, np.ndarray]:

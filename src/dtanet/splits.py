@@ -88,7 +88,6 @@ class FoldAssignment:
 @dataclass
 class CompoundClustering:
     labels: np.ndarray  # cluster id per compound
-    threshold: float
 
 
 class _UnionFind:
@@ -343,7 +342,7 @@ def cluster_compounds(fingerprints, threshold: float = 0.7) -> CompoundClusterin
             for i, j in zip(*np.nonzero(linked)):
                 uf.union(lo + int(i), lo + int(j))
     labels, _ = _entity_codes(uf.find(i) for i in range(n))
-    return CompoundClustering(labels=labels, threshold=threshold)
+    return CompoundClustering(labels=labels)
 
 
 def cold_cluster_split(compound_of_record, clustering: CompoundClustering,
@@ -433,7 +432,6 @@ def fold_views(assignment: FoldAssignment,
 @dataclass
 class HoldoutViews:
     holdout: np.ndarray
-    assignment: FoldAssignment
     views: list[tuple[np.ndarray, np.ndarray]]
 
 
@@ -451,8 +449,7 @@ def holdout_fold_views(n: int, k: int, seed: int = 0,
     for part in (holdout, rest):
         folds[part[rng.permutation(part.size)]] = np.arange(part.size) % k
     assignment = FoldAssignment(k=k, folds=folds, scheme="random", seed=seed)
-    return HoldoutViews(holdout=holdout, assignment=assignment,
-                        views=fold_views(assignment, holdout))
+    return HoldoutViews(holdout=holdout, views=fold_views(assignment, holdout))
 
 
 # -- artifact files -----------------------------------------------------------
@@ -473,6 +470,12 @@ def read_folds(path: str | Path) -> FoldAssignment:
             line = line.rstrip("\n")
             if line.startswith("# "):
                 key, _, value = line[2:].partition("=")
+                if key not in ("scheme", "k", "seed"):
+                    raise SplitError(f"{path}: line {lineno}: unknown "
+                                     f"metadata key {key!r}")
+                if key in meta:
+                    raise SplitError(f"{path}: line {lineno}: repeated "
+                                     f"metadata key {key!r}")
                 if key in ("k", "seed"):
                     try:
                         value = int(value)
@@ -480,6 +483,11 @@ def read_folds(path: str | Path) -> FoldAssignment:
                         raise SplitError(
                             f"{path}: line {lineno}: expected an integer "
                             f"{key}, got {value!r}") from None
+                    least = 2 if key == "k" else 0
+                    if value < least:
+                        raise SplitError(
+                            f"{path}: line {lineno}: {key} must be at least "
+                            f"{least}, got {value}")
                 if key == "scheme" and value not in SCHEMES:
                     raise SplitError(
                         f"{path}: line {lineno}: unknown scheme {value!r}; "

@@ -91,7 +91,6 @@ class TrainResult:
     history: list[EpochRow]
     best_epoch: int
     best_score: float
-    evals_performed: int
     epoch_seconds: list[float] = field(default_factory=list)
     # the best epoch's validation report; None when no epoch was evaluated
     best_report: EvalReport | None = None
@@ -130,7 +129,7 @@ def _run_epoch(model: Model, store: FeatureStore, order: np.ndarray,
     total = 0.0
     for start in range(0, order.size, batch_size):
         batch = order[start:start + batch_size]
-        feeds = store.feeds(batch, with_targets=True, model=model)
+        feeds = store.feeds(batch, model=model)
         (loss_value,) = graph.forward(feeds, [model.loss], rng=rng)
         graph.backward(model.loss)
         adam.step()
@@ -176,7 +175,6 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
     # while the best is the live state
     snapshot: dict[str, np.ndarray] | None = None
     strikes = 0
-    evals = 0
     epoch_seconds: list[float] = []
     for epoch in range(1, cfg.max_epochs + 1):
         if best_epoch and snapshot is None:
@@ -189,7 +187,6 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
         if epoch % cfg.eval_every == 0 and val_idx.size:
             task_rmse, task_ci, score, fallback, report = validation_scores(
                 model, store, val_idx)
-            evals += 1
             row.val_rmse = task_rmse
             row.val_ci = task_ci
             row.composite = score
@@ -217,8 +214,7 @@ def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
         graph.load_state(snapshot)
     return TrainResult(history=history, best_epoch=best_epoch,
                        best_score=float(best_score),
-                       evals_performed=evals, epoch_seconds=epoch_seconds,
-                       best_report=best_report)
+                       epoch_seconds=epoch_seconds, best_report=best_report)
 
 
 def history_rows(result: TrainResult) -> list[str]:

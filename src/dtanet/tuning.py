@@ -132,8 +132,6 @@ class Trial:
 @dataclass
 class SearchResult:
     trials: list[Trial]
-    strategy: str
-    seed: int
 
     @property
     def best(self) -> Trial:
@@ -167,7 +165,7 @@ def random_search(space: SearchSpace, objective, budget: int,
         raise TuneError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     trials = [_evaluate(objective, space.sample(rng), i) for i in range(budget)]
-    return SearchResult(trials=trials, strategy="random", seed=seed)
+    return SearchResult(trials=trials)
 
 
 def _norm_cdf(z: np.ndarray) -> np.ndarray:
@@ -301,7 +299,7 @@ def gp_ei_search(space: SearchSpace, objective, budget: int,
         if point is None:
             point = space.sample(rng)
         trials.append(_evaluate(objective, point, index))
-    return SearchResult(trials=trials, strategy="gp", seed=seed)
+    return SearchResult(trials=trials)
 
 
 # -- space files ---------------------------------------------------------------

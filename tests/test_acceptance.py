@@ -232,7 +232,7 @@ def _padme_graphconv_stack(seed: int):
                       seed=seed)
     store = FeatureStore(dataset, cfg)
     model = store.build_model()
-    feeds = store.feeds(np.arange(8), with_targets=True, model=model)
+    feeds = store.feeds(np.arange(8), model=model)
     return model.graph, model.loss, feeds
 
 
@@ -308,8 +308,7 @@ def test_criterion_2_overfit_64_pairs():
         for epoch in range(1, 2001):
             order = rng.permutation(indices)
             for start in range(0, 64, 64):
-                feeds = store.feeds(order[start:start + 64],
-                                    with_targets=True, model=model)
+                feeds = store.feeds(order[start:start + 64], model=model)
                 model.graph.forward(feeds, [model.loss], rng=rng)
                 model.graph.backward(model.loss)
                 adam.step()

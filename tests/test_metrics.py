@@ -149,5 +149,4 @@ class TestEvalReport:
         w = np.ones((2, 2))
         report = evaluate_predictions(y, f, w)
         assert report.tasks[1].ci is None
-        assert 1 in report.ci_excluded
         assert report.ci == report.tasks[0].ci

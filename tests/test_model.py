@@ -227,7 +227,7 @@ class TestIndexedFirstLayer:
             (model.cfg.input_width(), 16)
         rng = np.random.default_rng(5)
         indices = rng.permutation(store.dataset.n_pairs)
-        feeds = store.feeds(indices, with_targets=True, model=model)
+        feeds = store.feeds(indices, model=model)
         assert len(feeds["compound_row"]) == indices.size
         model.graph.forward(feeds, [model.loss], rng=rng)
         model.graph.load_state({  # move every entry off its initial value
@@ -317,7 +317,7 @@ def trained_like(variant, **overrides):
     store = small_store(variant, **overrides)
     model = store.build_model()
     rng = np.random.default_rng(7)
-    feeds = store.feeds(np.arange(30), with_targets=True, model=model)
+    feeds = store.feeds(np.arange(30), model=model)
     model.graph.forward(feeds, [model.loss], rng=rng)
     model.graph.load_state({
         k: (np.abs(v) + 0.5 if k.endswith("running_var")
@@ -495,13 +495,15 @@ class TestFeatureStore:
                                             n_pairs=6),
                              small_config(variant="padme-graphconv"))
         with pytest.raises(GraphStructureError, match="empty batch"):
-            store.feeds([], with_targets=False)
+            store.feeds([])
 
     def test_model_must_featurize_as_the_store(self):
         store = FeatureStore(memory_dataset(n_compounds=4, n_proteins=2,
                                             n_pairs=6), small_config())
         store.build_model(small_config(hidden_layers=(8, 8)))
-        with pytest.raises(ModelError, match="featurization"):
+        with pytest.raises(ModelError, match="feature store: featurization "
+                           "fp_bits 512 is incompatible with this build's "
+                           "1024"):
             store.build_model(small_config(fp_bits=1024))
 
 
@@ -591,7 +593,27 @@ class TestCheckpoint:
         text = raw.decode("latin-1")
         mutated = text.replace('"layout_version":1', '"layout_version":9')
         path.write_bytes(mutated.encode("latin-1"))
-        with pytest.raises(ModelError, match="layout 9"):
+        with pytest.raises(ModelError, match="featurization layout_version 9 "
+                           "is incompatible with this build's 1"):
+            Model.load(path)
+
+    @pytest.mark.parametrize("entry, stored", [
+        ("protein_layout", 2), ("protein_dim", 8420), ("fp_bits", 999)])
+    def test_refuses_another_featurization_entry(self, tmp_path, entry,
+                                                 stored):
+        # a same-length edit of one signature entry; the config is untouched
+        model, path = self._saved(tmp_path)
+        ours = model.cfg.featurization_signature()[entry]
+        text = path.read_bytes().decode("latin-1")
+        start = text.index('"featurization":{')
+        end = text.index("}", start)
+        old, new = f'"{entry}":{ours}', f'"{entry}":{stored}'
+        assert len(old) == len(new) and text.count(old, start, end) == 1
+        text = text[:start] + text[start:end].replace(old, new) + text[end:]
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ModelError, match=re.escape(
+                f"model.ckpt: featurization {entry} {stored} is "
+                f"incompatible with this build's {ours}")):
             Model.load(path)
 
     @pytest.mark.parametrize("keep", [16, 40, -8, -1])
@@ -728,6 +750,26 @@ class TestCheckpoint:
         assert "optimizer_step" not in header
         assert [t["name"] for t in header["tensors"]] == sorted(state)
         assert len(raw) == 20 + length + sum(v.nbytes for v in state.values())
+
+    def test_loads_a_checkpoint_in_the_earlier_header_layout(self, tmp_path):
+        # headers were once written with a hash of the featurization
+        # signature, the format version a second time and the atom
+        # vocabulary in the config; loading ignores all three
+        store, model, path = self._trained(tmp_path)
+        self._rewrite_header(path, lambda h: {
+            **h, "format_version": 1,
+            "featurization_fingerprint": "5f0c1d2e3a4b6978",
+            "config": {**h["config"],
+                       "atom_vocabulary": h["featurization"][
+                           "atom_vocabulary"]}})
+        loaded, _ = Model.load(path)
+        state, saved = loaded.graph.state_dict(), model.graph.state_dict()
+        assert state.keys() == saved.keys()
+        for name in saved:
+            assert np.array_equal(state[name], saved[name]), name
+        idx = np.arange(store.dataset.n_pairs)
+        assert store.predict(loaded, idx).tobytes() == \
+            store.predict(model, idx).tobytes()
 
     @staticmethod
     def _add_adam_moments(path, model, rng):

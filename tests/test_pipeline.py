@@ -382,7 +382,8 @@ class TestCvCommand:
         rmses = [float(r[6]) for r in rows if r[4] == "aggregate"]
         assert rmses == [float(f"{fit.best_report.rmse:.6g}")
                          for fit in fits]
-        assert len(scored) == sum(fit.evals_performed for fit in fits)
+        assert len(scored) == sum(row.composite is not None
+                                  for fit in fits for row in fit.history)
 
     @pytest.mark.parametrize("train_seed", ["0", "3"])
     def test_validation_folds_exclude_the_tuning_holdout(

@@ -194,7 +194,7 @@ class TestClustering:
         a = bits(set(range(10)))
         b = bits(set(range(7)))
         assert tanimoto(a, b) == 0.7
-        clustering = cluster_compounds([a, b], threshold=0.7)
+        clustering = cluster_compounds([a, b])
         assert clustering.labels[0] != clustering.labels[1]
 
     @pytest.mark.parametrize("block_rows", [1, 7, 256])
@@ -235,7 +235,7 @@ class TestClustering:
 class TestColdClusterSplit:
     def _clustering(self, sizes):
         labels = np.concatenate([[c] * 1 for c in range(len(sizes))])
-        return CompoundClustering(labels=np.asarray(labels), threshold=0.7)
+        return CompoundClustering(labels=np.asarray(labels))
 
     def test_greedy_hand_run(self):
         # clusters with record counts [5, 3, 2, 1, 1] over k=2 pack to 6/6,
@@ -257,7 +257,7 @@ class TestColdClusterSplit:
     def test_no_cluster_spans_folds(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 12, size=40)
-        clustering = CompoundClustering(labels=labels, threshold=0.7)
+        clustering = CompoundClustering(labels=labels)
         compound_of_record = np.repeat(np.arange(40), 3)
         assignment = cold_cluster_split(compound_of_record, clustering, k=3,
                                         seed=5)
@@ -266,7 +266,7 @@ class TestColdClusterSplit:
 
     def test_singletons_reduce_to_cold_entity(self):
         labels = np.arange(10)
-        clustering = CompoundClustering(labels=labels, threshold=0.7)
+        clustering = CompoundClustering(labels=labels)
         compound_of_record = np.repeat(np.arange(10), 2)
         assignment = cold_cluster_split(compound_of_record, clustering, k=5,
                                         seed=1)
@@ -278,7 +278,7 @@ class TestColdClusterSplit:
     def test_oversized_cluster_is_hard_error(self):
         labels = np.zeros(10, dtype=np.int64)
         labels[9] = 1
-        clustering = CompoundClustering(labels=labels, threshold=0.7)
+        clustering = CompoundClustering(labels=labels)
         compound_of_record = np.arange(10)
         with pytest.raises(SplitError, match="impossible"):
             cold_cluster_split(compound_of_record, clustering, k=3, seed=0)
@@ -425,7 +425,13 @@ class TestFoldArtifacts:
     @pytest.mark.parametrize("header, message", [
         ("# k=abc\n# seed=0\n", r"line 2: expected an integer k, got 'abc'"),
         ("# k=2\n# seed=\n", r"line 3: expected an integer seed, got ''"),
-    ], ids=["k", "seed"])
+        ("# k=2\n# k=3\n# seed=0\n", r"line 3: repeated metadata key 'k'"),
+        ("# k=2\n# sede=4\n# seed=0\n",
+         r"line 3: unknown metadata key 'sede'"),
+        ("# k=1\n# seed=0\n", r"line 2: k must be at least 2, got 1"),
+        ("# k=2\n# seed=-1\n", r"line 3: seed must be at least 0, got -1"),
+    ], ids=["k", "seed", "repeated-key", "unknown-key", "k-below-2",
+            "negative-seed"])
     def test_bad_metadata_names_the_file_and_line(self, tmp_path, header,
                                                   message):
         path = tmp_path / "folds.csv"
