@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import held_values
+from dtanet import engine
 from dtanet.compounds import FeaturizationError
-from dtanet.engine import EngineError, Graph, NonFiniteError
+from dtanet.engine import EngineError, Graph, NonFiniteError, ShapeError
 from dtanet.graphconv import GraphConv, GraphStructureError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
@@ -319,11 +320,42 @@ def trained_like(variant, **overrides):
     rng = np.random.default_rng(7)
     feeds = store.feeds(np.arange(30), model=model)
     model.graph.forward(feeds, [model.loss], rng=rng)
+    move_state(model, rng)
+    return model, feeds
+
+
+def move_state(model, rng) -> None:
+    """Move every state entry of ``model`` off its value (running variances
+    kept positive)."""
     model.graph.load_state({
         k: (np.abs(v) + 0.5 if k.endswith("running_var")
             else v + 0.1 * rng.standard_normal(v.shape))
         for k, v in model.graph.state_dict().items()})
-    return model, feeds
+
+
+# Rows per inference block of a 256-wide hidden layer.
+BLOCK_ROWS = engine._INFER_BLOCK // 256
+
+
+def wide_model(variant="padme-ecfp", n_pairs=30, **overrides):
+    """A store over ``n_pairs`` pairs and a model of ``variant`` with two
+    256-wide hidden layers, whose inference runs a chunk of at least
+    ``2 * BLOCK_ROWS`` pairs in row blocks, its state moved."""
+    store = FeatureStore(
+        memory_dataset(n_compounds=400, n_proteins=8, n_pairs=n_pairs,
+                       seed=6),
+        small_config(**{**dict(variant=variant, hidden_layers=(256, 256),
+                               dropout_rates=(0.2,), conv_widths=(8,),
+                               conv_dense=12), **overrides}))
+    model = store.build_model()
+    move_state(model, np.random.default_rng(7))
+    return store, model
+
+
+def whole_arrays(monkeypatch) -> None:
+    """Raise the inference block above any chunk of these tests, so each
+    segment runs as one block on its plain vectors."""
+    monkeypatch.setattr(engine, "_INFER_BLOCK", 1 << 40)
 
 
 def node_named(model, name):
@@ -438,6 +470,100 @@ class TestInference:
             with pytest.raises(NonFiniteError, match=f"'{name}'"):
                 graph.forward(feeds, [model.output],
                               rng=np.random.default_rng(0))
+
+
+class TestBlockedInference:
+    """``Graph.infer`` runs each chain of row-wise ops over row blocks of a
+    value of at least two blocks; the bytes, the errors and the buffers it
+    writes are those of whole arrays."""
+
+    @pytest.mark.parametrize("variant, use_batchnorm", [
+        *((variant, True) for variant in VARIANTS), ("padme-ecfp", False)])
+    def test_block_boundaries_keep_the_bytes(self, variant, use_batchnorm,
+                                             monkeypatch):
+        store, model = wide_model(variant, n_pairs=2600,
+                                  use_batchnorm=use_batchnorm)
+        part = np.arange(300)
+        sizes = (1, 2, 3, 5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                 2 * BLOCK_ROWS + 1, 1024)
+        calls = [(part, size) for size in sizes]
+        calls.append((np.arange(2600), 1024))
+        blocked = [store.predict(model, indices, batch_size=size)
+                   for indices, size in calls]
+        whole_arrays(monkeypatch)
+        for (indices, size), got in zip(calls, blocked):
+            want = store.predict(model, indices, batch_size=size)
+            assert got.tobytes() == want.tobytes(), size
+        assert held_values(model.graph) == []
+
+    @pytest.mark.parametrize("early, late, name", [
+        ("bn0", "given", "indexed_dense0"),
+        ("given", "bn0", "indexed_dense0"),
+        ("bn0", "add_bias0", "add_bias0"),
+        ("add_bias0", "bn0", "add_bias0"),
+    ])
+    def test_errors_across_blocks_name_the_earliest_node(
+            self, early, late, name, monkeypatch):
+        _, model = wide_model()
+        graph, first = model.graph, model.first_layer
+        rows = 3 * BLOCK_ROWS + 10
+        value = np.random.default_rng(3).standard_normal((rows, 256))
+        # column 5 overflows in bn0 from 1e308, column 9 in add_bias0
+        node_named(model, "bn0").running_var[5] = 1e-4
+        next(p for p in graph.parameters()
+             if p.name == "dense0.b").array[9] = 1e308
+        for where, row in ((early, 10), (late, 2 * BLOCK_ROWS + 4)):
+            if where == "given":
+                value[row, 7] = np.nan
+            else:
+                value[row, 5 if where == "bn0" else 9] = 1e308
+        messages = []
+        for whole in (False, True):
+            if whole:
+                whole_arrays(monkeypatch)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError, match=f"'{name}'") as caught:
+                graph.infer({}, [model.output], {first: value})
+            assert held_values(graph) == []
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_a_shape_error_comes_after_the_checks_before_it(
+            self, nan, monkeypatch):
+        # a 255-wide given value does not fit add_bias0's 256-entry bias
+        _, model = wide_model()
+        value = np.ones((3 * BLOCK_ROWS, 255))
+        if nan:
+            value[2 * BLOCK_ROWS, 0] = np.nan
+        error = NonFiniteError if nan else ShapeError
+        messages = []
+        for whole in (False, True):
+            if whole:
+                whole_arrays(monkeypatch)
+            with pytest.raises(error) as caught:
+                model.graph.infer({}, [model.output],
+                                  {model.first_layer: value})
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_a_blocked_pass_writes_no_given_value_or_parameter(
+            self, monkeypatch):
+        _, model = wide_model()
+        graph, first = model.graph, model.first_layer
+        value = np.random.default_rng(3).standard_normal(
+            (3 * BLOCK_ROWS + 10, 256))
+        kept = [value.tobytes()] + [p.array.tobytes()
+                                    for p in graph.parameters()]
+        outputs = [[model.output], [node_named(model, "bn0"), model.output]]
+        blocked = [graph.infer({}, out, {first: value}) for out in outputs]
+        assert [value.tobytes()] + [p.array.tobytes()
+                                    for p in graph.parameters()] == kept
+        # a later pass wrote into no earlier result
+        whole_arrays(monkeypatch)
+        for out, got in zip(outputs, blocked):
+            want = graph.infer({}, out, {first: value})
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestFeatureStore:

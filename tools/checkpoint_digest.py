@@ -62,8 +62,8 @@ each one, a fresh interpreter
   ``run_split`` at the default config's k and seed (one digest of the
   five);
 * packs the 1300 compounds into one graph-conv batch with
-  ``parse_smiles``, ``atom_features`` and ``pack_graphs`` (the feature rows
-  and every ``GraphBatch`` array);
+  ``parse_table``, ``atom_feature_matrix`` and ``PackedGraphs`` (the
+  feature rows and every ``GraphBatch`` array);
 * parses the 1300 compounds with ``parse_smiles`` (every column of each
   molecule, rendered as Python tuples of element symbols, ints, bools and
   bond triples, so that a tree from before the molecule table hashes the
@@ -212,13 +212,14 @@ def graph_packing_digest() -> str:
     new compounds packed as one batch."""
     import numpy as np
 
-    from dtanet.compounds import atom_features
-    from dtanet.graphconv import pack_graphs
-    from dtanet.smiles import parse_smiles
+    from dtanet.compounds import atom_feature_matrix
+    from dtanet.graphconv import PackedGraphs
+    from dtanet.smiles import parse_table
 
-    molecules = [parse_smiles(s) for s in new_compounds_dataset().compounds]
-    rows, batch = pack_graphs(molecules,
-                              [atom_features(m) for m in molecules], 6)
+    molecules = parse_table(new_compounds_dataset().compounds)
+    rows, batch = PackedGraphs.from_table(
+        molecules, atom_feature_matrix(molecules), 6).batch(
+            np.arange(len(molecules)))
     digest = hashlib.sha256()
     for name, array in [("rows", rows)] + [
             (field, getattr(batch, field)) for field in (
