@@ -17,9 +17,12 @@ error message are always those of the entrywise test.
 several blocks (a compound vector and a protein descriptor): each block is a
 table of distinct rows plus an integer index per output row, and the op
 computes ``sum_k (T_k @ W[rows_k])[index_k]``, so a row shared by many pairs
-is projected once. Its backward sums the upstream gradient per table row and
-writes each block's weight gradient into one array. The op is
-``project(table, lo)`` per block followed by a gather-add.
+is projected once. Its backward sums the upstream gradient per table row
+(``per_row``); a block's weight gradient rows are ``T_k.T @ per_row``. It
+forms them into one array, except while the weight carries a row selection
+(a fit): then the gradient is a ``CompactGrad`` of those factors, which
+``Adam.step`` forms block by block. The op is ``project(table, lo)`` per
+block followed by a gather-add.
 
 There are two passes: ``Graph.forward`` trains and ``Graph.infer`` scores.
 Each keeps one plan per (requested outputs, given nodes, pass): the needed
@@ -92,9 +95,12 @@ only for an input that wants one, so the gradient of the fingerprint and
 descriptor tables and of the first graph convolution's atom features is never
 formed in training. After a backward pass every parameter the loss reaches
 holds a gradient (all zeros when nothing flowed into it; in the compact
-layout of its row selection, if it has one) and every node that received
-none holds ``None``. A node's first contribution is adopted as its gradient
-without a copy, so gradient arrays may alias each other and are read-only.
+layout of its row selection, if it has one, and then a ``CompactGrad`` when
+``indexed_dense`` gave it) and every node that received none holds
+``None``. A node's first contribution is adopted as its gradient without a
+copy, so gradient arrays may alias each other and are read-only; a second
+contribution is added to the first one's array, formed if it is a
+``CompactGrad``.
 
 ``Adam.step`` updates parameters and moments in place, with the arithmetic
 of the textbook rule in its textbook order, so it is bitwise equal to the
@@ -122,21 +128,28 @@ the duration of a fit, with a row active when its input column is nonzero
 for at least one training pair (a learned compound embedding is all
 active). A block with a quarter or more of its rows inactive is compacted
 to its active rows; any other block stays whole. While the selection is
-set, ``indexed_dense``'s backward forms the weight gradient only for the
-selected rows (``T[:, cols].T @ g`` per compacted block) in the compact
-layout, and an ``Adam`` built then keeps that weight's moments in the same
-layout and updates only those rows. The forward still reads the full
-weight, so validation and prediction see every row.
+set, ``indexed_dense``'s backward leaves the weight gradient as a
+``CompactGrad``: per block, the kept table columns (``T[:, cols]`` for a
+compacted block, ``T`` for a whole one) and the upstream gradient summed
+per table row, whose product is the gradient of the selected rows in the
+compact layout. An ``Adam`` built then keeps that weight's moments in the
+same layout, updates only those rows, and forms each row block of the
+gradient just before that block's update, so a fit never holds the
+weight's gradient: its floor is the weight and its two compact moments.
+The forward still reads the full weight, so validation and prediction see
+every row.
 
 This is exact. There is no weight decay, so an inactive row's gradient is
 ±0 at every step of the fit: its moments would stay +0 and its update
 ``lr*0/(sqrt(0)+eps)`` is +0, which leaves the row as it was. Skipping it
 changes no byte. Each selected row's gradient entry is the same dot product
 over the batch's distinct table rows as on the full path (the tests check
-the compact product bitwise against the full one) and its update runs the
-same arithmetic, so the parameters are byte-identical to a fit over every
-row. A column-compacted forward ``T[:, cols] @ W[cols]`` would not be: it
-sums over the columns in another order.
+the compact product, whole and per Adam block, bitwise against the full
+one; ``CompactGrad.rows`` says how a block's product is cut so that it
+is) and its update runs the same arithmetic, so the parameters are
+byte-identical to a fit over every row. A column-compacted forward
+``T[:, cols] @ W[cols]`` would not be: it sums over the columns in another
+order.
 
 Conventions fixed here and relied on by tests:
 
@@ -169,6 +182,7 @@ __all__ = [
     "Graph",
     "relu",
     "RowSelection",
+    "CompactGrad",
     "Adam",
     "AdamState",
     "require_finite",
@@ -244,7 +258,7 @@ class Node:
         self.inputs = inputs
         self.name = op  # made unique when added to a Graph
         self.value: np.ndarray | None = None
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | CompactGrad | None = None
         # set by Graph.backward; True until then so backprop can be driven by hand
         self.wants_grad = True
 
@@ -257,13 +271,14 @@ class Node:
     def backprop(self) -> None:
         """Add ``self.grad``'s contribution to each input that wants a gradient."""
 
-    def _accumulate(self, node: "Node", contribution: np.ndarray) -> None:
+    def _accumulate(self, node: "Node", contribution) -> None:
         # The first contribution is adopted as is; later ones are added out of
-        # place because an adopted array may be another node's gradient.
+        # place because an adopted array may be another node's gradient. The
+        # sum reads a CompactGrad through its formed array.
         if node.grad is None:
             node.grad = contribution
         else:
-            node.grad = node.grad + contribution
+            node.grad = np.add(node.grad, contribution)
 
     def shape_error(self, detail: str) -> ShapeError:
         return ShapeError(f"{self.name} ({self.op}): {detail}")
@@ -334,9 +349,13 @@ class _IndexedDense(Node):
     Block ``k`` pairs a table ``T_k`` of distinct rows with an index that
     maps each output row to one of them; the blocks' widths split ``W``'s
     rows in order. The result equals ``concat([T_k[index_k]]) @ W`` up to
-    summation order, but each distinct row is projected once. While ``W``
-    carries a row selection, the backward forms ``W``'s gradient for the
-    selected rows only, in the selection's compact layout.
+    summation order, but each distinct row is projected once. The backward
+    sums the upstream gradient per distinct table row (``per_row``); ``W``'s
+    gradient rows of a block are then ``T_k.T @ per_row``. While ``W``
+    carries a row selection, the backward forms no array for them: it
+    leaves a ``CompactGrad`` of each block's kept columns and ``per_row``,
+    in the selection's compact layout, which ``Adam.step`` forms block by
+    block. Without a selection it forms the whole gradient array.
 
     The op is ``project`` per block followed by a gather-add.
     """
@@ -414,7 +433,7 @@ class _IndexedDense(Node):
                     f"row selection of '{w_node.name}' covers blocks "
                     f"{list(selection.widths)}, the tables are "
                     f"{list(widths)} wide")
-            dw = np.empty((selection.n_rows, w_node.value.shape[1]))
+            factors = []
         for k, (table, index, lo, hi) in enumerate(self._blocks()):
             if selection is None and not table.wants_grad:
                 continue
@@ -424,11 +443,14 @@ class _IndexedDense(Node):
             if selection is not None:
                 compact, columns, _ = selection.blocks[k]
                 kept = table.value if columns is None else table.value[:, columns]
-                np.matmul(kept.T, per_row, out=dw[compact])
+                factors.append((compact, kept, per_row))
             if table.wants_grad:
                 self._accumulate(table, per_row @ w_node.value[lo:hi].T)
         if selection is not None:
-            self._accumulate(w_node, dw)
+            grad = CompactGrad((selection.n_rows, w_node.value.shape[1]),
+                               factors)
+            self._accumulate(w_node, grad if w_node.row_selection is not None
+                             else np.asarray(grad))
 
 
 class _RowWise(Node):
@@ -984,7 +1006,9 @@ class Graph:
         the caller wants; the nodes between them and the loss are filled too.
         Every parameter and named input the loss reaches ends with a gradient,
         all zeros if nothing flowed into it; every other node ends with
-        ``None`` unless it lies on such a path.
+        ``None`` unless it lies on such a path. A weight that carries a row
+        selection and feeds ``indexed_dense`` ends with a ``CompactGrad``,
+        the factors of its compact gradient: ``np.asarray`` forms it.
         """
         if loss not in self._ready or loss.value is None:
             raise EngineError("backward called before forward (an inference "
@@ -1090,6 +1114,10 @@ class RowSelection:
     compact rows it occupies, ``None`` for a whole block or else its kept
     columns counted from the block's first row, and the weight rows it
     covers (a slice for a whole block, an index array otherwise).
+
+    While a weight carries one, ``indexed_dense``'s backward leaves its
+    gradient as a ``CompactGrad`` in the compact layout, and an ``Adam``
+    built then keeps its moments in that layout.
     """
 
     def __init__(self, active):
@@ -1111,6 +1139,78 @@ class RowSelection:
         self.blocks = tuple(blocks)
         self.widths = tuple(widths)
         self.n_rows = kept
+
+
+# A product of float64 factors whose largest magnitudes and inner size
+# multiply to less than this is finite: each entry sums ``rows`` terms of at
+# most ``max|kept| * max|per_row|``, and rounding can grow that bound by a
+# factor ``1 + rows * 2**-53`` at most, far below 2 for any array that fits
+# in memory.
+_FINITE_PRODUCT = np.finfo(np.float64).max / 2
+
+
+def _magnitude_bound(a: np.ndarray) -> float:
+    """At least ``max|a|`` and at most twice it (0 for an empty array), from
+    two reductions without a temporary; NaN when ``a`` holds a NaN, and
+    infinite when it holds an infinity."""
+    return float(np.max(a, initial=0.0)) - float(np.min(a, initial=0.0))
+
+
+class CompactGrad:
+    """A row-selected weight's gradient, held as the factors of its product.
+
+    ``blocks`` holds, per block of the ``RowSelection``, ``(compact,
+    kept, per_row)``: the block's slice of compact rows, its table's kept
+    columns (the table itself for a whole block) and the upstream gradient
+    summed per table row. The block's gradient rows are
+    ``kept.T @ per_row``, and ``rows`` is the one place that computes them:
+    ``Adam.step`` forms one row block at a time into a scratch buffer, just
+    before it updates those rows, and ``np.asarray`` forms the whole array
+    in the compact layout. ``shape`` and ``any`` read like an array's.
+    """
+
+    def __init__(self, shape: tuple[int, int], blocks: list):
+        self.shape = shape
+        self.blocks = tuple(blocks)
+
+    def rows(self, k: int, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``a:b`` of block ``k``'s gradient, computed in ``out``.
+
+        The product runs over the rows ``lo:b``, with ``lo`` reaching back
+        from ``b`` to fill ``out``'s rows where the block has them, and the
+        last ``b - a`` rows are returned as a view of ``out``. A row's bytes
+        then do not depend on how the rows are cut: a product of an Adam
+        block's rows gives each row the bytes of the same row of the whole
+        block's product, but a product of fewer rows can take another
+        kernel whose sums round differently. On a 2-core Xeon with OpenBLAS
+        0.3.31, a one-row product (a vector product) differed from the
+        whole product's row at each inner size tested from 2 to 257, and
+        products of 2 or 3 rows differed at inner sizes 512 and 1024, at
+        every width from 16 to 256.
+        """
+        _, kept, per_row = self.blocks[k]
+        lo = max(0, b - out.shape[0])
+        window = np.matmul(kept[:, lo:b].T, per_row, out=out[:b - lo])
+        return window[a - lo:]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        whole = np.empty(self.shape)
+        for k, (compact, _, _) in enumerate(self.blocks):
+            self.rows(k, 0, compact.stop - compact.start, whole[compact])
+        return whole if dtype is None else whole.astype(dtype, copy=False)
+
+    def any(self, axis=None):
+        """``np.asarray(self).any(axis)``."""
+        return np.asarray(self).any(axis=axis)
+
+    def bounded(self) -> bool:
+        """True when the factors prove every entry finite: each factor is
+        finite and, per block, ``max|kept| * max|per_row| * rows`` stays
+        under ``_FINITE_PRODUCT``. False does not mean an entry is not
+        finite; the array then has to be formed and tested."""
+        return all(_magnitude_bound(kept) * _magnitude_bound(per_row)
+                   * per_row.shape[0] < _FINITE_PRODUCT
+                   for _, kept, per_row in self.blocks)
 
 
 @dataclass
@@ -1146,6 +1246,19 @@ def _part(rows, lo: int, hi: int):
     return rows[lo:hi]
 
 
+def _settled(grad):
+    """``grad`` as ``Adam.step`` reads it: an array, or a ``CompactGrad``
+    whose factors prove it finite; any other ``CompactGrad`` is formed."""
+    if isinstance(grad, CompactGrad) and not grad.bounded():
+        return np.asarray(grad)
+    return grad
+
+
+def _finite(grad) -> bool:
+    """Whether a settled gradient is finite."""
+    return isinstance(grad, CompactGrad) or all_finite(grad)
+
+
 class Adam:
     """Adam with bias correction; defaults lr=1e-3, betas=(0.9, 0.999), eps=1e-8.
 
@@ -1162,7 +1275,12 @@ class Adam:
     A parameter that carries a ``row_selection`` when the optimizer is
     built stays where it is; its gradient and moments are in that
     selection's compact layout, and ``step`` moves only the selected rows,
-    ``_ADAM_CHUNK // width`` at a time.
+    ``_ADAM_CHUNK // width`` at a time. Its gradient is an array or a
+    ``CompactGrad``. A ``CompactGrad`` whose factors bound it (``bounded``)
+    is formed one row block at a time into a third scratch buffer, just
+    before that block's update reads it, so the step never holds the
+    weight's gradient; any other is formed whole, tested like an array and
+    read as one.
     """
 
     def __init__(self, parameters: list[Parameter], learning_rate: float = 1e-3,
@@ -1204,7 +1322,8 @@ class Adam:
             self.state.v[p.name] = np.zeros(shape)
             block_rows = max(1, _ADAM_CHUNK // shape[1])
             scratch = max(scratch, min(shape[0], block_rows) * shape[1])
-        self._scratch = (np.empty(scratch), np.empty(scratch))
+        # two for the update's temporaries, one for a CompactGrad's block
+        self._scratch = tuple(np.empty(scratch) for _ in range(3))
 
     def step(self) -> None:
         """One update; raises before writing anything if a gradient is bad."""
@@ -1219,9 +1338,10 @@ class Adam:
         if self._flat:
             np.concatenate([p.grad.reshape(-1) for p in self._flat],
                            out=flat_grad)
-        if not (all_finite(flat_grad)
-                and all(all_finite(p.grad) for p in self._selected)):
-            bad = next(p for p in self.parameters if not all_finite(p.grad))
+        grads = [_settled(p.grad) for p in self._selected]
+        if not (all_finite(flat_grad) and all(map(_finite, grads))):
+            bad = next(p for p in self.parameters
+                       if not _finite(_settled(p.grad)))
             raise NonFiniteError(f"non-finite gradient for parameter '{bad.name}'")
         self.state.step += 1
         t = self.state.step
@@ -1231,16 +1351,20 @@ class Adam:
             chunk = slice(lo, lo + _ADAM_CHUNK)
             self._update(self.flat_theta, chunk, flat_grad[chunk],
                          self.flat_m[chunk], self.flat_v[chunk], bias1, bias2)
-        for p in self._selected:
+        for p, grad in zip(self._selected, grads):
             m, v = self.state.m[p.name], self.state.v[p.name]
-            block_rows = max(1, _ADAM_CHUNK // m.shape[1])
-            for compact, weight_rows in self._blocks[p.name]:
+            width = m.shape[1]
+            block_rows = max(1, _ADAM_CHUNK // width)
+            out = self._scratch[2][:min(block_rows, m.shape[0]) * width]
+            out = out.reshape(-1, width)
+            for k, (compact, weight_rows) in enumerate(self._blocks[p.name]):
                 for lo in range(compact.start, compact.stop, block_rows):
                     hi = min(lo + block_rows, compact.stop)
-                    rows = _part(weight_rows, lo - compact.start,
-                                 hi - compact.start)
-                    self._update(p.array, rows, p.grad[lo:hi], m[lo:hi],
-                                 v[lo:hi], bias1, bias2)
+                    a, b = lo - compact.start, hi - compact.start
+                    g = (grad.rows(k, a, b, out)
+                         if isinstance(grad, CompactGrad) else grad[lo:hi])
+                    self._update(p.array, _part(weight_rows, a, b), g,
+                                 m[lo:hi], v[lo:hi], bias1, bias2)
 
     def _update(self, theta, rows, g, m, v, bias1, bias2) -> None:
         """The textbook rule, in its textbook order, on one block: ``m`` and

@@ -169,7 +169,7 @@ class RunConfig:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keep keys case-sensitive
         parser.read_string(text)
-        return cls(values=_merged_with_defaults(parser))
+        return cls(values=_merged_with_defaults(parser, None))
 
     def snapshot(self) -> str:
         """Canonical text form: sections and keys in sorted order."""
@@ -293,23 +293,62 @@ class RunConfig:
 
 def parse_run_config(path: str | Path | None = None,
                      overrides: dict[str, str] | None = None) -> RunConfig:
-    """Load defaults, then the file, then ``section.key`` overrides."""
+    """Load defaults, then the file, then ``section.key`` overrides.
+
+    The file is read as UTF-8. Anything wrong with it (a byte that does not
+    decode, a line ``configparser`` cannot parse or interpolate, an unknown
+    section or key) is a :class:`ConfigError` that names the file, and the
+    line where one is known.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str  # keep keys case-sensitive
-    if path is not None and not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    return RunConfig(values=_merged_with_defaults(parser)).override(
-        overrides or {})
+    raw = b""
+    if path is not None:
+        try:
+            raw = Path(path).read_bytes()
+        except OSError:
+            raise ConfigError(f"cannot read config file {path}") from None
+    try:
+        parser.read_string(raw.decode("utf-8"), source=str(path))
+        values = _merged_with_defaults(parser, path)
+    except UnicodeDecodeError as error:
+        line = raw.count(b"\n", 0, error.start) + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 text "
+                          f"({error.reason})") from None
+    except configparser.Error as error:
+        raise ConfigError(_config_error(path, error)) from None
+    return RunConfig(values=values).override(overrides or {})
 
 
-def _merged_with_defaults(parser: configparser.ConfigParser) -> dict:
-    """The defaults with the parser's values on top; unknown names raise."""
+def _merged_with_defaults(parser: configparser.ConfigParser, source) -> dict:
+    """The defaults with the parser's values on top; an unknown name raises
+    a ``ConfigError`` that starts with ``source`` unless it is None."""
+    where = "" if source is None else f"{source}: "
     values = {section: dict(keys) for section, keys in DEFAULTS.items()}
     for section in parser.sections():
         if section not in values:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise ConfigError(f"{where}unknown config section [{section}]")
         for key, value in parser.items(section):
             if key not in values[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
+                raise ConfigError(f"{where}unknown config key {section}.{key}")
             values[section][key] = value
     return values
+
+
+def _config_error(path, error: configparser.Error) -> str:
+    """The message of a ``ConfigError`` for ``configparser``'s ``error``."""
+    line = getattr(error, "lineno", None)
+    if isinstance(error, configparser.MissingSectionHeaderError):
+        what = "a line comes before the first [section] header"
+    elif isinstance(error, configparser.ParsingError):
+        line = error.errors[0][0]
+        what = f"cannot parse {error.errors[0][1]}"
+    elif isinstance(error, configparser.DuplicateSectionError):
+        what = f"section [{error.section}] appears twice"
+    elif isinstance(error, configparser.DuplicateOptionError):
+        what = f"key {error.section}.{error.option} is set twice"
+    elif isinstance(error, configparser.InterpolationError):
+        what = f"{error.section}.{error.option}: {error.message}"
+    else:
+        what = error.message
+    return f"{path}: line {line}: {what}" if line else f"{path}: {what}"

@@ -463,8 +463,12 @@ def write_folds(path: str | Path, assignment: FoldAssignment) -> None:
 
 
 def read_folds(path: str | Path) -> FoldAssignment:
+    """The assignment a ``write_folds`` file holds. A bad line is a
+    :class:`SplitError` that names the file and the line; a fold index must
+    lie in ``0..k-1``."""
     meta: dict[str, str | int] = {}
     folds: list[int] = []
+    lines: list[int] = []  # the line of each fold index
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -493,6 +497,8 @@ def read_folds(path: str | Path) -> FoldAssignment:
                         f"{path}: line {lineno}: unknown scheme {value!r}; "
                         f"expected one of {SCHEMES}")
                 meta[key] = value
+                if key == "k":
+                    k_line = lineno
             elif line and line != "record_index,fold":
                 index, _, fold = line.partition(",")
                 try:
@@ -505,10 +511,20 @@ def read_folds(path: str | Path) -> FoldAssignment:
                     raise SplitError(
                         f"{path}: line {lineno}: record indices out of order")
                 folds.append(fold_value)
+                lines.append(lineno)
+    missing = [key for key in ("k", "scheme", "seed") if key not in meta]
+    if missing:
+        raise SplitError(f"{path}: missing metadata line for {missing[0]!r}")
+    k = meta["k"]
+    if k > len(folds):
+        raise SplitError(f"{path}: line {k_line}: k={k} leaves a fold empty: "
+                         f"the file has {len(folds)} records")
+    for lineno, fold in zip(lines, folds):
+        if not 0 <= fold < k:  # k <= len(folds), so the index fits int64
+            raise SplitError(f"{path}: line {lineno}: fold index {fold} "
+                             f"out of range 0..{k - 1}")
     try:
-        return FoldAssignment(k=meta["k"], folds=np.array(folds),
+        return FoldAssignment(k=k, folds=np.array(folds),
                               scheme=meta["scheme"], seed=meta["seed"])
-    except KeyError as exc:
-        raise SplitError(f"{path}: missing metadata line for {exc}") from exc
     except SplitError as exc:
         raise SplitError(f"{path}: {exc}") from exc

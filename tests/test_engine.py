@@ -13,6 +13,7 @@ from conftest import (
 from dtanet import engine
 from dtanet.engine import (
     Adam,
+    CompactGrad,
     EngineError,
     Graph,
     NonFiniteError,
@@ -1028,7 +1029,7 @@ class TestRowSelection:
         assert all(columns is not None for _, columns, _ in selection.blocks)
         w.row_selection = selection
         g.backward(loss)
-        compact = w.grad
+        compact = np.asarray(w.grad)
         assert compact.shape == (selection.n_rows, out_width)
         kept = np.zeros(w.array.shape[0], dtype=bool)
         for compact_rows, _, rows in selection.blocks:
@@ -1156,6 +1157,179 @@ class TestRowSelection:
         assert not np.array_equal(part1[column], part2[column])
         assert np.array_equal(part1, full1)
         assert np.array_equal(part2, full2)
+
+
+def two_block_net(rng, out_width, distinct):
+    """An ``indexed_dense`` net over a table whose selection is compacted
+    and one kept whole, each spanning several Adam blocks of rows; the
+    compacted block's last Adam block holds a single row."""
+    block = engine._ADAM_CHUNK // out_width
+    active = np.zeros(4 * block + 10, dtype=bool)
+    active[rng.permutation(active.size)[:2 * block + 1]] = True
+    masks = [active, np.ones(2 * block + 37, dtype=bool)]
+    g = Graph()
+    blocks, feeds = [], {}
+    n = 2 * distinct + 3
+    for k, mask in enumerate(masks):
+        blocks.append((g.placeholder(f"t{k}"), g.object_input(f"i{k}")))
+        feeds[f"t{k}"] = rng.standard_normal((distinct, mask.size)) * mask
+        feeds[f"i{k}"] = rng.integers(0, distinct, size=n)
+    w = g.parameter("W", rng.standard_normal((sum(m.size for m in masks),
+                                              out_width)) * 0.05)
+    out = g.relu(g.indexed_dense(blocks, w, name="first"))
+    w_out = g.parameter("w_out", rng.standard_normal((out_width, 1)))
+    loss = g.weighted_mse(g.matmul(out, w_out), g.placeholder("target"),
+                          g.placeholder("weight"))
+    feeds["target"] = rng.standard_normal((n, 1))
+    feeds["weight"] = np.ones((n, 1))
+    return g, loss, feeds, w, RowSelection(masks)
+
+
+class TestCompactGrad:
+    """While the first-layer weight carries a row selection, its gradient
+    is the factors of its product, formed whole by ``np.asarray`` and per
+    row block by ``Adam.step``, with the bytes of a backward over every
+    row."""
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 31, 32, 33, 257])
+    @pytest.mark.parametrize("out_width", [16, 64, 256])
+    def test_formed_rows_equal_the_full_rows(self, out_width, distinct,
+                                             monkeypatch):
+        rng = np.random.default_rng(out_width * 1000 + distinct)
+        g, loss, feeds, w, selection = two_block_net(rng, out_width, distinct)
+        assert [c is None for _, c, _ in selection.blocks] == [False, True]
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        full = w.grad
+        assert isinstance(full, np.ndarray)
+        w.row_selection = selection
+        adam = Adam([w])
+        g.backward(loss)
+        grad = w.grad
+        assert isinstance(grad, CompactGrad)
+        assert grad.shape == (selection.n_rows, out_width)
+        whole = np.asarray(grad)
+        for compact, _, rows in selection.blocks:
+            assert np.array_equal(whole[compact], full[rows])
+        assert np.array_equal(grad.any(axis=1), whole.any(axis=1))
+        # each block Adam forms is the same rows of the full gradient
+        seen = []
+        real_update = Adam._update
+
+        def checking(self, theta, rows, block, *rest):
+            assert np.array_equal(block, full[rows])
+            seen.append(np.arange(theta.shape[0])[rows])
+            real_update(self, theta, rows, block, *rest)
+
+        monkeypatch.setattr(Adam, "_update", checking)
+        adam.step()
+        block = engine._ADAM_CHUNK // out_width
+        assert [len(rows) for rows in seen] == [block, block, 1,
+                                                block, block, 37]
+        kept = np.concatenate([np.arange(w.array.shape[0])[rows]
+                               for _, _, rows in selection.blocks])
+        assert np.array_equal(np.concatenate(seen), kept)
+
+    def test_bad_factors_raise_and_write_nothing(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        g, loss, feeds, w, selection = two_block_net(rng, 16, 5)
+        w.row_selection = selection
+        adam = Adam(g.parameters())
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        adam.step()
+        params = g.parameters()
+        before = ([p.array.copy() for p in params], moment_copies(adam),
+                  adam.state.step)
+
+        def assert_unchanged():
+            for p, old in zip(params, before[0]):
+                assert np.array_equal(p.array, old), p.name
+            after = moment_copies(adam)
+            for key in after:
+                assert np.array_equal(after[key], before[1][key]), key
+            assert adam.state.step == before[2]
+
+        formed = []
+        real_array = CompactGrad.__array__
+
+        def counting(self, *args, **kwargs):
+            formed.append(self)
+            return real_array(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompactGrad, "__array__", counting)
+        # a NaN in per_row; w_out, later in order, is bad too
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        w.grad.blocks[1][2][0, 0] = np.nan
+        next(p for p in params if p.name == "w_out").grad = np.full(
+            (16, 1), np.nan)
+        with pytest.raises(NonFiniteError,
+                           match="^non-finite gradient for parameter 'W'$"):
+            adam.step()
+        assert_unchanged()
+        # finite factors whose product overflows: the step forms the array
+        # and finds the infinity there
+        g.backward(loss)
+        blocks = [(compact, np.full(kept.shape, 1e200), np.full(
+            per_row.shape, 1e200)) for compact, kept, per_row
+            in w.grad.blocks]
+        w.grad = CompactGrad(w.grad.shape, blocks)
+        assert not w.grad.bounded()
+        formed.clear()
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="^non-finite gradient for parameter 'W'$"):
+            adam.step()
+        assert formed, "the overflow was not found in the formed array"
+        assert_unchanged()
+
+    def test_formed_path_updates_with_the_same_bytes(self, monkeypatch):
+        # A CompactGrad the factors cannot bound is formed whole and read as
+        # an array; the update is the block-by-block one, byte for byte.
+        results = []
+        for bound in (engine._FINITE_PRODUCT, 0.0):
+            monkeypatch.setattr(engine, "_FINITE_PRODUCT", bound)
+            rng = np.random.default_rng(67)
+            g, loss, feeds, w, selection = two_block_net(rng, 64, 33)
+            w.row_selection = selection
+            adam = Adam(g.parameters())
+            for _ in range(3):
+                g.forward(feeds, [loss])
+                g.backward(loss)
+                assert w.grad.bounded() == (bound > 0.0)
+                adam.step()
+            results.append((w.array.copy(), moment_copies(adam)))
+        (theta_a, moments_a), (theta_b, moments_b) = results
+        assert np.array_equal(theta_a, theta_b)
+        for key in moments_a:
+            assert np.array_equal(moments_a[key], moments_b[key]), key
+
+    def test_a_second_contribution_is_added_to_the_formed_array(self):
+        # W feeds the first layer and a second product; with a selection of
+        # whole blocks the sum equals the backward over every row.
+        rng = np.random.default_rng(71)
+        g = Graph()
+        table, index, x = (g.placeholder("t"), g.object_input("i"),
+                           g.placeholder("x"))
+        w = g.parameter("W", rng.standard_normal((12, 4)))
+        total = g.add_bias(g.indexed_dense([(table, index)], w),
+                           g.parameter("zero", np.zeros(4)))
+        both = g.concat([total, g.matmul(x, w)])
+        loss = g.weighted_mse(g.matmul(both, g.parameter(
+            "w_out", rng.standard_normal((8, 1)))), g.placeholder("target"),
+            g.placeholder("weight"))
+        feeds = {"t": rng.standard_normal((5, 12)),
+                 "i": rng.integers(0, 5, size=9),
+                 "x": rng.standard_normal((9, 12)),
+                 "target": rng.standard_normal((9, 1)),
+                 "weight": np.ones((9, 1))}
+        g.forward(feeds, [loss])
+        g.backward(loss)
+        full = w.grad
+        w.row_selection = RowSelection([np.ones(12, dtype=bool)])
+        g.backward(loss)
+        assert isinstance(w.grad, np.ndarray)
+        assert np.array_equal(w.grad, full)
 
 
 def mixed_parameters(rng):

@@ -91,6 +91,24 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config section"):
             parse_run_config(path)
 
+    @pytest.mark.parametrize("text, message", [
+        (b"[train]\nseed = 1\nseed = 2\n",
+         r"line 3: key train\.seed is set twice"),
+        (b"seed = 1\n[train]\n",
+         r"line 1: a line comes before the first \[section\] header"),
+        (b"[train]\nseed = 1%\n", r"train\.seed: '%' must be followed"),
+        (b"[train]\nseed = 1\n[model]\nseed = 2\xff\n",
+         r"line 4: not UTF-8 text"),
+        (b"[train]\nbogus = 1\n", r"unknown config key train\.bogus"),
+        (b"[nonsense]\nx=1\n", r"unknown config section \[nonsense\]"),
+    ], ids=["repeated-key", "no-section-header", "interpolation",
+            "undecodable-byte", "unknown-key", "unknown-section"])
+    def test_bad_file_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=rf"bad\.cfg: {message}"):
+            parse_run_config(path)
+
     def test_snapshot_is_canonical(self, tiny_config):
         snap = tiny_config.snapshot()
         assert "[model]" in snap and "fp_bits=512" in snap

@@ -412,13 +412,29 @@ class TestFoldArtifacts:
     @pytest.mark.parametrize("row, message", [
         ("1,x", r"line 6: expected 'record_index,fold' integers, got '1,x'"),
         ("one,1", r"line 6: expected 'record_index,fold' integers"),
-        ("1,7", "fold index out of range"),
+        ("1,7", r"line 6: fold index 7 out of range 0\.\.1"),
     ])
     def test_bad_rows_name_the_file(self, tmp_path, row, message):
         path = tmp_path / "folds.csv"
         path.write_text("# scheme=random\n# k=2\n# seed=0\n"
                         f"record_index,fold\n0,0\n{row}\n2,1\n",
                         encoding="utf-8")
+        with pytest.raises(SplitError, match=rf"folds\.csv: {message}"):
+            read_folds(path)
+
+    @pytest.mark.parametrize("k, rows, message", [
+        ("2", "0,99999999999999999999999\n1,1\n",
+         r"line 5: fold index 99999999999999999999999 out of range 0\.\.1"),
+        ("2", "0,0\n1,-1\n", r"line 6: fold index -1 out of range 0\.\.1"),
+        ("99999999999999999999999", "0,0\n1,1\n",
+         r"line 2: k=99999999999999999999999 leaves a fold empty: the file "
+         r"has 2 records"),
+    ], ids=["beyond-int64", "negative", "k-beyond-int64"])
+    def test_fold_outside_the_range_names_the_line(self, tmp_path, k, rows,
+                                                   message):
+        path = tmp_path / "folds.csv"
+        path.write_text(f"# scheme=random\n# k={k}\n# seed=0\n"
+                        f"record_index,fold\n{rows}", encoding="utf-8")
         with pytest.raises(SplitError, match=rf"folds\.csv: {message}"):
             read_folds(path)
 
