@@ -1,4 +1,4 @@
-"""Atomic artifact files: the one place that decides how bytes reach disk.
+"""The one place that decides how bytes reach disk and input text leaves it.
 
 The bytes go to ``.{name}.{pid}.{token}.tmp`` next to the destination, with
 a random token per write, so a temporary file left by a killed writer never
@@ -13,10 +13,10 @@ alike, removes the temporary file and leaves the destination as it was.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-__all__ = ["write_artifact", "write_lines"]
+__all__ = ["read_lines", "write_artifact", "write_lines"]
 
 
 def write_artifact(path: str | Path, chunks: Iterable) -> None:
@@ -49,3 +49,18 @@ def write_artifact(path: str | Path, chunks: Iterable) -> None:
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Replace ``path`` with ``lines``, each ended by ``\\n``, as UTF-8."""
     write_artifact(path, (f"{line}\n".encode("utf-8") for line in lines))
+
+
+def read_lines(path: str | Path, error: type[Exception]
+               ) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` for each UTF-8 line of ``path``, numbered from
+    1, without its ending (``\\n``, ``\\r\\n`` or a lone ``\\r``). A line that
+    is not UTF-8 raises ``error`` naming the file and the line."""
+    # an undecodable byte reads as a lone surrogate, which does not encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}: line {lineno}: not UTF-8 text") from None
+            yield lineno, line.rstrip("\n")

@@ -15,7 +15,6 @@ sentinel inactive concentration closer to the active range). Duplicated
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections import Counter, defaultdict
@@ -25,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import proteins
+from .artifacts import read_lines
 from .smiles import MoleculeColumns, MoleculeTable, SmilesError, parse_table
 
 __all__ = [
@@ -111,9 +111,11 @@ def load_interactions(
     Every distinct SMILES is parsed once, every referenced protein must be
     in the sequence table and every kept value must pass
     :func:`transform_value` under ``inactive_remap``; each fails fast naming
-    the file and line. Returns the records, each with its raw and
-    transformed value, a summary, the sequence table, and the molecule table
-    of the records' distinct SMILES in the order they were first read.
+    the file and line. The task ids of the well-formed rows must cover 0 to
+    the largest of them, else the first row past a gap fails. Returns the
+    records, each with its raw and transformed value, a summary, the
+    sequence table, and the molecule table of the records' distinct SMILES
+    in the order they were first read.
     """
     if malformed_tolerance < 0:
         raise DataError(f"malformed_tolerance must be at least 0, got "
@@ -125,44 +127,49 @@ def load_interactions(
     malformed: list[str] = []
     compounds: dict[str, int] = {}
     columns = MoleculeColumns()
-    with open(interactions_path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != EXPECTED_HEADER:
+    lines = read_lines(interactions_path, DataError)
+    _, header = next(lines, (1, ""))
+    if header.split(",") != EXPECTED_HEADER:
+        raise DataError(f"{interactions_path}: expected header "
+                        f"{','.join(EXPECTED_HEADER)!r}, got {header!r}")
+    task_lines: dict[int, int] = {}  # task id -> line of its first row
+    for lineno, line in lines:
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        problem, task_id = _row_problem(fields, assay_map)
+        if problem:
+            malformed.append(f"line {lineno}: {problem}")
+            continue
+        task_lines.setdefault(task_id, lineno)
+        smiles, protein_id, _, value_field = fields
+        raw = parse_value(value_field)
+        if raw is None:
+            imprecise += 1
+            continue
+        try:
+            value = transform_value(raw, inactive_remap)
+        except DataError as exc:
             raise DataError(
-                f"{interactions_path}: expected header "
-                f"{','.join(EXPECTED_HEADER)!r}, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            fields = [f.strip() for f in row]
-            problem, task_id = _row_problem(fields, assay_map)
-            if problem:
-                malformed.append(f"line {lineno}: {problem}")
-                continue
-            smiles, protein_id, _, value_field = fields
-            raw = parse_value(value_field)
-            if raw is None:
-                imprecise += 1
-                continue
-            try:
-                value = transform_value(raw, inactive_remap)
-            except DataError as exc:
-                raise DataError(
-                    f"{interactions_path}: line {lineno}: {exc}") from None
-            parse_compound(compounds, columns, smiles, interactions_path,
-                           lineno)
-            if protein_id not in sequences:
-                raise DataError(
-                    f"{interactions_path}: line {lineno}: no sequence for "
-                    f"protein id {protein_id!r}")
-            records.append(InteractionRecord(
-                smiles=smiles, protein_id=protein_id, task_id=task_id,
-                raw_value=raw, value=value))
+                f"{interactions_path}: line {lineno}: {exc}") from None
+        parse_compound(compounds, columns, smiles, interactions_path, lineno)
+        if protein_id not in sequences:
+            raise DataError(
+                f"{interactions_path}: line {lineno}: no sequence for "
+                f"protein id {protein_id!r}")
+        records.append(InteractionRecord(
+            smiles=smiles, protein_id=protein_id, task_id=task_id,
+            raw_value=raw, value=value))
     if len(malformed) > malformed_tolerance:
         raise DataError(
             f"{interactions_path}: {len(malformed)} malformed row(s), "
             f"tolerance {malformed_tolerance}; first: {malformed[0]}")
+    unused = next(t for t in range(len(task_lines) + 1) if t not in task_lines)
+    past = [(line, task) for task, line in task_lines.items() if task > unused]
+    if past:
+        line, task = min(past)
+        raise DataError(f"{interactions_path}: line {line}: task id {task} "
+                        f"leaves task {unused} without a row")
     if malformed:
         log.warning("discarded %d malformed row(s) from %s; first: %s",
                     len(malformed), interactions_path, malformed[0])
@@ -202,25 +209,23 @@ def _row_problem(fields: list[str], assay_map: dict[str, int] | None
 
 def _read_assay_map(path: str | Path) -> dict[str, int]:
     mapping: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'assay_id<TAB>task_id'")
-            try:
-                task = int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: task_id must be an integer") from exc
-            if task < 0:
-                raise DataError(f"{path}:{lineno}: task_id {task} is negative")
-            if parts[0] in mapping:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate assay id {parts[0]!r}")
-            mapping[parts[0]] = task
+    for lineno, line in read_lines(path, DataError):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(
+                f"{path}:{lineno}: expected 'assay_id<TAB>task_id'")
+        try:
+            task = int(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: task_id must be an integer") from exc
+        if task < 0:
+            raise DataError(f"{path}:{lineno}: task_id {task} is negative")
+        if parts[0] in mapping:
+            raise DataError(
+                f"{path}:{lineno}: duplicate assay id {parts[0]!r}")
+        mapping[parts[0]] = task
     return mapping
 
 

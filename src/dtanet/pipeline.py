@@ -28,7 +28,6 @@ lock file.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import proteins
-from .artifacts import write_artifact, write_lines
+from .artifacts import read_lines, write_artifact, write_lines
 from .compounds import ecfp_matrix
 from .domain import check_ad, fit_ad_per_task
 from .metrics import EvalReport, evaluate_predictions
@@ -386,13 +385,11 @@ def read_report(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Report file -> (comment lines, data rows); inverse of ``write_report``."""
     comments: list[str] = []
     rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                comments.append(line)
-            elif line:
-                rows.append(line.split(","))
+    for _, line in read_lines(path, PipelineError):
+        if line.startswith("#"):
+            comments.append(line)
+        elif line:
+            rows.append(line.split(","))
     return comments, rows
 
 
@@ -409,35 +406,34 @@ def _pair_table(path: str | Path, needed: tuple[str, ...],
     and absent). A header without a ``needed`` column, a row shorter than
     the header and a bad ``task_id`` fail naming the file (and the line).
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None) or []
-        missing = [name for name in needed if name not in header]
-        if missing:
-            raise PipelineError(f"{path}: no {missing[0]!r} column")
-        columns = {name: header.index(name) for name in needed + optional
-                   if name in header}
-        table: dict[str, list] = {name: [] for name in ("line", *columns)}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise PipelineError(f"{path}: line {lineno}: expected "
-                                    f"{len(header)} fields, got {len(row)}")
-            table["line"].append(lineno)
-            for name, col in columns.items():
-                table[name].append(row[col].strip())
-            if "task_id" in columns:
-                text = table["task_id"][-1]
-                try:
-                    task = int(text)
-                except ValueError:
-                    task = -1
-                if task < 0:
-                    raise PipelineError(f"{path}: line {lineno}: task_id "
-                                        f"{text!r} is not a non-negative "
-                                        f"integer")
-                table["task_id"][-1] = task
+    lines = read_lines(path, PipelineError)
+    header = next(lines, (1, ""))[1].split(",")
+    missing = [name for name in needed if name not in header]
+    if missing:
+        raise PipelineError(f"{path}: no {missing[0]!r} column")
+    columns = {name: header.index(name) for name in needed + optional
+               if name in header}
+    table: dict[str, list] = {name: [] for name in ("line", *columns)}
+    for lineno, line in lines:
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) < len(header):
+            raise PipelineError(f"{path}: line {lineno}: expected "
+                                f"{len(header)} fields, got {len(row)}")
+        table["line"].append(lineno)
+        for name, col in columns.items():
+            table[name].append(row[col].strip())
+        if "task_id" in columns:
+            text = table["task_id"][-1]
+            try:
+                task = int(text)
+            except ValueError:
+                task = -1
+            if task < 0:
+                raise PipelineError(f"{path}: line {lineno}: task_id "
+                                    f"{text!r} is not a non-negative integer")
+            table["task_id"][-1] = task
     if "task_id" in optional and "task_id" not in columns:
         table["task_id"] = [0] * len(table["line"])
     return table

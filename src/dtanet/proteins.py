@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_artifact
+from .artifacts import read_lines, write_artifact
 
 __all__ = [
     "AMINO_ACIDS",
@@ -106,27 +106,25 @@ def descriptor_matrix(table: dict[str, tuple[str, bool]], ids) -> np.ndarray:
 def read_sequence_table(path: str | Path) -> dict[str, tuple[str, bool]]:
     """Load ``protein_id / phospho_flag / sequence`` records from a TSV file."""
     table: dict[str, tuple[str, bool]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SequenceError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}")
-            protein_id, flag, sequence = parts
-            if flag not in ("0", "1"):
-                raise SequenceError(
-                    f"{path}:{lineno}: phospho flag must be 0 or 1, got {flag!r}")
-            if protein_id in table:
-                raise SequenceError(f"{path}:{lineno}: duplicate id {protein_id!r}")
-            try:
-                validate_sequence(sequence)
-            except SequenceError as exc:
-                raise SequenceError(f"{path}:{lineno}: {exc}") from exc
-            table[protein_id] = (sequence, flag == "1")
+    for lineno, line in read_lines(path, SequenceError):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise SequenceError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, "
+                f"got {len(parts)}")
+        protein_id, flag, sequence = parts
+        if flag not in ("0", "1"):
+            raise SequenceError(
+                f"{path}:{lineno}: phospho flag must be 0 or 1, got {flag!r}")
+        if protein_id in table:
+            raise SequenceError(f"{path}:{lineno}: duplicate id {protein_id!r}")
+        try:
+            validate_sequence(sequence)
+        except SequenceError as exc:
+            raise SequenceError(f"{path}:{lineno}: {exc}") from exc
+        table[protein_id] = (sequence, flag == "1")
     return table
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .artifacts import read_lines
 from .model import ModelConfig, VARIANTS
 from .splits import SCHEMES
 from .training import TrainConfig
@@ -302,19 +303,15 @@ def parse_run_config(path: str | Path | None = None,
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str  # keep keys case-sensitive
-    raw = b""
+    text = ""
     if path is not None:
         try:
-            raw = Path(path).read_bytes()
+            text = "\n".join(line for _, line in read_lines(path, ConfigError))
         except OSError:
             raise ConfigError(f"cannot read config file {path}") from None
     try:
-        parser.read_string(raw.decode("utf-8"), source=str(path))
+        parser.read_string(text, source=str(path))
         values = _merged_with_defaults(parser, path)
-    except UnicodeDecodeError as error:
-        line = raw.count(b"\n", 0, error.start) + 1
-        raise ConfigError(f"{path}: line {line}: not UTF-8 text "
-                          f"({error.reason})") from None
     except configparser.Error as error:
         raise ConfigError(_config_error(path, error)) from None
     return RunConfig(values=values).override(overrides or {})

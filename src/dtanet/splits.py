@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_lines
+from .artifacts import read_lines, write_lines
 from .compounds import FeaturizationError
 
 __all__ = [
@@ -469,49 +469,47 @@ def read_folds(path: str | Path) -> FoldAssignment:
     meta: dict[str, str | int] = {}
     folds: list[int] = []
     lines: list[int] = []  # the line of each fold index
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                if key not in ("scheme", "k", "seed"):
-                    raise SplitError(f"{path}: line {lineno}: unknown "
-                                     f"metadata key {key!r}")
-                if key in meta:
-                    raise SplitError(f"{path}: line {lineno}: repeated "
-                                     f"metadata key {key!r}")
-                if key in ("k", "seed"):
-                    try:
-                        value = int(value)
-                    except ValueError:
-                        raise SplitError(
-                            f"{path}: line {lineno}: expected an integer "
-                            f"{key}, got {value!r}") from None
-                    least = 2 if key == "k" else 0
-                    if value < least:
-                        raise SplitError(
-                            f"{path}: line {lineno}: {key} must be at least "
-                            f"{least}, got {value}")
-                if key == "scheme" and value not in SCHEMES:
-                    raise SplitError(
-                        f"{path}: line {lineno}: unknown scheme {value!r}; "
-                        f"expected one of {SCHEMES}")
-                meta[key] = value
-                if key == "k":
-                    k_line = lineno
-            elif line and line != "record_index,fold":
-                index, _, fold = line.partition(",")
+    for lineno, line in read_lines(path, SplitError):
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            if key not in ("scheme", "k", "seed"):
+                raise SplitError(f"{path}: line {lineno}: unknown "
+                                 f"metadata key {key!r}")
+            if key in meta:
+                raise SplitError(f"{path}: line {lineno}: repeated "
+                                 f"metadata key {key!r}")
+            if key in ("k", "seed"):
                 try:
-                    index_value, fold_value = int(index), int(fold)
+                    value = int(value)
                 except ValueError:
                     raise SplitError(
-                        f"{path}: line {lineno}: expected 'record_index,fold' "
-                        f"integers, got {line!r}") from None
-                if index_value != len(folds):
+                        f"{path}: line {lineno}: expected an integer "
+                        f"{key}, got {value!r}") from None
+                least = 2 if key == "k" else 0
+                if value < least:
                     raise SplitError(
-                        f"{path}: line {lineno}: record indices out of order")
-                folds.append(fold_value)
-                lines.append(lineno)
+                        f"{path}: line {lineno}: {key} must be at least "
+                        f"{least}, got {value}")
+            if key == "scheme" and value not in SCHEMES:
+                raise SplitError(
+                    f"{path}: line {lineno}: unknown scheme {value!r}; "
+                    f"expected one of {SCHEMES}")
+            meta[key] = value
+            if key == "k":
+                k_line = lineno
+        elif line and line != "record_index,fold":
+            index, _, fold = line.partition(",")
+            try:
+                index_value, fold_value = int(index), int(fold)
+            except ValueError:
+                raise SplitError(
+                    f"{path}: line {lineno}: expected 'record_index,fold' "
+                    f"integers, got {line!r}") from None
+            if index_value != len(folds):
+                raise SplitError(
+                    f"{path}: line {lineno}: record indices out of order")
+            folds.append(fold_value)
+            lines.append(lineno)
     missing = [key for key in ("k", "scheme", "seed") if key not in meta]
     if missing:
         raise SplitError(f"{path}: missing metadata line for {missing[0]!r}")

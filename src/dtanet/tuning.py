@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_lines
+
 __all__ = [
     "TuneError",
     "Continuous",
@@ -365,43 +367,42 @@ def load_space(path: str | Path) -> SearchSpace:
     """
     dims: dict[str, Continuous | Integer | Categorical] = {}
     lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise TuneError(f"{path}:{lineno}: expected 'name kind args...'")
-            name, kind, *args = parts
-            if name in lines:
-                raise TuneError(f"{path}:{lineno}: duplicate dimension "
-                                f"{name!r} (first on line {lines[name]})")
-            lines[name] = lineno
-            if kind in ("continuous", "integer"):
-                cast = float if kind == "continuous" else int
-                try:
-                    lo, hi = (cast(a) for a in args[:2])
-                except ValueError:
-                    raise TuneError(
-                        f"{path}:{lineno}: {kind} needs numeric bounds "
-                        f"'lo hi', got {' '.join(args)!r}") from None
-                scales = ([], ["log"]) if kind == "continuous" else ([],)
-                if args[2:] not in scales:
-                    raise TuneError(
-                        f"{path}:{lineno}: unexpected "
-                        f"{' '.join(args[2:])!r} after the {kind} bounds")
-                try:
-                    if kind == "continuous":
-                        dims[name] = Continuous(lo, hi, args[2:] == ["log"])
-                    else:
-                        dims[name] = Integer(lo, hi)
-                except TuneError as exc:
-                    raise TuneError(f"{path}:{lineno}: {exc}") from exc
-            elif kind == "categorical":
-                dims[name] = Categorical(tuple(_parse_scalar(a) for a in args))
-            else:
-                raise TuneError(f"{path}:{lineno}: unknown dimension kind {kind!r}")
+    for lineno, raw in read_lines(path, TuneError):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise TuneError(f"{path}:{lineno}: expected 'name kind args...'")
+        name, kind, *args = parts
+        if name in lines:
+            raise TuneError(f"{path}:{lineno}: duplicate dimension "
+                            f"{name!r} (first on line {lines[name]})")
+        lines[name] = lineno
+        if kind in ("continuous", "integer"):
+            cast = float if kind == "continuous" else int
+            try:
+                lo, hi = (cast(a) for a in args[:2])
+            except ValueError:
+                raise TuneError(
+                    f"{path}:{lineno}: {kind} needs numeric bounds "
+                    f"'lo hi', got {' '.join(args)!r}") from None
+            scales = ([], ["log"]) if kind == "continuous" else ([],)
+            if args[2:] not in scales:
+                raise TuneError(
+                    f"{path}:{lineno}: unexpected "
+                    f"{' '.join(args[2:])!r} after the {kind} bounds")
+            try:
+                if kind == "continuous":
+                    dims[name] = Continuous(lo, hi, args[2:] == ["log"])
+                else:
+                    dims[name] = Integer(lo, hi)
+            except TuneError as exc:
+                raise TuneError(f"{path}:{lineno}: {exc}") from exc
+        elif kind == "categorical":
+            dims[name] = Categorical(tuple(_parse_scalar(a) for a in args))
+        else:
+            raise TuneError(f"{path}:{lineno}: unknown dimension kind {kind!r}")
     if not dims:
         raise TuneError(f"{path}: empty search space")
     problem = _unmapped(dims)

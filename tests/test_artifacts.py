@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtanet.artifacts import write_artifact, write_lines
+from dtanet.artifacts import read_lines, write_artifact, write_lines
 from dtanet.model import FeatureStore, ModelConfig
 from dtanet.splits import FoldAssignment, write_folds
 from dtanet.synthetic import memory_dataset
@@ -127,6 +127,61 @@ class TestFailedWrites:
         assert len(set(names)) == 3
         assert all(name.startswith(f".artifact.bin.{os.getpid()}.")
                    for name in names)
+
+
+class Refused(Exception):
+    pass
+
+
+# any text write_lines can write as one line: no line ending, no surrogate
+one_line = st.text(st.characters(exclude_categories=("Cs",),
+                                 exclude_characters="\r\n"), max_size=16)
+
+
+class TestReadLines:
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(one_line, max_size=8),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_written_lines_read_back_numbered_from_one(self, lines, ending):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "lines.csv"
+            write_lines(path, lines)
+            numbered = list(enumerate(lines, start=1))
+            assert list(read_lines(path, Refused)) == numbered
+            path.write_bytes("".join(f"{line}{ending}" for line in lines)
+                             .encode("utf-8"))
+            assert list(read_lines(path, Refused)) == numbered
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(one_line, min_size=1, max_size=8), data=st.data(),
+           bad=st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80",
+                                b"\xe2\x82", b"\xf0\x9f\x98"]),
+           ending=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    def test_an_undecodable_byte_names_its_line(self, lines, data, bad,
+                                                ending):
+        encoded = [line.encode("utf-8") for line in lines]
+        row = data.draw(st.integers(0, len(lines) - 1))
+        at = data.draw(st.integers(0, len(encoded[row])))
+        at = len(encoded[row][:at].decode("utf-8", "ignore").encode("utf-8"))
+        encoded[row] = encoded[row][:at] + bad + encoded[row][at:]
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "lines.csv"
+            path.write_bytes(ending.join(encoded) + ending)
+            with pytest.raises(Refused) as caught:
+                list(read_lines(path, Refused))
+        assert str(caught.value) == f"{path}: line {row + 1}: not UTF-8 text"
+
+    def test_the_line_is_exact_past_the_read_buffer(self, tmp_path):
+        path = tmp_path / "long.csv"
+        lines = [f"{i},{'x' * 30}" for i in range(5000)]
+        write_lines(path, lines)
+        assert list(read_lines(path, Refused)) == \
+            list(enumerate(lines, start=1))
+        raw = path.read_bytes().split(b"\n")
+        raw[3999] += b"\xff"
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(Refused, match=r"long\.csv: line 4000: not UTF-8"):
+            list(read_lines(path, Refused))
 
 
 class TestDurability:

@@ -264,6 +264,24 @@ class TestErrors:
             assert code == 1
             assert f"{bad}: line {line}: bad SMILES" in capsys.readouterr().err
 
+    def test_undecodable_predict_input_names_file_and_line(
+            self, workspace, tmp_path, capsys):
+        root, data = workspace
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--data-dir", str(data), "--out", str(ckpt)]
+                    + TINY_ARGS) == 0
+        lines = (data / "interactions.csv").read_bytes().split(b"\n")
+        lines[5] = lines[5][:2] + b"\xff" + lines[5][2:]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(ckpt), "--input", str(bad),
+                     "--proteins", str(data / "proteins.tsv"),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert (f"error [pipeline.PipelineError]: {bad}: line 6: not UTF-8 "
+                f"text\n") in capsys.readouterr().err
+
     def test_graph_featurization_error_names_the_compound(
             self, workspace, tmp_path, capsys):
         import shutil

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import assert_tables_equal, molecule_view
+from dtanet.artifacts import write_lines
 from dtanet.data import (
     DataError,
     InteractionRecord,
@@ -20,6 +21,7 @@ from dtanet.data import (
     transform_value,
 )
 from dtanet.smiles import MoleculeColumns, MoleculeTable, parse_table
+from dtanet.synthetic import write_fixture
 
 SEQS = {"P1": ("ACDEFKLM", False), "P2": ("KLMNPQRS", True),
         "P3": ("WWYYACDE", False)}
@@ -198,6 +200,30 @@ class TestLoad:
             ours, theirs = getattr(got, name), getattr(expected, name)
             assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
             assert ours.tobytes() == theirs.tobytes()
+
+    def test_task_ids_must_cover_zero_to_the_largest(self, tmp_path):
+        # an imprecise row's task id was read, so task 1 has a row
+        files = write_files(tmp_path, ["CCO,P1,0,100", "CCN,P1,1,>10",
+                                       "CCC,P1,2,10"])
+        _, summary, _, _ = load_interactions(*files)
+        assert summary.per_task_counts == (1, 0, 1)
+        files = write_files(tmp_path, ["CCO,P1,0,100", "CCN,P1,2,10",
+                                       "CCC,P1,2,5", "CCS,P1,9999999,5"])
+        with pytest.raises(DataError, match=r"interactions\.csv: line 3: task "
+                                            r"id 2 leaves task 1 without a row"):
+            load_dataset(*files)
+
+    def test_a_stray_quote_is_data(self, tmp_path):
+        paths = write_fixture(tmp_path)
+        lines = paths["interactions"].read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 97
+        smiles, rest = lines[5].split(",", 1)
+        lines[5] = f'{smiles},"{rest}'
+        write_lines(paths["interactions"], lines)
+        with pytest.raises(DataError, match=r"interactions\.csv: line 6: no "
+                                            r"sequence for protein id '\"P"):
+            load_interactions(paths["interactions"], paths["proteins"],
+                              malformed_tolerance=1)
 
     def test_header_is_checked(self, tmp_path):
         interactions = tmp_path / "x.csv"

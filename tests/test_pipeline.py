@@ -722,6 +722,21 @@ class TestPredictEvaluate:
             .save(path)
         return dataset
 
+    def test_a_stray_quote_is_data(self, tiny_config, tmp_path):
+        paths = write_fixture(tmp_path / "data")
+        ckpt = tmp_path / "m.ckpt"
+        self._untrained_checkpoint(tmp_path / "data", tiny_config, ckpt)
+        lines = paths["interactions"].read_text(encoding="utf-8").splitlines()
+        head, value = lines[5].rsplit(",", 1)
+        lines[5] = f'{head},"{value}'
+        table = tmp_path / "pairs.csv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = run_predict(ckpt, table, paths["proteins"],
+                          tmp_path / "preds.csv")
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert [len(row.split(",")) for row in rows] == [5] * 97
+        assert rows[5].split(",")[3] == f'"{value}'
+
     def test_predict_finds_columns_by_name(self, fixture_dir, tiny_config,
                                            tmp_path):
         ckpt = tmp_path / "m.ckpt"
