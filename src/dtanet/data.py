@@ -215,16 +215,16 @@ def _read_assay_map(path: str | Path) -> dict[str, int]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(
-                f"{path}:{lineno}: expected 'assay_id<TAB>task_id'")
+                f"{path}: line {lineno}: expected 'assay_id<TAB>task_id'")
         try:
             task = int(parts[1])
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: task_id must be an integer") from exc
+            raise DataError(f"{path}: line {lineno}: task_id must be an integer") from exc
         if task < 0:
-            raise DataError(f"{path}:{lineno}: task_id {task} is negative")
+            raise DataError(f"{path}: line {lineno}: task_id {task} is negative")
         if parts[0] in mapping:
             raise DataError(
-                f"{path}:{lineno}: duplicate assay id {parts[0]!r}")
+                f"{path}: line {lineno}: duplicate assay id {parts[0]!r}")
         mapping[parts[0]] = task
     return mapping
 

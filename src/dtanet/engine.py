@@ -43,7 +43,9 @@ after it. ``given`` takes the value of any node from the caller instead of
 computing it: the node's value goes through the same finiteness check as a
 computed one, and the nodes that only it needs do not run. Prediction
 projects the distinct rows of a whole call once through ``project`` and
-hands each chunk's gather-add in as the first layer's value.
+hands each chunk the first layer's value as a ``GatherAdd``: the projected
+tables and the chunk's row indices, not their sum. A blocked chain (below)
+gathers it block by block; any other reader gets it formed once.
 
 ``add_bias``, batch normalization and ReLU are row-wise: row ``i`` of the
 result reads row ``i`` of the input and one entry per column of some
@@ -58,17 +60,32 @@ followed by the chain of row-wise ops that read it in turn, each with
 only parameters besides. A requested output ends its segment. When the
 head's value has at least two blocks of rows, a block being
 ``_INFER_BLOCK`` entries (``_INFER_BLOCK // width`` rows, 64 at width
-256), the chain runs block by block: each block goes through the head's
-check, then every op and its check, while it stays in L2. Each op's
-vectors (the bias; the running mean, ``1/sqrt(running_var + eps)``,
-gamma and beta) are tiled once per pass to a block's shape, so each
-elementwise step is one ufunc over contiguous operands. A segment under
-two blocks runs node by node on whole arrays and plain vectors, and builds
-no tile. Each op's inference arithmetic is one method (``apply``) that
-both ways call, so every element goes through the same IEEE operations on
-the same values in the same order, and no byte changes. A block stops at
-its first failed check; after the last block, the failed node that comes
-first in the plan raises, which is the error a node-by-node run gives.
+256), the chain runs block by block: each block is gathered (from a given
+``GatherAdd``, into the first op's buffer) or sliced from the head, then
+goes through every op while it stays in L2. Each op's vectors (the bias;
+the running mean, ``1/sqrt(running_var + eps)``, gamma and beta) are tiled
+once per pass to a block's shape, so each elementwise step is one ufunc
+over contiguous operands. A segment under two blocks runs node by node on
+whole arrays and plain vectors, and builds no tile. Each op's inference
+arithmetic is one method (``apply``) that both ways call, so every element
+goes through the same IEEE operations on the same values in the same
+order, and no byte changes.
+
+A block runs one finiteness check per chain, not one per node. A check is
+dropped when every op after it, up to a check that is kept, passes
+non-finite entries on (``_RowWise.passes_non_finite``): ``add_bias`` and
+batch normalization add, subtract and multiply, and in IEEE arithmetic a
+NaN or an infinity stays non-finite at its position whatever the other
+operand holds (inf*0 and inf-inf give NaN), a NaN or infinity in a
+parameter's vector included. ReLU maps -inf to 0, so no check before it
+is dropped on its account. In a hidden layer the batch-norm output (or
+``add_bias`` without batch norm) is checked and the head and ``add_bias``
+are not. When a block's check fails, or an op's vectors do not fit, the
+blocked run stops and ``infer`` reruns the whole plan node by node on
+whole arrays, which raises the error a node-by-node run raises: the failed
+node that comes first in the plan, or the ``ShapeError`` after the checks
+before it. The blocked run silences floating-point warnings, so a failing
+call warns as the rerun does.
 
 An inference pass keeps only what it returns. Once ``infer`` has collected
 the requested outputs, or has raised, every node of its plan that is not a
@@ -181,6 +198,7 @@ __all__ = [
     "Parameter",
     "Graph",
     "relu",
+    "GatherAdd",
     "RowSelection",
     "CompactGrad",
     "Adam",
@@ -343,6 +361,76 @@ class _MatMul(Node):
             self._accumulate(b, a.value.T @ self.grad)
 
 
+def _check_indices(node: Node, tables, indices, names) -> None:
+    """``node``'s ShapeError unless each index is a 1-d integer array
+    inside its table's rows and all have one length; ``names`` says what
+    each index is in the message."""
+    counts = set()
+    for table, index, name in zip(tables, indices, names):
+        if (not isinstance(index, np.ndarray) or index.ndim != 1
+                or not np.issubdtype(index.dtype, np.integer)):
+            raise node.shape_error(f"{name} must be a 1-d integer array")
+        if index.size and (index.min() < 0 or index.max() >= table.shape[0]):
+            raise node.shape_error(f"{name} leaves the range of its "
+                                   f"{table.shape[0]}-row table")
+        counts.add(index.size)
+    if len(counts) != 1:
+        raise node.shape_error(f"indices differ in length: {sorted(counts)}")
+
+
+class GatherAdd(NamedTuple):
+    """``indexed_dense``'s value before it is formed: row ``i`` is
+    ``tables[0][indices[0][i]] + tables[1][indices[1][i]] + ...``, added in
+    that order, each table holding projected rows.
+
+    ``Graph.infer`` takes one as the given value of an ``indexed_dense``
+    node. A blocked chain (see ``Graph._run_blocks``) gathers each row
+    block straight into its first op's buffer; any other reader gets the
+    array ``form`` makes. ``_IndexedDense.compute`` forms its value here
+    too, so both ways add the same values in the same order.
+    """
+
+    tables: tuple
+    indices: tuple
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indices[0]), self.tables[0].shape[1])
+
+    @property
+    def ndim(self) -> int:
+        return 2
+
+    def check(self, node: Node) -> None:
+        """``node``'s ShapeError unless the tables are 2-d of one width and
+        the indices fit them (``gather`` reads them unchecked)."""
+        if any(t.ndim != 2 or t.shape[1] != self.tables[0].shape[1]
+               for t in self.tables) or len(self.indices) != len(self.tables):
+            raise node.shape_error(
+                f"a given gather-add needs 2-d tables of one width, one "
+                f"index each: got tables {[t.shape for t in self.tables]} "
+                f"and {len(self.indices)} indices")
+        _check_indices(node, self.tables, self.indices,
+                       [f"given index {k}" for k in range(len(self.indices))])
+
+    def gather(self, lo: int, hi: int, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+        """Rows ``lo:hi`` into ``out``, through ``scratch`` of ``out``'s
+        shape for each table after the first."""
+        np.take(self.tables[0], self.indices[0][lo:hi], axis=0, out=out,
+                mode="clip")
+        for table, index in zip(self.tables[1:], self.indices[1:]):
+            out += np.take(table, index[lo:hi], axis=0, out=scratch,
+                           mode="clip")
+        return out
+
+    def form(self) -> np.ndarray:
+        """Every row, in an array of its own."""
+        out = np.empty(self.shape)
+        scratch = np.empty(self.shape) if len(self.tables) > 1 else None
+        return self.gather(0, len(out), out, scratch)
+
+
 class _IndexedDense(Node):
     """``sum_k (T_k @ W[rows_k])[index_k]``: a dense layer over joined tables.
 
@@ -398,27 +486,11 @@ class _IndexedDense(Node):
         tables = [node.value for node in self.inputs[:k]]
         self._check_tables(tables, self.inputs[-1].value)
         indices = [node.value for node in self.inputs[k:2 * k]]
-        counts = set()
-        for table, index, node in zip(tables, indices, self.inputs[k:2 * k]):
-            if (not isinstance(index, np.ndarray) or index.ndim != 1
-                    or not np.issubdtype(index.dtype, np.integer)):
-                raise self.shape_error(
-                    f"index '{node.name}' must be a 1-d integer array")
-            if index.size and (index.min() < 0
-                               or index.max() >= table.shape[0]):
-                raise self.shape_error(
-                    f"index '{node.name}' leaves the range of its "
-                    f"{table.shape[0]}-row table")
-            counts.add(index.size)
-        if len(counts) != 1:
-            raise self.shape_error(
-                f"indices differ in length: {sorted(counts)}")
+        _check_indices(self, tables, indices,
+                       [f"index '{node.name}'" for node in self.inputs[k:2 * k]])
         projected = [self.project(table.value, lo)
                      for table, _, lo, _ in self._blocks()]
-        out = projected[0][indices[0]]
-        for block, index in zip(projected[1:], indices[1:]):
-            out += block[index]
-        return out
+        return GatherAdd(tuple(projected), tuple(indices)).form()
 
     def backprop(self):
         w_node = self.inputs[-1]
@@ -458,7 +530,15 @@ class _RowWise(Node):
     vectors of one entry per column (``operands``). Its inference
     arithmetic is ``apply``: ``Graph.infer`` calls it once on the whole
     input with the plain vectors, or once per row block with the vectors
-    tiled to the block's shape (see ``Graph._run_blocks``)."""
+    tiled to the block's shape (see ``Graph._run_blocks``).
+
+    ``passes_non_finite`` says that a non-finite entry of ``x`` gives a
+    non-finite entry at the same position of the result, whatever the
+    vectors hold, so a later check of the chain sees it (see
+    ``Graph._run_blocks``). IEEE add, subtract and multiply do that (inf*0
+    and inf-inf give NaN); ReLU does not, as it maps -inf to 0."""
+
+    passes_non_finite = False
 
     def operands(self, x: np.ndarray) -> tuple:
         """The vectors ``apply`` reads besides ``x``, checked against
@@ -473,6 +553,8 @@ class _RowWise(Node):
 
 
 class _AddBias(_RowWise):
+    passes_non_finite = True
+
     def __init__(self, x, bias):
         super().__init__("add_bias", (x, bias))
 
@@ -530,28 +612,6 @@ class _Relu(_RowWise):
             self._accumulate(x, self.grad * self._mask)
 
 
-class _Concat(Node):
-    def __init__(self, parts):
-        super().__init__("concat", tuple(parts))
-
-    def compute(self, ctx):
-        values = [node.value for node in self.inputs]
-        rows = {v.shape[0] for v in values}
-        if any(v.ndim != 2 for v in values) or len(rows) != 1:
-            raise self.shape_error(
-                f"expected 2-d blocks with equal row counts, got "
-                f"{[v.shape for v in values]}")
-        self._widths = [v.shape[1] for v in values]
-        return np.concatenate(values, axis=1)
-
-    def backprop(self):
-        offset = 0
-        for node, width in zip(self.inputs, self._widths):
-            if node.wants_grad:
-                self._accumulate(node, self.grad[:, offset:offset + width])
-            offset += width
-
-
 class _Dropout(Node):
     def __init__(self, x, rate: float):
         super().__init__("dropout", (x,))
@@ -598,6 +658,7 @@ class _BatchNorm(_RowWise):
 
     momentum = 0.9
     eps = 1e-5
+    passes_non_finite = True
 
     def __init__(self, x, gamma, beta):
         super().__init__("batchnorm", (x, gamma, beta))
@@ -699,6 +760,7 @@ class _Step(NamedTuple):
     given: bool  # the value comes from the caller's ``given``
     check: bool  # the value goes through ``all_finite``
     reuse: bool  # the op writes into its first input's buffer
+    shared: bool  # more than one node reads the value
 
 
 class _Plan(NamedTuple):
@@ -737,13 +799,14 @@ _INFER_BLOCK = 16384
 
 
 def _block_rows(value) -> int:
-    """Rows per block of a segment whose head holds ``value``, or 0 when
-    the segment runs whole: a value that is not 2-d or has under two
-    blocks of rows."""
-    if np.ndim(value) != 2:
+    """Rows per block of a segment whose head holds ``value`` (an array or
+    a ``GatherAdd``), or 0 when the segment runs whole: a value that is not
+    2-d or has under two blocks of rows."""
+    shape = getattr(value, "shape", ())
+    if len(shape) != 2:
         return 0
-    rows = max(1, _INFER_BLOCK // max(1, value.shape[1]))
-    return rows if value.shape[0] >= 2 * rows else 0
+    rows = max(1, _INFER_BLOCK // max(1, shape[1]))
+    return rows if shape[0] >= 2 * rows else 0
 
 
 class Graph:
@@ -812,9 +875,6 @@ class Graph:
     def relu(self, x, name=None):
         return self._register(_Relu(x), name)
 
-    def concat(self, parts, name=None):
-        return self._register(_Concat(parts), name)
-
     def dropout(self, x, rate, name=None):
         return self._register(_Dropout(x, rate), name)
 
@@ -882,7 +942,8 @@ class Graph:
                 if not (identity or isinstance(
                         node, (Placeholder, ObjectInput, Parameter))):
                     fresh.add(node)
-            steps.append(_Step(node, is_given, check, reuse))
+            steps.append(_Step(node, is_given, check, reuse,
+                               consumers[node] > 1))
         if inference:
             # parameters first, so a chain reads its vectors' values
             steps.sort(key=lambda step: not isinstance(step.node, Parameter))
@@ -901,68 +962,90 @@ class Graph:
                          if not isinstance(node, Parameter))
         return _Plan(tuple(map(tuple, segments)), frozenset(needed), released)
 
-    def _run(self, plan: _Plan, ctx: _Context, given: dict) -> None:
+    def _run(self, plan: _Plan, ctx: _Context, given: dict,
+             blocks: bool = False) -> bool:
+        """Run ``plan``, raising the first failed check in plan order. With
+        ``blocks``, each chain whose head holds at least two row blocks
+        runs block by block (``_run_blocks``), and the run stops and
+        returns False at a block that fails, without raising; the caller
+        then reruns the plan without blocks, which raises the error."""
         for segment in plan.segments:
+            head = segment[0]
+            rows = 0
             for step in segment:
                 node = step.node
                 if step.given:
                     node.value = given[node]
+                    if isinstance(node.value, GatherAdd):
+                        node.value.check(node)
                 else:
                     ctx.reuse = step.reuse
                     node.value = node.compute(ctx)
-                if len(segment) > 1 and step is segment[0]:
+                if step is head and blocks and len(segment) > 1:
                     rows = _block_rows(node.value)
-                    if rows:
-                        self._run_blocks(segment, rows)
-                        break
+                if isinstance(node.value, GatherAdd) and (
+                        not rows or step.shared):
+                    node.value = node.value.form()
+                if rows:
+                    if not self._run_blocks(segment, rows):
+                        return False
+                    break
                 if step.check and not all_finite(node.value):
                     raise _non_finite(node)
+        return True
 
     @staticmethod
-    def _run_blocks(segment: tuple, rows: int) -> None:
+    def _run_blocks(segment: tuple, rows: int) -> bool:
         """Run a segment's chain over its head's value in blocks of
-        ``rows`` rows: per block, the head's check, then each op's
-        ``apply`` and check, up to the first check that fails. Each op's
-        vectors are tiled once to a block's shape, so every elementwise op
-        is one ufunc over contiguous operands. After the last block, the
-        failed node that comes first in the plan raises. An op whose
-        vectors do not fit raises its ``ShapeError`` after that, and the
-        chain stops before it, as a node-by-node run would."""
-        head = segment[0]
-        x = head.node.value
-        ops, deferred = [], None  # (apply, output, tiles, check) per op
-        value = x
-        for step in segment[1:]:
-            node = step.node
+        ``rows`` rows, with one finiteness check per chain (see the module
+        docstring); False at the first block that fails it, or when an
+        op's vectors do not fit. A head given as a ``GatherAdd`` is
+        gathered block by block into the first op's buffer, and that op
+        runs in place on it. Each op's vectors are tiled once to a block's
+        shape, so every elementwise op is one ufunc over contiguous
+        operands. Floating-point warnings are silenced here; the rerun of a
+        failed pass gives them."""
+        x = segment[0].node.value
+        # a check is kept unless a later kept check sees what it would
+        keep, carried = [], False
+        for step in reversed(segment):
+            keep.append(step.check and not carried)
+            carried = ((keep[-1] or carried)
+                       and getattr(step.node, "passes_non_finite", False))
+        keep.reverse()
+        gathered = isinstance(x, GatherAdd)
+        with np.errstate(all="ignore"):
             try:
-                vectors = node.operands(x)
-            except ShapeError as error:
-                deferred = error
-                break
-            if not step.reuse:  # the plan's in-place rule, as in compute
-                value = np.empty(x.shape)
-            node.value = value
-            ops.append((node.apply, value,
-                        [np.repeat(v[None, :], rows, axis=0) for v in vectors],
-                        step.check))
-        failed = len(ops) + 1  # the position of the first failed node
-        for lo in range(0, x.shape[0], rows):
-            block = x[lo:lo + rows]
-            if len(block) < rows:  # the last block
-                ops = [(apply, value, [tile[:len(block)] for tile in tiles],
-                        check) for apply, value, tiles, check in ops]
-            if head.check and not all_finite(block):
-                failed = 0
-                continue
-            for at, (apply, value, tiles, check) in enumerate(ops, 1):
-                block = apply(block, value[lo:lo + rows], tiles)
-                if check and not all_finite(block):
-                    failed = min(failed, at)
-                    break
-        if failed <= len(ops):
-            raise _non_finite(segment[failed].node)
-        if deferred is not None:
-            raise deferred
+                vectors = [step.node.operands(x) for step in segment[1:]]
+            except ShapeError:
+                return False
+            ops = []  # (apply, output, tiles, check) per op
+            value = x
+            for step, vecs, check in zip(segment[1:], vectors, keep[1:]):
+                # the plan's in-place rule, as in compute; a given head is
+                # never written, so the first op has a buffer of its own
+                if not step.reuse:
+                    value = np.empty(x.shape)
+                step.node.value = value
+                ops.append((step.node.apply, value,
+                            [np.repeat(v[None, :], rows, axis=0)
+                             for v in vecs], check))
+            if gathered:
+                first, scratch = ops[0][1], np.empty((rows, x.shape[1]))
+            for lo in range(0, x.shape[0], rows):
+                hi = min(lo + rows, x.shape[0])
+                if hi - lo < rows:  # the last block
+                    ops = [(apply, value, [tile[:hi - lo] for tile in tiles],
+                            check) for apply, value, tiles, check in ops]
+                block = (x.gather(lo, hi, first[lo:hi], scratch[:hi - lo])
+                         if gathered else x[lo:hi])
+                if keep[0] and not all_finite(block):
+                    return False
+                for apply, value, tiles, check in ops:
+                    block = apply(block, value[lo:hi], tiles)
+                    if check and not all_finite(block):
+                        return False
+        return True
 
     def forward(self, feeds: dict, outputs: list[Node],
                 rng: np.random.Generator | None = None) -> list[np.ndarray]:
@@ -980,20 +1063,25 @@ class Graph:
         normalization on its running statistics; no backward can follow.
 
         ``given`` maps nodes of this graph to values that the pass takes
-        instead of computing them; the nodes that only they need do not
-        run. Ops may write into dead buffers of the pass. The row-wise
-        chain after a product or a given value of at least two blocks of
-        ``_INFER_BLOCK`` entries runs block by block on tiled vectors, with
-        a node-by-node run's bytes and errors (see the module docstring).
-        Whether the pass returns or raises, it leaves ``value = None`` on
-        every node of its plan but the parameters, so it holds nothing
-        once it is over.
+        instead of computing them (an array, or a ``GatherAdd`` for an
+        ``indexed_dense`` node); the nodes that only they need do not run.
+        Ops may write into dead buffers of the pass, never into a given
+        array or table. The row-wise chain after a product or a given
+        value of at least two blocks of ``_INFER_BLOCK`` entries runs block
+        by block on tiled vectors, with one finiteness check per chain; if
+        a block fails, the plan reruns node by node on whole arrays, so the
+        bytes and the errors are a node-by-node run's (see the module
+        docstring). Whether the pass returns or raises, it leaves
+        ``value = None`` on every node of its plan but the parameters, so
+        it holds nothing once it is over.
         """
         given = given or {}
         plan = self._plan(outputs, given, True)
         self._ready = frozenset()
+        ctx = _Context(feeds, None, inference=True)
         try:
-            self._run(plan, _Context(feeds, None, inference=True), given)
+            if not self._run(plan, ctx, given, blocks=True):
+                self._run(plan, ctx, given)
             return [node.value for node in outputs]
         finally:
             for node in plan.released:

@@ -18,9 +18,10 @@ row indices ``compound_row`` and ``protein_row``.
 
 Prediction lifts the distinct row from the batch to the call:
 ``FeatureStore.predict`` projects each distinct compound and protein of the
-whole call once, then hands each chunk's gather-add of those projected rows to
-the network's inference pass as the first layer's value
-(``Graph.infer(..., given=...)``).
+whole call once, then hands each chunk the projected tables and its pairs'
+row indices (a ``GatherAdd``) as the first layer's value in the network's
+inference pass (``Graph.infer(..., given=...)``), which gathers and adds
+them block by block.
 
 The compound-only variants cannot see new proteins (a prediction for an
 unknown protein id is a hard error); the paired variants accept any protein
@@ -61,9 +62,11 @@ from .compounds import (
 from .data import PairDataset
 from .engine import (
     EngineError,
+    GatherAdd,
     Graph,
     NonFiniteError,
     Parameter,
+    all_finite,
 )
 from .graphconv import (
     GraphConv,
@@ -465,8 +468,15 @@ class FeatureStore:
                 raise ModelError(
                     "compound-only variants support single-measurement data only")
         else:
+            # checked here once: scoring projects these rows unchecked
             self.protein_matrix = proteins.descriptor_matrix(
                 dataset.sequences, dataset.protein_ids)
+            if not all_finite(self.protein_matrix):
+                bad = np.flatnonzero(
+                    ~np.isfinite(self.protein_matrix).all(axis=1))[0]
+                raise NonFiniteError(
+                    f"protein {dataset.protein_ids[bad]!r}: non-finite "
+                    f"descriptor values")
 
     def build_model(self, cfg: ModelConfig | None = None) -> Model:
         """A fresh model of ``cfg`` (default: the store's own config); ``cfg``
@@ -563,15 +573,18 @@ class FeatureStore:
         The call runs in two passes. First, each distinct compound and
         protein of ``indices`` is projected once through its block of
         ``dense0.W``, at most ``batch_size`` rows at a time, into one
-        ``(distinct, hidden)`` table per input block; a graph-conv compound
-        runs through the conv stack in the same blocks of molecules first.
-        Then the pairs are scored ``batch_size`` at a time: a chunk gathers
-        and adds its pairs' projection rows, as the first layer does, and
-        hands the sum in as that layer's value to an inference pass of the
-        rest of the network (``Graph.infer``), whose ops write into the
-        chunk's dead buffers in place. The call holds those tables plus one
-        block of input rows, never a per-pair join of the two or a
-        call-sized copy of fingerprint or descriptor rows. Once it returns
+        ``(distinct, hidden)`` table per input block (``_projection``); a
+        graph-conv compound runs through the conv stack in the same blocks
+        of molecules first. Then the pairs are scored ``batch_size`` at a
+        time: a chunk hands the tables and its pairs' row indices in as the
+        first layer's value (a ``GatherAdd``) to an inference pass of the
+        rest of the network (``Graph.infer``). That pass gathers and adds
+        the rows, as the first layer does, block by block into layer 0's
+        own buffer (or once, whole, for a chunk under two blocks), and its
+        ops write into the chunk's dead buffers in place. The call holds
+        those tables plus one block of input rows, never a per-pair join of
+        the two or a call-sized copy of fingerprint or descriptor rows, and
+        never writes the tables. Once it returns
         it holds nothing but the predictions it hands back: each inference
         pass drops every value and op cache of its pass from the graph, so
         the model keeps only its parameters and batch-norm running
@@ -601,19 +614,19 @@ class FeatureStore:
         pairs = self.dataset.pairs[indices]
         compounds, compound_row = np.unique(pairs[:, 0], return_inverse=True)
         tables = [self._projection(model, 0, compounds, batch_size)]
+        rows = [compound_row]
         if self.cfg.compound_only:
             columns = model.output_columns(
                 [self.dataset.protein_ids[i] for i in pairs[:, 1]])
         else:
             proteins, protein_row = np.unique(pairs[:, 1], return_inverse=True)
             tables.append(self._projection(model, 1, proteins, batch_size))
+            rows.append(protein_row)
+        tables = tuple(tables)
         chunks = []
         for start in range(0, indices.size, batch_size):
             part = slice(start, start + batch_size)
-            # the first layer's gather-add, in its order
-            first = tables[0][compound_row[part]]
-            if not self.cfg.compound_only:
-                first += tables[1][protein_row[part]]
+            first = GatherAdd(tables, tuple(row[part] for row in rows))
             out = model.predict_feeds({}, {model.first_layer: first})
             if self.cfg.compound_only:
                 out = out[np.arange(out.shape[0]), columns[part]][:, None]
@@ -623,15 +636,25 @@ class FeatureStore:
     def _projection(self, model: Model, block: int, distinct: np.ndarray,
                     batch_size: int) -> np.ndarray:
         """First-layer projection of the ``distinct`` compounds (``block``
-        0) or proteins (1), in blocks of at most ``batch_size`` rows."""
+        0) or proteins (1), in blocks of at most ``batch_size`` rows.
+
+        Fingerprint rows (cast to float64) and descriptor rows go straight
+        to ``project``, with no inference pass: fingerprints are 0/1 and
+        the descriptors were checked when the store was built. A graph-conv
+        compound block runs its conv stack through ``Graph.infer``, whose
+        checks its output passes."""
         first = model.first_layer
         lo = 0 if block == 0 else model.cfg.compound_width()
         parts = []
         for rows in _row_blocks(distinct.size, batch_size):
             chosen = distinct[rows]
-            feeds = (self._compound_feeds(chosen) if block == 0
-                     else {"protein": self.protein_matrix[chosen]})
-            (table,) = model.graph.infer(feeds, [first.inputs[block]])
+            if block == 1:
+                table = self.protein_matrix[chosen]
+            elif self.cfg.uses_graphconv:
+                (table,) = model.graph.infer(self._compound_feeds(chosen),
+                                             [first.inputs[0]])
+            else:
+                table = self._compound_feeds(chosen)["compound"]
             parts.append(first.project(table, lo))
         return np.concatenate(parts, axis=0)
 

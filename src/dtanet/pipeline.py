@@ -446,17 +446,19 @@ def _task_outside(path, lineno: int, task: int,
 
 
 def _responses(path, table: dict[str, list], n_tasks: int | None = None,
-               inactive_remap=None) -> tuple[np.ndarray, np.ndarray, list]:
-    """``(y, w, kept)`` of a table's ``value`` and ``task_id`` columns: row
-    ``i`` holds the response of table row ``kept[i]`` at its task, with
-    weight 1 there.
+               inactive_remap=None
+               ) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """``(y, w, kept, ids)`` of a table's ``value`` and ``task_id`` columns:
+    row ``i`` holds the response of table row ``kept[i]`` in the column of
+    its task, with weight 1 there, and ``ids`` holds each column's task id.
 
     Values go through ingestion's imprecise-value rule, ``inactive_remap``
     and transform: imprecise rows (any value that is not a precise finite
     number) are discarded and counted in the log; a value that the
     transform rejects fails naming its line, as does a kept row's task
     outside ``n_tasks`` when given.
-    Without ``n_tasks``, the tasks are 0 to the largest kept one.
+    With ``n_tasks`` the columns are the tasks 0 to ``n_tasks - 1``;
+    without it they are the distinct kept task ids, in ascending order.
     """
     kept, values = [], []
     for i, (lineno, task, text) in enumerate(
@@ -476,13 +478,14 @@ def _responses(path, table: dict[str, list], n_tasks: int | None = None,
         log.info("discarded %d imprecise value row(s) from %s", discarded,
                  path)
     tasks = [table["task_id"][i] for i in kept]
-    if n_tasks is None:
-        n_tasks = max(tasks, default=-1) + 1
-    y = np.zeros((len(kept), n_tasks))
-    w = np.zeros((len(kept), n_tasks))
-    y[np.arange(len(kept)), tasks] = values
-    w[np.arange(len(kept)), tasks] = 1.0
-    return y, w, kept
+    ids = list(range(n_tasks)) if n_tasks is not None else sorted(set(tasks))
+    column = {task: k for k, task in enumerate(ids)}
+    columns = [column[task] for task in tasks]
+    y = np.zeros((len(kept), len(ids)))
+    w = np.zeros((len(kept), len(ids)))
+    y[np.arange(len(kept)), columns] = values
+    w[np.arange(len(kept)), columns] = 1.0
+    return y, w, kept, ids
 
 
 def _parse_compounds(path, table: dict[str, list]
@@ -548,7 +551,7 @@ def run_predict(model_path: str | Path, pairs_csv: str | Path,
     if ad_from is not None:
         remap = (None if extras["run_config"] is None else
                  RunConfig.from_snapshot(extras["run_config"]).inactive_remap())
-        y, w, _ = _responses(ad_from,
+        y, w, _, _ = _responses(ad_from,
                              _pair_table(ad_from, ("value",), ("task_id",)),
                              n_tasks, remap)
         ad_ranges = fit_ad_per_task(y, w)
@@ -585,6 +588,7 @@ def run_evaluate(predictions_csv: str | Path,
 
     Values are read as ``--ad-from`` reads them (:func:`_responses`); every
     row's prediction must be a finite number, else it fails naming the line.
+    The report has one row per task id present, labelled with that id.
     """
     path = predictions_csv
     table = _pair_table(path, ("value", "prediction"), ("task_id",))
@@ -598,11 +602,13 @@ def run_evaluate(predictions_csv: str | Path,
             raise PipelineError(f"{path}: line {lineno}: prediction "
                                 f"{text!r} is not a number")
         predictions.append(prediction)
-    y, w, kept = _responses(path, table)
+    y, w, kept, ids = _responses(path, table)
     if not kept:
         raise PipelineError(f"{path}: no prediction rows")
     f = w * np.array(predictions)[kept, None]
     report = evaluate_predictions(y, f, w)
+    for task, task_id in zip(report.tasks, ids):
+        task.task_id = task_id
     write_lines(out_csv, ["task_id,n_records,rmse,r2,ci",
                           *_metric_cells(report)])
     return report

@@ -112,18 +112,18 @@ def read_sequence_table(path: str | Path) -> dict[str, tuple[str, bool]]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise SequenceError(
-                f"{path}:{lineno}: expected 3 tab-separated fields, "
+                f"{path}: line {lineno}: expected 3 tab-separated fields, "
                 f"got {len(parts)}")
         protein_id, flag, sequence = parts
         if flag not in ("0", "1"):
             raise SequenceError(
-                f"{path}:{lineno}: phospho flag must be 0 or 1, got {flag!r}")
+                f"{path}: line {lineno}: phospho flag must be 0 or 1, got {flag!r}")
         if protein_id in table:
-            raise SequenceError(f"{path}:{lineno}: duplicate id {protein_id!r}")
+            raise SequenceError(f"{path}: line {lineno}: duplicate id {protein_id!r}")
         try:
             validate_sequence(sequence)
         except SequenceError as exc:
-            raise SequenceError(f"{path}:{lineno}: {exc}") from exc
+            raise SequenceError(f"{path}: line {lineno}: {exc}") from exc
         table[protein_id] = (sequence, flag == "1")
     return table
 

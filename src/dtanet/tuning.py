@@ -373,10 +373,10 @@ def load_space(path: str | Path) -> SearchSpace:
             continue
         parts = line.split()
         if len(parts) < 3:
-            raise TuneError(f"{path}:{lineno}: expected 'name kind args...'")
+            raise TuneError(f"{path}: line {lineno}: expected 'name kind args...'")
         name, kind, *args = parts
         if name in lines:
-            raise TuneError(f"{path}:{lineno}: duplicate dimension "
+            raise TuneError(f"{path}: line {lineno}: duplicate dimension "
                             f"{name!r} (first on line {lines[name]})")
         lines[name] = lineno
         if kind in ("continuous", "integer"):
@@ -385,12 +385,12 @@ def load_space(path: str | Path) -> SearchSpace:
                 lo, hi = (cast(a) for a in args[:2])
             except ValueError:
                 raise TuneError(
-                    f"{path}:{lineno}: {kind} needs numeric bounds "
+                    f"{path}: line {lineno}: {kind} needs numeric bounds "
                     f"'lo hi', got {' '.join(args)!r}") from None
             scales = ([], ["log"]) if kind == "continuous" else ([],)
             if args[2:] not in scales:
                 raise TuneError(
-                    f"{path}:{lineno}: unexpected "
+                    f"{path}: line {lineno}: unexpected "
                     f"{' '.join(args[2:])!r} after the {kind} bounds")
             try:
                 if kind == "continuous":
@@ -398,17 +398,17 @@ def load_space(path: str | Path) -> SearchSpace:
                 else:
                     dims[name] = Integer(lo, hi)
             except TuneError as exc:
-                raise TuneError(f"{path}:{lineno}: {exc}") from exc
+                raise TuneError(f"{path}: line {lineno}: {exc}") from exc
         elif kind == "categorical":
             dims[name] = Categorical(tuple(_parse_scalar(a) for a in args))
         else:
-            raise TuneError(f"{path}:{lineno}: unknown dimension kind {kind!r}")
+            raise TuneError(f"{path}: line {lineno}: unknown dimension kind {kind!r}")
     if not dims:
         raise TuneError(f"{path}: empty search space")
     problem = _unmapped(dims)
     if problem is not None:
         name, reason = problem
-        raise TuneError(f"{path}:{lines[name]}: {reason}")
+        raise TuneError(f"{path}: line {lines[name]}: {reason}")
     return SearchSpace(dimensions=dims)
 
 

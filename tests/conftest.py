@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dtanet.elements import PERIODIC_TABLE, SYMBOLS
+from dtanet.engine import Node
 from dtanet.smiles import MoleculeTable
 
 
@@ -32,6 +33,38 @@ def central_difference_directional(eval_loss, param_array: np.ndarray,
 
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+class Concat(Node):
+    """Column-wise join of 2-d values with one row count; its backward
+    hands each input its columns of the gradient. The package's models
+    never join inputs (their first layer is ``indexed_dense``), so only
+    tests build this op, through :func:`concat`."""
+
+    def __init__(self, parts):
+        super().__init__("concat", tuple(parts))
+
+    def compute(self, ctx):
+        values = [node.value for node in self.inputs]
+        rows = {v.shape[0] for v in values}
+        if any(v.ndim != 2 for v in values) or len(rows) != 1:
+            raise self.shape_error(
+                f"expected 2-d blocks with equal row counts, got "
+                f"{[v.shape for v in values]}")
+        self._widths = [v.shape[1] for v in values]
+        return np.concatenate(values, axis=1)
+
+    def backprop(self):
+        offset = 0
+        for node, width in zip(self.inputs, self._widths):
+            if node.wants_grad:
+                self._accumulate(node, self.grad[:, offset:offset + width])
+            offset += width
+
+
+def concat(graph, parts, name=None):
+    """A :class:`Concat` of ``parts`` added to ``graph``."""
+    return graph.add(Concat(parts), name)
 
 
 def held_values(graph) -> list[str]:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_ci, brute_force_clusters, \
-    central_difference_directional, relative_error
+    central_difference_directional, concat, relative_error
 from dtanet.compounds import atom_features, ecfp_matrix, tanimoto
 from dtanet.data import inverse_transform, transform_value
 from dtanet.domain import check_ad, fit_ad
@@ -130,7 +130,7 @@ def _smooth_op_instance(op: str, seed: int):
         width = d
     elif op == "concat":
         w = g.parameter("w", rng.standard_normal((d, 3)))
-        out = g.concat([g.matmul(x, w), x])
+        out = concat(g, [g.matmul(x, w), x])
         width = 3 + d
     elif op == "batchnorm":
         gamma = g.parameter("gamma", 1.0 + 0.2 * rng.standard_normal(d))

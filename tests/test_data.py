@@ -145,7 +145,8 @@ class TestLoad:
         mapping = tmp_path / "assay_map.tsv"
         mapping.write_text("A\t-1\nB\t1\n", encoding="utf-8")
         with pytest.raises(DataError,
-                           match=r"assay_map\.tsv:1: task_id -1 is negative"):
+                           match=r"assay_map\.tsv: line 1: task_id -1 is "
+                                 r"negative"):
             load_dataset(*files, assay_map_path=mapping)
 
     def test_duplicate_assay_id_is_refused(self, tmp_path):
@@ -153,7 +154,8 @@ class TestLoad:
         mapping = tmp_path / "assay_map.tsv"
         mapping.write_text("A\t0\nB\t1\nA\t1\n", encoding="utf-8")
         with pytest.raises(DataError,
-                           match=r"assay_map\.tsv:3: duplicate assay id 'A'"):
+                           match=r"assay_map\.tsv: line 3: duplicate assay "
+                                 r"id 'A'"):
             load_dataset(*files, assay_map_path=mapping)
 
     @pytest.mark.parametrize("value, remap", [

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     central_difference_directional,
+    concat,
     held_values,
     relative_error,
 )
@@ -15,6 +16,7 @@ from dtanet.engine import (
     Adam,
     CompactGrad,
     EngineError,
+    GatherAdd,
     Graph,
     NonFiniteError,
     Parameter,
@@ -94,7 +96,7 @@ class TestOpSemantics:
         g = Graph()
         a = g.placeholder("a")
         b = g.placeholder("b")
-        cat = g.concat([a, b])
+        cat = concat(g, [a, b])
         target = g.placeholder("t")
         weight = g.placeholder("w")
         loss = g.weighted_mse(cat, target, weight)
@@ -310,7 +312,7 @@ class TestGraphExecution:
         g = Graph()
         x = g.placeholder("x")
         r = g.relu(x)
-        cat = g.concat([r, r])
+        cat = concat(g, [r, r])
         ran = computed_nodes(g)
         g.forward({"x": np.ones((1, 2))}, [cat])
         assert len(ran) == len(set(ran)) == 3
@@ -782,6 +784,32 @@ class TestIndexedDense:
         with pytest.raises(NonFiniteError, match="'first'"):
             g.infer(feeds, [loss], given={first: value})
 
+    @pytest.mark.parametrize("widths", [(5,), (5, 3)])
+    def test_a_given_gather_add_is_its_formed_value(self, widths):
+        g, loss, feeds, first, value = self._given(widths)
+        tables = tuple(first.project(feeds[f"t{k}"], sum(widths[:k]))
+                       for k in range(len(widths)))
+        record = GatherAdd(tables, tuple(feeds[f"i{k}"]
+                                         for k in range(len(widths))))
+        assert record.form().tobytes() == value.tobytes()
+        (want,) = g.infer(feeds, [loss], given={first: value})
+        (got,) = g.infer(feeds, [loss], given={first: record})
+        assert got == want
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda t, i: (t, (i[0] + 100, i[1])), "given index 0 leaves the "
+                                               "range of its"),
+        (lambda t, i: (t, (i[0], i[1][:-1])), "indices differ in length"),
+        (lambda t, i: (t, i[:1]), "one index each"),
+        (lambda t, i: ((t[0], t[1][:, :2]), i), "2-d tables of one width"),
+    ])
+    def test_a_given_gather_add_is_checked(self, change, message):
+        g, loss, feeds, first, _value = self._given()
+        tables = (first.project(feeds["t0"], 0), first.project(feeds["t1"], 5))
+        record = GatherAdd(*change(tables, (feeds["i0"], feeds["i1"])))
+        with pytest.raises(ShapeError, match=f"first.*{message}"):
+            g.infer(feeds, [loss], given={first: record})
+
     def test_given_nodes_must_be_in_the_graph(self):
         g, loss, feeds, _first, value = self._given()
         stranger = Graph().placeholder("stranger")
@@ -847,7 +875,7 @@ class TestBackwardScope:
         b = g.parameter("b", rng.standard_normal(2))
         z = g.matmul(x, w)
         y = g.add_bias(z, b)
-        cat = g.concat([y, z])
+        cat = concat(g, [y, z])
         target = g.placeholder("target")
         weight = g.placeholder("weight")
         loss = g.weighted_mse(cat, target, weight)
@@ -1314,7 +1342,7 @@ class TestCompactGrad:
         w = g.parameter("W", rng.standard_normal((12, 4)))
         total = g.add_bias(g.indexed_dense([(table, index)], w),
                            g.parameter("zero", np.zeros(4)))
-        both = g.concat([total, g.matmul(x, w)])
+        both = concat(g, [total, g.matmul(x, w)])
         loss = g.weighted_mse(g.matmul(both, g.parameter(
             "w_out", rng.standard_normal((8, 1)))), g.placeholder("target"),
             g.placeholder("weight"))

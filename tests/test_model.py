@@ -6,14 +6,23 @@ import re
 import struct
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import held_values
+from conftest import concat, held_values
 from dtanet import engine
+from dtanet import proteins as protein_module
 from dtanet.compounds import FeaturizationError
-from dtanet.engine import EngineError, Graph, NonFiniteError, ShapeError
+from dtanet.engine import (
+    EngineError,
+    GatherAdd,
+    Graph,
+    NonFiniteError,
+    ShapeError,
+)
 from dtanet.graphconv import GraphConv, GraphStructureError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
@@ -181,7 +190,7 @@ def concat_reference(model):
     else:
         x = g.placeholder("compound")
     if not cfg.compound_only:
-        x = g.concat([x, g.placeholder("protein")])
+        x = concat(g, [x, g.placeholder("protein")])
     for li, rate in enumerate(cfg.dropout_rates):
         x = g.add_bias(g.matmul(x, g.parameter(f"dense{li}.W",
                                                state[f"dense{li}.W"])),
@@ -566,6 +575,163 @@ class TestBlockedInference:
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+# Non-finite values a parity test writes, and the batch sizes it scores at.
+BAD_VALUES = (np.nan, np.inf, -np.inf)
+BATCH_SIZES = (1, 5, 64, 65, 1024)
+
+
+def scoring_model(variant, shape):
+    """A store over 150 pairs and a model of ``variant``, its state moved:
+    at ``ModelConfig``'s default sizes, or at the tests' tiny ones (one
+    16-wide hidden layer over 512 bits)."""
+    sizes = {} if shape == "default" else dict(
+        hidden_layers=(16,), fp_bits=512, conv_widths=(8,), conv_dense=12)
+    store = FeatureStore(memory_dataset(n_compounds=60, n_proteins=5,
+                                        n_pairs=150, seed=4),
+                         ModelConfig(variant=variant, **sizes))
+    model = store.build_model()
+    move_state(model, np.random.default_rng(8))
+    return store, model
+
+
+def poison_sites(model) -> list[str]:
+    """The state entries a parity test may write a non-finite value into,
+    plus ``table``, the first layer's projected compound rows."""
+    return ["table"] + sorted(model.graph.live_state())
+
+
+def scored(store, model, batch_size, block_entries):
+    """``store.predict`` of every pair at ``batch_size`` with inference
+    blocks of ``block_entries`` entries: the predictions, or the error's
+    class and message. The graph holds no value afterwards either way."""
+    with mock.patch.object(engine, "_INFER_BLOCK", block_entries), \
+            np.errstate(all="ignore"):
+        try:
+            result = store.predict(model, np.arange(store.dataset.n_pairs),
+                                   batch_size=batch_size)
+        except EngineError as error:
+            result = (type(error), str(error))
+    assert held_values(model.graph) == []
+    return result
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    return np.array_equal(got, want)
+
+
+class TestScoringErrorParity:
+    """A blocked scoring call gives the bytes and the error (class and
+    message) of the same call run node by node on whole arrays, whichever
+    state entry or first-layer table row holds a NaN or an infinity and
+    whichever row block it first shows in."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return wide_model()[1]
+
+    @pytest.mark.parametrize("shape", ["default", "tiny"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_blocked_predict_matches_node_by_node(self, variant, shape):
+        store, model = scoring_model(variant, shape)
+        width = model.cfg.hidden_layers[0]
+        state = model.graph.state_dict()
+        live = model.graph.live_state()
+        real_projection = FeatureStore._projection
+
+        @settings(max_examples=8, deadline=None, derandomize=True)
+        @given(site=st.sampled_from(poison_sites(model)),
+               bad=st.sampled_from(BAD_VALUES),
+               row=st.integers(0, 10 ** 6), column=st.integers(0, 10 ** 6))
+        @example(site="bn0.beta", bad=-np.inf, row=0, column=3)
+        @example(site="dense0.b", bad=np.nan, row=0, column=3)
+        @example(site="table", bad=np.inf, row=7, column=3)
+        def check(site, bad, row, column):
+            def poisoned(self, model, block, distinct, batch_size):
+                table = real_projection(self, model, block, distinct,
+                                        batch_size)
+                if block == 0:
+                    table[row % len(table), column % table.shape[1]] = bad
+                return table
+
+            target = live.get(site)
+            if target is not None and target.ndim == 2:
+                target[row % len(target)] = bad
+            elif target is not None:
+                target[column % len(target)] = bad
+            try:
+                with mock.patch.object(
+                        FeatureStore, "_projection",
+                        poisoned if site == "table" else real_projection):
+                    reference = {size: scored(store, model, size, 1 << 40)
+                                 for size in BATCH_SIZES}
+                    errors = [r for r in reference.values()
+                              if isinstance(r, tuple)]
+                    # one poisoned entry reaches every chunking alike
+                    assert not errors or errors == [errors[0]] * len(
+                        BATCH_SIZES)
+                    for entries in (engine._INFER_BLOCK, 16 * width):
+                        for size in (64, 65, 1024):
+                            got = scored(store, model, size, entries)
+                            assert same_outcome(got, reference[size]), \
+                                (site, bad, size, entries)
+            finally:
+                model.graph.load_state(state)
+
+        check()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(block=st.sampled_from(["first", "middle", "last"]),
+           site=st.sampled_from(["table0", "table1", "dense0.b", "bn0.gamma",
+                                 "bn0.beta", "bn0.running_mean",
+                                 "bn0.running_var", "dense1.W", "dense1.b",
+                                 "bn1.beta"]),
+           bad=st.sampled_from(BAD_VALUES), seed=st.integers(0, 2 ** 16))
+    def test_a_given_gather_add_matches_its_formed_array(self, wide, block,
+                                                         site, bad, seed):
+        graph, first = wide.graph, wide.first_layer
+        rng = np.random.default_rng(seed)
+        n = 3 * BLOCK_ROWS + 10
+        tables = (rng.standard_normal((20, 256)),
+                  rng.standard_normal((6, 256)))
+        # table row 0 is read by one pair, in the block drawn
+        at = {"first": 5, "middle": BLOCK_ROWS + 7, "last": n - 3}[block]
+        indices = (rng.integers(1, 20, n), rng.integers(1, 6, n))
+        indices[0][at] = indices[1][at] = 0
+        live = graph.live_state()
+        state = graph.state_dict()
+        column = int(rng.integers(0, 256))
+        if site.startswith("table"):
+            tables[int(site[-1])][0, column] = bad
+        else:  # an entry of a vector, a row of a weight
+            live[site][column] = bad
+        kept = [a.tobytes() for a in tables + indices]
+        record = GatherAdd(tables, indices)
+        formed = record.form()
+
+        def run(value, block_entries):
+            with mock.patch.object(engine, "_INFER_BLOCK", block_entries), \
+                    np.errstate(all="ignore"):
+                try:
+                    (out,) = graph.infer({}, [wide.output], {first: value})
+                except EngineError as error:
+                    out = (type(error), str(error))
+            assert held_values(graph) == []
+            return out
+
+        try:
+            want = run(formed, 1 << 40)
+            for value in (record, formed):
+                for entries in (engine._INFER_BLOCK, 16 * 256):
+                    assert same_outcome(run(value, entries), want)
+            assert [a.tobytes() for a in tables + indices] == kept
+        finally:
+            graph.load_state(state)
+        if site.startswith("table") or site == "dense0.b":
+            assert isinstance(want, tuple)  # the value reached a check
+
+
 class TestFeatureStore:
     def test_degree_overflow_names_the_compound(self):
         dataset = memory_dataset(n_compounds=4, n_proteins=2, n_pairs=6)
@@ -574,6 +740,41 @@ class TestFeatureStore:
                           molecules=None)
         with pytest.raises(FeaturizationError, match=re.escape(repr(bad))):
             FeatureStore(dataset, small_config(variant="padme-graphconv"))
+
+    def test_a_non_finite_descriptor_is_refused_naming_the_protein(
+            self, monkeypatch):
+        dataset = memory_dataset(n_compounds=4, n_proteins=3, n_pairs=6)
+        real = protein_module.descriptor_matrix
+
+        def poisoned(sequences, ids):
+            matrix = real(sequences, ids)
+            matrix[1, 7] = np.inf
+            return matrix
+
+        monkeypatch.setattr(protein_module, "descriptor_matrix", poisoned)
+        with pytest.raises(NonFiniteError,
+                           match=re.escape(repr(dataset.protein_ids[1]))):
+            FeatureStore(dataset, small_config())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_store_tables_are_projected_without_an_inference_pass(
+            self, variant, monkeypatch):
+        # fingerprint and descriptor rows go straight to the projection;
+        # a graph-conv compound block runs its conv stack, one pass a block
+        store = small_store(variant)
+        model = store.build_model()
+        passes = []
+        real = Graph.infer
+
+        def spy(graph, feeds, outputs, given=None):
+            passes.append([node.name for node in outputs])
+            return real(graph, feeds, outputs, given)
+
+        monkeypatch.setattr(Graph, "infer", spy)
+        store.predict(model, np.arange(30), batch_size=16)
+        # the 12 compounds make one block of at most 16
+        blocks = [["gather"]] if variant.endswith("graphconv") else []
+        assert passes == blocks + [["output"]] * 2
 
     @pytest.mark.parametrize("variant, n_tasks", [
         *((variant, 1) for variant in VARIANTS),

@@ -668,6 +668,23 @@ class TestPredictEvaluate:
         task0 = next(t for t in report.tasks if t.task_id == 0)
         assert task0.rmse == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("task_id", [30, 9999999, int("9" * 30)])
+    def test_evaluate_scores_the_task_ids_present(self, tmp_path, task_id):
+        # a column per id present, labelled with it: no row for an absent id
+        preds = tmp_path / "preds.csv"
+        preds.write_text("smiles,protein_id,task_id,value,prediction\n"
+                         "CCO,P0,0,100,1.5\n"
+                         f"CCC,P0,{task_id},5,3.0\n"
+                         "CCN,P0,0,20,2.5\n", encoding="utf-8")
+        report = run_evaluate(preds, tmp_path / "eval.csv")
+        assert [(t.task_id, t.n_records) for t in report.tasks] == [
+            (0, 2), (task_id, 1)]
+        rows = (tmp_path / "eval.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["0", "2"], [str(task_id), "1"], ["aggregate", "3"]]
+        y = 4.0 - np.log10(5.0)
+        assert report.tasks[1].rmse == pytest.approx(abs(y - 3.0), rel=1e-12)
+
     def test_evaluate_discards_a_non_numeric_value(self, tmp_path, caplog):
         preds = tmp_path / "preds.csv"
         preds.write_text("smiles,protein_id,task_id,value,prediction\n"

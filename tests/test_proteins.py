@@ -91,7 +91,7 @@ class TestSequenceTable:
     def test_invalid_sequence_reports_line(self, tmp_path):
         path = tmp_path / "proteins.tsv"
         path.write_text("P1\t0\tAC1EF\n", encoding="utf-8")
-        with pytest.raises(SequenceError, match="proteins.tsv:1"):
+        with pytest.raises(SequenceError, match="proteins.tsv: line 1: "):
             read_sequence_table(path)
 
     def test_validate_sequence_passes_canonical(self):

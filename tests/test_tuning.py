@@ -227,7 +227,8 @@ class TestSpaceFile:
         path = tmp_path / "space.cfg"
         path.write_text(f"# bounds\n{line}\n", encoding="utf-8")
         last = 1 + len(line.splitlines())  # the line at fault
-        with pytest.raises(TuneError, match=f"space.cfg:{last}: {message}"):
+        with pytest.raises(TuneError,
+                           match=f"space.cfg: line {last}: {message}"):
             load_space(path)
 
     def test_unknown_dimension_names_the_line(self, tmp_path):
@@ -235,7 +236,8 @@ class TestSpaceFile:
         path.write_text("dropout continuous 0 0.5\n"
                         "momentum continuous 0.8 0.99\n", encoding="utf-8")
         with pytest.raises(TuneError,
-                           match=r"space.cfg:2: unknown dimension 'momentum'"):
+                           match=r"space.cfg: line 2: unknown dimension "
+                                 r"'momentum'"):
             load_space(path)
 
     @pytest.mark.parametrize("line, name", [
@@ -246,7 +248,8 @@ class TestSpaceFile:
         path = tmp_path / "space.cfg"
         path.write_text(f"dropout continuous 0 0.5\n{line}\n",
                         encoding="utf-8")
-        with pytest.raises(TuneError, match=f"space.cfg:2: '{name}' needs"):
+        with pytest.raises(TuneError,
+                           match=f"space.cfg: line 2: '{name}' needs"):
             load_space(path)
 
     def test_default_space_samples(self):

@@ -19,6 +19,13 @@ each one, a fresh interpreter
 * scores 2600 synthetic pairs of 1300 compounds and the 8 training
   proteins with the trained ``compound-only-ecfp`` model the same way
   (prediction bytes of the single-table first layer, three chunks);
+* reloads the trained ``padme-ecfp`` and ``padme-graphconv`` checkpoints
+  and, with a NaN and then a +inf written into one state entry at a time
+  (a ``dense0.W`` row, ``dense0.b``, ``bn0.gamma``, ``bn0.running_var``, a
+  ``dense1.W`` row and ``bn1.beta``), scores the 2600 pairs of 1300
+  compounds at the default ``batch_size`` and at ``batch_size=5`` (each
+  call's error class and message, or its prediction bytes when it
+  succeeds), so that two trees raise the same scoring errors;
 * fits one ``padme-ecfp`` model with an early best epoch (evaluated
   every 2 epochs at learning rate 0.01 and patience 1, so the fit stops 2
   epochs after its best and restores it) and saves its checkpoint (its
@@ -371,6 +378,45 @@ def repeat_predict_digest(model) -> str:
     return digest.hexdigest()
 
 
+# State entries the scoring-errors row poisons, each at its row or entry 3.
+POISONED_ENTRIES = ("dense0.W", "dense0.b", "bn0.gamma", "bn0.running_var",
+                    "dense1.W", "bn1.beta")
+
+
+def scoring_errors_digest(checkpoints: list[Path]) -> str:
+    """Digest of what scoring the 2600 pairs of new compounds gives, at the
+    default ``batch_size`` and at 5, with each model of ``checkpoints``
+    holding a NaN, then a +inf, in row or entry 3 of one entry of
+    ``POISONED_ENTRIES``: the error's class and message, or the
+    predictions' bytes."""
+    import numpy as np
+
+    from dtanet.model import FeatureStore, Model
+
+    digest = hashlib.sha256()
+    for path in checkpoints:
+        model, _ = Model.load(path)
+        store = FeatureStore(new_compounds_dataset(), model.cfg)
+        pairs = np.arange(store.dataset.n_pairs)
+        state = model.graph.state_dict()
+        for name in POISONED_ENTRIES:
+            for bad in (np.nan, np.inf):
+                model.graph.live_state()[name][3] = bad
+                for batch_size in (1024, 5):
+                    try:
+                        with np.errstate(all="ignore"):
+                            outcome = store.predict(model, pairs,
+                                                    batch_size).tobytes()
+                    except Exception as error:
+                        outcome = (f"{type(error).__name__}: "
+                                   f"{error}").encode()
+                    digest.update(f"{path.name}|{name}|{bad}|{batch_size}|"
+                                  .encode())
+                    digest.update(outcome)
+                model.graph.load_state(state)
+    return digest.hexdigest()
+
+
 def ecfp_matrices_digest() -> str:
     """Digest of the fingerprint matrices of the 1300 new compounds at
     radius 0..3, with 512 and with 4096 bits."""
@@ -435,6 +481,9 @@ def digests() -> dict[str, str]:
                 out["compound-only predict"] = \
                     multi_chunk_predict_digest(model,
                                                len(dataset.protein_ids))
+        out["scoring errors"] = scoring_errors_digest(
+            [Path(work) / f"{variant}.ckpt"
+             for variant in ("padme-ecfp", "padme-graphconv")])
         early_best_digests(out, dataset, train_idx, val_idx, Path(work))
         store = FeatureStore(dataset, ModelConfig(variant="padme-graphconv",
                                                   seed=SEED))
