@@ -2,9 +2,8 @@
 
 Featurizers read the columns of a molecule table and return plain arrays.
 :func:`ecfp_matrix` is the one builder of fingerprint matrices: model input,
-clustering and the fingerprint CSV. :func:`ecfp` and :func:`ecfp_identifiers`
-are its one-molecule views, as :func:`atom_features` is of
-:func:`atom_feature_matrix`.
+clustering and the fingerprint CSV. :func:`ecfp` is its one-molecule view,
+as :func:`atom_features` is of :func:`atom_feature_matrix`.
 
 The fingerprint is the classic iterative circular construction (ECFP,
 Rogers & Hahn, J. Chem. Inf. Model. 50 (2010) 742): every atom starts from
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_ATOM_VOCABULARY",
     "ecfp",
     "ecfp_matrix",
-    "ecfp_identifiers",
     "tanimoto",
     "atom_features",
     "atom_feature_matrix",
@@ -193,28 +191,19 @@ def _ecfp_blocks(molecules: MoleculeTable, radius: int):
         yield np.asarray(block)[rows], ids
 
 
-def ecfp_identifiers(graph: MoleculeTable, radius: int) -> tuple[int, ...]:
-    """Surviving 32-bit substructure identifiers of ``graph``, sorted
-    ascending: the distinct identifiers :func:`ecfp_matrix` folds."""
-    ((_, ids),) = _ecfp_blocks(graph, radius)
-    return tuple(np.unique(ids).tolist())
-
-
 def ecfp(graph: MoleculeTable, radius: int = 2,
          n_bits: int = 2048) -> np.ndarray:
     """Fold the surviving identifiers of ``graph`` into a uint8 0/1 vector."""
     return ecfp_matrix(graph, radius, n_bits)[0]
 
 
-def ecfp_matrix(molecules: MoleculeTable | Sequence[MoleculeTable],
-                radius: int = 2, n_bits: int = 2048) -> np.ndarray:
+def ecfp_matrix(molecules: MoleculeTable, radius: int = 2,
+                n_bits: int = 2048) -> np.ndarray:
     """uint8 ``(len(molecules), n_bits)`` matrix: row ``i`` is the
     fingerprint of molecule ``i``, bit ``id % n_bits`` set for each of its
-    surviving identifiers. ``molecules`` is a table or a sequence of
-    tables."""
+    surviving identifiers."""
     if n_bits not in ECFP_ALLOWED_BITS:
         raise FeaturizationError(f"n_bits must be one of {ECFP_ALLOWED_BITS}, got {n_bits}")
-    molecules = MoleculeTable.concat(molecules)
     matrix = np.zeros((len(molecules), n_bits), dtype=np.uint8)
     for rows, ids in _ecfp_blocks(molecules, radius):
         matrix[rows, ids % n_bits] = 1

@@ -7,11 +7,8 @@ node exactly once, and raises as soon as any op produces a non-finite value.
 Parameter values are checked where they enter (``Parameter`` creation and
 ``Graph.load_state``) rather than on every forward pass; a parameter written
 by hand is caught by the first op that reads it. Every finiteness check
-(op outputs, parameters, loaded state, Adam's gradients) is ``all_finite``:
-on an array of a million entries or more, one sum, which is finite only if
-every entry is, and the exact entrywise test only when the sum is not
-finite; on a smaller array the entrywise test alone. The outcome and the
-error message are always those of the entrywise test.
+(op outputs, parameters, loaded state, Adam's gradients) is ``all_finite``,
+the entrywise test.
 
 ``indexed_dense`` is the first dense layer of a model whose input row joins
 several blocks (a compound vector and a protein descriptor): each block is a
@@ -219,30 +216,8 @@ class NonFiniteError(EngineError):
     pass
 
 
-# Arrays of at least this many entries are checked for finiteness through
-# their sum first. Interleaved medians on a 2-core Xeon: the sum plus its
-# error-state guard took 1.14 ms where the entrywise test took 1.38 ms on a
-# 10469 x 256 array and 0.51 ms against 0.53 ms on 4157 x 256, but lost
-# below about half a million entries (8.8 against 5.6 us at 32 x 256, 250
-# against 238 us at 64 x 8421), where the call overhead outweighs the saved
-# boolean temporary.
-_SUM_FIRST_SIZE = 1 << 20
-
-
 def all_finite(a: np.ndarray) -> bool:
-    """``np.isfinite(a).all()``, read from one sum where that pays.
-
-    A finite IEEE sum means every entry is finite, so for a large array one
-    pass without a boolean temporary settles the common case. A sum that is
-    not finite (a non-finite entry, or finite entries whose sum overflows)
-    falls back to the exact entrywise test, so the answer is always the
-    exact one, and the overflow raises no warning.
-    """
-    if a.size >= _SUM_FIRST_SIZE:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.add.reduce(a, axis=None)
-        if np.isfinite(total):
-            return True
+    """Whether every entry of ``a`` is finite."""
     return bool(np.isfinite(a).all())
 
 

@@ -55,7 +55,6 @@ Why each op gives the same bytes as the same op on atoms in original order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -165,15 +164,10 @@ class PackedGraphs:
         return self.features[source], batch
 
 
-def pack_graphs(graphs: MoleculeTable | Sequence[MoleculeTable],
-                features: np.ndarray | Sequence[np.ndarray],
+def pack_graphs(molecules: MoleculeTable, features: np.ndarray,
                 max_degree: int = 6) -> tuple[np.ndarray, GraphBatch]:
-    """Feature rows (in row order) and topology of ``graphs`` (a table or
-    tables) as one batch; ``features`` is one matrix or one per table."""
-    molecules = MoleculeTable.concat(graphs)
-    if not isinstance(features, np.ndarray):
-        features = (np.concatenate(features, axis=0) if len(features)
-                    else np.zeros((0, 0)))
+    """Feature rows (in row order) and topology of every molecule of
+    ``molecules`` as one batch, ``features`` holding one row per atom."""
     packed = PackedGraphs.from_table(molecules, features, max_degree)
     return packed.batch(np.arange(len(molecules)))
 

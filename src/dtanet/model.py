@@ -115,6 +115,10 @@ class ModelConfig:
             raise ModelError("hidden_layers must have 1..5 entries")
         if any(w < 1 for w in self.hidden_layers):
             raise ModelError("hidden layer widths must be positive")
+        if any(w < 1 for w in self.conv_widths):
+            raise ModelError("conv_widths entries must be positive")
+        if self.conv_dense < 1:
+            raise ModelError("conv_dense must be positive")
         if self.n_tasks < 1:
             raise ModelError("n_tasks must be >= 1")
         rates = self.dropout_rates

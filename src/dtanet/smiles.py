@@ -37,7 +37,9 @@ Molecule ``m`` owns atoms ``atom_offsets[m]:atom_offsets[m + 1]`` and bonds
 cycle). ``bonds`` holds ``(a, b, order)`` rows in parse order, with atom ids
 local to the molecule. :meth:`MoleculeColumns.append` scans one string onto
 shared column lists; :func:`parse_table` and its one-molecule view
-:func:`parse_smiles` turn them into a table.
+:func:`parse_smiles` turn them into a table. A table of many molecules comes
+from one scan of their strings; tables are never joined, only selected from
+(:meth:`MoleculeTable.take`).
 
 The scan reads the text once through a local index. Atoms of the organic
 subset take one dict lookup (plus the ``Cl``/``Br`` check), and bond
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -173,20 +175,6 @@ class MoleculeTable:
             _offsets(np.diff(self.bond_offsets)[rows]),
             *(getattr(self, name)[atoms] for name in _PER_ATOM),
             self.bonds[_spans(self.bond_offsets, rows)])
-
-    @staticmethod
-    def concat(tables: MoleculeTable | Sequence[MoleculeTable]
-               ) -> MoleculeTable:
-        """The molecules of ``tables``, back to back (a table is itself)."""
-        if isinstance(tables, MoleculeTable):
-            return tables
-        if not tables:
-            return MoleculeColumns().table()
-        return MoleculeTable(
-            _offsets(np.concatenate([t.sizes for t in tables])),
-            _offsets(np.concatenate([np.diff(t.bond_offsets) for t in tables])),
-            *(np.concatenate([getattr(t, name) for t in tables])
-              for name in (*_PER_ATOM, "bonds")))
 
 
 def _offsets(counts) -> np.ndarray:

@@ -12,7 +12,10 @@ Four schemes are provided:
 
 A separate holdout split supports hyperparameter work: training and tuning
 validate on the 10% of records it holds out, which the per-fold views keep
-in training folds and drop from validation folds (views of 80% / 18%).
+in training folds and drop from validation folds. At k=5 a training view is
+every record outside its fold, about 80%, and a validation view its fold
+minus the holdout records there, about 18%; that share varies per fold with
+how many holdout records the fold holds.
 
 Everything is deterministic given (records, seed); ``audit_*`` helpers
 re-check each scheme's constraint from scratch with :func:`fold_spans`.
@@ -43,7 +46,6 @@ __all__ = [
     "fold_spans",
     "hyperopt_holdout",
     "fold_views",
-    "holdout_fold_views",
     "audit_warm",
     "audit_cold",
     "audit_clusters",
@@ -427,29 +429,6 @@ def fold_views(assignment: FoldAssignment,
     return [(np.flatnonzero(assignment.folds != f),
              np.flatnonzero((assignment.folds == f) & kept))
             for f in range(assignment.k)]
-
-
-@dataclass
-class HoldoutViews:
-    holdout: np.ndarray
-    views: list[tuple[np.ndarray, np.ndarray]]
-
-
-def holdout_fold_views(n: int, k: int, seed: int = 0,
-                       fraction: float = 0.1) -> HoldoutViews:
-    """Random folds stratified over the holdout membership.
-
-    Dealing holdout and non-holdout records separately guarantees each fold
-    its proportional share of both, so training views are 80% and validation
-    views 18% of the dataset to within one record (for fraction 0.1, k=5).
-    """
-    rest, holdout = hyperopt_holdout(n, seed=seed, fraction=fraction)
-    rng = np.random.default_rng(seed + 1)
-    folds = np.empty(n, dtype=np.int64)
-    for part in (holdout, rest):
-        folds[part[rng.permutation(part.size)]] = np.arange(part.size) % k
-    assignment = FoldAssignment(k=k, folds=folds, scheme="random", seed=seed)
-    return HoldoutViews(holdout=holdout, views=fold_views(assignment, holdout))
 
 
 # -- artifact files -----------------------------------------------------------

@@ -39,11 +39,10 @@ import numpy as np
 
 from .engine import Adam, RowSelection, require_finite
 from .metrics import EvalReport, evaluate_predictions
-from .model import FeatureStore, Model, ModelConfig
+from .model import FeatureStore, Model
 
 __all__ = ["TrainConfig", "TrainingError", "EpochRow", "TrainResult",
-           "composite_score", "validation_scores", "train",
-           "epoch_cost_probe"]
+           "composite_score", "validation_scores", "train"]
 
 log = logging.getLogger(__name__)
 
@@ -231,38 +230,3 @@ def history_rows(result: TrainResult) -> list[str]:
         lines.append(f"{row.epoch},{row.train_loss:.10g},{mean_rmse},"
                      f"{mean_ci},{row.composite:.10g}")
     return lines
-
-
-def epoch_cost_probe(n_pairs: int, seed: int = 0, batch_size: int = 128,
-                     timed_epochs: int = 5) -> float:
-    """Wall-clock seconds per training epoch on synthetic pairs.
-
-    Builds a fixed small paired-input model over ``n_pairs`` synthetic
-    records (features drawn directly, featurization excluded from the
-    timing), runs one warm-up epoch and returns the minimum over the timed
-    epochs; the minimum is the repeat least contaminated by scheduler noise.
-    Cost per epoch should scale with the pair count alone.
-    """
-    if n_pairs < 1:
-        raise TrainingError("empty training set")
-    from . import synthetic  # local import: synthetic depends on this module's peers
-
-    dataset = synthetic.memory_dataset(
-        n_compounds=max(8, n_pairs // 50), n_proteins=8, n_pairs=n_pairs,
-        seed=seed)
-    cfg = ModelConfig(variant="padme-ecfp", hidden_layers=(64,),
-                      dropout_rates=(0.0,), fp_bits=512, seed=seed)
-    store = FeatureStore(dataset, cfg)
-    model = store.build_model()
-    adam = Adam(model.graph.parameters(), learning_rate=1e-3)
-    rng = np.random.default_rng(seed)
-    indices = np.arange(dataset.n_pairs, dtype=np.int64)
-    times = []
-    for epoch in range(timed_epochs + 1):
-        order = rng.permutation(indices)
-        started = time.perf_counter()
-        _run_epoch(model, store, order, adam, batch_size, rng)
-        elapsed = time.perf_counter() - started
-        if epoch > 0:  # first epoch is warm-up
-            times.append(elapsed)
-    return float(min(times))

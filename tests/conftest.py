@@ -8,14 +8,20 @@ oracle runs breadth-first search over an explicit similarity graph.
 
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dtanet.compounds import _ecfp_blocks
 from dtanet.elements import PERIODIC_TABLE, SYMBOLS
-from dtanet.engine import Node
+from dtanet.engine import Adam, Node
+from dtanet.model import FeatureStore, ModelConfig
 from dtanet.smiles import MoleculeTable
+from dtanet.splits import FoldAssignment, fold_views, hyperopt_holdout
+from dtanet.synthetic import memory_dataset
+from dtanet.training import TrainingError, _run_epoch
 
 
 def central_difference_directional(eval_loss, param_array: np.ndarray,
@@ -153,6 +159,31 @@ def molecule_view(table: MoleculeTable, row: int = 0) -> SimpleNamespace:
         adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
 
 
+def join_tables(tables) -> MoleculeTable:
+    """The molecules of ``tables``, back to back, joined column by column
+    here rather than by a parse of their strings."""
+    def offsets(counts):
+        return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+    return MoleculeTable(
+        offsets(np.concatenate([t.sizes for t in tables])),
+        offsets(np.concatenate([np.diff(t.bond_offsets) for t in tables])),
+        *(np.concatenate([getattr(t, name) for t in tables])
+          for name in ("atomic_numbers", "charges", "hydrogens", "aromatic",
+                       "ring", "bonds")))
+
+
+def identifiers_per_molecule(molecules: MoleculeTable,
+                             radius: int) -> list[tuple[int, ...]]:
+    """Each molecule's surviving ECFP identifiers, sorted ascending: the
+    distinct identifiers ``ecfp_matrix`` folds, read off its blocks."""
+    found: list[set[int]] = [set() for _ in range(len(molecules))]
+    for rows, ids in _ecfp_blocks(molecules, radius):
+        for row, identifier in zip(rows.tolist(), ids.tolist()):
+            found[row].add(identifier)
+    return [tuple(sorted(s)) for s in found]
+
+
 def assert_tables_equal(a: MoleculeTable, b: MoleculeTable) -> None:
     """Equal columns, dtypes and shapes, column for column."""
     for name in ("atom_offsets", "bond_offsets", "atomic_numbers", "charges",
@@ -162,8 +193,55 @@ def assert_tables_equal(a: MoleculeTable, b: MoleculeTable) -> None:
         assert np.array_equal(x, y), name
 
 
+def holdout_fold_views(n: int, k: int, seed: int = 0,
+                       fraction: float = 0.1) -> SimpleNamespace:
+    """The ``hyperopt_holdout`` of ``n`` records and the ``fold_views`` of
+    random folds dealt over the holdout and the other records separately,
+    so each fold gets its proportional share of both: training views are
+    80% and validation views 18% of the records to within one record (for
+    fraction 0.1, k=5)."""
+    rest, holdout = hyperopt_holdout(n, seed=seed, fraction=fraction)
+    rng = np.random.default_rng(seed + 1)
+    folds = np.empty(n, dtype=np.int64)
+    for part in (holdout, rest):
+        folds[part[rng.permutation(part.size)]] = np.arange(part.size) % k
+    assignment = FoldAssignment(k=k, folds=folds, scheme="random", seed=seed)
+    return SimpleNamespace(holdout=holdout,
+                           views=fold_views(assignment, holdout))
+
+
+def epoch_cost_probe(n_pairs: int, seed: int = 0, batch_size: int = 128,
+                     timed_epochs: int = 5) -> float:
+    """Wall-clock seconds per training epoch on synthetic pairs.
+
+    Builds a fixed small paired-input model over ``n_pairs`` synthetic
+    records (featurization excluded from the timing), runs one warm-up
+    epoch and returns the minimum over the timed epochs; the minimum is the
+    repeat least contaminated by scheduler noise. Cost per epoch should
+    scale with the pair count alone.
+    """
+    if n_pairs < 1:
+        raise TrainingError("empty training set")
+    dataset = memory_dataset(n_compounds=max(8, n_pairs // 50), n_proteins=8,
+                             n_pairs=n_pairs, seed=seed)
+    cfg = ModelConfig(variant="padme-ecfp", hidden_layers=(64,),
+                      dropout_rates=(0.0,), fp_bits=512, seed=seed)
+    store = FeatureStore(dataset, cfg)
+    model = store.build_model()
+    adam = Adam(model.graph.parameters(), learning_rate=1e-3)
+    rng = np.random.default_rng(seed)
+    indices = np.arange(dataset.n_pairs, dtype=np.int64)
+    times = []
+    for epoch in range(timed_epochs + 1):
+        order = rng.permutation(indices)
+        started = time.perf_counter()
+        _run_epoch(model, store, order, adam, batch_size, rng)
+        elapsed = time.perf_counter() - started
+        if epoch > 0:  # first epoch is warm-up
+            times.append(elapsed)
+    return float(min(times))
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
-    from dtanet.synthetic import memory_dataset
-
     return memory_dataset(n_compounds=12, n_proteins=6, n_pairs=40, seed=7)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_ci, brute_force_clusters, \
-    central_difference_directional, concat, relative_error
-from dtanet.compounds import atom_features, ecfp_matrix, tanimoto
+    central_difference_directional, concat, epoch_cost_probe, \
+    holdout_fold_views, relative_error
+from dtanet.compounds import atom_feature_matrix, ecfp_matrix, tanimoto
 from dtanet.data import inverse_transform, transform_value
 from dtanet.domain import check_ad, fit_ad
 from dtanet.engine import Adam, Graph
@@ -25,7 +26,7 @@ from dtanet.graphconv import GraphConv, GraphGather, GraphPool, pack_graphs
 from dtanet.metrics import aggregate, concordance_index, evaluate_predictions
 from dtanet.model import FeatureStore, Model, ModelConfig
 from dtanet.proteins import psc
-from dtanet.smiles import parse_smiles
+from dtanet.smiles import parse_table
 from dtanet.splits import (
     audit_clusters,
     audit_cold,
@@ -33,12 +34,10 @@ from dtanet.splits import (
     cluster_compounds,
     cold_cluster_split,
     cold_entity_split,
-    holdout_fold_views,
     warm_split,
 )
 from dtanet.synthetic import memory_dataset, random_sequence, unique_smiles, \
     write_fixture
-from dtanet.training import epoch_cost_probe
 from dtanet.tuning import Continuous, SearchSpace, gp_ei_search, random_search
 
 H = 1e-5
@@ -177,9 +176,8 @@ def _graph_op_instance(kind: str, seed: int):
     rng = np.random.default_rng(seed)
     smiles = unique_smiles(int(rng.integers(2, 5)),
                            np.random.default_rng(seed + 999))
-    mols = [parse_smiles(s) for s in smiles]
-    feats = [atom_features(m) for m in mols]
-    rows, batch = pack_graphs(mols, feats, 6)
+    mols = parse_table(smiles)
+    rows, batch = pack_graphs(mols, atom_feature_matrix(mols), 6)
     g = Graph()
     h = g.placeholder("h")
     structure = g.object_input("structure")
@@ -409,7 +407,7 @@ def test_criterion_7_split_contracts():
             leaks = audit_cold(cold, keys)
             assert all(not leak for leak in leaks.values())
         smiles = unique_smiles(200, np.random.default_rng(200))
-        fps = ecfp_matrix([parse_smiles(s) for s in smiles], 2, 512)
+        fps = ecfp_matrix(parse_table(smiles), 2, 512)
         clustering = cluster_compounds(fps, 0.7)
         sims = np.zeros((200, 200))
         for i in range(200):

@@ -223,6 +223,21 @@ class TestErrors:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "model.conv_widths=-1", "model.conv_widths=8,0", "model.conv_dense=-3",
+        "model.conv_dense=0"])
+    def test_non_positive_conv_width_is_a_model_error(
+            self, workspace, tmp_path, capsys, setting):
+        root, data = workspace
+        code = main(["train", "--data-dir", str(data), "--variant",
+                     "padme-graphconv", "--out", str(tmp_path / "m.ckpt"),
+                     "--set", setting] + TINY_ARGS)
+        assert code == 1
+        field = setting.split("=")[0].split(".")[1]
+        assert (f"error [model.ModelError]: {field}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.ckpt")])

@@ -16,14 +16,25 @@ from dtanet.compounds import (
     atom_feature_width,
     atom_features,
     ecfp,
-    ecfp_identifiers,
     ecfp_matrix,
     tanimoto,
 )
-from conftest import molecule_table, molecule_view
+from conftest import (
+    identifiers_per_molecule,
+    join_tables,
+    molecule_table,
+    molecule_view,
+)
 from dtanet.elements import PERIODIC_TABLE
-from dtanet.smiles import MoleculeTable, parse_smiles, parse_table
+from dtanet.smiles import parse_smiles, parse_table
 from dtanet.synthetic import random_smiles, unique_smiles
+
+
+def ecfp_identifiers(molecule, radius):
+    """The surviving identifiers of the one molecule ``molecule``, sorted
+    ascending."""
+    (ids,) = identifiers_per_molecule(molecule, radius)
+    return ids
 
 
 def fp_from_bits(indices, n_bits=512):
@@ -101,26 +112,25 @@ class TestEcfp:
             assert np.array_equal(np.unpackbits(raw)[:fp.size], fp)
 
     def test_matrix_rows_are_the_fingerprints(self):
-        molecules = [parse_smiles(s) for s in unique_smiles(
-            12, np.random.default_rng(3))]
-        matrix = ecfp_matrix(molecules, 3, 1024)
+        smiles = unique_smiles(12, np.random.default_rng(3))
+        matrix = ecfp_matrix(parse_table(smiles), 3, 1024)
         assert matrix.dtype == np.uint8 and matrix.shape == (12, 1024)
-        for row, molecule in zip(matrix, molecules):
-            assert np.array_equal(row, ecfp(molecule, 3, 1024))
-        assert ecfp_matrix([], 2, 512).shape == (0, 512)
+        for row, text in zip(matrix, smiles):
+            assert np.array_equal(row, ecfp(parse_smiles(text), 3, 1024))
+        assert ecfp_matrix(parse_table([]), 2, 512).shape == (0, 512)
 
     def test_matrix_checks_its_arguments_without_molecules(self):
         with pytest.raises(FeaturizationError, match="n_bits"):
-            ecfp_matrix([], 2, 1000)
+            ecfp_matrix(parse_table([]), 2, 1000)
         with pytest.raises(FeaturizationError, match="radius"):
-            ecfp_matrix([], -1, 512)
+            ecfp_matrix(parse_table([]), -1, 512)
         with pytest.raises(FeaturizationError, match="radius"):
             ecfp(parse_smiles("C"), -1)
 
     def test_empty_molecule_is_rejected(self):
         empty = molecule_table((), (), (), (), ())
         with pytest.raises(FeaturizationError, match="empty molecule"):
-            ecfp_matrix([parse_smiles("CC"), empty], 2, 512)
+            ecfp_matrix(join_tables([parse_smiles("CC"), empty]), 2, 512)
 
 
 def mix32_byte_loop(values):
@@ -250,7 +260,7 @@ def reference():
 class TestBatchAgainstScalarReference:
     def test_reference_set_spans_multi_word_atom_sets(self, reference):
         sizes = [m.n_atoms for m in reference[0]]
-        assert sizes == MoleculeTable.concat(reference[0]).sizes.tolist()
+        assert sizes == join_tables(reference[0]).sizes.tolist()
         assert max(sizes) > 128 and any(64 < n <= 128 for n in sizes)
 
     @pytest.mark.parametrize("radius", range(5))
@@ -258,8 +268,8 @@ class TestBatchAgainstScalarReference:
         molecules, expected = reference
         for seed, n_bits in enumerate(ECFP_ALLOWED_BITS):
             order = np.random.default_rng(seed).permutation(len(molecules))
-            matrix = ecfp_matrix([molecules[i] for i in order], radius,
-                                 n_bits)
+            matrix = ecfp_matrix(join_tables([molecules[i] for i in order]),
+                                 radius, n_bits)
             for row, i in zip(matrix, order):
                 folded = np.zeros(n_bits, dtype=np.uint8)
                 folded[[k % n_bits for k in expected[radius][i]]] = 1
@@ -268,7 +278,7 @@ class TestBatchAgainstScalarReference:
     @pytest.mark.parametrize("radius", range(5))
     def test_one_molecule_calls_match(self, reference, radius):
         molecules, expected = reference
-        matrix = ecfp_matrix(molecules, radius, 1024)
+        matrix = ecfp_matrix(join_tables(molecules), radius, 1024)
         for row, molecule, ids in zip(matrix, molecules, expected[radius]):
             assert ecfp_identifiers(molecule, radius) == ids
             assert np.array_equal(ecfp(molecule, radius, 1024), row)
@@ -276,7 +286,7 @@ class TestBatchAgainstScalarReference:
     def test_small_blocks_give_the_same_rows(self, reference, monkeypatch):
         from dtanet import compounds
 
-        molecules = reference[0]
+        molecules = join_tables(reference[0])
         whole = ecfp_matrix(molecules, 3, 2048)
         monkeypatch.setattr(compounds, "_BLOCK_WORDS", 64)
         assert np.array_equal(ecfp_matrix(molecules, 3, 2048), whole)

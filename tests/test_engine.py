@@ -376,7 +376,7 @@ class TestGraphExecution:
             g.load_state({"w": np.array([[np.inf, 0.0]])})
         assert np.array_equal(w.array, np.ones((1, 2)))
 
-    @pytest.mark.parametrize("size", [4, 1 << 20])  # the larger: sum first
+    @pytest.mark.parametrize("size", [4, 1 << 20])
     @pytest.mark.parametrize("mixed", [False, True])
     def test_finite_values_whose_sum_is_not_finite_pass(self, size, mixed):
         data = np.full((1, size), 1e308)

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     central_difference_directional,
+    join_tables,
     molecule_table,
     molecule_view,
     relative_error,
 )
-from dtanet.compounds import atom_features
+from dtanet.compounds import atom_feature_matrix, atom_features
 from dtanet.engine import Adam, Graph, Node
 from dtanet.graphconv import (
     GraphConv,
@@ -23,16 +24,21 @@ from dtanet.graphconv import (
     RestoreAtomOrder,
     pack_graphs,
 )
-from dtanet.smiles import BondOrder, MoleculeTable, parse_smiles
+from dtanet.smiles import BondOrder, parse_smiles, parse_table
 from dtanet.synthetic import unique_smiles
 
 MAX_DEGREE = 6
 
 
 def packed(smiles_list):
-    mols = [parse_smiles(s) for s in smiles_list]
-    feats = [atom_features(m) for m in mols]
-    return pack_graphs(mols, feats, MAX_DEGREE)
+    mols = parse_table(smiles_list)
+    return pack_graphs(mols, atom_feature_matrix(mols), MAX_DEGREE)
+
+
+def pack_molecules(mols):
+    """``pack_graphs`` of the one-molecule tables ``mols``, joined."""
+    table = join_tables(mols)
+    return pack_graphs(table, atom_feature_matrix(table), MAX_DEGREE)
 
 
 def conv_graph(width_in, width_out, rng, identity=False):
@@ -76,11 +82,11 @@ class TestConvSemantics:
         mol = parse_smiles("C(C)(C)(C)(C)(C)C")
         feats = atom_features(mol)
         with pytest.raises(GraphStructureError, match="degree 6"):
-            pack_graphs([mol], [feats], max_degree=5)
+            pack_graphs(mol, feats, max_degree=5)
 
     def test_empty_molecule_rejected(self):
         with pytest.raises(GraphStructureError, match="empty batch"):
-            pack_graphs([], [])
+            pack_graphs(parse_table([]), np.zeros((0, 0)))
 
 
 class TestPoolSemantics:
@@ -96,22 +102,18 @@ class TestPoolSemantics:
 
     def test_path_maxima(self):
         # path A-B-C with scalar features [1, 5, 2] -> [5, 5, 5]
-        mols = [parse_smiles("CCC")]
-        feats = [atom_features(mols[0])]
-        _, batch = pack_graphs(mols, feats, MAX_DEGREE)
+        _, batch = packed(["CCC"])
         rows = np.array([[1.0], [5.0], [2.0]])
         pooled = self._pool(rows[batch.atom_ids], batch)[batch.restore]
         assert pooled.ravel().tolist() == [5.0, 5.0, 5.0]
 
     def test_isolated_atom_unchanged(self):
-        _, batch = pack_graphs([parse_smiles("C")],
-                               [atom_features(parse_smiles("C"))], MAX_DEGREE)
+        _, batch = packed(["C"])
         rows = np.array([[3.5, -1.0]])
         assert np.array_equal(self._pool(rows, batch), rows)
 
     def test_tie_routes_to_lowest_atom_index(self):
-        mols = [parse_smiles("CC")]
-        _, batch = pack_graphs(mols, [atom_features(mols[0])], MAX_DEGREE)
+        _, batch = packed(["CC"])
         rows = np.array([[2.0], [2.0]])  # tie in both neighborhoods
         g = Graph()
         h = g.placeholder("h")
@@ -172,8 +174,8 @@ class TestEquivariance:
         fa, fb = atom_features(a), atom_features(b)
         rng = np.random.default_rng(5)
         g, _, _, conv = conv_graph(fa.shape[1], 8, rng)
-        _, batch_a = pack_graphs([a], [fa], MAX_DEGREE)
-        _, batch_b = pack_graphs([b], [fb], MAX_DEGREE)
+        _, batch_a = pack_graphs(a, fa, MAX_DEGREE)
+        _, batch_b = pack_graphs(b, fb, MAX_DEGREE)
         (out_a,) = g.forward({"h": fa[batch_a.atom_ids],
                               "structure": batch_a}, [conv])
         out_a = out_a[batch_a.restore]
@@ -186,9 +188,7 @@ class TestEquivariance:
 class TestGradients:
     def _full_stack(self, smiles_list, rng):
         """conv -> pool -> dense -> gather -> dense, scalar loss."""
-        mols = [parse_smiles(s) for s in smiles_list]
-        feats = [atom_features(m) for m in mols]
-        rows, batch = pack_graphs(mols, feats, MAX_DEGREE)
+        rows, batch = packed(smiles_list)
         g, h, structure, conv = conv_graph(rows.shape[1], 6, rng)
         pool = GraphPool(conv, structure)
         pool.name = "pool"
@@ -207,8 +207,8 @@ class TestGradients:
         loss = g.weighted_mse(out, target, weight)
         feeds = {"h": rows + 0.05 * rng.standard_normal(rows.shape),
                  "structure": batch,
-                 "target": rng.standard_normal((len(mols), 1)),
-                 "weight": np.ones((len(mols), 1))}
+                 "target": rng.standard_normal((len(smiles_list), 1)),
+                 "weight": np.ones((len(smiles_list), 1))}
         return g, loss, feeds
 
     @pytest.mark.parametrize("seed", range(6))
@@ -418,8 +418,7 @@ def _parity_batch(seed):
             for _ in range(int(rng.integers(3, 8)))]
     mols += [_carbons(1), star]
     mols = [mols[k] for k in rng.permutation(len(mols))]
-    rows, batch = pack_graphs(mols, [atom_features(m) for m in mols],
-                              MAX_DEGREE)
+    rows, batch = pack_molecules(mols)
     h = rng.integers(-2, 3, size=(rows.shape[0], 5)).astype(float)
     return mols, batch, h
 
@@ -630,16 +629,16 @@ class TestPackTable:
         assert degrees.tolist() == [1, 3, 1, 1, 0, 2, 2, 2, 2, 2, 2]
 
     def test_degree_error_names_the_first_offending_atom(self):
-        mols = [parse_smiles("CC"), parse_smiles("CC(C)(C)(C)(C)C")]
+        mols = parse_table(["CC", "CC(C)(C)(C)(C)C"])
         with pytest.raises(GraphStructureError,
                            match="atom 1 has degree 6, max supported is 5"):
-            pack_graphs(mols, [atom_features(m) for m in mols], max_degree=5)
+            pack_graphs(mols, atom_feature_matrix(mols), max_degree=5)
 
     def test_empty_molecule_rejected(self):
         empty = _carbons(0)
         with pytest.raises(GraphStructureError, match="empty molecule"):
-            pack_graphs([parse_smiles("C"), empty],
-                        [atom_features(parse_smiles("C"))] * 2)
+            pack_graphs(join_tables([parse_smiles("C"), empty]),
+                        atom_features(parse_smiles("C")))
 
 
 def _pack_molecules():
@@ -658,7 +657,7 @@ def _pack_molecules():
 
 _PACK_MOLECULES = _pack_molecules()
 _PACK = PackedGraphs.from_table(
-    MoleculeTable.concat(_PACK_MOLECULES),
+    join_tables(_PACK_MOLECULES),
     np.concatenate([atom_features(m) for m in _PACK_MOLECULES]), MAX_DEGREE)
 
 
@@ -695,8 +694,7 @@ class TestStoreBatches:
 
     def test_pack_graphs_is_the_pack_of_its_molecules(self):
         mols = _PACK_MOLECULES[2:5]
-        rows, batch = pack_graphs(mols, [atom_features(m) for m in mols],
-                                  MAX_DEGREE)
+        rows, batch = pack_molecules(mols)
         rows_again, again = _PACK.batch([2, 3, 4])
         assert np.array_equal(rows, rows_again)
         for field in ("degrees", "atom_ids", "restore", "neighbors",

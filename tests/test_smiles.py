@@ -10,9 +10,9 @@ from conftest import molecule_view
 from dtanet.smiles import (
     BondOrder,
     MoleculeColumns,
-    MoleculeTable,
     SmilesError,
     parse_smiles,
+    parse_table,
 )
 
 
@@ -253,9 +253,10 @@ class TestTable:
         assert table.atom_offsets.tolist() == [0, 3, 4]
         assert table.bond_offsets.tolist() == [0, 2, 2]
 
-    def test_take_and_concat_keep_local_bond_ids(self):
-        parts = [parse_smiles(s) for s in ("CCO", "[NH4+]", "c1ccccc1", "C#N")]
-        table = MoleculeTable.concat(parts)
+    def test_take_keeps_local_bond_ids(self):
+        smiles = ("CCO", "[NH4+]", "c1ccccc1", "C#N")
+        parts = [parse_smiles(s) for s in smiles]
+        table = parse_table(smiles)
         assert len(table) == 4 and table.n_atoms == 12
         assert table.bonds[:, :2].max() == 5  # local ids in each molecule
         picked = table.take([2, 0, 2])
@@ -264,7 +265,6 @@ class TestTable:
         assert picked.edges()[0].max() == picked.n_atoms - 1
         empty = table.take([])
         assert len(empty) == 0 and empty.bonds.shape == (0, 3)
-        assert len(MoleculeTable.concat([])) == 0
 
     def test_counts_beyond_64_bits_are_smiles_errors(self):
         # the int64 columns hold these two exactly

@@ -13,6 +13,10 @@ hydrogen counts above 4 or elements outside the feature vocabulary. Both
 digests hash Python text: element symbols, tuples of ints and bools, and
 neighbor lists as tuples of tuples.
 
+The corpus is scanned once, into one table of its valid molecules, and the
+featurizers run over that table; every 500th molecule is also compared with
+the one-molecule views (``parse_smiles``, ``ecfp``, ``atom_features``).
+
 The generator draws only through ``Random.random()``, whose sequence for a
 given seed is fixed across Python versions.
 """
@@ -21,18 +25,24 @@ from __future__ import annotations
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import assert_tables_equal, molecule_view
-from dtanet.compounds import (
-    FeaturizationError,
-    _ecfp_blocks,
-    atom_features,
-    ecfp_identifiers,
+from conftest import (
+    assert_tables_equal,
+    identifiers_per_molecule,
+    join_tables,
+    molecule_view,
 )
-from dtanet.smiles import MoleculeTable, SmilesError, parse_smiles, parse_table
+from dtanet.compounds import atom_feature_matrix, atom_features, ecfp
+from dtanet.smiles import (
+    MoleculeColumns,
+    SmilesError,
+    parse_smiles,
+    parse_table,
+)
 
 CORPUS_SEED = 20181013
 CORPUS_SIZE = 20_000
@@ -144,72 +154,86 @@ def smiles_corpus(seed: int = CORPUS_SEED, size: int = CORPUS_SIZE) -> list[str]
     return corpus
 
 
-def _outcome_bytes(parsed, ids) -> bytes:
-    """The digest bytes of one parse outcome; ``ids`` holds a valid
-    molecule's ECFP identifiers at radius 0..3."""
-    if isinstance(parsed, SmilesError):
-        return f"E|{parsed}|{parsed.offset}".encode()
-    try:
-        features = atom_features(parsed).tobytes()
-    except FeaturizationError as err:
-        features = f"F|{err}".encode()
-    offsets, neighbors = parsed.neighbors()
-    adjacency = tuple(tuple(neighbors[offsets[i]:offsets[i + 1]].tolist())
-                      for i in range(parsed.n_atoms))
-    return f"M|{ids}|{adjacency}|".encode() + features
-
-
-def _batch_identifiers(graphs, radius: int) -> list[tuple[int, ...]]:
-    """``ecfp_identifiers(graph, radius)`` of every graph, from one batch."""
-    found: list[set[int]] = [set() for _ in graphs]
-    for rows, ids in _ecfp_blocks(MoleculeTable.concat(graphs), radius):
-        for row, identifier in zip(rows.tolist(), ids.tolist()):
-            found[row].add(identifier)
-    return [tuple(sorted(s)) for s in found]
-
-
-def _parse_or_error(text: str):
-    try:
-        return parse_smiles(text)
-    except SmilesError as err:
-        return err
-
-
 @pytest.fixture(scope="module")
-def parsed_corpus() -> list[tuple[str, object]]:
-    """``(text, graph or SmilesError)`` for every corpus string, in order."""
-    return [(text, _parse_or_error(text)) for text in smiles_corpus()]
+def corpus() -> SimpleNamespace:
+    """Every corpus string (``texts``), the table of the valid ones in
+    order with each row's ``molecule_view`` (``views``), the corpus index
+    of each table row (``rows``) and the ``SmilesError`` of each invalid
+    string by corpus index, from one scan."""
+    texts = smiles_corpus()
+    columns = MoleculeColumns()
+    rows, errors = [], {}
+    for i, text in enumerate(texts):
+        try:
+            columns.append(text)
+        except SmilesError as err:
+            errors[i] = err
+        else:
+            rows.append(i)
+    table = columns.table()
+    views = [molecule_view(table, m) for m in range(len(table))]
+    return SimpleNamespace(texts=texts, table=table, views=views, rows=rows,
+                           errors=errors)
 
 
-def test_corpus_covers_valid_and_invalid_strings(parsed_corpus):
-    assert len(parsed_corpus) >= 20_000
-    valid = sum(not isinstance(p, SmilesError) for _, p in parsed_corpus)
-    assert 0.25 * len(parsed_corpus) < valid < 0.75 * len(parsed_corpus)
+def _feature_bytes(table) -> list[bytes]:
+    """Each molecule's atom-feature bytes, from one call over the table (no
+    corpus molecule has an atom of degree above 6)."""
+    matrix = atom_feature_matrix(table)
+    offsets = table.atom_offsets.tolist()
+    return [matrix[offsets[m]:offsets[m + 1]].tobytes()
+            for m in range(len(table))]
 
 
-def test_golden_digest(parsed_corpus):
-    graphs = [p for _, p in parsed_corpus if not isinstance(p, SmilesError)]
-    by_radius = [_batch_identifiers(graphs, r) for r in range(4)]
-    for k in range(0, len(graphs), 500):  # the batch is the one-molecule call
-        assert [ecfp_identifiers(graphs[k], r) for r in range(4)] == [
-            ids[k] for ids in by_radius]
-    ids = iter(zip(*by_radius))
+def _adjacency(table) -> list[tuple[tuple[int, ...], ...]]:
+    """Each molecule's neighbor lists in local atom ids."""
+    offsets, ids = (a.tolist() for a in table.neighbors())
+    atoms = table.atom_offsets.tolist()
+    return [tuple(tuple(j - atoms[m] for j in ids[offsets[i]:offsets[i + 1]])
+                  for i in range(atoms[m], atoms[m + 1]))
+            for m in range(len(table))]
+
+
+def test_corpus_covers_valid_and_invalid_strings(corpus):
+    assert len(corpus.texts) >= 20_000
+    valid = len(corpus.table)
+    assert 0.25 * len(corpus.texts) < valid < 0.75 * len(corpus.texts)
+
+
+def test_golden_digest(corpus):
+    table = corpus.table
+    by_radius = [identifiers_per_molecule(table, r) for r in range(4)]
+    features = _feature_bytes(table)
+    for k in range(0, len(table), 500):  # the batch is the one-molecule call
+        one = parse_smiles(corpus.texts[corpus.rows[k]])
+        assert_tables_equal(one, table.take([k]))
+        for r, ids in enumerate(by_radius):
+            folded = np.zeros(4096, dtype=np.uint8)
+            folded[[i % 4096 for i in ids[k]]] = 1
+            assert np.array_equal(ecfp(one, r, 4096), folded)
+        assert atom_features(one).tobytes() == features[k]
+    outcomes = iter(zip(zip(*by_radius), _adjacency(table), features))
     digest = hashlib.sha256()
-    for _, parsed in parsed_corpus:
-        outcome = _outcome_bytes(
-            parsed, None if isinstance(parsed, SmilesError) else list(next(ids)))
+    for i in range(len(corpus.texts)):
+        error = corpus.errors.get(i)
+        if error is not None:
+            outcome = f"E|{error}|{error.offset}".encode()
+        else:
+            ids, adjacency, feature_bytes = next(outcomes)
+            outcome = f"M|{list(ids)}|{adjacency}|".encode() + feature_bytes
         digest.update(len(outcome).to_bytes(8, "little"))
         digest.update(outcome)
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
-def test_golden_columns_digest(parsed_corpus):
+def test_golden_columns_digest(corpus):
+    views = iter(corpus.views)
     digest = hashlib.sha256()
-    for _, parsed in parsed_corpus:
-        if isinstance(parsed, SmilesError):
+    for i in range(len(corpus.texts)):
+        if i in corpus.errors:
             outcome = b"E"
         else:
-            view = molecule_view(parsed)
+            view = next(views)
             outcome = repr((view.elements, view.charges, view.hydrogens,
                             view.aromatic, view.ring, view.bonds)).encode()
         digest.update(len(outcome).to_bytes(8, "little"))
@@ -217,11 +241,11 @@ def test_golden_columns_digest(parsed_corpus):
     assert digest.hexdigest() == GOLDEN_COLUMNS_DIGEST
 
 
-def test_batch_parse_is_the_one_string_parses_joined(parsed_corpus):
-    texts = [t for t, p in parsed_corpus if not isinstance(p, SmilesError)]
+def test_batch_parse_is_the_one_string_parses_joined(corpus):
+    texts = [corpus.texts[i] for i in corpus.rows]
     batch = parse_table(texts)
-    assert_tables_equal(batch, MoleculeTable.concat(
-        [p for _, p in parsed_corpus if not isinstance(p, SmilesError)]))
+    assert_tables_equal(batch, corpus.table)
+    assert_tables_equal(batch, join_tables([parse_smiles(t) for t in texts]))
     rng = np.random.default_rng(5)
     for size in (1, 7, 2000):
         rows = rng.permutation(len(texts))[:size]
@@ -259,9 +283,7 @@ def test_ring_flags_on_hand_cases(smiles, expected):
     assert _ring_atoms_by_bond_removal(graph) == expected
 
 
-def test_ring_flags_match_bond_removal_rule(parsed_corpus):
-    graphs = [molecule_view(p) for _, p in parsed_corpus
-              if not isinstance(p, SmilesError)]
-    assert sum(any(g.ring) for g in graphs) > 1000
-    for graph in graphs:
+def test_ring_flags_match_bond_removal_rule(corpus):
+    assert sum(any(g.ring) for g in corpus.views) > 1000
+    for graph in corpus.views:
         assert graph.ring == _ring_atoms_by_bond_removal(graph)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_clusters
+from conftest import brute_force_clusters, holdout_fold_views
 from dtanet import splits
 from dtanet.compounds import FeaturizationError, ecfp, ecfp_matrix, tanimoto
-from dtanet.smiles import parse_smiles
+from dtanet.smiles import parse_smiles, parse_table
 from dtanet.splits import (
     CompoundClustering,
     FoldAssignment,
@@ -20,7 +20,6 @@ from dtanet.splits import (
     cold_entity_split,
     fold_spans,
     fold_views,
-    holdout_fold_views,
     hyperopt_holdout,
     random_split,
     read_folds,
@@ -170,7 +169,7 @@ class TestClustering:
     def test_matches_bfs_components_on_200_compounds(self):
         rng = np.random.default_rng(42)
         smiles = unique_smiles(200, rng)
-        fps = ecfp_matrix([parse_smiles(s) for s in smiles], 2, 512)
+        fps = ecfp_matrix(parse_table(smiles), 2, 512)
         clustering = cluster_compounds(fps, 0.7)
         n = len(fps)
         sims = np.zeros((n, n))

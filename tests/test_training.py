@@ -10,12 +10,12 @@ from dtanet import engine
 from dtanet.engine import Adam, NonFiniteError, RowSelection
 from dtanet.model import FeatureStore, ModelConfig, ModelError
 from dtanet.synthetic import memory_dataset
+from conftest import epoch_cost_probe
 from test_engine import textbook_adam
 from dtanet.training import (
     TrainConfig,
     TrainingError,
     composite_score,
-    epoch_cost_probe,
     train,
     validation_scores,
 )
