@@ -4,9 +4,13 @@ All buffers are float64. A graph is built once (node creation order is the
 topological order), then executed repeatedly with named feeds. Forward
 evaluation touches only the ancestors of the requested outputs, computes each
 node exactly once, and raises as soon as any op produces a non-finite value.
-Parameter values are checked where they enter (``Parameter`` creation and
-``Graph.load_state``) rather than on every forward pass; a parameter written
-by hand is caught by the first op that reads it. Every finiteness check
+Parameter values are checked where they enter rather than on every forward
+pass: every value a caller hands to ``Parameter`` (which keeps that float64
+array, uncopied) and every state ``Graph.load_state`` writes. A parameter
+written by hand is caught by the first op that reads it. The one way in
+without a check is ``Parameter.empty``, whose entries are unset: its maker
+writes and checks every entry before the parameter leaves its hands (as
+``Model.load`` does), and drops it when that fails. Every finiteness check
 (op outputs, parameters, loaded state, Adam's gradients) is ``all_finite``,
 the entrywise test.
 
@@ -141,7 +145,8 @@ chosen per block of rows. Training sets one on the first-layer weight for
 the duration of a fit, with a row active when its input column is nonzero
 for at least one training pair (a learned compound embedding is all
 active). A block with a quarter or more of its rows inactive is compacted
-to its active rows; any other block stays whole. While the selection is
+to its active rows, unless that leaves 1 to 3 of them; any other block
+stays whole. While the selection is
 set, ``indexed_dense``'s backward leaves the weight gradient as a
 ``CompactGrad``: per block, the kept table columns (``T[:, cols]`` for a
 compacted block, ``T`` for a whole one) and the upstream gradient summed
@@ -305,14 +310,27 @@ class ObjectInput(Node):
 
 
 class Parameter(Node):
+    """A trainable array. It keeps the array it is handed when that is a
+    writeable float64 array (the caller hands it over), else a float64
+    copy, and checks it for finiteness."""
+
     def __init__(self, name: str, value: np.ndarray):
         super().__init__("parameter", ())
         self.name = name
-        self.array = np.array(value, dtype=np.float64)
+        self.array = np.require(value, np.float64, "W")
         if not all_finite(self.array):
             raise NonFiniteError(f"parameter '{name}' has non-finite values")
         # rows a fit can move (see RowSelection); None trains every row
         self.row_selection: RowSelection | None = None
+
+    @classmethod
+    def empty(cls, name: str, shape: tuple[int, ...]) -> "Parameter":
+        """A parameter of ``shape`` whose entries are unset and unchecked:
+        its maker writes and checks every one before anything else sees it
+        (see the module docstring)."""
+        param = cls(name, np.empty(0))
+        param.array = np.empty(shape)
+        return param
 
     def compute(self, ctx):
         return self.array
@@ -1162,6 +1180,11 @@ class Graph:
 # compacted (three interleaved medians of 25 steps, 2-core Xeon, OpenBLAS at
 # 2 threads).
 _COMPACT_INACTIVE_SHARE = 0.25
+# A block is never compacted to fewer active rows than this, bar none: its
+# gradient would be a product of 1 to 3 rows, which BLAS can round unlike
+# the same rows of the whole block's product (a one-row product takes a
+# vector kernel). With no active row there is no product at all.
+_COMPACT_MIN_ROWS = 4
 
 
 class RowSelection:
@@ -1170,7 +1193,8 @@ class RowSelection:
     ``active`` holds one boolean mask per block of the weight's rows, in row
     order (for ``indexed_dense``, one per input table). A block with at least
     ``_COMPACT_INACTIVE_SHARE`` of its rows inactive is compacted to its
-    active rows; any other block is kept whole. The compact layout stacks
+    active rows, if it has none or at least ``_COMPACT_MIN_ROWS`` of them;
+    any other block is kept whole. The compact layout stacks
     the kept rows block by block, each block's in ascending order.
 
     ``blocks`` holds ``(compact, columns, rows)`` per block: the slice of
@@ -1191,7 +1215,8 @@ class RowSelection:
             mask = np.asarray(mask, dtype=bool)
             width = mask.size
             columns = np.flatnonzero(mask)
-            if width - columns.size < _COMPACT_INACTIVE_SHARE * width:
+            if (width - columns.size < _COMPACT_INACTIVE_SHARE * width
+                    or 0 < columns.size < _COMPACT_MIN_ROWS):
                 columns, rows, count = None, slice(first, first + width), width
             else:
                 rows, count = first + columns, columns.size

@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import struct
+import sys
+import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -61,12 +62,12 @@ from .compounds import (
 )
 from .data import PairDataset
 from .engine import (
-    EngineError,
     GatherAdd,
     Graph,
     NonFiniteError,
     Parameter,
     all_finite,
+    require_finite,
 )
 from .graphconv import (
     GraphConv,
@@ -115,6 +116,9 @@ class ModelConfig:
             raise ModelError("hidden_layers must have 1..5 entries")
         if any(w < 1 for w in self.hidden_layers):
             raise ModelError("hidden layer widths must be positive")
+        if self.uses_graphconv and not self.conv_widths:
+            raise ModelError("conv_widths must have at least 1 entry for "
+                             "the graph-conv variants")
         if any(w < 1 for w in self.conv_widths):
             raise ModelError("conv_widths entries must be positive")
         if self.conv_dense < 1:
@@ -195,7 +199,26 @@ class Model:
     @classmethod
     def build(cls, cfg: ModelConfig,
               protein_ids: tuple[str, ...] | None = None) -> "Model":
-        """Construct the network; deterministic under ``cfg.seed``."""
+        """Construct the network; deterministic under ``cfg.seed``.
+
+        Weights are He-uniform draws, in parameter order, from one
+        generator seeded with ``cfg.seed``; biases and betas start at 0 and
+        gammas at 1. Each parameter keeps its draw, uncopied.
+        """
+        rng = np.random.default_rng(cfg.seed)
+
+        def drawn(name: str, shape: tuple[int, ...],
+                  fill: float | None) -> Parameter:
+            return Parameter(name, _he_uniform(rng, *shape) if fill is None
+                             else np.full(shape, fill))
+
+        return cls._assemble(cfg, protein_ids, drawn)
+
+    @classmethod
+    def _assemble(cls, cfg: ModelConfig, protein_ids, parameter) -> "Model":
+        """The network of ``cfg``, each parameter made by
+        ``parameter(name, shape, fill)``: a constant ``fill``, or an
+        He-uniform weight (fan-in ``shape[0]``) when ``fill`` is None."""
         cfg = cfg.normalized()
         protein_index = None
         n_outputs = cfg.n_tasks
@@ -210,10 +233,13 @@ class Model:
                     "only (n_tasks must be 1)")
             protein_index = {p: i for i, p in enumerate(protein_ids)}
             n_outputs = len(protein_ids)
-        rng = np.random.default_rng(cfg.seed)
         graph = Graph()
+
+        def make(name, shape, fill=None):
+            return graph.add(parameter(name, shape, fill))
+
         if cfg.uses_graphconv:
-            compound = cls._build_conv_stack(graph, cfg, rng)
+            compound = cls._build_conv_stack(graph, cfg, make)
         else:
             compound = graph.placeholder("compound")
         blocks = [(compound, graph.object_input("compound_row"))]
@@ -224,20 +250,20 @@ class Model:
         width = cfg.input_width()
         for li, (hidden, rate) in enumerate(zip(cfg.hidden_layers,
                                                 cfg.dropout_rates)):
-            w = graph.parameter(f"dense{li}.W", _he_uniform(rng, width, hidden))
-            b = graph.parameter(f"dense{li}.b", np.zeros(hidden))
+            w = make(f"dense{li}.W", (width, hidden))
+            b = make(f"dense{li}.b", (hidden,), 0.0)
             product = (graph.indexed_dense(blocks, w) if x is None
                        else graph.matmul(x, w))
             x = graph.add_bias(product, b)
             if cfg.use_batchnorm:
-                gamma = graph.parameter(f"bn{li}.gamma", np.ones(hidden))
-                beta = graph.parameter(f"bn{li}.beta", np.zeros(hidden))
+                gamma = make(f"bn{li}.gamma", (hidden,), 1.0)
+                beta = make(f"bn{li}.beta", (hidden,), 0.0)
                 x = graph.batch_norm(x, gamma, beta, name=f"bn{li}")
             x = graph.relu(x)
             x = graph.dropout(x, rate)
             width = hidden
-        w_out = graph.parameter("output.W", _he_uniform(rng, width, n_outputs))
-        b_out = graph.parameter("output.b", np.zeros(n_outputs))
+        w_out = make("output.W", (width, n_outputs))
+        b_out = make("output.b", (n_outputs,), 0.0)
         output = graph.add_bias(graph.matmul(x, w_out), b_out, name="output")
         target = graph.placeholder("target")
         weight = graph.placeholder("weight")
@@ -245,27 +271,26 @@ class Model:
         return cls(cfg, graph, output, loss, protein_index)
 
     @staticmethod
-    def _build_conv_stack(graph: Graph, cfg: ModelConfig,
-                          rng: np.random.Generator):
+    def _build_conv_stack(graph: Graph, cfg: ModelConfig, make):
+        """The graph-conv stack, each parameter made by ``make(name, shape,
+        fill)`` as in ``_assemble``."""
         h = graph.placeholder("atom_features")
         structure = graph.object_input("graph_batch")
         width = atom_feature_width(DEFAULT_ATOM_VOCABULARY, cfg.max_degree)
+        degrees = range(cfg.max_degree + 1)
         for li, out_width in enumerate(cfg.conv_widths):
-            w_self = [graph.parameter(f"conv{li}.wself{d}",
-                                      _he_uniform(rng, width, out_width))
-                      for d in range(cfg.max_degree + 1)]
-            w_nbr = [graph.parameter(f"conv{li}.wnbr{d}",
-                                     _he_uniform(rng, width, out_width))
-                     for d in range(cfg.max_degree + 1)]
-            bias = [graph.parameter(f"conv{li}.b{d}", np.zeros(out_width))
-                    for d in range(cfg.max_degree + 1)]
+            w_self = [make(f"conv{li}.wself{d}", (width, out_width))
+                      for d in degrees]
+            w_nbr = [make(f"conv{li}.wnbr{d}", (width, out_width))
+                     for d in degrees]
+            bias = [make(f"conv{li}.b{d}", (out_width,), 0.0) for d in degrees]
             h = graph.add(GraphConv(h, structure, w_self, w_nbr, bias),
                           f"conv{li}")
             h = graph.add(GraphPool(h, structure), f"pool{li}")
             width = out_width
         h = graph.add(RestoreAtomOrder(h, structure), "atom_order")
-        w = graph.parameter("convdense.W", _he_uniform(rng, width, cfg.conv_dense))
-        b = graph.parameter("convdense.b", np.zeros(cfg.conv_dense))
+        w = make("convdense.W", (width, cfg.conv_dense))
+        b = make("convdense.b", (cfg.conv_dense,), 0.0)
         h = graph.relu(graph.add_bias(graph.matmul(h, w), b))
         return graph.add(GraphGather(h, structure), "gather")
 
@@ -342,14 +367,18 @@ class Model:
         """The model a checkpoint holds, and its ``extras``
         (``{"run_config": <snapshot text or None>}``).
 
-        The header is read and the model built from it before the payload
-        is read, in one ``readinto`` of the bytes from the first tensor the
-        model takes to the end of the last; each tensor is a view of that
-        buffer, copied once, by ``load_state``, into the model. A file that
+        The header is read first, and the model is built from it with
+        unset parameter arrays (``Parameter.empty``): nothing is drawn,
+        copied or checked that the file then overwrites. Every manifest
+        entry's name, shape and byte range is checked before any payload
+        byte is read. Each tensor is then read with one ``readinto``
+        straight into its live array, and the whole state is checked for
+        finiteness, so the load holds one copy of the state. A file that
         also holds Adam moments (``adam.*`` tensors and an
         ``optimizer_step`` header key, as checkpoints were once written)
-        loads the same way; those entries are ignored, and as they are
-        stored first, their bytes are never read.
+        loads the same way; their bytes are skipped, never read. A load
+        that fails raises a ``ModelError`` (or a ``NonFiniteError``) naming
+        the file, and drops the model and every reference to its arrays.
         """
         with open(path, "rb") as handle:
             magic = handle.read(8)
@@ -392,37 +421,54 @@ class Model:
             if protein_index is not None:
                 ordered = sorted(protein_index, key=protein_index.get)
                 protein_ids = tuple(ordered)
-            model = cls.build(cfg, protein_ids=protein_ids)
-            available = max(0, os.fstat(handle.fileno()).st_size
-                            - handle.tell())
-            for name, shape, start in manifest:
-                end = start + math.prod(shape) * 8
-                if start < 0 or end > available:
-                    raise ModelError(
-                        f"{path}: truncated checkpoint: tensor {name!r} "
-                        f"needs bytes {start}..{end} of a "
-                        f"{available}-byte payload")
-            lo = min((start for _, _, start in manifest), default=0)
-            hi = max((start + math.prod(shape) * 8
-                      for _, shape, start in manifest), default=0)
-            handle.seek(lo, os.SEEK_CUR)
-            payload = bytearray(hi - lo)
-            if handle.readinto(payload) != len(payload):
-                raise ModelError(f"{path}: truncated checkpoint payload")
-        state = {name: np.frombuffer(payload, dtype="<f8",
-                                     count=math.prod(shape),
-                                     offset=start - lo).reshape(shape)
-                 for name, shape, start in manifest}
-        missing = sorted(set(model.graph.live_state()).difference(state))
-        if missing:
-            raise ModelError(f"{path}: checkpoint has no tensor {missing[0]!r}")
-        try:
-            model.graph.load_state(state)
-        except NonFiniteError:
-            raise
-        except EngineError as exc:  # an unknown entry or a wrong shape
-            raise ModelError(f"{path}: {exc}") from None
+            model = cls._assemble(
+                cfg, protein_ids,
+                lambda name, shape, fill: Parameter.empty(name, shape))
+            try:
+                _read_state(handle, path, manifest, model.graph.live_state())
+            except BaseException as exc:
+                # the arrays may hold unset bytes: no frame of the error's
+                # traceback keeps them
+                traceback.clear_frames(exc.__traceback__)
+                del model
+                raise
         return model, extras
+
+
+def _read_state(handle, path, manifest, live: dict[str, np.ndarray]) -> None:
+    """Read the payload that starts at ``handle``'s position into the
+    arrays of ``live``, one ``readinto`` per ``(name, shape, offset)`` of
+    ``manifest``, after checking every entry against ``live`` and the
+    file's size; then check every array for finiteness."""
+    base = handle.tell()
+    available = max(0, os.fstat(handle.fileno()).st_size - base)
+    for name, shape, start in manifest:
+        if name not in live:
+            raise ModelError(f"{path}: unknown state entry {name!r}")
+        if shape != live[name].shape:
+            raise ModelError(
+                f"{path}: state entry {name!r}: stored shape {shape} != "
+                f"expected {live[name].shape}")
+        end = start + live[name].nbytes
+        if start < 0 or end > available:
+            raise ModelError(
+                f"{path}: truncated checkpoint: tensor {name!r} needs bytes "
+                f"{start}..{end} of a {available}-byte payload")
+    missing = sorted(set(live).difference(name for name, _, _ in manifest))
+    if missing:
+        raise ModelError(f"{path}: checkpoint has no tensor {missing[0]!r}")
+    for name, _, start in manifest:
+        array = live[name]
+        handle.seek(base + start)
+        if handle.readinto(memoryview(array).cast("B")) != array.nbytes:
+            raise ModelError(f"{path}: truncated checkpoint: tensor {name!r} "
+                             f"ends past the end of the file")
+        if sys.byteorder == "big":  # the payload is little-endian
+            array.byteswap(inplace=True)
+    try:
+        require_finite(live)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{path}: {exc}") from None
 
 
 def _config_from_json(payload: dict) -> ModelConfig:

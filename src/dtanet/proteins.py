@@ -40,7 +40,9 @@ __all__ = [
 ]
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
-_AA_INDEX = {letter: k for k, letter in enumerate(AMINO_ACIDS)}
+# residue code per code point up to 127, and -1 at 128 for every other one
+_CODES = np.full(129, -1, dtype=np.int64)
+_CODES[[ord(letter) for letter in AMINO_ACIDS]] = np.arange(len(AMINO_ACIDS))
 
 AAC_LENGTH = 20
 DC_LENGTH = 400
@@ -57,18 +59,20 @@ class SequenceError(ValueError):
 
 
 def _encode(sequence: str) -> np.ndarray:
-    """Residue codes of a usable sequence, else :class:`SequenceError`."""
+    """Residue codes of a usable sequence, else :class:`SequenceError`
+    naming the first letter that is not a canonical residue."""
     if len(sequence) < 3:
         raise SequenceError(
             f"sequence length {len(sequence)} is below the minimum of 3")
-    codes = np.empty(len(sequence), dtype=np.int64)
-    for pos, letter in enumerate(sequence):
-        code = _AA_INDEX.get(letter)
-        if code is None:
-            raise SequenceError(
-                f"unknown residue {letter!r} at position {pos} "
-                f"(non-canonical letters are rejected, not remapped)")
-        codes[pos] = code
+    # one code point per letter; a lone surrogate is a letter too
+    points = np.frombuffer(sequence.encode("utf-32-le", "surrogatepass"),
+                           dtype="<u4")
+    codes = _CODES[np.minimum(points, 128)]
+    if codes.min() < 0:
+        pos = int(np.argmax(codes < 0))
+        raise SequenceError(
+            f"unknown residue {sequence[pos]!r} at position {pos} "
+            f"(non-canonical letters are rejected, not remapped)")
     return codes
 
 
@@ -84,23 +88,32 @@ def psc(sequence: str, phosphorylated: bool = False) -> np.ndarray:
     L-2, so each block sums to exactly 1; the final entry is 1 for a
     phosphorylated protein.
     """
+    out = np.empty(DESCRIPTOR_LENGTH)
+    _describe(sequence, phosphorylated, out)
+    return out
+
+
+def _describe(sequence: str, phosphorylated: bool, out: np.ndarray) -> None:
+    """Write :func:`psc` of the sequence into every entry of ``out``."""
     codes = _encode(sequence)
     length = len(codes)
-    out = np.zeros(DESCRIPTOR_LENGTH, dtype=np.float64)
-    out[:AAC_LENGTH] = np.bincount(codes, minlength=20) / length
     di = codes[:-1] * 20 + codes[1:]
-    out[AAC_LENGTH:AAC_LENGTH + DC_LENGTH] = (
-        np.bincount(di, minlength=400) / (length - 1))
     tri = codes[:-2] * 400 + codes[1:-1] * 20 + codes[2:]
-    out[AAC_LENGTH + DC_LENGTH:AAC_LENGTH + DC_LENGTH + TC_LENGTH] = (
-        np.bincount(tri, minlength=8000) / (length - 2))
+    np.divide(np.bincount(codes, minlength=AAC_LENGTH), length,
+              out=out[:AAC_LENGTH])
+    np.divide(np.bincount(di, minlength=DC_LENGTH), length - 1,
+              out=out[AAC_LENGTH:AAC_LENGTH + DC_LENGTH])
+    np.divide(np.bincount(tri, minlength=TC_LENGTH), length - 2,
+              out=out[AAC_LENGTH + DC_LENGTH:-1])
     out[-1] = 1.0 if phosphorylated else 0.0
-    return out
 
 
 def descriptor_matrix(table: dict[str, tuple[str, bool]], ids) -> np.ndarray:
     """One :func:`psc` row per id in ``ids``, from a sequence table."""
-    return np.stack([psc(*table[protein_id]) for protein_id in ids])
+    matrix = np.empty((len(ids), DESCRIPTOR_LENGTH))
+    for row, protein_id in zip(matrix, ids):
+        _describe(*table[protein_id], row)
+    return matrix
 
 
 def read_sequence_table(path: str | Path) -> dict[str, tuple[str, bool]]:

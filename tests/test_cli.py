@@ -224,8 +224,8 @@ class TestErrors:
         assert not (tmp_path / "x.ckpt").exists()
 
     @pytest.mark.parametrize("setting", [
-        "model.conv_widths=-1", "model.conv_widths=8,0", "model.conv_dense=-3",
-        "model.conv_dense=0"])
+        "model.conv_widths=-1", "model.conv_widths=8,0", "model.conv_widths=",
+        "model.conv_dense=-3", "model.conv_dense=0"])
     def test_non_positive_conv_width_is_a_model_error(
             self, workspace, tmp_path, capsys, setting):
         root, data = workspace

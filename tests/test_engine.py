@@ -1068,6 +1068,45 @@ class TestRowSelection:
         g.backward(loss)
         assert np.array_equal(w.grad, full)
 
+    @pytest.mark.parametrize("n_active", [1, 2, 3])
+    def test_a_block_of_few_active_columns_fits_like_every_row(self,
+                                                               n_active):
+        # A block compacted to 1..3 columns would form its gradient as a
+        # product of 1..3 rows, which can round unlike the same rows of the
+        # full product (here over 512 distinct table rows): it stays whole.
+        fits = []
+        for selected in (False, True):
+            rng = np.random.default_rng(80 + n_active)
+            g = Graph()
+            blocks, feeds = [], {}
+            for k, (width, n_kept) in enumerate(((40, n_active), (24, 24))):
+                blocks.append((g.placeholder(f"t{k}"),
+                               g.object_input(f"i{k}")))
+                table = np.zeros((512, width))
+                table[:, rng.permutation(width)[:n_kept]] = \
+                    rng.standard_normal((512, n_kept))
+                feeds[f"t{k}"] = table
+                feeds[f"i{k}"] = rng.permutation(1024) % 512
+            w = g.parameter("W", rng.standard_normal((64, 64)) * 0.1)
+            out = g.relu(g.indexed_dense(blocks, w))
+            loss = g.weighted_mse(
+                g.matmul(out, g.parameter("w_out", rng.standard_normal(
+                    (64, 1)))), g.placeholder("target"),
+                g.placeholder("weight"))
+            feeds["target"] = rng.standard_normal((1024, 1))
+            feeds["weight"] = np.ones((1024, 1))
+            if selected:
+                w.row_selection = RowSelection(set_columns(feeds, 2))
+                assert [columns is None for _, columns, _
+                        in w.row_selection.blocks] == [True, True]
+            adam = Adam(g.parameters())
+            for _ in range(3):
+                g.forward(feeds, [loss])
+                g.backward(loss)
+                adam.step()
+            fits.append(w.array.tobytes())
+        assert fits[0] == fits[1]
+
     def test_selection_must_cover_the_tables(self):
         g, loss, feeds, w = sparse_net(np.random.default_rng(0), (20, 30), 4)
         w.row_selection = RowSelection([np.ones(30, dtype=bool),

@@ -1,10 +1,12 @@
 """Model assembly, prediction semantics, checkpoints, cold-start contract."""
 
+import gc
 import json
 import math
 import re
 import struct
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import concat, held_values
 from dtanet import engine
+from dtanet import model as model_module
 from dtanet import proteins as protein_module
 from dtanet.compounds import FeaturizationError
 from dtanet.engine import (
@@ -21,6 +24,7 @@ from dtanet.engine import (
     GatherAdd,
     Graph,
     NonFiniteError,
+    Parameter,
     ShapeError,
 )
 from dtanet.graphconv import GraphConv, GraphStructureError
@@ -52,6 +56,13 @@ class TestConfig:
             ModelConfig(hidden_layers=()).normalized()
         with pytest.raises(ModelError, match="1..5"):
             ModelConfig(hidden_layers=(8,) * 6).normalized()
+
+    def test_graph_conv_variants_need_a_conv_layer(self):
+        for variant in ("padme-graphconv", "compound-only-graphconv"):
+            with pytest.raises(ModelError, match="^conv_widths must have"):
+                ModelConfig(variant=variant, conv_widths=()).normalized()
+        # the fingerprint variants have no conv stack to describe
+        assert ModelConfig(conv_widths=()).normalized().conv_widths == ()
 
     def test_dropout_broadcast(self):
         cfg = ModelConfig(hidden_layers=(8, 8, 8),
@@ -186,7 +197,9 @@ def concat_reference(model):
     state = model.graph.state_dict()
     g = Graph()
     if cfg.uses_graphconv:
-        x = Model._build_conv_stack(g, cfg, np.random.default_rng(0))
+        x = Model._build_conv_stack(
+            g, cfg, lambda name, shape, fill=None: g.parameter(name,
+                                                                state[name]))
     else:
         x = g.placeholder("compound")
     if not cfg.compound_only:
@@ -1155,7 +1168,7 @@ class TestCheckpoint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * state_bytes
+        assert peak <= 1.25 * state_bytes
 
     def test_load_holds_little_beyond_the_state_it_loads(self, tmp_path):
         # The default padme-ecfp model: 22 MB of parameters. Loading holds
@@ -1173,5 +1186,78 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert sum(v.nbytes for v in loaded.graph.live_state().values()) == \
             state_bytes
-        assert peak <= 2.2 * state_bytes
+        assert peak <= 1.25 * state_bytes
+
+    @staticmethod
+    def _manifest(path):
+        """``(name, payload start, payload end)`` of each stored tensor,
+        with offsets counted from the start of the file."""
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + length])
+        return [(t["name"], 20 + length + t["offset"],
+                 20 + length + t["offset"] + 8 * math.prod(t["shape"]))
+                for t in header["tensors"]]
+
+    def test_a_payload_cut_inside_a_tensor_names_that_tensor(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        manifest = self._manifest(path)
+        assert len(manifest) == 8
+        for name, start, end in manifest:
+            path.write_bytes(raw[:(start + end) // 2])
+            with pytest.raises(ModelError, match=re.escape(
+                    f"model.ckpt: truncated checkpoint: tensor '{name}' "
+                    f"needs bytes")):
+                Model.load(path)
+
+    def test_a_nan_in_the_last_tensor_read_names_file_and_tensor(
+            self, tmp_path):
+        _, path = self._saved(tmp_path)
+        name, _, end = self._manifest(path)[-1]
+        raw = bytearray(path.read_bytes())
+        raw[end - 8:end] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteError, match=re.escape(
+                f"model.ckpt: state entry '{name}' has non-finite values")):
+            Model.load(path)
+
+    @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv"])
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch, variant):
+        model, path = self._saved(tmp_path, variant=variant)
+
+        def refuse(*args):
+            raise AssertionError("Model.load drew an initial weight")
+
+        monkeypatch.setattr(model_module, "_he_uniform", refuse)
+        loaded, _ = Model.load(path)
+        state = loaded.graph.live_state()
+        for name, array in model.graph.live_state().items():
+            assert array.tobytes() == state[name].tobytes(), name
+
+    @pytest.mark.parametrize("damage", ["nan", "cut"])
+    def test_a_failed_load_keeps_no_unset_array(self, tmp_path, monkeypatch,
+                                                damage):
+        _, path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        if damage == "nan":
+            path.write_bytes(raw[:-8] + struct.pack("<d", np.nan))
+        else:
+            path.write_bytes(raw[:-4])
+        made = []
+        real_empty = Parameter.empty.__func__
+
+        def recording(cls, name, shape):
+            param = real_empty(cls, name, shape)
+            made.append(weakref.ref(param))
+            return param
+
+        monkeypatch.setattr(Parameter, "empty", classmethod(recording))
+        with pytest.raises((ModelError, NonFiniteError)) as caught:
+            Model.load(path)
+        assert made
+        gc.collect()
+        # the error and its traceback are still held here
+        assert caught.value.__traceback__ is not None
+        assert all(ref() is None for ref in made)
 

@@ -17,6 +17,34 @@ from dtanet.proteins import (
 )
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=3, max_size=200)
+# one of each kind of letter that is not a canonical residue
+BAD_LETTERS = ("a", "y", "X", "U", "7", "\u00e9", "\ud800")
+
+
+def loop_psc(sequence, phosphorylated=False):
+    """The descriptor as the residue-by-residue encoder made it: a dict
+    lookup per letter, a zeroed row filled block by block."""
+    index = {letter: k for k, letter in enumerate(AMINO_ACIDS)}
+    if len(sequence) < 3:
+        raise SequenceError(
+            f"sequence length {len(sequence)} is below the minimum of 3")
+    codes = np.empty(len(sequence), dtype=np.int64)
+    for pos, letter in enumerate(sequence):
+        code = index.get(letter)
+        if code is None:
+            raise SequenceError(
+                f"unknown residue {letter!r} at position {pos} "
+                f"(non-canonical letters are rejected, not remapped)")
+        codes[pos] = code
+    length = len(codes)
+    out = np.zeros(DESCRIPTOR_LENGTH, dtype=np.float64)
+    out[:20] = np.bincount(codes, minlength=20) / length
+    di = codes[:-1] * 20 + codes[1:]
+    out[20:420] = np.bincount(di, minlength=400) / (length - 1)
+    tri = codes[:-2] * 400 + codes[1:-1] * 20 + codes[2:]
+    out[420:8420] = np.bincount(tri, minlength=8000) / (length - 2)
+    out[-1] = 1.0 if phosphorylated else 0.0
+    return out
 
 
 class TestPsc:
@@ -64,6 +92,44 @@ class TestPsc:
         counts = np.rint(d[:20] * len(seq)).astype(int)
         expected = [seq.count(a) for a in AMINO_ACIDS]
         assert counts.tolist() == expected
+
+    @settings(max_examples=200)
+    @given(sequences, st.booleans())
+    def test_bytes_match_the_loop_encoder(self, seq, phosphorylated):
+        assert psc(seq, phosphorylated).tobytes() == \
+            loop_psc(seq, phosphorylated).tobytes()
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet=AMINO_ACIDS, max_size=40),
+           st.sampled_from(BAD_LETTERS) | st.characters(),
+           st.text(max_size=40))
+    def test_any_text_gets_the_loop_encoders_bytes_or_message(
+            self, head, letter, tail):
+        seq = head + letter + tail
+
+        def outcome(describe):
+            try:
+                return describe(seq).tobytes()
+            except SequenceError as error:
+                return str(error)
+
+        assert outcome(psc) == outcome(loop_psc)
+
+    @pytest.mark.parametrize("letter", BAD_LETTERS)
+    def test_each_kind_of_bad_letter_is_named_with_its_position(self,
+                                                                letter):
+        with pytest.raises(SequenceError) as got:
+            psc("ACD" + letter + "EF")
+        assert str(got.value) == (
+            f"unknown residue {letter!r} at position 3 (non-canonical "
+            f"letters are rejected, not remapped)")
+
+    def test_descriptor_matrix_rows_are_psc_rows(self):
+        table = {"P1": ("ACDEFGHIK", False), "P2": ("WWY", True)}
+        matrix = descriptor_matrix(table, ["P2", "P1", "P2"])
+        assert matrix.tobytes() == np.stack(
+            [loop_psc("WWY", True), loop_psc("ACDEFGHIK"),
+             loop_psc("WWY", True)]).tobytes()
 
     def test_purity(self):
         assert np.array_equal(psc("ACDKLM"), psc("ACDKLM"))

@@ -43,6 +43,9 @@ each one, a fresh interpreter
   graph the first call's inference passes ran on;
 * fingerprints the 1300 compounds with ``ecfp_matrix`` at radius 0..3,
   with 512 and with 4096 bits (matrix bytes);
+* describes with ``psc`` each sequence of ``BAD_SEQUENCES``, which hold a
+  lowercase letter, ``X``, ``U``, a digit, a non-ASCII letter or a lone
+  surrogate, or are too short (each error message);
 * writes a synthetic fixture (``interactions.csv`` and ``proteins.tsv``)
   and runs the pipeline with the default run config on it:
   ``run_training`` (checkpoint and history), a 2-fold 1-repetition warm
@@ -430,6 +433,28 @@ def ecfp_matrices_digest() -> str:
     return digest.hexdigest()
 
 
+# One sequence per kind of letter that is not a canonical residue, and one
+# too short to describe.
+BAD_SEQUENCES = ("ACDaEF", "ACDEFy", "XACDEF", "ACUDEF", "AC7DEF",
+                 "ACD\u00e9EF", "ACD\ud800EF", "AC")
+
+
+def sequence_errors_digest() -> str:
+    """Digest of the ``SequenceError`` message ``psc`` gives for each of
+    ``BAD_SEQUENCES`` (``accepted`` if it gives none)."""
+    from dtanet.proteins import SequenceError, psc
+
+    digest = hashlib.sha256()
+    for sequence in BAD_SEQUENCES:
+        try:
+            psc(sequence)
+            outcome = "accepted"
+        except SequenceError as error:
+            outcome = str(error)
+        digest.update(f"{outcome}\n".encode())
+    return digest.hexdigest()
+
+
 def early_best_digests(out: dict[str, str], dataset, train_idx, val_idx,
                        work: Path) -> None:
     """A ``padme-ecfp`` fit whose best epoch is earlier than its last: the
@@ -498,6 +523,7 @@ def digests() -> dict[str, str]:
             multi_chunk_predict_digest(model, batch_size=64)
         out["graphconv repeat predict"] = repeat_predict_digest(model)
         out["ecfp matrices"] = ecfp_matrices_digest()
+        out["sequence errors"] = sequence_errors_digest()
         out["graph packing"] = graph_packing_digest()
         out.update(pipeline_digests(Path(work)))
     return out
