@@ -1,102 +1,98 @@
-"""Minimal dense-tensor computation graph with reverse-mode differentiation.
+"""A fixed stack of float64 layers with reverse-mode differentiation.
 
-All buffers are float64. A graph is built once (node creation order is the
-topological order), then executed repeatedly with named feeds. Forward
-evaluation touches only the ancestors of the requested outputs, computes each
-node exactly once, and raises as soon as any op produces a non-finite value.
-Parameter values are checked where they enter rather than on every forward
-pass: every value a caller hands to ``Parameter`` (which keeps that float64
-array, uncopied) and every state ``Graph.load_state`` writes. A parameter
-written by hand is caught by the first op that reads it. The one way in
-without a check is ``Parameter.empty``, whose entries are unset: its maker
-writes and checks every entry before the parameter leaves its hands (as
+A ``Graph`` is an ordered list of layers. Each layer's ``compute`` maps
+the previous layer's value to its own; the first layer reads its input
+from the batch's feeds (an ``Input``, or ``IndexedDense``'s tables and row
+indices), and a layer reads any other feed it needs by name (the loss its
+targets and weights, the graph-conv layers their ``GraphBatch``).
+``Graph.forward`` runs the layers in order and raises as soon as any layer
+produces a non-finite value; ``backward`` runs them in reverse. Parameter
+values are checked where they enter rather than on every pass: every value
+a caller hands to ``Parameter`` (which keeps that float64 array, uncopied)
+and every state ``Graph.load_state`` writes. A parameter written by hand
+is caught by the first layer that reads it. The one way in without a check
+is ``Parameter.empty``, whose entries are unset: its maker writes and
+checks every entry before the parameter leaves its hands (as
 ``Model.load`` does), and drops it when that fails. Every finiteness check
-(op outputs, parameters, loaded state, Adam's gradients) is ``all_finite``,
-the entrywise test.
+(layer outputs, feeds, parameters, loaded state, Adam's gradients) is
+``all_finite``, the entrywise test.
 
-``indexed_dense`` is the first dense layer of a model whose input row joins
-several blocks (a compound vector and a protein descriptor): each block is a
-table of distinct rows plus an integer index per output row, and the op
-computes ``sum_k (T_k @ W[rows_k])[index_k]``, so a row shared by many pairs
-is projected once. Its backward sums the upstream gradient per table row
-(``per_row``); a block's weight gradient rows are ``T_k.T @ per_row``. It
-forms them into one array, except while the weight carries a row selection
-(a fit): then the gradient is a ``CompactGrad`` of those factors, which
-``Adam.step`` forms block by block. The op is ``project(table, lo)`` per
-block followed by a gather-add.
+``IndexedDense`` is the first dense layer of a model whose input row joins
+several blocks (a compound vector and a protein descriptor): each block is
+a table of distinct rows plus an integer index per output row, and the
+layer computes ``sum_k (T_k @ W[rows_k])[index_k]``, so a row shared by
+many pairs is projected once. Its backward sums the upstream gradient per
+table row (``per_row``); a block's weight gradient rows are
+``T_k.T @ per_row``. It forms them into one array, except while the weight
+carries a row selection (a fit): then the gradient is a ``CompactGrad`` of
+those factors, which ``Adam.step`` forms block by block. The layer is
+``project(table, lo)`` per block followed by a gather-add.
 
-There are two passes: ``Graph.forward`` trains and ``Graph.infer`` scores.
-Each keeps one plan per (requested outputs, given nodes, pass): the needed
-nodes in order, with each node's consumer count in the call and a flag that
-says whether its value is checked. ``backward`` keeps one plan per (loss,
-named inputs): which nodes want a gradient, in order. Registering a node
-drops every cached plan.
+There are two passes: ``Graph.forward`` trains and ``Graph.infer``
+scores. A layer's value is checked for finiteness after it computes,
+except a ReLU's and an identity dropout's (rate 0, or in ``infer``): the
+value before either was checked, and neither can turn finite input into a
+non-finite value. An ``Input``'s feed, like every numeric feed a layer
+reads, is checked as it is read, and a non-finite feed is named as the
+input it is.
 
-A node's finiteness check is implied, and skipped, in two cases only: a
-ReLU, or an identity dropout (rate 0, or in ``infer``), whose input was
-checked or implied finite earlier in the same pass. Neither op can turn
-finite input into a non-finite value. A ``Parameter`` is not checked in a
-pass, so a ReLU that reads one directly is still checked.
-
-``Graph.infer(feeds, outputs, given={node: value})`` is the inference pass:
-no dropout, batch normalization on its running statistics, and no backward
-after it. ``given`` takes the value of any node from the caller instead of
-computing it: the node's value goes through the same finiteness check as a
-computed one, and the nodes that only it needs do not run. Prediction
+``Graph.infer(feeds, x, start, stop)`` runs the layers ``start:stop`` with
+no dropout and batch normalization on its running statistics; no backward
+follows it. A pass from ``start > 0`` takes ``x`` as the value of layer
+``start - 1``, checked like a computed one: ``FeatureStore.predict``
 projects the distinct rows of a whole call once through ``project`` and
-hands each chunk the first layer's value as a ``GatherAdd``: the projected
+hands each chunk the first layer's value as a ``GatherAdd``, the projected
 tables and the chunk's row indices, not their sum. A blocked chain (below)
 gathers it block by block; any other reader gets it formed once.
 
-``add_bias``, batch normalization and ReLU are row-wise: row ``i`` of the
+``AddBias``, ``BatchNorm`` and ``Relu`` are row-wise: row ``i`` of the
 result reads row ``i`` of the input and one entry per column of some
-vectors. Inside ``infer`` such an op writes its result into its input's
-buffer when an op of the same pass produced that buffer, it has exactly
-one consumer and it is not a requested output; otherwise it writes an
-array of its own. A feed, a ``Parameter``, a given value and an identity
+vectors. The stack finds, when it is built, where each run of row-wise
+layers ends: in ``infer`` such a run is the chain of the value before it
+(a product, another layer's value or the given ``x``). A row-wise layer
+writes its result into its input's buffer when a layer of the same pass
+produced that buffer; a feed, a parameter, the given ``x`` and an identity
 dropout's alias of its input are never written.
 
-An inference plan runs in segments: a node (a product, a given value)
-followed by the chain of row-wise ops that read it in turn, each with
-only parameters besides. A requested output ends its segment. When the
-head's value has at least two blocks of rows, a block being
-``_INFER_BLOCK`` entries (``_INFER_BLOCK // width`` rows, 64 at width
-256), the chain runs block by block: each block is gathered (from a given
-``GatherAdd``, into the first op's buffer) or sliced from the head, then
-goes through every op while it stays in L2. Each op's vectors (the bias;
-the running mean, ``1/sqrt(running_var + eps)``, gamma and beta) are tiled
-once per pass to a block's shape, so each elementwise step is one ufunc
-over contiguous operands. A segment under two blocks runs node by node on
-whole arrays and plain vectors, and builds no tile. Each op's inference
+When the chain's first value has at least two blocks of rows, a block
+being ``_INFER_BLOCK`` entries (``_INFER_BLOCK // width`` rows, 64 at
+width 256), the chain runs block by block: each block is gathered (from a
+given ``GatherAdd``, into the first layer's buffer) or sliced from the
+value, then goes through every layer while it stays in L2. Each layer's
+vectors (the bias; the running mean, ``1/sqrt(running_var + eps)``, gamma
+and beta) are tiled to a block's shape, so each elementwise step is one
+ufunc over contiguous operands; the tiles are built once per ``tiles``
+dict a caller passes (``FeatureStore.predict`` passes one per call),
+else once per pass. A chain under two blocks runs layer by layer on whole
+arrays and plain vectors, and builds no tile. Each layer's inference
 arithmetic is one method (``apply``) that both ways call, so every element
 goes through the same IEEE operations on the same values in the same
 order, and no byte changes.
 
-A block runs one finiteness check per chain, not one per node. A check is
-dropped when every op after it, up to a check that is kept, passes
-non-finite entries on (``_RowWise.passes_non_finite``): ``add_bias`` and
-batch normalization add, subtract and multiply, and in IEEE arithmetic a
-NaN or an infinity stays non-finite at its position whatever the other
-operand holds (inf*0 and inf-inf give NaN), a NaN or infinity in a
-parameter's vector included. ReLU maps -inf to 0, so no check before it
-is dropped on its account. In a hidden layer the batch-norm output (or
-``add_bias`` without batch norm) is checked and the head and ``add_bias``
-are not. When a block's check fails, or an op's vectors do not fit, the
-blocked run stops and ``infer`` reruns the whole plan node by node on
-whole arrays, which raises the error a node-by-node run raises: the failed
-node that comes first in the plan, or the ``ShapeError`` after the checks
-before it. The blocked run silences floating-point warnings, so a failing
-call warns as the rerun does.
+A block runs one finiteness check per chain, not one per layer. A check
+is dropped when every layer after it, up to a check that is kept, passes
+non-finite entries on (``_RowWise.passes_non_finite``): ``AddBias`` and
+``BatchNorm`` add, subtract and multiply, and in IEEE arithmetic a NaN or
+an infinity stays non-finite at its position whatever the other operand
+holds (inf*0 and inf-inf give NaN), a NaN or infinity in a parameter's
+vector included. ReLU maps -inf to 0, so no check before it is dropped on
+its account. In a hidden layer the batch-norm output (or the bias add's
+without batch norm) is checked and the product and the bias add are not.
+When a block's check fails, or a layer's vectors do not fit, the blocked
+run stops and ``infer`` reruns its layers one by one on whole arrays,
+which raises the error such a run raises: the failed layer that comes
+first, or the ``ShapeError`` after the checks before it. The blocked run
+silences floating-point warnings, so a failing call warns as the rerun
+does.
 
-An inference pass keeps only what it returns. Once ``infer`` has collected
-the requested outputs, or has raised, every node of its plan that is not a
-``Parameter`` holds ``value = None``: feeds, given nodes, intermediates and
-the outputs themselves. A caller's feed or given array is only
-un-referenced, never written. Op state has one rule: a training ``forward``
-keeps what its backward reads (the ReLU mask, batch normalization's
-centered and normalized input, the graph convolution's neighbor sums and
-mask, the graph pooling winners, the loss's residual), and no backward
-derives such state from its input; ``infer`` keeps nothing.
+A layer keeps nothing of a pass but ``saved``: what a training
+``forward`` keeps for its backward (the ReLU mask, batch normalization's
+centered and normalized input, the graph convolution's input, neighbor
+sums and mask, the graph pooling winners, the loss's residual); no
+backward derives such state from its input. ``infer`` first sets every
+layer's ``saved`` to ``None`` and keeps nothing, so once it returns or
+raises the stack holds only its parameters and batch-norm running
+statistics. A caller's feed or ``x`` is only read, never written.
 
 Model state is the parameters and the batch-norm running statistics, and
 all of it exists from construction: a batch norm allocates its running
@@ -106,32 +102,28 @@ statistics and ``infer`` only reads them. ``Graph.live_state`` lists every
 entry, and ``Graph.load_state`` writes each one in place after checking
 its name and shape.
 
-Backward fills ``grad`` only on nodes that lie between the loss and a
-``Parameter`` (or an input named in ``backward(loss, inputs=...)``, which is
-how the gradient checks reach placeholders). Each op computes a contribution
-only for an input that wants one, so the gradient of the fingerprint and
-descriptor tables and of the first graph convolution's atom features is never
-formed in training. After a backward pass every parameter the loss reaches
-holds a gradient (all zeros when nothing flowed into it; in the compact
-layout of its row selection, if it has one, and then a ``CompactGrad`` when
-``indexed_dense`` gave it) and every node that received none holds
-``None``. A node's first contribution is adopted as its gradient without a
-copy, so gradient arrays may alias each other and are read-only; a second
-contribution is added to the first one's array, formed if it is a
-``CompactGrad``.
+``backward`` runs from the loss of the last ``forward``. Each layer's
+``backprop`` takes the gradient of its value, sets its parameters'
+``grad`` and returns its input's gradient, which only layers after the
+first layer with parameters are asked for: the gradient of the
+fingerprint and descriptor tables and of the first graph convolution's
+atom features is never formed. No layer keeps a gradient. After a
+backward pass every parameter holds a gradient (all zeros when nothing
+flowed into it; in the compact layout of its row selection, if it has
+one, and then a ``CompactGrad`` when ``IndexedDense`` gave it).
 
 ``Adam.step`` updates parameters and moments in place, with the arithmetic
 of the textbook rule in its textbook order, so it is bitwise equal to the
 plain expression. Building an ``Adam`` packs every parameter without a row
 selection into one flat float64 buffer, in parameter order, and rebinds
-each such ``Parameter.array`` (and ``value``) to a view of its span; the
-moments are views of flat buffers with the same layout. A step gathers
-those gradients into one flat array and runs the update once over the flat
-buffers, in fixed chunks, instead of once per parameter: the graph-conv
-model has dozens of small per-degree parameters, and the per-call overhead
-of ~14 ufuncs each outweighed their arithmetic. This is exact: every entry
-goes through the same IEEE-rounded elementwise operations with the same
-scalars in the same order, and packing only moves bytes.
+each such ``Parameter.array`` to a view of its span; the moments are views
+of flat buffers with the same layout. A step gathers those gradients into
+one flat array and runs the update once over the flat buffers, in fixed
+chunks, instead of once per parameter: the graph-conv model has dozens of
+small per-degree parameters, and the per-call overhead of ~14 ufuncs each
+outweighed their arithmetic. This is exact: every entry goes through the
+same IEEE-rounded elementwise operations with the same scalars in the same
+order, and packing only moves bytes.
 
 From then on the optimizer's buffer owns those parameter arrays. Write a
 parameter in place (``Graph.load_state`` does, and ``state_dict`` copies);
@@ -146,29 +138,32 @@ the duration of a fit, with a row active when its input column is nonzero
 for at least one training pair (a learned compound embedding is all
 active). A block with a quarter or more of its rows inactive is compacted
 to its active rows, unless that leaves 1 to 3 of them; any other block
-stays whole. While the selection is
-set, ``indexed_dense``'s backward leaves the weight gradient as a
-``CompactGrad``: per block, the kept table columns (``T[:, cols]`` for a
-compacted block, ``T`` for a whole one) and the upstream gradient summed
-per table row, whose product is the gradient of the selected rows in the
-compact layout. An ``Adam`` built then keeps that weight's moments in the
-same layout, updates only those rows, and forms each row block of the
-gradient just before that block's update, so a fit never holds the
-weight's gradient: its floor is the weight and its two compact moments.
-The forward still reads the full weight, so validation and prediction see
-every row.
+stays whole. While the selection is set, ``IndexedDense``'s backward
+leaves the weight gradient as a ``CompactGrad``: per block, the kept table
+columns (``T[:, cols]`` for a compacted block, ``T`` for a whole one) and
+the upstream gradient summed per table row, whose product is the gradient
+of the selected rows in the compact layout. An ``Adam`` built then keeps
+that weight's moments in the same layout, updates only those rows, and
+forms each row block of the gradient just before that block's update, so a
+fit never holds the weight's gradient: its floor is the weight and its two
+compact moments. The forward still reads the full weight, so validation
+and prediction see every row.
 
-This is exact. There is no weight decay, so an inactive row's gradient is
-±0 at every step of the fit: its moments would stay +0 and its update
+There is no weight decay, so an inactive row's gradient is ±0 at every
+step of the fit: its moments would stay +0 and its update
 ``lr*0/(sqrt(0)+eps)`` is +0, which leaves the row as it was. Skipping it
-changes no byte. Each selected row's gradient entry is the same dot product
-over the batch's distinct table rows as on the full path (the tests check
-the compact product, whole and per Adam block, bitwise against the full
-one; ``CompactGrad.rows`` says how a block's product is cut so that it
-is) and its update runs the same arithmetic, so the parameters are
-byte-identical to a fit over every row. A column-compacted forward
-``T[:, cols] @ W[cols]`` would not be: it sums over the columns in another
-order.
+changes no byte. Each selected row's gradient entry is the same dot
+product over the batch's distinct table rows as on the full path (the
+tests check the compact product, whole and per Adam block, bitwise against
+the full one; ``CompactGrad.rows`` says how a block's product is cut so
+that it is) and its update runs the same arithmetic, so the parameters are
+byte-identical to a fit over every row while a batch holds fewer than
+about 400 distinct table rows. At 400 and more the bytes can differ: with
+OpenBLAS 0.3.31 at 2 threads the weight bytes differed at every seed tried
+with 400, 448, 480, 511 and 512 distinct rows, and at none with 64, 256,
+300, 384 and 385. The default ``train.batch_size`` of 32 stays far below.
+A column-compacted forward ``T[:, cols] @ W[cols]`` would not be exact
+either: it sums over the columns in another order.
 
 Conventions fixed here and relied on by tests:
 
@@ -184,7 +179,6 @@ Conventions fixed here and relied on by tests:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -194,10 +188,16 @@ __all__ = [
     "EngineError",
     "ShapeError",
     "NonFiniteError",
-    "Node",
-    "Placeholder",
-    "ObjectInput",
     "Parameter",
+    "Layer",
+    "Input",
+    "IndexedDense",
+    "MatMul",
+    "AddBias",
+    "Relu",
+    "Dropout",
+    "BatchNorm",
+    "WeightedMse",
     "Graph",
     "relu",
     "GatherAdd",
@@ -234,92 +234,45 @@ def require_finite(state: dict[str, np.ndarray]) -> None:
             raise NonFiniteError(f"state entry '{key}' has non-finite values")
 
 
-class _Context:
+class _Context(NamedTuple):
     """One pass's feeds and kind. ``inference`` is set in ``Graph.infer``,
-    after which no backward runs; ``reuse`` is set per node by the plan and
-    tells an op that supports it to write into its first input's buffer."""
+    after which no backward runs."""
 
-    __slots__ = ("feeds", "rng", "inference", "reuse")
-
-    def __init__(self, feeds, rng, inference=False):
-        self.feeds = feeds
-        self.rng = rng
-        self.inference = inference
-        self.reuse = False
+    feeds: dict
+    rng: np.random.Generator | None
+    inference: bool = False
 
 
-class Node:
-    """One operation in the graph; holds its last output and gradient."""
-
-    def __init__(self, op: str, inputs: tuple["Node", ...]):
-        self.op = op
-        self.inputs = inputs
-        self.name = op  # made unique when added to a Graph
-        self.value: np.ndarray | None = None
-        self.grad: np.ndarray | CompactGrad | None = None
-        # set by Graph.backward; True until then so backprop can be driven by hand
-        self.wants_grad = True
-
-    def compute(self, ctx: _Context) -> np.ndarray:
-        """The node's value from its inputs' values: an array of its own,
-        never an input's buffer (identity dropout alone returns its input),
-        because ``Graph.infer`` may write into it once it is dead."""
-        raise NotImplementedError
-
-    def backprop(self) -> None:
-        """Add ``self.grad``'s contribution to each input that wants a gradient."""
-
-    def _accumulate(self, node: "Node", contribution) -> None:
-        # The first contribution is adopted as is; later ones are added out of
-        # place because an adopted array may be another node's gradient. The
-        # sum reads a CompactGrad through its formed array.
-        if node.grad is None:
-            node.grad = contribution
-        else:
-            node.grad = np.add(node.grad, contribution)
-
-    def shape_error(self, detail: str) -> ShapeError:
-        return ShapeError(f"{self.name} ({self.op}): {detail}")
+def _non_finite(name: str, op: str) -> NonFiniteError:
+    return NonFiniteError(f"non-finite values produced by node '{name}' ({op})")
 
 
-class Placeholder(Node):
-    def __init__(self, name: str):
-        super().__init__("input", ())
-        self.name = name
-
-    def compute(self, ctx):
-        try:
-            fed = ctx.feeds[self.name]
-        except KeyError:
-            raise EngineError(f"no value fed for input '{self.name}'") from None
-        return np.asarray(fed, dtype=np.float64)
-
-
-class ObjectInput(Node):
-    """Non-numeric side input (e.g. a packed molecular-graph structure)."""
-
-    def __init__(self, name: str):
-        super().__init__("object", ())
-        self.name = name
-
-    def compute(self, ctx):
-        try:
-            return ctx.feeds[self.name]
-        except KeyError:
-            raise EngineError(f"no value fed for input '{self.name}'") from None
+def fed(ctx: _Context, name: str, numeric: bool = True):
+    """The feed ``name``; a numeric one as float64, checked for
+    finiteness and named as an input when it fails."""
+    try:
+        value = ctx.feeds[name]
+    except KeyError:
+        raise EngineError(f"no value fed for input '{name}'") from None
+    if not numeric:
+        return value
+    value = np.asarray(value, dtype=np.float64)
+    if not all_finite(value):
+        raise _non_finite(name, "input")
+    return value
 
 
-class Parameter(Node):
+class Parameter:
     """A trainable array. It keeps the array it is handed when that is a
     writeable float64 array (the caller hands it over), else a float64
     copy, and checks it for finiteness."""
 
     def __init__(self, name: str, value: np.ndarray):
-        super().__init__("parameter", ())
         self.name = name
         self.array = np.require(value, np.float64, "W")
         if not all_finite(self.array):
             raise NonFiniteError(f"parameter '{name}' has non-finite values")
+        self.grad: np.ndarray | CompactGrad | None = None
         # rows a fit can move (see RowSelection); None trains every row
         self.row_selection: RowSelection | None = None
 
@@ -332,54 +285,104 @@ class Parameter(Node):
         param.array = np.empty(shape)
         return param
 
-    def compute(self, ctx):
-        return self.array
+
+class Layer:
+    """One layer of a ``Graph``: its name, its op, its parameters and what
+    a training forward keeps for its backward (``saved``)."""
+
+    op = "layer"
+
+    def __init__(self, name: str | None = None, params=()):
+        self.name = name or self.op
+        self.params = tuple(params)
+        self.saved = None
+
+    def compute(self, x, ctx: _Context) -> np.ndarray:
+        """The value from ``x``, the previous layer's value (``None`` for
+        the stack's first layer): an array of its own, never ``x``'s buffer
+        (identity dropout alone returns ``x``), because ``Graph.infer`` may
+        write into it. Only a training forward sets ``saved``."""
+        raise NotImplementedError
+
+    def backprop(self, grad: np.ndarray, need_input: bool):
+        """Set each parameter's ``grad`` from ``grad``, the gradient of the
+        value; return the input's gradient when ``need_input``."""
+        raise NotImplementedError
+
+    def fresh(self, ctx: _Context) -> bool:
+        """Whether the value is a buffer of the pass, one a later row-wise
+        layer of ``infer`` may write into, rather than a checked feed or
+        the input itself."""
+        return True
+
+    def implied(self, ctx: _Context) -> bool:
+        """Whether the value is finite whenever the input is, so that it
+        is not checked: a value that is not fresh was checked already."""
+        return not self.fresh(ctx)
+
+    def shape_error(self, detail: str) -> ShapeError:
+        return ShapeError(f"{self.name} ({self.op}): {detail}")
 
 
-class _MatMul(Node):
-    def __init__(self, a, b):
-        super().__init__("matmul", (a, b))
+class Input(Layer):
+    """The stack's input: the feed of the layer's name, checked as it is
+    read."""
 
-    def compute(self, ctx):
-        a, b = self.inputs[0].value, self.inputs[1].value
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise self.shape_error(f"cannot multiply {a.shape} by {b.shape}")
-        return a @ b
+    op = "input"
 
-    def backprop(self):
-        a, b = self.inputs
-        if a.wants_grad:
-            self._accumulate(a, self.grad @ b.value.T)
-        if b.wants_grad:
-            self._accumulate(b, a.value.T @ self.grad)
+    def compute(self, x, ctx):
+        return fed(ctx, self.name)
+
+    def fresh(self, ctx):
+        return False
 
 
-def _check_indices(node: Node, tables, indices, names) -> None:
-    """``node``'s ShapeError unless each index is a 1-d integer array
+class MatMul(Layer):
+    op = "matmul"
+
+    def __init__(self, weight: Parameter, name: str | None = None):
+        super().__init__(name, (weight,))
+
+    def compute(self, x, ctx):
+        w = self.params[0].array
+        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise self.shape_error(f"cannot multiply {x.shape} by {w.shape}")
+        if not ctx.inference:
+            self.saved = x
+        return x @ w
+
+    def backprop(self, grad, need_input):
+        w = self.params[0]
+        w.grad = self.saved.T @ grad
+        return grad @ w.array.T if need_input else None
+
+
+def _check_indices(layer: Layer, tables, indices, names) -> None:
+    """``layer``'s ShapeError unless each index is a 1-d integer array
     inside its table's rows and all have one length; ``names`` says what
     each index is in the message."""
     counts = set()
     for table, index, name in zip(tables, indices, names):
         if (not isinstance(index, np.ndarray) or index.ndim != 1
                 or not np.issubdtype(index.dtype, np.integer)):
-            raise node.shape_error(f"{name} must be a 1-d integer array")
+            raise layer.shape_error(f"{name} must be a 1-d integer array")
         if index.size and (index.min() < 0 or index.max() >= table.shape[0]):
-            raise node.shape_error(f"{name} leaves the range of its "
-                                   f"{table.shape[0]}-row table")
+            raise layer.shape_error(f"{name} leaves the range of its "
+                                    f"{table.shape[0]}-row table")
         counts.add(index.size)
     if len(counts) != 1:
-        raise node.shape_error(f"indices differ in length: {sorted(counts)}")
+        raise layer.shape_error(f"indices differ in length: {sorted(counts)}")
 
 
 class GatherAdd(NamedTuple):
-    """``indexed_dense``'s value before it is formed: row ``i`` is
+    """``IndexedDense``'s value before it is formed: row ``i`` is
     ``tables[0][indices[0][i]] + tables[1][indices[1][i]] + ...``, added in
     that order, each table holding projected rows.
 
-    ``Graph.infer`` takes one as the given value of an ``indexed_dense``
-    node. A blocked chain (see ``Graph._run_blocks``) gathers each row
-    block straight into its first op's buffer; any other reader gets the
-    array ``form`` makes. ``_IndexedDense.compute`` forms its value here
+    ``Graph.infer`` takes one as the value of an ``IndexedDense`` layer. A
+    blocked chain (see ``Graph._run_blocks``) gathers each row block
+    straight into its first layer's buffer; any other reader gets the
+    array ``form`` makes. ``IndexedDense.compute`` forms its value here
     too, so both ways add the same values in the same order.
     """
 
@@ -394,16 +397,16 @@ class GatherAdd(NamedTuple):
     def ndim(self) -> int:
         return 2
 
-    def check(self, node: Node) -> None:
-        """``node``'s ShapeError unless the tables are 2-d of one width and
-        the indices fit them (``gather`` reads them unchecked)."""
+    def check(self, layer: Layer) -> None:
+        """``layer``'s ShapeError unless the tables are 2-d of one width
+        and the indices fit them (``gather`` reads them unchecked)."""
         if any(t.ndim != 2 or t.shape[1] != self.tables[0].shape[1]
                for t in self.tables) or len(self.indices) != len(self.tables):
-            raise node.shape_error(
+            raise layer.shape_error(
                 f"a given gather-add needs 2-d tables of one width, one "
                 f"index each: got tables {[t.shape for t in self.tables]} "
                 f"and {len(self.indices)} indices")
-        _check_indices(node, self.tables, self.indices,
+        _check_indices(layer, self.tables, self.indices,
                        [f"given index {k}" for k in range(len(self.indices))])
 
     def gather(self, lo: int, hi: int, out: np.ndarray,
@@ -424,11 +427,12 @@ class GatherAdd(NamedTuple):
         return self.gather(0, len(out), out, scratch)
 
 
-class _IndexedDense(Node):
+class IndexedDense(Layer):
     """``sum_k (T_k @ W[rows_k])[index_k]``: a dense layer over joined tables.
 
-    Block ``k`` pairs a table ``T_k`` of distinct rows with an index that
-    maps each output row to one of them; the blocks' widths split ``W``'s
+    ``blocks`` names, per block, the feed of its table (``None`` for the
+    previous layer's value) and the feed of its index, which maps each
+    output row to one of the table's rows; the blocks' widths split ``W``'s
     rows in order. The result equals ``concat([T_k[index_k]]) @ W`` up to
     summation order, but each distinct row is projected once. The backward
     sums the upstream gradient per distinct table row (``per_row``); ``W``'s
@@ -436,35 +440,29 @@ class _IndexedDense(Node):
     carries a row selection, the backward forms no array for them: it
     leaves a ``CompactGrad`` of each block's kept columns and ``per_row``,
     in the selection's compact layout, which ``Adam.step`` forms block by
-    block. Without a selection it forms the whole gradient array.
+    block. Without a selection it forms the whole gradient array. Only the
+    previous layer's table gets an input gradient.
 
-    The op is ``project`` per block followed by a gather-add.
+    The layer is ``project`` per block followed by a gather-add.
     """
 
-    def __init__(self, blocks, weight):
-        tables = tuple(table for table, _ in blocks)
-        indices = tuple(index for _, index in blocks)
-        super().__init__("indexed_dense", (*tables, *indices, weight))
-        self.n_blocks = len(tables)
+    op = "indexed_dense"
 
-    def _blocks(self):
-        """(table node, index array, first W row, end W row) per block."""
-        k = self.n_blocks
-        lo = 0
-        for table, index in zip(self.inputs[:k], self.inputs[k:2 * k]):
-            hi = lo + table.value.shape[1]
-            yield table, index.value, lo, hi
-            lo = hi
+    def __init__(self, blocks, weight: Parameter, name: str | None = None):
+        super().__init__(name, (weight,))
+        self.blocks = tuple(blocks)
 
     def project(self, table: np.ndarray, lo: int) -> np.ndarray:
         """``table @ W[lo:lo + width]``: rows of the block whose columns
-        start at weight row ``lo``, through that block of the weight (a
-        ``Parameter``'s current array, without a forward)."""
-        w = self.inputs[-1]
-        weight = w.array if isinstance(w, Parameter) else w.value
-        return table @ weight[lo:lo + table.shape[1]]
+        start at weight row ``lo``, through that block of the weight."""
+        return table @ self.params[0].array[lo:lo + table.shape[1]]
 
-    def _check_tables(self, tables, w) -> None:
+    def compute(self, x, ctx):
+        tables, indices = [], []
+        for table, index in self.blocks:
+            tables.append(x if table is None else fed(ctx, table))
+            indices.append(fed(ctx, index, numeric=False))
+        w = self.params[0].array
         if w.ndim != 2 or any(t.ndim != 2 for t in tables):
             raise self.shape_error(
                 f"expected 2-d tables and weight, got tables "
@@ -473,57 +471,51 @@ class _IndexedDense(Node):
             raise self.shape_error(
                 f"table widths {[t.shape[1] for t in tables]} do not sum to "
                 f"the weight's {w.shape[0]} rows")
-
-    def compute(self, ctx):
-        k = self.n_blocks
-        tables = [node.value for node in self.inputs[:k]]
-        self._check_tables(tables, self.inputs[-1].value)
-        indices = [node.value for node in self.inputs[k:2 * k]]
         _check_indices(self, tables, indices,
-                       [f"index '{node.name}'" for node in self.inputs[k:2 * k]])
-        projected = [self.project(table.value, lo)
-                     for table, _, lo, _ in self._blocks()]
+                       [f"index '{index}'" for _, index in self.blocks])
+        if not ctx.inference:
+            self.saved = (tables, indices)
+        projected, lo = [], 0
+        for table in tables:
+            projected.append(self.project(table, lo))
+            lo += table.shape[1]
         return GatherAdd(tuple(projected), tuple(indices)).form()
 
-    def backprop(self):
-        w_node = self.inputs[-1]
-        selection = None
-        if w_node.wants_grad:
-            widths = tuple(node.value.shape[1]
-                           for node in self.inputs[:self.n_blocks])
-            selection = w_node.row_selection or RowSelection(
-                [np.ones(width, dtype=bool) for width in widths])
-            if selection.widths != widths:
-                raise self.shape_error(
-                    f"row selection of '{w_node.name}' covers blocks "
-                    f"{list(selection.widths)}, the tables are "
-                    f"{list(widths)} wide")
-            factors = []
-        for k, (table, index, lo, hi) in enumerate(self._blocks()):
-            if selection is None and not table.wants_grad:
-                continue
-            # the rows of self.grad summed per distinct table row
-            per_row = np.zeros((table.value.shape[0], self.grad.shape[1]))
-            np.add.at(per_row, index, self.grad)
-            if selection is not None:
-                compact, columns, _ = selection.blocks[k]
-                kept = table.value if columns is None else table.value[:, columns]
-                factors.append((compact, kept, per_row))
-            if table.wants_grad:
-                self._accumulate(table, per_row @ w_node.value[lo:hi].T)
-        if selection is not None:
-            grad = CompactGrad((selection.n_rows, w_node.value.shape[1]),
-                               factors)
-            self._accumulate(w_node, grad if w_node.row_selection is not None
-                             else np.asarray(grad))
+    def backprop(self, grad, need_input):
+        w = self.params[0]
+        tables, indices = self.saved
+        widths = tuple(table.shape[1] for table in tables)
+        selection = w.row_selection or RowSelection(
+            [np.ones(width, dtype=bool) for width in widths])
+        if selection.widths != widths:
+            raise self.shape_error(
+                f"row selection of '{w.name}' covers blocks "
+                f"{list(selection.widths)}, the tables are "
+                f"{list(widths)} wide")
+        factors, dx, lo = [], None, 0
+        for (source, _), table, index, (compact, columns, _) in zip(
+                self.blocks, tables, indices, selection.blocks):
+            # the rows of grad summed per distinct table row
+            per_row = np.zeros((table.shape[0], grad.shape[1]))
+            np.add.at(per_row, index, grad)
+            kept = table if columns is None else table[:, columns]
+            factors.append((compact, kept, per_row))
+            if source is None and need_input:
+                dx = per_row @ w.array[lo:lo + table.shape[1]].T
+            lo += table.shape[1]
+        w.grad = CompactGrad((selection.n_rows, w.array.shape[1]), factors)
+        if w.row_selection is None:
+            w.grad = np.asarray(w.grad)
+        return dx
 
 
-class _RowWise(Node):
-    """An op whose row ``i`` reads only row ``i`` of its first input, plus
+class _RowWise(Layer):
+    """A layer whose row ``i`` reads only row ``i`` of its input, plus
     vectors of one entry per column (``operands``). Its inference
     arithmetic is ``apply``: ``Graph.infer`` calls it once on the whole
     input with the plain vectors, or once per row block with the vectors
-    tiled to the block's shape (see ``Graph._run_blocks``).
+    tiled to the block's shape (see ``Graph._run_blocks``); ``compute`` is
+    the training forward.
 
     ``passes_non_finite`` says that a non-finite entry of ``x`` gives a
     non-finite entry at the same position of the result, whatever the
@@ -545,14 +537,15 @@ class _RowWise(Node):
         raise NotImplementedError
 
 
-class _AddBias(_RowWise):
+class AddBias(_RowWise):
+    op = "add_bias"
     passes_non_finite = True
 
-    def __init__(self, x, bias):
-        super().__init__("add_bias", (x, bias))
+    def __init__(self, bias: Parameter, name: str | None = None):
+        super().__init__(name, (bias,))
 
     def operands(self, x):
-        bias = self.inputs[1].value
+        bias = self.params[0].array
         if bias.ndim != 1 or x.ndim != 2 or x.shape[1] != bias.shape[0]:
             raise self.shape_error(f"bias {bias.shape} does not fit {x.shape}")
         return (bias,)
@@ -560,16 +553,12 @@ class _AddBias(_RowWise):
     def apply(self, x, out, operands):
         return np.add(x, operands[0], out=out)
 
-    def compute(self, ctx):
-        x = self.inputs[0].value
-        return self.apply(x, x if ctx.reuse else None, self.operands(x))
+    def compute(self, x, ctx):
+        return self.apply(x, None, self.operands(x))
 
-    def backprop(self):
-        x, bias = self.inputs
-        if x.wants_grad:
-            self._accumulate(x, self.grad)
-        if bias.wants_grad:
-            self._accumulate(bias, self.grad.sum(axis=0))
+    def backprop(self, grad, need_input):
+        self.params[0].grad = grad.sum(axis=0)
+        return grad
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -584,83 +573,81 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-class _Relu(_RowWise):
-    """Every forward keeps the mask of positive inputs for the backward."""
+class Relu(_RowWise):
+    """A training forward keeps the mask of positive inputs."""
 
-    def __init__(self, x):
-        super().__init__("relu", (x,))
-        self._mask = None
+    op = "relu"
 
     def apply(self, x, out, operands):
         return relu(x, out=out)
 
-    def compute(self, ctx):
-        x = self.inputs[0].value
-        self._mask = None if ctx.inference else x > 0.0
-        return self.apply(x, x if ctx.reuse else None, ())
+    def compute(self, x, ctx):
+        self.saved = x > 0.0
+        return relu(x)
 
-    def backprop(self):
-        x = self.inputs[0]
-        if x.wants_grad:
-            self._accumulate(x, self.grad * self._mask)
+    def backprop(self, grad, need_input):
+        return grad * self.saved
+
+    def implied(self, ctx):
+        return True
 
 
-class _Dropout(Node):
-    def __init__(self, x, rate: float):
-        super().__init__("dropout", (x,))
+class Dropout(Layer):
+    op = "dropout"
+
+    def __init__(self, rate: float, name: str | None = None):
+        super().__init__(name)
         if not 0.0 <= rate < 1.0:
             raise EngineError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._mask = None
 
-    def compute(self, ctx):
-        x = self.inputs[0].value
-        if ctx.inference or self.rate == 0.0:
-            self._mask = None
+    def compute(self, x, ctx):
+        if not self.fresh(ctx):
             return x
         if ctx.rng is None:
             raise EngineError(f"{self.name}: training-mode dropout needs an rng")
         keep = ctx.rng.random(x.shape) >= self.rate
-        self._mask = keep / (1.0 - self.rate)
-        return x * self._mask
+        self.saved = keep / (1.0 - self.rate)
+        return x * self.saved
 
-    def backprop(self):
-        if not self.inputs[0].wants_grad:
-            return
-        if self._mask is None:
-            self._accumulate(self.inputs[0], self.grad)
-        else:
-            self._accumulate(self.inputs[0], self.grad * self._mask)
+    def backprop(self, grad, need_input):
+        return grad if self.saved is None else grad * self.saved
+
+    def fresh(self, ctx):
+        """False for an identity dropout (rate 0, or in ``infer``)."""
+        return not (ctx.inference or self.rate == 0.0)
 
 
-class _BatchNorm(_RowWise):
+class BatchNorm(_RowWise):
     """Per-feature normalization over the batch, with running statistics.
 
     The running mean (zeros) and variance (ones) are allocated here, one
     entry per ``gamma`` entry, so they exist before any pass. A training
     ``forward`` normalizes with the batch's statistics, moves the running
     ones, and keeps the centered and normalized input its backward reads.
-    ``infer`` normalizes with the running statistics and keeps nothing:
-    ``apply`` subtracts the running mean, multiplies by
-    ``1/sqrt(running_var + eps)`` and by gamma, and adds beta, on the whole
-    input with plain vectors or on a row block with tiled ones.
+    ``infer`` normalizes with the running statistics: ``apply`` subtracts
+    the running mean, multiplies by ``1/sqrt(running_var + eps)`` and by
+    gamma, and adds beta, on the whole input with plain vectors or on a row
+    block with tiled ones.
 
     Each ``forward`` moves the running statistics by ``momentum``; ``eps``
     is added to every variance before its square root. Both are constants.
     """
 
+    op = "batchnorm"
     momentum = 0.9
     eps = 1e-5
     passes_non_finite = True
 
-    def __init__(self, x, gamma, beta):
-        super().__init__("batchnorm", (x, gamma, beta))
+    def __init__(self, gamma: Parameter, beta: Parameter,
+                 name: str | None = None):
+        super().__init__(name, (gamma, beta))
         self.running_mean = np.zeros(gamma.array.shape)
         self.running_var = np.ones(gamma.array.shape)
 
     def _fit(self, x):
         """``gamma`` and ``beta``, checked against ``x``'s shape."""
-        gamma, beta = self.inputs[1].value, self.inputs[2].value
+        gamma, beta = (p.array for p in self.params)
         if x.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
             raise self.shape_error(
                 f"x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
@@ -679,11 +666,7 @@ class _BatchNorm(_RowWise):
         out += beta
         return out
 
-    def compute(self, ctx):
-        x = self.inputs[0].value
-        if ctx.inference:
-            self._inv_std = self._centered = self._xhat = None
-            return self.apply(x, x if ctx.reuse else None, self.operands(x))
+    def compute(self, x, ctx):
         gamma, beta = self._fit(x)
         mean = x.mean(axis=0)
         var = x.var(axis=0)
@@ -691,94 +674,51 @@ class _BatchNorm(_RowWise):
                              + (1.0 - self.momentum) * mean)
         self.running_var = (self.momentum * self.running_var
                             + (1.0 - self.momentum) * var)
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._centered = x - mean
-        self._xhat = self._centered * self._inv_std
-        return gamma * self._xhat + beta
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        centered = x - mean
+        xhat = centered * inv_std
+        self.saved = (inv_std, centered, xhat)
+        return gamma * xhat + beta
 
-    def backprop(self):
-        x_node, gamma_node, beta_node = self.inputs
-        gamma = gamma_node.value
-        if gamma_node.wants_grad:
-            self._accumulate(gamma_node, (self.grad * self._xhat).sum(axis=0))
-        if beta_node.wants_grad:
-            self._accumulate(beta_node, self.grad.sum(axis=0))
-        if not x_node.wants_grad:
-            return
-        dxhat = self.grad * gamma
-        n = self.grad.shape[0]
-        dvar = (dxhat * self._centered).sum(axis=0) * (-0.5) * self._inv_std ** 3
-        dmean = (-(dxhat * self._inv_std).sum(axis=0)
-                 + dvar * (-2.0 / n) * self._centered.sum(axis=0))
-        dx = dxhat * self._inv_std + dvar * 2.0 * self._centered / n + dmean / n
-        self._accumulate(x_node, dx)
+    def backprop(self, grad, need_input):
+        inv_std, centered, xhat = self.saved
+        gamma, beta = self.params
+        gamma.grad = (grad * xhat).sum(axis=0)
+        beta.grad = grad.sum(axis=0)
+        if not need_input:
+            return None
+        dxhat = grad * gamma.array
+        n = grad.shape[0]
+        dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std ** 3
+        dmean = (-(dxhat * inv_std).sum(axis=0)
+                 + dvar * (-2.0 / n) * centered.sum(axis=0))
+        return dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
 
 
-class _WeightedMse(Node):
-    def __init__(self, pred, target, weight):
-        super().__init__("weighted_mse", (pred, target, weight))
+class WeightedMse(Layer):
+    """The loss: the weighted mean squared difference between the value
+    and the ``target`` feed, with the ``weight`` feed's weights."""
 
-    def compute(self, ctx):
-        pred, target, weight = (node.value for node in self.inputs)
+    op = "weighted_mse"
+
+    def compute(self, pred, ctx):
+        target, weight = fed(ctx, "target"), fed(ctx, "weight")
         if pred.shape != target.shape or pred.shape != weight.shape:
             raise self.shape_error(
                 f"pred {pred.shape}, target {target.shape}, weight {weight.shape}")
         diff = pred - target
         total = weight.sum()
-        self._denom = total if total > 0.0 else 1.0
-        # only a backward reads the difference
-        self._diff = None if ctx.inference else diff
-        return np.asarray((weight * diff ** 2).sum() / self._denom)
+        denom = total if total > 0.0 else 1.0
+        if not ctx.inference:
+            self.saved = (weight, diff, denom)
+        return np.asarray((weight * diff ** 2).sum() / denom)
 
-    def backprop(self):
-        pred, target, weight = self.inputs
-        scale = float(self.grad)
-        if pred.wants_grad or target.wants_grad:
-            dpred = scale * 2.0 * weight.value * self._diff / self._denom
-            if pred.wants_grad:
-                self._accumulate(pred, dpred)
-            if target.wants_grad:
-                self._accumulate(target, -dpred)
-        if weight.wants_grad:
-            self._accumulate(
-                weight,
-                scale * (self._diff ** 2 - self.value) / self._denom,
-            )
+    def backprop(self, grad, need_input):
+        weight, diff, denom = self.saved
+        return float(grad) * 2.0 * weight * diff / denom
 
 
-class _Step(NamedTuple):
-    """One needed node of a forward or inference schedule."""
-
-    node: Node
-    given: bool  # the value comes from the caller's ``given``
-    check: bool  # the value goes through ``all_finite``
-    reuse: bool  # the op writes into its first input's buffer
-    shared: bool  # more than one node reads the value
-
-
-class _Plan(NamedTuple):
-    """A cached forward or inference schedule."""
-
-    # per segment, its head's step and then its chain's, in run order
-    segments: tuple
-    needed: frozenset
-    released: tuple  # the needed nodes whose value an inference pass drops
-
-
-class _GradPlan(NamedTuple):
-    """A cached backward schedule."""
-
-    wants: tuple  # each graph node's ``wants_grad``, in graph order
-    order: tuple  # the nodes that want a gradient, in reverse graph order
-    filled: tuple  # the parameters and named inputs that end with one
-
-
-def _non_finite(node: Node) -> NonFiniteError:
-    return NonFiniteError(
-        f"non-finite values produced by node '{node.name}' ({node.op})")
-
-
-# Entries per row block of an inference segment (see ``Graph._run_blocks``):
+# Entries per row block of an inference chain (see ``Graph._run_blocks``):
 # ``_INFER_BLOCK // width`` rows, 64 at width 256. Against whole arrays, a
 # 4000-pair train-ecfp predict (padme-ecfp, hidden 256,256, 1024-pair
 # chunks, after a 1-epoch fit) scored pairs/s -10.2% in blocks of 16 rows,
@@ -792,8 +732,8 @@ _INFER_BLOCK = 16384
 
 
 def _block_rows(value) -> int:
-    """Rows per block of a segment whose head holds ``value`` (an array or
-    a ``GatherAdd``), or 0 when the segment runs whole: a value that is not
+    """Rows per block of a chain after ``value`` (an array or a
+    ``GatherAdd``), or 0 when the chain runs whole: a value that is not
     2-d or has under two blocks of rows."""
     shape = getattr(value, "shape", ())
     if len(shape) != 2:
@@ -802,354 +742,205 @@ def _block_rows(value) -> int:
     return rows if shape[0] >= 2 * rows else 0
 
 
+class _Rerun(Exception):
+    """A blocked chain failed a check, or its vectors do not fit: the pass
+    reruns on whole arrays, which raises the error."""
+
+
 class Graph:
-    """Container and executor for a static computation graph."""
+    """An ordered stack of layers; see the module docstring."""
 
-    def __init__(self):
-        self.nodes: list[Node] = []
-        self._names: set[str] = set()
-        self._op_counts: dict[str, int] = {}
-        # forward and inference plans under (outputs, given, inference) keys,
-        # backward plans under (loss, inputs) keys
-        self._plans: dict[tuple, _Plan | _GradPlan] = {}
-        # the nodes the last forward computed; a backward needs its loss there
-        self._ready: frozenset = frozenset()
+    def __init__(self, layers):
+        self.layers: list[Layer] = list(layers)
+        # per position, the end of the run of row-wise layers from there on
+        self._run_ends = [len(self.layers)]
+        for i in range(len(self.layers) - 1, -1, -1):
+            self._run_ends.insert(0, self._run_ends[0] if isinstance(
+                self.layers[i], _RowWise) else i)
+        # the last training forward's loss, which a backward starts from
+        self._loss: np.ndarray | None = None
 
-    # -- construction ----------------------------------------------------
-
-    def add(self, node: Node, name: str | None = None) -> Node:
-        """Register an externally built node (used by the graph-conv layers)
-        under ``name``, else under the name it carries, if one was set."""
-        if name is None and node.name != node.op:
-            name = node.name
-        return self._register(node, name)
-
-    def _register(self, node: Node, name: str | None) -> Node:
-        if name is None:
-            count = self._op_counts.get(node.op, 0)
-            self._op_counts[node.op] = count + 1
-            name = f"{node.op}{count}"
-        if name in self._names:
-            raise EngineError(f"duplicate node name '{name}'")
-        for inp in node.inputs:
-            if inp not in self.nodes:
-                raise EngineError(
-                    f"node '{name}' uses an input that is not in this graph")
-        node.name = name
-        self._names.add(name)
-        self.nodes.append(node)
-        self._plans.clear()
-        return node
-
-    def placeholder(self, name: str) -> Placeholder:
-        return self._register(Placeholder(name), name)
-
-    def object_input(self, name: str) -> ObjectInput:
-        return self._register(ObjectInput(name), name)
-
-    def parameter(self, name: str, value: np.ndarray) -> Parameter:
-        return self._register(Parameter(name, value), name)
-
-    def matmul(self, a, b, name=None):
-        return self._register(_MatMul(a, b), name)
-
-    def indexed_dense(self, blocks, weight, name=None):
-        """First-layer product over ``[(table, index), ...]`` blocks.
-
-        Each ``table`` is a numeric node of distinct rows and each ``index``
-        an ``ObjectInput`` fed a 1-d integer array mapping output rows to
-        table rows; see ``_IndexedDense``.
-        """
-        return self._register(_IndexedDense(blocks, weight), name)
-
-    def add_bias(self, x, bias, name=None):
-        return self._register(_AddBias(x, bias), name)
-
-    def relu(self, x, name=None):
-        return self._register(_Relu(x), name)
-
-    def dropout(self, x, rate, name=None):
-        return self._register(_Dropout(x, rate), name)
-
-    def batch_norm(self, x, gamma, beta, name=None):
-        return self._register(_BatchNorm(x, gamma, beta), name)
-
-    def weighted_mse(self, pred, target, weight, name=None):
-        return self._register(_WeightedMse(pred, target, weight), name)
+    @property
+    def nodes(self) -> list:
+        """Every layer, each after its parameters."""
+        return [node for layer in self.layers
+                for node in (*layer.params, layer)]
 
     # -- execution ---------------------------------------------------------
 
-    def _ancestors(self, outputs, given=()) -> set[Node]:
-        """The nodes ``outputs`` depend on; a node in ``given`` does not
-        depend on its inputs."""
-        needed: set[Node] = set()
-        stack = list(outputs)
-        while stack:
-            node = stack.pop()
-            if node in needed:
-                continue
-            needed.add(node)
-            if node not in given:
-                stack.extend(node.inputs)
-        return needed
+    def forward(self, feeds: dict,
+                rng: np.random.Generator | None = None) -> np.ndarray:
+        """The training pass over every layer: each layer keeps what its
+        backward reads (``infer`` keeps nothing). Returns the last layer's
+        value, the loss a ``backward`` may then start from."""
+        self._loss = None
+        ctx = _Context(feeds, rng)
+        x = None
+        for layer in self.layers:
+            x = layer.compute(x, ctx)
+            if not layer.implied(ctx) and not all_finite(x):
+                raise _non_finite(layer.name, layer.op)
+        self._loss = x
+        return x
 
-    def _plan(self, outputs: list[Node], given: dict,
-              inference: bool) -> _Plan:
-        key = (tuple(outputs), frozenset(given), inference)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._schedule(outputs, given,
-                                                     inference)
-        return plan
+    def infer(self, feeds: dict, x=None, start: int = 0, stop: int | None = None,
+              tiles: dict | None = None) -> np.ndarray:
+        """The inference pass over ``layers[start:stop]``: dropout off and
+        batch normalization on its running statistics; no backward can
+        follow. Returns the last of those layers' value.
 
-    def _schedule(self, outputs, given, inference: bool) -> _Plan:
-        """The plan of an inference pass, or else of a training one."""
-        for node in given:
-            if node not in self.nodes:
-                raise EngineError(f"a value is given for '{node.name}', "
-                                  f"which is not a node of this graph")
-        needed = self._ancestors(outputs, given)
-        ordered = [node for node in self.nodes if node in needed]
-        consumers = Counter(inp for node in ordered if node not in given
-                            for inp in node.inputs)
-        requested = set(outputs)
-        finite: set[Node] = set()  # checked or implied finite in the pass
-        fresh: set[Node] = set()  # buffers an op of this pass produced
-        steps = []
-        for node in ordered:
-            is_given = node in given
-            identity = isinstance(node, _Dropout) and (inference
-                                                       or node.rate == 0.0)
-            implied = (not is_given
-                       and (identity or isinstance(node, _Relu))
-                       and node.inputs[0] in finite)
-            check = not (implied or isinstance(node, (ObjectInput, Parameter)))
-            if check or implied:
-                finite.add(node)
-            reuse = False
-            if inference and not is_given:
-                reuse = (isinstance(node, _RowWise)
-                         and node.inputs[0] in fresh
-                         and consumers[node.inputs[0]] == 1
-                         and node.inputs[0] not in requested)
-                if not (identity or isinstance(
-                        node, (Placeholder, ObjectInput, Parameter))):
-                    fresh.add(node)
-            steps.append(_Step(node, is_given, check, reuse,
-                               consumers[node] > 1))
-        if inference:
-            # parameters first, so a chain reads its vectors' values
-            steps.sort(key=lambda step: not isinstance(step.node, Parameter))
-        segments = []
-        for step in steps:
-            node = step.node
-            last = segments[-1][-1].node if segments else None
-            if (inference and isinstance(node, _RowWise) and not step.given
-                    and node.inputs[0] is last and last not in requested
-                    and all(isinstance(inp, Parameter)
-                            for inp in node.inputs[1:])):
-                segments[-1].append(step)
+        From ``start > 0``, ``x`` is layer ``start - 1``'s value (an array,
+        or a ``GatherAdd`` for an ``IndexedDense`` layer), checked as that
+        layer's value is; it is never written. Each row-wise chain after a
+        value of at least two blocks of ``_INFER_BLOCK`` entries runs block
+        by block on tiled vectors, with one finiteness check per chain,
+        the tiles kept in ``tiles`` (a fresh dict when it is ``None``) for
+        later passes to reuse; if a block fails, the layers rerun one by
+        one on whole arrays, so the bytes and the errors are those of such
+        a run (see the module docstring). The pass leaves every layer's
+        ``saved`` at ``None``.
+        """
+        self._loss = None
+        for layer in self.layers:
+            layer.saved = None
+        stop = len(self.layers[:stop])
+        ctx = _Context(feeds, None, inference=True)
+        try:
+            return self._infer(ctx, x, start, stop,
+                               {} if tiles is None else tiles)
+        except _Rerun:
+            return self._infer(ctx, x, start, stop, None)
+
+    def _infer(self, ctx: _Context, x, start: int, stop: int,
+               tiles: dict | None):
+        """``layers[start:stop]`` from ``x``; with ``tiles``, each chain
+        that has at least two row blocks runs in blocks (``_run_blocks``),
+        which raises ``_Rerun`` where a block fails."""
+        i, head = start, None
+        if start:  # the given value heads the chain after it
+            head, check, fresh = self.layers[start - 1], True, False
+            if isinstance(x, GatherAdd):
+                x.check(head)
+        while True:
+            if head is None:
+                head = self.layers[i]
+                x = head.compute(x, ctx)
+                check, fresh = not head.implied(ctx), head.fresh(ctx)
+                i += 1
+            chain = self.layers[i:min(self._run_ends[i], stop)]
+            rows = _block_rows(x) if tiles is not None and chain else 0
+            if rows:
+                x = self._run_blocks(ctx, head, check, x, fresh, chain,
+                                     rows, tiles)
             else:
-                segments.append([step])
-        released = tuple(node for node in ordered
-                         if not isinstance(node, Parameter))
-        return _Plan(tuple(map(tuple, segments)), frozenset(needed), released)
-
-    def _run(self, plan: _Plan, ctx: _Context, given: dict,
-             blocks: bool = False) -> bool:
-        """Run ``plan``, raising the first failed check in plan order. With
-        ``blocks``, each chain whose head holds at least two row blocks
-        runs block by block (``_run_blocks``), and the run stops and
-        returns False at a block that fails, without raising; the caller
-        then reruns the plan without blocks, which raises the error."""
-        for segment in plan.segments:
-            head = segment[0]
-            rows = 0
-            for step in segment:
-                node = step.node
-                if step.given:
-                    node.value = given[node]
-                    if isinstance(node.value, GatherAdd):
-                        node.value.check(node)
-                else:
-                    ctx.reuse = step.reuse
-                    node.value = node.compute(ctx)
-                if step is head and blocks and len(segment) > 1:
-                    rows = _block_rows(node.value)
-                if isinstance(node.value, GatherAdd) and (
-                        not rows or step.shared):
-                    node.value = node.value.form()
-                if rows:
-                    if not self._run_blocks(segment, rows):
-                        return False
-                    break
-                if step.check and not all_finite(node.value):
-                    raise _non_finite(node)
-        return True
+                if isinstance(x, GatherAdd):
+                    x = x.form()
+                if check and not all_finite(x):
+                    raise _non_finite(head.name, head.op)
+                for layer in chain:
+                    x = layer.apply(x, x if fresh else None, layer.operands(x))
+                    fresh = True
+                    if not layer.implied(ctx) and not all_finite(x):
+                        raise _non_finite(layer.name, layer.op)
+            i += len(chain)
+            if i >= stop:
+                return x
+            head = None
 
     @staticmethod
-    def _run_blocks(segment: tuple, rows: int) -> bool:
-        """Run a segment's chain over its head's value in blocks of
-        ``rows`` rows, with one finiteness check per chain (see the module
-        docstring); False at the first block that fails it, or when an
-        op's vectors do not fit. A head given as a ``GatherAdd`` is
-        gathered block by block into the first op's buffer, and that op
-        runs in place on it. Each op's vectors are tiled once to a block's
-        shape, so every elementwise op is one ufunc over contiguous
-        operands. Floating-point warnings are silenced here; the rerun of a
-        failed pass gives them."""
-        x = segment[0].node.value
+    def _run_blocks(ctx: _Context, head: Layer, check: bool, x, fresh: bool,
+                    chain: list, rows: int, tiles: dict) -> np.ndarray:
+        """Run ``chain`` over ``x``, ``head``'s value, in blocks of ``rows``
+        rows, with one finiteness check per chain (see the module
+        docstring); ``_Rerun`` at the first block that fails it, or when a
+        layer's vectors do not fit. An ``x`` given as a ``GatherAdd`` is
+        gathered block by block into the first layer's buffer, and that
+        layer runs in place on it. Each layer's vectors are tiled to a
+        block's shape once per ``tiles``, so every elementwise step is one
+        ufunc over contiguous operands. Floating-point warnings are
+        silenced here; the rerun of a failed pass gives them."""
         # a check is kept unless a later kept check sees what it would
+        checks = [check] + [not layer.implied(ctx) for layer in chain]
         keep, carried = [], False
-        for step in reversed(segment):
-            keep.append(step.check and not carried)
+        for layer, checked in zip(reversed([head, *chain]), reversed(checks)):
+            keep.append(checked and not carried)
             carried = ((keep[-1] or carried)
-                       and getattr(step.node, "passes_non_finite", False))
+                       and getattr(layer, "passes_non_finite", False))
         keep.reverse()
         gathered = isinstance(x, GatherAdd)
         with np.errstate(all="ignore"):
-            try:
-                vectors = [step.node.operands(x) for step in segment[1:]]
-            except ShapeError:
-                return False
-            ops = []  # (apply, output, tiles, check) per op
+            ops = []  # (apply, output, tiles, check) per layer
             value = x
-            for step, vecs, check in zip(segment[1:], vectors, keep[1:]):
-                # the plan's in-place rule, as in compute; a given head is
-                # never written, so the first op has a buffer of its own
-                if not step.reuse:
+            for layer, kept in zip(chain, keep[1:]):
+                key = (layer, x.shape[1])
+                if key not in tiles:
+                    try:
+                        vectors = layer.operands(x)
+                    except ShapeError:
+                        raise _Rerun from None
+                    tiles[key] = [np.repeat(v[None, :], rows, axis=0)
+                                  for v in vectors]
+                # the in-place rule, as on whole arrays; a given value is
+                # never written, so the first layer has a buffer of its own
+                if not fresh:
                     value = np.empty(x.shape)
-                step.node.value = value
-                ops.append((step.node.apply, value,
-                            [np.repeat(v[None, :], rows, axis=0)
-                             for v in vecs], check))
+                fresh = True
+                ops.append((layer.apply, value, tiles[key], kept))
             if gathered:
                 first, scratch = ops[0][1], np.empty((rows, x.shape[1]))
             for lo in range(0, x.shape[0], rows):
                 hi = min(lo + rows, x.shape[0])
                 if hi - lo < rows:  # the last block
-                    ops = [(apply, value, [tile[:hi - lo] for tile in tiles],
-                            check) for apply, value, tiles, check in ops]
+                    ops = [(apply, out, [tile[:hi - lo] for tile in tiled],
+                            kept) for apply, out, tiled, kept in ops]
                 block = (x.gather(lo, hi, first[lo:hi], scratch[:hi - lo])
                          if gathered else x[lo:hi])
                 if keep[0] and not all_finite(block):
-                    return False
-                for apply, value, tiles, check in ops:
-                    block = apply(block, value[lo:hi], tiles)
-                    if check and not all_finite(block):
-                        return False
-        return True
+                    raise _Rerun
+                for apply, out, tiled, kept in ops:
+                    block = apply(block, out[lo:hi], tiled)
+                    if kept and not all_finite(block):
+                        raise _Rerun
+        return value
 
-    def forward(self, feeds: dict, outputs: list[Node],
-                rng: np.random.Generator | None = None) -> list[np.ndarray]:
-        """The training pass: each needed node runs once and keeps its
-        value, and each op keeps what its backward reads (``infer`` keeps
-        nothing). Scores come from ``infer``."""
-        plan = self._plan(outputs, {}, False)
-        self._run(plan, _Context(feeds, rng), {})
-        self._ready = plan.needed
-        return [node.value for node in outputs]
-
-    def infer(self, feeds: dict, outputs: list[Node],
-              given: dict | None = None) -> list[np.ndarray]:
-        """The inference pass: ``outputs`` with dropout off and batch
-        normalization on its running statistics; no backward can follow.
-
-        ``given`` maps nodes of this graph to values that the pass takes
-        instead of computing them (an array, or a ``GatherAdd`` for an
-        ``indexed_dense`` node); the nodes that only they need do not run.
-        Ops may write into dead buffers of the pass, never into a given
-        array or table. The row-wise chain after a product or a given
-        value of at least two blocks of ``_INFER_BLOCK`` entries runs block
-        by block on tiled vectors, with one finiteness check per chain; if
-        a block fails, the plan reruns node by node on whole arrays, so the
-        bytes and the errors are a node-by-node run's (see the module
-        docstring). Whether the pass returns or raises, it leaves
-        ``value = None`` on every node of its plan but the parameters, so
-        it holds nothing once it is over.
+    def backward(self) -> None:
+        """Reverse-mode d(loss)/d(parameter) from the loss of the last
+        ``forward``: each parameter ends with a gradient, all zeros if
+        nothing flowed into it. A weight that carries a row selection and
+        feeds ``IndexedDense`` ends with a ``CompactGrad``, the factors of
+        its compact gradient: ``np.asarray`` forms it.
         """
-        given = given or {}
-        plan = self._plan(outputs, given, True)
-        self._ready = frozenset()
-        ctx = _Context(feeds, None, inference=True)
-        try:
-            if not self._run(plan, ctx, given, blocks=True):
-                self._run(plan, ctx, given)
-            return [node.value for node in outputs]
-        finally:
-            for node in plan.released:
-                node.value = None
-
-    def backward(self, loss: Node, inputs: tuple[Node, ...] = ()) -> None:
-        """Reverse-mode d(loss)/d(node) for the nodes that depend on a parameter.
-
-        ``inputs`` names further nodes (usually placeholders) whose gradient
-        the caller wants; the nodes between them and the loss are filled too.
-        Every parameter and named input the loss reaches ends with a gradient,
-        all zeros if nothing flowed into it; every other node ends with
-        ``None`` unless it lies on such a path. A weight that carries a row
-        selection and feeds ``indexed_dense`` ends with a ``CompactGrad``,
-        the factors of its compact gradient: ``np.asarray`` forms it.
-        """
-        if loss not in self._ready or loss.value is None:
+        if self._loss is None:
             raise EngineError("backward called before forward (an inference "
                               "pass does not count)")
-        if np.size(loss.value) != 1:
-            raise EngineError(
-                f"loss node '{loss.name}' is not scalar: shape {loss.value.shape}")
-        key = (loss, tuple(inputs))
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._grad_plan(loss, inputs)
-        for node, wants in zip(self.nodes, plan.wants):
-            node.grad = None
-            node.wants_grad = wants
-        loss.grad = np.ones_like(loss.value)
-        for node in plan.order:
-            if node.grad is not None:
-                node.backprop()
-        for node in plan.filled:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.value)
-
-    def _grad_plan(self, loss: Node, inputs) -> _GradPlan:
-        named = set(inputs)
-        for node in inputs:
-            if node not in self.nodes or isinstance(node, ObjectInput):
-                raise EngineError(
-                    f"cannot take the gradient of '{node.name}': not a "
-                    f"numeric node of this graph")
-        reachable = self._ancestors([loss])
-        wanting: set[Node] = set()
-        for node in self.nodes:  # creation order: inputs are decided first
-            if (node in reachable and not isinstance(node, ObjectInput)
-                    and (isinstance(node, Parameter) or node in named
-                         or any(inp in wanting for inp in node.inputs))):
-                wanting.add(node)
-        return _GradPlan(
-            wants=tuple(node in wanting for node in self.nodes),
-            order=tuple(node for node in reversed(self.nodes)
-                        if node in wanting),
-            filled=tuple(node for node in self.nodes if node in wanting
-                         and (isinstance(node, Parameter) or node in named)))
+        params = self.parameters()
+        self.zero_grad()
+        first = next((i for i, layer in enumerate(self.layers)
+                      if layer.params), len(self.layers))
+        grad = np.ones_like(self._loss)
+        for i in range(len(self.layers) - 1, first - 1, -1):
+            grad = self.layers[i].backprop(grad, i > first)
+        for p in params:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.array)
 
     def zero_grad(self) -> None:
-        for node in self.nodes:
-            node.grad = None
+        for p in self.parameters():
+            p.grad = None
 
     # -- state -------------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        return [node for node in self.nodes if isinstance(node, Parameter)]
+        return [p for layer in self.layers for p in layer.params]
 
     def live_state(self) -> dict[str, np.ndarray]:
         """The arrays the graph holds, uncopied: every trainable parameter
         plus batch-norm running statistics. Read them, do not write them."""
         state = {p.name: p.array for p in self.parameters()}
-        for node in self.nodes:
-            if isinstance(node, _BatchNorm):
-                state[f"{node.name}.running_mean"] = node.running_mean
-                state[f"{node.name}.running_var"] = node.running_var
+        for layer in self.layers:
+            if isinstance(layer, BatchNorm):
+                state[f"{layer.name}.running_mean"] = layer.running_mean
+                state[f"{layer.name}.running_var"] = layer.running_var
         return state
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -1352,9 +1143,9 @@ class Adam:
 
     Building the optimizer packs every parameter without a
     ``row_selection`` into one flat buffer, ``flat_theta``, in parameter
-    order: each such ``Parameter.array`` (and ``value``) is rebound to a
-    view of its span, and its moments ``state.m[name]``/``state.v[name]``
-    are views of ``flat_m``/``flat_v`` with the same layout. ``step``
+    order: each such ``Parameter.array`` is rebound to a view of its
+    span, and its moments ``state.m[name]``/``state.v[name]`` are views of
+    ``flat_m``/``flat_v`` with the same layout. ``step``
     gathers their gradients into one flat array and runs the update over
     the flat buffers in chunks of ``_ADAM_CHUNK`` entries, through two
     scratch buffers of one chunk, so a step allocates nothing of parameter
@@ -1398,7 +1189,7 @@ class Adam:
                 offset = span.stop
                 theta = self.flat_theta[span].reshape(p.array.shape)
                 theta[...] = p.array
-                p.array = p.value = theta
+                p.array = theta
                 self.state.m[p.name] = self.flat_m[span].reshape(theta.shape)
                 self.state.v[p.name] = self.flat_v[span].reshape(theta.shape)
                 continue

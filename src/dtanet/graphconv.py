@@ -22,8 +22,8 @@ contiguous slice ``slices[d]``, in ascending original id. ``atom_ids[r]`` is
 the original id of row ``r`` and ``restore[v]`` the row of atom ``v``.
 ``neighbors`` lists each row's neighbors and ``closed`` its closed
 neighborhood (the atom itself included), both as rows in ascending original
-id, padded with ``n_atoms``. The structure rides through the graph as a
-non-numeric side input; only the feature rows and the layer parameters carry
+id, padded with ``n_atoms``. The graph layers read the structure from the
+batch's feeds; only the feature rows and the layer parameters carry
 gradients.
 
 The conv and pool layers read and write rows. ``RestoreAtomOrder`` returns
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Node, ObjectInput, Parameter, relu
+from .engine import Layer, Parameter, fed, relu
 from .smiles import MoleculeTable
 
 __all__ = ["PackedGraphs", "GraphBatch", "GraphStructureError", "pack_graphs",
@@ -172,38 +172,36 @@ def pack_graphs(molecules: MoleculeTable, features: np.ndarray,
     return packed.batch(np.arange(len(molecules)))
 
 
-class GraphConv(Node):
-    """Per-degree convolution: separate self/neighbor weights for each degree."""
+class GraphConv(Layer):
+    """Per-degree convolution: separate self/neighbor weights for each
+    degree. It reads its batch's ``GraphBatch`` from the feed
+    ``graph_batch``."""
 
-    def __init__(self, h: Node, structure: ObjectInput,
-                 w_self: list[Parameter], w_nbr: list[Parameter],
-                 bias: list[Parameter]):
+    op = "graph_conv"
+
+    def __init__(self, w_self: list[Parameter], w_nbr: list[Parameter],
+                 bias: list[Parameter], name: str | None = None):
         if not (len(w_self) == len(w_nbr) == len(bias)):
             raise GraphStructureError("per-degree parameter lists differ in length")
-        super().__init__("graph_conv", (h, structure, *w_self, *w_nbr, *bias))
-        self._n_degrees = len(w_self)
+        super().__init__(name, (*w_self, *w_nbr, *bias))
 
     def _params(self):
-        k = self._n_degrees
-        w_self = self.inputs[2:2 + k]
-        w_nbr = self.inputs[2 + k:2 + 2 * k]
-        bias = self.inputs[2 + 2 * k:]
-        return w_self, w_nbr, bias
+        k = len(self.params) // 3
+        return self.params[:k], self.params[k:2 * k], self.params[2 * k:]
 
-    def compute(self, ctx):
-        h = self.inputs[0].value
-        batch: GraphBatch = self.inputs[1].value
+    def compute(self, h, ctx):
+        batch: GraphBatch = fed(ctx, "graph_batch", numeric=False)
         w_self, w_nbr, bias = self._params()
-        in_width = w_self[0].value.shape[0]
-        out_width = w_self[0].value.shape[1]
+        in_width = w_self[0].array.shape[0]
+        out_width = w_self[0].array.shape[1]
         if h.shape != (batch.n_atoms, in_width):
             raise self.shape_error(
                 f"atom features {h.shape} do not match "
                 f"({batch.n_atoms}, {in_width})")
-        if int(batch.degrees[-1]) >= self._n_degrees:
+        if int(batch.degrees[-1]) >= len(w_self):
             raise self.shape_error(
                 f"batch contains degree {int(batch.degrees[-1])}, "
-                f"parameters only cover 0..{self._n_degrees - 1}")
+                f"parameters only cover 0..{len(w_self) - 1}")
         nbr_sum = np.zeros_like(h)
         z = np.empty((batch.n_atoms, out_width))
         for d, rows in enumerate(batch.slices):
@@ -213,50 +211,40 @@ class GraphConv(Node):
             for column in batch.neighbors[rows, :d].T:
                 total += h[column]
             out = z[rows]
-            np.matmul(h[rows], w_self[d].value, out=out)
-            out += total @ w_nbr[d].value
-            out += bias[d].value
-        if ctx.inference:
-            # no backward follows: keep nothing for one, and z is dead
-            self._nbr_sum = self._z = self._mask = None
+            np.matmul(h[rows], w_self[d].array, out=out)
+            out += total @ w_nbr[d].array
+            out += bias[d].array
+        if ctx.inference:  # no backward follows, and z is dead
             return relu(z, out=z)
-        self._nbr_sum = nbr_sum
-        # the pre-activation: kept by forwards only, for the gradient-check
-        # tooling's kink guard
-        self._z = z
-        self._mask = z > 0.0
+        # the pre-activation z is kept for the gradient checks' kink guard
+        self.saved = (h, batch, nbr_sum, z, z > 0.0)
         return relu(z)
 
-    def backprop(self):
-        h_node = self.inputs[0]
-        batch: GraphBatch = self.inputs[1].value
+    def backprop(self, grad, need_input):
+        h, batch, nbr_sum, _, mask = self.saved
         w_self, w_nbr, bias = self._params()
-        h = h_node.value
-        dz = self.grad * self._mask
-        want_h = h_node.wants_grad
-        if want_h:
+        dz = grad * mask
+        if need_input:
             dh = np.zeros_like(h)
             dnbr = np.empty_like(h)
         for d, rows in enumerate(batch.slices):
             if rows.start == rows.stop:
                 continue  # the degree's parameters end with a zero gradient
             dzd = dz[rows]
-            if w_self[d].wants_grad:
-                self._accumulate(w_self[d], h[rows].T @ dzd)
-            if w_nbr[d].wants_grad:
-                self._accumulate(w_nbr[d], self._nbr_sum[rows].T @ dzd)
-            if bias[d].wants_grad:
-                self._accumulate(bias[d], dzd.sum(axis=0))
-            if want_h:
-                dh[rows] += dzd @ w_self[d].value.T
-                dnbr[rows] = dzd @ w_nbr[d].value.T
-        if want_h:
-            # neighbor sums: each atom collects from its neighbors in order
-            for d, rows in enumerate(batch.slices):
-                total = dh[rows]
-                for column in batch.neighbors[rows, :d].T:
-                    total += dnbr[column]
-            self._accumulate(h_node, dh)
+            w_self[d].grad = h[rows].T @ dzd
+            w_nbr[d].grad = nbr_sum[rows].T @ dzd
+            bias[d].grad = dzd.sum(axis=0)
+            if need_input:
+                dh[rows] += dzd @ w_self[d].array.T
+                dnbr[rows] = dzd @ w_nbr[d].array.T
+        if not need_input:
+            return None
+        # neighbor sums: each atom collects from its neighbors in order
+        for d, rows in enumerate(batch.slices):
+            total = dh[rows]
+            for column in batch.neighbors[rows, :d].T:
+                total += dnbr[column]
+        return dh
 
 
 def _pool(h: np.ndarray, batch: GraphBatch,
@@ -289,78 +277,73 @@ def _pool(h: np.ndarray, batch: GraphBatch,
     return pooled, winners
 
 
-class GraphPool(Node):
-    """Elementwise max over each atom's closed neighborhood.
+class _StructureLayer(Layer):
+    """A parameter-free graph layer that reads its batch's ``GraphBatch``
+    from the feed ``graph_batch``."""
 
-    Every forward finds the winners for the backward; ``infer`` does not.
-    """
-
-    def __init__(self, h: Node, structure: ObjectInput):
-        super().__init__("graph_pool", (h, structure))
-
-    def compute(self, ctx):
-        h = self.inputs[0].value
-        batch: GraphBatch = self.inputs[1].value
+    def _batch(self, h, ctx) -> GraphBatch:
+        """The batch, checked against ``h``'s rows."""
+        batch = fed(ctx, "graph_batch", numeric=False)
         if h.shape[0] != batch.n_atoms:
             raise self.shape_error(
                 f"{h.shape[0]} feature rows for {batch.n_atoms} atoms")
-        pooled, self._winners = _pool(h, batch, not ctx.inference)
+        return batch
+
+
+class GraphPool(_StructureLayer):
+    """Elementwise max over each atom's closed neighborhood.
+
+    A training forward finds the winners for the backward; ``infer`` does
+    not.
+    """
+
+    op = "graph_pool"
+
+    def compute(self, h, ctx):
+        batch = self._batch(h, ctx)
+        pooled, winners = _pool(h, batch, not ctx.inference)
+        if not ctx.inference:
+            self.saved = (batch, winners)
         return pooled
 
-    def backprop(self):
-        h_node = self.inputs[0]
-        if not h_node.wants_grad:
-            return
-        batch: GraphBatch = self.inputs[1].value
-        n_atoms, width = self._winners.shape
+    def backprop(self, grad, need_input):
+        batch, winners = self.saved
+        n_atoms, width = winners.shape
         # visit the entries in original atom order, so that each row's
         # contributions add up in ascending original id
         order = batch.restore
-        flat = (self._winners[order].astype(np.intp) * width
+        flat = (winners[order].astype(np.intp) * width
                 + np.arange(width)).ravel()
-        contribution = np.bincount(flat, weights=self.grad[order].ravel(),
+        contribution = np.bincount(flat, weights=grad[order].ravel(),
                                    minlength=n_atoms * width)
-        self._accumulate(h_node, contribution.reshape(n_atoms, width))
+        return contribution.reshape(n_atoms, width)
 
 
-class RestoreAtomOrder(Node):
+class RestoreAtomOrder(_StructureLayer):
     """The rows of a degree-ordered batch back in original atom order."""
 
-    def __init__(self, h: Node, structure: ObjectInput):
-        super().__init__("restore_order", (h, structure))
+    op = "restore_order"
 
-    def compute(self, ctx):
-        h = self.inputs[0].value
-        batch: GraphBatch = self.inputs[1].value
-        if h.shape[0] != batch.n_atoms:
-            raise self.shape_error(
-                f"{h.shape[0]} feature rows for {batch.n_atoms} atoms")
+    def compute(self, h, ctx):
+        batch = self._batch(h, ctx)
+        if not ctx.inference:
+            self.saved = batch
         return h[batch.restore]
 
-    def backprop(self):
-        if not self.inputs[0].wants_grad:
-            return
-        batch: GraphBatch = self.inputs[1].value
-        self._accumulate(self.inputs[0], self.grad[batch.atom_ids])
+    def backprop(self, grad, need_input):
+        return grad[self.saved.atom_ids]
 
 
-class GraphGather(Node):
+class GraphGather(_StructureLayer):
     """Sum-readout over rows in original atom order: one row per molecule."""
 
-    def __init__(self, h: Node, structure: ObjectInput):
-        super().__init__("graph_gather", (h, structure))
+    op = "graph_gather"
 
-    def compute(self, ctx):
-        h = self.inputs[0].value
-        batch: GraphBatch = self.inputs[1].value
-        if h.shape[0] != batch.n_atoms:
-            raise self.shape_error(
-                f"{h.shape[0]} feature rows for {batch.n_atoms} atoms")
+    def compute(self, h, ctx):
+        batch = self._batch(h, ctx)
+        if not ctx.inference:
+            self.saved = batch
         return np.add.reduceat(h, batch.mol_starts, axis=0)
 
-    def backprop(self):
-        if not self.inputs[0].wants_grad:
-            return
-        batch: GraphBatch = self.inputs[1].value
-        self._accumulate(self.inputs[0],
-                         np.repeat(self.grad, batch.mol_sizes, axis=0))
+    def backprop(self, grad, need_input):
+        return np.repeat(grad, self.saved.mol_sizes, axis=0)

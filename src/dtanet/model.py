@@ -8,20 +8,23 @@ one output per task:
 * ``padme-graphconv``   conv/pool stack + sum readout | protein descriptor
 * ``compound-only-*``   compound vector only, one output per known protein
 
-The join is never materialized. The first dense layer's weight ``dense0.W``
-has one row per input column (compound columns first), and the layer
-projects each distinct compound and each distinct protein of a batch once
-through its block of rows, then adds the two projected rows per pair
-(``Graph.indexed_dense``). A training batch's feeds therefore hold the
-distinct compound inputs, the distinct protein descriptors, and the per-pair
-row indices ``compound_row`` and ``protein_row``.
+Each network is one stack of layers (``engine.Graph``): the conv stack
+of a graph-conv variant, the first dense layer, the hidden layers, the
+output layer and the loss. The join is never materialized. The first dense
+layer's weight ``dense0.W`` has one row per input column (compound columns
+first), and the layer projects each distinct compound and each distinct
+protein of a batch once through its block of rows, then adds the two
+projected rows per pair (``engine.IndexedDense``). A training batch's feeds
+therefore hold the distinct compound inputs, the distinct protein
+descriptors, and the per-pair row indices ``compound_row`` and
+``protein_row``.
 
 Prediction lifts the distinct row from the batch to the call:
 ``FeatureStore.predict`` projects each distinct compound and protein of the
 whole call once, then hands each chunk the projected tables and its pairs'
-row indices (a ``GatherAdd``) as the first layer's value in the network's
-inference pass (``Graph.infer(..., given=...)``), which gathers and adds
-them block by block.
+row indices (a ``GatherAdd``) as the first layer's value to an inference
+pass of the layers after it (``Graph.infer``), which gathers and adds them
+block by block.
 
 The compound-only variants cannot see new proteins (a prediction for an
 unknown protein id is a hard error); the paired variants accept any protein
@@ -62,10 +65,18 @@ from .compounds import (
 )
 from .data import PairDataset
 from .engine import (
+    AddBias,
+    BatchNorm,
+    Dropout,
     GatherAdd,
     Graph,
+    IndexedDense,
+    Input,
+    MatMul,
     NonFiniteError,
     Parameter,
+    Relu,
+    WeightedMse,
     all_finite,
     require_finite,
 )
@@ -183,18 +194,15 @@ def _he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
 
 
 class Model:
-    """A built network: the graph plus handles to its named inputs."""
+    """A built network: the layer stack, its last layer the loss."""
 
-    def __init__(self, cfg: ModelConfig, graph: Graph, output, loss,
+    def __init__(self, cfg: ModelConfig, graph: Graph,
                  protein_index: dict[str, int] | None):
         self.cfg = cfg
         self.graph = graph
-        self.output = output
-        self.loss = loss
         self.protein_index = protein_index
-        # the indexed_dense node; its first inputs are the input-block tables
-        self.first_layer = next(node for node in graph.nodes
-                                if node.op == "indexed_dense")
+        self.first_layer = next(layer for layer in graph.layers
+                                if isinstance(layer, IndexedDense))
 
     @classmethod
     def build(cls, cfg: ModelConfig,
@@ -208,7 +216,7 @@ class Model:
         rng = np.random.default_rng(cfg.seed)
 
         def drawn(name: str, shape: tuple[int, ...],
-                  fill: float | None) -> Parameter:
+                  fill: float | None = None) -> Parameter:
             return Parameter(name, _he_uniform(rng, *shape) if fill is None
                              else np.full(shape, fill))
 
@@ -217,7 +225,7 @@ class Model:
     @classmethod
     def _assemble(cls, cfg: ModelConfig, protein_ids, parameter) -> "Model":
         """The network of ``cfg``, each parameter made by
-        ``parameter(name, shape, fill)``: a constant ``fill``, or an
+        ``parameter(name, shape, fill=None)``: a constant ``fill``, or an
         He-uniform weight (fan-in ``shape[0]``) when ``fill`` is None."""
         cfg = cfg.normalized()
         protein_index = None
@@ -233,66 +241,63 @@ class Model:
                     "only (n_tasks must be 1)")
             protein_index = {p: i for i, p in enumerate(protein_ids)}
             n_outputs = len(protein_ids)
-        graph = Graph()
-
-        def make(name, shape, fill=None):
-            return graph.add(parameter(name, shape, fill))
-
+        # layer names count each op across the whole stack, and the conv
+        # stack holds the first matmul, add_bias and relu
+        shift = int(cfg.uses_graphconv)
         if cfg.uses_graphconv:
-            compound = cls._build_conv_stack(graph, cfg, make)
+            layers = cls._conv_stack(cfg, parameter)
+            blocks = [(None, "compound_row")]
         else:
-            compound = graph.placeholder("compound")
-        blocks = [(compound, graph.object_input("compound_row"))]
+            layers = []
+            blocks = [("compound", "compound_row")]
         if not cfg.compound_only:
-            blocks.append((graph.placeholder("protein"),
-                           graph.object_input("protein_row")))
-        x = None
+            blocks.append(("protein", "protein_row"))
         width = cfg.input_width()
         for li, (hidden, rate) in enumerate(zip(cfg.hidden_layers,
                                                 cfg.dropout_rates)):
-            w = make(f"dense{li}.W", (width, hidden))
-            b = make(f"dense{li}.b", (hidden,), 0.0)
-            product = (graph.indexed_dense(blocks, w) if x is None
-                       else graph.matmul(x, w))
-            x = graph.add_bias(product, b)
+            w = parameter(f"dense{li}.W", (width, hidden))
+            b = parameter(f"dense{li}.b", (hidden,), 0.0)
+            layers.append(IndexedDense(blocks, w, "indexed_dense0") if li == 0
+                          else MatMul(w, f"matmul{li - 1 + shift}"))
+            layers.append(AddBias(b, f"add_bias{li + shift}"))
             if cfg.use_batchnorm:
-                gamma = make(f"bn{li}.gamma", (hidden,), 1.0)
-                beta = make(f"bn{li}.beta", (hidden,), 0.0)
-                x = graph.batch_norm(x, gamma, beta, name=f"bn{li}")
-            x = graph.relu(x)
-            x = graph.dropout(x, rate)
+                gamma = parameter(f"bn{li}.gamma", (hidden,), 1.0)
+                beta = parameter(f"bn{li}.beta", (hidden,), 0.0)
+                layers.append(BatchNorm(gamma, beta, f"bn{li}"))
+            layers.append(Relu(f"relu{li + shift}"))
+            layers.append(Dropout(rate, f"dropout{li}"))
             width = hidden
-        w_out = make("output.W", (width, n_outputs))
-        b_out = make("output.b", (n_outputs,), 0.0)
-        output = graph.add_bias(graph.matmul(x, w_out), b_out, name="output")
-        target = graph.placeholder("target")
-        weight = graph.placeholder("weight")
-        loss = graph.weighted_mse(output, target, weight, name="loss")
-        return cls(cfg, graph, output, loss, protein_index)
+        w_out = parameter("output.W", (width, n_outputs))
+        b_out = parameter("output.b", (n_outputs,), 0.0)
+        layers += [
+            MatMul(w_out, f"matmul{len(cfg.hidden_layers) - 1 + shift}"),
+            AddBias(b_out, "output"), WeightedMse("loss")]
+        return cls(cfg, Graph(layers), protein_index)
 
     @staticmethod
-    def _build_conv_stack(graph: Graph, cfg: ModelConfig, make):
-        """The graph-conv stack, each parameter made by ``make(name, shape,
-        fill)`` as in ``_assemble``."""
-        h = graph.placeholder("atom_features")
-        structure = graph.object_input("graph_batch")
+    def _conv_stack(cfg: ModelConfig, parameter) -> list:
+        """The graph-conv stack's layers, each parameter made by
+        ``parameter(name, shape, fill)`` as in ``_assemble``."""
+        layers = [Input("atom_features")]
         width = atom_feature_width(DEFAULT_ATOM_VOCABULARY, cfg.max_degree)
         degrees = range(cfg.max_degree + 1)
         for li, out_width in enumerate(cfg.conv_widths):
-            w_self = [make(f"conv{li}.wself{d}", (width, out_width))
+            w_self = [parameter(f"conv{li}.wself{d}", (width, out_width))
                       for d in degrees]
-            w_nbr = [make(f"conv{li}.wnbr{d}", (width, out_width))
+            w_nbr = [parameter(f"conv{li}.wnbr{d}", (width, out_width))
                      for d in degrees]
-            bias = [make(f"conv{li}.b{d}", (out_width,), 0.0) for d in degrees]
-            h = graph.add(GraphConv(h, structure, w_self, w_nbr, bias),
-                          f"conv{li}")
-            h = graph.add(GraphPool(h, structure), f"pool{li}")
+            bias = [parameter(f"conv{li}.b{d}", (out_width,), 0.0)
+                    for d in degrees]
+            layers += [GraphConv(w_self, w_nbr, bias, f"conv{li}"),
+                       GraphPool(f"pool{li}")]
             width = out_width
-        h = graph.add(RestoreAtomOrder(h, structure), "atom_order")
-        w = make("convdense.W", (width, cfg.conv_dense))
-        b = make("convdense.b", (cfg.conv_dense,), 0.0)
-        h = graph.relu(graph.add_bias(graph.matmul(h, w), b))
-        return graph.add(GraphGather(h, structure), "gather")
+        return layers + [
+            RestoreAtomOrder("atom_order"),
+            MatMul(parameter("convdense.W", (width, cfg.conv_dense)),
+                   "matmul0"),
+            AddBias(parameter("convdense.b", (cfg.conv_dense,), 0.0),
+                    "add_bias0"),
+            Relu("relu0"), GraphGather("gather")]
 
     @property
     def input_weight(self) -> Parameter:
@@ -301,17 +306,19 @@ class Model:
 
     # -- inference ----------------------------------------------------------
 
-    def predict_feeds(self, feeds: dict,
-                      given: dict | None = None) -> np.ndarray:
-        """The output of an inference pass (``Graph.infer``): dropout off,
-        batchnorm on running stats. Unlike a training ``forward``, which
-        keeps what its backward reads, the pass keeps nothing.
+    def predict_feeds(self, feeds: dict, first: GatherAdd | None = None,
+                      tiles: dict | None = None) -> np.ndarray:
+        """The output of an inference pass (``Graph.infer``) of every layer
+        but the loss: dropout off, batchnorm on running stats. Unlike a
+        training ``forward``, which keeps what its backward reads, the pass
+        keeps nothing.
 
-        ``given`` maps nodes to values the pass takes instead of computing
-        them, as in ``Graph.infer``.
+        ``first``, the first dense layer's value, starts the pass after
+        that layer; ``tiles`` is ``Graph.infer``'s.
         """
-        (out,) = self.graph.infer(feeds, [self.output], given)
-        return out
+        start = 0 if first is None else \
+            self.graph.layers.index(self.first_layer) + 1
+        return self.graph.infer(feeds, first, start, -1, tiles)
 
     def output_columns(self, protein_ids) -> np.ndarray:
         """Output-unit indices for ``protein_ids`` (compound-only variants)."""
@@ -423,7 +430,7 @@ class Model:
                 protein_ids = tuple(ordered)
             model = cls._assemble(
                 cfg, protein_ids,
-                lambda name, shape, fill: Parameter.empty(name, shape))
+                lambda name, shape, fill=None: Parameter.empty(name, shape))
             try:
                 _read_state(handle, path, manifest, model.graph.live_state())
             except BaseException as exc:
@@ -628,17 +635,18 @@ class FeatureStore:
         of molecules first. Then the pairs are scored ``batch_size`` at a
         time: a chunk hands the tables and its pairs' row indices in as the
         first layer's value (a ``GatherAdd``) to an inference pass of the
-        rest of the network (``Graph.infer``). That pass gathers and adds
-        the rows, as the first layer does, block by block into layer 0's
+        layers after it (``Graph.infer``). That pass gathers and adds the
+        rows, as the first layer does, block by block into the next layer's
         own buffer (or once, whole, for a chunk under two blocks), and its
-        ops write into the chunk's dead buffers in place. The call holds
-        those tables plus one block of input rows, never a per-pair join of
-        the two or a call-sized copy of fingerprint or descriptor rows, and
-        never writes the tables. Once it returns
-        it holds nothing but the predictions it hands back: each inference
-        pass drops every value and op cache of its pass from the graph, so
-        the model keeps only its parameters and batch-norm running
-        statistics between calls.
+        layers write into the chunk's dead buffers in place. The blocked
+        chains' tiled vectors are built once for the call. The call holds
+        those tables and tiles plus one block of input rows, never a
+        per-pair join of the two or a call-sized copy of fingerprint or
+        descriptor rows, and never writes the tables. Once it returns it
+        holds nothing but the predictions it hands back: the tiles go with
+        the call, and no layer keeps anything of an inference pass, so the
+        model keeps only its parameters and batch-norm running statistics
+        between calls.
 
         ``indices`` is a 1-d sequence of integer pair rows of the dataset,
         and ``batch_size`` a positive integer (not a bool); anything else
@@ -673,11 +681,12 @@ class FeatureStore:
             tables.append(self._projection(model, 1, proteins, batch_size))
             rows.append(protein_row)
         tables = tuple(tables)
+        tiles = {}
         chunks = []
         for start in range(0, indices.size, batch_size):
             part = slice(start, start + batch_size)
             first = GatherAdd(tables, tuple(row[part] for row in rows))
-            out = model.predict_feeds({}, {model.first_layer: first})
+            out = model.predict_feeds({}, first, tiles)
             if self.cfg.compound_only:
                 out = out[np.arange(out.shape[0]), columns[part]][:, None]
             chunks.append(out)
@@ -691,8 +700,9 @@ class FeatureStore:
         Fingerprint rows (cast to float64) and descriptor rows go straight
         to ``project``, with no inference pass: fingerprints are 0/1 and
         the descriptors were checked when the store was built. A graph-conv
-        compound block runs its conv stack through ``Graph.infer``, whose
-        checks its output passes."""
+        compound block runs the conv stack, the layers before the first
+        dense layer, through ``Graph.infer``, whose checks its output
+        passes."""
         first = model.first_layer
         lo = 0 if block == 0 else model.cfg.compound_width()
         parts = []
@@ -701,8 +711,9 @@ class FeatureStore:
             if block == 1:
                 table = self.protein_matrix[chosen]
             elif self.cfg.uses_graphconv:
-                (table,) = model.graph.infer(self._compound_feeds(chosen),
-                                             [first.inputs[0]])
+                table = model.graph.infer(
+                    self._compound_feeds(chosen),
+                    stop=model.graph.layers.index(first))
             else:
                 table = self._compound_feeds(chosen)["compound"]
             parts.append(first.project(table, lo))

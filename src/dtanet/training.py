@@ -25,7 +25,8 @@ leaves them on the model.
 
 A fit moves only the first-layer rows whose input columns some training pair
 sets (``engine.RowSelection``); the other rows would get exactly zero
-updates, so the result is byte-identical to training every row.
+updates, so the result is byte-identical to training every row while a
+batch holds fewer than about 400 distinct table rows (see ``engine``).
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def _run_epoch(model: Model, store: FeatureStore, order: np.ndarray,
     for start in range(0, order.size, batch_size):
         batch = order[start:start + batch_size]
         feeds = store.feeds(batch, model=model)
-        (loss_value,) = graph.forward(feeds, [model.loss], rng=rng)
-        graph.backward(model.loss)
+        loss_value = graph.forward(feeds, rng=rng)
+        graph.backward()
         adam.step()
         graph.zero_grad()
         total += float(loss_value) * batch.size

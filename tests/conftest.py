@@ -14,9 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dtanet import engine
 from dtanet.compounds import _ecfp_blocks
 from dtanet.elements import PERIODIC_TABLE, SYMBOLS
-from dtanet.engine import Adam, Node
+from dtanet.engine import Adam
 from dtanet.model import FeatureStore, ModelConfig
 from dtanet.smiles import MoleculeTable
 from dtanet.splits import FoldAssignment, fold_views, hyperopt_holdout
@@ -41,42 +42,38 @@ def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-class Concat(Node):
-    """Column-wise join of 2-d values with one row count; its backward
-    hands each input its columns of the gradient. The package's models
-    never join inputs (their first layer is ``indexed_dense``), so only
-    tests build this op, through :func:`concat`."""
-
-    def __init__(self, parts):
-        super().__init__("concat", tuple(parts))
-
-    def compute(self, ctx):
-        values = [node.value for node in self.inputs]
-        rows = {v.shape[0] for v in values}
-        if any(v.ndim != 2 for v in values) or len(rows) != 1:
-            raise self.shape_error(
-                f"expected 2-d blocks with equal row counts, got "
-                f"{[v.shape for v in values]}")
-        self._widths = [v.shape[1] for v in values]
-        return np.concatenate(values, axis=1)
-
-    def backprop(self):
-        offset = 0
-        for node, width in zip(self.inputs, self._widths):
-            if node.wants_grad:
-                self._accumulate(node, self.grad[:, offset:offset + width])
-            offset += width
+def context(feeds=None, rng=None, inference=False):
+    """A pass's context, for running one layer by hand."""
+    return engine._Context({} if feeds is None else feeds, rng, inference)
 
 
-def concat(graph, parts, name=None):
-    """A :class:`Concat` of ``parts`` added to ``graph``."""
-    return graph.add(Concat(parts), name)
+def check_layer_gradients(layer, x, rng, feeds=None, rng_seed=None):
+    """The input and parameter gradients ``layer``'s backprop gives for a
+    random upstream gradient ``u``, against central differences of
+    ``sum(u * layer(x))``."""
+    def value():
+        rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
+        return layer.compute(x, context(feeds, rng))
+
+    upstream = rng.standard_normal(np.shape(value()))
+    for p in layer.params:
+        p.grad = None
+    dx = layer.backprop(upstream, True)
+    # a graph conv's parameters of a degree the batch lacks get none
+    pairs = [(x, dx)] + [(p.array, p.grad) for p in layer.params
+                         if p.grad is not None]
+    for array, grad in pairs:
+        direction = rng.standard_normal(array.shape)
+        direction /= np.linalg.norm(direction)
+        analytic = float((grad * direction).sum())
+        numeric = central_difference_directional(
+            lambda: float((value() * upstream).sum()), array, direction)
+        assert relative_error(analytic, numeric) < 1e-4, layer.name
 
 
-def held_values(graph) -> list[str]:
-    """Names of ``graph``'s non-parameter nodes that hold a value."""
-    return [node.name for node in graph.nodes
-            if node.op != "parameter" and node.value is not None]
+def held_state(graph) -> list[str]:
+    """Names of ``graph``'s layers that keep anything of a pass."""
+    return [layer.name for layer in graph.layers if layer.saved is not None]
 
 
 def brute_force_ci(y, f) -> float:

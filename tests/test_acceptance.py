@@ -16,12 +16,24 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_ci, brute_force_clusters, \
-    central_difference_directional, concat, epoch_cost_probe, \
-    holdout_fold_views, relative_error
+    central_difference_directional, epoch_cost_probe, holdout_fold_views, \
+    relative_error
 from dtanet.compounds import atom_feature_matrix, ecfp_matrix, tanimoto
 from dtanet.data import inverse_transform, transform_value
 from dtanet.domain import check_ad, fit_ad
-from dtanet.engine import Adam, Graph
+from dtanet.engine import (
+    Adam,
+    AddBias,
+    BatchNorm,
+    Dropout,
+    Graph,
+    IndexedDense,
+    Input,
+    MatMul,
+    Parameter,
+    Relu,
+    WeightedMse,
+)
 from dtanet.graphconv import GraphConv, GraphGather, GraphPool, pack_graphs
 from dtanet.metrics import aggregate, concordance_index, evaluate_predictions
 from dtanet.model import FeatureStore, Model, ModelConfig
@@ -63,15 +75,14 @@ def criterion(number: int, name: str, budget_seconds: float | None = None):
 # -- 1. gradient correctness ---------------------------------------------------
 
 
-def _fd_all_params(graph, loss, feeds, rng, rng_seed=None):
+def _fd_all_params(graph, feeds, rng, rng_seed=None):
     def evaluate():
         fwd_rng = (np.random.default_rng(rng_seed)
                    if rng_seed is not None else None)
-        (value,) = graph.forward(feeds, [loss], rng=fwd_rng)
-        return float(value)
+        return float(graph.forward(feeds, rng=fwd_rng))
 
     evaluate()
-    graph.backward(loss)
+    graph.backward()
     grads = {p.name: p.grad.copy() for p in graph.parameters()}
     graph.zero_grad()
     for param in graph.parameters():
@@ -86,19 +97,30 @@ def _fd_all_params(graph, loss, feeds, rng, rng_seed=None):
             f"{param.name}: {analytic} vs {numeric}"
 
 
-def _near_kink(graph) -> bool:
-    """True when a ReLU input or pooling margin sits too close to a switch."""
-    for node in graph.nodes:
-        if node.op == "relu":
-            z = node.inputs[0].value
-            if np.any(np.abs(z) < KINK_GUARD):
+def _near_kink(graph, feeds, rng_seed=0) -> bool:
+    """True when, in a training forward of ``feeds``, a ReLU input or
+    pooling margin sits too close to a switch."""
+    inputs = {}
+    for layer in graph.layers:
+        def compute(x, ctx, layer=layer, original=layer.compute):
+            inputs[layer.name] = x
+            return original(x, ctx)
+        layer.compute = compute
+    try:
+        graph.forward(feeds, rng=np.random.default_rng(rng_seed))
+    finally:
+        for layer in graph.layers:
+            del layer.compute
+    for layer in graph.layers:
+        if layer.op == "relu":
+            if np.any(np.abs(inputs[layer.name]) < KINK_GUARD):
                 return True
-        if isinstance(node, GraphConv):
-            if np.any(np.abs(node._z) < KINK_GUARD):
+        if isinstance(layer, GraphConv):
+            if np.any(np.abs(layer.saved[3]) < KINK_GUARD):
                 return True
-        if isinstance(node, GraphPool):
-            batch = node.inputs[1].value
-            h = node.inputs[0].value
+        if isinstance(layer, GraphPool):
+            batch = layer.saved[0]
+            h = inputs[layer.name]
             padded = np.vstack([h, np.full((1, h.shape[1]), -np.inf)])
             candidates = [h] + [padded[column]
                                 for column in batch.neighbors.T]
@@ -113,63 +135,57 @@ def _near_kink(graph) -> bool:
 
 def _smooth_op_instance(op: str, seed: int):
     rng = np.random.default_rng(seed)
-    g = Graph()
     n = int(rng.integers(2, 9))
     d = int(rng.integers(2, 9))
-    x = g.placeholder("x")
     feeds = {"x": rng.standard_normal((n, d))}
+    layers = [Input("x")]
     if op == "matmul":
         m = int(rng.integers(1, 9))
-        w = g.parameter("w", rng.standard_normal((d, m)))
-        out = g.matmul(x, w)
+        layers.append(MatMul(Parameter("w", rng.standard_normal((d, m)))))
         width = m
     elif op == "add_bias":
-        b = g.parameter("b", rng.standard_normal(d))
-        out = g.add_bias(x, b)
+        layers.append(AddBias(Parameter("b", rng.standard_normal(d))))
         width = d
-    elif op == "concat":
-        w = g.parameter("w", rng.standard_normal((d, 3)))
-        out = concat(g, [g.matmul(x, w), x])
-        width = 3 + d
+    elif op == "indexed_dense":
+        # the rows of x joined with rows of a table, each row of which
+        # several pairs read
+        rows = int(rng.integers(2, 5))
+        feeds.update(row=np.arange(n), t=rng.standard_normal((rows, 3)),
+                     i=rng.integers(0, rows, size=n))
+        layers = [IndexedDense([("x", "row"), ("t", "i")],
+                               Parameter("w", rng.standard_normal((d + 3, 3))))]
+        width = 3
     elif op == "batchnorm":
-        gamma = g.parameter("gamma", 1.0 + 0.2 * rng.standard_normal(d))
-        beta = g.parameter("beta", 0.2 * rng.standard_normal(d))
-        out = g.batch_norm(x, gamma, beta)
+        layers.append(BatchNorm(
+            Parameter("gamma", 1.0 + 0.2 * rng.standard_normal(d)),
+            Parameter("beta", 0.2 * rng.standard_normal(d))))
         width = d
     elif op == "dropout":
-        w = g.parameter("w", rng.standard_normal((d, d)))
-        out = g.dropout(g.matmul(x, w), 0.4)
+        layers += [MatMul(Parameter("w", rng.standard_normal((d, d)))),
+                   Dropout(0.4)]
         width = d
     elif op == "weighted_mse":
-        w = g.parameter("w", rng.standard_normal((d, 2)))
-        out = g.matmul(x, w)
+        layers.append(MatMul(Parameter("w", rng.standard_normal((d, 2)))))
         width = 2
     else:
         raise AssertionError(op)
-    target = g.placeholder("target")
-    weight = g.placeholder("weight")
-    loss = g.weighted_mse(out, target, weight)
+    layers.append(WeightedMse())
     feeds["target"] = rng.standard_normal((n, width))
     feeds["weight"] = (rng.random((n, width)) > 0.2).astype(float)
     if not feeds["weight"].any():
         feeds["weight"][0, 0] = 1.0
-    return g, loss, feeds
+    return Graph(layers), feeds
 
 
 def _relu_instance(seed: int):
     rng = np.random.default_rng(seed)
-    g = Graph()
     n, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-    x = g.placeholder("x")
-    w = g.parameter("w", rng.standard_normal((d, d)))
-    out = g.relu(g.matmul(x, w))
-    target = g.placeholder("target")
-    weight = g.placeholder("weight")
-    loss = g.weighted_mse(out, target, weight)
+    g = Graph([Input("x"), MatMul(Parameter("w", rng.standard_normal((d, d)))),
+               Relu(), WeightedMse()])
     feeds = {"x": rng.standard_normal((n, d)),
              "target": rng.standard_normal((n, d)),
              "weight": np.ones((n, d))}
-    return g, loss, feeds
+    return g, feeds
 
 
 def _graph_op_instance(kind: str, seed: int):
@@ -178,60 +194,55 @@ def _graph_op_instance(kind: str, seed: int):
                            np.random.default_rng(seed + 999))
     mols = parse_table(smiles)
     rows, batch = pack_graphs(mols, atom_feature_matrix(mols), 6)
-    g = Graph()
-    h = g.placeholder("h")
-    structure = g.object_input("structure")
     width_in = rows.shape[1]
     out_width = int(rng.integers(2, 7))
     if kind == "conv":
-        w_self = [g.parameter(f"ws{d}",
-                              rng.standard_normal((width_in, out_width)) * 0.5)
+        w_self = [Parameter(f"ws{d}",
+                            rng.standard_normal((width_in, out_width)) * 0.5)
                   for d in range(7)]
-        w_nbr = [g.parameter(f"wn{d}",
-                             rng.standard_normal((width_in, out_width)) * 0.5)
+        w_nbr = [Parameter(f"wn{d}",
+                           rng.standard_normal((width_in, out_width)) * 0.5)
                  for d in range(7)]
-        bias = [g.parameter(f"b{d}", rng.standard_normal(out_width) * 0.2)
+        bias = [Parameter(f"b{d}", rng.standard_normal(out_width) * 0.2)
                 for d in range(7)]
-        node = GraphConv(h, structure, w_self, w_nbr, bias)
-        node.name = "conv"
-        top = g.add(node)
-        width = out_width
-    elif kind == "pool":
-        w = g.parameter("w", rng.standard_normal((width_in, out_width)) * 0.5)
-        projected = g.matmul(h, w)
-        node = GraphPool(projected, structure)
-        node.name = "pool"
-        top = g.add(node)
-        width = out_width
-    else:  # gather
-        w = g.parameter("w", rng.standard_normal((width_in, out_width)) * 0.5)
-        node = GraphGather(g.matmul(h, w), structure)
-        node.name = "gather"
-        top = g.add(node)
-        width = out_width
-    wo = g.parameter("wo", rng.standard_normal((width, 1)) * 0.5)
-    out = g.matmul(top, wo)
-    target = g.placeholder("target")
-    weight = g.placeholder("weight")
-    loss = g.weighted_mse(out, target, weight)
+        layers = [GraphConv(w_self, w_nbr, bias, "conv")]
+    else:
+        w = Parameter("w", rng.standard_normal((width_in, out_width)) * 0.5)
+        layers = [MatMul(w), GraphPool("pool") if kind == "pool"
+                  else GraphGather("gather")]
+    wo = Parameter("wo", rng.standard_normal((out_width, 1)) * 0.5)
+    g = Graph([Input("h"), *layers, MatMul(wo, "out"), WeightedMse()])
     n_out = batch.n_atoms if kind in ("conv", "pool") else batch.n_mols
     feeds = {"h": rows + 0.1 * rng.standard_normal(rows.shape),
-             "structure": batch,
+             "graph_batch": batch,
              "target": rng.standard_normal((n_out, 1)),
              "weight": np.ones((n_out, 1))}
-    return g, loss, feeds
+    return g, feeds
 
 
-def _padme_graphconv_stack(seed: int):
+def _model_stack(variant: str, seed: int, **overrides):
+    """A small model of ``variant`` and the feeds of its 8 pairs."""
     dataset = memory_dataset(n_compounds=5, n_proteins=3, n_pairs=8,
                              seed=seed)
-    cfg = ModelConfig(variant="padme-graphconv", hidden_layers=(6,),
-                      dropout_rates=(0.0,), conv_widths=(5,), conv_dense=6,
-                      seed=seed)
+    cfg = ModelConfig(**{**dict(
+        variant=variant, hidden_layers=(6,), dropout_rates=(0.0,),
+        fp_bits=512, conv_widths=(5,), conv_dense=6, seed=seed), **overrides})
     store = FeatureStore(dataset, cfg)
     model = store.build_model()
     feeds = store.feeds(np.arange(8), model=model)
-    return model.graph, model.loss, feeds
+    return model.graph, feeds
+
+
+# The whole stacks criterion 1 checks: (variant, instances, config
+# overrides, dropout seed).
+MODEL_STACKS = (
+    ("padme-graphconv", 6, {}, 0),
+    ("padme-ecfp", 2, {}, 0),
+    ("compound-only-ecfp", 2, {}, 0),
+    ("compound-only-graphconv", 2, {}, 0),
+    ("padme-ecfp", 1, {"use_batchnorm": False}, 0),
+    ("padme-graphconv", 1, {"dropout_rates": (0.3,)}, 5),
+)
 
 
 def test_criterion_1_gradient_correctness():
@@ -240,15 +251,15 @@ def test_criterion_1_gradient_correctness():
         instances = 0
         redraws = 0
         rng = np.random.default_rng(0)
-        for op in ("matmul", "add_bias", "concat", "batchnorm",
+        for op in ("matmul", "add_bias", "indexed_dense", "batchnorm",
                    "weighted_mse"):
             for seed in range(10):
-                g, loss, feeds = _smooth_op_instance(op, 1000 + seed)
-                _fd_all_params(g, loss, feeds, rng)
+                g, feeds = _smooth_op_instance(op, 1000 + seed)
+                _fd_all_params(g, feeds, rng)
                 instances += 1
         for seed in range(10):
-            g, loss, feeds = _smooth_op_instance("dropout", 2000 + seed)
-            _fd_all_params(g, loss, feeds, rng, rng_seed=seed)
+            g, feeds = _smooth_op_instance("dropout", 2000 + seed)
+            _fd_all_params(g, feeds, rng, rng_seed=seed)
             instances += 1
         for kind, base in (("relu", 3000), ("conv", 4000), ("pool", 5000),
                            ("gather", 6000)):
@@ -256,31 +267,30 @@ def test_criterion_1_gradient_correctness():
             seed = base
             while done < 12:
                 if kind == "relu":
-                    g, loss, feeds = _relu_instance(seed)
+                    g, feeds = _relu_instance(seed)
                 else:
-                    g, loss, feeds = _graph_op_instance(kind, seed)
-                g.forward(feeds, [loss], rng=np.random.default_rng(0))
-                if _near_kink(g):
+                    g, feeds = _graph_op_instance(kind, seed)
+                if _near_kink(g, feeds):
                     redraws += 1
                     seed += 1000
                     continue
-                _fd_all_params(g, loss, feeds, rng)
+                _fd_all_params(g, feeds, rng)
                 instances += 1
                 done += 1
                 seed += 1
-        done = 0
-        seed = 7000
-        while done < 6:
-            g, loss, feeds = _padme_graphconv_stack(seed)
-            g.forward(feeds, [loss], rng=np.random.default_rng(0))
-            if _near_kink(g):
-                redraws += 1
-                seed += 1000
-                continue
-            _fd_all_params(g, loss, feeds, rng)
-            instances += 1
-            done += 1
-            seed += 1
+        for variant, count, overrides, rng_seed in MODEL_STACKS:
+            done = 0
+            seed = 7000
+            while done < count:
+                g, feeds = _model_stack(variant, seed, **overrides)
+                if _near_kink(g, feeds, rng_seed):
+                    redraws += 1
+                    seed += 1000
+                    continue
+                _fd_all_params(g, feeds, rng, rng_seed=rng_seed)
+                instances += 1
+                done += 1
+                seed += 1
         assert instances >= 100, f"only {instances} instances checked"
         assert redraws <= instances * 0.3, \
             f"kink guard redrew {redraws} of {instances} instances"
@@ -307,8 +317,8 @@ def test_criterion_2_overfit_64_pairs():
             order = rng.permutation(indices)
             for start in range(0, 64, 64):
                 feeds = store.feeds(order[start:start + 64], model=model)
-                model.graph.forward(feeds, [model.loss], rng=rng)
-                model.graph.backward(model.loss)
+                model.graph.forward(feeds, rng=rng)
+                model.graph.backward()
                 adam.step()
                 model.graph.zero_grad()
             epochs_used = epoch

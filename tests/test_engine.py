@@ -1,4 +1,4 @@
-"""Autodiff engine: op semantics, gradients vs central differences, Adam."""
+"""Autodiff engine: layer semantics, gradients vs central differences, Adam."""
 
 import warnings
 
@@ -7,38 +7,46 @@ import pytest
 
 from conftest import (
     central_difference_directional,
-    concat,
-    held_values,
+    check_layer_gradients,
+    context,
+    held_state,
     relative_error,
 )
 from dtanet import engine
 from dtanet.engine import (
     Adam,
+    AddBias,
+    BatchNorm,
     CompactGrad,
+    Dropout,
     EngineError,
     GatherAdd,
     Graph,
+    IndexedDense,
+    Input,
+    MatMul,
     NonFiniteError,
     Parameter,
+    Relu,
     RowSelection,
     ShapeError,
+    WeightedMse,
 )
 
 
-def loss_only(graph, loss, feeds, rng_seed=None):
+def loss_only(graph, feeds, rng_seed=None):
     def evaluate():
         rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-        (value,) = graph.forward(feeds, [loss], rng=rng)
-        return float(value)
+        return float(graph.forward(feeds, rng=rng))
     return evaluate
 
 
-def check_param_gradient(graph, loss, feeds, param, rng, rng_seed=None,
+def check_param_gradient(graph, feeds, param, rng, rng_seed=None,
                          tol=1e-4, h=1e-5):
     """Directional derivative against the analytic gradient."""
-    evaluate = loss_only(graph, loss, feeds, rng_seed)
+    evaluate = loss_only(graph, feeds, rng_seed)
     evaluate()
-    graph.backward(loss)
+    graph.backward()
     direction = rng.standard_normal(param.array.shape)
     direction /= max(np.linalg.norm(direction), 1e-12)
     analytic = float((param.grad * direction).sum())
@@ -48,95 +56,75 @@ def check_param_gradient(graph, loss, feeds, param, rng, rng_seed=None,
         f"{param.name}: analytic {analytic} vs numeric {numeric}"
 
 
+def recorded_values(graph: Graph) -> dict:
+    """Each layer's value in the latest pass, by name, recorded as the pass
+    runs (whole-array passes only): no layer keeps its value, so this is
+    how a test sees them."""
+    seen = {}
+    for layer in graph.layers:
+        for method in ("compute", "apply"):
+            original = getattr(layer, method, None)
+            if original is None:
+                continue
+
+            def record(*args, layer=layer, original=original):
+                seen[layer.name] = value = original(*args)
+                return value
+            setattr(layer, method, record)
+    return seen
+
+
 class TestOpSemantics:
     def test_relu_definition(self):
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.relu(x)
-        (value,) = g.forward({"x": np.array([[-1.0, 0.0, 2.0]])}, [out])
+        g = Graph([Input("x"), Relu()])
+        value = g.forward({"x": np.array([[-1.0, 0.0, 2.0]])})
         assert value.tolist() == [[0.0, 0.0, 2.0]]
 
     def test_matmul_identity(self):
-        g = Graph()
-        x = g.placeholder("x")
-        eye = g.parameter("I", np.eye(3))
-        out = g.matmul(x, eye)
+        g = Graph([Input("x"), MatMul(Parameter("I", np.eye(3)))])
         vec = np.array([[1.5, -2.0, 0.25]])
-        (value,) = g.forward({"x": vec}, [out])
-        assert np.array_equal(value, vec)
+        assert np.array_equal(g.forward({"x": vec}), vec)
 
     def test_weighted_mse_masks_entries(self):
-        g = Graph()
-        pred, target, weight = (g.placeholder(n) for n in
-                                ("pred", "target", "weight"))
-        loss = g.weighted_mse(pred, target, weight)
-        (value,) = g.forward({"pred": np.array([[1.0, 5.0]]),
-                              "target": np.array([[1.0, 0.0]]),
-                              "weight": np.array([[1.0, 0.0]])}, [loss])
+        g = Graph([Input("pred"), WeightedMse()])
+        value = g.forward({"pred": np.array([[1.0, 5.0]]),
+                           "target": np.array([[1.0, 0.0]]),
+                           "weight": np.array([[1.0, 0.0]])})
         assert float(value) == 0.0
 
     def test_zero_weight_zero_gradient(self):
-        g = Graph()
-        w = g.parameter("w", np.array([[2.0], [3.0]]))
-        x = g.placeholder("x")
-        pred = g.matmul(x, w)
-        target = g.placeholder("target")
-        weight = g.placeholder("weight")
-        loss = g.weighted_mse(pred, target, weight)
+        w = Parameter("w", np.array([[2.0], [3.0]]))
+        g = Graph([Input("x"), MatMul(w), WeightedMse()])
         feeds = {"x": np.array([[1.0, 1.0], [2.0, 0.0]]),
                  "target": np.zeros((2, 1)),
                  "weight": np.array([[0.0], [1.0]])}
-        g.forward(feeds, [loss])
-        g.backward(loss)
+        g.forward(feeds)
+        g.backward()
         # only row 2 contributes: pred2 = 4, dL/dpred2 = 2*4, dL/dw = x2 * 8
         expected = np.array([[16.0], [0.0]])
         assert np.allclose(w.grad, expected)
 
-    def test_concat_splits_gradient(self):
-        g = Graph()
-        a = g.placeholder("a")
-        b = g.placeholder("b")
-        cat = concat(g, [a, b])
-        target = g.placeholder("t")
-        weight = g.placeholder("w")
-        loss = g.weighted_mse(cat, target, weight)
-        feeds = {"a": np.ones((2, 2)), "b": np.zeros((2, 3)),
-                 "t": np.zeros((2, 5)), "w": np.ones((2, 5))}
-        (value,) = g.forward(feeds, [loss])
-        g.backward(loss, inputs=(a, b))
-        assert a.grad.shape == (2, 2)
-        assert b.grad.shape == (2, 3)
-        assert np.allclose(a.grad, 2.0 * 1.0 / 10.0)
-        assert np.allclose(b.grad, 0.0)
-
     def test_dropout_is_identity_in_infer(self):
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.dropout(x, 0.5)
+        g = Graph([Input("x"), Dropout(0.5)])
         data = np.arange(6, dtype=float).reshape(2, 3)
-        (value,) = g.infer({"x": data}, [out])
-        assert np.array_equal(value, data)
+        assert np.array_equal(g.infer({"x": data}), data)
 
     def test_dropout_inverted_scaling(self):
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.dropout(x, 0.5)
-        data = np.ones((200, 50))
-        (value,) = g.forward({"x": data}, [out], rng=np.random.default_rng(0))
+        g = Graph([Input("x"), Dropout(0.5)])
+        value = g.forward({"x": np.ones((200, 50))},
+                          rng=np.random.default_rng(0))
         kept = value[value > 0]
         assert np.allclose(kept, 2.0)  # scaled by 1/(1-p)
         assert abs(value.mean() - 1.0) < 0.05
 
     def test_batchnorm_state_exists_from_construction(self):
-        g = Graph()
-        x = g.placeholder("x")
-        gamma = g.parameter("gamma", np.array([1.5, 0.5, 2.0]))
-        bn = g.batch_norm(x, gamma, g.parameter("beta", np.zeros(3)),
-                          name="bn")
+        gamma = Parameter("gamma", np.array([1.5, 0.5, 2.0]))
+        bn = BatchNorm(gamma, Parameter("beta", np.zeros(3)), "bn")
+        g = Graph([Input("x"), bn])
         state = g.live_state()
         assert state["bn.running_mean"].tolist() == [0.0, 0.0, 0.0]
         assert state["bn.running_var"].tolist() == [1.0, 1.0, 1.0]
-        g.infer({"x": np.ones((4, 3))}, [bn])
+        g.infer({"x": np.ones((4, 3))})
         assert g.live_state().keys() == state.keys()
         assert state["bn.running_mean"] is bn.running_mean
         assert bn.running_var.tolist() == [1.0, 1.0, 1.0]
@@ -146,41 +134,31 @@ class TestOpSemantics:
     def test_batchnorm_forward_and_infer_agreement(self):
         # with running statistics equal to the batch statistics, the
         # training forward and the inference pass agree to 1e-10
-        g = Graph()
-        x = g.placeholder("x")
-        gamma = g.parameter("gamma", np.array([1.5, 0.5]))
-        beta = g.parameter("beta", np.array([0.2, -0.1]))
-        bn = g.batch_norm(x, gamma, beta)
+        bn = BatchNorm(Parameter("gamma", np.array([1.5, 0.5])),
+                       Parameter("beta", np.array([0.2, -0.1])))
+        g = Graph([Input("x"), bn])
         data = np.random.default_rng(3).normal(2.0, 3.0, size=(64, 2))
-        (train_out,) = g.forward({"x": data}, [bn])
+        train_out = g.forward({"x": data})
         bn.running_mean = data.mean(axis=0)
         bn.running_var = data.var(axis=0)
-        (inferred,) = g.infer({"x": data}, [bn])
+        inferred = g.infer({"x": data})
         assert np.max(np.abs(train_out - inferred)) < 1e-10
 
     def test_relu_local_derivative_values(self):
         # d relu/dx is exactly 1 at x=2, 0 at x=-1, 0 at the kink
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.relu(x)
-        g.forward({"x": np.array([[2.0, -1.0, 0.0]])}, [out])
-        x.grad = np.zeros((1, 3))
-        out.grad = np.ones((1, 3))
-        out.backprop()
-        assert x.grad.tolist() == [[1.0, 0.0, 0.0]]
+        layer = Relu()
+        layer.compute(np.array([[2.0, -1.0, 0.0]]), context())
+        assert layer.backprop(np.ones((1, 3)), True).tolist() == \
+            [[1.0, 0.0, 0.0]]
 
     def test_weighted_mse_gradient_form(self):
         # against target 0 with unit weights, dL/dx = 2x/n exactly
-        g = Graph()
-        x = g.placeholder("x")
-        target = g.placeholder("t")
-        weight = g.placeholder("w")
-        loss = g.weighted_mse(x, target, weight)
+        layer = WeightedMse()
         value = np.array([[1.0, -2.0], [0.5, 3.0]])
-        g.forward({"x": value, "t": np.zeros((2, 2)),
-                   "w": np.ones((2, 2))}, [loss])
-        g.backward(loss, inputs=(x,))
-        assert np.array_equal(x.grad, 2.0 * value / 4.0)
+        loss = layer.compute(value, context({"target": np.zeros((2, 2)),
+                                             "weight": np.ones((2, 2))}))
+        dx = layer.backprop(np.ones_like(loss), True)
+        assert np.array_equal(dx, 2.0 * value / 4.0)
 
     def test_relu_values_equal_the_masked_select_bitwise(self):
         # long enough for vector lanes and a scalar tail, signed zeros included
@@ -193,185 +171,103 @@ class TestOpSemantics:
                                   expected.view(np.int64))
 
     def test_relu_mask_is_kept_by_a_forward_and_no_inference(self):
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.relu(x)
-        loss = g.weighted_mse(out, g.placeholder("t"), g.placeholder("w"))
+        act = Relu()
+        g = Graph([Input("x"), act, WeightedMse()])
         rng = np.random.default_rng(7)
         feeds = {"x": np.array([[0.0, 2.0, -1.0, -0.0]]),
-                 "t": rng.standard_normal((1, 4)), "w": np.ones((1, 4))}
-        g.forward(feeds, [loss])
-        assert out._mask.tolist() == [[False, True, False, False]]
-        g.infer(feeds, [loss])
-        assert out._mask is None
-        g.forward(feeds, [loss])
-        g.backward(loss, inputs=(x,))
-        assert x.grad[0, 0] == x.grad[0, 2] == x.grad[0, 3] == 0.0
+                 "target": rng.standard_normal((1, 4)), "weight": np.ones((1, 4))}
+        g.forward(feeds)
+        assert act.saved.tolist() == [[False, True, False, False]]
+        g.infer(feeds)
+        assert act.saved is None
+        g.forward(feeds)
+        dx = act.backprop(np.ones((1, 4)), True)
+        assert dx[0, 0] == dx[0, 2] == dx[0, 3] == 0.0
 
     def test_infer_batchnorm_equals_the_numpy_formula_bitwise(self):
         rng = np.random.default_rng(8)
-        g = Graph()
-        x = g.placeholder("x")
-        gamma = g.parameter("gamma", 1.0 + 0.3 * rng.standard_normal(5))
-        beta = g.parameter("beta", 0.2 * rng.standard_normal(5))
+        gamma = Parameter("gamma", 1.0 + 0.3 * rng.standard_normal(5))
+        beta = Parameter("beta", 0.2 * rng.standard_normal(5))
+        bn = BatchNorm(gamma, beta, "bn")
         # a zero bias hands batch norm a buffer of the pass to write into
-        shifted = g.add_bias(x, g.parameter("zero", np.zeros(5)))
-        bn = g.batch_norm(shifted, gamma, beta)
+        g = Graph([Input("x"), AddBias(Parameter("zero", np.zeros(5))), bn])
         bn.running_mean = rng.standard_normal(5)
         bn.running_var = rng.random(5) + 0.5
         data = rng.normal(1.0, 2.0, size=(33, 5))
         seen = recorded_values(g)
-        (value,) = g.infer({"x": data}, [bn])
-        assert value is seen[shifted.name]
+        value = g.infer({"x": data})
+        assert value is seen["add_bias"] is seen["bn"]
         xhat = (data - bn.running_mean) * (1.0 / np.sqrt(bn.running_var
                                                           + bn.eps))
         assert np.array_equal(value, gamma.array * xhat + beta.array)
         # a training forward keeps what its backward reads; infer drops it
-        g.forward({"x": data}, [bn])
-        assert bn._centered is not None and bn._xhat is not None
-        g.infer({"x": data}, [bn])
-        assert bn._centered is None and bn._xhat is None
-        assert not hasattr(bn, "_mean")
+        g.forward({"x": data})
+        inv_std, centered, xhat = bn.saved
+        assert centered is not None and xhat is not None
+        g.infer({"x": data})
+        assert bn.saved is None
 
     def test_backward_through_batchnorm_against_central_differences(self):
         rng = np.random.default_rng(9)
-        g = Graph()
-        x = g.placeholder("x")
-        gamma = g.parameter("gamma", 1.0 + 0.3 * rng.standard_normal(4))
-        beta = g.parameter("beta", 0.2 * rng.standard_normal(4))
-        bn = g.batch_norm(x, gamma, beta)
-        bn.running_mean = rng.standard_normal(4)
-        bn.running_var = rng.random(4) + 0.5
-        loss = g.weighted_mse(g.relu(bn), g.placeholder("t"),
-                              g.placeholder("w"))
-        feeds = {"x": rng.standard_normal((6, 4)),
-                 "t": rng.standard_normal((6, 4)), "w": np.ones((6, 4))}
-
-        def evaluate():
-            (value,) = g.forward(feeds, [loss])
-            return float(value)
-
-        for array, node in ((gamma.array, gamma), (beta.array, beta),
-                            (feeds["x"], x)):
-            evaluate()
-            g.backward(loss, inputs=(x,))
-            direction = rng.standard_normal(array.shape)
-            direction /= np.linalg.norm(direction)
-            analytic = float((node.grad * direction).sum())
-            numeric = central_difference_directional(evaluate, array,
-                                                      direction)
-            assert relative_error(analytic, numeric) < 1e-4, node.name
+        bn = BatchNorm(Parameter("gamma", 1.0 + 0.3 * rng.standard_normal(4)),
+                       Parameter("beta", 0.2 * rng.standard_normal(4)))
+        check_layer_gradients(bn, rng.standard_normal((6, 4)), rng)
 
     def test_relu_subgradient_zero_at_zero(self):
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.relu(x)
-        target = g.placeholder("t")
-        weight = g.placeholder("w")
-        loss = g.weighted_mse(out, target, weight)
-        feeds = {"x": np.array([[0.0, 2.0, -1.0]]),
-                 "t": np.array([[1.0, 1.0, 1.0]]),
-                 "w": np.ones((1, 3))}
-        g.forward(feeds, [loss])
-        g.backward(loss, inputs=(x,))
-        dx = x.grad[0]
+        layer = Relu()
+        layer.compute(np.array([[0.0, 2.0, -1.0]]), context())
+        dx = layer.backprop(np.array([[-1.0, -1.0, -1.0]]), True)[0]
         assert dx[0] == 0.0   # at the kink
         assert dx[1] != 0.0
         assert dx[2] == 0.0   # negative side
 
 
-def computed_nodes(graph: Graph) -> list[str]:
-    """Names of ``graph``'s nodes, appended each time a node computes."""
-    ran = []
-    for node in graph.nodes:
-        def compute(ctx, node=node, original=node.compute):
-            ran.append(node.name)
-            return original(ctx)
-        node.compute = compute
-    return ran
-
-
-def recorded_values(graph: Graph) -> dict:
-    """Each node's value in the latest pass, by name, recorded as the pass
-    runs: a node's output when it computes, and each input's value when a
-    node reads it (which is how a given node's value shows). ``infer``
-    drops the values from the graph, so this is how a test sees them."""
-    seen = {}
-    for node in graph.nodes:
-        def compute(ctx, node=node, original=node.compute):
-            for inp in node.inputs:
-                seen[inp.name] = inp.value
-            seen[node.name] = value = original(ctx)
-            return value
-        node.compute = compute
-    return seen
-
-
 class TestGraphExecution:
     def test_each_node_computed_once(self):
-        g = Graph()
-        x = g.placeholder("x")
-        r = g.relu(x)
-        cat = concat(g, [r, r])
-        ran = computed_nodes(g)
-        g.forward({"x": np.ones((1, 2))}, [cat])
-        assert len(ran) == len(set(ran)) == 3
-
-    def test_only_ancestors_run(self):
-        g = Graph()
-        x = g.placeholder("x")
-        used = g.relu(x)
-        y = g.placeholder("y")
-        g.relu(y)  # not requested, must not need a feed
-        ran = computed_nodes(g)
-        g.forward({"x": np.ones((1, 2))}, [used])
-        assert "y" not in ran
-
-    def test_add_registers_a_node_under_the_name_given(self):
-        g = Graph()
-        x = g.placeholder("x")
-        named = g.add(engine._Relu(x), "act")
-        carried = engine._Relu(x)
-        carried.name = "carried"
-        g.add(carried)
-        unnamed = g.add(engine._Relu(x))
-        assert [named.name, carried.name, unnamed.name] == \
-            ["act", "carried", "relu0"]
-        with pytest.raises(EngineError, match="duplicate node name 'act'"):
-            g.add(engine._Relu(x), "act")
+        g = Graph([Input("x"), Relu(), Dropout(0.0)])
+        seen = recorded_values(g)
+        ran = []
+        for layer in g.layers:
+            def compute(x, ctx, layer=layer, original=layer.compute):
+                ran.append(layer.name)
+                return original(x, ctx)
+            layer.compute = compute
+        g.forward({"x": np.ones((1, 2))})
+        assert ran == ["x", "relu", "dropout"]
+        assert seen["dropout"] is seen["relu"]
 
     def test_shape_error_names_node(self):
-        g = Graph()
-        a = g.placeholder("a")
-        b = g.parameter("W", np.ones((3, 2)))
-        out = g.matmul(a, b, name="proj")
+        g = Graph([Input("a"), MatMul(Parameter("W", np.ones((3, 2))), "proj")])
         with pytest.raises(ShapeError, match="proj"):
-            g.forward({"a": np.ones((2, 4))}, [out])
+            g.forward({"a": np.ones((2, 4))})
 
     def test_nonfinite_feed_caught_at_input(self):
-        g = Graph()
-        x = g.placeholder("x")
-        out = g.relu(x, name="act")
-        with pytest.raises(NonFiniteError, match="'x'"):
-            g.forward({"x": np.array([[np.inf]])}, [out])
+        g = Graph([Input("x"), Relu("act")])
+        with pytest.raises(NonFiniteError, match="'x' \\(input\\)"):
+            g.forward({"x": np.array([[np.inf]])})
+
+    def test_missing_feed_is_named(self):
+        g = Graph([Input("x"), Relu("act"), WeightedMse()])
+        with pytest.raises(EngineError, match="no value fed for input 'x'"):
+            g.forward({})
+        with pytest.raises(EngineError,
+                           match="no value fed for input 'target'"):
+            g.forward({"x": np.ones((1, 1))})
 
     def test_nonfinite_overflow_names_op(self):
-        g = Graph()
-        x = g.placeholder("x")
-        w = g.parameter("w", np.full((1, 1), 1e200))
-        out = g.matmul(x, w, name="proj")
+        g = Graph([Input("x"), MatMul(Parameter("w", np.full((1, 1), 1e200)),
+                                      "proj")])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
                                                        match="proj"):
-            g.forward({"x": np.full((1, 1), 1e200)}, [out])
+            g.forward({"x": np.full((1, 1), 1e200)})
 
     def test_nonfinite_parameter_rejected_when_created(self):
-        g = Graph()
         with pytest.raises(NonFiniteError, match="'w'"):
-            g.parameter("w", np.array([[1.0, np.nan]]))
+            Parameter("w", np.array([[1.0, np.nan]]))
 
     def test_nonfinite_state_rejected_when_loaded(self):
-        g = Graph()
-        w = g.parameter("w", np.ones((1, 2)))
+        w = Parameter("w", np.ones((1, 2)))
+        g = Graph([MatMul(w)])
         with pytest.raises(NonFiniteError, match="'w'"):
             g.load_state({"w": np.array([[np.inf, 0.0]])})
         assert np.array_equal(w.array, np.ones((1, 2)))
@@ -388,11 +284,9 @@ class TestGraphExecution:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the check itself stays quiet
             assert engine.all_finite(data)
-            g = Graph()
-            x = g.placeholder("x")
-            w = g.parameter("w", data)
-            g.load_state({"w": data})
-            (value,) = g.forward({"x": data}, [x])
+            w = Parameter("w", data)
+            Graph([MatMul(w)]).load_state({"w": data})
+            value = Graph([Input("x")]).forward({"x": data})
             assert np.array_equal(value, data)
             adam = Adam([w])
             w.grad = data
@@ -406,13 +300,11 @@ class TestGraphExecution:
         data = np.ones((4, size // 4))
         data[1, 2] = bad
         assert not engine.all_finite(data)
-        g = Graph()
-        x = g.placeholder("x")
         with pytest.raises(NonFiniteError, match="'x'"):
-            g.forward({"x": data}, [g.relu(x)])
+            Graph([Input("x"), Relu()]).forward({"x": data})
         with pytest.raises(NonFiniteError, match="'w'"):
-            g.parameter("w", data)
-        g.parameter("v", np.ones(data.shape))
+            Parameter("w", data)
+        g = Graph([MatMul(Parameter("v", np.ones(data.shape)))])
         with pytest.raises(NonFiniteError, match="'v'"):
             g.load_state({"v": data})
         theta = Parameter("theta", np.ones(data.shape))
@@ -422,68 +314,69 @@ class TestGraphExecution:
             adam.step()
 
     def test_parameter_written_by_hand_caught_by_its_reader(self):
-        g = Graph()
-        x = g.placeholder("x")
-        w = g.parameter("w", np.ones((2, 1)))
-        out = g.matmul(x, w, name="proj")
+        w = Parameter("w", np.ones((2, 1)))
+        g = Graph([Input("x"), MatMul(w, "proj")])
         w.array[1, 0] = np.nan
         with pytest.raises(NonFiniteError, match="proj"):
-            g.forward({"x": np.ones((3, 2))}, [out])
+            g.forward({"x": np.ones((3, 2))})
 
     def test_backward_before_forward(self):
-        g = Graph()
-        x = g.placeholder("x")
-        loss = g.weighted_mse(x, x, x)
+        g = Graph([Input("x"), MatMul(Parameter("w", np.ones((1, 1)))),
+                   WeightedMse()])
         with pytest.raises(EngineError, match="before forward"):
-            g.backward(loss)
+            g.backward()
 
     def test_determinism_under_seed(self):
         def run():
-            g = Graph()
-            x = g.placeholder("x")
-            out = g.dropout(g.relu(x), 0.3)
-            (value,) = g.forward({"x": np.arange(12.0).reshape(3, 4)}, [out],
-                                 rng=np.random.default_rng(11))
-            return value
+            g = Graph([Input("x"), Relu(), Dropout(0.3)])
+            return g.forward({"x": np.arange(12.0).reshape(3, 4)},
+                             rng=np.random.default_rng(11))
         assert np.array_equal(run(), run())
 
 
 def dense_chain(batch_norm=True, rate=0.3):
     """x -> matmul -> add_bias -> batch norm -> relu -> dropout -> matmul ->
-    add_bias, with moved running statistics: (graph, feeds, nodes by name).
+    add_bias, with moved running statistics: (graph, feeds, layers by name).
     Without ``batch_norm`` the add_bias feeds the relu; its parameters and
     statistics are drawn either way, so the rest of the chain is the same."""
     rng = np.random.default_rng(12)
-    g = Graph()
-    x = g.placeholder("x")
-    h = g.add_bias(g.matmul(x, g.parameter("w0", rng.standard_normal((4, 6))),
-                            name="mm0"),
-                   g.parameter("b0", rng.standard_normal(6)), name="ab0")
-    gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
+    w0 = Parameter("w0", rng.standard_normal((4, 6)))
+    b0 = Parameter("b0", rng.standard_normal(6))
+    gamma = Parameter("gamma", rng.standard_normal(6))
+    beta = Parameter("beta", rng.standard_normal(6))
+    w1 = Parameter("w1", rng.standard_normal((6, 2)))
+    b1 = Parameter("b1", rng.standard_normal(2))
+    layers = [Input("x"), MatMul(w0, "mm0"), AddBias(b0, "ab0")]
     if batch_norm:
-        h = g.batch_norm(h, g.parameter("gamma", gamma),
-                         g.parameter("beta", beta), name="bn")
-    h = g.dropout(g.relu(h, name="act"), rate, name="drop")
-    g.add_bias(g.matmul(h, g.parameter("w1", rng.standard_normal((6, 2))),
-                        name="mm1"),
-               g.parameter("b1", rng.standard_normal(2)), name="out")
-    n = {node.name: node for node in g.nodes}
+        layers.append(BatchNorm(gamma, beta, "bn"))
+    layers += [Relu("act"), Dropout(rate, "drop"), MatMul(w1, "mm1"),
+               AddBias(b1, "out")]
+    g = Graph(layers)
+    n = {layer.name: layer for layer in g.layers}
     mean, var = rng.standard_normal(6), rng.random(6) + 0.5
     if batch_norm:
         n["bn"].running_mean, n["bn"].running_var = mean, var
     return g, {"x": rng.standard_normal((5, 4))}, n
 
 
-def train_forward(g, feeds, outputs):
+def train_forward(g, feeds):
     """A training forward with a fixed dropout stream."""
-    return g.forward(feeds, outputs, rng=np.random.default_rng(0))
+    return g.forward(feeds, rng=np.random.default_rng(0))
+
+
+def after(g, name) -> int:
+    """The position after the layer ``name``: where a pass given its value
+    starts."""
+    return next(i for i, layer in enumerate(g.layers) if layer.name == name) + 1
 
 
 class TestPlannedExecution:
+    """The inference pass over a fixed stack: buffers, state and checks."""
+
     def test_infer_writes_only_dead_buffers_of_its_own_pass(self):
         g, feeds, n = dense_chain()
         seen = recorded_values(g)
-        (out,) = g.infer(feeds, [n["out"]])
+        out = g.infer(feeds)
         # matmul -> add_bias -> batch norm -> relu share one buffer; the
         # dropout aliases it; the output add_bias reuses its matmul's
         assert seen["ab0"] is seen["mm0"] is seen["bn"] is seen["act"]
@@ -491,64 +384,79 @@ class TestPlannedExecution:
         assert seen["out"] is seen["mm1"] is out
         assert not np.shares_memory(seen["x"], seen["mm0"])
         out = out.copy()
-        seen.clear()
-        bn, again = g.infer(feeds, [n["bn"], n["out"]])  # bn is requested
-        assert again.tobytes() == out.tobytes()
-        assert bn is seen["bn"] and not np.shares_memory(bn, seen["act"])
+        assert g.infer(feeds).tobytes() == out.tobytes()
+        # a pass that ends at the batch norm returns its buffer
+        bn = g.infer(feeds, stop=after(g, "bn"))
+        assert bn is seen["bn"] is seen["mm0"]
 
     def test_infer_in_place_equals_a_forward_without_batch_norm_or_dropout(
             self):
         # with neither, a training forward runs infer's arithmetic out of
         # place; batch norm's own bytes are the numpy formula test's
         g, feeds, n = dense_chain(batch_norm=False, rate=0.0)
-        (reference,) = g.forward(feeds, [n["out"]])
-        reference = reference.copy()
+        reference = g.forward(feeds).copy()
         seen = recorded_values(g)
-        (out,) = g.infer(feeds, [n["out"]])
+        out = g.infer(feeds)
         assert seen["ab0"] is seen["mm0"] is seen["act"]
         assert out.tobytes() == reference.tobytes()
 
     def test_infer_leaves_no_value_but_the_parameters(self):
         g, feeds, n = dense_chain()
-        train_forward(g, feeds, [n["out"]])  # values infer must drop
+        train_forward(g, feeds)  # state infer must drop
         x = feeds["x"].copy()
-        (out,) = g.infer(feeds, [n["out"]])
-        assert held_values(g) == []
-        assert all(p.value is p.array for p in g.parameters())
+        out = g.infer(feeds)
+        assert held_state(g) == []
         assert feeds["x"].tobytes() == x.tobytes()
-        (again,) = g.infer(feeds, [n["out"]])
-        assert again.tobytes() == out.tobytes()
+        assert g.infer(feeds).tobytes() == out.tobytes()
 
     def test_infer_with_a_given_value_leaves_it_unwritten(self):
         g, feeds, n = dense_chain()
-        (value,) = g.infer(feeds, [n["bn"]])
+        value = g.infer(feeds, stop=after(g, "bn"))
         kept = value.copy()
-        g.infer(feeds, [n["out"]])
-        (out,) = g.infer({}, [n["out"]], given={n["bn"]: value})
-        assert held_values(g) == []
+        out = g.infer({}, value, after(g, "bn"))
+        assert held_state(g) == []
         assert value.tobytes() == kept.tobytes()
-        (reference,) = g.infer(feeds, [n["out"]])
-        assert out.tobytes() == reference.tobytes()
+        assert out.tobytes() == g.infer(feeds).tobytes()
 
     def test_an_infer_that_raises_leaves_no_value(self):
         g, feeds, n = dense_chain()
-        train_forward(g, feeds, [n["out"]])
-        next(p for p in g.parameters() if p.name == "b1").array[1] = np.nan
+        train_forward(g, feeds)
+        n["out"].params[0].array[1] = np.nan
         with pytest.raises(NonFiniteError, match="'out'"):
-            g.infer(feeds, [n["out"]])
-        assert held_values(g) == []
-        bn = n["bn"]
+            g.infer(feeds)
+        assert held_state(g) == []
         value = np.full((5, 6), np.inf)
         with pytest.raises(NonFiniteError, match="'bn'"):
-            g.infer({}, [n["out"]], given={bn: value})
-        assert held_values(g) == [] and np.isinf(value).all()
+            g.infer({}, value, after(g, "bn"))
+        assert held_state(g) == [] and np.isinf(value).all()
 
-    def test_a_forward_keeps_its_values(self):
+    def test_a_forward_keeps_what_its_backward_reads(self):
         g, feeds, n = dense_chain()
-        g.infer(feeds, [n["out"]])
-        train_forward(g, feeds, [n["out"]])
-        assert set(held_values(g)) == set(n) - {p.name
-                                                for p in g.parameters()}
+        g.infer(feeds)
+        train_forward(g, feeds)
+        assert held_state(g) == ["mm0", "bn", "act", "drop", "mm1"]
+        assert n["mm1"].saved.shape == (5, 6)
+
+    def test_a_tiles_dict_tiles_each_vector_once(self, monkeypatch):
+        g, _, n = dense_chain()
+        monkeypatch.setattr(engine, "_INFER_BLOCK", 12)  # two rows of six
+        feeds = {"x": np.random.default_rng(5).standard_normal((7, 4))}
+        want = g.infer(feeds).copy()
+        tiled = []
+        real_repeat = np.repeat
+
+        def repeat(a, *args, **kwargs):
+            tiled.append(np.shape(a))
+            return real_repeat(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "repeat", repeat)
+        tiles = {}
+        for _ in range(3):
+            assert g.infer(feeds, tiles=tiles).tobytes() == want.tobytes()
+        # the bias and batch norm's four vectors, each once
+        assert tiled == [(1, 6)] * 5 and len(tiles) == 3
+        assert all(tile.shape == (2, 6) for key in tiles
+                   for tile in tiles[key])
 
     @pytest.mark.parametrize("mode, checked", [
         ("infer", ["x", "mm0", "ab0", "bn", "mm1", "out"]),
@@ -557,177 +465,158 @@ class TestPlannedExecution:
     def test_relu_and_identity_dropout_checks_are_implied(self, mode, checked,
                                                           monkeypatch):
         g, feeds, n = dense_chain()
+        values = recorded_values(g)
+        values["x"] = feeds["x"]  # checked as it is read, before it returns
         seen = []
 
         def spy(a, original=engine.all_finite):
-            # the latest node holding the array; later ones have not run
-            seen.append([name for name, node in n.items()
-                         if node.value is a][-1])
+            # the latest layer holding the array; later ones have not run
+            seen.append([name for name, value in values.items()
+                         if value is a][-1])
             return original(a)
 
         monkeypatch.setattr(engine, "all_finite", spy)
         if mode == "infer":
-            g.infer(feeds, [n["out"]])
+            g.infer(feeds)
         else:
-            train_forward(g, feeds, [n["out"]])
+            train_forward(g, feeds)
         assert seen == checked
-
-    def test_nonfinite_parameter_read_by_a_relu_is_caught_there(self):
-        g = Graph()
-        p = g.parameter("p", np.ones((2, 3)))
-        act = g.dropout(g.relu(p, name="act"), 0.0)
-        p.array[0, 1] = np.nan
-        with pytest.raises(NonFiniteError, match="'act'"):
-            g.infer({}, [act])
-        with pytest.raises(NonFiniteError, match="'act'"):
-            g.forward({}, [act])
-
-    def test_a_node_added_after_a_cached_plan_is_computed(self):
-        g, feeds, n = dense_chain()
-        g.infer(feeds, [n["act"]])
-        g.forward(feeds, [n["act"]])
-        # a second reader of the ReLU's input: the ReLU may no longer write
-        # into that buffer, and the new node must run
-        second = g.add_bias(n["bn"], g.parameter("zero", np.zeros(6)))
-        (bn,) = g.infer(feeds, [n["bn"]])
-        expected = bn.copy()
-        act, added = g.infer(feeds, [n["act"], second])
-        assert added.tobytes() == expected.tobytes()
-        assert act.tobytes() == engine.relu(expected).tobytes()
-
-    def test_a_node_added_after_a_cached_backward_plan_is_scoped(self):
-        g, feeds, n = dense_chain()
-        loss = g.weighted_mse(n["out"], g.placeholder("t"),
-                              g.placeholder("w"))
-        feeds.update(t=np.zeros((5, 2)), w=np.ones((5, 2)))
-        g.forward(feeds, [loss], rng=np.random.default_rng(0))
-        g.backward(loss)
-        side = g.relu(n["bn"])  # not on the loss's path
-        g.forward(feeds, [loss], rng=np.random.default_rng(0))
-        g.backward(loss)
-        assert side.wants_grad is False and side.grad is None
 
 
 class TestGradientChecks:
     def _two_layer_net(self, rng, n=5, d_in=4, hidden=6, use_bn=True,
                        dropout=0.0):
-        g = Graph()
-        x = g.placeholder("x")
-        w1 = g.parameter("w1", rng.standard_normal((d_in, hidden)) * 0.7)
-        b1 = g.parameter("b1", rng.standard_normal(hidden) * 0.1)
-        h = g.add_bias(g.matmul(x, w1), b1)
+        layers = [Input("x"),
+                  MatMul(Parameter("w1", rng.standard_normal((d_in, hidden))
+                                   * 0.7)),
+                  AddBias(Parameter("b1", rng.standard_normal(hidden) * 0.1))]
         if use_bn:
-            gamma = g.parameter("gamma", 1.0 + 0.1 * rng.standard_normal(hidden))
-            beta = g.parameter("beta", 0.1 * rng.standard_normal(hidden))
-            h = g.batch_norm(h, gamma, beta)
-        h = g.relu(h)
+            layers.append(BatchNorm(
+                Parameter("gamma", 1.0 + 0.1 * rng.standard_normal(hidden)),
+                Parameter("beta", 0.1 * rng.standard_normal(hidden))))
+        layers.append(Relu())
         if dropout:
-            h = g.dropout(h, dropout)
-        w2 = g.parameter("w2", rng.standard_normal((hidden, 2)) * 0.7)
-        b2 = g.parameter("b2", rng.standard_normal(2) * 0.1)
-        out = g.add_bias(g.matmul(h, w2), b2)
-        target = g.placeholder("target")
-        weight = g.placeholder("weight")
-        loss = g.weighted_mse(out, target, weight)
+            layers.append(Dropout(dropout))
+        layers += [MatMul(Parameter("w2", rng.standard_normal((hidden, 2))
+                                    * 0.7)),
+                   AddBias(Parameter("b2", rng.standard_normal(2) * 0.1)),
+                   WeightedMse()]
         feeds = {"x": rng.standard_normal((n, d_in)),
                  "target": rng.standard_normal((n, 2)),
                  "weight": (rng.random((n, 2)) > 0.3).astype(float)}
-        return g, loss, feeds
+        return Graph(layers), feeds
 
     @pytest.mark.parametrize("seed", range(8))
     def test_two_layer_net_all_parameters(self, seed):
         rng = np.random.default_rng(seed)
-        g, loss, feeds = self._two_layer_net(rng)
+        g, feeds = self._two_layer_net(rng)
         for param in g.parameters():
-            check_param_gradient(g, loss, feeds, param, rng)
+            check_param_gradient(g, feeds, param, rng)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_with_dropout_frozen_rng(self, seed):
         rng = np.random.default_rng(100 + seed)
-        g, loss, feeds = self._two_layer_net(rng, use_bn=False, dropout=0.4)
+        g, feeds = self._two_layer_net(rng, use_bn=False, dropout=0.4)
         for param in g.parameters():
-            check_param_gradient(g, loss, feeds, param, rng,
-                                 rng_seed=seed)
+            check_param_gradient(g, feeds, param, rng, rng_seed=seed)
 
-    def test_gradient_wrt_inputs(self):
+    @pytest.mark.parametrize("make", [
+        lambda rng: MatMul(Parameter("w", rng.standard_normal((4, 3)))),
+        lambda rng: AddBias(Parameter("b", rng.standard_normal(4))),
+        lambda rng: Relu(),
+        lambda rng: Dropout(0.4),
+        lambda rng: WeightedMse(),
+    ], ids=["matmul", "add_bias", "relu", "dropout", "weighted_mse"])
+    def test_gradient_wrt_inputs(self, make):
         rng = np.random.default_rng(42)
-        g = Graph()
-        x = g.placeholder("x")
-        w = g.parameter("w", rng.standard_normal((3, 2)))
-        out = g.relu(g.matmul(x, w))
-        target = g.placeholder("target")
-        weight = g.placeholder("weight")
-        loss = g.weighted_mse(out, target, weight)
-        x_value = rng.standard_normal((4, 3))
-        feeds = {"x": x_value, "target": rng.standard_normal((4, 2)),
+        x = rng.standard_normal((6, 4))
+        x[np.abs(x) < 1e-3] = 0.5  # away from the ReLU's kink
+        feeds = {"target": rng.standard_normal((6, 4)),
+                 "weight": (rng.random((6, 4)) > 0.3).astype(float)}
+        check_layer_gradients(make(rng), x, rng, feeds, rng_seed=3)
+
+
+class TestBackward:
+    def test_the_first_layer_with_parameters_forms_no_input_gradient(
+            self, monkeypatch):
+        rng = np.random.default_rng(0)
+        g = Graph([Input("x"), Relu(),
+                   MatMul(Parameter("w", rng.standard_normal((3, 2))), "mm0"),
+                   MatMul(Parameter("v", rng.standard_normal((2, 2))), "mm1"),
+                   WeightedMse("loss")])
+        asked = []
+        for layer in g.layers:
+            def backprop(grad, need_input, layer=layer,
+                         original=layer.backprop):
+                asked.append((layer.name, need_input))
+                return original(grad, need_input)
+            layer.backprop = backprop
+        g.forward({"x": rng.standard_normal((4, 3)),
+                   "target": rng.standard_normal((4, 2)),
+                   "weight": np.ones((4, 2))})
+        g.backward()
+        assert asked == [("loss", True), ("mm1", True), ("mm0", False)]
+
+    def test_backward_replaces_every_gradient(self):
+        rng = np.random.default_rng(1)
+        w, b = (Parameter("w", rng.standard_normal((3, 2))),
+                Parameter("b", rng.standard_normal(2)))
+        g = Graph([Input("x"), MatMul(w), AddBias(b), WeightedMse()])
+        feeds = {"x": rng.standard_normal((4, 3)),
+                 "target": rng.standard_normal((4, 2)),
                  "weight": np.ones((4, 2))}
-
-        def evaluate():
-            (value,) = g.forward(feeds, [loss])
-            return float(value)
-
-        evaluate()
-        g.backward(loss, inputs=(x,))
-        direction = rng.standard_normal(x_value.shape)
-        direction /= np.linalg.norm(direction)
-        analytic = float((x.grad * direction).sum())
-        numeric = central_difference_directional(evaluate, x_value, direction)
-        assert relative_error(analytic, numeric) < 1e-4
+        g.forward(feeds)
+        w.grad = b.grad = "stale"
+        g.backward()
+        dz = 2.0 * (feeds["x"] @ w.array + b.array - feeds["target"]) / 8.0
+        assert np.allclose(w.grad, feeds["x"].T @ dz)
+        assert np.allclose(b.grad, dz.sum(axis=0))
+        g.zero_grad()
+        assert w.grad is None and b.grad is None
 
 
 class TestIndexedDense:
     """``sum_k (T_k @ W[rows_k])[index_k]`` against its concat reference."""
 
     def _net(self, rng, widths, n=7):
-        g = Graph()
         blocks, feeds = [], {}
         for k, width in enumerate(widths):
-            blocks.append((g.placeholder(f"t{k}"), g.object_input(f"i{k}")))
+            blocks.append((f"t{k}", f"i{k}"))
             rows = 3 + k  # fewer rows than pairs: indices repeat
             feeds[f"t{k}"] = rng.standard_normal((rows, width))
             feeds[f"i{k}"] = rng.integers(0, rows, size=n)
-        w = g.parameter("W", rng.standard_normal((sum(widths), 4)) * 0.5)
-        b = g.parameter("b", rng.standard_normal(4) * 0.1)
-        out = g.add_bias(g.indexed_dense(blocks, w, name="first"), b)
-        loss = g.weighted_mse(out, g.placeholder("target"),
-                              g.placeholder("weight"))
+        w = Parameter("W", rng.standard_normal((sum(widths), 4)) * 0.5)
+        b = Parameter("b", rng.standard_normal(4) * 0.1)
+        first = IndexedDense(blocks, w, "first")
+        g = Graph([first, AddBias(b, "b"), WeightedMse()])
         feeds["target"] = rng.standard_normal((n, 4))
         feeds["weight"] = np.ones((n, 4))
-        return g, loss, feeds, [table for table, _ in blocks], w
+        return g, feeds, first
 
     @pytest.mark.parametrize("widths", [(5,), (5, 3)])
     def test_forward_matches_concat_then_matmul(self, widths):
         rng = np.random.default_rng(1)
-        g, _loss, feeds, _tables, w = self._net(rng, widths)
-        first = next(n for n in g.nodes if n.name == "first")
-        (value,) = g.forward(feeds, [first])
+        g, feeds, first = self._net(rng, widths)
+        value = first.compute(None, context(feeds))
         joined = np.concatenate([feeds[f"t{k}"][feeds[f"i{k}"]]
                                  for k in range(len(widths))], axis=1)
-        reference = joined @ w.array
+        reference = joined @ first.params[0].array
         assert np.max(np.abs(value - reference)) <= \
             1e-12 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("widths", [(5,), (5, 3)])
     def test_gradients_against_central_differences(self, widths):
         rng = np.random.default_rng(len(widths))
-        g, loss, feeds, tables, _w = self._net(rng, widths)
+        g, feeds, first = self._net(rng, widths)
         for param in g.parameters():
-            check_param_gradient(g, loss, feeds, param, rng)
-        assert all(table.grad is None for table in tables)
-
-        def evaluate():
-            (value,) = g.forward(feeds, [loss])
-            return float(value)
-
-        for k, table in enumerate(tables):
-            evaluate()
-            g.backward(loss, inputs=(table,))
-            direction = rng.standard_normal(feeds[f"t{k}"].shape)
-            direction /= np.linalg.norm(direction)
-            analytic = float((table.grad * direction).sum())
-            numeric = central_difference_directional(evaluate, feeds[f"t{k}"],
-                                                      direction)
-            assert relative_error(analytic, numeric) < 1e-4, table.name
+            check_param_gradient(g, feeds, param, rng)
+        # as the stack's first layer, it forms no gradient of its tables
+        g.forward(feeds)
+        assert first.backprop(np.ones((7, 4)), False) is None
+        # a table that is the previous layer's value gets one
+        later = IndexedDense([(None, "i0"), *first.blocks[1:]],
+                             first.params[0], "later")
+        check_layer_gradients(later, feeds["t0"], rng, feeds)
 
     @pytest.mark.parametrize("change, message", [
         ({"i0": np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0])}, "integer"),
@@ -738,63 +627,59 @@ class TestIndexedDense:
         ({"t1": np.ones((4, 2))}, "do not sum"),
     ])
     def test_shape_errors_name_the_node(self, change, message):
-        g, loss, feeds, _tables, _w = self._net(np.random.default_rng(0),
-                                                (5, 3))
+        g, feeds, _ = self._net(np.random.default_rng(0), (5, 3))
         feeds.update(change)
         with pytest.raises(ShapeError, match=f"first.*{message}"):
-            g.forward(feeds, [loss])
+            g.forward(feeds)
+
+    def test_a_non_finite_table_is_named_as_an_input(self):
+        g, feeds, _ = self._net(np.random.default_rng(0), (5, 3))
+        feeds["t1"][2, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="'t1' \\(input\\)"):
+            g.forward(feeds)
 
     def _given(self, widths=(5, 3)):
-        """The net, its feeds, its ``indexed_dense`` node, and that node's
+        """The net, its feeds, its ``IndexedDense`` layer, and that layer's
         value for the feeds as a caller forms it: ``project`` per block,
         then a gather-add."""
-        g, loss, feeds, _tables, _w = self._net(np.random.default_rng(4),
-                                                widths)
-        first = next(n for n in g.nodes if n.name == "first")
+        g, feeds, first = self._net(np.random.default_rng(4), widths)
         value = first.project(feeds["t0"], 0)[feeds["i0"]]
         for k in range(1, len(widths)):
             value += first.project(feeds[f"t{k}"],
                                    sum(widths[:k]))[feeds[f"i{k}"]]
-        return g, loss, feeds, first, value
+        return g, feeds, first, value
 
     @pytest.mark.parametrize("widths", [(5,), (5, 3)])
     def test_given_first_layer_equals_forward_skips_inputs(self, widths):
-        g, loss, feeds, first, value = self._given(widths)
-        (reference,) = g.forward(feeds, [loss])
-        ran = computed_nodes(g)
-        seen = recorded_values(g)
+        g, feeds, first, value = self._given(widths)
+        reference = g.forward(feeds)
         rest = {name: feeds[name] for name in ("target", "weight")}
-        (got,) = g.infer(rest, [loss], given={first: value})
-        assert got == reference
-        assert seen["first"] is value
-        assert not {node.name for node in (first, *first.inputs)} & set(ran)
-        assert "b" in ran
+        # the tables and indices are not fed: the first layer does not run
+        assert g.infer(rest, value, 1) == reference
 
     def test_backward_needs_a_forward_without_given_values(self):
-        g, loss, feeds, first, value = self._given()
-        g.infer(feeds, [loss], given={first: value})
+        g, feeds, first, value = self._given()
+        g.infer(feeds, value, 1)
         with pytest.raises(EngineError, match="before forward"):
-            g.backward(loss)
-        g.forward(feeds, [loss])
-        g.backward(loss)
+            g.backward()
+        g.forward(feeds)
+        g.backward()
 
     def test_given_values_are_checked_for_finiteness(self):
-        g, loss, feeds, first, value = self._given()
+        g, feeds, first, value = self._given()
         value[0, 0] = np.inf
         with pytest.raises(NonFiniteError, match="'first'"):
-            g.infer(feeds, [loss], given={first: value})
+            g.infer(feeds, value, 1)
 
     @pytest.mark.parametrize("widths", [(5,), (5, 3)])
     def test_a_given_gather_add_is_its_formed_value(self, widths):
-        g, loss, feeds, first, value = self._given(widths)
+        g, feeds, first, value = self._given(widths)
         tables = tuple(first.project(feeds[f"t{k}"], sum(widths[:k]))
                        for k in range(len(widths)))
         record = GatherAdd(tables, tuple(feeds[f"i{k}"]
                                          for k in range(len(widths))))
         assert record.form().tobytes() == value.tobytes()
-        (want,) = g.infer(feeds, [loss], given={first: value})
-        (got,) = g.infer(feeds, [loss], given={first: record})
-        assert got == want
+        assert g.infer(feeds, record, 1) == g.infer(feeds, value, 1)
 
     @pytest.mark.parametrize("change, message", [
         (lambda t, i: (t, (i[0] + 100, i[1])), "given index 0 leaves the "
@@ -804,100 +689,11 @@ class TestIndexedDense:
         (lambda t, i: ((t[0], t[1][:, :2]), i), "2-d tables of one width"),
     ])
     def test_a_given_gather_add_is_checked(self, change, message):
-        g, loss, feeds, first, _value = self._given()
+        g, feeds, first, _value = self._given()
         tables = (first.project(feeds["t0"], 0), first.project(feeds["t1"], 5))
         record = GatherAdd(*change(tables, (feeds["i0"], feeds["i1"])))
         with pytest.raises(ShapeError, match=f"first.*{message}"):
-            g.infer(feeds, [loss], given={first: record})
-
-    def test_given_nodes_must_be_in_the_graph(self):
-        g, loss, feeds, _first, value = self._given()
-        stranger = Graph().placeholder("stranger")
-        with pytest.raises(EngineError,
-                           match="'stranger', which is not a node of this"):
-            g.infer(feeds, [loss], given={stranger: value})
-
-
-class TestBackwardScope:
-    def _regression(self, rng):
-        g = Graph()
-        x = g.placeholder("x")
-        w = g.parameter("w", rng.standard_normal((3, 2)))
-        z = g.matmul(x, w)
-        target = g.placeholder("target")
-        weight = g.placeholder("weight")
-        loss = g.weighted_mse(z, target, weight)
-        feeds = {"x": rng.standard_normal((4, 3)),
-                 "target": rng.standard_normal((4, 2)),
-                 "weight": np.ones((4, 2))}
-        g.forward(feeds, [loss])
-        return g, x, w, z, target, weight, loss, feeds
-
-    def test_only_parameter_paths_get_gradients(self):
-        g, x, w, z, target, weight, loss, _ = self._regression(
-            np.random.default_rng(0))
-        g.backward(loss)
-        assert w.grad is not None and z.grad is not None
-        assert x.grad is None and target.grad is None and weight.grad is None
-
-    def test_inputs_opt_in(self):
-        g, x, w, z, target, weight, loss, feeds = self._regression(
-            np.random.default_rng(1))
-        g.backward(loss, inputs=(x,))
-        dz = 2.0 * (z.value - feeds["target"]) / 8.0
-        assert np.allclose(x.grad, dz @ w.array.T)
-        assert target.grad is None and weight.grad is None
-
-    def test_stale_gradients_are_reset(self):
-        g, x, w, z, target, weight, loss, _ = self._regression(
-            np.random.default_rng(2))
-        g.backward(loss, inputs=(x, target))
-        assert x.grad is not None and target.grad is not None
-        g.backward(loss)
-        assert x.grad is None and target.grad is None
-        assert w.grad is not None
-
-    def test_unreached_node_holds_no_gradient(self):
-        g, x, w, z, target, weight, loss, _ = self._regression(
-            np.random.default_rng(3))
-        unused = g.parameter("unused", np.ones(2))
-        unused.grad = np.ones(2)
-        g.backward(loss)
-        assert unused.grad is None
-
-    def test_second_contribution_leaves_adopted_array_alone(self):
-        # z feeds both the bias add (which hands its gradient on as is) and
-        # the concat, so z's two contributions meet an adopted array
-        rng = np.random.default_rng(4)
-        g = Graph()
-        x = g.placeholder("x")
-        w = g.parameter("w", rng.standard_normal((3, 2)))
-        b = g.parameter("b", rng.standard_normal(2))
-        z = g.matmul(x, w)
-        y = g.add_bias(z, b)
-        cat = concat(g, [y, z])
-        target = g.placeholder("target")
-        weight = g.placeholder("weight")
-        loss = g.weighted_mse(cat, target, weight)
-        feeds = {"x": rng.standard_normal((5, 3)),
-                 "target": rng.standard_normal((5, 4)),
-                 "weight": np.ones((5, 4))}
-        g.forward(feeds, [loss])
-        g.backward(loss)
-        assert np.array_equal(y.grad, cat.grad[:, :2])
-        assert np.array_equal(z.grad, cat.grad[:, 2:] + cat.grad[:, :2])
-        for param in (w, b):
-            check_param_gradient(g, loss, feeds, param, rng)
-
-    def test_inputs_must_be_numeric_nodes_of_the_graph(self):
-        g, x, w, z, target, weight, loss, _ = self._regression(
-            np.random.default_rng(5))
-        structure = g.object_input("structure")
-        with pytest.raises(EngineError, match="structure"):
-            g.backward(loss, inputs=(structure,))
-        stranger = Graph().placeholder("stranger")
-        with pytest.raises(EngineError, match="stranger"):
-            g.backward(loss, inputs=(stranger,))
+            g.infer(feeds, record, 1)
 
 
 def textbook_adam(theta, m, v, g, t, lr, b1, b2, eps):
@@ -1006,21 +802,19 @@ class TestAdam:
 
 
 def sparse_net(rng, widths, out_width, n=40, distinct=(9, 6)):
-    """An ``indexed_dense`` -> loss net whose tables have zero columns."""
-    g = Graph()
+    """An ``IndexedDense`` -> loss net whose tables have zero columns."""
     blocks, feeds = [], {}
     for k, width in enumerate(widths):
-        blocks.append((g.placeholder(f"t{k}"), g.object_input(f"i{k}")))
+        blocks.append((f"t{k}", f"i{k}"))
         feeds[f"t{k}"] = (rng.random((distinct[k], width)) < 0.02).astype(float)
         feeds[f"i{k}"] = rng.integers(0, distinct[k], size=n)
-    w = g.parameter("W", rng.standard_normal((sum(widths), out_width)) * 0.1)
-    out = g.relu(g.indexed_dense(blocks, w, name="first"))
-    w_out = g.parameter("w_out", rng.standard_normal((out_width, 1)))
-    loss = g.weighted_mse(g.matmul(out, w_out), g.placeholder("target"),
-                          g.placeholder("weight"))
+    w = Parameter("W", rng.standard_normal((sum(widths), out_width)) * 0.1)
+    w_out = Parameter("w_out", rng.standard_normal((out_width, 1)))
+    g = Graph([IndexedDense(blocks, w, "first"), Relu(), MatMul(w_out),
+               WeightedMse()])
     feeds["target"] = rng.standard_normal((n, 1))
     feeds["weight"] = np.ones((n, 1))
-    return g, loss, feeds, w
+    return g, feeds, w
 
 
 def set_columns(feeds, n_blocks):
@@ -1048,15 +842,15 @@ class TestRowSelection:
                                                     ((300, 2000), 256)])
     def test_compact_backward_rows_equal_the_full_rows(self, widths,
                                                        out_width):
-        g, loss, feeds, w = sparse_net(np.random.default_rng(out_width),
+        g, feeds, w = sparse_net(np.random.default_rng(out_width),
                                        widths, out_width)
-        g.forward(feeds, [loss])
-        g.backward(loss)
+        g.forward(feeds)
+        g.backward()
         full = w.grad
         selection = RowSelection(set_columns(feeds, len(widths)))
         assert all(columns is not None for _, columns, _ in selection.blocks)
         w.row_selection = selection
-        g.backward(loss)
+        g.backward()
         compact = np.asarray(w.grad)
         assert compact.shape == (selection.n_rows, out_width)
         kept = np.zeros(w.array.shape[0], dtype=bool)
@@ -1065,7 +859,7 @@ class TestRowSelection:
             kept[rows] = True
         assert not full[~kept].any()
         w.row_selection = None
-        g.backward(loss)
+        g.backward()
         assert np.array_equal(w.grad, full)
 
     @pytest.mark.parametrize("n_active", [1, 2, 3])
@@ -1077,22 +871,18 @@ class TestRowSelection:
         fits = []
         for selected in (False, True):
             rng = np.random.default_rng(80 + n_active)
-            g = Graph()
             blocks, feeds = [], {}
             for k, (width, n_kept) in enumerate(((40, n_active), (24, 24))):
-                blocks.append((g.placeholder(f"t{k}"),
-                               g.object_input(f"i{k}")))
+                blocks.append((f"t{k}", f"i{k}"))
                 table = np.zeros((512, width))
                 table[:, rng.permutation(width)[:n_kept]] = \
                     rng.standard_normal((512, n_kept))
                 feeds[f"t{k}"] = table
                 feeds[f"i{k}"] = rng.permutation(1024) % 512
-            w = g.parameter("W", rng.standard_normal((64, 64)) * 0.1)
-            out = g.relu(g.indexed_dense(blocks, w))
-            loss = g.weighted_mse(
-                g.matmul(out, g.parameter("w_out", rng.standard_normal(
-                    (64, 1)))), g.placeholder("target"),
-                g.placeholder("weight"))
+            w = Parameter("W", rng.standard_normal((64, 64)) * 0.1)
+            g = Graph([IndexedDense(blocks, w), Relu(),
+                       MatMul(Parameter("w_out", rng.standard_normal(
+                           (64, 1)))), WeightedMse()])
             feeds["target"] = rng.standard_normal((1024, 1))
             feeds["weight"] = np.ones((1024, 1))
             if selected:
@@ -1101,19 +891,19 @@ class TestRowSelection:
                         in w.row_selection.blocks] == [True, True]
             adam = Adam(g.parameters())
             for _ in range(3):
-                g.forward(feeds, [loss])
-                g.backward(loss)
+                g.forward(feeds)
+                g.backward()
                 adam.step()
             fits.append(w.array.tobytes())
         assert fits[0] == fits[1]
 
     def test_selection_must_cover_the_tables(self):
-        g, loss, feeds, w = sparse_net(np.random.default_rng(0), (20, 30), 4)
+        g, feeds, w = sparse_net(np.random.default_rng(0), (20, 30), 4)
         w.row_selection = RowSelection([np.ones(30, dtype=bool),
                                         np.ones(20, dtype=bool)])
-        g.forward(feeds, [loss])
+        g.forward(feeds)
         with pytest.raises(ShapeError, match="first.*row selection"):
-            g.backward(loss)
+            g.backward()
 
     def test_adam_on_selected_rows_equals_adam_on_every_row(self):
         # Two weights start equal: one trains every row, one the selection.
@@ -1201,25 +991,25 @@ class TestRowSelection:
         # earlier batch, so Adam moves it at that step as the full path does.
         nets = [sparse_net(np.random.default_rng(3), (50, 40), 8, n=12,
                            distinct=(4, 3)) for _ in range(2)]
-        first = nets[0][2]
+        first = nets[0][1]
         second = {k: v.copy() for k, v in first.items()}
         column = int(np.flatnonzero(first["t0"].any(axis=0))[0])
         second["t0"][:, column] = 0.0
         fit_columns = [a | b for a, b in zip(set_columns(first, 2),
                                              set_columns(second, 2))]
-        nets[1][3].row_selection = selection = RowSelection(fit_columns)
+        nets[1][2].row_selection = selection = RowSelection(fit_columns)
         assert selection.blocks[0][1] is not None  # the block is compacted
         after = []
-        for g, loss, _, w in nets:
+        for g, _, w in nets:
             adam = Adam(g.parameters())
             states = []
             for batch in (first, second):
-                g.forward(batch, [loss])
-                g.backward(loss)
+                g.forward(batch)
+                g.backward()
                 adam.step()
                 states.append(w.array.copy())
             after.append(states)
-        assert not nets[0][3].grad[column].any()  # no gradient in batch two
+        assert not nets[0][2].grad[column].any()  # no gradient in batch two
         (full1, full2), (part1, part2) = after
         assert not np.array_equal(part1[column], part2[column])
         assert np.array_equal(part1, full1)
@@ -1227,29 +1017,27 @@ class TestRowSelection:
 
 
 def two_block_net(rng, out_width, distinct):
-    """An ``indexed_dense`` net over a table whose selection is compacted
+    """An ``IndexedDense`` net over a table whose selection is compacted
     and one kept whole, each spanning several Adam blocks of rows; the
     compacted block's last Adam block holds a single row."""
     block = engine._ADAM_CHUNK // out_width
     active = np.zeros(4 * block + 10, dtype=bool)
     active[rng.permutation(active.size)[:2 * block + 1]] = True
     masks = [active, np.ones(2 * block + 37, dtype=bool)]
-    g = Graph()
     blocks, feeds = [], {}
     n = 2 * distinct + 3
     for k, mask in enumerate(masks):
-        blocks.append((g.placeholder(f"t{k}"), g.object_input(f"i{k}")))
+        blocks.append((f"t{k}", f"i{k}"))
         feeds[f"t{k}"] = rng.standard_normal((distinct, mask.size)) * mask
         feeds[f"i{k}"] = rng.integers(0, distinct, size=n)
-    w = g.parameter("W", rng.standard_normal((sum(m.size for m in masks),
-                                              out_width)) * 0.05)
-    out = g.relu(g.indexed_dense(blocks, w, name="first"))
-    w_out = g.parameter("w_out", rng.standard_normal((out_width, 1)))
-    loss = g.weighted_mse(g.matmul(out, w_out), g.placeholder("target"),
-                          g.placeholder("weight"))
+    w = Parameter("W", rng.standard_normal((sum(m.size for m in masks),
+                                            out_width)) * 0.05)
+    w_out = Parameter("w_out", rng.standard_normal((out_width, 1)))
+    g = Graph([IndexedDense(blocks, w, "first"), Relu(), MatMul(w_out),
+               WeightedMse()])
     feeds["target"] = rng.standard_normal((n, 1))
     feeds["weight"] = np.ones((n, 1))
-    return g, loss, feeds, w, RowSelection(masks)
+    return g, feeds, w, RowSelection(masks)
 
 
 class TestCompactGrad:
@@ -1263,15 +1051,15 @@ class TestCompactGrad:
     def test_formed_rows_equal_the_full_rows(self, out_width, distinct,
                                              monkeypatch):
         rng = np.random.default_rng(out_width * 1000 + distinct)
-        g, loss, feeds, w, selection = two_block_net(rng, out_width, distinct)
+        g, feeds, w, selection = two_block_net(rng, out_width, distinct)
         assert [c is None for _, c, _ in selection.blocks] == [False, True]
-        g.forward(feeds, [loss])
-        g.backward(loss)
+        g.forward(feeds)
+        g.backward()
         full = w.grad
         assert isinstance(full, np.ndarray)
         w.row_selection = selection
         adam = Adam([w])
-        g.backward(loss)
+        g.backward()
         grad = w.grad
         assert isinstance(grad, CompactGrad)
         assert grad.shape == (selection.n_rows, out_width)
@@ -1299,11 +1087,11 @@ class TestCompactGrad:
 
     def test_bad_factors_raise_and_write_nothing(self, monkeypatch):
         rng = np.random.default_rng(61)
-        g, loss, feeds, w, selection = two_block_net(rng, 16, 5)
+        g, feeds, w, selection = two_block_net(rng, 16, 5)
         w.row_selection = selection
         adam = Adam(g.parameters())
-        g.forward(feeds, [loss])
-        g.backward(loss)
+        g.forward(feeds)
+        g.backward()
         adam.step()
         params = g.parameters()
         before = ([p.array.copy() for p in params], moment_copies(adam),
@@ -1326,8 +1114,8 @@ class TestCompactGrad:
 
         monkeypatch.setattr(CompactGrad, "__array__", counting)
         # a NaN in per_row; w_out, later in order, is bad too
-        g.forward(feeds, [loss])
-        g.backward(loss)
+        g.forward(feeds)
+        g.backward()
         w.grad.blocks[1][2][0, 0] = np.nan
         next(p for p in params if p.name == "w_out").grad = np.full(
             (16, 1), np.nan)
@@ -1337,7 +1125,7 @@ class TestCompactGrad:
         assert_unchanged()
         # finite factors whose product overflows: the step forms the array
         # and finds the infinity there
-        g.backward(loss)
+        g.backward()
         blocks = [(compact, np.full(kept.shape, 1e200), np.full(
             per_row.shape, 1e200)) for compact, kept, per_row
             in w.grad.blocks]
@@ -1357,12 +1145,12 @@ class TestCompactGrad:
         for bound in (engine._FINITE_PRODUCT, 0.0):
             monkeypatch.setattr(engine, "_FINITE_PRODUCT", bound)
             rng = np.random.default_rng(67)
-            g, loss, feeds, w, selection = two_block_net(rng, 64, 33)
+            g, feeds, w, selection = two_block_net(rng, 64, 33)
             w.row_selection = selection
             adam = Adam(g.parameters())
             for _ in range(3):
-                g.forward(feeds, [loss])
-                g.backward(loss)
+                g.forward(feeds)
+                g.backward()
                 assert w.grad.bounded() == (bound > 0.0)
                 adam.step()
             results.append((w.array.copy(), moment_copies(adam)))
@@ -1370,33 +1158,6 @@ class TestCompactGrad:
         assert np.array_equal(theta_a, theta_b)
         for key in moments_a:
             assert np.array_equal(moments_a[key], moments_b[key]), key
-
-    def test_a_second_contribution_is_added_to_the_formed_array(self):
-        # W feeds the first layer and a second product; with a selection of
-        # whole blocks the sum equals the backward over every row.
-        rng = np.random.default_rng(71)
-        g = Graph()
-        table, index, x = (g.placeholder("t"), g.object_input("i"),
-                           g.placeholder("x"))
-        w = g.parameter("W", rng.standard_normal((12, 4)))
-        total = g.add_bias(g.indexed_dense([(table, index)], w),
-                           g.parameter("zero", np.zeros(4)))
-        both = concat(g, [total, g.matmul(x, w)])
-        loss = g.weighted_mse(g.matmul(both, g.parameter(
-            "w_out", rng.standard_normal((8, 1)))), g.placeholder("target"),
-            g.placeholder("weight"))
-        feeds = {"t": rng.standard_normal((5, 12)),
-                 "i": rng.integers(0, 5, size=9),
-                 "x": rng.standard_normal((9, 12)),
-                 "target": rng.standard_normal((9, 1)),
-                 "weight": np.ones((9, 1))}
-        g.forward(feeds, [loss])
-        g.backward(loss)
-        full = w.grad
-        w.row_selection = RowSelection([np.ones(12, dtype=bool)])
-        g.backward(loss)
-        assert isinstance(w.grad, np.ndarray)
-        assert np.array_equal(w.grad, full)
 
 
 def mixed_parameters(rng):
@@ -1475,18 +1236,15 @@ class TestFlatAdam:
 
     def test_parameters_and_moments_are_views_of_the_buffer(self):
         rng = np.random.default_rng(43)
-        g = Graph()
-        x = g.placeholder("x")
-        w = g.parameter("w", rng.standard_normal((4, 3)))
-        b = g.parameter("b", rng.standard_normal(3))
-        scale = g.parameter("scale", rng.standard_normal((3, 1)))
-        g.forward({"x": np.ones((2, 4))},
-                  [g.matmul(g.add_bias(g.matmul(x, w), b), scale)])
+        w = Parameter("w", rng.standard_normal((4, 3)))
+        b = Parameter("b", rng.standard_normal(3))
+        scale = Parameter("scale", rng.standard_normal((3, 1)))
+        g = Graph([Input("x"), MatMul(w), AddBias(b), MatMul(scale, "mm1")])
+        g.forward({"x": np.ones((2, 4))})
         old = w.array
         adam = Adam(g.parameters())
         assert w.array is not old and np.array_equal(w.array, old)
         for p in g.parameters():
-            assert p.value is p.array
             assert np.shares_memory(p.array, adam.flat_theta)
             assert np.shares_memory(adam.state.m[p.name], adam.flat_m)
             assert np.shares_memory(adam.state.v[p.name], adam.flat_v)

@@ -8,13 +8,26 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     central_difference_directional,
+    check_layer_gradients,
+    context,
     join_tables,
     molecule_table,
     molecule_view,
     relative_error,
 )
 from dtanet.compounds import atom_feature_matrix, atom_features
-from dtanet.engine import Adam, Graph, Node
+from dtanet.engine import (
+    AddBias,
+    Adam,
+    Graph,
+    Input,
+    Layer,
+    MatMul,
+    Parameter,
+    Relu,
+    WeightedMse,
+    fed,
+)
 from dtanet.graphconv import (
     GraphConv,
     GraphGather,
@@ -41,40 +54,39 @@ def pack_molecules(mols):
     return pack_graphs(table, atom_feature_matrix(table), MAX_DEGREE)
 
 
-def conv_graph(width_in, width_out, rng, identity=False):
-    """A graph with one conv layer; returns (graph, h, structure, conv)."""
-    g = Graph()
-    h = g.placeholder("h")
-    structure = g.object_input("structure")
+def conv_layer(width_in, width_out, rng, identity=False):
+    """A conv layer with seven degrees of parameters."""
     if identity:
         make_w = lambda: np.eye(width_in)
         make_b = lambda: np.zeros(width_out)
     else:
         make_w = lambda: rng.standard_normal((width_in, width_out)) * 0.6
         make_b = lambda: rng.standard_normal(width_out) * 0.1
-    w_self = [g.parameter(f"ws{d}", make_w()) for d in range(MAX_DEGREE + 1)]
-    w_nbr = [g.parameter(f"wn{d}", make_w()) for d in range(MAX_DEGREE + 1)]
-    bias = [g.parameter(f"b{d}", make_b()) for d in range(MAX_DEGREE + 1)]
-    conv = GraphConv(h, structure, w_self, w_nbr, bias)
-    conv.name = "conv"
-    g.add(conv)
-    return g, h, structure, conv
+    w_self = [Parameter(f"ws{d}", make_w()) for d in range(MAX_DEGREE + 1)]
+    w_nbr = [Parameter(f"wn{d}", make_w()) for d in range(MAX_DEGREE + 1)]
+    bias = [Parameter(f"b{d}", make_b()) for d in range(MAX_DEGREE + 1)]
+    return GraphConv(w_self, w_nbr, bias, "conv")
+
+
+def conv_graph(width_in, width_out, rng, identity=False):
+    """A graph of the feed ``h`` and one conv layer."""
+    return Graph([Input("h"), conv_layer(width_in, width_out, rng, identity)])
 
 
 class TestConvSemantics:
     def test_isolated_atom_identity_weights(self):
         rows, batch = packed(["C"])
-        g, _, _, conv = conv_graph(rows.shape[1], rows.shape[1],
-                                   np.random.default_rng(0), identity=True)
-        (out,) = g.forward({"h": rows, "structure": batch}, [conv])
+        g = conv_graph(rows.shape[1], rows.shape[1],
+                       np.random.default_rng(0), identity=True)
+        out = g.forward({"h": rows, "graph_batch": batch})
         assert np.array_equal(out, np.maximum(rows, 0.0))
 
     def test_edge_sums_neighbor(self):
         rows, batch = packed(["CC"])
         # identity self and neighbor weights, nonnegative features
-        g, _, _, conv = conv_graph(rows.shape[1], rows.shape[1],
-                                   np.random.default_rng(0), identity=True)
-        (out,) = g.forward({"h": rows, "structure": batch}, [conv])
+        g = conv_graph(rows.shape[1], rows.shape[1],
+                       np.random.default_rng(0), identity=True)
+        out = g.forward({"h": rows, "graph_batch": batch})
         assert np.allclose(out[0], rows[0] + rows[1])
         assert np.allclose(out[1], rows[0] + rows[1])
 
@@ -91,14 +103,8 @@ class TestConvSemantics:
 
 class TestPoolSemantics:
     def _pool(self, rows, batch):
-        g = Graph()
-        h = g.placeholder("h")
-        structure = g.object_input("structure")
-        pool = GraphPool(h, structure)
-        pool.name = "pool"
-        g.add(pool)
-        (out,) = g.forward({"h": rows, "structure": batch}, [pool])
-        return out
+        g = Graph([Input("h"), GraphPool("pool")])
+        return g.forward({"h": rows, "graph_batch": batch})
 
     def test_path_maxima(self):
         # path A-B-C with scalar features [1, 5, 2] -> [5, 5, 5]
@@ -115,31 +121,18 @@ class TestPoolSemantics:
     def test_tie_routes_to_lowest_atom_index(self):
         _, batch = packed(["CC"])
         rows = np.array([[2.0], [2.0]])  # tie in both neighborhoods
-        g = Graph()
-        h = g.placeholder("h")
-        structure = g.object_input("structure")
-        pool = GraphPool(h, structure)
-        g.add(pool)
-        target = g.placeholder("t")
-        weight = g.placeholder("w")
-        loss = g.weighted_mse(pool, target, weight)
-        g.forward({"h": rows, "structure": batch, "t": np.zeros((2, 1)),
-                   "w": np.ones((2, 1))}, [loss])
-        g.backward(loss, inputs=(h,))
+        pool = GraphPool("pool")
+        pool.compute(rows, context({"graph_batch": batch}))
+        dh = pool.backprop(np.ones((2, 1)), True)
         # both segments pick atom 0, so all gradient lands there
-        assert h.grad[1, 0] == 0.0
-        assert h.grad[0, 0] != 0.0
+        assert dh[1, 0] == 0.0
+        assert dh[0, 0] != 0.0
 
 
 class TestGatherSemantics:
     def _gather(self, rows, batch):
-        g = Graph()
-        h = g.placeholder("h")
-        structure = g.object_input("structure")
-        gather = GraphGather(h, structure)
-        g.add(gather)
-        (out,) = g.forward({"h": rows, "structure": batch}, [gather])
-        return out
+        g = Graph([Input("h"), GraphGather("gather")])
+        return g.forward({"h": rows, "graph_batch": batch})
 
     def test_single_atom_is_own_row(self):
         _, batch = packed(["C"])
@@ -173,14 +166,12 @@ class TestEquivariance:
         b = parse_smiles("OCC")
         fa, fb = atom_features(a), atom_features(b)
         rng = np.random.default_rng(5)
-        g, _, _, conv = conv_graph(fa.shape[1], 8, rng)
+        g = conv_graph(fa.shape[1], 8, rng)
         _, batch_a = pack_graphs(a, fa, MAX_DEGREE)
         _, batch_b = pack_graphs(b, fb, MAX_DEGREE)
-        (out_a,) = g.forward({"h": fa[batch_a.atom_ids],
-                              "structure": batch_a}, [conv])
+        out_a = g.forward({"h": fa[batch_a.atom_ids], "graph_batch": batch_a})
         out_a = out_a[batch_a.restore]
-        (out_b,) = g.forward({"h": fb[batch_b.atom_ids],
-                              "structure": batch_b}, [conv])
+        out_b = g.forward({"h": fb[batch_b.atom_ids], "graph_batch": batch_b})
         out_b = out_b[batch_b.restore]
         assert np.allclose(out_a[[2, 1, 0]], out_b)
 
@@ -189,40 +180,31 @@ class TestGradients:
     def _full_stack(self, smiles_list, rng):
         """conv -> pool -> dense -> gather -> dense, scalar loss."""
         rows, batch = packed(smiles_list)
-        g, h, structure, conv = conv_graph(rows.shape[1], 6, rng)
-        pool = GraphPool(conv, structure)
-        pool.name = "pool"
-        g.add(pool)
-        wd = g.parameter("wd", rng.standard_normal((6, 5)) * 0.6)
-        bd = g.parameter("bd", rng.standard_normal(5) * 0.1)
-        dense = g.relu(g.add_bias(g.matmul(pool, wd), bd))
-        gather = GraphGather(dense, structure)
-        gather.name = "gather"
-        g.add(gather)
-        wo = g.parameter("wo", rng.standard_normal((5, 1)) * 0.6)
-        bo = g.parameter("bo", np.zeros(1))
-        out = g.add_bias(g.matmul(gather, wo), bo)
-        target = g.placeholder("target")
-        weight = g.placeholder("weight")
-        loss = g.weighted_mse(out, target, weight)
+        layers = [Input("h"), conv_layer(rows.shape[1], 6, rng),
+                  GraphPool("pool"),
+                  MatMul(Parameter("wd", rng.standard_normal((6, 5)) * 0.6)),
+                  AddBias(Parameter("bd", rng.standard_normal(5) * 0.1)),
+                  Relu(), GraphGather("gather"),
+                  MatMul(Parameter("wo", rng.standard_normal((5, 1)) * 0.6),
+                         "out_matmul"),
+                  AddBias(Parameter("bo", np.zeros(1)), "out"), WeightedMse()]
         feeds = {"h": rows + 0.05 * rng.standard_normal(rows.shape),
-                 "structure": batch,
+                 "graph_batch": batch,
                  "target": rng.standard_normal((len(smiles_list), 1)),
                  "weight": np.ones((len(smiles_list), 1))}
-        return g, loss, feeds
+        return Graph(layers), feeds
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stack_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         smiles_list = unique_smiles(3, np.random.default_rng(seed + 50))
-        g, loss, feeds = self._full_stack(smiles_list, rng)
+        g, feeds = self._full_stack(smiles_list, rng)
 
         def evaluate():
-            (value,) = g.forward(feeds, [loss])
-            return float(value)
+            return float(g.forward(feeds))
 
         evaluate()
-        g.backward(loss)
+        g.backward()
         grads = {p.name: p.grad.copy() for p in g.parameters()}
         checked = 0
         for param in g.parameters():
@@ -239,9 +221,9 @@ class TestGradients:
 
     def test_empty_degree_gets_zero_gradient_and_adam_steps(self):
         rng = np.random.default_rng(23)
-        g, loss, feeds = self._full_stack(["CCO", "CC"], rng)
-        g.forward(feeds, [loss])
-        g.backward(loss)
+        g, feeds = self._full_stack(["CCO", "CC"], rng)
+        g.forward(feeds)
+        g.backward()
         unused = [p for p in g.parameters() if p.name in ("ws3", "wn3", "b3")]
         assert len(unused) == 3
         for param in unused:
@@ -255,29 +237,33 @@ class TestGradients:
 
     def test_atom_features_get_no_gradient_unless_named(self):
         rng = np.random.default_rng(29)
-        g, loss, feeds = self._full_stack(["CCO", "CCC"], rng)
-        g.forward(feeds, [loss])
-        g.backward(loss)
-        h_node = next(n for n in g.nodes if n.name == "h")
-        assert h_node.grad is None
+        g, feeds = self._full_stack(["CCO", "CCC"], rng)
+        conv = g.layers[1]
+        asked = []
+
+        def backprop(grad, need_input, original=conv.backprop):
+            asked.append(need_input)
+            return original(grad, need_input)
+
+        conv.backprop = backprop
+        g.forward(feeds)
+        g.backward()
+        assert asked == [False]
 
     def test_gradient_wrt_atom_features(self):
         rng = np.random.default_rng(17)
-        g, loss, feeds = self._full_stack(["CCO", "CCC"], rng)
-        h_value = feeds["h"]
+        g, feeds = self._full_stack(["CCO", "CCC"], rng)
+        check_layer_gradients(g.layers[1], feeds["h"].copy(), rng, feeds)
 
-        def evaluate():
-            (value,) = g.forward(feeds, [loss])
-            return float(value)
-
-        evaluate()
-        h_node = next(n for n in g.nodes if n.name == "h")
-        g.backward(loss, inputs=(h_node,))
-        direction = rng.standard_normal(h_value.shape)
-        direction /= np.linalg.norm(direction)
-        analytic = float((h_node.grad * direction).sum())
-        numeric = central_difference_directional(evaluate, h_value, direction)
-        assert relative_error(analytic, numeric) < 1e-4
+    @pytest.mark.parametrize("layer", [
+        GraphPool("pool"), RestoreAtomOrder("order"),
+        GraphGather("gather")], ids=["pool", "restore", "gather"])
+    def test_parameter_free_input_gradients(self, layer):
+        # distinct entries, so no pooling maximum ties
+        rng = np.random.default_rng(19)
+        _, batch = packed(["CCO", "CC(C)C"])
+        check_layer_gradients(layer, rng.standard_normal((batch.n_atoms, 3)),
+                              rng, {"graph_batch": batch})
 
 
 # -- parity with the edge-list implementation ---------------------------------
@@ -324,67 +310,93 @@ def _edge_batch(graphs, max_degree=MAX_DEGREE):
 
 
 class _EdgeConv(GraphConv):
-    def compute(self, ctx):
-        h = self.inputs[0].value
-        batch = self.inputs[1].value
+    """The convolution over the edge lists of the feed ``edge_batch``."""
+
+    def compute(self, h, ctx):
+        batch = fed(ctx, "edge_batch", numeric=False)
         w_self, w_nbr, bias = self._params()
         nbr_sum = np.zeros_like(h)
         np.add.at(nbr_sum, batch.edge_dst, h[batch.edge_src])
-        z = np.empty((h.shape[0], w_self[0].value.shape[1]))
+        z = np.empty((h.shape[0], w_self[0].array.shape[1]))
         for d, idx in enumerate(batch.degree_index):
             if idx.size == 0:
                 continue
-            z[idx] = (h[idx] @ w_self[d].value
-                      + nbr_sum[idx] @ w_nbr[d].value + bias[d].value)
-        self._nbr_sum = nbr_sum
-        self._z = z
-        self._mask = z > 0.0
-        return np.where(self._mask, z, 0.0)
+            z[idx] = (h[idx] @ w_self[d].array
+                      + nbr_sum[idx] @ w_nbr[d].array + bias[d].array)
+        self.saved = (h, batch, nbr_sum, z, z > 0.0)
+        return np.where(z > 0.0, z, 0.0)
 
-    def backprop(self):
-        h_node = self.inputs[0]
-        batch = self.inputs[1].value
+    def backprop(self, grad, need_input):
+        h, batch, nbr_sum, _, mask = self.saved
         w_self, w_nbr, bias = self._params()
-        h = h_node.value
-        dz = self.grad * self._mask
+        dz = grad * mask
         dh = np.zeros_like(h)
         dnbr = np.zeros_like(h)
         for d, idx in enumerate(batch.degree_index):
             if idx.size == 0:
                 continue
-            self._accumulate(w_self[d], h[idx].T @ dz[idx])
-            self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dz[idx])
-            self._accumulate(bias[d], dz[idx].sum(axis=0))
-            dh[idx] += dz[idx] @ w_self[d].value.T
-            dnbr[idx] = dz[idx] @ w_nbr[d].value.T
-        if h_node.wants_grad:
-            np.add.at(dh, batch.edge_src, dnbr[batch.edge_dst])
-            self._accumulate(h_node, dh)
+            w_self[d].grad = h[idx].T @ dz[idx]
+            w_nbr[d].grad = nbr_sum[idx].T @ dz[idx]
+            bias[d].grad = dz[idx].sum(axis=0)
+            dh[idx] += dz[idx] @ w_self[d].array.T
+            dnbr[idx] = dz[idx] @ w_nbr[d].array.T
+        np.add.at(dh, batch.edge_src, dnbr[batch.edge_dst])
+        return dh
 
 
-class _EdgePool(Node):
-    def __init__(self, h, structure):
-        super().__init__("graph_pool", (h, structure))
+class _EdgePool(Layer):
+    """The pooling over the edge lists of the feed ``edge_batch``."""
 
-    def compute(self, ctx):
-        h = self.inputs[0].value
-        batch = self.inputs[1].value
+    op = "graph_pool"
+
+    def compute(self, h, ctx):
+        batch = fed(ctx, "edge_batch", numeric=False)
         candidates = h[batch.pool_flat]
         pooled = np.maximum.reduceat(candidates, batch.pool_starts, axis=0)
         is_max = candidates == pooled[batch.pool_segment_of]
         positions = np.where(is_max, batch.pool_flat[:, None], h.shape[0])
-        self._winners = np.minimum.reduceat(positions, batch.pool_starts,
-                                            axis=0)
+        self.saved = (h.shape, np.minimum.reduceat(positions,
+                                                   batch.pool_starts, axis=0))
         return pooled
 
-    def backprop(self):
-        h_node = self.inputs[0]
-        width = self.grad.shape[1]
-        rows = self._winners.ravel()
-        cols = np.tile(np.arange(width), self._winners.shape[0])
-        contribution = np.zeros_like(h_node.value)
-        np.add.at(contribution, (rows, cols), self.grad.ravel())
-        self._accumulate(h_node, contribution)
+    def backprop(self, grad, need_input):
+        shape, winners = self.saved
+        rows = winners.ravel()
+        cols = np.tile(np.arange(grad.shape[1]), winners.shape[0])
+        contribution = np.zeros(shape)
+        np.add.at(contribution, (rows, cols), grad.ravel())
+        return contribution
+
+
+class _InputGrad(Layer):
+    """The identity on the atom features, with a parameter of its own: the
+    first conv then forms the features' gradient, which this layer keeps
+    in ``grad``."""
+
+    op = "input_grad"
+
+    def __init__(self):
+        super().__init__("h_grad", (Parameter("h_grad.unused", np.zeros(1)),))
+        self.grad = None
+
+    def compute(self, x, ctx):
+        return x
+
+    def backprop(self, grad, need_input):
+        self.params[0].grad = np.zeros(1)
+        self.grad = grad
+
+
+def pool_values(g) -> list:
+    """Each pool's input and output in the latest pass, recorded as it runs."""
+    seen = []
+    for layer in g.layers:
+        if layer.op == "graph_pool":
+            def compute(h, ctx, original=layer.compute):
+                seen.append((h, original(h, ctx)))
+                return seen[-1][1]
+            layer.compute = compute
+    return seen
 
 
 def _random_molecule(rng, n_atoms):
@@ -424,36 +436,28 @@ def _parity_batch(seed):
 
 
 def _parity_stack(conv_cls, pool_cls, seed, degree_ordered=True):
-    """conv -> pool -> conv -> pool -> gather -> dense, scalar loss; the
-    parameters depend only on ``seed``. A degree-ordered stack returns its
-    rows to original atom order before the gather."""
+    """feature gradient probe -> conv -> pool -> conv -> pool -> gather ->
+    dense, scalar loss; the parameters depend only on ``seed``. A
+    degree-ordered stack returns its rows to original atom order before the
+    gather."""
     rng = np.random.default_rng(seed + 1000)
-    g = Graph()
-    h = g.placeholder("h")
-    structure = g.object_input("structure")
-    gather_structure = g.object_input("gather_structure")
-    x = h
-    pools = []
+    layers = [Input("h"), _InputGrad()]
     for li, (w_in, w_out) in enumerate([(5, 4), (4, 3)]):
         def weights(tag):
-            return [g.parameter(f"{tag}{li}.{d}",
-                                np.round(rng.standard_normal((w_in, w_out)), 1))
+            return [Parameter(f"{tag}{li}.{d}",
+                              np.round(rng.standard_normal((w_in, w_out)), 1))
                     for d in range(MAX_DEGREE + 1)]
         w_self, w_nbr = weights("ws"), weights("wn")
-        bias = [g.parameter(f"b{li}.{d}", np.round(rng.standard_normal(w_out), 1))
+        bias = [Parameter(f"b{li}.{d}", np.round(rng.standard_normal(w_out), 1))
                 for d in range(MAX_DEGREE + 1)]
-        x = g.add(conv_cls(x, structure, w_self, w_nbr, bias))
-        x = g.add(pool_cls(x, structure))
-        pools.append(x)
+        layers.append(conv_cls(w_self, w_nbr, bias, f"conv{li}"))
+        layers.append(pool_cls(f"pool{li}"))
     if degree_ordered:
-        x = g.add(RestoreAtomOrder(x, structure))
-    x = g.add(GraphGather(x, gather_structure))
-    w = g.parameter("wo", rng.standard_normal((3, 1)))
-    out = g.matmul(x, w)
-    target = g.placeholder("target")
-    weight = g.placeholder("weight")
-    loss = g.weighted_mse(out, target, weight)
-    return g, h, loss, pools
+        layers.append(RestoreAtomOrder("atom_order"))
+    layers += [GraphGather("gather"),
+               MatMul(Parameter("wo", rng.standard_normal((3, 1)))),
+               WeightedMse()]
+    return Graph(layers)
 
 
 def _parity_results(mols, batch, h_value, seed, training):
@@ -462,34 +466,36 @@ def _parity_results(mols, batch, h_value, seed, training):
     gradients, input gradient and loss of each, in original atom order.
     Without ``training`` the degree-ordered stack runs ``Graph.infer``,
     which gives pooled values and loss only (``None`` for the rest)."""
-    feeds = {"h": h_value, "gather_structure": batch,
+    feeds = {"h": h_value, "graph_batch": batch,
              "target": np.zeros((len(mols), 1)),
              "weight": np.ones((len(mols), 1))}
     # the degree-ordered rows, read back through the permutation
-    g, h, loss, pools = _parity_stack(GraphConv, GraphPool, seed)
-    ordered = {**feeds, "h": h_value[batch.atom_ids], "structure": batch}
+    g = _parity_stack(GraphConv, GraphPool, seed)
+    seen = pool_values(g)
+    ordered = {**feeds, "h": h_value[batch.atom_ids]}
     order = batch.restore
+    pools = [layer for layer in g.layers if layer.op == "graph_pool"]
     if training:
-        (out,) = g.forward(ordered, [loss])
-        g.backward(loss, inputs=(h,))
+        out = g.forward(ordered)
+        g.backward()
         results = [(
-            [node.value[order] for node in pools],
-            [batch.atom_ids[node._winners][order] for node in pools],
+            [pooled[order] for _, pooled in seen],
+            [batch.atom_ids[pool.saved[1]][order] for pool in pools],
             {p.name: p.grad for p in g.parameters()},
-            h.grad[order], out)]
+            g.layers[1].grad[order], out)]
     else:
-        *pooled, out = g.infer(ordered, [*pools, loss])
-        results = [([value[order] for value in pooled], None, None, None,
+        out = g.infer(ordered)
+        results = [([pooled[order] for _, pooled in seen], None, None, None,
                     out)]
-    g, h, loss, pools = _parity_stack(_EdgeConv, _EdgePool, seed,
-                                      degree_ordered=False)
-    (out,) = g.forward({**feeds, "structure": _edge_batch(mols)}, [loss])
-    g.backward(loss, inputs=(h,))
+    g = _parity_stack(_EdgeConv, _EdgePool, seed, degree_ordered=False)
+    seen = pool_values(g)
+    out = g.forward({**feeds, "edge_batch": _edge_batch(mols)})
+    g.backward()
     results.append((
-        [node.value for node in pools],
-        [node._winners for node in pools],
+        [pooled for _, pooled in seen],
+        [layer.saved[1] for layer in g.layers if layer.op == "graph_pool"],
         {p.name: p.grad for p in g.parameters()},
-        h.grad, out))
+        g.layers[1].grad, out))
     return results
 
 
@@ -526,28 +532,29 @@ class TestTableParity:
     def test_batches_contain_contested_maxima(self, seed):
         # the winner comparison is only meaningful if maxima tie
         mols, batch, h_value = _parity_batch(seed)
-        g, h, loss, pools = _parity_stack(GraphConv, GraphPool, seed)
-        g.forward({"h": h_value, "structure": batch, "gather_structure": batch,
+        g = _parity_stack(GraphConv, GraphPool, seed)
+        seen = pool_values(g)
+        g.forward({"h": h_value, "graph_batch": batch,
                    "target": np.zeros((len(mols), 1)),
-                   "weight": np.ones((len(mols), 1))}, [loss])
-        for pool in pools:
-            h_in = pool.inputs[0].value
+                   "weight": np.ones((len(mols), 1))})
+        for h_in, pooled in seen:
             padded = np.vstack([h_in, np.full((1, h_in.shape[1]), -np.inf)])
-            hits = (h_in == pool.value).astype(int)
+            hits = (h_in == pooled).astype(int)
             for column in batch.neighbors.T:
-                hits += padded[column] == pool.value
+                hits += padded[column] == pooled
             assert (hits >= 2).any()
 
     def test_winners_in_a_forward_and_no_inference(self):
         mols, batch, h_value = _parity_batch(3)
-        g, h, loss, pools = _parity_stack(GraphConv, GraphPool, 3)
-        feeds = {"h": h_value, "structure": batch, "gather_structure": batch,
+        g = _parity_stack(GraphConv, GraphPool, 3)
+        pools = [layer for layer in g.layers if layer.op == "graph_pool"]
+        feeds = {"h": h_value, "graph_batch": batch,
                  "target": np.zeros((len(mols), 1)),
                  "weight": np.ones((len(mols), 1))}
-        g.forward(feeds, [loss])
-        assert all(p._winners is not None for p in pools)
-        g.infer(feeds, [loss])
-        assert all(p._winners is None for p in pools)
+        g.forward(feeds)
+        assert all(p.saved[1] is not None for p in pools)
+        g.infer(feeds)
+        assert all(p.saved is None for p in pools)
 
 
 def _degree_index(batch):
@@ -560,32 +567,27 @@ def _degree_index(batch):
 class _PerUseGatherConv(GraphConv):
     """``GraphConv`` with its backward gathering ``dz[idx]`` at each use."""
 
-    def backprop(self):
-        h_node = self.inputs[0]
-        batch = self.inputs[1].value
+    def backprop(self, grad, need_input):
+        h, batch, nbr_sum, _, mask = self.saved
         w_self, w_nbr, bias = self._params()
-        h = h_node.value
-        dz = self.grad * self._mask
-        want_h = h_node.wants_grad
-        if want_h:
+        dz = grad * mask
+        if need_input:
             dh = np.zeros_like(h)
             dnbr = np.zeros((h.shape[0] + 1, h.shape[1]))
         for d, idx in enumerate(_degree_index(batch)):
             if idx.size == 0:
                 continue
-            if w_self[d].wants_grad:
-                self._accumulate(w_self[d], h[idx].T @ dz[idx])
-            if w_nbr[d].wants_grad:
-                self._accumulate(w_nbr[d], self._nbr_sum[idx].T @ dz[idx])
-            if bias[d].wants_grad:
-                self._accumulate(bias[d], dz[idx].sum(axis=0))
-            if want_h:
-                dh[idx] += dz[idx] @ w_self[d].value.T
-                dnbr[idx] = dz[idx] @ w_nbr[d].value.T
-        if want_h:
-            for column in batch.neighbors.T:
-                dh += dnbr[column]
-            self._accumulate(h_node, dh)
+            w_self[d].grad = h[idx].T @ dz[idx]
+            w_nbr[d].grad = nbr_sum[idx].T @ dz[idx]
+            bias[d].grad = dz[idx].sum(axis=0)
+            if need_input:
+                dh[idx] += dz[idx] @ w_self[d].array.T
+                dnbr[idx] = dz[idx] @ w_nbr[d].array.T
+        if not need_input:
+            return None
+        for column in batch.neighbors.T:
+            dh += dnbr[column]
+        return dh
 
 
 class TestGatherOnce:
@@ -594,15 +596,16 @@ class TestGatherOnce:
         mols, batch, _ = _parity_batch(seed)
         rng = np.random.default_rng(seed + 70)
         feeds = {"h": rng.standard_normal((batch.n_atoms, 5)),
-                 "structure": batch, "gather_structure": batch,
+                 "graph_batch": batch,
                  "target": rng.standard_normal((len(mols), 1)),
                  "weight": np.ones((len(mols), 1))}
         grads = []
         for conv_cls in (GraphConv, _PerUseGatherConv):
-            g, h, loss, _ = _parity_stack(conv_cls, GraphPool, seed)
-            g.forward(feeds, [loss])
-            g.backward(loss, inputs=(h,))
-            grads.append(({p.name: p.grad for p in g.parameters()}, h.grad))
+            g = _parity_stack(conv_cls, GraphPool, seed)
+            g.forward(feeds)
+            g.backward()
+            grads.append(({p.name: p.grad for p in g.parameters()},
+                          g.layers[1].grad))
         (new, new_dh), (old, old_dh) = grads
         assert new.keys() == old.keys()
         for name in new:

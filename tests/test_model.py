@@ -14,20 +14,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import concat, held_values
+from conftest import held_state
 from dtanet import engine
 from dtanet import model as model_module
 from dtanet import proteins as protein_module
 from dtanet.compounds import FeaturizationError
 from dtanet.engine import (
+    AddBias,
+    BatchNorm,
+    Dropout,
     EngineError,
     GatherAdd,
     Graph,
+    Input,
+    Layer,
+    MatMul,
     NonFiniteError,
     Parameter,
+    Relu,
     ShapeError,
+    WeightedMse,
 )
-from dtanet.graphconv import GraphConv, GraphStructureError
+from dtanet.graphconv import GraphStructureError
 from dtanet.model import FeatureStore, Model, ModelConfig, ModelError
 from dtanet.proteins import DESCRIPTOR_LENGTH, psc
 from dtanet.synthetic import memory_dataset, random_sequence
@@ -86,6 +94,41 @@ class TestConfig:
         out_w = next(p for p in model.graph.parameters()
                      if p.name == "output.W")
         assert out_w.array.shape[1] == 1
+
+
+# Each variant's layers and parameters, in stack order, for a small
+# config: error messages name the layers, and the parameter order fixes the
+# He-uniform draws, Adam's flat buffer and the order of dropout draws.
+CONV = ([f"conv0.{kind}{d}" for kind in ("wself", "wnbr", "b")
+         for d in range(7)] + ["convdense.W", "convdense.b"])
+DENSE = ["dense0.W", "dense0.b", "bn0.gamma", "bn0.beta", "dense1.W",
+         "dense1.b", "bn1.gamma", "bn1.beta", "output.W", "output.b"]
+STACKS = {
+    "ecfp": (["indexed_dense0", "add_bias0", "bn0", "relu0", "dropout0",
+              "matmul0", "add_bias1", "bn1", "relu1", "dropout1", "matmul1",
+              "output", "loss"], DENSE),
+    "graphconv": (["atom_features", "conv0", "pool0", "atom_order", "matmul0",
+                   "add_bias0", "relu0", "gather", "indexed_dense0",
+                   "add_bias1", "bn0", "relu1", "dropout0", "matmul1",
+                   "add_bias2", "bn1", "relu2", "dropout1", "matmul2",
+                   "output", "loss"], CONV + DENSE),
+}
+
+
+class TestStack:
+    @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv",
+                                         "compound-only-ecfp",
+                                         "compound-only-graphconv"])
+    def test_layer_names_and_parameter_order(self, variant):
+        model = Model.build(small_config(variant=variant,
+                                         hidden_layers=(16, 8),
+                                         conv_widths=(8,), conv_dense=12),
+                            protein_ids=("P1", "P2"))
+        layers, params = STACKS[variant.rpartition("-")[2]]
+        assert [layer.name for layer in model.graph.layers] == layers
+        assert [p.name for p in model.graph.parameters()] == params
+        assert [node.name for node in model.graph.nodes
+                if isinstance(node, Parameter)] == params
 
 
 class TestPrediction:
@@ -170,8 +213,8 @@ class TestPrediction:
                  "weight": np.zeros((4, 3)),
                  "compound_row": np.arange(4), "protein_row": np.arange(4)}
         feeds["weight"][:, 0] = 1.0  # only task 0 observed
-        model.graph.forward(feeds, [model.loss], rng=rng)
-        model.graph.backward(model.loss)
+        model.graph.forward(feeds, rng=rng)
+        model.graph.backward()
         out_w = next(p for p in model.graph.parameters()
                      if p.name == "output.W")
         assert np.all(out_w.grad[:, 1:] == 0.0)
@@ -190,35 +233,47 @@ def assert_matches(value, reference):
         1e-12 * np.max(np.abs(reference)) + 1e-15
 
 
+class JoinProtein(Layer):
+    """The previous layer's rows joined with the ``protein`` feed's rows,
+    column by column; the backward hands back the previous layer's
+    columns of the gradient."""
+
+    op = "join"
+
+    def compute(self, x, ctx):
+        if not ctx.inference:
+            self.saved = x.shape[1]
+        return np.concatenate([x, ctx.feeds["protein"]], axis=1)
+
+    def backprop(self, grad, need_input):
+        return grad[:, :self.saved]
+
+
 def concat_reference(model):
-    """``model``'s network and state with the first layer written as
-    concat + matmul over per-pair rows: (graph, output, loss)."""
+    """``model``'s network and state with the first layer a plain dense
+    layer over per-pair rows, the compound and protein rows joined:
+    a graph whose last layer is the loss and its output layer's position."""
     cfg = model.cfg
     state = model.graph.state_dict()
-    g = Graph()
-    if cfg.uses_graphconv:
-        x = Model._build_conv_stack(
-            g, cfg, lambda name, shape, fill=None: g.parameter(name,
-                                                                state[name]))
-    else:
-        x = g.placeholder("compound")
+
+    def parameter(name, shape=None, fill=None):
+        return Parameter(name, state[name].copy())
+
+    layers = (Model._conv_stack(cfg, parameter) if cfg.uses_graphconv
+              else [Input("compound")])
     if not cfg.compound_only:
-        x = concat(g, [x, g.placeholder("protein")])
+        layers.append(JoinProtein())
     for li, rate in enumerate(cfg.dropout_rates):
-        x = g.add_bias(g.matmul(x, g.parameter(f"dense{li}.W",
-                                               state[f"dense{li}.W"])),
-                       g.parameter(f"dense{li}.b", state[f"dense{li}.b"]))
+        layers += [MatMul(parameter(f"dense{li}.W"), f"dense{li}"),
+                   AddBias(parameter(f"dense{li}.b"), f"bias{li}")]
         if cfg.use_batchnorm:
-            x = g.batch_norm(x, g.parameter(f"bn{li}.gamma",
-                                            state[f"bn{li}.gamma"]),
-                             g.parameter(f"bn{li}.beta", state[f"bn{li}.beta"]),
-                             name=f"bn{li}")
-        x = g.dropout(g.relu(x), rate)
-    out = g.add_bias(g.matmul(x, g.parameter("output.W", state["output.W"])),
-                     g.parameter("output.b", state["output.b"]))
-    loss = g.weighted_mse(out, g.placeholder("target"), g.placeholder("weight"))
+            layers.append(BatchNorm(parameter(f"bn{li}.gamma"),
+                                    parameter(f"bn{li}.beta"), f"bn{li}"))
+        layers += [Relu(f"relu{li}"), Dropout(rate, f"dropout{li}")]
+    g = Graph([*layers, MatMul(parameter("output.W")),
+               AddBias(parameter("output.b"), "output"), WeightedMse("loss")])
     g.load_state(state)
-    return g, out, loss
+    return g
 
 
 def per_pair_feeds(store, indices, feeds):
@@ -252,30 +307,30 @@ class TestIndexedFirstLayer:
         indices = rng.permutation(store.dataset.n_pairs)
         feeds = store.feeds(indices, model=model)
         assert len(feeds["compound_row"]) == indices.size
-        model.graph.forward(feeds, [model.loss], rng=rng)
+        model.graph.forward(feeds, rng=rng)
         model.graph.load_state({  # move every entry off its initial value
             k: (np.abs(v) + 0.5 if k.endswith("running_var")
                 else v + 0.1 * rng.standard_normal(v.shape))
             for k, v in model.graph.state_dict().items()})
-        graph, out, loss = concat_reference(model)
+        graph = concat_reference(model)
         ref_feeds = per_pair_feeds(store, indices, feeds)
 
-        (reference,) = graph.infer(ref_feeds, [out])
+        reference = graph.infer(ref_feeds, stop=-1)
         if model.cfg.compound_only:
             cols = model.output_columns([store.dataset.protein_ids[i] for i in
                                          store.dataset.pairs[indices, 1]])
             reference = reference[np.arange(indices.size), cols][:, None]
         assert_matches(store.predict(model, indices), reference)
 
-        (value,) = model.graph.forward(feeds, [model.output],
-                                       rng=np.random.default_rng(3))
-        (reference,) = graph.forward(ref_feeds, [out],
-                                     rng=np.random.default_rng(3))
+        value = Graph(model.graph.layers[:-1]).forward(
+            feeds, rng=np.random.default_rng(3))
+        reference = Graph(graph.layers[:-1]).forward(
+            ref_feeds, rng=np.random.default_rng(3))
         assert_matches(value, reference)
-        model.graph.forward(feeds, [model.loss], rng=np.random.default_rng(4))
-        model.graph.backward(model.loss)
-        graph.forward(ref_feeds, [loss], rng=np.random.default_rng(4))
-        graph.backward(loss)
+        model.graph.forward(feeds, rng=np.random.default_rng(4))
+        model.graph.backward()
+        graph.forward(ref_feeds, rng=np.random.default_rng(4))
+        graph.backward()
         by_name = {p.name: p for p in graph.parameters()}
         for param in model.graph.parameters():
             assert_matches(param.grad, by_name[param.name].grad)
@@ -301,9 +356,9 @@ class TestIndexedFirstLayer:
         first = model.first_layer
         projected = []
 
-        def spy(node, table, lo, original=type(first).project):
+        def spy(layer, table, lo, original=type(first).project):
             projected.append((lo, table.copy()))
-            return original(node, table, lo)
+            return original(layer, table, lo)
 
         monkeypatch.setattr(type(first), "project", spy)
         indices = np.arange(store.dataset.n_pairs)
@@ -341,7 +396,7 @@ def trained_like(variant, **overrides):
     model = store.build_model()
     rng = np.random.default_rng(7)
     feeds = store.feeds(np.arange(30), model=model)
-    model.graph.forward(feeds, [model.loss], rng=rng)
+    model.graph.forward(feeds, rng=rng)
     move_state(model, rng)
     return model, feeds
 
@@ -376,12 +431,24 @@ def wide_model(variant="padme-ecfp", n_pairs=30, **overrides):
 
 def whole_arrays(monkeypatch) -> None:
     """Raise the inference block above any chunk of these tests, so each
-    segment runs as one block on its plain vectors."""
+    chain runs as one block on its plain vectors."""
     monkeypatch.setattr(engine, "_INFER_BLOCK", 1 << 40)
 
 
-def node_named(model, name):
-    return next(node for node in model.graph.nodes if node.name == name)
+def layer_named(model, name):
+    return next(layer for layer in model.graph.layers if layer.name == name)
+
+
+def after(model, name) -> int:
+    """The position after the layer ``name``: where a pass given its value
+    starts, or where a pass that returns it stops."""
+    return model.graph.layers.index(layer_named(model, name)) + 1
+
+
+def first_value(model, feeds):
+    """The first dense layer's training value for ``feeds``."""
+    return Graph(model.graph.layers[:after(model, "indexed_dense0")]).forward(
+        feeds).copy()
 
 
 class TestInference:
@@ -393,36 +460,33 @@ class TestInference:
             self, variant):
         model, feeds = trained_like(variant, use_batchnorm=False,
                                     dropout_rates=(0.0,))
-        graph, first = model.graph, model.first_layer
-        biased = next(node for node in graph.nodes if first in node.inputs)
-        for outputs in ([model.output], [biased, model.output]):
-            reference = [v.copy() for v in graph.forward(feeds, outputs)]
-            for got, want in zip(graph.infer(feeds, outputs), reference):
-                assert got.tobytes() == want.tobytes()
-            (value,) = graph.forward(feeds, [first])
-            given = graph.infer({}, outputs, {first: value.copy()})
-            for got, want in zip(given, reference):
-                assert got.tobytes() == want.tobytes()
+        graph = model.graph
+        start = after(model, "indexed_dense0")
+        for stop in (start + 1, len(graph.layers) - 1):
+            reference = Graph(graph.layers[:stop]).forward(feeds).copy()
+            assert graph.infer(feeds, stop=stop).tobytes() == \
+                reference.tobytes()
+            given = graph.infer({}, first_value(model, feeds), start, stop)
+            assert given.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv"])
     def test_infer_writes_no_feed_parameter_given_value_or_earlier_result(
             self, variant):
         model, feeds = trained_like(variant)
-        graph, first = model.graph, model.first_layer
+        graph = model.graph
+        start = after(model, "indexed_dense0")
 
         def snapshot(arrays):
             return [a.tobytes() for a in arrays]
 
         numeric = [v for v in feeds.values() if isinstance(v, np.ndarray)]
         kept = snapshot(numeric + [p.array for p in graph.parameters()])
-        (earlier,) = graph.infer(feeds, [model.output])
-        (value,) = graph.forward(feeds, [first])
-        value = value.copy()
-        given = {first: value}
+        earlier = graph.infer(feeds, stop=-1)
+        value = first_value(model, feeds)
         before = snapshot([earlier, value])
-        (again,) = graph.infer(feeds, [model.output])
-        graph.infer({}, [model.output], given)
-        graph.infer({}, [node_named(model, "bn0"), model.output], given)
+        again = graph.infer(feeds, stop=-1)
+        graph.infer({}, value, start, -1)
+        graph.infer({}, value, start, after(model, "bn0"))
         assert snapshot([earlier, value]) == before
         assert again.tobytes() == earlier.tobytes()
         assert again is not earlier
@@ -432,28 +496,27 @@ class TestInference:
     def test_a_backward_after_infer_is_refused(self):
         model, feeds = trained_like("padme-graphconv")
         graph = model.graph
-        graph.forward(feeds, [model.loss], rng=np.random.default_rng(0))
-        graph.infer(feeds, [model.loss])
+        graph.forward(feeds, rng=np.random.default_rng(0))
+        graph.infer(feeds)
         with pytest.raises(EngineError, match="before forward"):
-            graph.backward(model.loss)
-        conv = node_named(model, "conv0")
-        assert conv._mask is None  # an inference pass keeps no mask
-        graph.forward(feeds, [model.loss], rng=np.random.default_rng(0))
-        graph.backward(model.loss)
-        assert conv._mask is not None
+            graph.backward()
+        conv = layer_named(model, "conv0")
+        assert conv.saved is None  # an inference pass keeps no mask
+        graph.forward(feeds, rng=np.random.default_rng(0))
+        graph.backward()
+        assert conv.saved is not None
 
     def test_a_forward_keeps_what_a_backward_reads(self):
         model, feeds = trained_like("padme-graphconv")
         graph = model.graph
-        convs = [n for n in graph.nodes if isinstance(n, GraphConv)]
-        graph.infer(feeds, [model.loss])
-        assert all(c._z is None and c._nbr_sum is None for c in convs)
-        assert model.loss._diff is None
-        graph.forward(feeds, [model.loss], rng=np.random.default_rng(0))
-        graph.backward(model.loss)
-        assert all(c._z is not None and c._nbr_sum is not None
-                   for c in convs)
-        assert model.loss._diff is not None
+        graph.infer(feeds)
+        assert held_state(graph) == []
+        graph.forward(feeds, rng=np.random.default_rng(0))
+        graph.backward()
+        assert held_state(graph) == [
+            "conv0", "pool0", "atom_order", "matmul0", "relu0", "gather",
+            "indexed_dense0", "bn0", "relu1", "dropout0", "matmul1", "bn1",
+            "relu2", "dropout1", "matmul2", "loss"]
         assert all(p.grad is not None for p in graph.parameters())
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -461,10 +524,10 @@ class TestInference:
         store = small_store(variant)
         model = store.build_model()
         indices = np.arange(store.dataset.n_pairs)
+        model.graph.forward(store.feeds(indices, model=model),
+                            rng=np.random.default_rng(0))
         first = store.predict(model, indices, batch_size=16)
-        assert held_values(model.graph) == []
-        assert all(n._z is None and n._nbr_sum is None
-                   for n in model.graph.nodes if isinstance(n, GraphConv))
+        assert held_state(model.graph) == []
         again = store.predict(model, indices, batch_size=16)
         assert again.tobytes() == first.tobytes()
 
@@ -475,28 +538,26 @@ class TestInference:
     ])
     def test_nonfinite_values_name_the_node_they_did(self, where, name):
         model, feeds = trained_like("padme-ecfp")
-        graph, first = model.graph, model.first_layer
-        (value,) = graph.forward(feeds, [first])
-        value = value.copy()
+        graph = model.graph
+        value = first_value(model, feeds)
         if where == "dense1.b":
             next(p for p in graph.parameters()
                  if p.name == "dense1.b").array[3] = np.nan
         elif where == "given":
             value[2, 5] = np.inf
         else:
-            node_named(model, "bn0").running_var[1] = -1.0
+            layer_named(model, "bn0").running_var[1] = -1.0
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NonFiniteError, match=f"'{name}'"):
-            graph.infer({}, [model.output], {first: value})
+            graph.infer({}, value, after(model, "indexed_dense0"), -1)
         if where == "dense1.b":  # a forward reads no running statistic
             with pytest.raises(NonFiniteError, match=f"'{name}'"):
-                graph.forward(feeds, [model.output],
-                              rng=np.random.default_rng(0))
+                graph.forward(feeds, rng=np.random.default_rng(0))
 
 
 class TestBlockedInference:
-    """``Graph.infer`` runs each chain of row-wise ops over row blocks of a
-    value of at least two blocks; the bytes, the errors and the buffers it
+    """``Graph.infer`` runs each chain of row-wise layers over row blocks of
+    a value of at least two blocks; the bytes, the errors and the buffers it
     writes are those of whole arrays."""
 
     @pytest.mark.parametrize("variant, use_batchnorm", [
@@ -510,13 +571,27 @@ class TestBlockedInference:
                  2 * BLOCK_ROWS + 1, 1024)
         calls = [(part, size) for size in sizes]
         calls.append((np.arange(2600), 1024))
-        blocked = [store.predict(model, indices, batch_size=size)
-                   for indices, size in calls]
+        real_repeat = np.repeat
+        tiled = []
+
+        def repeat(a, *args, **kwargs):
+            tiled.append(np.shape(a))
+            return real_repeat(a, *args, **kwargs)
+
+        blocked = []
+        for indices, size in calls:
+            tiled.clear()
+            with mock.patch.object(np, "repeat", repeat):
+                blocked.append(store.predict(model, indices, batch_size=size))
+        # the last call scores three blocked chunks: each of its two hidden
+        # layers' vectors (the bias, and batch norm's four) is tiled once
+        if variant.endswith("ecfp"):
+            assert len(tiled) == 2 * (1 + 4 * use_batchnorm)
         whole_arrays(monkeypatch)
         for (indices, size), got in zip(calls, blocked):
             want = store.predict(model, indices, batch_size=size)
             assert got.tobytes() == want.tobytes(), size
-        assert held_values(model.graph) == []
+        assert held_state(model.graph) == []
 
     @pytest.mark.parametrize("early, late, name", [
         ("bn0", "given", "indexed_dense0"),
@@ -527,11 +602,11 @@ class TestBlockedInference:
     def test_errors_across_blocks_name_the_earliest_node(
             self, early, late, name, monkeypatch):
         _, model = wide_model()
-        graph, first = model.graph, model.first_layer
+        graph = model.graph
         rows = 3 * BLOCK_ROWS + 10
         value = np.random.default_rng(3).standard_normal((rows, 256))
         # column 5 overflows in bn0 from 1e308, column 9 in add_bias0
-        node_named(model, "bn0").running_var[5] = 1e-4
+        layer_named(model, "bn0").running_var[5] = 1e-4
         next(p for p in graph.parameters()
              if p.name == "dense0.b").array[9] = 1e308
         for where, row in ((early, 10), (late, 2 * BLOCK_ROWS + 4)):
@@ -545,8 +620,8 @@ class TestBlockedInference:
                 whole_arrays(monkeypatch)
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(NonFiniteError, match=f"'{name}'") as caught:
-                graph.infer({}, [model.output], {first: value})
-            assert held_values(graph) == []
+                graph.infer({}, value, after(model, "indexed_dense0"), -1)
+            assert held_state(graph) == []
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
 
@@ -564,28 +639,29 @@ class TestBlockedInference:
             if whole:
                 whole_arrays(monkeypatch)
             with pytest.raises(error) as caught:
-                model.graph.infer({}, [model.output],
-                                  {model.first_layer: value})
+                model.graph.infer({}, value, after(model, "indexed_dense0"),
+                                  -1)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
 
     def test_a_blocked_pass_writes_no_given_value_or_parameter(
             self, monkeypatch):
         _, model = wide_model()
-        graph, first = model.graph, model.first_layer
+        graph = model.graph
+        start = after(model, "indexed_dense0")
         value = np.random.default_rng(3).standard_normal(
             (3 * BLOCK_ROWS + 10, 256))
         kept = [value.tobytes()] + [p.array.tobytes()
                                     for p in graph.parameters()]
-        outputs = [[model.output], [node_named(model, "bn0"), model.output]]
-        blocked = [graph.infer({}, out, {first: value}) for out in outputs]
+        stops = [-1, after(model, "bn0")]
+        blocked = [graph.infer({}, value, start, stop) for stop in stops]
         assert [value.tobytes()] + [p.array.tobytes()
                                     for p in graph.parameters()] == kept
         # a later pass wrote into no earlier result
         whole_arrays(monkeypatch)
-        for out, got in zip(outputs, blocked):
-            want = graph.infer({}, out, {first: value})
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        for stop, got in zip(stops, blocked):
+            want = graph.infer({}, value, start, stop)
+            assert got.tobytes() == want.tobytes()
 
 
 # Non-finite values a parity test writes, and the batch sizes it scores at.
@@ -616,7 +692,7 @@ def poison_sites(model) -> list[str]:
 def scored(store, model, batch_size, block_entries):
     """``store.predict`` of every pair at ``batch_size`` with inference
     blocks of ``block_entries`` entries: the predictions, or the error's
-    class and message. The graph holds no value afterwards either way."""
+    class and message. The graph holds no state afterwards either way."""
     with mock.patch.object(engine, "_INFER_BLOCK", block_entries), \
             np.errstate(all="ignore"):
         try:
@@ -624,7 +700,7 @@ def scored(store, model, batch_size, block_entries):
                                    batch_size=batch_size)
         except EngineError as error:
             result = (type(error), str(error))
-    assert held_values(model.graph) == []
+    assert held_state(model.graph) == []
     return result
 
 
@@ -703,7 +779,7 @@ class TestScoringErrorParity:
            bad=st.sampled_from(BAD_VALUES), seed=st.integers(0, 2 ** 16))
     def test_a_given_gather_add_matches_its_formed_array(self, wide, block,
                                                          site, bad, seed):
-        graph, first = wide.graph, wide.first_layer
+        graph = wide.graph
         rng = np.random.default_rng(seed)
         n = 3 * BLOCK_ROWS + 10
         tables = (rng.standard_normal((20, 256)),
@@ -727,10 +803,11 @@ class TestScoringErrorParity:
             with mock.patch.object(engine, "_INFER_BLOCK", block_entries), \
                     np.errstate(all="ignore"):
                 try:
-                    (out,) = graph.infer({}, [wide.output], {first: value})
+                    out = graph.infer({}, value,
+                                      after(wide, "indexed_dense0"), -1)
                 except EngineError as error:
                     out = (type(error), str(error))
-            assert held_values(graph) == []
+            assert held_state(graph) == []
             return out
 
         try:
@@ -779,15 +856,15 @@ class TestFeatureStore:
         passes = []
         real = Graph.infer
 
-        def spy(graph, feeds, outputs, given=None):
-            passes.append([node.name for node in outputs])
-            return real(graph, feeds, outputs, given)
+        def spy(graph, feeds, x=None, start=0, stop=None, tiles=None):
+            passes.append(graph.layers[:stop][-1].name)
+            return real(graph, feeds, x, start, stop, tiles)
 
         monkeypatch.setattr(Graph, "infer", spy)
         store.predict(model, np.arange(30), batch_size=16)
         # the 12 compounds make one block of at most 16
-        blocks = [["gather"]] if variant.endswith("graphconv") else []
-        assert passes == blocks + [["output"]] * 2
+        blocks = ["gather"] if variant.endswith("graphconv") else []
+        assert passes == blocks + ["output"] * 2
 
     @pytest.mark.parametrize("variant, n_tasks", [
         *((variant, 1) for variant in VARIANTS),
@@ -854,11 +931,12 @@ class TestBatchnormConsistency:
         feeds = {"compound": rng.random((32, 512)),
                  "protein": rng.random((32, 8421)),
                  "compound_row": np.arange(32), "protein_row": np.arange(32)}
-        (train_out,) = model.graph.forward(feeds, [model.output], rng=rng)
-        bn = next(n for n in model.graph.nodes if n.op == "batchnorm")
-        x_node = bn.inputs[0]
-        bn.running_mean = x_node.value.mean(axis=0)
-        bn.running_var = x_node.value.var(axis=0)
+        layers = model.graph.layers
+        train_out = Graph(layers[:-1]).forward(feeds, rng=rng)
+        bn = layer_named(model, "bn0")
+        x = Graph(layers[:layers.index(bn)]).forward(feeds)
+        bn.running_mean = x.mean(axis=0)
+        bn.running_var = x.var(axis=0)
         eval_out = model.predict_feeds(feeds)
         assert np.max(np.abs(train_out - eval_out)) < 1e-10
 

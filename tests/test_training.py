@@ -198,8 +198,8 @@ def reference_fit(model, store, train_idx, val_idx, cfg, scores=None):
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             feeds = store.feeds(batch, model=model)
-            (loss,) = model.graph.forward(feeds, [model.loss], rng=rng)
-            model.graph.backward(model.loss)
+            loss = model.graph.forward(feeds, rng=rng)
+            model.graph.backward()
             adam.step()
             total += float(loss) * batch.size
         score = (validation_scores(model, store, val_idx)[2] if scores is None
@@ -231,8 +231,8 @@ def textbook_fit(model, store, train_idx, val_idx, cfg):
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             feeds = store.feeds(batch, model=model)
-            (loss,) = model.graph.forward(feeds, [model.loss], rng=rng)
-            model.graph.backward(model.loss)
+            loss = model.graph.forward(feeds, rng=rng)
+            model.graph.backward()
             t += 1
             for p in params:
                 theta, m[p.name], v[p.name] = textbook_adam(

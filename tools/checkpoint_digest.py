@@ -26,6 +26,12 @@ each one, a fresh interpreter
   compounds at the default ``batch_size`` and at ``batch_size=5`` (each
   call's error class and message, or its prediction bytes when it
   succeeds), so that two trees raise the same scoring errors;
+* builds each of the four variants at a small shape and, with a NaN and
+  then a +inf written into one state entry at a time (a ``dense0.W`` row,
+  ``dense0.b``, ``bn0.gamma``, a ``dense1.W`` row, an ``output.W`` row and,
+  for the graph-conv variants, a ``conv0.wself2`` row), runs a one-epoch
+  ``train`` (its error class and message, or the bytes of the final state
+  when it succeeds), so that two trees raise the same training errors;
 * fits one ``padme-ecfp`` model with an early best epoch (evaluated
   every 2 epochs at learning rate 0.01 and patience 1, so the fit stops 2
   epochs after its best and restores it) and saves its checkpoint (its
@@ -420,6 +426,50 @@ def scoring_errors_digest(checkpoints: list[Path]) -> str:
     return digest.hexdigest()
 
 
+# State entries the training-errors row poisons, each at its row or entry 3;
+# the graph-conv variants also get ``conv0.wself2``.
+TRAINING_POISONED = ("dense0.W", "dense0.b", "bn0.gamma", "dense1.W",
+                     "output.W")
+
+
+def training_errors_digest() -> str:
+    """Digest of what a one-epoch ``train`` of each variant gives, at a
+    small shape, with a fresh model holding a NaN, then a +inf, in row or
+    entry 3 of one entry of ``TRAINING_POISONED``: the error's class and
+    message, or the bytes of the final state."""
+    import numpy as np
+
+    from dtanet.model import VARIANTS, FeatureStore, ModelConfig
+    from dtanet.synthetic import memory_dataset
+    from dtanet.training import TrainConfig, train
+
+    dataset = memory_dataset(n_compounds=30, n_proteins=4, n_pairs=100,
+                             seed=SEED)
+    digest = hashlib.sha256()
+    for variant in VARIANTS:
+        store = FeatureStore(dataset, ModelConfig(
+            variant=variant, hidden_layers=(16, 8), fp_bits=512,
+            conv_widths=(8,), conv_dense=12, seed=SEED))
+        names = TRAINING_POISONED + (("conv0.wself2",)
+                                     if variant.endswith("graphconv") else ())
+        for name in names:
+            for bad in (np.nan, np.inf):
+                model = store.build_model()
+                model.graph.live_state()[name][3] = bad
+                try:
+                    with np.errstate(all="ignore"):
+                        train(model, store, np.arange(80), np.arange(80, 100),
+                              TrainConfig(max_epochs=1, patience=1, seed=SEED))
+                    state = model.graph.live_state()
+                    outcome = b"".join(state[key].tobytes()
+                                       for key in sorted(state))
+                except Exception as error:
+                    outcome = f"{type(error).__name__}: {error}".encode()
+                digest.update(f"{variant}|{name}|{bad}|".encode())
+                digest.update(outcome)
+    return digest.hexdigest()
+
+
 def ecfp_matrices_digest() -> str:
     """Digest of the fingerprint matrices of the 1300 new compounds at
     radius 0..3, with 512 and with 4096 bits."""
@@ -509,6 +559,7 @@ def digests() -> dict[str, str]:
         out["scoring errors"] = scoring_errors_digest(
             [Path(work) / f"{variant}.ckpt"
              for variant in ("padme-ecfp", "padme-graphconv")])
+        out["training errors"] = training_errors_digest()
         early_best_digests(out, dataset, train_idx, val_idx, Path(work))
         store = FeatureStore(dataset, ModelConfig(variant="padme-graphconv",
                                                   seed=SEED))
