@@ -30,11 +30,13 @@ those factors, which ``Adam.step`` forms block by block. The layer is
 
 There are two passes: ``Graph.forward`` trains and ``Graph.infer``
 scores. A layer's value is checked for finiteness after it computes,
-except a ReLU's and an identity dropout's (rate 0, or in ``infer``): the
-value before either was checked, and neither can turn finite input into a
-non-finite value. An ``Input``'s feed, like every numeric feed a layer
-reads, is checked as it is read, and a non-finite feed is named as the
-input it is.
+except a ReLU's, an identity dropout's (rate 0, or in ``infer``), a graph
+max-pool's and the atom-order restore's: the value before each was
+checked (a pool reads a graph convolution's output, the restore a pool's),
+and none of them can turn finite input into a non-finite value (a maximum
+of finite entries is one of them, and the restore permutes rows). An
+``Input``'s feed, like every numeric feed a layer reads, is checked as it
+is read, and a non-finite feed is named as the input it is.
 
 ``Graph.infer(feeds, x, start, stop)`` runs the layers ``start:stop`` with
 no dropout and batch normalization on its running statistics; no backward

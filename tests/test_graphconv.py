@@ -1,6 +1,7 @@
 """Graph convolution operators: semantics, gradients, equivariance."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     molecule_view,
     relative_error,
 )
+from dtanet import graphconv
 from dtanet.compounds import atom_feature_matrix, atom_features
 from dtanet.engine import (
     AddBias,
@@ -23,6 +25,7 @@ from dtanet.engine import (
     Input,
     Layer,
     MatMul,
+    NonFiniteError,
     Parameter,
     Relu,
     WeightedMse,
@@ -37,8 +40,9 @@ from dtanet.graphconv import (
     RestoreAtomOrder,
     pack_graphs,
 )
+from dtanet.model import FeatureStore, Model, ModelConfig
 from dtanet.smiles import BondOrder, parse_smiles, parse_table
-from dtanet.synthetic import unique_smiles
+from dtanet.synthetic import memory_dataset, unique_smiles
 
 MAX_DEGREE = 6
 
@@ -705,3 +709,128 @@ class TestStoreBatches:
             assert np.array_equal(getattr(batch, field),
                                   getattr(again, field)), field
         assert batch.slices == again.slices
+
+
+# -- the grouped readout ------------------------------------------------------
+
+
+def _readout_layout(rng, n_atoms, long_rows):
+    """Molecule sizes summing to ``n_atoms``: runs of 1-atom molecules,
+    small ones and, when ``long_rows``, one molecule of ``long_rows``
+    atoms somewhere in the middle."""
+    sizes, left = [1], n_atoms - long_rows - 1
+    while left > 0:
+        for size in [1] * int(rng.integers(0, 4)) + [int(rng.integers(2, 12))]:
+            sizes.append(min(size, left))
+            left -= sizes[-1]
+            if not left:
+                break
+    if long_rows:
+        sizes.insert(len(sizes) // 2, long_rows)
+    return np.array(sizes)
+
+
+def _special_rows(rng, n_atoms, width):
+    """Random rows with -0.0, NaN, +inf and -inf entries sprinkled in."""
+    h = rng.standard_normal((n_atoms, width))
+    picks = rng.random((n_atoms, width))
+    h[picks < 0.08] = -0.0
+    h[(picks >= 0.08) & (picks < 0.1)] = np.nan
+    h[(picks >= 0.1) & (picks < 0.12)] = np.inf
+    h[(picks >= 0.12) & (picks < 0.14)] = -np.inf
+    h[: n_atoms // 8] = -0.0  # leading molecules of negative zeros only
+    return h
+
+
+class TestGroupedReadout:
+    """``GraphGather`` sums groups of whole molecules with one ``reduceat``
+    each; every molecule's sum must be the bytes of one call over the
+    batch."""
+
+    @pytest.mark.parametrize("width", [1, 36, 64, 128])
+    @pytest.mark.parametrize("group_rows, n_atoms, long_rows", [
+        (16, 31, 0),     # under two groups: one call
+        (16, 32, 0),     # exactly two groups of rows
+        (16, 200, 0),
+        (16, 200, 40),   # a molecule longer than a group
+        (16, 200, 16),   # a molecule exactly one group long
+        (5, 120, 7),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bytes_equal_one_reduceat(self, width, group_rows, n_atoms,
+                                      long_rows, seed, monkeypatch):
+        monkeypatch.setattr(graphconv, "_GATHER_BLOCK", group_rows * width)
+        rng = np.random.default_rng(seed * 1000 + n_atoms + width)
+        sizes = _readout_layout(rng, n_atoms, long_rows)
+        assert sizes.sum() == n_atoms and (sizes == 1).any()
+        starts = np.cumsum(sizes) - sizes
+        batch = SimpleNamespace(n_atoms=n_atoms, n_mols=sizes.size,
+                                mol_starts=starts, mol_sizes=sizes)
+        h = _special_rows(rng, n_atoms, width)
+        with np.errstate(all="ignore"):
+            want = np.add.reduceat(h, starts, axis=0)
+            for inference in (False, True):
+                got = GraphGather("gather").compute(
+                    h, context({"graph_batch": batch}, inference=inference))
+                assert got.tobytes() == want.tobytes()
+        assert np.signbit(want[want == 0.0]).any()
+
+    def test_conv_stack_infer_equals_forward_over_266_molecules(self):
+        mols = parse_table(unique_smiles(266, np.random.default_rng(3)))
+        rows, batch = pack_graphs(mols, atom_feature_matrix(mols), MAX_DEGREE)
+        cfg = ModelConfig(variant="compound-only-graphconv", seed=4)
+        model = Model.build(cfg, protein_ids=["P0", "P1"])
+        layers = model.graph.layers
+        gather = [layer.op for layer in layers].index("graph_gather")
+        feeds = {"atom_features": rows, "graph_batch": batch}
+        # the readout's input spans several groups
+        group = graphconv._GATHER_BLOCK // cfg.conv_dense
+        assert batch.n_atoms >= 4 * group
+        forward = Graph(layers[:gather + 1]).forward(feeds).copy()
+        inferred = model.graph.infer(feeds, stop=gather + 1)
+        assert inferred.tobytes() == forward.tobytes()
+        before = Graph(layers[:gather]).forward(feeds)
+        assert forward.tobytes() == np.add.reduceat(
+            before, batch.mol_starts, axis=0).tobytes()
+
+
+class TestUncheckedPoolAndRestore:
+    """Pool and restore values are not checked; the conv output before them
+    is, so a poisoned weight or atom feature raises the error it raised
+    when they were, from a training forward and from scoring alike."""
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        dataset = memory_dataset(n_compounds=40, n_proteins=3, n_pairs=90,
+                                 seed=5)
+        return FeatureStore(dataset, ModelConfig(
+            variant="padme-graphconv", hidden_layers=(16,), seed=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry, node", [
+        ("conv0.wself2", "'conv0' (graph_conv)"),
+        ("conv1.wnbr1", "'conv1' (graph_conv)"),
+        ("convdense.W", "'matmul0' (matmul)"),
+        ("atom_features", "'atom_features' (input)")])
+    def test_forward_and_predict_raise_the_same_error(self, store, entry,
+                                                      node, bad):
+        model = store.build_model()
+        pairs = np.arange(store.dataset.n_pairs)
+        features = store._graphs.features
+        kept = features.copy()
+        try:
+            if entry == "atom_features":
+                features[3] = bad
+            else:
+                model.graph.live_state()[entry][3] = bad
+            with np.errstate(all="ignore"):
+                with pytest.raises(NonFiniteError) as trained:
+                    model.graph.forward(store.feeds(pairs),
+                                        rng=np.random.default_rng(0))
+                for batch_size in (1024, 5):
+                    with pytest.raises(NonFiniteError) as scored:
+                        store.predict(model, pairs, batch_size)
+                    assert str(scored.value) == str(trained.value)
+        finally:
+            features[...] = kept
+        assert str(trained.value) == f"non-finite values produced by node {node}"

@@ -22,10 +22,12 @@ each one, a fresh interpreter
 * reloads the trained ``padme-ecfp`` and ``padme-graphconv`` checkpoints
   and, with a NaN and then a +inf written into one state entry at a time
   (a ``dense0.W`` row, ``dense0.b``, ``bn0.gamma``, ``bn0.running_var``, a
-  ``dense1.W`` row and ``bn1.beta``), scores the 2600 pairs of 1300
-  compounds at the default ``batch_size`` and at ``batch_size=5`` (each
-  call's error class and message, or its prediction bytes when it
-  succeeds), so that two trees raise the same scoring errors;
+  ``dense1.W`` row and ``bn1.beta``; for ``padme-graphconv`` also a
+  ``conv0.wself2``, a ``conv1.wnbr1`` and a ``convdense.W`` row), scores
+  the 2600 pairs of 1300 compounds at the default ``batch_size`` and at
+  ``batch_size=5`` (each call's error class and message, or its
+  prediction bytes when it succeeds), so that two trees raise the same
+  scoring errors;
 * builds each of the four variants at a small shape and, with a NaN and
   then a +inf written into one state entry at a time (a ``dense0.W`` row,
   ``dense0.b``, ``bn0.gamma``, a ``dense1.W`` row, an ``output.W`` row and,
@@ -387,16 +389,19 @@ def repeat_predict_digest(model) -> str:
     return digest.hexdigest()
 
 
-# State entries the scoring-errors row poisons, each at its row or entry 3.
+# State entries the scoring-errors row poisons, each at its row or entry 3;
+# the graph-conv checkpoint also gets ``GRAPHCONV_POISONED``.
 POISONED_ENTRIES = ("dense0.W", "dense0.b", "bn0.gamma", "bn0.running_var",
                     "dense1.W", "bn1.beta")
+GRAPHCONV_POISONED = ("conv0.wself2", "conv1.wnbr1", "convdense.W")
 
 
 def scoring_errors_digest(checkpoints: list[Path]) -> str:
     """Digest of what scoring the 2600 pairs of new compounds gives, at the
     default ``batch_size`` and at 5, with each model of ``checkpoints``
     holding a NaN, then a +inf, in row or entry 3 of one entry of
-    ``POISONED_ENTRIES``: the error's class and message, or the
+    ``POISONED_ENTRIES`` (and, for a graph-conv model, of
+    ``GRAPHCONV_POISONED``): the error's class and message, or the
     predictions' bytes."""
     import numpy as np
 
@@ -408,7 +413,9 @@ def scoring_errors_digest(checkpoints: list[Path]) -> str:
         store = FeatureStore(new_compounds_dataset(), model.cfg)
         pairs = np.arange(store.dataset.n_pairs)
         state = model.graph.state_dict()
-        for name in POISONED_ENTRIES:
+        names = POISONED_ENTRIES + (GRAPHCONV_POISONED
+                                    if model.cfg.uses_graphconv else ())
+        for name in names:
             for bad in (np.nan, np.inf):
                 model.graph.live_state()[name][3] = bad
                 for batch_size in (1024, 5):
