@@ -36,7 +36,10 @@ checked (a pool reads a graph convolution's output, the restore a pool's),
 and none of them can turn finite input into a non-finite value (a maximum
 of finite entries is one of them, and the restore permutes rows). An
 ``Input``'s feed, like every numeric feed a layer reads, is checked as it
-is read, and a non-finite feed is named as the input it is.
+is read, and a non-finite feed is named as the input it is, unless it is a
+read-only ``Checked`` array: its maker checked it already (a feature store
+checks its descriptor rows once, when it is built, and feeds a batch's
+rows as ``Checked``).
 
 ``Graph.infer(feeds, x, start, stop)`` runs the layers ``start:stop`` with
 no dropout and batch normalization on its running statistics; no backward
@@ -116,10 +119,17 @@ one, and then a ``CompactGrad`` when ``IndexedDense`` gave it).
 
 ``Adam.step`` updates parameters and moments in place, with the arithmetic
 of the textbook rule in its textbook order, so it is bitwise equal to the
-plain expression. Building an ``Adam`` packs every parameter without a row
-selection into one flat float64 buffer, in parameter order, and rebinds
-each such ``Parameter.array`` to a view of its span; the moments are views
-of flat buffers with the same layout. A step gathers those gradients into
+plain expression. An ``Adam`` moves the parameters it is handed and no
+others. A fit hands it only those its training data can reach
+(``FeatureStore.fit_parameters``): it leaves out the per-degree graph-conv
+parameters of every atom degree no training compound has, whose gradients
+are +0 at every step, so that their moments would stay +0 and each update
+``lr*0/(sqrt(0)+eps)`` would be +0. Left out, they keep their arrays and
+have no moments, and no byte changes. Building an ``Adam`` packs every
+parameter it is handed without a row selection into one flat float64
+buffer, in parameter order, and rebinds each such ``Parameter.array`` to a
+view of its span; the moments are views of flat buffers with the same
+layout. A step gathers those gradients into
 one flat array and runs the update once over the flat buffers, in fixed
 chunks, instead of once per parameter: the graph-conv model has dozens of
 small per-degree parameters, and the per-call overhead of ~14 ufuncs each
@@ -207,6 +217,8 @@ __all__ = [
     "CompactGrad",
     "Adam",
     "AdamState",
+    "Checked",
+    "checked",
     "require_finite",
 ]
 
@@ -249,15 +261,31 @@ def _non_finite(name: str, op: str) -> NonFiniteError:
     return NonFiniteError(f"non-finite values produced by node '{name}' ({op})")
 
 
+class Checked(np.ndarray):
+    """A read-only float64 feed whose maker checked every entry finite;
+    ``fed`` reads it without testing it again. Make one with ``checked``."""
+
+
+def checked(rows: np.ndarray) -> Checked:
+    """``rows``, a float64 array checked finite, frozen and marked as such
+    (see ``fed``). The array becomes read-only."""
+    rows.flags.writeable = False
+    return rows.view(Checked)
+
+
 def fed(ctx: _Context, name: str, numeric: bool = True):
     """The feed ``name``; a numeric one as float64, checked for
-    finiteness and named as an input when it fails."""
+    finiteness and named as an input when it fails. A read-only
+    ``Checked`` feed was checked by its maker and is not tested again."""
     try:
         value = ctx.feeds[name]
     except KeyError:
         raise EngineError(f"no value fed for input '{name}'") from None
     if not numeric:
         return value
+    if (type(value) is Checked and value.dtype == np.float64
+            and not value.flags.writeable):
+        return value.view(np.ndarray)
     value = np.asarray(value, dtype=np.float64)
     if not all_finite(value):
         raise _non_finite(name, "input")
@@ -429,6 +457,20 @@ class GatherAdd(NamedTuple):
         return self.gather(0, len(out), out, scratch)
 
 
+def _sum_per_row(grad: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
+    """The rows of ``grad`` summed per table row ``index[i]``: one
+    ``bincount`` over the flat entry ``index[i] * width + column``. Each
+    entry adds its terms in ascending ``i`` from +0.0, as
+    ``np.add.at(zeros, index, grad)`` does, so the bytes are the same. Into
+    25 table rows, a 32 x 64 gradient took 14 us against 39 us and a
+    32 x 256 one 34 us against 143 us (medians of 2000 calls, 2-core
+    Xeon)."""
+    width = grad.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=grad.ravel(),
+                       minlength=rows * width).reshape(rows, width)
+
+
 class IndexedDense(Layer):
     """``sum_k (T_k @ W[rows_k])[index_k]``: a dense layer over joined tables.
 
@@ -497,9 +539,7 @@ class IndexedDense(Layer):
         factors, dx, lo = [], None, 0
         for (source, _), table, index, (compact, columns, _) in zip(
                 self.blocks, tables, indices, selection.blocks):
-            # the rows of grad summed per distinct table row
-            per_row = np.zeros((table.shape[0], grad.shape[1]))
-            np.add.at(per_row, index, grad)
+            per_row = _sum_per_row(grad, index, table.shape[0])
             kept = table if columns is None else table[:, columns]
             factors.append((compact, kept, per_row))
             if source is None and need_input:
@@ -1143,11 +1183,12 @@ def _finite(grad) -> bool:
 class Adam:
     """Adam with bias correction; defaults lr=1e-3, betas=(0.9, 0.999), eps=1e-8.
 
-    Building the optimizer packs every parameter without a
-    ``row_selection`` into one flat buffer, ``flat_theta``, in parameter
-    order: each such ``Parameter.array`` is rebound to a view of its
-    span, and its moments ``state.m[name]``/``state.v[name]`` are views of
-    ``flat_m``/``flat_v`` with the same layout. ``step``
+    It moves only ``parameters``. Building the optimizer packs every one
+    of them without a ``row_selection`` into one flat buffer,
+    ``flat_theta``, in parameter order: each such ``Parameter.array`` is
+    rebound to a view of its span, and its moments
+    ``state.m[name]``/``state.v[name]`` are views of ``flat_m``/``flat_v``
+    with the same layout. ``step``
     gathers their gradients into one flat array and runs the update over
     the flat buffers in chunks of ``_ADAM_CHUNK`` entries, through two
     scratch buffers of one chunk, so a step allocates nothing of parameter

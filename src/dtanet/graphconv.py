@@ -174,6 +174,15 @@ class PackedGraphs:
         )
         return self.features[source], batch
 
+    def degrees_present(self, molecules) -> np.ndarray:
+        """Per degree 0..``max_degree``, whether an atom of the packed
+        ``molecules`` (indices) has it."""
+        member = np.zeros(self.offsets.size - 1, dtype=bool)
+        member[np.asarray(molecules, dtype=np.intp)] = True
+        atoms = np.repeat(member, np.diff(self.offsets))
+        return np.bincount(self.degrees[atoms],
+                           minlength=self.max_degree + 1) > 0
+
 
 def pack_graphs(molecules: MoleculeTable, features: np.ndarray,
                 max_degree: int = 6) -> tuple[np.ndarray, GraphBatch]:
@@ -196,9 +205,20 @@ class GraphConv(Layer):
             raise GraphStructureError("per-degree parameter lists differ in length")
         super().__init__(name, (*w_self, *w_nbr, *bias))
 
+    @property
+    def n_degrees(self) -> int:
+        """Degrees 0..n_degrees - 1 have parameters."""
+        return len(self.params) // 3
+
     def _params(self):
-        k = len(self.params) // 3
+        k = self.n_degrees
         return self.params[:k], self.params[k:2 * k], self.params[2 * k:]
+
+    def degree_parameters(self, degree: int) -> tuple[Parameter, ...]:
+        """The self weight, neighbor weight and bias of atoms of
+        ``degree``: a batch with no such atom leaves their gradients at
+        zero (``backprop`` skips the empty slice)."""
+        return tuple(params[degree] for params in self._params())
 
     def compute(self, h, ctx):
         batch: GraphBatch = fed(ctx, "graph_batch", numeric=False)

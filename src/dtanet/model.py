@@ -78,6 +78,7 @@ from .engine import (
     Relu,
     WeightedMse,
     all_finite,
+    checked,
     require_finite,
 )
 from .graphconv import (
@@ -525,7 +526,8 @@ class FeatureStore:
                 raise ModelError(
                     "compound-only variants support single-measurement data only")
         else:
-            # checked here once: scoring projects these rows unchecked
+            # checked here once: scoring projects these rows unchecked, and
+            # a training batch feeds them as ``Checked`` rows
             self.protein_matrix = proteins.descriptor_matrix(
                 dataset.sequences, dataset.protein_ids)
             if not all_finite(self.protein_matrix):
@@ -559,6 +561,25 @@ class FeatureStore:
             masks.append(
                 self.protein_matrix[np.unique(pairs[:, 1])].any(axis=0))
         return masks
+
+    def fit_parameters(self, model: Model, indices) -> list[Parameter]:
+        """The parameters of ``model`` a fit on the pairs ``indices`` can
+        move, in parameter order: all of them but the per-degree graph-conv
+        parameters of every atom degree that none of the pairs' compounds
+        has. No training batch holds such an atom, so those parameters'
+        gradients are +0 at every step and their Adam moments stay +0: the
+        textbook update leaves them as they are.
+        """
+        params = model.graph.parameters()
+        if not self.cfg.uses_graphconv:
+            return params
+        pairs = self.dataset.pairs[self._pair_indices(indices)]
+        present = self._graphs.degrees_present(np.unique(pairs[:, 0]))
+        idle = {id(p) for layer in model.graph.layers
+                if isinstance(layer, GraphConv)
+                for d in np.flatnonzero(~present[:layer.n_degrees])
+                for p in layer.degree_parameters(d)}
+        return [p for p in params if id(p) not in idle]
 
     def _compound_feeds(self, compound_idx: np.ndarray) -> dict:
         if self.cfg.uses_graphconv:
@@ -598,7 +619,7 @@ class FeatureStore:
         feeds["compound_row"] = compound_row
         if not self.cfg.compound_only:
             distinct, protein_row = np.unique(protein_idx, return_inverse=True)
-            feeds["protein"] = self.protein_matrix[distinct]
+            feeds["protein"] = checked(self.protein_matrix[distinct])
             feeds["protein_row"] = protein_row
         if self.cfg.compound_only:
             if model is None or model.protein_index is None:

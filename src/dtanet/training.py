@@ -23,10 +23,16 @@ statistics are checked for finiteness as loading would check them.
 ``TrainResult`` therefore has no copy of the best parameters: ``train``
 leaves them on the model.
 
-A fit moves only the first-layer rows whose input columns some training pair
-sets (``engine.RowSelection``); the other rows would get exactly zero
-updates, so the result is byte-identical to training every row while a
-batch holds fewer than about 400 distinct table rows (see ``engine``).
+A fit hands its ``Adam`` only the parameters its training pairs can move,
+as ``FeatureStore.fit_parameters`` decides: every parameter but the
+per-degree graph-conv weights and biases of each atom degree that no
+training compound has. Their gradients are +0 at every step, so the
+textbook update would leave them as they are, and they keep their arrays
+and get no moments. Of the first-layer weight the fit moves only the rows
+whose input columns some training pair sets (``engine.RowSelection``); the
+other rows would get exactly zero updates too. The result is byte-identical
+to training every parameter over every row while a batch holds fewer than
+about 400 distinct table rows (see ``engine``).
 """
 
 from __future__ import annotations
@@ -157,15 +163,17 @@ def train(model: Model, store: FeatureStore, train_idx, val_idx,
     weight.row_selection = RowSelection(
         store.input_columns_set(model, train_idx))
     try:
-        return _train_loop(model, store, train_idx, val_idx, cfg)
+        adam = Adam(store.fit_parameters(model, train_idx),
+                    learning_rate=cfg.learning_rate)
+        return _train_loop(model, store, adam, train_idx, val_idx, cfg)
     finally:
         weight.row_selection = None  # later backward passes see every row
 
 
-def _train_loop(model: Model, store: FeatureStore, train_idx: np.ndarray,
-                val_idx: np.ndarray, cfg: TrainConfig) -> TrainResult:
+def _train_loop(model: Model, store: FeatureStore, adam: Adam,
+                train_idx: np.ndarray, val_idx: np.ndarray,
+                cfg: TrainConfig) -> TrainResult:
     graph = model.graph
-    adam = Adam(graph.parameters(), learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochRow] = []
     best_score = np.inf

@@ -638,6 +638,31 @@ class TestIndexedDense:
         with pytest.raises(NonFiniteError, match="'t1' \\(input\\)"):
             g.forward(feeds)
 
+    @pytest.mark.parametrize("rows, width", [(4, 3), (6, 64), (9, 256)])
+    def test_per_row_sums_have_the_bytes_of_add_at(self, rows, width):
+        rng = np.random.default_rng(width)
+        n = 32
+        # repeated rows, and a last row that no entry reaches
+        index = rng.integers(0, rows - 1, size=n)
+        grad = rng.standard_normal((n, width))
+        grad[rng.random((n, width)) < 0.25] = -0.0
+        grad[index == 0] = -0.0  # a row of -0.0 terms only sums to +0.0
+        # one NaN per entry: which payload survives the sum of two NaNs is
+        # not fixed by IEEE (a loop may swap an addition's operands), and a
+        # NaN gradient never reaches a parameter, as Adam refuses it
+        payload = np.array([0x7FF8000000000ABC], dtype=np.uint64)
+        grad[3, 0] = payload.view(np.float64)[0]
+        grad[4, 2] = np.nan
+        # inf - inf makes a NaN of its own
+        grad[5, 1], grad[6, 1], grad[7, 1] = np.inf, -np.inf, np.inf
+        grad[8, 2] = -np.inf
+        reference = np.zeros((rows, width))
+        with np.errstate(invalid="ignore"):
+            np.add.at(reference, index, grad)
+            summed = engine._sum_per_row(grad, index, rows)
+        assert summed.shape == reference.shape
+        assert summed.tobytes() == reference.tobytes()
+
     def _given(self, widths=(5, 3)):
         """The net, its feeds, its ``IndexedDense`` layer, and that layer's
         value for the feeds as a caller forms it: ``project`` per block,

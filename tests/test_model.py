@@ -846,6 +846,37 @@ class TestFeatureStore:
                            match=re.escape(repr(dataset.protein_ids[1]))):
             FeatureStore(dataset, small_config())
 
+    def test_descriptor_rows_are_fed_read_only_and_not_tested_again(
+            self, monkeypatch):
+        store = small_store("padme-ecfp")
+        model = store.build_model()
+        feeds = store.feeds(np.arange(30), model=model)
+        rows = feeds["protein"]
+        assert type(rows) is engine.Checked and not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = np.nan
+        tested = []
+        real = engine.all_finite
+        monkeypatch.setattr(engine, "all_finite",
+                            lambda a: tested.append(np.shape(a)) or real(a))
+        model.graph.forward(feeds, rng=np.random.default_rng(0))
+        assert feeds["compound"].shape in tested
+        assert rows.shape not in tested
+
+    @pytest.mark.parametrize("variant", ["padme-ecfp", "padme-graphconv"])
+    @pytest.mark.parametrize("hand_built", [np.array, lambda rows: rows.copy()],
+                             ids=["array", "copy"])
+    def test_a_hand_built_non_finite_descriptor_feed_is_named(
+            self, variant, hand_built):
+        store = small_store(variant)
+        model = store.build_model()
+        feeds = store.feeds(np.arange(30), model=model)
+        feeds["protein"] = hand_built(feeds["protein"])
+        feeds["protein"][1, 5] = np.nan
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "non-finite values produced by node 'protein' (input)")):
+            model.graph.forward(feeds, rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_store_tables_are_projected_without_an_inference_pass(
             self, variant, monkeypatch):

@@ -1,6 +1,7 @@
 """Training loop: early stopping, determinism, composite score."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,10 +285,16 @@ class TestActiveRows:
         assert current.keys() == state.keys()
         for name in state:
             assert np.array_equal(current[name], state[name]), name
-        # the last step's moments: the full path's, on the selected rows
+        # the last step's moments: the full path's, on the selected rows of
+        # the parameters the fit moves; the others' full-path moments are +0
+        moved = {p.name for p in store.fit_parameters(model, train_idx)}
         for kind in ("m", "v"):
             moments = getattr(built[0].state, kind)
+            assert set(moments) == moved
             for name, moment in getattr(full.state, kind).items():
+                if name not in moved:
+                    assert moment.tobytes() == bytes(moment.nbytes), name
+                    continue
                 if name == "dense0.W":
                     moment = np.concatenate([moment[rows] for _, _, rows
                                              in selection.blocks])
@@ -344,6 +351,91 @@ class TestActiveRows:
         assert np.array_equal(store.predict(model, val_idx), full_path)
 
 
+def compound_degrees(store, compounds):
+    """The atom degrees the store's packed ``compounds`` have."""
+    graphs = store._graphs
+    return set().union(*(
+        graphs.degrees[graphs.offsets[c]:graphs.offsets[c + 1]].tolist()
+        for c in compounds))
+
+
+def degree_split(store, degree):
+    """The pairs whose compound has no atom of ``degree`` (training) and
+    those whose compound has one (validation)."""
+    has = np.array([degree in compound_degrees(store, [c])
+                    for c in range(len(store.dataset.compounds))])
+    held = has[store.dataset.pairs[:, 0]]
+    idx = np.arange(store.dataset.n_pairs)
+    return idx[~held], idx[held]
+
+
+def degree_parameters(degrees, n_convs=2):
+    """The names of every conv layer's parameters of ``degrees``."""
+    return {f"conv{li}.{kind}{d}" for li in range(n_convs)
+            for kind in ("wself", "wnbr", "b") for d in degrees}
+
+
+class TestUnreachedDegrees:
+    """A graph-conv fit hands Adam no parameter of a degree that no training
+    compound has, with the bytes of a fit whose Adam moves every one."""
+
+    @pytest.mark.parametrize("variant", ["padme-graphconv",
+                                         "compound-only-graphconv"])
+    def test_fit_equals_a_fit_that_moves_every_parameter(self, variant,
+                                                         monkeypatch):
+        built = record_adams(monkeypatch)
+        store = small_store(variant, seed=3)
+        # one compound has the only degree-4 atom, and only validation
+        # pairs hold it; no compound has degree 0, 5 or 6
+        train_idx, val_idx = degree_split(store, 4)
+        assert train_idx.size and val_idx.size
+        assert compound_degrees(
+            store, store.dataset.pairs[train_idx, 0]) == {1, 2, 3}
+        unreached = degree_parameters((0, 4, 5, 6))
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=4)
+        model, reference = store.build_model(), store.build_model()
+        initial = model.graph.state_dict()
+        result = train(model, store, train_idx, val_idx, cfg)
+        history, state, full = reference_fit(reference, store, train_idx,
+                                             val_idx, cfg)
+        assert [(row.train_loss, row.composite)
+                for row in result.history] == history
+        current = model.graph.state_dict()
+        assert current.keys() == state.keys()
+        for name in state:
+            assert current[name].tobytes() == state[name].tobytes(), name
+        names = {p.name for p in model.graph.parameters()}
+        (adam,) = built
+        assert {p.name for p in adam.parameters} == names - unreached
+        assert set(adam.state.m) == set(adam.state.v) == names - unreached
+        for name in unreached:
+            assert current[name].tobytes() == initial[name].tobytes(), name
+            # the full path moved them by +0 and kept their moments at +0
+            for moments in (full.state.m, full.state.v):
+                assert moments[name].tobytes() == \
+                    bytes(moments[name].nbytes), name
+
+    def test_a_trained_degree_5_atom_moves_its_parameters(self, monkeypatch):
+        built = record_adams(monkeypatch)
+        dataset = small_store("padme-graphconv", seed=3).dataset
+        dataset = replace(dataset, compounds=(
+            "CP(C)(C)(C)C", *dataset.compounds[1:]), molecules=None)
+        store = FeatureStore(dataset, small_store("padme-graphconv").cfg)
+        train_idx, val_idx = degree_split(store, 4)
+        assert 0 in store.dataset.pairs[train_idx, 0]
+        model = store.build_model()
+        initial = model.graph.state_dict()
+        train(model, store, train_idx, val_idx,
+              TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=4))
+        moved = {p.name for p in built[0].parameters}
+        assert degree_parameters((5,)) <= moved
+        assert not degree_parameters((0, 4, 6)) & moved
+        for li in range(2):
+            name = f"conv{li}.wself5"
+            assert not np.array_equal(model.graph.live_state()[name],
+                                      initial[name]), name
+
+
 class TestRefit:
     def test_two_fits_equal_a_textbook_loop(self, monkeypatch):
         # The second fit's optimizer repacks parameters the first one owns.
@@ -364,12 +456,15 @@ class TestRefit:
             assert current.keys() == state.keys()
             for name in state:
                 assert np.array_equal(current[name], state[name]), name
+        # every parameter the second fit moves, bar the row-selected weight,
+        # lives in its optimizer's buffer; the rest keep arrays of their own
         first, second = built
-        weight = model.input_weight
+        moved = {id(p) for p in second.parameters}
+        assert len(moved) < len(model.graph.parameters())
         for p in model.graph.parameters():
-            if p is not weight:
-                assert np.shares_memory(p.array, second.flat_theta), p.name
-                assert not np.shares_memory(p.array, first.flat_theta)
+            assert not np.shares_memory(p.array, first.flat_theta), p.name
+            assert np.shares_memory(p.array, second.flat_theta) == (
+                id(p) in moved and p is not model.input_weight), p.name
 
 
 def script_scores(monkeypatch, scores, act=None):

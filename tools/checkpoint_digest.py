@@ -31,9 +31,13 @@ each one, a fresh interpreter
 * builds each of the four variants at a small shape and, with a NaN and
   then a +inf written into one state entry at a time (a ``dense0.W`` row,
   ``dense0.b``, ``bn0.gamma``, a ``dense1.W`` row, an ``output.W`` row and,
-  for the graph-conv variants, a ``conv0.wself2`` row), runs a one-epoch
-  ``train`` (its error class and message, or the bytes of the final state
-  when it succeeds), so that two trees raise the same training errors;
+  for the graph-conv variants, a ``conv0.wself2`` row and a
+  ``conv0.wself6`` row, a degree no training compound has), runs a
+  one-epoch ``train`` (its error class and message, or the bytes of the
+  final state when it succeeds); then, for each graph-conv variant with
+  two conv layers, three fits whose forward passes and whose ``Adam.step``
+  refuses a gradient (``PAST_THE_FORWARD``), so that two trees raise the
+  same training errors;
 * fits one ``padme-ecfp`` model with an early best epoch (evaluated
   every 2 epochs at learning rate 0.01 and patience 1, so the fit stops 2
   epochs after its best and restores it) and saves its checkpoint (its
@@ -434,46 +438,81 @@ def scoring_errors_digest(checkpoints: list[Path]) -> str:
 
 
 # State entries the training-errors row poisons, each at its row or entry 3;
-# the graph-conv variants also get ``conv0.wself2``.
+# the graph-conv variants also get ``GRAPHCONV_TRAINING_POISONED``. No
+# training compound of the row has an atom of degree 0, 5 or 6, so no fit
+# reads ``conv0.wself6``: its gradient is +0 at every step.
 TRAINING_POISONED = ("dense0.W", "dense0.b", "bn0.gamma", "dense1.W",
                      "output.W")
+GRAPHCONV_TRAINING_POISONED = ("conv0.wself2", "conv0.wself6")
+
+# Fits of a graph-conv model with two conv layers whose forward passes and
+# whose ``Adam.step`` refuses a gradient, one per degree ``d`` here. Entry 3
+# of every ``conv0.b*`` at 1e3 makes column 3 of every atom's pooled conv0
+# value positive, so row 3 of ``conv1.wself{d}`` at -inf sends each degree-d
+# atom's conv1 pre-activation to -inf, which the ReLU maps to 0. The
+# backward multiplies those atoms' zero gradients by that -inf (NaN), which
+# flows back into conv0's gradients.
+PAST_THE_FORWARD = (1, 2, 3)
+
+
+def _training_outcome(store, poison: dict) -> bytes:
+    """What a one-epoch ``train`` on the row's pairs gives for a fresh
+    model of ``store`` with row or entry 3 of each ``poison`` key set to its
+    value: the error's class and message, or the bytes of the final
+    state."""
+    import numpy as np
+
+    from dtanet.training import TrainConfig, train
+
+    model = store.build_model()
+    for name, bad in poison.items():
+        model.graph.live_state()[name][3] = bad
+    try:
+        with np.errstate(all="ignore"):
+            train(model, store, np.arange(80), np.arange(80, 100),
+                  TrainConfig(max_epochs=1, patience=1, seed=SEED))
+    except Exception as error:
+        return f"{type(error).__name__}: {error}".encode()
+    state = model.graph.live_state()
+    return b"".join(state[key].tobytes() for key in sorted(state))
 
 
 def training_errors_digest() -> str:
     """Digest of what a one-epoch ``train`` of each variant gives, at a
     small shape, with a fresh model holding a NaN, then a +inf, in row or
-    entry 3 of one entry of ``TRAINING_POISONED``: the error's class and
-    message, or the bytes of the final state."""
+    entry 3 of one entry of ``TRAINING_POISONED`` (and, for a graph-conv
+    model, of ``GRAPHCONV_TRAINING_POISONED``), then of the
+    ``PAST_THE_FORWARD`` fits: the error's class and message, or the bytes
+    of the final state."""
     import numpy as np
 
     from dtanet.model import VARIANTS, FeatureStore, ModelConfig
     from dtanet.synthetic import memory_dataset
-    from dtanet.training import TrainConfig, train
 
     dataset = memory_dataset(n_compounds=30, n_proteins=4, n_pairs=100,
                              seed=SEED)
     digest = hashlib.sha256()
     for variant in VARIANTS:
+        graphconv = variant.endswith("graphconv")
         store = FeatureStore(dataset, ModelConfig(
             variant=variant, hidden_layers=(16, 8), fp_bits=512,
             conv_widths=(8,), conv_dense=12, seed=SEED))
-        names = TRAINING_POISONED + (("conv0.wself2",)
-                                     if variant.endswith("graphconv") else ())
+        names = TRAINING_POISONED + (GRAPHCONV_TRAINING_POISONED
+                                     if graphconv else ())
         for name in names:
             for bad in (np.nan, np.inf):
-                model = store.build_model()
-                model.graph.live_state()[name][3] = bad
-                try:
-                    with np.errstate(all="ignore"):
-                        train(model, store, np.arange(80), np.arange(80, 100),
-                              TrainConfig(max_epochs=1, patience=1, seed=SEED))
-                    state = model.graph.live_state()
-                    outcome = b"".join(state[key].tobytes()
-                                       for key in sorted(state))
-                except Exception as error:
-                    outcome = f"{type(error).__name__}: {error}".encode()
                 digest.update(f"{variant}|{name}|{bad}|".encode())
-                digest.update(outcome)
+                digest.update(_training_outcome(store, {name: bad}))
+        if not graphconv:
+            continue
+        store = FeatureStore(dataset, ModelConfig(
+            variant=variant, hidden_layers=(16, 8), conv_widths=(8, 8),
+            conv_dense=12, seed=SEED))
+        for degree in PAST_THE_FORWARD:
+            poison = {f"conv0.b{d}": 1e3 for d in range(7)}
+            poison[f"conv1.wself{degree}"] = -np.inf
+            digest.update(f"{variant}|conv1.wself{degree}|-inf|".encode())
+            digest.update(_training_outcome(store, poison))
     return digest.hexdigest()
 
 
