@@ -36,10 +36,10 @@ checked (a pool reads a graph convolution's output, the restore a pool's),
 and none of them can turn finite input into a non-finite value (a maximum
 of finite entries is one of them, and the restore permutes rows). An
 ``Input``'s feed, like every numeric feed a layer reads, is checked as it
-is read, and a non-finite feed is named as the input it is, unless it is a
-read-only ``Checked`` array: its maker checked it already (a feature store
-checks its descriptor rows once, when it is built, and feeds a batch's
-rows as ``Checked``).
+is read, and a non-finite feed is named as the input it is. The one
+exception is internal to ``FeatureStore.feeds``: the store checks its
+descriptor rows once, when it is built, and feeds a batch's rows as a
+read-only ``_Checked`` array, which ``fed`` does not test again.
 
 ``Graph.infer(feeds, x, start, stop)`` runs the layers ``start:stop`` with
 no dropout and batch normalization on its running statistics; no backward
@@ -217,8 +217,6 @@ __all__ = [
     "CompactGrad",
     "Adam",
     "AdamState",
-    "Checked",
-    "checked",
     "require_finite",
 ]
 
@@ -261,29 +259,31 @@ def _non_finite(name: str, op: str) -> NonFiniteError:
     return NonFiniteError(f"non-finite values produced by node '{name}' ({op})")
 
 
-class Checked(np.ndarray):
-    """A read-only float64 feed whose maker checked every entry finite;
-    ``fed`` reads it without testing it again. Make one with ``checked``."""
+class _Checked(np.ndarray):
+    """A read-only float64 feed that ``fed`` reads without testing it for
+    finiteness. Make one with ``_checked``."""
 
 
-def checked(rows: np.ndarray) -> Checked:
-    """``rows``, a float64 array checked finite, frozen and marked as such
-    (see ``fed``). The array becomes read-only."""
+def _checked(rows: np.ndarray) -> _Checked:
+    """``rows`` frozen and marked so that ``fed`` does not test it. This
+    does not test ``rows`` either: the caller must already have checked
+    every entry finite. Only ``FeatureStore.feeds`` calls it, on rows of the
+    descriptor matrix that the store checked when it was built."""
     rows.flags.writeable = False
-    return rows.view(Checked)
+    return rows.view(_Checked)
 
 
 def fed(ctx: _Context, name: str, numeric: bool = True):
     """The feed ``name``; a numeric one as float64, checked for
     finiteness and named as an input when it fails. A read-only
-    ``Checked`` feed was checked by its maker and is not tested again."""
+    float64 ``_Checked`` feed is not tested again (see ``_checked``)."""
     try:
         value = ctx.feeds[name]
     except KeyError:
         raise EngineError(f"no value fed for input '{name}'") from None
     if not numeric:
         return value
-    if (type(value) is Checked and value.dtype == np.float64
+    if (type(value) is _Checked and value.dtype == np.float64
             and not value.flags.writeable):
         return value.view(np.ndarray)
     value = np.asarray(value, dtype=np.float64)

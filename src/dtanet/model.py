@@ -77,8 +77,8 @@ from .engine import (
     Parameter,
     Relu,
     WeightedMse,
+    _checked,
     all_finite,
-    checked,
     require_finite,
 )
 from .graphconv import (
@@ -527,7 +527,7 @@ class FeatureStore:
                     "compound-only variants support single-measurement data only")
         else:
             # checked here once: scoring projects these rows unchecked, and
-            # a training batch feeds them as ``Checked`` rows
+            # a training batch feeds them as ``engine._Checked`` rows
             self.protein_matrix = proteins.descriptor_matrix(
                 dataset.sequences, dataset.protein_ids)
             if not all_finite(self.protein_matrix):
@@ -619,7 +619,7 @@ class FeatureStore:
         feeds["compound_row"] = compound_row
         if not self.cfg.compound_only:
             distinct, protein_row = np.unique(protein_idx, return_inverse=True)
-            feeds["protein"] = checked(self.protein_matrix[distinct])
+            feeds["protein"] = _checked(self.protein_matrix[distinct])
             feeds["protein_row"] = protein_row
         if self.cfg.compound_only:
             if model is None or model.protein_index is None:

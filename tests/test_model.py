@@ -852,7 +852,7 @@ class TestFeatureStore:
         model = store.build_model()
         feeds = store.feeds(np.arange(30), model=model)
         rows = feeds["protein"]
-        assert type(rows) is engine.Checked and not rows.flags.writeable
+        assert type(rows) is engine._Checked and not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = np.nan
         tested = []
